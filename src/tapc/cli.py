@@ -221,12 +221,8 @@ def cmd_lut(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.stats) as fh:
-        stats = metrics.Stats.from_doc(json.load(fh))
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = metrics.Stats.from_doc(json.load(fh))
+    stats = metrics.Stats.load(args.stats)
+    baseline = metrics.Stats.load(args.baseline) if args.baseline else None
     text = metrics.format_report(stats, baseline)
     print(text, end="")
     if args.out_dir:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .errors import FormatError
+
 EVENT_KINDS = ("search", "write", "shift", "move")
 PHASES = ("io", "dfg", "accum")
 
@@ -108,6 +110,18 @@ class Stats:
         layers = [LayerStats(**d) for d in doc["layers"]]
         rest = {k: v for k, v in doc.items() if k != "layers"}
         return cls(layers=layers, **rest)
+
+    @classmethod
+    def load(cls, path) -> "Stats":
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise FormatError(f"cannot read stats: {exc}") from exc
+        try:
+            return cls.from_doc(doc)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"not a stats file: {path}") from exc
 
 
 def account(program, result, model: EnergyModel | None = None) -> Stats:

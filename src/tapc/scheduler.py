@@ -446,6 +446,16 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
             f"layer {idx}: needs {demand} APs "
             f"({row_groups} row groups x {len(tiles)} tiles x {len(groups)} "
             f"channel groups), geometry has {geometry.total_aps}")
+    # every stored value runs along one track, one bit per domain
+    for tile in tiles:
+        value_w = max((s.width for plan in tile.plans.values()
+                       for s in plan.storages), default=0)
+        for what, width in (("accumulator", tile.acc_width),
+                            ("value", value_w)):
+            if width > geometry.domains_per_track:
+                raise CapacityError(
+                    f"layer {idx}: {width}-bit {what} exceeds "
+                    f"{geometry.domains_per_track} domains per track")
 
     n_slots = shape.f_h * shape.f_w
     ap_of = {}

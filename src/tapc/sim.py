@@ -1,10 +1,13 @@
 """Bit-accurate functional simulation of the CAM arrays on racetrack storage.
 
-Array state is the ground truth `data` cube (rows x columns x domains); the
-per-column `align` map says which domain each track currently ports. Searches
-and writes touch only the ported slice, shifts just move the alignment and
-pay per domain step. Column moves between APs read the storage directly (the
-interconnect model charges them per bit, flat across hop levels).
+Array state is one row bitset per (column, domain) plane: a Python int whose
+bit r is row r's stored bit. The per-column `align` map says which domain
+each track currently ports. A search ANDs the ported planes of its columns
+(or their complements, for a 0 key bit) into the tag register; a tagged write
+ORs the tag into, or clears it out of, the ported planes of its columns.
+Shifts just move the alignment and pay per domain step. Column moves between
+APs copy whole planes (the interconnect model charges them per bit, flat
+across hop levels).
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -26,7 +29,7 @@ from .model import FeatureMap, LayerShape, QuantSpec, max_pool_2x2, requantize
 from .scheduler import ApGeometry, ApProgram
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One costed array action. bits/steps carry the energy-relevant size,
     cycles the latency contribution within the event's epoch."""
@@ -50,37 +53,76 @@ def export_events(events: list[Event]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pack_rows(bits) -> int:
+    """Row bitset of a 0/1 vector: element r becomes bit r."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _unpack_rows(plane: int, rows: int) -> np.ndarray:
+    raw = np.frombuffer(plane.to_bytes(-(-rows // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=rows, bitorder="little")
+
+
 class CamArray:
-    """One AP: the storage cube plus alignment, tag register and wear counts."""
+    """One AP: the row-bitset planes plus alignment, tag register and wear
+    counts. `planes[col][dom]` holds domain `dom` of every row's track in
+    column `col`."""
 
     def __init__(self, geometry: ApGeometry):
         self.rows = geometry.rows
         self.columns = geometry.columns
-        self.data = np.zeros(
-            (geometry.rows, geometry.columns, geometry.domains_per_track),
-            dtype=np.uint8)
+        self.domains = geometry.domains_per_track
+        self.full = (1 << geometry.rows) - 1
+        self.planes = [[0] * self.domains for _ in range(self.columns)]
         self.align: dict[int, int] = {}
-        self.tag = np.zeros(geometry.rows, dtype=bool)
-        self.writes = np.zeros(geometry.columns, dtype=np.int64)
+        self.tag = 0
+        self.writes = [0] * self.columns
+
+    def track(self, col: int, base: int = 0, width: int = 1) -> list[int]:
+        """The planes of one column, after checking that domains
+        [base, base + width) exist on it."""
+        if not 0 <= col < self.columns:
+            raise SimulationError(
+                f"column {col} outside the {self.columns}-column array")
+        if base < 0 or base + width > self.domains:
+            raise SimulationError(
+                f"domains [{base}, {base + width}) of column {col} outside "
+                f"the {self.domains}-domain track")
+        return self.planes[col]
+
+    def load(self, col: int, dom: int, bits, n_rows: int):
+        """Replace the low `n_rows` rows of one plane, keeping the rows above."""
+        if n_rows > self.rows:
+            raise SimulationError(f"{n_rows} rows loaded into a "
+                                  f"{self.rows}-row array")
+        track = self.track(col, dom)
+        track[dom] = track[dom] >> n_rows << n_rows | _pack_rows(bits)
 
     def visible(self, col: int) -> np.ndarray:
-        return self.data[:, col, self.align.get(col, 0)]
+        return _unpack_rows(self.planes[col][self.align.get(col, 0)], self.rows)
 
     # direct, uncosted access for harnesses and unit tests
     def poke(self, col: int, base: int, width: int, values, n_rows: int):
         vals = np.asarray(values, dtype=np.int64)
         mask = (1 << width) - 1
         for b in range(width):
-            self.data[:n_rows, col, base + b] = ((vals & mask) >> b) & 1
+            self.load(col, base + b, ((vals & mask) >> b) & 1, n_rows)
 
     def peek(self, col: int, base: int, width: int, n_rows: int,
              signed: bool = True) -> np.ndarray:
+        track = self.track(col, base, width)
         vals = np.zeros(n_rows, dtype=np.int64)
         for b in range(width):
-            vals |= self.data[:n_rows, col, base + b].astype(np.int64) << b
+            vals |= _unpack_rows(track[base + b],
+                                 self.rows)[:n_rows].astype(np.int64) << b
         if signed:
             vals -= ((vals >> (width - 1)) & 1) << width
         return vals
+
+    def shift(self, col: int, target: int):
+        self.track(col, target)
+        self.align[col] = target
 
 
 class SimState:
@@ -103,8 +145,7 @@ class SimState:
                                  cycles))
 
     def col_write_max(self) -> int:
-        return max((int(cam.writes.max()) for cam in self.aps.values()),
-                   default=0)
+        return max((max(cam.writes) for cam in self.aps.values()), default=0)
 
 
 def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
@@ -115,35 +156,45 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
     the AP's alignment), so applying them here keeps plan and state in sync.
     """
     cam = state.ap(ap_id)
-    for op in ops:
-        if op.kind == "search":
-            vis = np.ones(cam.rows, dtype=bool)
-            for col, want in zip(op.cols, op.key):
-                vis &= cam.visible(col) == want
-            cam.tag = vis
-            state.log("search", ap_id, layer, phase, epoch,
-                      len(op.cols) * cam.rows, 0, 1)
-        elif op.kind == "write":
-            sel = cam.tag
-            n_sel = int(sel.sum())
-            for col, bit in zip(op.cols, op.bits):
-                cam.data[sel, col, cam.align.get(col, 0)] = bit
-                cam.writes[col] += 1
-            state.log("write", ap_id, layer, phase, epoch,
-                      len(op.cols) * n_sel, 0, 1)
-        elif op.kind == "clear":
-            for col in op.cols:
-                cam.data[:, col, cam.align.get(col, 0)] = 0
-                cam.writes[col] += 1
-            state.log("write", ap_id, layer, phase, epoch,
-                      len(op.cols) * cam.rows, 0, 1)
-        elif op.kind == "shift":
-            cam.align[op.col] = op.target
-            if op.steps:
-                state.log("shift", ap_id, layer, phase, epoch, cam.rows,
-                          op.steps, op.steps)
-        else:
-            raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
+    planes, align, writes = cam.planes, cam.align, cam.writes
+    full, rows = cam.full, cam.rows
+    log = state.log
+    try:
+        for op in ops:
+            kind = op.kind
+            if kind == "search":
+                tag = full
+                for col, want in zip(op.cols, op.key):
+                    plane = planes[col][align.get(col, 0)]
+                    tag &= plane if want else full ^ plane
+                cam.tag = tag
+                log("search", ap_id, layer, phase, epoch, len(op.cols) * rows,
+                    0, 1)
+            elif kind == "write":
+                tag = cam.tag
+                for col, bit in zip(op.cols, op.bits):
+                    track = planes[col]
+                    dom = align.get(col, 0)
+                    track[dom] = track[dom] | tag if bit else track[dom] & ~tag
+                    writes[col] += 1
+                log("write", ap_id, layer, phase, epoch,
+                    len(op.cols) * tag.bit_count(), 0, 1)
+            elif kind == "clear":
+                for col in op.cols:
+                    planes[col][align.get(col, 0)] = 0
+                    writes[col] += 1
+                log("write", ap_id, layer, phase, epoch, len(op.cols) * rows,
+                    0, 1)
+            elif kind == "shift":
+                cam.shift(op.col, op.target)
+                if op.steps:
+                    log("shift", ap_id, layer, phase, epoch, rows, op.steps,
+                        op.steps)
+            else:
+                raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
+    except IndexError as exc:
+        raise SimulationError(f"AP {ap_id}: micro-op on a column outside the "
+                              f"{cam.columns}-column array") from exc
 
 
 def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
@@ -189,8 +240,8 @@ def _exec_move_item(state, item, dst_ap, layer, epoch):
     dst = state.ap(dst_ap)
     w = int(item["m"])
     s0, d0 = int(item["src_base"]), int(item["dst_base"])
-    dst.data[:, item["dst_col"], d0:d0 + w] = \
-        src.data[:, item["src_col"], s0:s0 + w]
+    dst.track(item["dst_col"], d0, w)[d0:d0 + w] = \
+        src.track(item["src_col"], s0, w)[s0:s0 + w]
     dst.writes[item["dst_col"]] += w
     state.log("move", dst_ap, layer, item["ph"], epoch, dst.rows * w, 0, w)
 
@@ -199,7 +250,7 @@ def _shift_log(state, ap_id, col, target, layer, phase, epoch):
     cam = state.ap(ap_id)
     cur = cam.align.get(col, 0)
     if cur != target:
-        cam.align[col] = target
+        cam.shift(col, target)
         steps = abs(target - cur)
         state.log("shift", ap_id, layer, phase, epoch, cam.rows, steps, steps)
 
@@ -244,7 +295,7 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
         # zero column must actually read zero on a reused array
         _shift_log(state, ap_id, td["carry"], 0, layer, "io", ep_load)
         _shift_log(state, ap_id, td["zero"], 0, layer, "io", ep_load)
-        cam.data[:, td["zero"], 0] = 0
+        cam.track(td["zero"])[0] = 0
         cam.writes[td["zero"]] += 1
         state.log("write", ap_id, layer, "io", ep_load, cam.rows, 0, 1)
         if prov is not None:
@@ -267,7 +318,7 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
                 for b in range(in_bits):
                     dom = ci * in_bits + b
                     _shift_log(state, ap_id, k, dom, layer, "io", ep_load)
-                    cam.data[:ru, k, dom] = (vals[:, k] >> b) & 1
+                    cam.load(k, dom, (vals[:, k] >> b) & 1, ru)
                     cam.writes[k] += 1
                     state.log("write", ap_id, layer, "io", ep_load, ru, 0, 1)
 

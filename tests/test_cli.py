@@ -1,6 +1,9 @@
 """Command line behavior: artifacts, output and exit codes."""
 
+import hashlib
 import json
+
+import pytest
 
 from tapc import cli
 from tapc.model import make_synthetic_network, save_network
@@ -164,3 +167,56 @@ def test_report_subcommand_with_baseline(tmp_path, capsys):
     assert "vs unroll: ops" in out and "% fewer" in out
     assert (out_dir / "report.txt").exists()
     assert (out_dir / "report.csv").exists()
+
+
+def test_values_wider_than_a_track_are_a_capacity_error(capsys):
+    # 2-bit activations summed over 3x3x3 inputs need a 7-bit accumulator
+    code, _, err = run_cli(capsys, "verify", "--synthetic", "1x4x0.3",
+                           "--bits", "2", "--input-hw", "4x4", "--domains", "4")
+    assert code == 3
+    assert "exceeds 4 domains per track" in err
+
+
+def test_report_rejects_unreadable_stats(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "report",
+                           "--stats", str(tmp_path / "missing.json"))
+    assert code == 4 and "format:" in err
+    for name, text in (("garbage.json", "not json\n"), ("empty.json", "{}\n")):
+        (tmp_path / name).write_text(text)
+        code, _, err = run_cli(capsys, "report", "--stats", str(tmp_path / name))
+        assert code == 4 and "format:" in err, name
+
+
+# sha256 of the artifacts of two small runs: default geometry, and 32-row
+# 24-column arrays that force partial row groups, two output tiles and a
+# channel-group adder tree with moves. Any change to the simulated values,
+# the event log or the accounting shows here.
+GOLDEN_RUNS = {
+    "default": (
+        ["--synthetic", "2x6x0.8", "--input-hw", "8x8", "--seed", "3"],
+        {"events.csv": "150ad65997a0a52f1190d0ff7eea95c0"
+                       "050b80084923e58270e7e3b3118dc4ed",
+         "stats.json": "0bf2d4191e0e05e8534e78750f12b20f"
+                       "8cd46b8d97276f783770c01b6c3ea0fa",
+         "output.tfm": "60452de23e0ad43e2a8c26774fb177bc"
+                       "313b12bf40cbf749b04fef4ccfdb9022"}),
+    "tiled": (
+        ["--synthetic", "2x10x0.8", "--bits", "8", "--input-hw", "6x6",
+         "--rows", "32", "--cols", "24", "--seed", "1"],
+        {"events.csv": "2fcdc5e5821cfc1673cd04acf172bdfa"
+                       "dea69eeedc4f7fbd4ed9fe8b480adbc9",
+         "stats.json": "f0cfd3568beaf2cdff31c964084be6b2"
+                       "08e9555048115fa85de2c816f0f090dd",
+         "output.tfm": "f2fecc0ea0c317f6f3bf0d6a4e669f1a"
+                       "75af44ae96b8e4b7c4b2361e37bf7d7d"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_artifacts_match_golden_hashes(name, tmp_path, capsys):
+    argv, want = GOLDEN_RUNS[name]
+    code, _, _ = run_cli(capsys, "run", *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in want}
+    assert got == want

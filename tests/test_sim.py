@@ -44,6 +44,26 @@ def test_poke_peek_round_trip():
     assert np.array_equal(cam.peek(3, 0, 6, 64, signed=False), unsigned)
 
 
+def test_poke_peek_on_rows_not_a_multiple_of_eight():
+    cam = sim.SimState(ApGeometry(rows=100, columns=4, domains_per_track=8)).ap(0)
+    vals = np.arange(100) % 17 - 8
+    cam.poke(1, 3, 5, vals, 100)
+    assert np.array_equal(cam.peek(1, 3, 5, 100, signed=True), vals)
+    assert np.array_equal(cam.visible(1), np.zeros(100))    # domain 0 unset
+    cam.poke(2, 0, 1, np.ones(100, dtype=np.int64), 100)
+    assert np.array_equal(cam.visible(2), np.ones(100))
+
+
+def test_partial_row_load_keeps_the_rows_above():
+    cam = sim.SimState(ApGeometry(rows=100, columns=4, domains_per_track=8)).ap(0)
+    old = np.arange(100) % 31
+    cam.poke(0, 2, 5, old, 100)
+    cam.poke(0, 2, 5, np.full(37, 7), 37)
+    got = cam.peek(0, 2, 5, 100, signed=False)
+    assert np.array_equal(got[:37], np.full(37, 7))
+    assert np.array_equal(got[37:], old[37:])
+
+
 def test_search_then_write_touches_only_tagged_rows():
     st = sim.SimState(GEO)
     cam = st.ap(0)
@@ -65,6 +85,34 @@ def test_unknown_micro_op_kind_is_rejected():
     st = sim.SimState(GEO)
     with pytest.raises(SimulationError):
         sim.execute_micro_ops(st, 0, [isa.MicroOp("teleport")])
+
+
+@pytest.mark.parametrize("op", [
+    isa.MicroOp("shift", col=0, target=64, steps=64),
+    isa.MicroOp("shift", col=0, target=-1, steps=1),
+    isa.MicroOp("search", cols=(16,), key=(1,)),
+    isa.MicroOp("write", cols=(16,), bits=(1,)),
+    isa.MicroOp("clear", cols=(16,), bits=(0,)),
+], ids=["shift-past-track", "shift-below-track", "search-past-columns",
+        "write-past-columns", "clear-past-columns"])
+def test_micro_ops_past_the_geometry_are_rejected(op):
+    st = sim.SimState(GEO)
+    with pytest.raises(SimulationError):
+        sim.execute_micro_ops(st, 0, [op])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dst_base", 63), ("dst_base", -1), ("src_base", 63), ("dst_col", 256),
+])
+def test_moves_past_the_geometry_are_rejected(field, value):
+    # one tree level: the first item moves a 2-group partial sum between APs
+    net = TernaryNetwork("cg", [conv_layer(16, 2, 3, 1, 1, 8, seed=17, shift=6)])
+    prog = emit_program(net, 4, 4, ApGeometry())
+    move = prog.layers[0]["tree"][0][0]["items"][0]
+    assert move["t"] == "move" and move["m"] > 1
+    move[field] = value
+    with pytest.raises(SimulationError):
+        sim.run(prog, make_synthetic_input(net, 4, 4))
 
 
 # --- macro execution ------------------------------------------------------
