@@ -94,10 +94,10 @@ def _input_map(args, net=None, program=None) -> FeatureMap:
         h, w = _parse_hw(args.input_hw)
         return make_synthetic_input(net, h, w, seed=args.seed)
     doc = program.doc
-    c_in = next(lp["c_in"] for lp in doc["layers"] if lp["kind"] == "conv")
     rng = np.random.default_rng(args.seed)
     data = rng.integers(0, 1 << doc["in_bits"],
-                        size=(c_in, doc["in_h"], doc["in_w"]), dtype=np.int64)
+                        size=(doc["in_c"], doc["in_h"], doc["in_w"]),
+                        dtype=np.int64)
     return FeatureMap(data, doc["in_bits"])
 
 

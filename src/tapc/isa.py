@@ -342,27 +342,17 @@ def parse_lut(text: str) -> LutTable:
 class MicroOp:
     """One array-level step. Fields are kind-dependent:
 
-    search: cols, key           write: cols, bits, use_tag
+    search: cols, key           write: cols, bits (into the tagged rows)
     clear:  cols, bits          shift: col, target, steps
-    move:   src_ap/src_col/src_base -> dst_ap/dst_col/dst_base, width, rows
     """
 
     kind: str
     cols: tuple = ()
     key: tuple = ()
     bits: tuple = ()
-    use_tag: bool = True
     col: int = -1
     target: int = 0
     steps: int = 0
-    src_ap: int = -1
-    src_col: int = -1
-    src_base: int = 0
-    dst_ap: int = -1
-    dst_col: int = -1
-    dst_base: int = 0
-    width: int = 0
-    rows: int = 0
 
 
 @dataclass
@@ -432,7 +422,7 @@ def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> l
     ops: list[MicroOp] = []
     if align.get(macro.carry_col, 0) != 0:
         raise FormatError("carry column must stay at domain 0")
-    ops.append(MicroOp("clear", cols=(macro.carry_col,), bits=(0,), use_tag=False))
+    ops.append(MicroOp("clear", cols=(macro.carry_col,), bits=(0,)))
 
     passes = table.passes()
     for bit in range(macro.width):
@@ -453,28 +443,25 @@ def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> l
         if macro.addressing == OUT_OF_PLACE:
             for col in dest_cols:
                 _shift_to(ops, align, col, macro.dest_base + bit)
-            ops.append(MicroOp("clear", cols=dest_cols, bits=(0,) * len(dest_cols),
-                               use_tag=False))
+            ops.append(MicroOp("clear", cols=dest_cols, bits=(0,) * len(dest_cols)))
         for entry in passes:
             ops.append(MicroOp("search", cols=(macro.carry_col, b_col, a_col),
                                key=entry.key))
             wcols = (macro.carry_col,) + dest_cols
             wbits = (entry.write[0],) + (entry.write[1],) * len(dest_cols)
-            ops.append(MicroOp("write", cols=wcols, bits=wbits, use_tag=True))
+            ops.append(MicroOp("write", cols=wcols, bits=wbits))
     return ops
 
 
 def cycle_count(ops: list[MicroOp], shift_cycles_per_step: int = 1) -> int:
     """Latency of a micro-op list: searches/writes/clears 1 cycle, shifts pay
-    per domain step, moves pay one cycle per transferred bit-slice."""
+    per domain step."""
     total = 0
     for op in ops:
         if op.kind in ("search", "write", "clear"):
             total += 1
         elif op.kind == "shift":
             total += op.steps * shift_cycles_per_step
-        elif op.kind == "move":
-            total += op.width
         else:
             raise FormatError(f"unknown micro-op kind {op.kind!r}")
     return total

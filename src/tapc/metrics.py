@@ -16,6 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
+from .scheduler import macro_counts
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 PHASES = ("io", "dfg", "accum")
@@ -131,16 +132,18 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
     per_layer: dict[int, dict] = {}
     for lp in program.layers:
         util = 0.0
+        adds = subs = 0
         if lp["kind"] == "conv":
             positions = sum(lp["rows_used"])
-            util = positions / (lp["row_groups"] * geo.rows)
+            util = positions / (len(lp["rows_used"]) * geo.rows)
+            adds, subs = macro_counts(lp)
         per_layer[lp["index"]] = {
             "kind": lp["kind"],
             "energy": {k: 0.0 for k in EVENT_KINDS},
             "phase": {p: 0.0 for p in PHASES},
             "epochs": {},   # epoch -> ap -> cycles
-            "adds": lp.get("macro_adds", 0),
-            "subs": lp.get("macro_subs", 0),
+            "adds": adds,
+            "subs": subs,
             "util": util,
         }
     for ev in result.events:

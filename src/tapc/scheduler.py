@@ -20,12 +20,18 @@ output channel, one carry, one always-zero column and one move scratch.
 Width planning: destinations of in-place ops must be stored at the op
 width, so definition widths are widened backward along in-place chains;
 all other reads sign-extend for free by clamping at their MSB.
+
+The program stores only decisions: per tile its channel range, accumulator
+interval and value-pool layout, per (tile, channel group) one item stream
+that every row group runs, and the adder-tree items. Tile columns, AP ids,
+a macro's carry/zero columns and energy phase, and the op counts are derived
+here (Tile, ap_id, macro_of, macro_counts) for the simulator and metrics.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
 from .model import TernaryNetwork, _input_bits
 
-PROGRAM_VERSION = 1
+PROGRAM_VERSION = 2
 OPT_LEVELS = ("unroll", "unroll_cse")
 
 
@@ -237,14 +243,6 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
     return ChannelPlan(g, storages, n_colors, macros, folds)
 
 
-def choose_addressing(plan: ChannelPlan, node_id: int) -> str:
-    """Addressing picked for one node by allocate_columns (for inspection)."""
-    for m in plan.macros:
-        if m["node"] == node_id:
-            return m["mode"]
-    raise KeyError(node_id)
-
-
 # ---------------------------------------------------------------------------
 # layer planning
 # ---------------------------------------------------------------------------
@@ -277,15 +275,47 @@ def _slice_system(sys: LinearSystem, c_lo: int, c_hi: int) -> LinearSystem:
     return LinearSystem(sys.channel, sys.matrix[c_lo:c_hi], sys.patch)
 
 
-@dataclass
-class _TilePlan:
+@dataclass(frozen=True)
+class Tile:
+    """Column layout of one output tile on each of its APs: patch slots, the
+    value pool from `value0`, one accumulator per local output channel from
+    `acc0`, then the carry, zero and move-scratch columns. The accumulator
+    width is the narrowest that holds the proven interval [acc_lo, acc_hi]."""
+
     c_lo: int
     c_hi: int
-    acc_width: int
     acc_lo: int
     acc_hi: int
+    value0: int
     n_value_cols: int
-    columns_used: int
+
+    @property
+    def acc_width(self) -> int:
+        return dfglib.min_signed_width(self.acc_lo, self.acc_hi)
+
+    @property
+    def acc0(self) -> int:
+        return self.value0 + self.n_value_cols
+
+    @property
+    def carry(self) -> int:
+        return self.acc0 + self.c_hi - self.c_lo
+
+    @property
+    def zero(self) -> int:
+        return self.carry + 1
+
+    @property
+    def scratch(self) -> int:
+        return self.carry + 2
+
+    @property
+    def columns_used(self) -> int:
+        return self.scratch + 1
+
+
+@dataclass(frozen=True)
+class _TilePlan(Tile):
     plans: dict[int, ChannelPlan]   # channel -> plan
 
 
@@ -298,29 +328,24 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
     while True:
         tile_size = -(-shape.c_out // n_tiles)
         tiles: list[_TilePlan] = []
-        fits = True
         for c_lo in range(0, shape.c_out, tile_size):
             c_hi = min(c_lo + tile_size, shape.c_out)
             plans = {}
-            n_value = 0
             for sys in systems:
-                plan = allocate_columns(_build_graph(_slice_system(sys, c_lo, c_hi),
-                                                     opt, in_bits))
-                plans[sys.channel] = plan
-                n_value = max(n_value, plan.n_colors)
+                plans[sys.channel] = allocate_columns(_build_graph(
+                    _slice_system(sys, c_lo, c_hi), opt, in_bits))
+            n_value = max((p.n_colors for p in plans.values()), default=0)
             lo, hi = _acc_interval(systems, c_lo, c_hi, in_bits)
-            acc_w = dfglib.min_signed_width(lo, hi)
-            used = n_slots + n_value + (c_hi - c_lo) + 3
-            if used > geometry.columns:
-                fits = False
+            tile = _TilePlan(c_lo, c_hi, lo, hi, n_slots, n_value, plans)
+            if tile.columns_used > geometry.columns:
                 break
-            tiles.append(_TilePlan(c_lo, c_hi, acc_w, lo, hi, n_value, used, plans))
-        if fits:
+            tiles.append(tile)
+        else:   # every tile fits
             return tiles, systems
         if tile_size == 1:
             raise CapacityError(
-                f"single output channel needs {used} columns, geometry has "
-                f"{geometry.columns}")
+                f"single output channel needs {tile.columns_used} columns, "
+                f"geometry has {geometry.columns}")
         n_tiles *= 2
 
 
@@ -358,81 +383,159 @@ def schedule_accumulation(n_groups: int) -> list[list[tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
+# program format: what is derived from the stored decisions
+# ---------------------------------------------------------------------------
+
+def ap_id(rg: int, og: int, cg: int, n_tiles: int, n_groups: int) -> int:
+    """AP of (row group, output tile, channel group) in a conv layer."""
+    return (rg * n_tiles + og) * n_groups + cg
+
+
+def macro_of(item: list, tile: Tile) -> tuple[isa.MacroInstr, str]:
+    """Decode a stored `[op, mode, m, a, b, dest]` item on one of `tile`'s
+    APs into its macro and energy phase. The macro uses the tile's carry and
+    zero columns; it belongs to the "accum" phase when it writes an
+    accumulator column (b in place, the first result column otherwise)."""
+    op, mode, m, a, b, dest = item
+    macro = isa.MacroInstr(op, mode, False, m, isa.OperandRef(*a),
+                           isa.OperandRef(*b), tuple(dest), 0, tile.carry,
+                           tile.zero)
+    written = dest[0] if mode == isa.OUT_OF_PLACE and dest else b[0]
+    phase = "accum" if tile.acc0 <= written < tile.carry else "dfg"
+    return macro, phase
+
+
+def macro_counts(lp: dict) -> tuple[int, int]:
+    """Add and sub macros one conv layer issues: each row group runs every
+    stream once, and every tree item runs once."""
+    ops = [item[0] for tile_streams in lp["streams"] for items in tile_streams
+           for item in items] * len(lp["rows_used"])
+    ops += [item[0] for level in lp["tree"] for entry in level
+            for item in entry["items"]]
+    return ops.count(isa.ADD), ops.count(isa.SUB)
+
+
+# ---------------------------------------------------------------------------
 # program emission
 # ---------------------------------------------------------------------------
 
-def _macro_item(phase, op, mode, m, a_ref, b_ref, dest_cols, dest_base,
-                carry, zero):
-    return {"t": "macro", "ph": phase, "op": op, "mode": mode, "neg": 0,
-            "m": m, "a": list(a_ref), "b": list(b_ref),
-            "dest": list(dest_cols), "dest_base": dest_base,
-            "carry": carry, "zero": zero}
+_NO_OPS_ROW = {**dict.fromkeys(
+    ("ops_unroll", "ops_cse", "macro_adds", "macro_subs", "aps", "row_groups",
+     "channel_groups", "out_tiles", "acc_width", "columns_used"), 0),
+    "utilization": 0.0}
 
 
 def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
                  opt: str = "unroll_cse") -> "ApProgram":
-    """Compile the whole network into a deterministic, serializable program."""
+    """Compile the whole network into a deterministic, serializable program.
+    A conv whose `c_in` differs from its input, or an add over operands of
+    different shapes, is a FormatError."""
     if opt not in OPT_LEVELS:
         raise FormatError(f"opt level must be one of {OPT_LEVELS}")
     catalog, repairs = isa.standard_catalog()
+    in_c = net.layers[0].c_in if net.layers else 0
     layers_out = []
     report_rows = []
-    cur_h, cur_w = h, w
     cur_bits = _input_bits(net)
+    out_shapes: list[tuple[int, int, int]] = []
+    cur = (in_c, h, w)
     for idx, layer in enumerate(net.layers):
+        cur_c, cur_h, cur_w = cur
         if layer.kind == "pool":
             if cur_h % 2 or cur_w % 2:
                 raise FormatError(f"layer {idx}: pool needs even input extents")
             layers_out.append({"kind": "pool", "index": idx})
-            report_rows.append({"layer": idx, "kind": "pool", "ops_unroll": 0,
-                                "ops_cse": 0, "macro_adds": 0, "macro_subs": 0,
-                                "aps": 0, "row_groups": 0, "channel_groups": 0,
-                                "out_tiles": 0, "acc_width": 0, "columns_used": 0,
-                                "utilization": 0.0})
-            cur_h, cur_w = cur_h // 2, cur_w // 2
-            continue
-        if layer.kind == "add":
+            report_rows.append({"layer": idx, "kind": "pool", **_NO_OPS_ROW})
+            cur = (cur_c, cur_h // 2, cur_w // 2)
+        elif layer.kind == "add":
             skip = layer.skip_from if layer.skip_from is not None else idx - 2
+            other = (in_c, h, w) if skip == -1 else out_shapes[skip]
+            if other != cur:
+                raise FormatError(f"layer {idx}: add operands differ "
+                                  f"{cur} vs {other}")
             layers_out.append({"kind": "add", "index": idx, "skip_from": skip,
                                "out_bits": layer.quant.activation_bits,
                                "multiplier": layer.quant.requant_multiplier,
                                "shift": layer.quant.requant_shift,
                                "act_kind": layer.quant.activation_kind})
-            report_rows.append({"layer": idx, "kind": "add", "ops_unroll": 0,
-                                "ops_cse": 0, "macro_adds": 0, "macro_subs": 0,
-                                "aps": 0, "row_groups": 0, "channel_groups": 0,
-                                "out_tiles": 0, "acc_width": 0, "columns_used": 0,
-                                "utilization": 0.0})
+            report_rows.append({"layer": idx, "kind": "add", **_NO_OPS_ROW})
             cur_bits = layer.quant.activation_bits
-            continue
-
-        shape = layer.shape_for(cur_h, cur_w)
-        lp, row = _emit_conv(idx, layer, shape, cur_bits, geometry, opt)
-        layers_out.append(lp)
-        report_rows.append(row)
-        cur_h, cur_w = shape.h_out, shape.w_out
-        cur_bits = layer.quant.activation_bits
+        else:
+            if layer.c_in != cur_c:
+                raise FormatError(f"layer {idx}: conv expects {layer.c_in} "
+                                  f"input channels, gets {cur_c}")
+            shape = layer.shape_for(cur_h, cur_w)
+            lp, row = _emit_conv(idx, layer, shape, cur_bits, geometry, opt)
+            layers_out.append(lp)
+            report_rows.append(row)
+            cur = (shape.c_out, shape.h_out, shape.w_out)
+            cur_bits = layer.quant.activation_bits
+        out_shapes.append(cur)
 
     doc = {
         "format_version": PROGRAM_VERSION,
         "name": net.name,
         "opt": opt,
         "in_bits": _input_bits(net),
-        "in_h": h, "in_w": w,
+        "in_c": in_c, "in_h": h, "in_w": w,
         "geometry": asdict(geometry),
-        "luts": [_lut_doc(t) for _key, t in sorted(catalog.items(),
-                                                   key=lambda kv: kv[0])],
+        "luts": [_lut_doc(t) for key, t in sorted(catalog.items())
+                 if not t.negated],
         "layers": layers_out,
     }
     return ApProgram(doc, report_rows, [r.describe() for r in repairs])
 
 
+def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[list]:
+    """Items of the APs holding `group`'s channels for `tile`: each channel's
+    DFG macros, then its folds into the accumulators. Every row group runs
+    the same stream."""
+    acc_w = tile.acc_width
+    zero_ref = [tile.zero, 0, 1, 0]
+
+    def ref(desc, plan, ch_local):
+        if desc[0] == "in":
+            return [desc[1], ch_local * in_bits, in_bits, 0]
+        s = plan.storages[desc[1]]
+        return [tile.value0 + s.color, 0, s.width, 1]
+
+    items = []
+    # the first fold into each accumulator runs out of place over the zero
+    # column: its per-bit pre-clear initializes the column, so reused arrays
+    # never leak a stale accumulator
+    seeded: set[int] = set()
+    for ch_local, ch in enumerate(group):
+        plan = tile.plans[ch]
+        for mk in plan.macros:
+            dest = []
+            if mk["mode"] == isa.OUT_OF_PLACE:
+                dest = [tile.value0 + plan.storages[s].color for s in mk["dest"]]
+            items.append([mk["op"], mk["mode"], mk["m"],
+                          ref(mk["a"], plan, ch_local),
+                          ref(mk["b"], plan, ch_local), dest])
+        for r, desc, sign in plan.folds:
+            if desc is None:
+                continue
+            a = ref(desc, plan, ch_local)
+            op = isa.ADD if sign > 0 else isa.SUB
+            if r in seeded:
+                items.append([op, isa.IN_PLACE, acc_w, a,
+                              [tile.acc0 + r, 0, acc_w, 1], []])
+            else:
+                items.append([op, isa.OUT_OF_PLACE, acc_w, a, zero_ref,
+                              [tile.acc0 + r]])
+                seeded.add(r)
+    for r in range(tile.c_hi - tile.c_lo):
+        if r not in seeded:
+            items.append([isa.ADD, isa.OUT_OF_PLACE, acc_w, zero_ref, zero_ref,
+                          [tile.acc0 + r]])
+    return items
+
+
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     placement = place_layer(shape, in_bits, geometry)
     groups = placement["channel_groups"]
-    positions = placement["positions"]
     row_groups = placement["row_groups"]
-    rows_used = placement["rows_used"]
 
     tiles, systems = plan_conv_layer(layer.weights, shape, in_bits, geometry, opt)
     ops_unroll = unrolled_op_count(systems)
@@ -457,116 +560,26 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
                     f"layer {idx}: {width}-bit {what} exceeds "
                     f"{geometry.domains_per_track} domains per track")
 
-    n_slots = shape.f_h * shape.f_w
-    ap_of = {}
-    next_ap = 0
-    for rg in range(row_groups):
-        for og in range(len(tiles)):
-            for cg in range(len(groups)):
-                ap_of[(rg, og, cg)] = next_ap
-                next_ap += 1
-
-    adds = subs = 0
-    streams: dict[int, list] = {}
-    tile_docs = []
-    for og, tile in enumerate(tiles):
-        value0 = n_slots
-        acc0 = value0 + tile.n_value_cols
-        carry = acc0 + (tile.c_hi - tile.c_lo)
-        zero = carry + 1
-        scratch = zero + 1
-        tile_docs.append({
-            "c_lo": tile.c_lo, "c_hi": tile.c_hi,
-            "acc_width": tile.acc_width,
-            "acc_lo": tile.acc_lo, "acc_hi": tile.acc_hi,
-            "n_value_cols": tile.n_value_cols,
-            "value0": value0, "acc0": acc0, "carry": carry,
-            "zero": zero, "scratch": scratch,
-            "columns_used": tile.columns_used,
-        })
-
-        def ref_of(desc, plan, ch_local):
-            if desc[0] == "in":
-                return [desc[1], ch_local * in_bits, in_bits, 0]
-            s = plan.storages[desc[1]]
-            return [value0 + s.color, 0, s.width, 1]
-
-        zero_ref = [zero, 0, 1, 0]
-        n_local = tile.c_hi - tile.c_lo
-        for rg in range(row_groups):
-            for cg, group in enumerate(groups):
-                ap = ap_of[(rg, og, cg)]
-                items = []
-                # the first fold into each accumulator runs out of place over
-                # the zero column: its per-bit pre-clear initializes the
-                # column, so reused arrays never leak a stale accumulator
-                seeded: set[int] = set()
-                for ch_local, ch in enumerate(group):
-                    plan = tile.plans[ch]
-                    for mk in plan.macros:
-                        a = ref_of(mk["a"], plan, ch_local)
-                        b = ref_of(mk["b"], plan, ch_local)
-                        dest = [value0 + plan.storages[s].color for s in mk["dest"]]
-                        items.append(_macro_item(
-                            "dfg", mk["op"], mk["mode"], mk["m"], a, b,
-                            dest if mk["mode"] == isa.OUT_OF_PLACE else [],
-                            0, carry, zero))
-                        if mk["op"] == isa.ADD:
-                            adds += 1
-                        else:
-                            subs += 1
-                    for r, desc, sign in plan.folds:
-                        if desc is None:
-                            continue
-                        a = ref_of(desc, plan, ch_local)
-                        op = isa.ADD if sign > 0 else isa.SUB
-                        if r in seeded:
-                            items.append(_macro_item(
-                                "accum", op, isa.IN_PLACE, tile.acc_width, a,
-                                [acc0 + r, 0, tile.acc_width, 1], [], 0,
-                                carry, zero))
-                        else:
-                            items.append(_macro_item(
-                                "accum", op, isa.OUT_OF_PLACE, tile.acc_width,
-                                a, zero_ref, [acc0 + r], 0, carry, zero))
-                            seeded.add(r)
-                        if op == isa.ADD:
-                            adds += 1
-                        else:
-                            subs += 1
-                for r in range(n_local):
-                    if r not in seeded:
-                        items.append(_macro_item(
-                            "accum", isa.ADD, isa.OUT_OF_PLACE, tile.acc_width,
-                            zero_ref, zero_ref, [acc0 + r], 0, carry, zero))
-                        adds += 1
-                streams[ap] = items
-
     # binary adder tree over channel groups, per (row group, tile)
-    tree_levels = []
+    tree = []
     for pairs in schedule_accumulation(len(groups)):
         level = []
         for rg in range(row_groups):
             for og, tile in enumerate(tiles):
-                td = tile_docs[og]
+                acc_w = tile.acc_width
                 for dst_cg, src_cg in pairs:
-                    dst = ap_of[(rg, og, dst_cg)]
-                    src = ap_of[(rg, og, src_cg)]
+                    src = ap_id(rg, og, src_cg, len(tiles), len(groups))
                     items = []
-                    for r in range(tile.c_hi - tile.c_lo):
-                        items.append({"t": "move", "ph": "accum",
-                                      "src_ap": src,
-                                      "src_col": td["acc0"] + r, "src_base": 0,
-                                      "dst_col": td["scratch"], "dst_base": 0,
-                                      "m": tile.acc_width})
-                        items.append(_macro_item(
-                            "accum", isa.ADD, isa.IN_PLACE, tile.acc_width,
-                            [td["scratch"], 0, tile.acc_width, 1],
-                            [td["acc0"] + r, 0, tile.acc_width, 1],
-                            [], 0, td["carry"], td["zero"]))
-                        adds += 1
-                    level.append({"dst": dst, "items": items})
-        tree_levels.append(level)
+                    for col in range(tile.acc0, tile.carry):
+                        items.append(["move", src, col, 0, tile.scratch, 0,
+                                      acc_w])
+                        items.append([isa.ADD, isa.IN_PLACE, acc_w,
+                                      [tile.scratch, 0, acc_w, 1],
+                                      [col, 0, acc_w, 1], []])
+                    level.append({"dst": ap_id(rg, og, dst_cg, len(tiles),
+                                               len(groups)),
+                                  "items": items})
+        tree.append(level)
 
     lp = {
         "kind": "conv", "index": idx,
@@ -579,16 +592,16 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
         "multiplier": layer.quant.requant_multiplier,
         "shift": layer.quant.requant_shift,
         "act_kind": layer.quant.activation_kind,
-        "row_groups": row_groups, "rows_used": rows_used,
-        "channel_groups": [list(g) for g in groups],
-        "tiles": tile_docs,
-        "aps": {f"{rg},{og},{cg}": ap_of[(rg, og, cg)]
-                for (rg, og, cg) in sorted(ap_of)},
-        "streams": {str(ap): items for ap, items in sorted(streams.items())},
-        "tree": tree_levels,
-        "macro_adds": adds, "macro_subs": subs,
+        "rows_used": placement["rows_used"],
+        "channel_groups": groups,
+        "tiles": [{f.name: getattr(t, f.name) for f in fields(Tile)}
+                  for t in tiles],
+        "streams": [[_stream(t, group, in_bits) for group in groups]
+                    for t in tiles],
+        "tree": tree,
     }
-    utilization = positions / (row_groups * geometry.rows)
+    adds, subs = macro_counts(lp)
+    utilization = placement["positions"] / (row_groups * geometry.rows)
     row = {"layer": idx, "kind": "conv", "ops_unroll": ops_unroll,
            "ops_cse": ops_cse, "macro_adds": adds, "macro_subs": subs,
            "aps": demand, "row_groups": row_groups,
@@ -605,7 +618,6 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
 
 def _lut_doc(table: isa.LutTable) -> dict:
     return {"op": table.op_kind, "addressing": table.addressing,
-            "negated": int(table.negated),
             "entries": [[list(e.key), list(e.write), e.pass_index]
                         for _k, e in sorted(table.entries.items())]}
 
@@ -615,7 +627,7 @@ def _lut_from_doc(doc: dict) -> isa.LutTable:
     for key, write, pidx in doc["entries"]:
         k = tuple(int(x) for x in key)
         entries[k] = isa.LutEntry(k, tuple(int(x) for x in write), int(pidx))
-    return isa.LutTable(doc["op"], doc["addressing"], bool(doc["negated"]), entries)
+    return isa.LutTable(doc["op"], doc["addressing"], False, entries)
 
 
 class ApProgram:

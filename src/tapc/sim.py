@@ -9,6 +9,11 @@ Shifts just move the alignment and pay per domain step. Column moves between
 APs copy whole planes (the interconnect model charges them per bit, flat
 across hop levels).
 
+Programs are read through the scheduler's format helpers: `Tile` for a
+tile's columns, `ap_id` for the AP of each (row group, tile, channel group),
+and `macro_of` for each stored item's macro and energy phase. A conv layer's
+streams are decoded once and replayed on every row group.
+
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
 a partially filled group take part in compute like any others. Their results
@@ -26,7 +31,7 @@ from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, LayerShape, QuantSpec, max_pool_2x2, requantize
-from .scheduler import ApGeometry, ApProgram
+from .scheduler import ApGeometry, ApProgram, Tile, ap_id, macro_of
 
 
 @dataclass(slots=True)
@@ -218,32 +223,11 @@ class RunResult:
     state: SimState
 
 
-def _macro_from_item(item: dict) -> isa.MacroInstr:
-    def ref(raw):
-        return isa.OperandRef(int(raw[0]), int(raw[1]), int(raw[2]), bool(raw[3]))
-    return isa.MacroInstr(item["op"], item["mode"], bool(item["neg"]),
-                          int(item["m"]), ref(item["a"]), ref(item["b"]),
-                          tuple(item["dest"]), int(item["dest_base"]),
-                          int(item["carry"]), int(item["zero"]))
-
-
-def _exec_macro_item(state, ap_id, item, luts, layer, epoch):
-    macro = _macro_from_item(item)
+def _exec_macro(state, ap_id, macro, phase, luts, layer, epoch):
     key = (macro.op_kind, macro.addressing, macro.negated)
     if key not in luts:
         raise FormatError(f"program carries no lut for {key}")
-    run_macro(state, ap_id, macro, luts[key], layer, item["ph"], epoch)
-
-
-def _exec_move_item(state, item, dst_ap, layer, epoch):
-    src = state.ap(item["src_ap"])
-    dst = state.ap(dst_ap)
-    w = int(item["m"])
-    s0, d0 = int(item["src_base"]), int(item["dst_base"])
-    dst.track(item["dst_col"], d0, w)[d0:d0 + w] = \
-        src.track(item["src_col"], s0, w)[s0:s0 + w]
-    dst.writes[item["dst_col"]] += w
-    state.log("move", dst_ap, layer, item["ph"], epoch, dst.rows * w, 0, w)
+    run_macro(state, ap_id, macro, luts[key], layer, phase, epoch)
 
 
 def _shift_log(state, ap_id, col, target, layer, phase, epoch):
@@ -278,26 +262,27 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
     in_bits = lp["in_bits"]
     groups = lp["channel_groups"]
     rows_used = lp["rows_used"]
-    tiles = lp["tiles"]
-    aps = {tuple(int(x) for x in k.split(",")): v
-           for k, v in lp["aps"].items()}
-    ap_list = sorted(aps.items())
+    tiles = [Tile(**td) for td in lp["tiles"]]
+    n_tiles, n_groups = len(tiles), len(groups)
+    grid = [(ap_id(rg, og, cg, n_tiles, n_groups), rg, og, cg)
+            for rg in range(len(rows_used)) for og in range(n_tiles)
+            for cg in range(n_groups)]
     patches = [extract_patches(cur, pim, ch) for ch in range(shape.c_in)]
 
     # load: column hygiene, interconnect from producer APs, bit-planes in
     ep_load = epoch
-    for (rg, og, cg), ap_id in ap_list:
-        cam = state.ap(ap_id)
-        td = tiles[og]
+    for ap, rg, og, cg in grid:
+        cam = state.ap(ap)
+        tile = tiles[og]
         ru = rows_used[rg]
         base_pos = rg * geo.rows
         # carry must sit at domain 0 (the expander insists) and the reserved
         # zero column must actually read zero on a reused array
-        _shift_log(state, ap_id, td["carry"], 0, layer, "io", ep_load)
-        _shift_log(state, ap_id, td["zero"], 0, layer, "io", ep_load)
-        cam.track(td["zero"])[0] = 0
-        cam.writes[td["zero"]] += 1
-        state.log("write", ap_id, layer, "io", ep_load, cam.rows, 0, 1)
+        _shift_log(state, ap, tile.carry, 0, layer, "io", ep_load)
+        _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load)
+        cam.track(tile.zero)[0] = 0
+        cam.writes[tile.zero] += 1
+        state.log("write", ap, layer, "io", ep_load, cam.rows, 0, 1)
         if prov is not None:
             agg: dict[int, int] = {}
             for ch in groups[cg]:
@@ -310,67 +295,72 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
                     agg[int(s)] = agg.get(int(s), 0) + int(n)
             for src in sorted(agg):
                 bits = agg[src] * in_bits
-                state.log("move", ap_id, layer, "io", ep_load, bits, 0,
+                state.log("move", ap, layer, "io", ep_load, bits, 0,
                           -(-bits // geo.rows))
         for ci, ch in enumerate(groups[cg]):
             vals = patches[ch][base_pos:base_pos + ru]
             for k in range(pim.slots):
                 for b in range(in_bits):
                     dom = ci * in_bits + b
-                    _shift_log(state, ap_id, k, dom, layer, "io", ep_load)
+                    _shift_log(state, ap, k, dom, layer, "io", ep_load)
                     cam.load(k, dom, (vals[:, k] >> b) & 1, ru)
                     cam.writes[k] += 1
-                    state.log("write", ap_id, layer, "io", ep_load, ru, 0, 1)
+                    state.log("write", ap, layer, "io", ep_load, ru, 0, 1)
 
-    # per-AP channel DFGs and accumulator folds
+    # per-AP channel DFGs and accumulator folds; every row group runs the
+    # stream of its (tile, channel group)
     ep_work = epoch + 1
-    for (_key, ap_id) in ap_list:
-        for item in lp["streams"][str(ap_id)]:
-            _exec_macro_item(state, ap_id, item, luts, layer, ep_work)
+    streams = [[[macro_of(item, tile) for item in items] for items in row]
+               for tile, row in zip(tiles, lp["streams"])]
+    for ap, _rg, og, cg in grid:
+        for macro, phase in streams[og][cg]:
+            _exec_macro(state, ap, macro, phase, luts, layer, ep_work)
 
     # adder tree across channel groups
     ep_next = ep_work + 1
     for level in lp["tree"]:
         for entry in level:
+            dst = entry["dst"]
+            cam = state.ap(dst)
+            tile = tiles[dst // n_groups % n_tiles]     # inverse of ap_id
             for item in entry["items"]:
-                if item["t"] == "move":
-                    _exec_move_item(state, item, entry["dst"], layer, ep_next)
+                if item[0] == "move":
+                    _move, src_ap, src_col, s0, dst_col, d0, w = item
+                    cam.track(dst_col, d0, w)[d0:d0 + w] = \
+                        state.ap(src_ap).track(src_col, s0, w)[s0:s0 + w]
+                    cam.writes[dst_col] += w
+                    state.log("move", dst, layer, "accum", ep_next,
+                              cam.rows * w, 0, w)
                 else:
-                    _exec_macro_item(state, entry["dst"], item, luts, layer,
-                                     ep_next)
+                    macro, phase = macro_of(item, tile)
+                    _exec_macro(state, dst, macro, phase, luts, layer,
+                                ep_next)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller
     positions = shape.h_out * shape.w_out
     acc = np.zeros((shape.c_out, positions), dtype=np.int64)
-    for og, td in enumerate(tiles):
-        w_acc = td["acc_width"]
-        for rg in range(len(rows_used)):
-            ap_id = aps[(rg, og, 0)]
-            ru = rows_used[rg]
+    prov_new = np.zeros((shape.c_out, positions), dtype=np.int64)
+    for og, tile in enumerate(tiles):
+        w_acc = tile.acc_width
+        for rg, ru in enumerate(rows_used):
+            root = ap_id(rg, og, 0, n_tiles, n_groups)
             base_pos = rg * geo.rows
-            for r in range(td["c_lo"], td["c_hi"]):
-                col = td["acc0"] + (r - td["c_lo"])
-                vals = _read_signed(state, ap_id, col, 0, w_acc, ru, layer,
+            for r in range(tile.c_lo, tile.c_hi):
+                col = tile.acc0 + (r - tile.c_lo)
+                vals = _read_signed(state, root, col, 0, w_acc, ru, layer,
                                     ep_next)
-                if vals.min() < td["acc_lo"] or vals.max() > td["acc_hi"]:
+                if vals.min() < tile.acc_lo or vals.max() > tile.acc_hi:
                     raise SimulationError(
                         f"layer {layer}: accumulator for channel {r} left "
-                        f"its proven interval "
-                        f"[{td['acc_lo']}, {td['acc_hi']}]")
+                        f"its proven interval [{tile.acc_lo}, {tile.acc_hi}]")
                 acc[r, base_pos:base_pos + ru] = vals
+            prov_new[tile.c_lo:tile.c_hi, base_pos:base_pos + ru] = root
     quant = QuantSpec(lp["out_bits"], lp["multiplier"], lp["shift"],
                       lp["act_kind"])
     ofm = FeatureMap(
         requantize(acc.reshape(shape.c_out, shape.h_out, shape.w_out), quant),
         lp["out_bits"])
-
-    prov_new = np.zeros((shape.c_out, positions), dtype=np.int64)
-    for og, td in enumerate(tiles):
-        for rg in range(len(rows_used)):
-            base_pos = rg * geo.rows
-            prov_new[td["c_lo"]:td["c_hi"],
-                     base_pos:base_pos + rows_used[rg]] = aps[(rg, og, 0)]
     prov_new = prov_new.reshape(shape.c_out, shape.h_out, shape.w_out)
     return ofm, prov_new, ep_next + 1
 
@@ -385,10 +375,11 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     if ifm.bits != doc["in_bits"]:
         raise FormatError(f"program expects {doc['in_bits']}-bit input, "
                           f"feature map is {ifm.bits}-bit")
-    if ifm.shape[1] != doc["in_h"] or ifm.shape[2] != doc["in_w"]:
+    want = (doc["in_c"], doc["in_h"], doc["in_w"])
+    if tuple(ifm.shape) != want:
         raise FormatError(
-            f"program compiled for {doc['in_h']}x{doc['in_w']} input, "
-            f"feature map is {ifm.shape[1]}x{ifm.shape[2]}")
+            f"program compiled for {'x'.join(map(str, want))} (CxHxW) input, "
+            f"feature map is {'x'.join(map(str, ifm.shape))}")
     luts = program.luts()
     state = SimState(program.geometry)
     trace: list[FeatureMap] = []

@@ -3,10 +3,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from tapc import cli
-from tapc.model import make_synthetic_network, save_network
+from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
+                        TernaryWeights, make_synthetic_network,
+                        save_feature_map, save_network)
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +105,45 @@ def test_format_exit_codes(tmp_path, capsys):
                          "--program", str(tmp_path / "missing.json"),
                          "--out-dir", str(tmp_path))
     assert code == 4
+
+
+@pytest.mark.parametrize("channels", [1, 5])
+def test_run_rejects_input_with_the_wrong_channel_count(channels, tmp_path,
+                                                        capsys):
+    code, _, _ = run_cli(capsys, "compile", "--synthetic", "1x4x0.8",
+                         "--input-hw", "6x6", "--out-dir", str(tmp_path))
+    assert code == 0
+    save_feature_map(FeatureMap(np.zeros((channels, 6, 6), dtype=np.int64), 4),
+                     tmp_path / "in.tfm")
+    code, _, err = run_cli(capsys, "run",
+                           "--program", str(tmp_path / "program.json"),
+                           "--input", str(tmp_path / "in.tfm"),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 4 and "format:" in err
+
+
+def _conv(c_in, c_out, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.choice([-1, 0, 1], size=(c_out, c_in, 3, 3))
+    return Layer("conv", c_in, c_out, 3, 3, 1, 1,
+                 QuantSpec(4, 1, 3, "relu_clamp"), TernaryWeights(w))
+
+
+@pytest.mark.parametrize("layers", [
+    [_conv(3, 4, 0), _conv(5, 4, 1)],
+    [_conv(3, 6, 0), _conv(4, 4, 1)],
+    [_conv(3, 4, 0), Layer("add", 4, 4, 1, 1, 1, 0, QuantSpec(4, 1, 1),
+                           skip_from=-1)],
+], ids=["conv-expects-more-channels", "conv-expects-fewer-channels",
+        "add-operands-differ"])
+def test_compile_rejects_layers_that_do_not_chain(layers, tmp_path, capsys):
+    save_network(TernaryNetwork("bad", layers), tmp_path / "net.json",
+                 tmp_path / "net.bin")
+    code, _, err = run_cli(capsys, "compile",
+                           "--model", str(tmp_path / "net.json"),
+                           "--weights", str(tmp_path / "net.bin"),
+                           "--input-hw", "6x6", "--out-dir", str(tmp_path))
+    assert code == 4 and "format:" in err
 
 
 def test_saved_network_files_feed_every_command(tmp_path, capsys):
@@ -220,3 +262,40 @@ def test_run_artifacts_match_golden_hashes(name, tmp_path, capsys):
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in want}
     assert got == want
+
+
+# sha256 of program.json as `tapc compile` writes it for the golden runs
+GOLDEN_PROGRAMS = {
+    "default": "2bd05efd2e43cc4a92bc63025e9b9153"
+               "6cbddae43225a41b4c0c98095e44d7b8",
+    "tiled": "340936beb533e22752d1cac6f772ff14"
+             "3b7c06e19544b521f58bdf4904f84cf9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_saved_program_matches_golden_hash_and_replays(name, tmp_path, capsys):
+    argv, want = GOLDEN_RUNS[name]
+    code, _, _ = run_cli(capsys, "compile", *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    program = tmp_path / "program.json"
+    assert hashlib.sha256(program.read_bytes()).hexdigest() == \
+        GOLDEN_PROGRAMS[name]
+    seed = argv[argv.index("--seed") + 1]
+    out = tmp_path / "replay"
+    code, _, _ = run_cli(capsys, "run", "--program", str(program),
+                         "--seed", seed, "--out-dir", str(out))
+    assert code == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in want}
+    assert got == want
+
+
+def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):
+    run_cli(capsys, "compile", "--synthetic", "1x4x0.8", "--input-hw", "6x6",
+            "--out-dir", str(tmp_path))
+    doc = json.loads((tmp_path / "program.json").read_text())
+    doc["format_version"] = 1
+    (tmp_path / "old.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "old.json"),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 4 and "unsupported program version 1" in err

@@ -60,7 +60,7 @@ def test_account_categories_sum_to_total(accounted):
 def test_latency_is_epochwise_max_over_lockstep_aps():
     geo = ApGeometry()
     prog = ApProgram({
-        "format_version": 1, "name": "crafted", "opt": "unroll",
+        "format_version": 2, "name": "crafted", "opt": "unroll",
         "in_bits": 4, "in_h": 2, "in_w": 2,
         "geometry": {"rows": geo.rows, "columns": geo.columns,
                      "domains_per_track": geo.domains_per_track,

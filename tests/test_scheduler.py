@@ -12,8 +12,8 @@ from tapc.errors import CapacityError, FormatError
 from tapc.model import (Layer, LayerShape, QuantSpec, TernaryNetwork,
                         make_synthetic_network)
 from tapc.scheduler import (ApGeometry, ApProgram, allocate_columns,
-                            choose_addressing, emit_program, place_layer,
-                            plan_conv_layer, schedule_accumulation)
+                            emit_program, place_layer, plan_conv_layer,
+                            schedule_accumulation)
 
 
 def plan_for(matrix, opt="unroll_cse", bits=4):
@@ -53,7 +53,6 @@ def test_allocation_invariants(opt, seed):
     storage = {s.sid: s for s in plan.storages}
     for mac in plan.macros:
         node = g.nodes[mac["node"]]
-        assert choose_addressing(plan, mac["node"]) == mac["mode"]
         if mac["mode"] == isa.IN_PLACE:
             assert node.use_count <= 1
             assert mac["b"][0] == "val"
@@ -122,13 +121,6 @@ def test_multi_use_values_get_one_copy_per_consumer():
     # the single-tag chain op burns one of t's copies in place
     assert by_node[chain]["mode"] == isa.IN_PLACE
     assert by_node[chain]["dest"][0] in by_node[t]["dest"]
-
-
-def test_choose_addressing_rejects_non_op_nodes():
-    plan = plan_for(np.array([[1, 1]]))
-    input_id = next(n.id for n in plan.graph.nodes if n.kind == dfglib.INPUT)
-    with pytest.raises(KeyError):
-        choose_addressing(plan, input_id)
 
 
 # --- placement and tiling -------------------------------------------------
@@ -220,10 +212,8 @@ def test_program_embeds_the_validated_lut_catalog():
     assert sorted(luts) == [
         (isa.ADD, isa.IN_PLACE, False),
         (isa.ADD, isa.OUT_OF_PLACE, False),
-        (isa.ADD, isa.OUT_OF_PLACE, True),
         (isa.SUB, isa.IN_PLACE, False),
         (isa.SUB, isa.OUT_OF_PLACE, False),
-        (isa.SUB, isa.OUT_OF_PLACE, True),
     ]
     for table in luts.values():
         assert isa.validate_lut(table).ok

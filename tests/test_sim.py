@@ -71,7 +71,7 @@ def test_search_then_write_touches_only_tagged_rows():
     cam.poke(0, 0, 1, pattern, 64)
     sim.execute_micro_ops(st, 0, [
         isa.MicroOp("search", cols=(0,), key=(1,)),
-        isa.MicroOp("write", cols=(1,), bits=(1,), use_tag=True),
+        isa.MicroOp("write", cols=(1,), bits=(1,)),
     ])
     assert np.array_equal(cam.visible(1), pattern)
     assert cam.writes[1] == 1
@@ -101,6 +101,10 @@ def test_micro_ops_past_the_geometry_are_rejected(op):
         sim.execute_micro_ops(st, 0, [op])
 
 
+MOVE_FIELDS = ("move", "src_ap", "src_col", "src_base", "dst_col", "dst_base",
+               "m")
+
+
 @pytest.mark.parametrize("field, value", [
     ("dst_base", 63), ("dst_base", -1), ("src_base", 63), ("dst_col", 256),
 ])
@@ -109,8 +113,8 @@ def test_moves_past_the_geometry_are_rejected(field, value):
     net = TernaryNetwork("cg", [conv_layer(16, 2, 3, 1, 1, 8, seed=17, shift=6)])
     prog = emit_program(net, 4, 4, ApGeometry())
     move = prog.layers[0]["tree"][0][0]["items"][0]
-    assert move["t"] == "move" and move["m"] > 1
-    move[field] = value
+    assert move[0] == "move" and move[6] > 1
+    move[MOVE_FIELDS.index(field)] = value
     with pytest.raises(SimulationError):
         sim.run(prog, make_synthetic_input(net, 4, 4))
 
@@ -211,7 +215,7 @@ def test_output_tiles_on_narrow_columns():
     net = TernaryNetwork("ot", [conv_layer(2, 6, 3, 1, 1, 4, seed=19)])
     geo = ApGeometry(columns=20)
     prog = emit_program(net, 6, 6, geo)
-    assert prog.layers[0]["aps"] and len(prog.layers[0]["tiles"]) > 1
+    assert len(prog.layers[0]["tiles"]) > 1
     check_net(net, 6, 6, geometry=geo)
 
 
