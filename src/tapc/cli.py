@@ -20,7 +20,8 @@ from .errors import CapacityError, FormatError, LutDerivationError, TapcError
 from .model import (FeatureMap, load_feature_map, load_network,
                     make_synthetic_input, make_synthetic_network,
                     reference_inference, save_feature_map)
-from .scheduler import ApGeometry, ApProgram, emit_program
+from .program import ApGeometry, ApProgram
+from .scheduler import emit_program
 
 _OPT_MAP = {"unroll": "unroll", "unroll+cse": "unroll_cse"}
 
@@ -93,12 +94,11 @@ def _input_map(args, net=None, program=None) -> FeatureMap:
     if net is not None:
         h, w = _parse_hw(args.input_hw)
         return make_synthetic_input(net, h, w, seed=args.seed)
-    doc = program.doc
     rng = np.random.default_rng(args.seed)
-    data = rng.integers(0, 1 << doc["in_bits"],
-                        size=(doc["in_c"], doc["in_h"], doc["in_w"]),
+    data = rng.integers(0, 1 << program.in_bits,
+                        size=(program.in_c, program.in_h, program.in_w),
                         dtype=np.int64)
-    return FeatureMap(data, doc["in_bits"])
+    return FeatureMap(data, program.in_bits)
 
 
 def _out_path(args, name) -> str:
@@ -120,7 +120,7 @@ def cmd_compile(args) -> int:
     h, w = _parse_hw(args.input_hw)
     prog = emit_program(net, h, w, _geometry(args), _OPT_MAP[args.opt])
     prog.save(_out_path(args, "program.json"))
-    report = {"network": net.name, "opt": prog.doc["opt"],
+    report = {"network": net.name, "opt": prog.opt,
               "layers": prog.report_rows, "lut_notes": prog.lut_notes}
     _write(_out_path(args, "compile_report.json"),
            json.dumps(report, sort_keys=True, indent=1) + "\n")
@@ -137,6 +137,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    model = _energy_model(args)
     if args.program:
         prog = ApProgram.load(args.program)
         ifm = _input_map(args, program=prog)
@@ -146,7 +147,6 @@ def cmd_run(args) -> int:
         prog = emit_program(net, ifm.shape[1], ifm.shape[2], _geometry(args),
                             _OPT_MAP[args.opt])
         prog.save(_out_path(args, "program.json"))
-    model = _energy_model(args)
     result = sim.run(prog, ifm)
     stats = metrics.account(prog, result, model)
     _write(_out_path(args, "stats.json"), stats.dumps())

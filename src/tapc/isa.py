@@ -296,7 +296,7 @@ def standard_catalog() -> tuple[dict[tuple[str, str, bool], LutTable], list[LutR
 
 
 # ---------------------------------------------------------------------------
-# text dump / load
+# text dump
 # ---------------------------------------------------------------------------
 
 def format_lut(table: LutTable) -> str:
@@ -310,28 +310,6 @@ def format_lut(table: LutTable) -> str:
         p = str(e.pass_index) if e.pass_index else "NC"
         lines.append(f"{k} -> {w} {p}")
     return "\n".join(lines) + "\n"
-
-
-def parse_lut(text: str) -> LutTable:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("lut "):
-        raise FormatError("not a lut dump")
-    head = lines[0].split()
-    if len(head) != 4 or not head[3].startswith("negated="):
-        raise FormatError(f"bad lut header {lines[0]!r}")
-    entries = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4 or parts[1] != "->":
-            raise FormatError(f"bad lut row {ln!r}")
-        key = tuple(int(ch) for ch in parts[0])
-        write = tuple(int(ch) for ch in parts[2])
-        if len(key) != 3 or len(write) != 2:
-            raise FormatError(f"bad lut row {ln!r}")
-        pidx = 0 if parts[3] == "NC" else int(parts[3])
-        entries[key] = LutEntry(key, write, pidx)
-    return LutTable(head[1], head[2], head[3] == "negated=1", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +429,6 @@ def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> l
             wbits = (entry.write[0],) + (entry.write[1],) * len(dest_cols)
             ops.append(MicroOp("write", cols=wcols, bits=wbits))
     return ops
-
-
-def cycle_count(ops: list[MicroOp], shift_cycles_per_step: int = 1) -> int:
-    """Latency of a micro-op list: searches/writes/clears 1 cycle, shifts pay
-    per domain step."""
-    total = 0
-    for op in ops:
-        if op.kind in ("search", "write", "clear"):
-            total += 1
-        elif op.kind == "shift":
-            total += op.steps * shift_cycles_per_step
-        else:
-            raise FormatError(f"unknown micro-op kind {op.kind!r}")
-    return total
 
 
 def compute_cycles(ops: list[MicroOp]) -> int:

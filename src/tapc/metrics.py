@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
-from .scheduler import macro_counts
+from .program import macro_counts
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 PHASES = ("io", "dfg", "accum")
@@ -35,6 +35,15 @@ class EnergyModel:
     move_pj_per_bit: float = 1.0     # flat inter-array transfer, any distance
     cycle_ns: float = 0.1
     write_endurance: float = 1e16    # write cycles one cell survives
+
+    def __post_init__(self):
+        for name in ("search_fj_per_bit", "write_fj_per_bit",
+                     "shift_fj_per_step", "move_pj_per_bit"):
+            if not getattr(self, name) >= 0:
+                raise FormatError(f"energy model: {name} must be >= 0")
+        if not (self.cycle_ns > 0 and self.write_endurance > 0):
+            raise FormatError("energy model: cycle time and write endurance "
+                              "must be positive")
 
     def assumptions(self) -> list[str]:
         return [
@@ -120,9 +129,11 @@ class Stats:
         except (OSError, ValueError) as exc:
             raise FormatError(f"cannot read stats: {exc}") from exc
         try:
-            return cls.from_doc(doc)
+            stats = cls.from_doc(doc)
+            EnergyModel(**stats.model)      # as the reports rebuild it
         except (KeyError, TypeError) as exc:
             raise FormatError(f"not a stats file: {path}") from exc
+        return stats
 
 
 def account(program, result, model: EnergyModel | None = None) -> Stats:
@@ -133,12 +144,11 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
     for lp in program.layers:
         util = 0.0
         adds = subs = 0
-        if lp["kind"] == "conv":
-            positions = sum(lp["rows_used"])
-            util = positions / (len(lp["rows_used"]) * geo.rows)
+        if lp.kind == "conv":
+            util = sum(lp.rows_used) / (len(lp.rows_used) * geo.rows)
             adds, subs = macro_counts(lp)
-        per_layer[lp["index"]] = {
-            "kind": lp["kind"],
+        per_layer[lp.index] = {
+            "kind": lp.kind,
             "energy": {k: 0.0 for k in EVENT_KINDS},
             "phase": {p: 0.0 for p in PHASES},
             "epochs": {},   # epoch -> ap -> cycles
@@ -174,7 +184,7 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
         tot_adds += slot["adds"]
         tot_subs += slot["subs"]
     return Stats(
-        name=program.doc["name"], opt=program.doc["opt"], layers=layers,
+        name=program.name, opt=program.opt, layers=layers,
         total_cycles=tot_cycles, total_ns=tot_cycles * model.cycle_ns,
         energy_pj=tot_energy, phase_pj=tot_phase,
         adds=tot_adds, subs=tot_subs,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,9 +130,11 @@ class Layer:
 @dataclass
 class TernaryNetwork:
     name: str
-    layers: list[Layer] = field(default_factory=list)
+    layers: list[Layer]
 
     def __post_init__(self):
+        if not self.layers:
+            raise FormatError(f"network {self.name!r} has no layers")
         for i, layer in enumerate(self.layers):
             _check_layer(i, layer)
 
@@ -414,24 +416,6 @@ def make_synthetic_input(net: TernaryNetwork, h: int, w: int, seed: int = 0) -> 
 
 
 def _input_bits(net: TernaryNetwork) -> int:
-    """Bit width the network expects at its input (first conv's activation grid)."""
-    for layer in net.layers:
-        return layer.quant.activation_bits
-    return 8
+    """Bit width the network expects at its input (first layer's activation grid)."""
+    return net.layers[0].quant.activation_bits
 
-
-def network_from_matrix(matrix, bits: int = 4, multiplier: int = 1,
-                        shift: int = 0, name: str = "matrix") -> TernaryNetwork:
-    """Wrap one ternary matrix (c_out x k) as a single-channel 1xk conv layer.
-
-    The input is then a 1 x 1 x k feature map and the layer computes exactly
-    the matrix-vector product before requantization. Handy for bring-up and
-    for regression fixtures.
-    """
-    m = np.asarray(matrix, dtype=np.int64)
-    if m.ndim != 2:
-        raise FormatError("matrix must be 2-D")
-    c_out, k = m.shape
-    weights = TernaryWeights(m.reshape(c_out, 1, 1, k))
-    quant = QuantSpec(bits, multiplier, shift, "identity_clamp")
-    return TernaryNetwork(name, [Layer("conv", 1, c_out, 1, k, 1, 0, quant, weights)])

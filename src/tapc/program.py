@@ -1,0 +1,527 @@
+"""The program format: the typed form of `program.json`, its one encoder and
+its one checking loader.
+
+A program stores only the compiler's decisions. Per conv layer these are
+the shape and requantization, the placement (`rows_used`, one entry per row
+group, and `channel_groups`), per output tile its channel range, accumulator
+interval and value-pool layout (`Tile`), per (tile, channel group) one item
+stream that every row group runs, and the adder-tree steps. What follows
+from them is derived here and nowhere else: a tile's columns (`Tile`), the
+AP of each (row group, tile, channel group) (`ap_id`), a stored item's macro
+and energy phase (`macro_of`) and the add/sub counts (`macro_counts`).
+
+Every class holds exactly the fields of its JSON object and every item is a
+named tuple, which `json` writes as an array, so one `default=` hook encodes
+the whole program. `ApProgram.from_doc` is the only way a program enters
+from outside. It raises FormatError for anything the compiler could not
+have emitted for the stored geometry, so the simulator and the accounting
+read attributes without checking them again.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, fields
+from typing import NamedTuple
+
+from . import dfg as dfglib
+from . import isa
+from .errors import CapacityError, FormatError
+from .model import LayerShape, QuantSpec
+
+PROGRAM_VERSION = 2
+OPT_LEVELS = ("unroll", "unroll_cse")
+
+
+@dataclass
+class ApGeometry:
+    """Array and hierarchy dimensions. Consecutive AP ids fill a tile, then
+    the next tile, then the next bank, so adder-tree neighbors stay local."""
+
+    rows: int = 256
+    columns: int = 256
+    domains_per_track: int = 64
+    aps_per_tile: int = 4
+    tiles_per_bank: int = 4
+    banks: int = 4
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise FormatError(f"geometry: {f.name} must be >= 1")
+
+    @property
+    def total_aps(self) -> int:
+        return self.aps_per_tile * self.tiles_per_bank * self.banks
+
+    def coords(self, ap: int) -> tuple[int, int, int]:
+        slot = ap % self.aps_per_tile
+        tile = (ap // self.aps_per_tile) % self.tiles_per_bank
+        bank = ap // (self.aps_per_tile * self.tiles_per_bank)
+        return bank, tile, slot
+
+    def hop_level(self, src: int, dst: int) -> str:
+        if src == dst:
+            return "local"
+        b1, t1, _ = self.coords(src)
+        b2, t2, _ = self.coords(dst)
+        if (b1, t1) == (b2, t2):
+            return "tile"
+        if b1 == b2:
+            return "bank"
+        return "global"
+
+
+# ---------------------------------------------------------------------------
+# the typed program
+# ---------------------------------------------------------------------------
+
+class Ref(NamedTuple):
+    """Where an operand lives: column, first domain, stored width, and 1 for
+    a signed value or 0 for an unsigned activation."""
+
+    col: int
+    base: int
+    width: int
+    signed: int
+
+
+class MacroItem(NamedTuple):
+    """An m-bit add or sub. Out of place the result lands in the `dest`
+    columns; in place `dest` is empty and the result overwrites b."""
+
+    op: str
+    mode: str
+    m: int
+    a: Ref
+    b: Ref
+    dest: tuple[int, ...]
+
+
+class Move(NamedTuple):
+    """A copy of `width` domains from a column of AP `src_ap` into the AP of
+    its tree step. `op` is always "move"."""
+
+    op: str
+    src_ap: int
+    src_col: int
+    src_base: int
+    dst_col: int
+    dst_base: int
+    width: int
+
+
+@dataclass(frozen=True)
+class Tile:
+    """Column layout of one output tile on each of its APs: patch slots, the
+    value pool from `value0`, one accumulator per local output channel from
+    `acc0`, then the carry, zero and move-scratch columns. The accumulator
+    width is the narrowest that holds the proven interval [acc_lo, acc_hi]."""
+
+    c_lo: int
+    c_hi: int
+    acc_lo: int
+    acc_hi: int
+    value0: int
+    n_value_cols: int
+
+    @property
+    def acc_width(self) -> int:
+        return dfglib.min_signed_width(self.acc_lo, self.acc_hi)
+
+    @property
+    def acc0(self) -> int:
+        return self.value0 + self.n_value_cols
+
+    @property
+    def carry(self) -> int:
+        return self.acc0 + self.c_hi - self.c_lo
+
+    @property
+    def zero(self) -> int:
+        return self.carry + 1
+
+    @property
+    def scratch(self) -> int:
+        return self.carry + 2
+
+    @property
+    def columns_used(self) -> int:
+        return self.scratch + 1
+
+
+@dataclass
+class TreeStep:
+    """One adder-tree merge into AP `dst`: moves and in-place adds."""
+
+    dst: int
+    items: list[Move | MacroItem]
+
+
+@dataclass
+class _Requantized:
+    """The controller's requantization of a layer's sums."""
+
+    out_bits: int
+    multiplier: int
+    shift: int
+    act_kind: str
+
+    @property
+    def quant(self) -> QuantSpec:
+        return QuantSpec(self.out_bits, self.multiplier, self.shift,
+                         self.act_kind)
+
+
+@dataclass
+class PoolLayer:
+    index: int
+    kind: str = "pool"
+
+
+@dataclass
+class AddLayer(_Requantized):
+    index: int
+    skip_from: int      # absolute layer index, -1 for the network input
+    kind: str = "add"
+
+
+@dataclass
+class ConvLayer(_Requantized):
+    index: int
+    c_in: int
+    c_out: int
+    f_h: int
+    f_w: int
+    stride: int
+    pad: int
+    h_in: int
+    w_in: int
+    in_bits: int
+    rows_used: list[int]
+    channel_groups: list[list[int]]
+    tiles: list[Tile]
+    streams: list[list[list[MacroItem]]]    # [tile][channel group]
+    tree: list[list[TreeStep]]              # one list per tree level
+    kind: str = "conv"
+
+    @property
+    def shape(self) -> LayerShape:
+        return LayerShape(self.c_in, self.c_out, self.f_h, self.f_w,
+                          self.stride, self.pad, self.h_in, self.w_in)
+
+
+_LAYERS = {cls.kind: cls for cls in (ConvLayer, PoolLayer, AddLayer)}
+
+
+@dataclass
+class ApProgram:
+    """A compiled program.
+
+    The canonical byte encoding (UTF-8 JSON, sorted keys, compact
+    separators, trailing newline) is part of the artifact contract:
+    recompiling with identical inputs reproduces the file bit for bit.
+    """
+
+    name: str
+    opt: str
+    in_bits: int
+    in_c: int
+    in_h: int
+    in_w: int
+    geometry: ApGeometry
+    luts: list[isa.LutTable]    # the four plain tables
+    layers: list[ConvLayer | PoolLayer | AddLayer]
+    format_version: int = PROGRAM_VERSION
+    # compile-only outputs: class attributes, so never stored or compared
+    report_rows = ()
+    lut_notes = ()
+
+    def dumps(self) -> str:
+        return json.dumps(self, default=_encode, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+
+    def save(self, path):
+        with open(path, "w") as fh:
+            fh.write(self.dumps())
+
+    @classmethod
+    def load(cls, path) -> ApProgram:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise FormatError(f"cannot read program: {exc}") from exc
+        return cls.from_doc(doc)
+
+    @classmethod
+    def from_doc(cls, doc) -> ApProgram:
+        """Check a decoded program.json and build its typed form."""
+        return _load(doc)
+
+
+def _encode(obj) -> dict:
+    """JSON object of a program dataclass or pass table; items are tuples,
+    which `json` writes as arrays itself."""
+    if isinstance(obj, isa.LutTable):
+        return {"op": obj.op_kind, "addressing": obj.addressing,
+                "entries": [[e.key, e.write, e.pass_index]
+                            for _k, e in sorted(obj.entries.items())]}
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+# ---------------------------------------------------------------------------
+# what is derived from the stored decisions
+# ---------------------------------------------------------------------------
+
+def place_layer(shape, in_bits: int, geometry: ApGeometry) -> dict:
+    """Geometric placement of one conv layer: output positions split into
+    row groups of up to `rows`, input channels into nanowire-stacked groups
+    of floor(domains / in_bits). Column budgeting is done elsewhere."""
+    cap = geometry.domains_per_track // in_bits
+    if cap < 1:
+        raise CapacityError(f"{in_bits}-bit activations exceed "
+                            f"{geometry.domains_per_track} domains per track")
+    channels = list(range(shape.c_in))
+    groups = [channels[i:i + cap] for i in range(0, shape.c_in, cap)]
+    positions = shape.h_out * shape.w_out
+    row_groups = -(-positions // geometry.rows)
+    rows_used = [min(geometry.rows, positions - rg * geometry.rows)
+                 for rg in range(row_groups)]
+    return {"positions": positions, "row_groups": row_groups,
+            "rows_used": rows_used, "channel_groups": groups}
+
+
+def ap_id(rg: int, og: int, cg: int, n_tiles: int, n_groups: int) -> int:
+    """AP of (row group, output tile, channel group) in a conv layer."""
+    return (rg * n_tiles + og) * n_groups + cg
+
+
+def macro_of(item: MacroItem, tile: Tile) -> tuple[isa.MacroInstr, str]:
+    """The macro and energy phase of a stored item on one of `tile`'s APs.
+    The macro uses the tile's carry and zero columns; it belongs to the
+    "accum" phase when it writes an accumulator column (b in place, the
+    first result column otherwise)."""
+    op, mode, m, a, b, dest = item
+    macro = isa.MacroInstr(op, mode, False, m, isa.OperandRef(*a),
+                           isa.OperandRef(*b), dest, 0, tile.carry, tile.zero)
+    written = dest[0] if dest else b.col
+    phase = "accum" if tile.acc0 <= written < tile.carry else "dfg"
+    return macro, phase
+
+
+def macro_counts(lp: ConvLayer) -> tuple[int, int]:
+    """Add and sub macros one conv layer issues: each row group runs every
+    stream once, and every tree item runs once."""
+    ops = [item.op for row in lp.streams for items in row
+           for item in items] * len(lp.rows_used)
+    ops += [item.op for level in lp.tree for step in level
+            for item in step.items]
+    return ops.count(isa.ADD), ops.count(isa.SUB)
+
+
+# ---------------------------------------------------------------------------
+# the loader
+# ---------------------------------------------------------------------------
+
+_PLAIN_LUTS = [(op, mode) for op in (isa.ADD, isa.SUB)
+               for mode in (isa.IN_PLACE, isa.OUT_OF_PLACE)]
+
+
+def _check(ok, where: str, what: str):
+    if not ok:
+        raise FormatError(f"{where}: {what}")
+
+
+def _int(v, where: str, lo=-math.inf, hi=math.inf) -> int:
+    """`v` as an int in [lo, hi]; a bool or a float is not an int here."""
+    _check(type(v) is int, where, f"expected an integer, got {v!r}")
+    _check(lo <= v <= hi, where, f"{v} outside [{lo}, {hi}]")
+    return v
+
+
+def _list(v, where: str, n: int | None = None) -> list:
+    _check(type(v) is list, where, f"expected a list, got {v!r}")
+    _check(n is None or len(v) == n, where, f"expected {n} entries, got {len(v)}")
+    return v
+
+
+def _obj(v, cls, where: str) -> dict:
+    """`v` as an object with exactly the fields of `cls`, the int and str
+    ones of those types."""
+    _check(type(v) is dict, where, f"expected an object, got {v!r}")
+    names = {f.name for f in fields(cls)}
+    missing, extra = sorted(names - set(v)), sorted(set(v) - names)
+    _check(not missing, where, f"missing fields {missing}")
+    _check(not extra, where, f"unknown fields {extra}")
+    for f in fields(cls):
+        _check(f.type not in ("int", "str") or type(v[f.name]).__name__ == f.type,
+               where, f"{f.name} must be {f.type}, got {v[f.name]!r}")
+    return v
+
+
+def _load(doc) -> ApProgram:
+    version = doc.get("format_version") if type(doc) is dict else None
+    if type(version) is not int or version != PROGRAM_VERSION:
+        raise FormatError(f"unsupported program version {version!r}")
+    _obj(doc, ApProgram, "program")
+    geo = ApGeometry(**_obj(doc["geometry"], ApGeometry, "geometry"))
+    prog = ApProgram(**{**doc, "geometry": geo, "luts": _luts(doc["luts"]),
+                        "layers": []})
+    _check(prog.opt in OPT_LEVELS, "program", f"unknown opt level {prog.opt!r}")
+    _int(prog.in_bits, "in_bits", 1, 16)
+    for name in ("in_c", "in_h", "in_w"):
+        _int(getattr(prog, name), name, 1)
+    _check(_list(doc["layers"], "layers"), "program", "no layers")
+
+    cur = (prog.in_c, prog.in_h, prog.in_w)
+    bits = prog.in_bits
+    out_shapes: list[tuple[int, int, int]] = []
+    for idx, ld in enumerate(doc["layers"]):
+        where = f"layer {idx}"
+        kind = ld.get("kind") if type(ld) is dict else None
+        cls = _LAYERS.get(kind) if type(kind) is str else None
+        _check(cls, where, f"unknown kind {kind!r}")
+        layer = cls(**_obj(ld, cls, where))
+        _check(layer.index == idx, where, f"stored index {layer.index}")
+        if cls is PoolLayer:
+            c, h, w = cur
+            _check(h % 2 == 0 and w % 2 == 0, where,
+                   "pool needs even input extents")
+            cur = (c, h // 2, w // 2)
+        elif cls is AddLayer:
+            skip = _int(layer.skip_from, f"{where} skip_from", -1, idx - 1)
+            other = (prog.in_c, prog.in_h, prog.in_w) if skip == -1 \
+                else out_shapes[skip]
+            _check(other == cur, where, f"add operands differ {cur} vs {other}")
+        else:
+            cur = _conv(layer, where, cur, bits, geo)
+        if cls is not PoolLayer:
+            bits = layer.quant.activation_bits    # QuantSpec checks the fields
+        out_shapes.append(cur)
+        prog.layers.append(layer)
+    return prog
+
+
+def _luts(v) -> list[isa.LutTable]:
+    tables = []
+    for i, d in enumerate(_list(v, "luts")):
+        where = f"lut {i}"
+        _check(type(d) is dict and set(d) == {"op", "addressing", "entries"},
+               where, "expected an object of op, addressing and entries")
+        entries = {}
+        for e in _list(d["entries"], where, 8):
+            key, write, pidx = _list(e, where, 3)
+            key = tuple(_int(x, where, 0, 1) for x in _list(key, where, 3))
+            write = tuple(_int(x, where, 0, 1) for x in _list(write, where, 2))
+            entries[key] = isa.LutEntry(key, write, _int(pidx, where, 0))
+        table = isa.LutTable(d["op"], d["addressing"], False, entries)
+        _check(isa.validate_lut(table).ok, where,
+               f"{table.name} table fails validation")
+        tables.append(table)
+    _check(sorted((t.op_kind, t.addressing) for t in tables) == _PLAIN_LUTS,
+           "luts", "not exactly the four plain tables")
+    return tables
+
+
+def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
+          geo: ApGeometry) -> tuple[int, int, int]:
+    """Check a conv layer against its input and the geometry, replace its
+    lists by typed ones and return its output shape."""
+    _check((layer.c_in, layer.h_in, layer.w_in, layer.in_bits) == (*cur, bits),
+           where, f"expects {layer.c_in}x{layer.h_in}x{layer.w_in} at "
+                  f"{layer.in_bits} bits, gets {'x'.join(map(str, cur))} at "
+                  f"{bits}")
+    shape = layer.shape
+    try:
+        placement = place_layer(shape, layer.in_bits, geo)
+    except CapacityError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    for r in _list(layer.rows_used, where):
+        _int(r, f"{where} rows_used")
+    for group in _list(layer.channel_groups, where):
+        for ch in _list(group, where):
+            _int(ch, f"{where} channel_groups")
+    _check(layer.rows_used == placement["rows_used"]
+           and layer.channel_groups == placement["channel_groups"], where,
+           "placement differs from place_layer")
+
+    layer.tiles = [Tile(**_obj(t, Tile, f"{where} tile {og}"))
+                   for og, t in enumerate(_list(layer.tiles, where))]
+    c_hi = 0
+    for og, t in enumerate(layer.tiles):
+        at = f"{where} tile {og}"
+        _check(t.c_lo == c_hi < t.c_hi, at, "tiles do not partition c_out")
+        c_hi = t.c_hi
+        _check(t.value0 == shape.f_h * shape.f_w, at,
+               f"value0 {t.value0} is not the {shape.f_h * shape.f_w} "
+               f"patch slots")
+        _int(t.n_value_cols, f"{at} n_value_cols", 0)
+        _check(t.columns_used <= geo.columns, at,
+               f"needs {t.columns_used} columns, geometry has {geo.columns}")
+        _check(t.acc_width <= geo.domains_per_track, at,
+               f"{t.acc_width}-bit accumulator exceeds "
+               f"{geo.domains_per_track} domains per track")
+    _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
+
+    n_tiles, n_groups = len(layer.tiles), len(layer.channel_groups)
+    n_aps = len(layer.rows_used) * n_tiles * n_groups
+    _check(n_aps <= geo.total_aps, where,
+           f"needs {n_aps} APs, geometry has {geo.total_aps}")
+    layer.streams = [
+        [[_macro(item, geo, f"{where} stream {og}/{cg} item {i}")
+          for i, item in enumerate(_list(items, where))]
+         for cg, items in enumerate(_list(row, where, n_groups))]
+        for og, row in enumerate(_list(layer.streams, where, n_tiles))]
+
+    layer.tree = [[_step(step, geo, n_aps, f"{where} tree {lv}/{s}")
+                   for s, step in enumerate(_list(level, where))]
+                  for lv, level in enumerate(_list(layer.tree, where))]
+    return shape.c_out, shape.h_out, shape.w_out
+
+
+def _step(v, geo: ApGeometry, n_aps: int, where: str) -> TreeStep:
+    step = TreeStep(**_obj(v, TreeStep, where))
+    _int(step.dst, f"{where} dst", 0, n_aps - 1)
+    step.items = [_move(item, geo, n_aps, f"{where} item {i}")
+                  if type(item) is list and item[:1] == ["move"]
+                  else _macro(item, geo, f"{where} item {i}")
+                  for i, item in enumerate(_list(step.items, where))]
+    return step
+
+
+def _span(geo: ApGeometry, col, base, width, where: str):
+    """Domains [base, base + width) of a column exist in the geometry."""
+    _int(col, f"{where} column", 0, geo.columns - 1)
+    _int(width, f"{where} width", 1, geo.domains_per_track)
+    _int(base, f"{where} base", 0, geo.domains_per_track - width)
+
+
+def _ref(v, geo: ApGeometry, where: str) -> Ref:
+    ref = Ref(*_list(v, where, 4))
+    _span(geo, ref.col, ref.base, ref.width, where)
+    _int(ref.signed, f"{where} signed", 0, 1)
+    return ref
+
+
+def _macro(v, geo: ApGeometry, where: str) -> MacroItem:
+    op, mode, m, a, b, dest = _list(v, where, 6)
+    _check(op in (isa.ADD, isa.SUB) and mode in (isa.IN_PLACE, isa.OUT_OF_PLACE),
+           where, f"unknown macro {op!r} {mode!r}")
+    _int(m, f"{where} width", 1, geo.domains_per_track)
+    for col in _list(dest, where):
+        _int(col, f"{where} result column", 0, geo.columns - 1)
+    _check(bool(dest) == (mode == isa.OUT_OF_PLACE), where,
+           "an out-of-place macro needs result columns, an in-place one has "
+           "none")
+    return MacroItem(op, mode, m, _ref(a, geo, where), _ref(b, geo, where),
+                     tuple(dest))
+
+
+def _move(v, geo: ApGeometry, n_aps: int, where: str) -> Move:
+    move = Move(*_list(v, where, 7))
+    _int(move.src_ap, f"{where} src_ap", 0, n_aps - 1)
+    _span(geo, move.src_col, move.src_base, move.width, where)
+    _span(geo, move.dst_col, move.dst_base, move.width, where)
+    return move

@@ -21,17 +21,13 @@ Width planning: destinations of in-place ops must be stored at the op
 width, so definition widths are widened backward along in-place chains;
 all other reads sign-extend for free by clamping at their MSB.
 
-The program stores only decisions: per tile its channel range, accumulator
-interval and value-pool layout, per (tile, channel group) one item stream
-that every row group runs, and the adder-tree items. Tile columns, AP ids,
-a macro's carry/zero columns and energy phase, and the op counts are derived
-here (Tile, ap_id, macro_of, macro_counts) for the simulator and metrics.
+The result is the typed program of `tapc.program`, which also owns its
+encoding, its loader and everything derived from the stored decisions.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,44 +35,10 @@ from . import dfg as dfglib
 from . import isa
 from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
-from .model import TernaryNetwork, _input_bits
-
-PROGRAM_VERSION = 2
-OPT_LEVELS = ("unroll", "unroll_cse")
-
-
-@dataclass
-class ApGeometry:
-    """Array and hierarchy dimensions. Consecutive AP ids fill a tile, then
-    the next tile, then the next bank, so adder-tree neighbors stay local."""
-
-    rows: int = 256
-    columns: int = 256
-    domains_per_track: int = 64
-    aps_per_tile: int = 4
-    tiles_per_bank: int = 4
-    banks: int = 4
-
-    @property
-    def total_aps(self) -> int:
-        return self.aps_per_tile * self.tiles_per_bank * self.banks
-
-    def coords(self, ap: int) -> tuple[int, int, int]:
-        slot = ap % self.aps_per_tile
-        tile = (ap // self.aps_per_tile) % self.tiles_per_bank
-        bank = ap // (self.aps_per_tile * self.tiles_per_bank)
-        return bank, tile, slot
-
-    def hop_level(self, src: int, dst: int) -> str:
-        if src == dst:
-            return "local"
-        b1, t1, _ = self.coords(src)
-        b2, t2, _ = self.coords(dst)
-        if (b1, t1) == (b2, t2):
-            return "tile"
-        if b1 == b2:
-            return "bank"
-        return "global"
+from .model import QuantSpec, TernaryNetwork, _input_bits
+from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
+                      MacroItem, Move, PoolLayer, Ref, Tile, TreeStep, ap_id,
+                      macro_counts, place_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -276,45 +238,6 @@ def _slice_system(sys: LinearSystem, c_lo: int, c_hi: int) -> LinearSystem:
 
 
 @dataclass(frozen=True)
-class Tile:
-    """Column layout of one output tile on each of its APs: patch slots, the
-    value pool from `value0`, one accumulator per local output channel from
-    `acc0`, then the carry, zero and move-scratch columns. The accumulator
-    width is the narrowest that holds the proven interval [acc_lo, acc_hi]."""
-
-    c_lo: int
-    c_hi: int
-    acc_lo: int
-    acc_hi: int
-    value0: int
-    n_value_cols: int
-
-    @property
-    def acc_width(self) -> int:
-        return dfglib.min_signed_width(self.acc_lo, self.acc_hi)
-
-    @property
-    def acc0(self) -> int:
-        return self.value0 + self.n_value_cols
-
-    @property
-    def carry(self) -> int:
-        return self.acc0 + self.c_hi - self.c_lo
-
-    @property
-    def zero(self) -> int:
-        return self.carry + 1
-
-    @property
-    def scratch(self) -> int:
-        return self.carry + 2
-
-    @property
-    def columns_used(self) -> int:
-        return self.scratch + 1
-
-
-@dataclass(frozen=True)
 class _TilePlan(Tile):
     plans: dict[int, ChannelPlan]   # channel -> plan
 
@@ -349,24 +272,6 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
         n_tiles *= 2
 
 
-def place_layer(shape, in_bits: int, geometry: ApGeometry) -> dict:
-    """Geometric placement of one conv layer: output positions split into
-    row groups of up to `rows`, input channels into nanowire-stacked groups
-    of floor(domains / in_bits). Column budgeting is done elsewhere."""
-    cap = geometry.domains_per_track // in_bits
-    if cap < 1:
-        raise CapacityError(f"{in_bits}-bit activations exceed "
-                            f"{geometry.domains_per_track} domains per track")
-    channels = list(range(shape.c_in))
-    groups = [channels[i:i + cap] for i in range(0, shape.c_in, cap)]
-    positions = shape.h_out * shape.w_out
-    row_groups = -(-positions // geometry.rows)
-    rows_used = [min(geometry.rows, positions - rg * geometry.rows)
-                 for rg in range(row_groups)]
-    return {"positions": positions, "row_groups": row_groups,
-            "rows_used": rows_used, "channel_groups": groups}
-
-
 def schedule_accumulation(n_groups: int) -> list[list[tuple[int, int]]]:
     """Binary-tree merge order over channel-group indices.
 
@@ -383,39 +288,6 @@ def schedule_accumulation(n_groups: int) -> list[list[tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# program format: what is derived from the stored decisions
-# ---------------------------------------------------------------------------
-
-def ap_id(rg: int, og: int, cg: int, n_tiles: int, n_groups: int) -> int:
-    """AP of (row group, output tile, channel group) in a conv layer."""
-    return (rg * n_tiles + og) * n_groups + cg
-
-
-def macro_of(item: list, tile: Tile) -> tuple[isa.MacroInstr, str]:
-    """Decode a stored `[op, mode, m, a, b, dest]` item on one of `tile`'s
-    APs into its macro and energy phase. The macro uses the tile's carry and
-    zero columns; it belongs to the "accum" phase when it writes an
-    accumulator column (b in place, the first result column otherwise)."""
-    op, mode, m, a, b, dest = item
-    macro = isa.MacroInstr(op, mode, False, m, isa.OperandRef(*a),
-                           isa.OperandRef(*b), tuple(dest), 0, tile.carry,
-                           tile.zero)
-    written = dest[0] if mode == isa.OUT_OF_PLACE and dest else b[0]
-    phase = "accum" if tile.acc0 <= written < tile.carry else "dfg"
-    return macro, phase
-
-
-def macro_counts(lp: dict) -> tuple[int, int]:
-    """Add and sub macros one conv layer issues: each row group runs every
-    stream once, and every tree item runs once."""
-    ops = [item[0] for tile_streams in lp["streams"] for items in tile_streams
-           for item in items] * len(lp["rows_used"])
-    ops += [item[0] for level in lp["tree"] for entry in level
-            for item in entry["items"]]
-    return ops.count(isa.ADD), ops.count(isa.SUB)
-
-
-# ---------------------------------------------------------------------------
 # program emission
 # ---------------------------------------------------------------------------
 
@@ -426,15 +298,15 @@ _NO_OPS_ROW = {**dict.fromkeys(
 
 
 def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
-                 opt: str = "unroll_cse") -> "ApProgram":
+                 opt: str = "unroll_cse") -> ApProgram:
     """Compile the whole network into a deterministic, serializable program.
     A conv whose `c_in` differs from its input, or an add over operands of
     different shapes, is a FormatError."""
     if opt not in OPT_LEVELS:
         raise FormatError(f"opt level must be one of {OPT_LEVELS}")
     catalog, repairs = isa.standard_catalog()
-    in_c = net.layers[0].c_in if net.layers else 0
-    layers_out = []
+    in_c = net.layers[0].c_in
+    layers = []
     report_rows = []
     cur_bits = _input_bits(net)
     out_shapes: list[tuple[int, int, int]] = []
@@ -444,7 +316,7 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
         if layer.kind == "pool":
             if cur_h % 2 or cur_w % 2:
                 raise FormatError(f"layer {idx}: pool needs even input extents")
-            layers_out.append({"kind": "pool", "index": idx})
+            layers.append(PoolLayer(idx))
             report_rows.append({"layer": idx, "kind": "pool", **_NO_OPS_ROW})
             cur = (cur_c, cur_h // 2, cur_w // 2)
         elif layer.kind == "add":
@@ -453,11 +325,8 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
             if other != cur:
                 raise FormatError(f"layer {idx}: add operands differ "
                                   f"{cur} vs {other}")
-            layers_out.append({"kind": "add", "index": idx, "skip_from": skip,
-                               "out_bits": layer.quant.activation_bits,
-                               "multiplier": layer.quant.requant_multiplier,
-                               "shift": layer.quant.requant_shift,
-                               "act_kind": layer.quant.activation_kind})
+            layers.append(AddLayer(index=idx, skip_from=skip,
+                                   **_requant(layer.quant)))
             report_rows.append({"layer": idx, "kind": "add", **_NO_OPS_ROW})
             cur_bits = layer.quant.activation_bits
         else:
@@ -466,38 +335,41 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
                                   f"input channels, gets {cur_c}")
             shape = layer.shape_for(cur_h, cur_w)
             lp, row = _emit_conv(idx, layer, shape, cur_bits, geometry, opt)
-            layers_out.append(lp)
+            layers.append(lp)
             report_rows.append(row)
             cur = (shape.c_out, shape.h_out, shape.w_out)
             cur_bits = layer.quant.activation_bits
         out_shapes.append(cur)
 
-    doc = {
-        "format_version": PROGRAM_VERSION,
-        "name": net.name,
-        "opt": opt,
-        "in_bits": _input_bits(net),
-        "in_c": in_c, "in_h": h, "in_w": w,
-        "geometry": asdict(geometry),
-        "luts": [_lut_doc(t) for key, t in sorted(catalog.items())
-                 if not t.negated],
-        "layers": layers_out,
-    }
-    return ApProgram(doc, report_rows, [r.describe() for r in repairs])
+    prog = ApProgram(name=net.name, opt=opt, in_bits=_input_bits(net),
+                     in_c=in_c, in_h=h, in_w=w, geometry=geometry,
+                     luts=[t for _key, t in sorted(catalog.items())
+                           if not t.negated],
+                     layers=layers)
+    prog.report_rows = report_rows
+    prog.lut_notes = [r.describe() for r in repairs]
+    return prog
 
 
-def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[list]:
+def _requant(quant: QuantSpec) -> dict:
+    """A layer's QuantSpec as the program's requantization fields."""
+    return {"out_bits": quant.activation_bits,
+            "multiplier": quant.requant_multiplier,
+            "shift": quant.requant_shift, "act_kind": quant.activation_kind}
+
+
+def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[MacroItem]:
     """Items of the APs holding `group`'s channels for `tile`: each channel's
     DFG macros, then its folds into the accumulators. Every row group runs
     the same stream."""
     acc_w = tile.acc_width
-    zero_ref = [tile.zero, 0, 1, 0]
+    zero_ref = Ref(tile.zero, 0, 1, 0)
 
     def ref(desc, plan, ch_local):
         if desc[0] == "in":
-            return [desc[1], ch_local * in_bits, in_bits, 0]
+            return Ref(desc[1], ch_local * in_bits, in_bits, 0)
         s = plan.storages[desc[1]]
-        return [tile.value0 + s.color, 0, s.width, 1]
+        return Ref(tile.value0 + s.color, 0, s.width, 1)
 
     items = []
     # the first fold into each accumulator runs out of place over the zero
@@ -507,28 +379,29 @@ def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[list]:
     for ch_local, ch in enumerate(group):
         plan = tile.plans[ch]
         for mk in plan.macros:
-            dest = []
+            dest = ()
             if mk["mode"] == isa.OUT_OF_PLACE:
-                dest = [tile.value0 + plan.storages[s].color for s in mk["dest"]]
-            items.append([mk["op"], mk["mode"], mk["m"],
-                          ref(mk["a"], plan, ch_local),
-                          ref(mk["b"], plan, ch_local), dest])
+                dest = tuple(tile.value0 + plan.storages[s].color
+                             for s in mk["dest"])
+            items.append(MacroItem(mk["op"], mk["mode"], mk["m"],
+                                   ref(mk["a"], plan, ch_local),
+                                   ref(mk["b"], plan, ch_local), dest))
         for r, desc, sign in plan.folds:
             if desc is None:
                 continue
             a = ref(desc, plan, ch_local)
             op = isa.ADD if sign > 0 else isa.SUB
             if r in seeded:
-                items.append([op, isa.IN_PLACE, acc_w, a,
-                              [tile.acc0 + r, 0, acc_w, 1], []])
+                items.append(MacroItem(op, isa.IN_PLACE, acc_w, a,
+                                       Ref(tile.acc0 + r, 0, acc_w, 1), ()))
             else:
-                items.append([op, isa.OUT_OF_PLACE, acc_w, a, zero_ref,
-                              [tile.acc0 + r]])
+                items.append(MacroItem(op, isa.OUT_OF_PLACE, acc_w, a,
+                                       zero_ref, (tile.acc0 + r,)))
                 seeded.add(r)
     for r in range(tile.c_hi - tile.c_lo):
         if r not in seeded:
-            items.append([isa.ADD, isa.OUT_OF_PLACE, acc_w, zero_ref, zero_ref,
-                          [tile.acc0 + r]])
+            items.append(MacroItem(isa.ADD, isa.OUT_OF_PLACE, acc_w, zero_ref,
+                                   zero_ref, (tile.acc0 + r,)))
     return items
 
 
@@ -567,39 +440,28 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
         for rg in range(row_groups):
             for og, tile in enumerate(tiles):
                 acc_w = tile.acc_width
+                scratch = Ref(tile.scratch, 0, acc_w, 1)
                 for dst_cg, src_cg in pairs:
                     src = ap_id(rg, og, src_cg, len(tiles), len(groups))
                     items = []
                     for col in range(tile.acc0, tile.carry):
-                        items.append(["move", src, col, 0, tile.scratch, 0,
-                                      acc_w])
-                        items.append([isa.ADD, isa.IN_PLACE, acc_w,
-                                      [tile.scratch, 0, acc_w, 1],
-                                      [col, 0, acc_w, 1], []])
-                    level.append({"dst": ap_id(rg, og, dst_cg, len(tiles),
-                                               len(groups)),
-                                  "items": items})
+                        items.append(Move("move", src, col, 0, tile.scratch, 0,
+                                          acc_w))
+                        items.append(MacroItem(isa.ADD, isa.IN_PLACE, acc_w,
+                                               scratch, Ref(col, 0, acc_w, 1),
+                                               ()))
+                    level.append(TreeStep(ap_id(rg, og, dst_cg, len(tiles),
+                                                len(groups)), items))
         tree.append(level)
 
-    lp = {
-        "kind": "conv", "index": idx,
-        "h_in": shape.h_in, "w_in": shape.w_in,
-        "c_in": shape.c_in, "c_out": shape.c_out,
-        "f_h": shape.f_h, "f_w": shape.f_w,
-        "stride": shape.stride, "pad": shape.pad,
-        "in_bits": in_bits,
-        "out_bits": layer.quant.activation_bits,
-        "multiplier": layer.quant.requant_multiplier,
-        "shift": layer.quant.requant_shift,
-        "act_kind": layer.quant.activation_kind,
-        "rows_used": placement["rows_used"],
-        "channel_groups": groups,
-        "tiles": [{f.name: getattr(t, f.name) for f in fields(Tile)}
-                  for t in tiles],
-        "streams": [[_stream(t, group, in_bits) for group in groups]
-                    for t in tiles],
-        "tree": tree,
-    }
+    lp = ConvLayer(index=idx, **vars(shape), in_bits=in_bits,
+                   **_requant(layer.quant),
+                   rows_used=placement["rows_used"], channel_groups=groups,
+                   tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
+                          for t in tiles],
+                   streams=[[_stream(t, group, in_bits) for group in groups]
+                            for t in tiles],
+                   tree=tree)
     adds, subs = macro_counts(lp)
     utilization = placement["positions"] / (row_groups * geometry.rows)
     row = {"layer": idx, "kind": "conv", "ops_unroll": ops_unroll,
@@ -610,68 +472,3 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
            "columns_used": max(t.columns_used for t in tiles),
            "utilization": utilization}
     return lp, row
-
-
-# ---------------------------------------------------------------------------
-# program container
-# ---------------------------------------------------------------------------
-
-def _lut_doc(table: isa.LutTable) -> dict:
-    return {"op": table.op_kind, "addressing": table.addressing,
-            "entries": [[list(e.key), list(e.write), e.pass_index]
-                        for _k, e in sorted(table.entries.items())]}
-
-
-def _lut_from_doc(doc: dict) -> isa.LutTable:
-    entries = {}
-    for key, write, pidx in doc["entries"]:
-        k = tuple(int(x) for x in key)
-        entries[k] = isa.LutEntry(k, tuple(int(x) for x in write), int(pidx))
-    return isa.LutTable(doc["op"], doc["addressing"], False, entries)
-
-
-class ApProgram:
-    """Serializable compiled program.
-
-    The canonical byte encoding (UTF-8 JSON, sorted keys, compact
-    separators, trailing newline) is part of the artifact contract:
-    recompiling with identical inputs reproduces the file bit for bit.
-    """
-
-    def __init__(self, doc: dict, report_rows=None, lut_notes=None):
-        if doc.get("format_version") != PROGRAM_VERSION:
-            raise FormatError(f"unsupported program version {doc.get('format_version')!r}")
-        self.doc = doc
-        self.report_rows = report_rows or []
-        self.lut_notes = lut_notes or []
-
-    @property
-    def geometry(self) -> ApGeometry:
-        return ApGeometry(**self.doc["geometry"])
-
-    @property
-    def layers(self) -> list[dict]:
-        return self.doc["layers"]
-
-    def luts(self) -> dict[tuple[str, str, bool], isa.LutTable]:
-        out = {}
-        for d in self.doc["luts"]:
-            t = _lut_from_doc(d)
-            out[(t.op_kind, t.addressing, t.negated)] = t
-        return out
-
-    def dumps(self) -> str:
-        return json.dumps(self.doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "ApProgram":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot read program: {exc}") from exc
-        return cls(doc)

@@ -9,10 +9,11 @@ Shifts just move the alignment and pay per domain step. Column moves between
 APs copy whole planes (the interconnect model charges them per bit, flat
 across hop levels).
 
-Programs are read through the scheduler's format helpers: `Tile` for a
-tile's columns, `ap_id` for the AP of each (row group, tile, channel group),
-and `macro_of` for each stored item's macro and energy phase. A conv layer's
-streams are decoded once and replayed on every row group.
+Programs are the typed form of `tapc.program`, read by attribute; loaded
+ones were checked by its loader. `ap_id` gives the AP of each (row group,
+tile, channel group) and `macro_of` each stored item's macro and energy
+phase. A conv layer's streams are decoded once and replayed on every row
+group.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -30,8 +31,8 @@ import numpy as np
 from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
-from .model import FeatureMap, LayerShape, QuantSpec, max_pool_2x2, requantize
-from .scheduler import ApGeometry, ApProgram, Tile, ap_id, macro_of
+from .model import FeatureMap, max_pool_2x2, requantize
+from .program import ApGeometry, ApProgram, ConvLayer, ap_id, macro_of
 
 
 @dataclass(slots=True)
@@ -223,13 +224,6 @@ class RunResult:
     state: SimState
 
 
-def _exec_macro(state, ap_id, macro, phase, luts, layer, epoch):
-    key = (macro.op_kind, macro.addressing, macro.negated)
-    if key not in luts:
-        raise FormatError(f"program carries no lut for {key}")
-    run_macro(state, ap_id, macro, luts[key], layer, phase, epoch)
-
-
 def _shift_log(state, ap_id, col, target, layer, phase, epoch):
     cam = state.ap(ap_id)
     cur = cam.align.get(col, 0)
@@ -252,17 +246,16 @@ def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
     return vals
 
 
-def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
+def _run_conv(state: SimState, lp: ConvLayer, cur: FeatureMap,
               prov: np.ndarray | None, luts, epoch: int):
     geo = state.geometry
-    layer = lp["index"]
-    shape = LayerShape(lp["c_in"], lp["c_out"], lp["f_h"], lp["f_w"],
-                       lp["stride"], lp["pad"], lp["h_in"], lp["w_in"])
+    layer = lp.index
+    shape = lp.shape
     pim = im2col_indices(shape)
-    in_bits = lp["in_bits"]
-    groups = lp["channel_groups"]
-    rows_used = lp["rows_used"]
-    tiles = [Tile(**td) for td in lp["tiles"]]
+    in_bits = lp.in_bits
+    groups = lp.channel_groups
+    rows_used = lp.rows_used
+    tiles = lp.tiles
     n_tiles, n_groups = len(tiles), len(groups)
     grid = [(ap_id(rg, og, cg, n_tiles, n_groups), rg, og, cg)
             for rg in range(len(rows_used)) for og in range(n_tiles)
@@ -311,20 +304,21 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
     # stream of its (tile, channel group)
     ep_work = epoch + 1
     streams = [[[macro_of(item, tile) for item in items] for items in row]
-               for tile, row in zip(tiles, lp["streams"])]
+               for tile, row in zip(tiles, lp.streams)]
     for ap, _rg, og, cg in grid:
         for macro, phase in streams[og][cg]:
-            _exec_macro(state, ap, macro, phase, luts, layer, ep_work)
+            run_macro(state, ap, macro, luts[macro.op_kind, macro.addressing],
+                      layer, phase, ep_work)
 
     # adder tree across channel groups
     ep_next = ep_work + 1
-    for level in lp["tree"]:
-        for entry in level:
-            dst = entry["dst"]
+    for level in lp.tree:
+        for step in level:
+            dst = step.dst
             cam = state.ap(dst)
             tile = tiles[dst // n_groups % n_tiles]     # inverse of ap_id
-            for item in entry["items"]:
-                if item[0] == "move":
+            for item in step.items:
+                if item.op == "move":
                     _move, src_ap, src_col, s0, dst_col, d0, w = item
                     cam.track(dst_col, d0, w)[d0:d0 + w] = \
                         state.ap(src_ap).track(src_col, s0, w)[s0:s0 + w]
@@ -333,8 +327,9 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
                               cam.rows * w, 0, w)
                 else:
                     macro, phase = macro_of(item, tile)
-                    _exec_macro(state, dst, macro, phase, luts, layer,
-                                ep_next)
+                    run_macro(state, dst, macro,
+                              luts[macro.op_kind, macro.addressing], layer,
+                              phase, ep_next)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller
@@ -356,11 +351,10 @@ def _run_conv(state: SimState, lp: dict, cur: FeatureMap,
                         f"its proven interval [{tile.acc_lo}, {tile.acc_hi}]")
                 acc[r, base_pos:base_pos + ru] = vals
             prov_new[tile.c_lo:tile.c_hi, base_pos:base_pos + ru] = root
-    quant = QuantSpec(lp["out_bits"], lp["multiplier"], lp["shift"],
-                      lp["act_kind"])
     ofm = FeatureMap(
-        requantize(acc.reshape(shape.c_out, shape.h_out, shape.w_out), quant),
-        lp["out_bits"])
+        requantize(acc.reshape(shape.c_out, shape.h_out, shape.w_out),
+                   lp.quant),
+        lp.out_bits)
     prov_new = prov_new.reshape(shape.c_out, shape.h_out, shape.w_out)
     return ofm, prov_new, ep_next + 1
 
@@ -371,41 +365,33 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     The trace must match the host reference bit for bit; the event log is
     the raw material for the energy/latency/endurance accounting.
     """
-    doc = program.doc
-    if ifm.bits != doc["in_bits"]:
-        raise FormatError(f"program expects {doc['in_bits']}-bit input, "
+    if ifm.bits != program.in_bits:
+        raise FormatError(f"program expects {program.in_bits}-bit input, "
                           f"feature map is {ifm.bits}-bit")
-    want = (doc["in_c"], doc["in_h"], doc["in_w"])
+    want = (program.in_c, program.in_h, program.in_w)
     if tuple(ifm.shape) != want:
         raise FormatError(
             f"program compiled for {'x'.join(map(str, want))} (CxHxW) input, "
             f"feature map is {'x'.join(map(str, ifm.shape))}")
-    luts = program.luts()
+    luts = {(t.op_kind, t.addressing): t for t in program.luts}
     state = SimState(program.geometry)
     trace: list[FeatureMap] = []
     cur = ifm
     prov: np.ndarray | None = None
     epoch = 0
     for lp in program.layers:
-        if lp["kind"] == "conv":
+        if lp.kind == "conv":
             cur, prov, epoch = _run_conv(state, lp, cur, prov, luts, epoch)
-        elif lp["kind"] == "pool":
+        elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
             if prov is not None:
                 # provenance of the surviving max is data-dependent; charge
                 # the block's top-left producer, deterministically
                 prov = prov[:, ::2, ::2]
         else:  # add: controller-side, the skip operand is already host data
-            skip = lp["skip_from"]
-            other = ifm if skip == -1 else trace[skip]
-            if other.shape != cur.shape:
-                raise SimulationError(
-                    f"layer {lp['index']}: add operands differ "
-                    f"{cur.shape} vs {other.shape}")
-            quant = QuantSpec(lp["out_bits"], lp["multiplier"], lp["shift"],
-                              lp["act_kind"])
+            other = ifm if lp.skip_from == -1 else trace[lp.skip_from]
             acc = cur.data.astype(np.int64) + other.data.astype(np.int64)
-            cur = FeatureMap(requantize(acc, quant), lp["out_bits"])
+            cur = FeatureMap(requantize(acc, lp.quant), lp.out_bits)
         trace.append(cur)
     return RunResult(trace, state.events, state)
 

@@ -1,12 +1,32 @@
-"""Shared fixtures: the worked-example system and a batched pair checker."""
+"""Shared fixtures: the worked-example system and a batched pair checker.
+
+Property tests replay the same examples on every run and keep no example
+database. Hypothesis still caches the constants it finds in local modules,
+from collection on, so its home directory is a temporary one that the run
+removes, and a run leaves no `.hypothesis/` directory in the checkout.
+"""
+
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from tapc import isa, sim
 from tapc.lowering import LinearSystem, im2col_indices
 from tapc.model import LayerShape
 from tapc.scheduler import ApGeometry
+
+settings.register_profile("tapc", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tapc")
+
+
+def pytest_configure(config):
+    home = tempfile.mkdtemp(prefix="tapc-hypothesis-")
+    configuration.set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 # hand-checked 6x6 ternary system used as the CSE regression anchor:
 # y = M @ x for x = [1..6] was worked out by hand and frozen here

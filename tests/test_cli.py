@@ -229,6 +229,21 @@ def test_report_rejects_unreadable_stats(tmp_path, capsys):
         assert code == 4 and "format:" in err, name
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cycle_ns", "fast"), ("cycle_ns", -1.0), ("move_pj_per_bit", -2.0),
+    ("bogus", 1.0),
+])
+def test_report_rejects_a_bad_energy_model(field, value, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "run", "--synthetic", "1x4x0.8",
+                         "--input-hw", "6x6", "--out-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "stats.json").read_text())
+    doc["model"][field] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "report", "--stats", str(tmp_path / "bad.json"))
+    assert code == 4 and "format:" in err
+
+
 # sha256 of the artifacts of two small runs: default geometry, and 32-row
 # 24-column arrays that force partial row groups, two output tiles and a
 # channel-group adder tree with moves. Any change to the simulated values,
@@ -299,3 +314,88 @@ def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "old.json"),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 4 and "unsupported program version 1" in err
+
+
+def test_a_network_without_layers_is_a_format_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--synthetic", "0x4x0.5",
+                           "--out-dir", str(tmp_path))
+    assert code == 4 and "has no layers" in err
+    (tmp_path / "net.json").write_text(json.dumps(
+        {"format_version": 1, "name": "empty", "layers": []}))
+    (tmp_path / "net.bin").write_bytes(b"")
+    for command in ("compile", "run"):
+        code, _, err = run_cli(capsys, command,
+                               "--model", str(tmp_path / "net.json"),
+                               "--weights", str(tmp_path / "net.bin"),
+                               "--out-dir", str(tmp_path))
+        assert code == 4 and "has no layers" in err, command
+    assert not (tmp_path / "program.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rows", "0"), ("--rows", "-4"), ("--cols", "0"), ("--domains", "0"),
+    ("--banks", "0"), ("--cycle-ps", "-5"), ("--cycle-ps", "0"),
+    ("--search-fj", "-3"), ("--write-fj", "-1"), ("--move-pj", "-1"),
+])
+def test_bad_geometry_and_energy_flags_exit_4(flag, value, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--synthetic", "1x4x0.8",
+                           "--input-hw", "6x6", flag, value,
+                           "--out-dir", str(tmp_path))
+    assert code == 4 and "format:" in err
+
+
+def _first(items, mode):
+    return next(item for item in items if item[1] == mode)
+
+
+# single-field edits of a compiled program; 16 domains hold two 8-bit input
+# channels, so the 3 channels form 2 groups and the layer has an adder tree
+PROGRAM_EDITS = {
+    "no-streams": lambda d: d["layers"][0].pop("streams"),
+    "extra-field": lambda d: d["layers"][0].update(bogus=1),
+    "negative-rows": lambda d: d["geometry"].update(rows=-4),
+    "zero-columns": lambda d: d["geometry"].update(columns=0),
+    "no-layers": lambda d: d.update(layers=[]),
+    "unknown-kind": lambda d: d["layers"][0].update(kind="dense"),
+    "index-out-of-order": lambda d: d["layers"][0].update(index=1),
+    "string-c_in": lambda d: d["layers"][0].update(c_in="3"),
+    "bool-in_bits": lambda d: d.update(in_bits=True),
+    "three-luts": lambda d: d["luts"].pop(),
+    "flipped-lut-bit": lambda d: d["luts"][0]["entries"][1][1].__setitem__(
+        1, 1 - d["luts"][0]["entries"][1][1][1]),
+    "no-channel-groups": lambda d: d["layers"][0].update(channel_groups=[]),
+    "rows-used": lambda d: d["layers"][0].update(rows_used=[35]),
+    "value0": lambda d: d["layers"][0]["tiles"][0].update(value0=8),
+    "item-missing-field": lambda d: d["layers"][0]["streams"][0][0][0].pop(),
+    "zero-width-macro": lambda d: d["layers"][0]["streams"][0][0][0]
+    .__setitem__(2, 0),
+    "column-past-geometry": lambda d: d["layers"][0]["streams"][0][0][0][3]
+    .__setitem__(0, 256),
+    "out-of-place-without-result": lambda d: _first(
+        d["layers"][0]["streams"][0][0], "out_of_place").__setitem__(5, []),
+    "in-place-with-result": lambda d: _first(
+        d["layers"][0]["streams"][0][0], "in_place").__setitem__(5, [0]),
+    "tree-dst": lambda d: d["layers"][0]["tree"][0][0].update(dst=2),
+    "move-src-ap": lambda d: d["layers"][0]["tree"][0][0]["items"][0]
+    .__setitem__(1, 7),
+}
+
+
+@pytest.fixture(scope="module")
+def compiled_program(tmp_path_factory):
+    out = tmp_path_factory.mktemp("program")
+    assert cli.main(["compile", "--synthetic", "1x4x0.8", "--bits", "8",
+                     "--domains", "16", "--input-hw", "6x6",
+                     "--out-dir", str(out)]) == 0
+    return (out / "program.json").read_text()
+
+
+@pytest.mark.parametrize("edit", sorted(PROGRAM_EDITS))
+def test_malformed_programs_are_format_errors(edit, compiled_program,
+                                              tmp_path, capsys):
+    doc = json.loads(compiled_program)
+    PROGRAM_EDITS[edit](doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "bad.json"),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 4 and err.startswith("format:"), err

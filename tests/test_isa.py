@@ -121,30 +121,6 @@ def test_table_structural_checks():
         isa.LutTable(ADD, "sideways", False, dict(good.entries))
 
 
-def test_format_parse_round_trip():
-    tables, _ = isa.standard_catalog()
-    for key, table in sorted(tables.items()):
-        text = isa.format_lut(table)
-        back = isa.parse_lut(text)
-        assert back.op_kind == table.op_kind
-        assert back.addressing == table.addressing
-        assert back.negated == table.negated
-        assert back.entries == table.entries
-        assert isa.format_lut(back) == text
-
-
-@pytest.mark.parametrize("text", [
-    "",
-    "nope\n000 -> 00 1\n",
-    "lut add\n",
-    "lut add in_place negated=0\n000 00 1\n",
-    "lut add in_place negated=0\n0000 -> 00 1\n",
-])
-def test_parse_rejects_malformed_dumps(text):
-    with pytest.raises(FormatError):
-        isa.parse_lut(text)
-
-
 # --- macro expansion ------------------------------------------------------
 
 def make_macro(mode, m, op=ADD, negated=False, a_width=None, b_width=None):
@@ -177,14 +153,12 @@ def test_cycle_count_accounts_shifts_and_clears(catalog):
     clears = sum(1 for op in ops if op.kind == "clear")
     assert shifts == 2 * (m - 1)   # b and a each walk bit 0 -> m-1
     assert clears == 1             # carry cleared once per macro
-    assert isa.cycle_count(ops) == 8 * m + shifts + clears == 39
 
     ops = isa.expand_macro(make_macro(OUT_OF_PLACE, m), catalog[(ADD, OUT_OF_PLACE, False)], {})
     shifts = sum(op.steps for op in ops if op.kind == "shift")
     clears = sum(1 for op in ops if op.kind == "clear")
     assert shifts == 3 * (m - 1)   # b, a and the result column
     assert clears == 1 + m         # carry, plus a per-bit result pre-clear
-    assert isa.cycle_count(ops) == 10 * m + shifts + clears
 
 
 def test_expansion_uses_and_updates_alignment(catalog):
@@ -232,6 +206,3 @@ def test_expand_macro_contract_errors(catalog):
         isa.expand_macro(mac, catalog[(ADD, OUT_OF_PLACE, False)], {})
     with pytest.raises(FormatError):
         isa.expand_macro(make_macro(IN_PLACE, 4), add_ip, {3: 5})
-
-    with pytest.raises(FormatError):
-        isa.cycle_count([isa.MicroOp("teleport")])

@@ -7,6 +7,7 @@ import pytest
 
 from tapc import metrics, sim
 from tapc.model import make_synthetic_input, make_synthetic_network
+from tapc.program import PoolLayer
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 
@@ -59,15 +60,9 @@ def test_account_categories_sum_to_total(accounted):
 
 def test_latency_is_epochwise_max_over_lockstep_aps():
     geo = ApGeometry()
-    prog = ApProgram({
-        "format_version": 2, "name": "crafted", "opt": "unroll",
-        "in_bits": 4, "in_h": 2, "in_w": 2,
-        "geometry": {"rows": geo.rows, "columns": geo.columns,
-                     "domains_per_track": geo.domains_per_track,
-                     "aps_per_tile": geo.aps_per_tile,
-                     "tiles_per_bank": geo.tiles_per_bank, "banks": geo.banks},
-        "luts": [], "layers": [{"kind": "pool", "index": 0}],
-    })
+    prog = ApProgram(name="crafted", opt="unroll", in_bits=4, in_c=1,
+                     in_h=2, in_w=2, geometry=geo, luts=[],
+                     layers=[PoolLayer(0)])
     events = [
         sim.Event("search", 0, 0, "dfg", 0, 64, 0, 4),
         sim.Event("write", 0, 0, "dfg", 0, 64, 0, 6),    # ap0, epoch0: 10

@@ -9,7 +9,7 @@ from tapc.model import (FeatureMap, Layer, LayerShape, QuantSpec,
                         TernaryNetwork, TernaryWeights, load_feature_map,
                         load_network, make_synthetic_input,
                         make_synthetic_network, max_pool_2x2,
-                        network_from_matrix, reference_convolution,
+                        reference_convolution,
                         reference_inference, requantize, save_feature_map,
                         save_network)
 
@@ -165,13 +165,3 @@ def test_synthetic_network_sparsity_tracks_request():
         zeros += int((layer.weights.data == 0).sum())
         total += layer.weights.data.size
     assert abs(zeros / total - 0.85) < 0.05
-
-
-def test_network_from_matrix_is_the_matrix_product(worked_matrix):
-    net = network_from_matrix(worked_matrix, bits=4)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.integers(0, 16, size=6)
-        ifm = FeatureMap(x.reshape(1, 1, 6), 4)
-        acc = reference_convolution(ifm, net.layers[0].weights, 1, 0)
-        assert np.array_equal(acc.reshape(-1), worked_matrix @ x)

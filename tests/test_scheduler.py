@@ -208,14 +208,13 @@ def test_program_rejects_unknown_opt_level():
 def test_program_embeds_the_validated_lut_catalog():
     net = make_synthetic_network(1, 4, 0.7, bits=4, seed=2)
     prog = emit_program(net, 8, 8, ApGeometry())
-    luts = prog.luts()
-    assert sorted(luts) == [
+    assert sorted((t.op_kind, t.addressing, t.negated) for t in prog.luts) == [
         (isa.ADD, isa.IN_PLACE, False),
         (isa.ADD, isa.OUT_OF_PLACE, False),
         (isa.SUB, isa.IN_PLACE, False),
         (isa.SUB, isa.OUT_OF_PLACE, False),
     ]
-    for table in luts.values():
+    for table in prog.luts:
         assert isa.validate_lut(table).ok
     assert len(prog.lut_notes) == 1      # the shipped add table needed repair
 
@@ -250,7 +249,7 @@ def test_pool_layer_requires_even_extents():
     pool = Layer("pool", 4, 4, 2, 2, 2, 0, QuantSpec(4))
     net = TernaryNetwork("p", [conv, pool])
     prog = emit_program(net, 8, 8, ApGeometry())
-    kinds = [l["kind"] for l in prog.layers]
+    kinds = [l.kind for l in prog.layers]
     assert kinds == ["conv", "pool"]
     with pytest.raises(FormatError):
         emit_program(net, 9, 9, ApGeometry())

@@ -1,5 +1,7 @@
 """Functional simulation: array state, macros, and whole programs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tapc.errors import FormatError, SimulationError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
+from tapc.program import Move
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 GEO = ApGeometry(rows=64, columns=16, domains_per_track=64)
@@ -101,10 +104,6 @@ def test_micro_ops_past_the_geometry_are_rejected(op):
         sim.execute_micro_ops(st, 0, [op])
 
 
-MOVE_FIELDS = ("move", "src_ap", "src_col", "src_base", "dst_col", "dst_base",
-               "m")
-
-
 @pytest.mark.parametrize("field, value", [
     ("dst_base", 63), ("dst_base", -1), ("src_base", 63), ("dst_col", 256),
 ])
@@ -112,11 +111,18 @@ def test_moves_past_the_geometry_are_rejected(field, value):
     # one tree level: the first item moves a 2-group partial sum between APs
     net = TernaryNetwork("cg", [conv_layer(16, 2, 3, 1, 1, 8, seed=17, shift=6)])
     prog = emit_program(net, 4, 4, ApGeometry())
-    move = prog.layers[0]["tree"][0][0]["items"][0]
-    assert move[0] == "move" and move[6] > 1
-    move[MOVE_FIELDS.index(field)] = value
+    doc = json.loads(prog.dumps())
+    step = prog.layers[0].tree[0][0]
+    move = step.items[0]
+    assert move.op == "move" and move.width > 1
+    # a typed program built in process meets the simulator's own guard
+    step.items[0] = move._replace(**{field: value})
     with pytest.raises(SimulationError):
         sim.run(prog, make_synthetic_input(net, 4, 4))
+    # the same edit in a document never gets past the loader
+    doc["layers"][0]["tree"][0][0]["items"][0][Move._fields.index(field)] = value
+    with pytest.raises(FormatError):
+        ApProgram.from_doc(doc)
 
 
 # --- macro execution ------------------------------------------------------
@@ -215,7 +221,7 @@ def test_output_tiles_on_narrow_columns():
     net = TernaryNetwork("ot", [conv_layer(2, 6, 3, 1, 1, 4, seed=19)])
     geo = ApGeometry(columns=20)
     prog = emit_program(net, 6, 6, geo)
-    assert len(prog.layers[0]["tiles"]) > 1
+    assert len(prog.layers[0].tiles) > 1
     check_net(net, 6, 6, geometry=geo)
 
 
@@ -238,11 +244,10 @@ def test_run_validates_input_shape_and_bits():
 def test_missing_lut_table_is_a_format_error():
     net = make_synthetic_network(1, 4, 0.7, bits=4, in_channels=2, seed=21)
     prog = emit_program(net, 8, 8, ApGeometry())
-    doc = dict(prog.doc)
+    doc = json.loads(prog.dumps())
     doc["luts"] = []
-    broken = ApProgram(doc)
     with pytest.raises(FormatError):
-        sim.run(broken, make_synthetic_input(net, 8, 8))
+        ApProgram.from_doc(doc)
 
 
 def test_simulation_is_deterministic():
