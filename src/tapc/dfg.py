@@ -9,13 +9,17 @@ subtracting instead of adding.
 
 The optimizer is a greedy signed-pair extractor: the two-term pattern
 (+-x_i +-x_j) occurring in the most rows, counting a pattern and its
-negation together, is hoisted into a temporary, substituted and the count
-repeated until no pattern occurs twice. Scope is one LinearSystem, i.e.
-one input channel of one layer.
+negation together, is hoisted into a temporary and substituted, until no
+pattern occurs twice. Pair counts are kept incrementally (Hartley's
+pair-count CSE): taken once, then updated only in the rows an extraction
+rewrites, with the next pair drawn from a lazy-deletion heap whose key is
+the same tie-break a full recount would apply. Scope is one LinearSystem,
+i.e. one input channel of one layer.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,12 +152,16 @@ def _terms_of(g: DataFlowGraph) -> list[dict[int, int]]:
             out = dict(expand(node.lhs))
             sign = 1 if node.kind == ADD else -1
             for a, s in expand(node.rhs).items():
-                out[a] = out.get(a, 0) + sign * s
-                if out[a] == 0:
+                c = out.get(a, 0) + sign * s
+                if c == 0:
                     del out[a]
-            # ternary rows never repeat a slot, so coefficients stay in {-1, +1}
-            if any(abs(s) > 1 for s in out.values()):
-                raise ValueError("non-ternary expansion; graph is not row-affine")
+                elif abs(c) > 1:
+                    # ternary rows never repeat a slot, so coefficients stay
+                    # in {-1, +1}
+                    raise ValueError(
+                        "non-ternary expansion; graph is not row-affine")
+                else:
+                    out[a] = c
         memo[nid] = out
         return out
 
@@ -164,52 +172,71 @@ def _terms_of(g: DataFlowGraph) -> list[dict[int, int]]:
     return rows
 
 
-def _canonical(u: int, su: int, v: int, sv: int) -> tuple[tuple[int, int, int], int]:
-    """Canonical key for a signed pair and the sign relating pattern to key."""
-    if u > v:
-        u, su, v, sv = v, sv, u, su
-    if su < 0:
-        return (u, v, -sv), -1
-    return (u, v, sv), 1
-
-
 def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
     """Greedy shared-pair hoisting over one channel's rows.
 
-    Ties break toward the lexicographically lowest (i, j) pair with the
-    positive-sign form preferred, so rebuilds are deterministic. Every
-    extraction with k matching rows trades k chain ops for one temporary,
-    so op_count never increases.
+    A signed pair (u, v, s), u < v, stands for both +-(x_u + s*x_v); its
+    count is the number of rows holding either form. Counts are taken once.
+    Extracting a pair touches only the rows holding it, found through an
+    atom -> rows index: the pairs those rows lose with u or v are
+    decremented and the pairs the new temporary forms with their remaining
+    atoms are counted. The next pair comes off a lazy-deletion heap keyed
+    by (-count, u, v, 0 if s > 0 else 1): counts only fall once a pair
+    exists, so a popped entry whose count has fallen is pushed back at its
+    current count, and one below 2 is dropped. The key is the tie-break of
+    a full recount (most rows, then the lowest (u, v), then the positive
+    form), so rebuilds are deterministic. Every extraction with k matching
+    rows trades k chain ops for one temporary, so op_count never increases.
     """
     rows = _terms_of(g)
     n_slots = g.n_slots
     temp_defs: list[tuple[int, int, int]] = []
 
-    while True:
-        counts: dict[tuple[int, int, int], int] = {}
-        for row in rows:
-            atoms = sorted(row.items())
-            for i in range(len(atoms)):
-                for j in range(i + 1, len(atoms)):
-                    (u, su), (v, sv) = atoms[i], atoms[j]
-                    key, _ = _canonical(u, su, v, sv)
-                    counts[key] = counts.get(key, 0) + 1
-        if not counts:
-            break
-        best_key = min(counts, key=lambda k: (-counts[k], k[0], k[1], 0 if k[2] > 0 else 1))
-        if counts[best_key] < 2:
-            break
-        u, v, sv = best_key
+    counts: dict[tuple[int, int, int], int] = {}
+    rows_of: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        atoms = sorted(row.items())
+        for i, (u, su) in enumerate(atoms):
+            rows_of.setdefault(u, set()).add(r)
+            for v, sv in atoms[i + 1:]:
+                key = (u, v, su * sv)
+                counts[key] = counts.get(key, 0) + 1
+    heap = [(-c, u, v, 0 if s > 0 else 1)
+            for (u, v, s), c in counts.items() if c > 1]
+    heapq.heapify(heap)
+
+    while heap:
+        neg, u, v, neg_s = heapq.heappop(heap)
+        s = -1 if neg_s else 1
+        c = counts[u, v, s]
+        if c != -neg:
+            if c > 1:
+                heapq.heappush(heap, (-c, u, v, neg_s))
+            continue
         temp = n_slots + len(temp_defs)
-        temp_defs.append((u, sv, v))
-        for row in rows:
-            if u in row and v in row:
-                if row[u] == 1 and row[v] == sv:
-                    del row[u], row[v]
-                    row[temp] = 1
-                elif row[u] == -1 and row[v] == -sv:
-                    del row[u], row[v]
-                    row[temp] = -1
+        temp_defs.append((u, s, v))
+        counts[u, v, s] = 0     # every row holding the pair is rewritten
+        formed: dict[tuple[int, int, int], int] = {}
+        for r in rows_of[u] & rows_of[v]:
+            row = rows[r]
+            su = row[u]
+            if row[v] != s * su:
+                continue
+            del row[u], row[v]
+            rows_of[u].discard(r)
+            rows_of[v].discard(r)
+            for w, sw in row.items():
+                for x, sx in ((u, su), (v, s * su)):
+                    lo, hi = (x, w) if x < w else (w, x)
+                    counts[lo, hi, sx * sw] -= 1
+                key = (w, temp, su * sw)
+                formed[key] = formed.get(key, 0) + 1
+            row[temp] = su
+            rows_of.setdefault(temp, set()).add(r)
+        counts.update(formed)
+        for (w, t, sw), c in formed.items():
+            if c > 1:
+                heapq.heappush(heap, (-c, w, t, 0 if sw > 0 else 1))
     return _emit(g.channel, g.n_rows, n_slots, temp_defs, rows)
 
 

@@ -470,24 +470,59 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
     _check(n_aps <= geo.total_aps, where,
            f"needs {n_aps} APs, geometry has {geo.total_aps}")
     layer.streams = [
-        [[_macro(item, geo, f"{where} stream {og}/{cg} item {i}")
+        [[_stream_macro(item, geo, tile, f"{where} stream {og}/{cg} item {i}")
           for i, item in enumerate(_list(items, where))]
          for cg, items in enumerate(_list(row, where, n_groups))]
-        for og, row in enumerate(_list(layer.streams, where, n_tiles))]
+        for og, (tile, row) in enumerate(zip(
+            layer.tiles, _list(layer.streams, where, n_tiles)))]
 
-    layer.tree = [[_step(step, geo, n_aps, f"{where} tree {lv}/{s}")
+    layer.tree = [[_step(step, geo, layer.tiles, n_groups, n_aps,
+                         f"{where} tree {lv}/{s}")
                    for s, step in enumerate(_list(level, where))]
                   for lv, level in enumerate(_list(layer.tree, where))]
     return shape.c_out, shape.h_out, shape.w_out
 
 
-def _step(v, geo: ApGeometry, n_aps: int, where: str) -> TreeStep:
+def _stream_macro(v, geo: ApGeometry, tile: Tile, where: str) -> MacroItem:
+    """A stream macro writes only value-pool and accumulator columns and
+    reads only those, the patch slots and the zero column."""
+    item = _macro(v, geo, where)
+    _check(all(tile.value0 <= col < tile.carry
+               for col in item.dest or (item.b.col,)), where,
+           "writes outside the value pool and accumulators")
+    _check(all(col < tile.carry or col == tile.zero
+               for col in (item.a.col, item.b.col)), where,
+           "reads the carry or scratch column")
+    return item
+
+
+def _step(v, geo: ApGeometry, tiles: list[Tile], n_groups: int, n_aps: int,
+          where: str) -> TreeStep:
+    """A tree step moves accumulators of an AP of the same row group and
+    tile into the scratch column and adds scratch into accumulators."""
     step = TreeStep(**_obj(v, TreeStep, where))
     _int(step.dst, f"{where} dst", 0, n_aps - 1)
-    step.items = [_move(item, geo, n_aps, f"{where} item {i}")
-                  if type(item) is list and item[:1] == ["move"]
-                  else _macro(item, geo, f"{where} item {i}")
-                  for i, item in enumerate(_list(step.items, where))]
+    tile = tiles[step.dst // n_groups % len(tiles)]
+
+    def is_acc(col):
+        return tile.acc0 <= col < tile.carry
+
+    items = []
+    for i, raw in enumerate(_list(step.items, where)):
+        at = f"{where} item {i}"
+        if type(raw) is list and raw[:1] == ["move"]:
+            item = _move(raw, geo, n_aps, at)
+            _check(item.src_ap // n_groups == step.dst // n_groups, at,
+                   "moves from another row group or tile")
+            _check(is_acc(item.src_col) and item.dst_col == tile.scratch, at,
+                   "moves other than an accumulator into the scratch column")
+        else:
+            item = _macro(raw, geo, at)
+            _check(item.a.col == tile.scratch
+                   and all(map(is_acc, (item.b.col, *item.dest))), at,
+                   "adds other than scratch into accumulators")
+        items.append(item)
+    step.items = items
     return step
 
 

@@ -243,10 +243,16 @@ class _TilePlan(Tile):
 
 
 def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
-                    opt: str) -> tuple[list[_TilePlan], list[LinearSystem]]:
-    """Split the layer into output tiles until every AP fits its columns."""
+                    opt: str) -> tuple[list[_TilePlan], list[LinearSystem], int]:
+    """Split the layer into output tiles until every AP fits its columns.
+
+    Also returns the layer's op count after CSE over whole channels. The
+    first attempt's single tile spans every output channel, so under
+    unroll_cse its graphs are those; under unroll CSE runs once per channel
+    for the count alone."""
     systems = lower_layer(weights, shape)
     n_slots = shape.f_h * shape.f_w
+    ops_cse = None
     n_tiles = 1
     while True:
         tile_size = -(-shape.c_out // n_tiles)
@@ -257,6 +263,12 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
             for sys in systems:
                 plans[sys.channel] = allocate_columns(_build_graph(
                     _slice_system(sys, c_lo, c_hi), opt, in_bits))
+            if ops_cse is None:     # the first attempt's single tile
+                graphs = [p.graph for p in plans.values()]
+                if opt != "unroll_cse":
+                    graphs = [dfglib.eliminate_common_subexpressions(g)
+                              for g in graphs]
+                ops_cse = sum(g.op_count for g in graphs)
             n_value = max((p.n_colors for p in plans.values()), default=0)
             lo, hi = _acc_interval(systems, c_lo, c_hi, in_bits)
             tile = _TilePlan(c_lo, c_hi, lo, hi, n_slots, n_value, plans)
@@ -264,7 +276,7 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
                 break
             tiles.append(tile)
         else:   # every tile fits
-            return tiles, systems
+            return tiles, systems, ops_cse
         if tile_size == 1:
             raise CapacityError(
                 f"single output channel needs {tile.columns_used} columns, "
@@ -410,11 +422,9 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     groups = placement["channel_groups"]
     row_groups = placement["row_groups"]
 
-    tiles, systems = plan_conv_layer(layer.weights, shape, in_bits, geometry, opt)
+    tiles, systems, ops_cse = plan_conv_layer(layer.weights, shape, in_bits,
+                                              geometry, opt)
     ops_unroll = unrolled_op_count(systems)
-    ops_cse = sum(
-        dfglib.eliminate_common_subexpressions(dfglib.build_dfg(s)).op_count
-        for s in systems)
 
     demand = row_groups * len(tiles) * len(groups)
     if demand > geometry.total_aps:

@@ -1,7 +1,8 @@
 """Shared fixtures: the worked-example system and a batched pair checker.
 
-Property tests replay the same examples on every run and keep no example
-database. Hypothesis still caches the constants it finds in local modules,
+Property tests replay the same 150 examples on every run and keep no
+example database; the `tapc-long` profile draws a few thousand fresh ones
+instead. Hypothesis still caches the constants it finds in local modules,
 from collection on, so its home directory is a temporary one that the run
 removes, and a run leaves no `.hypothesis/` directory in the checkout.
 """
@@ -19,7 +20,11 @@ from tapc.model import LayerShape
 from tapc.scheduler import ApGeometry
 
 settings.register_profile("tapc", derandomize=True, database=None,
-                          deadline=None)
+                          deadline=None, max_examples=150)
+# a longer, randomized run of the same properties, not part of tier-1:
+#   pytest tests/test_fuzz.py --hypothesis-profile tapc-long
+settings.register_profile("tapc-long", derandomize=False, database=None,
+                          deadline=None, max_examples=3000)
 settings.load_profile("tapc")
 
 

@@ -348,6 +348,27 @@ def _first(items, mode):
     return next(item for item in items if item[1] == mode)
 
 
+def _columns(doc):
+    """acc0, carry, zero and scratch columns of the first layer's first
+    tile."""
+    t = doc["layers"][0]["tiles"][0]
+    acc0 = t["value0"] + t["n_value_cols"]
+    carry = acc0 + t["c_hi"] - t["c_lo"]
+    return acc0, carry, carry + 1, carry + 2
+
+
+def _stream(d):
+    return d["layers"][0]["streams"][0][0]
+
+
+def _move(d):
+    return d["layers"][0]["tree"][0][0]["items"][0]
+
+
+def _tree_add(d):
+    return d["layers"][0]["tree"][0][0]["items"][1]
+
+
 # single-field edits of a compiled program; 16 domains hold two 8-bit input
 # channels, so the 3 channels form 2 groups and the layer has an adder tree
 PROGRAM_EDITS = {
@@ -378,6 +399,20 @@ PROGRAM_EDITS = {
     "tree-dst": lambda d: d["layers"][0]["tree"][0][0].update(dst=2),
     "move-src-ap": lambda d: d["layers"][0]["tree"][0][0]["items"][0]
     .__setitem__(1, 7),
+    # items that stay inside the geometry but not inside the tile layout
+    "stream-reads-scratch": lambda d: _stream(d)[0][4].__setitem__(
+        0, _columns(d)[3]),
+    "stream-writes-a-slot": lambda d: _first(_stream(d), "in_place")[4]
+    .__setitem__(0, 0),
+    "stream-writes-scratch": lambda d: _first(_stream(d), "out_of_place")
+    .__setitem__(5, [_columns(d)[3]]),
+    "move-from-a-slot": lambda d: _move(d).__setitem__(2, 0),
+    "move-into-an-accumulator": lambda d: _move(d).__setitem__(
+        4, _columns(d)[0]),
+    "tree-add-from-an-accumulator": lambda d: _tree_add(d)[3].__setitem__(
+        0, _columns(d)[0]),
+    "tree-add-into-scratch": lambda d: _tree_add(d)[4].__setitem__(
+        0, _columns(d)[3]),
 }
 
 
@@ -399,3 +434,54 @@ def test_malformed_programs_are_format_errors(edit, compiled_program,
     code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "bad.json"),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 4 and err.startswith("format:"), err
+
+
+def _run_edited(capsys, tmp_path, argv, edit):
+    code, _, _ = run_cli(capsys, "compile", *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "program.json").read_text())
+    edit(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    return run_cli(capsys, "run", "--program", str(tmp_path / "bad.json"),
+                   "--out-dir", str(tmp_path / "out"))
+
+
+def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
+                                                                 capsys):
+    # the in-place destination stays inside the geometry; the run used to
+    # exit 0 with wrong output
+    def edit(doc):
+        _first(reversed(_stream(doc)), "in_place")[4][0] = _columns(doc)[2]
+
+    code, _, err = _run_edited(capsys, tmp_path,
+                               ["--synthetic", "1x4x0.8", "--input-hw", "6x6",
+                                "--seed", "3"], edit)
+    assert code == 4 and err.startswith("format:"), err
+
+
+def test_a_tree_move_from_another_tile_is_a_format_error(tmp_path, capsys):
+    # layer 1 of the tiled golden run: 2 row groups x 2 tiles x 2 channel
+    # groups; AP 3 is tile 1's second channel group, step 0 merges into AP 0
+    def edit(doc):
+        move = doc["layers"][1]["tree"][0][0]["items"][0]
+        assert move[:2] == ["move", 1]
+        move[1] = 3
+
+    code, _, err = _run_edited(capsys, tmp_path, GOLDEN_RUNS["tiled"][0], edit)
+    assert code == 4 and "another row group or tile" in err, err
+
+
+def test_ops_cse_is_the_same_at_both_opt_levels(tmp_path, capsys):
+    # two output tiles after a retry: the count is over whole channels
+    argv = GOLDEN_RUNS["tiled"][0]
+    counts = {}
+    for opt in ("unroll", "unroll+cse"):
+        out = tmp_path / opt
+        code, _, _ = run_cli(capsys, "compile", *argv, "--opt", opt,
+                             "--out-dir", str(out))
+        assert code == 0
+        report = json.loads((out / "compile_report.json").read_text())
+        counts[opt] = [(r["ops_unroll"], r["ops_cse"], r["out_tiles"])
+                       for r in report["layers"]]
+    assert counts["unroll"] == counts["unroll+cse"] == [(24, 22, 2),
+                                                        (111, 98, 2)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (WORKED_OPS_CSE, WORKED_OPS_UNROLL, WORKED_X, WORKED_Y,
                       system_for, ternary_matrix)
@@ -112,3 +113,74 @@ def test_single_row_interval_is_tight(coeffs, bits):
         return
     ends = (sign * node.lo, sign * node.hi)
     assert (min(ends), max(ends)) == (row_lo, row_hi)
+
+
+def _reference_cse(g):
+    """The full-recount greedy CSE the incremental engine replaced: recount
+    every signed pair in every row after each extraction."""
+    rows = dfglib._terms_of(g)
+    n_slots = g.n_slots
+    temp_defs = []
+    while True:
+        counts = {}
+        for row in rows:
+            atoms = sorted(row.items())
+            for i in range(len(atoms)):
+                for j in range(i + 1, len(atoms)):
+                    (u, su), (v, sv) = atoms[i], atoms[j]
+                    key = (u, v, -sv) if su < 0 else (u, v, sv)
+                    counts[key] = counts.get(key, 0) + 1
+        if not counts:
+            break
+        best_key = min(counts, key=lambda k: (-counts[k], k[0], k[1],
+                                              0 if k[2] > 0 else 1))
+        if counts[best_key] < 2:
+            break
+        u, v, sv = best_key
+        temp = n_slots + len(temp_defs)
+        temp_defs.append((u, sv, v))
+        for row in rows:
+            if u in row and v in row:
+                if row[u] == 1 and row[v] == sv:
+                    del row[u], row[v]
+                    row[temp] = 1
+                elif row[u] == -1 and row[v] == -sv:
+                    del row[u], row[v]
+                    row[temp] = -1
+    return dfglib._emit(g.channel, g.n_rows, n_slots, temp_defs, rows)
+
+
+def _node_list(g):
+    return [(n.kind, n.slot, n.lhs, n.rhs, n.output_tags) for n in g.nodes]
+
+
+def _assert_matches_reference(m):
+    g = dfglib.build_dfg(system_for(m))
+    assert (_node_list(dfglib.eliminate_common_subexpressions(g))
+            == _node_list(_reference_cse(g)))
+
+
+@st.composite
+def ternary_matrices(draw):
+    """1-64 rows over 1-27 slots, with zero rows and with some rows repeated
+    or negated from earlier ones."""
+    n_cols = draw(st.integers(1, 27))
+    base = draw(arrays(np.int64, (draw(st.integers(1, 64)), n_cols),
+                       elements=st.sampled_from([-1, 0, 1])))
+    rows = list(base)
+    for src, how in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.sampled_from([1, -1, 0])),
+                                  max_size=64 - len(rows))):
+        rows.append(how * base[src])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64)
+
+
+@given(ternary_matrices())
+def test_incremental_cse_matches_full_recount(m):
+    _assert_matches_reference(m)
+
+
+def test_incremental_cse_matches_full_recount_on_the_worked_matrix(
+        worked_matrix):
+    _assert_matches_reference(worked_matrix)

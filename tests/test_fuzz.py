@@ -12,7 +12,7 @@ import functools
 import json
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tapc import sim
 from tapc.errors import CapacityError, FormatError, TapcError
@@ -66,7 +66,6 @@ def networks(draw):
     return TernaryNetwork("fuzz", layers), draw(extents), draw(extents)
 
 
-@settings(max_examples=150)
 @given(networks(), geometries, st.sampled_from(OPT_LEVELS), st.integers(0, 3))
 def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
     net, h, w = case
@@ -146,7 +145,6 @@ def mutate(doc, path, action, value):
         parent[last] = [old]
 
 
-@settings(max_examples=150)
 @given(st.lists(st.tuples(paths(), st.sampled_from(ACTIONS),
                           st.sampled_from(VALUES)), min_size=1, max_size=3))
 def test_edited_programs_are_rejected_or_run(edits):

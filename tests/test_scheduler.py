@@ -170,13 +170,13 @@ def test_output_tiles_split_until_columns_fit():
     shape = layer.shape_for(8, 8)
 
     wide = ApGeometry()
-    tiles, systems = plan_conv_layer(layer.weights, shape, 4, wide, "unroll_cse")
+    tiles, systems, _ = plan_conv_layer(layer.weights, shape, 4, wide, "unroll_cse")
     assert len(systems) == 3
     assert len(tiles) == 1
     assert tiles[0].columns_used <= wide.columns
 
     narrow = ApGeometry(columns=24)
-    tiles, _ = plan_conv_layer(layer.weights, shape, 4, narrow, "unroll_cse")
+    tiles, _, _ = plan_conv_layer(layer.weights, shape, 4, narrow, "unroll_cse")
     assert len(tiles) > 1
     spans = [(t.c_lo, t.c_hi) for t in tiles]
     assert spans[0][0] == 0 and spans[-1][1] == 16
