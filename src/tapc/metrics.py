@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
-from .program import macro_counts
+from .program import checked_fields, macro_counts, place_layer
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 PHASES = ("io", "dfg", "accum")
@@ -116,10 +116,19 @@ class Stats:
         return json.dumps(self.to_doc(), sort_keys=True, indent=1) + "\n"
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "Stats":
-        layers = [LayerStats(**d) for d in doc["layers"]]
-        rest = {k: v for k, v in doc.items() if k != "layers"}
-        return cls(layers=layers, **rest)
+    def from_doc(cls, doc) -> "Stats":
+        """Check a decoded stats.json and build its typed form."""
+        _tables(checked_fields(doc, cls, "stats"), "stats")
+        try:
+            EnergyModel(**doc["model"])     # as the reports rebuild it
+        except TypeError as exc:
+            raise FormatError(f"stats: bad energy model: {exc}") from exc
+        layers = []
+        for i, d in enumerate(doc["layers"]):
+            where = f"stats layer {i}"
+            layers.append(LayerStats(**_tables(
+                checked_fields(d, LayerStats, where), where)))
+        return cls(**{**doc, "layers": layers})
 
     @classmethod
     def load(cls, path) -> "Stats":
@@ -128,12 +137,19 @@ class Stats:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise FormatError(f"cannot read stats: {exc}") from exc
-        try:
-            stats = cls.from_doc(doc)
-            EnergyModel(**stats.model)      # as the reports rebuild it
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"not a stats file: {path}") from exc
-        return stats
+        return cls.from_doc(doc)
+
+
+def _tables(doc: dict, where: str) -> dict:
+    """`doc` after checking that its energy tables hold a number for every
+    event kind and every phase, and nothing else."""
+    for name, keys in (("energy_pj", EVENT_KINDS), ("phase_pj", PHASES)):
+        table = doc[name]
+        if sorted(table) != sorted(keys) or any(
+                type(x) not in (int, float) for x in table.values()):
+            raise FormatError(f"{where}: {name} needs one number for each "
+                              f"of {', '.join(keys)}")
+    return doc
 
 
 def account(program, result, model: EnergyModel | None = None) -> Stats:
@@ -141,13 +157,14 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
     model = model or EnergyModel()
     geo = program.geometry
     per_layer: dict[int, dict] = {}
-    for lp in program.layers:
+    for idx, lp in enumerate(program.layers):
         util = 0.0
         adds = subs = 0
         if lp.kind == "conv":
-            util = sum(lp.rows_used) / (len(lp.rows_used) * geo.rows)
-            adds, subs = macro_counts(lp)
-        per_layer[lp.index] = {
+            placed = place_layer(lp.shape, lp.in_bits, geo)
+            util = placed["positions"] / (placed["row_groups"] * geo.rows)
+            adds, subs = macro_counts(lp, geo)
+        per_layer[idx] = {
             "kind": lp.kind,
             "energy": {k: 0.0 for k in EVENT_KINDS},
             "phase": {p: 0.0 for p in PHASES},

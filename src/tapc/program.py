@@ -2,13 +2,15 @@
 its one checking loader.
 
 A program stores only the compiler's decisions. Per conv layer these are
-the shape and requantization, the placement (`rows_used`, one entry per row
-group, and `channel_groups`), per output tile its channel range, accumulator
-interval and value-pool layout (`Tile`), per (tile, channel group) one item
-stream that every row group runs, and the adder-tree steps. What follows
-from them is derived here and nowhere else: a tile's columns (`Tile`), the
-AP of each (row group, tile, channel group) (`ap_id`), a stored item's macro
-and energy phase (`macro_of`) and the add/sub counts (`macro_counts`).
+the shape and requantization, per output tile its channel range,
+accumulator interval and value-pool layout (`Tile`), and per (tile, channel
+group) one item stream that every row group runs. What follows from them
+is derived here and nowhere else: the placement (`place_layer`), whether it
+fits the geometry (`fit_layer`), a tile's columns (`Tile`), the AP of each
+(row group, tile, channel group) (`ap_id`), the adder tree over channel
+groups (`adder_tree`, `merge_adds`), a stored item's macro and energy phase
+(`macro_of`) and the add/sub counts (`macro_counts`). A layer's number is
+its position in `layers`.
 
 Every class holds exactly the fields of its JSON object and every item is a
 named tuple, which `json` writes as an array, so one `default=` hook encodes
@@ -30,7 +32,7 @@ from . import isa
 from .errors import CapacityError, FormatError
 from .model import LayerShape, QuantSpec
 
-PROGRAM_VERSION = 2
+PROGRAM_VERSION = 3
 OPT_LEVELS = ("unroll", "unroll_cse")
 
 
@@ -99,19 +101,6 @@ class MacroItem(NamedTuple):
     dest: tuple[int, ...]
 
 
-class Move(NamedTuple):
-    """A copy of `width` domains from a column of AP `src_ap` into the AP of
-    its tree step. `op` is always "move"."""
-
-    op: str
-    src_ap: int
-    src_col: int
-    src_base: int
-    dst_col: int
-    dst_base: int
-    width: int
-
-
 @dataclass(frozen=True)
 class Tile:
     """Column layout of one output tile on each of its APs: patch slots, the
@@ -152,14 +141,6 @@ class Tile:
 
 
 @dataclass
-class TreeStep:
-    """One adder-tree merge into AP `dst`: moves and in-place adds."""
-
-    dst: int
-    items: list[Move | MacroItem]
-
-
-@dataclass
 class _Requantized:
     """The controller's requantization of a layer's sums."""
 
@@ -176,20 +157,17 @@ class _Requantized:
 
 @dataclass
 class PoolLayer:
-    index: int
     kind: str = "pool"
 
 
 @dataclass
 class AddLayer(_Requantized):
-    index: int
     skip_from: int      # absolute layer index, -1 for the network input
     kind: str = "add"
 
 
 @dataclass
 class ConvLayer(_Requantized):
-    index: int
     c_in: int
     c_out: int
     f_h: int
@@ -199,11 +177,8 @@ class ConvLayer(_Requantized):
     h_in: int
     w_in: int
     in_bits: int
-    rows_used: list[int]
-    channel_groups: list[list[int]]
     tiles: list[Tile]
     streams: list[list[list[MacroItem]]]    # [tile][channel group]
-    tree: list[list[TreeStep]]              # one list per tree level
     kind: str = "conv"
 
     @property
@@ -293,9 +268,71 @@ def place_layer(shape, in_bits: int, geometry: ApGeometry) -> dict:
             "rows_used": rows_used, "channel_groups": groups}
 
 
+def fit_layer(lp: ConvLayer, geometry: ApGeometry) -> dict:
+    """The placement of a conv layer, after checking that the layer fits the
+    geometry: its APs, and every accumulator and stored value along one
+    track, one bit per domain. Raises CapacityError otherwise."""
+    placed = place_layer(lp.shape, lp.in_bits, geometry)
+    n_rows, n_groups = placed["row_groups"], len(placed["channel_groups"])
+    n_aps = n_rows * len(lp.tiles) * n_groups
+    if n_aps > geometry.total_aps:
+        raise CapacityError(
+            f"needs {n_aps} APs ({n_rows} row groups x {len(lp.tiles)} tiles "
+            f"x {n_groups} channel groups), geometry has {geometry.total_aps}")
+    for tile, row in zip(lp.tiles, lp.streams):
+        value_w = max((item.m for items in row for item in items), default=0)
+        for what, width in (("accumulator", tile.acc_width),
+                            ("value", value_w)):
+            if width > geometry.domains_per_track:
+                raise CapacityError(
+                    f"{width}-bit {what} exceeds "
+                    f"{geometry.domains_per_track} domains per track")
+    return placed
+
+
 def ap_id(rg: int, og: int, cg: int, n_tiles: int, n_groups: int) -> int:
     """AP of (row group, output tile, channel group) in a conv layer."""
     return (rg * n_tiles + og) * n_groups + cg
+
+
+def schedule_accumulation(n_groups: int) -> list[list[tuple[int, int]]]:
+    """Binary-tree merge order over channel-group indices.
+
+    Each level holds (dst, src) pairs; dst keeps the running partial and
+    group 0 ends up with the full sum after ceil(log2(n)) levels.
+    """
+    levels = []
+    gap = 1
+    while gap < n_groups:
+        levels.append([(i, i + gap) for i in range(0, n_groups, 2 * gap)
+                       if i + gap < n_groups])
+        gap *= 2
+    return levels
+
+
+def adder_tree(lp: ConvLayer,
+               geometry: ApGeometry) -> list[list[tuple[int, int, int]]]:
+    """The adder tree over a conv layer's channel groups: per level, its
+    (dst AP, src AP, tile) merges by row group, then tile, then pair. Each
+    level is one epoch, and channel group 0 of every (row group, tile)
+    ends up with the full sums."""
+    placed = place_layer(lp.shape, lp.in_bits, geometry)
+    n_tiles, n_groups = len(lp.tiles), len(placed["channel_groups"])
+    return [[(ap_id(rg, og, dst, n_tiles, n_groups),
+              ap_id(rg, og, src, n_tiles, n_groups), og)
+             for rg in range(placed["row_groups"]) for og in range(n_tiles)
+             for dst, src in pairs]
+            for pairs in schedule_accumulation(n_groups)]
+
+
+def merge_adds(tile: Tile) -> list[MacroItem]:
+    """The adds of one merge on `tile`, one per accumulator column b. Before
+    each, the b column of the source AP moves into the scratch column a of
+    the destination AP; the add then folds it into b in place."""
+    w = tile.acc_width
+    scratch = Ref(tile.scratch, 0, w, 1)
+    return [MacroItem(isa.ADD, isa.IN_PLACE, w, scratch, Ref(col, 0, w, 1), ())
+            for col in range(tile.acc0, tile.carry)]
 
 
 def macro_of(item: MacroItem, tile: Tile) -> tuple[isa.MacroInstr, str]:
@@ -311,13 +348,14 @@ def macro_of(item: MacroItem, tile: Tile) -> tuple[isa.MacroInstr, str]:
     return macro, phase
 
 
-def macro_counts(lp: ConvLayer) -> tuple[int, int]:
+def macro_counts(lp: ConvLayer, geometry: ApGeometry) -> tuple[int, int]:
     """Add and sub macros one conv layer issues: each row group runs every
-    stream once, and every tree item runs once."""
+    stream once, and each tree merge runs its adds once."""
+    row_groups = place_layer(lp.shape, lp.in_bits, geometry)["row_groups"]
     ops = [item.op for row in lp.streams for items in row
-           for item in items] * len(lp.rows_used)
-    ops += [item.op for level in lp.tree for step in level
-            for item in step.items]
+           for item in items] * row_groups
+    ops += [item.op for level in adder_tree(lp, geometry)
+            for _dst, _src, og in level for item in merge_adds(lp.tiles[og])]
     return ops.count(isa.ADD), ops.count(isa.SUB)
 
 
@@ -347,17 +385,24 @@ def _list(v, where: str, n: int | None = None) -> list:
     return v
 
 
-def _obj(v, cls, where: str) -> dict:
-    """`v` as an object with exactly the fields of `cls`, the int and str
-    ones of those types."""
+# JSON types of the field annotations a loader checks; a float may be
+# written as an int
+_JSON_TYPES = {"int": (int,), "str": (str,), "float": (int, float),
+               "list": (list,), "dict": (dict,)}
+
+
+def checked_fields(v, cls, where: str) -> dict:
+    """`v` as an object with exactly the fields of `cls`, each annotated
+    int, str, float, list or dict one of that JSON type."""
     _check(type(v) is dict, where, f"expected an object, got {v!r}")
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(v)), sorted(set(v) - names)
     _check(not missing, where, f"missing fields {missing}")
     _check(not extra, where, f"unknown fields {extra}")
     for f in fields(cls):
-        _check(f.type not in ("int", "str") or type(v[f.name]).__name__ == f.type,
-               where, f"{f.name} must be {f.type}, got {v[f.name]!r}")
+        want = _JSON_TYPES.get(f.type.split("[")[0])
+        _check(want is None or type(v[f.name]) in want, where,
+               f"{f.name} must be {f.type}, got {v[f.name]!r}")
     return v
 
 
@@ -365,8 +410,9 @@ def _load(doc) -> ApProgram:
     version = doc.get("format_version") if type(doc) is dict else None
     if type(version) is not int or version != PROGRAM_VERSION:
         raise FormatError(f"unsupported program version {version!r}")
-    _obj(doc, ApProgram, "program")
-    geo = ApGeometry(**_obj(doc["geometry"], ApGeometry, "geometry"))
+    checked_fields(doc, ApProgram, "program")
+    geo = ApGeometry(**checked_fields(doc["geometry"], ApGeometry,
+                                      "geometry"))
     prog = ApProgram(**{**doc, "geometry": geo, "luts": _luts(doc["luts"]),
                         "layers": []})
     _check(prog.opt in OPT_LEVELS, "program", f"unknown opt level {prog.opt!r}")
@@ -383,8 +429,7 @@ def _load(doc) -> ApProgram:
         kind = ld.get("kind") if type(ld) is dict else None
         cls = _LAYERS.get(kind) if type(kind) is str else None
         _check(cls, where, f"unknown kind {kind!r}")
-        layer = cls(**_obj(ld, cls, where))
-        _check(layer.index == idx, where, f"stored index {layer.index}")
+        layer = cls(**checked_fields(ld, cls, where))
         if cls is PoolLayer:
             c, h, w = cur
             _check(h % 2 == 0 and w % 2 == 0, where,
@@ -396,7 +441,10 @@ def _load(doc) -> ApProgram:
                 else out_shapes[skip]
             _check(other == cur, where, f"add operands differ {cur} vs {other}")
         else:
-            cur = _conv(layer, where, cur, bits, geo)
+            try:
+                cur = _conv(layer, where, cur, bits, geo)
+            except CapacityError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
         if cls is not PoolLayer:
             bits = layer.quant.activation_bits    # QuantSpec checks the fields
         out_shapes.append(cur)
@@ -428,26 +476,16 @@ def _luts(v) -> list[isa.LutTable]:
 def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
           geo: ApGeometry) -> tuple[int, int, int]:
     """Check a conv layer against its input and the geometry, replace its
-    lists by typed ones and return its output shape."""
+    lists by typed ones and return its output shape. A layer that does not
+    fit the geometry raises CapacityError."""
     _check((layer.c_in, layer.h_in, layer.w_in, layer.in_bits) == (*cur, bits),
            where, f"expects {layer.c_in}x{layer.h_in}x{layer.w_in} at "
                   f"{layer.in_bits} bits, gets {'x'.join(map(str, cur))} at "
                   f"{bits}")
     shape = layer.shape
-    try:
-        placement = place_layer(shape, layer.in_bits, geo)
-    except CapacityError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-    for r in _list(layer.rows_used, where):
-        _int(r, f"{where} rows_used")
-    for group in _list(layer.channel_groups, where):
-        for ch in _list(group, where):
-            _int(ch, f"{where} channel_groups")
-    _check(layer.rows_used == placement["rows_used"]
-           and layer.channel_groups == placement["channel_groups"], where,
-           "placement differs from place_layer")
+    groups = place_layer(shape, layer.in_bits, geo)["channel_groups"]
 
-    layer.tiles = [Tile(**_obj(t, Tile, f"{where} tile {og}"))
+    layer.tiles = [Tile(**checked_fields(t, Tile, f"{where} tile {og}"))
                    for og, t in enumerate(_list(layer.tiles, where))]
     c_hi = 0
     for og, t in enumerate(layer.tiles):
@@ -460,82 +498,75 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
         _int(t.n_value_cols, f"{at} n_value_cols", 0)
         _check(t.columns_used <= geo.columns, at,
                f"needs {t.columns_used} columns, geometry has {geo.columns}")
-        _check(t.acc_width <= geo.domains_per_track, at,
-               f"{t.acc_width}-bit accumulator exceeds "
-               f"{geo.domains_per_track} domains per track")
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
-    n_tiles, n_groups = len(layer.tiles), len(layer.channel_groups)
-    n_aps = len(layer.rows_used) * n_tiles * n_groups
-    _check(n_aps <= geo.total_aps, where,
-           f"needs {n_aps} APs, geometry has {geo.total_aps}")
     layer.streams = [
-        [[_stream_macro(item, geo, tile, f"{where} stream {og}/{cg} item {i}")
-          for i, item in enumerate(_list(items, where))]
-         for cg, items in enumerate(_list(row, where, n_groups))]
+        [_stream(items, geo, tile, layer.in_bits, len(groups[cg]),
+                 f"{where} stream {og}/{cg}")
+         for cg, items in enumerate(_list(row, where, len(groups)))]
         for og, (tile, row) in enumerate(zip(
-            layer.tiles, _list(layer.streams, where, n_tiles)))]
-
-    layer.tree = [[_step(step, geo, layer.tiles, n_groups, n_aps,
-                         f"{where} tree {lv}/{s}")
-                   for s, step in enumerate(_list(level, where))]
-                  for lv, level in enumerate(_list(layer.tree, where))]
+            layer.tiles, _list(layer.streams, where, len(layer.tiles))))]
+    fit_layer(layer, geo)
     return shape.c_out, shape.h_out, shape.w_out
 
 
-def _stream_macro(v, geo: ApGeometry, tile: Tile, where: str) -> MacroItem:
-    """A stream macro writes only value-pool and accumulator columns and
-    reads only those, the patch slots and the zero column."""
-    item = _macro(v, geo, where)
-    _check(all(tile.value0 <= col < tile.carry
-               for col in item.dest or (item.b.col,)), where,
-           "writes outside the value pool and accumulators")
-    _check(all(col < tile.carry or col == tile.zero
-               for col in (item.a.col, item.b.col)), where,
-           "reads the carry or scratch column")
-    return item
-
-
-def _step(v, geo: ApGeometry, tiles: list[Tile], n_groups: int, n_aps: int,
-          where: str) -> TreeStep:
-    """A tree step moves accumulators of an AP of the same row group and
-    tile into the scratch column and adds scratch into accumulators."""
-    step = TreeStep(**_obj(v, TreeStep, where))
-    _int(step.dst, f"{where} dst", 0, n_aps - 1)
-    tile = tiles[step.dst // n_groups % len(tiles)]
-
-    def is_acc(col):
-        return tile.acc0 <= col < tile.carry
-
+def _stream(v, geo: ApGeometry, tile: Tile, in_bits: int, n_channels: int,
+            where: str) -> list[MacroItem]:
+    """A stream's items, each reading its operands as their columns hold
+    them: a patch slot as one of the group's unsigned `in_bits`-bit
+    channels, the zero column as one unsigned bit, and a value-pool or
+    accumulator column signed from domain 0, after an earlier item wrote it
+    and at the width of that write. Results go only to value-pool and
+    accumulator columns, accumulators at the accumulator width, and an
+    in-place result has the width of b. The stream writes every
+    accumulator."""
+    width_of: dict[int, int] = {}    # column -> width of its last write
     items = []
-    for i, raw in enumerate(_list(step.items, where)):
+    for i, raw in enumerate(_list(v, where)):
         at = f"{where} item {i}"
-        if type(raw) is list and raw[:1] == ["move"]:
-            item = _move(raw, geo, n_aps, at)
-            _check(item.src_ap // n_groups == step.dst // n_groups, at,
-                   "moves from another row group or tile")
-            _check(is_acc(item.src_col) and item.dst_col == tile.scratch, at,
-                   "moves other than an accumulator into the scratch column")
-        else:
-            item = _macro(raw, geo, at)
-            _check(item.a.col == tile.scratch
-                   and all(map(is_acc, (item.b.col, *item.dest))), at,
-                   "adds other than scratch into accumulators")
+        item = _macro(raw, geo, at)
+        written = item.dest or (item.b.col,)
+        _check(all(tile.value0 <= col < tile.carry for col in written), at,
+               "writes outside the value pool and accumulators")
+        _check(item.dest or item.b.width == item.m, at,
+               f"stores a {item.m}-bit result over a {item.b.width}-bit b")
+        for col, base, width, signed in (item.a, item.b):
+            if col < tile.value0:
+                _check(not signed and width == in_bits
+                       and base % in_bits == 0
+                       and base < n_channels * in_bits, at,
+                       f"reads slot {col} other than as one of its "
+                       f"{n_channels} unsigned {in_bits}-bit channels")
+            elif col >= tile.carry:
+                _check(col == tile.zero and (base, width, signed) == (0, 1, 0),
+                       at, "reads the carry or scratch column, or the zero "
+                           "column other than as one unsigned bit")
+            else:
+                what = "accumulator" if col >= tile.acc0 else "value"
+                _check(signed and base == 0, at,
+                       f"reads {what} column {col} other than signed from "
+                       f"domain 0")
+                _check(col in width_of, at,
+                       f"reads {what} column {col} before writing it")
+                _check(width_of[col] == width, at,
+                       f"reads a {width_of[col]}-bit {what} as {width} bits")
+        for col in written:
+            _check(col < tile.acc0 or item.m == tile.acc_width, at,
+                   f"writes a {tile.acc_width}-bit accumulator at {item.m} "
+                   f"bits")
+            width_of[col] = item.m
         items.append(item)
-    step.items = items
-    return step
-
-
-def _span(geo: ApGeometry, col, base, width, where: str):
-    """Domains [base, base + width) of a column exist in the geometry."""
-    _int(col, f"{where} column", 0, geo.columns - 1)
-    _int(width, f"{where} width", 1, geo.domains_per_track)
-    _int(base, f"{where} base", 0, geo.domains_per_track - width)
+    _check(all(col in width_of for col in range(tile.acc0, tile.carry)), where,
+           "leaves an accumulator unwritten")
+    return items
 
 
 def _ref(v, geo: ApGeometry, where: str) -> Ref:
+    """An operand whose domains [base, base + width) exist in the geometry."""
     ref = Ref(*_list(v, where, 4))
-    _span(geo, ref.col, ref.base, ref.width, where)
+    _int(ref.col, f"{where} column", 0, geo.columns - 1)
+    _int(ref.width, f"{where} width", 1, geo.domains_per_track)
+    _int(ref.base, f"{where} base", 0, geo.domains_per_track - ref.width)
     _int(ref.signed, f"{where} signed", 0, 1)
     return ref
 
@@ -552,11 +583,3 @@ def _macro(v, geo: ApGeometry, where: str) -> MacroItem:
            "none")
     return MacroItem(op, mode, m, _ref(a, geo, where), _ref(b, geo, where),
                      tuple(dest))
-
-
-def _move(v, geo: ApGeometry, n_aps: int, where: str) -> Move:
-    move = Move(*_list(v, where, 7))
-    _int(move.src_ap, f"{where} src_ap", 0, n_aps - 1)
-    _span(geo, move.src_col, move.src_base, move.width, where)
-    _span(geo, move.dst_col, move.dst_base, move.width, where)
-    return move

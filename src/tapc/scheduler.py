@@ -21,8 +21,10 @@ Width planning: destinations of in-place ops must be stored at the op
 width, so definition widths are widened backward along in-place chains;
 all other reads sign-extend for free by clamping at their MSB.
 
-The result is the typed program of `tapc.program`, which also owns its
-encoding, its loader and everything derived from the stored decisions.
+The result is the typed program of `tapc.program`, which holds only the
+decisions made here: the tiles and the item streams. It also owns the
+encoding, the loader and everything derived from the decisions, among
+them the placement, the capacity rule and the adder tree.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
 from .model import QuantSpec, TernaryNetwork, _input_bits
 from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
-                      MacroItem, Move, PoolLayer, Ref, Tile, TreeStep, ap_id,
-                      macro_counts, place_layer)
+                      MacroItem, PoolLayer, Ref, Tile, fit_layer, macro_counts,
+                      place_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +286,6 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
         n_tiles *= 2
 
 
-def schedule_accumulation(n_groups: int) -> list[list[tuple[int, int]]]:
-    """Binary-tree merge order over channel-group indices.
-
-    Each level holds (dst, src) pairs; dst keeps the running partial and
-    group 0 ends up with the full sum after ceil(log2(n)) levels.
-    """
-    levels = []
-    gap = 1
-    while gap < n_groups:
-        levels.append([(i, i + gap) for i in range(0, n_groups, 2 * gap)
-                       if i + gap < n_groups])
-        gap *= 2
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # program emission
 # ---------------------------------------------------------------------------
@@ -328,7 +315,7 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
         if layer.kind == "pool":
             if cur_h % 2 or cur_w % 2:
                 raise FormatError(f"layer {idx}: pool needs even input extents")
-            layers.append(PoolLayer(idx))
+            layers.append(PoolLayer())
             report_rows.append({"layer": idx, "kind": "pool", **_NO_OPS_ROW})
             cur = (cur_c, cur_h // 2, cur_w // 2)
         elif layer.kind == "add":
@@ -337,8 +324,7 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
             if other != cur:
                 raise FormatError(f"layer {idx}: add operands differ "
                                   f"{cur} vs {other}")
-            layers.append(AddLayer(index=idx, skip_from=skip,
-                                   **_requant(layer.quant)))
+            layers.append(AddLayer(skip_from=skip, **_requant(layer.quant)))
             report_rows.append({"layer": idx, "kind": "add", **_NO_OPS_ROW})
             cur_bits = layer.quant.activation_bits
         else:
@@ -418,67 +404,27 @@ def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[MacroItem]:
 
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
-    placement = place_layer(shape, in_bits, geometry)
-    groups = placement["channel_groups"]
-    row_groups = placement["row_groups"]
-
+    groups = place_layer(shape, in_bits, geometry)["channel_groups"]
     tiles, systems, ops_cse = plan_conv_layer(layer.weights, shape, in_bits,
                                               geometry, opt)
-    ops_unroll = unrolled_op_count(systems)
-
-    demand = row_groups * len(tiles) * len(groups)
-    if demand > geometry.total_aps:
-        raise CapacityError(
-            f"layer {idx}: needs {demand} APs "
-            f"({row_groups} row groups x {len(tiles)} tiles x {len(groups)} "
-            f"channel groups), geometry has {geometry.total_aps}")
-    # every stored value runs along one track, one bit per domain
-    for tile in tiles:
-        value_w = max((s.width for plan in tile.plans.values()
-                       for s in plan.storages), default=0)
-        for what, width in (("accumulator", tile.acc_width),
-                            ("value", value_w)):
-            if width > geometry.domains_per_track:
-                raise CapacityError(
-                    f"layer {idx}: {width}-bit {what} exceeds "
-                    f"{geometry.domains_per_track} domains per track")
-
-    # binary adder tree over channel groups, per (row group, tile)
-    tree = []
-    for pairs in schedule_accumulation(len(groups)):
-        level = []
-        for rg in range(row_groups):
-            for og, tile in enumerate(tiles):
-                acc_w = tile.acc_width
-                scratch = Ref(tile.scratch, 0, acc_w, 1)
-                for dst_cg, src_cg in pairs:
-                    src = ap_id(rg, og, src_cg, len(tiles), len(groups))
-                    items = []
-                    for col in range(tile.acc0, tile.carry):
-                        items.append(Move("move", src, col, 0, tile.scratch, 0,
-                                          acc_w))
-                        items.append(MacroItem(isa.ADD, isa.IN_PLACE, acc_w,
-                                               scratch, Ref(col, 0, acc_w, 1),
-                                               ()))
-                    level.append(TreeStep(ap_id(rg, og, dst_cg, len(tiles),
-                                                len(groups)), items))
-        tree.append(level)
-
-    lp = ConvLayer(index=idx, **vars(shape), in_bits=in_bits,
-                   **_requant(layer.quant),
-                   rows_used=placement["rows_used"], channel_groups=groups,
+    lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
                    tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
                           for t in tiles],
                    streams=[[_stream(t, group, in_bits) for group in groups]
-                            for t in tiles],
-                   tree=tree)
-    adds, subs = macro_counts(lp)
-    utilization = placement["positions"] / (row_groups * geometry.rows)
-    row = {"layer": idx, "kind": "conv", "ops_unroll": ops_unroll,
-           "ops_cse": ops_cse, "macro_adds": adds, "macro_subs": subs,
-           "aps": demand, "row_groups": row_groups,
-           "channel_groups": len(groups), "out_tiles": len(tiles),
+                            for t in tiles])
+    try:
+        placed = fit_layer(lp, geometry)
+    except CapacityError as exc:
+        raise CapacityError(f"layer {idx}: {exc}") from exc
+    adds, subs = macro_counts(lp, geometry)
+    row_groups = placed["row_groups"]
+    row = {"layer": idx, "kind": "conv",
+           "ops_unroll": unrolled_op_count(systems), "ops_cse": ops_cse,
+           "macro_adds": adds, "macro_subs": subs,
+           "aps": row_groups * len(tiles) * len(groups),
+           "row_groups": row_groups, "channel_groups": len(groups),
+           "out_tiles": len(tiles),
            "acc_width": max(t.acc_width for t in tiles),
            "columns_used": max(t.columns_used for t in tiles),
-           "utilization": utilization}
+           "utilization": placed["positions"] / (row_groups * geometry.rows)}
     return lp, row

@@ -10,10 +10,12 @@ APs copy whole planes (the interconnect model charges them per bit, flat
 across hop levels).
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
-ones were checked by its loader. `ap_id` gives the AP of each (row group,
-tile, channel group) and `macro_of` each stored item's macro and energy
-phase. A conv layer's streams are decoded once and replayed on every row
-group.
+ones were checked by its loader. Everything a run needs beyond the stored
+decisions comes from there too: the placement (`place_layer`), the AP of
+each (row group, tile, channel group) (`ap_id`), the adder-tree merges
+(`adder_tree`, `merge_adds`) and each item's macro and energy phase
+(`macro_of`). A layer's number is its position in the program. A conv
+layer's streams are decoded once and replayed on every row group.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -32,7 +34,8 @@ from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
-from .program import ApGeometry, ApProgram, ConvLayer, ap_id, macro_of
+from .program import (ApGeometry, ApProgram, ConvLayer, adder_tree, ap_id,
+                      macro_of, merge_adds, place_layer)
 
 
 @dataclass(slots=True)
@@ -246,15 +249,15 @@ def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
     return vals
 
 
-def _run_conv(state: SimState, lp: ConvLayer, cur: FeatureMap,
+def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
               prov: np.ndarray | None, luts, epoch: int):
     geo = state.geometry
-    layer = lp.index
     shape = lp.shape
     pim = im2col_indices(shape)
     in_bits = lp.in_bits
-    groups = lp.channel_groups
-    rows_used = lp.rows_used
+    placed = place_layer(shape, in_bits, geo)
+    groups = placed["channel_groups"]
+    rows_used = placed["rows_used"]
     tiles = lp.tiles
     n_tiles, n_groups = len(tiles), len(groups)
     grid = [(ap_id(rg, og, cg, n_tiles, n_groups), rg, og, cg)
@@ -310,26 +313,23 @@ def _run_conv(state: SimState, lp: ConvLayer, cur: FeatureMap,
             run_macro(state, ap, macro, luts[macro.op_kind, macro.addressing],
                       layer, phase, ep_work)
 
-    # adder tree across channel groups
+    # adder tree across channel groups: before each add, the source AP's
+    # copy of its b column moves into the scratch column a
     ep_next = ep_work + 1
-    for level in lp.tree:
-        for step in level:
-            dst = step.dst
+    merges = [[(item.a.col, item.b.col, item.m, *macro_of(item, tile))
+               for item in merge_adds(tile)] for tile in tiles]
+    for level in adder_tree(lp, geo):
+        for dst, src, og in level:
             cam = state.ap(dst)
-            tile = tiles[dst // n_groups % n_tiles]     # inverse of ap_id
-            for item in step.items:
-                if item.op == "move":
-                    _move, src_ap, src_col, s0, dst_col, d0, w = item
-                    cam.track(dst_col, d0, w)[d0:d0 + w] = \
-                        state.ap(src_ap).track(src_col, s0, w)[s0:s0 + w]
-                    cam.writes[dst_col] += w
-                    state.log("move", dst, layer, "accum", ep_next,
-                              cam.rows * w, 0, w)
-                else:
-                    macro, phase = macro_of(item, tile)
-                    run_macro(state, dst, macro,
-                              luts[macro.op_kind, macro.addressing], layer,
-                              phase, ep_next)
+            for scratch, col, w, macro, phase in merges[og]:
+                cam.track(scratch, 0, w)[:w] = \
+                    state.ap(src).track(col, 0, w)[:w]
+                cam.writes[scratch] += w
+                state.log("move", dst, layer, "accum", ep_next, cam.rows * w,
+                          0, w)
+                run_macro(state, dst, macro,
+                          luts[macro.op_kind, macro.addressing], layer, phase,
+                          ep_next)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller
@@ -379,9 +379,10 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     cur = ifm
     prov: np.ndarray | None = None
     epoch = 0
-    for lp in program.layers:
+    for layer, lp in enumerate(program.layers):
         if lp.kind == "conv":
-            cur, prov, epoch = _run_conv(state, lp, cur, prov, luts, epoch)
+            cur, prov, epoch = _run_conv(state, lp, layer, cur, prov, luts,
+                                         epoch)
         elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
             if prov is not None:

@@ -227,6 +227,17 @@ def test_report_rejects_unreadable_stats(tmp_path, capsys):
         (tmp_path / name).write_text(text)
         code, _, err = run_cli(capsys, "report", "--stats", str(tmp_path / name))
         assert code == 4 and "format:" in err, name
+    code, _, _ = run_cli(capsys, "run", "--synthetic", "1x4x0.8",
+                         "--input-hw", "6x6", "--out-dir", str(tmp_path))
+    assert code == 0
+    for field, value in (("energy_pj", {}), ("total_ns", "x"),
+                         ("max_col_writes", "x"), ("adds", "x")):
+        doc = json.loads((tmp_path / "stats.json").read_text())
+        doc[field] = value
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "report",
+                               "--stats", str(tmp_path / "bad.json"))
+        assert code == 4 and err.startswith("format:"), field
 
 
 @pytest.mark.parametrize("field, value", [
@@ -281,10 +292,10 @@ def test_run_artifacts_match_golden_hashes(name, tmp_path, capsys):
 
 # sha256 of program.json as `tapc compile` writes it for the golden runs
 GOLDEN_PROGRAMS = {
-    "default": "2bd05efd2e43cc4a92bc63025e9b9153"
-               "6cbddae43225a41b4c0c98095e44d7b8",
-    "tiled": "340936beb533e22752d1cac6f772ff14"
-             "3b7c06e19544b521f58bdf4904f84cf9",
+    "default": "939dbdc33aa6d6e1f6bceea6bf318168"
+               "6401c164b9947afea232992d4a98caeb",
+    "tiled": "d4ae00086e9702468191819004161794"
+             "e4488a9f431049cc8fbbe29bcf4832e2",
 }
 
 
@@ -309,11 +320,13 @@ def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):
     run_cli(capsys, "compile", "--synthetic", "1x4x0.8", "--input-hw", "6x6",
             "--out-dir", str(tmp_path))
     doc = json.loads((tmp_path / "program.json").read_text())
-    doc["format_version"] = 1
-    (tmp_path / "old.json").write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "old.json"),
-                           "--out-dir", str(tmp_path / "out"))
-    assert code == 4 and "unsupported program version 1" in err
+    for version in (1, 2):
+        doc["format_version"] = version
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "run",
+                               "--program", str(tmp_path / "old.json"),
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 4 and f"unsupported program version {version}" in err
 
 
 def test_a_network_without_layers_is_a_format_error(tmp_path, capsys):
@@ -361,16 +374,44 @@ def _stream(d):
     return d["layers"][0]["streams"][0][0]
 
 
-def _move(d):
-    return d["layers"][0]["tree"][0][0]["items"][0]
+def _last_fold(d):
+    """The last in-place fold into an accumulator of the first stream."""
+    acc0 = _columns(d)[0]
+    return next(item for item in reversed(_stream(d))
+                if item[1] == "in_place" and item[4][0] >= acc0)
 
 
-def _tree_add(d):
-    return d["layers"][0]["tree"][0][0]["items"][1]
+def _narrow(item):
+    """Run an in-place item at 3 bits over a 3-domain b."""
+    item[2] = item[4][2] = 3
+
+
+def _value_read(d):
+    """The first item of the first stream whose a operand is a value-pool
+    column."""
+    value0, acc0 = d["layers"][0]["tiles"][0]["value0"], _columns(d)[0]
+    return next(item for item in _stream(d) if value0 <= item[3][0] < acc0)
+
+
+def _slot_read(d):
+    """The first item of the first stream whose a operand is a patch slot."""
+    value0 = d["layers"][0]["tiles"][0]["value0"]
+    return next(item for item in _stream(d) if item[3][0] < value0)
+
+
+def _widen(ref):
+    ref[2] += 1
+
+
+def _drop_writes_of_acc0(d):
+    """Leave the first stream without any write of its first accumulator."""
+    _stream(d)[:] = [item for item in _stream(d)
+                     if _columns(d)[0] not in (item[5] or [item[4][0]])]
 
 
 # single-field edits of a compiled program; 16 domains hold two 8-bit input
-# channels, so the 3 channels form 2 groups and the layer has an adder tree
+# channels, so the 3 channels form 2 groups and the layer has an adder tree.
+# The fields of format 2 that are now derived are unknown fields.
 PROGRAM_EDITS = {
     "no-streams": lambda d: d["layers"][0].pop("streams"),
     "extra-field": lambda d: d["layers"][0].update(bogus=1),
@@ -396,9 +437,7 @@ PROGRAM_EDITS = {
         d["layers"][0]["streams"][0][0], "out_of_place").__setitem__(5, []),
     "in-place-with-result": lambda d: _first(
         d["layers"][0]["streams"][0][0], "in_place").__setitem__(5, [0]),
-    "tree-dst": lambda d: d["layers"][0]["tree"][0][0].update(dst=2),
-    "move-src-ap": lambda d: d["layers"][0]["tree"][0][0]["items"][0]
-    .__setitem__(1, 7),
+    "stored-tree": lambda d: d["layers"][0].update(tree=[]),
     # items that stay inside the geometry but not inside the tile layout
     "stream-reads-scratch": lambda d: _stream(d)[0][4].__setitem__(
         0, _columns(d)[3]),
@@ -406,13 +445,16 @@ PROGRAM_EDITS = {
     .__setitem__(0, 0),
     "stream-writes-scratch": lambda d: _first(_stream(d), "out_of_place")
     .__setitem__(5, [_columns(d)[3]]),
-    "move-from-a-slot": lambda d: _move(d).__setitem__(2, 0),
-    "move-into-an-accumulator": lambda d: _move(d).__setitem__(
-        4, _columns(d)[0]),
-    "tree-add-from-an-accumulator": lambda d: _tree_add(d)[3].__setitem__(
-        0, _columns(d)[0]),
-    "tree-add-into-scratch": lambda d: _tree_add(d)[4].__setitem__(
-        0, _columns(d)[3]),
+    # items that fit the tile layout but do not read or write their columns
+    # as those hold their data
+    "narrow-accumulator-read": lambda d: _narrow(_last_fold(d)),
+    "read-before-write": lambda d: _stream(d).pop(0),
+    "in-place-width": lambda d: _first(_stream(d), "in_place")[4]
+    .__setitem__(2, 1),
+    "value-read-width": lambda d: _widen(_value_read(d)[3]),
+    "unsigned-value-read": lambda d: _value_read(d)[3].__setitem__(3, 0),
+    "signed-slot-read": lambda d: _slot_read(d)[3].__setitem__(3, 1),
+    "accumulator-never-written": _drop_writes_of_acc0,
 }
 
 
@@ -457,18 +499,6 @@ def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
                                ["--synthetic", "1x4x0.8", "--input-hw", "6x6",
                                 "--seed", "3"], edit)
     assert code == 4 and err.startswith("format:"), err
-
-
-def test_a_tree_move_from_another_tile_is_a_format_error(tmp_path, capsys):
-    # layer 1 of the tiled golden run: 2 row groups x 2 tiles x 2 channel
-    # groups; AP 3 is tile 1's second channel group, step 0 merges into AP 0
-    def edit(doc):
-        move = doc["layers"][1]["tree"][0][0]["items"][0]
-        assert move[:2] == ["move", 1]
-        move[1] = 3
-
-    code, _, err = _run_edited(capsys, tmp_path, GOLDEN_RUNS["tiled"][0], edit)
-    assert code == 4 and "another row group or tile" in err, err
 
 
 def test_ops_cse_is_the_same_at_both_opt_levels(tmp_path, capsys):

@@ -2,14 +2,16 @@
 program loader.
 
 Every network the compiler accepts must simulate bit-exactly against the
-host reference, and its program must come back unchanged through
-program.json. Every edit of a compiled program must either be rejected by
-the loader with a FormatError or run with at most a toolchain error.
+host reference, run exactly the macros `macro_counts` counts, and its
+program must come back unchanged through program.json. Every edit of a
+compiled program must either be rejected by the loader with a FormatError
+or run with at most a toolchain error.
 """
 
 import copy
 import functools
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -19,7 +21,7 @@ from tapc.errors import CapacityError, FormatError, TapcError
 from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import OPT_LEVELS, ApGeometry, ApProgram
+from tapc.program import OPT_LEVELS, ApGeometry, ApProgram, macro_counts
 from tapc.scheduler import emit_program
 
 # --- networks against the host reference ------------------------------------
@@ -75,8 +77,12 @@ def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
         return
     assert ApProgram.from_doc(json.loads(prog.dumps())) == prog
     ifm = make_synthetic_input(net, h, w, seed=seed)
-    got = sim.run(prog, ifm).trace
+    with mock.patch.object(sim, "run_macro", wraps=sim.run_macro) as run_macro:
+        got = sim.run(prog, ifm).trace
     assert sim.first_divergence(got, reference_inference(net, ifm)) is None
+    assert run_macro.call_count == sum(sum(macro_counts(lp, geometry))
+                                       for lp in prog.layers
+                                       if lp.kind == "conv")
 
 
 # --- edited programs against the loader -------------------------------------

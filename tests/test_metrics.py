@@ -62,7 +62,7 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
     geo = ApGeometry()
     prog = ApProgram(name="crafted", opt="unroll", in_bits=4, in_c=1,
                      in_h=2, in_w=2, geometry=geo, luts=[],
-                     layers=[PoolLayer(0)])
+                     layers=[PoolLayer()])
     events = [
         sim.Event("search", 0, 0, "dfg", 0, 64, 0, 4),
         sim.Event("write", 0, 0, "dfg", 0, 64, 0, 6),    # ap0, epoch0: 10

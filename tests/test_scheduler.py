@@ -11,9 +11,9 @@ from tapc import isa, scheduler
 from tapc.errors import CapacityError, FormatError
 from tapc.model import (Layer, LayerShape, QuantSpec, TernaryNetwork,
                         make_synthetic_network)
+from tapc.program import schedule_accumulation
 from tapc.scheduler import (ApGeometry, ApProgram, allocate_columns,
-                            emit_program, place_layer, plan_conv_layer,
-                            schedule_accumulation)
+                            emit_program, place_layer, plan_conv_layer)
 
 
 def plan_for(matrix, opt="unroll_cse", bits=4):

@@ -10,7 +10,6 @@ from tapc.errors import FormatError, SimulationError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import Move
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 GEO = ApGeometry(rows=64, columns=16, domains_per_track=64)
@@ -102,27 +101,6 @@ def test_micro_ops_past_the_geometry_are_rejected(op):
     st = sim.SimState(GEO)
     with pytest.raises(SimulationError):
         sim.execute_micro_ops(st, 0, [op])
-
-
-@pytest.mark.parametrize("field, value", [
-    ("dst_base", 63), ("dst_base", -1), ("src_base", 63), ("dst_col", 256),
-])
-def test_moves_past_the_geometry_are_rejected(field, value):
-    # one tree level: the first item moves a 2-group partial sum between APs
-    net = TernaryNetwork("cg", [conv_layer(16, 2, 3, 1, 1, 8, seed=17, shift=6)])
-    prog = emit_program(net, 4, 4, ApGeometry())
-    doc = json.loads(prog.dumps())
-    step = prog.layers[0].tree[0][0]
-    move = step.items[0]
-    assert move.op == "move" and move.width > 1
-    # a typed program built in process meets the simulator's own guard
-    step.items[0] = move._replace(**{field: value})
-    with pytest.raises(SimulationError):
-        sim.run(prog, make_synthetic_input(net, 4, 4))
-    # the same edit in a document never gets past the loader
-    doc["layers"][0]["tree"][0][0]["items"][0][Move._fields.index(field)] = value
-    with pytest.raises(FormatError):
-        ApProgram.from_doc(doc)
 
 
 # --- macro execution ------------------------------------------------------
