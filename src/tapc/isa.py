@@ -377,14 +377,11 @@ def _shift_to(ops: list[MicroOp], align: dict[int, int], col: int, target: int):
         align[col] = target
 
 
-def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> list[MicroOp]:
-    """Lower one macro to shifts, clears, searches and tagged writes.
-
-    `align` maps columns to their currently ported domain and is updated in
-    place; shift distances come straight out of it. The carry column is
-    pinned at domain 0 and cleared once per macro. Compute cost excluding
-    shifts and clears is exactly 2 * pass_count * width cycles.
-    """
+def result_columns(macro: MacroInstr, table: LutTable,
+                   align: dict[int, int]) -> tuple:
+    """The columns one macro writes its result bits into, after checking
+    that the macro fits its table and that its carry column sits at
+    domain 0."""
     if (table.op_kind, table.addressing, table.negated) != \
             (macro.op_kind, macro.addressing, macro.negated):
         raise FormatError("macro and table disagree")
@@ -396,11 +393,21 @@ def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> l
         if not macro.dest_cols:
             raise FormatError("out-of-place macro needs result columns")
         dest_cols = tuple(macro.dest_cols)
-
-    ops: list[MicroOp] = []
     if align.get(macro.carry_col, 0) != 0:
         raise FormatError("carry column must stay at domain 0")
-    ops.append(MicroOp("clear", cols=(macro.carry_col,), bits=(0,)))
+    return dest_cols
+
+
+def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> list[MicroOp]:
+    """Lower one macro to shifts, clears, searches and tagged writes.
+
+    `align` maps columns to their currently ported domain and is updated in
+    place; shift distances come straight out of it. The carry column is
+    pinned at domain 0 and cleared once per macro. Compute cost excluding
+    shifts and clears is exactly 2 * pass_count * width cycles.
+    """
+    dest_cols = result_columns(macro, table, align)
+    ops = [MicroOp("clear", cols=(macro.carry_col,), bits=(0,))]
 
     passes = table.passes()
     for bit in range(macro.width):

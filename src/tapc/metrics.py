@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .errors import FormatError
 from .program import checked_fields, macro_counts, place_layer
+from .sim import EVENT_KINDS, SHIFT
 
-EVENT_KINDS = ("search", "write", "shift", "move")
 PHASES = ("io", "dfg", "accum")
 
 NS_PER_YEAR = 365.25 * 24 * 3600 * 1e9
@@ -56,16 +58,22 @@ class EnergyModel:
         ]
 
 
+def _energy_pj(kind, bits, steps, model: EnergyModel):
+    """Energy of events given by kind code, bits and steps, as scalars or as
+    arrays alike: (size × rate) × scale. Searches, writes and moves are
+    sized by their bits, shifts by bits × steps."""
+    rate = np.array([model.search_fj_per_bit, model.write_fj_per_bit,
+                     model.shift_fj_per_step, model.move_pj_per_bit])
+    scale = np.array([1e-3, 1e-3, 1e-3, 1.0])
+    size = np.where(kind == SHIFT, bits * steps, bits)
+    return size * rate[kind] * scale[kind]
+
+
 def event_energy_pj(event, model: EnergyModel) -> float:
-    if event.kind == "search":
-        return event.bits * model.search_fj_per_bit * 1e-3
-    if event.kind == "write":
-        return event.bits * model.write_fj_per_bit * 1e-3
-    if event.kind == "shift":
-        return event.bits * event.steps * model.shift_fj_per_step * 1e-3
-    if event.kind == "move":
-        return event.bits * model.move_pj_per_bit
-    raise ValueError(f"unknown event kind {event.kind!r}")
+    if event.kind not in EVENT_KINDS:
+        raise ValueError(f"unknown event kind {event.kind!r}")
+    return float(_energy_pj(EVENT_KINDS.index(event.kind), event.bits,
+                            event.steps, model))
 
 
 @dataclass
@@ -152,11 +160,48 @@ def _tables(doc: dict, where: str) -> dict:
     return doc
 
 
+def _fold(log, n_layers: int, model: EnergyModel):
+    """Energy by (layer, kind) and by (layer, phase), and cycles per layer,
+    of an event log. Each bin adds its events in log order, as a loop over
+    the events would."""
+    records = np.frombuffer(log.data, dtype=np.int64).reshape(-1, 4)
+    kind, bits, steps, cycles = records.T
+    starts = np.array(log.starts, dtype=np.int64)
+    lengths = np.diff(starts, append=len(records))
+    layer = np.repeat(np.array([pl[1] for pl in log.places], dtype=np.int64),
+                      lengths)
+    phase = np.repeat(np.array([PHASES.index(pl[2]) for pl in log.places],
+                               dtype=np.int64), lengths)
+    pj = _energy_pj(kind, bits, steps, model)
+    k, p = len(EVENT_KINDS), len(PHASES)
+    # (bincount of no events at all comes back as integer zeros)
+    by_kind = np.bincount(layer * k + kind, pj, n_layers * k).astype(float)
+    by_phase = np.bincount(layer * p + phase, pj, n_layers * p).astype(float)
+    # APs run in lockstep inside an epoch: the slowest one sets its length
+    kept = lengths > 0
+    places = [pl for pl, keep in zip(log.places, kept) if keep]
+    sums = np.add.reduceat(cycles, starts[kept]).tolist()
+    busy: dict[tuple[int, int], dict[int, int]] = {}
+    for (ap, lay, _phase, epoch), n in zip(places, sums):
+        by_ap = busy.setdefault((lay, epoch), {})
+        by_ap[ap] = by_ap.get(ap, 0) + n
+    layer_cycles = [0] * n_layers
+    for (lay, _epoch), by_ap in busy.items():
+        layer_cycles[lay] += max(by_ap.values())
+    return (by_kind.reshape(n_layers, k).tolist(),
+            by_phase.reshape(n_layers, p).tolist(), layer_cycles)
+
+
 def account(program, result, model: EnergyModel | None = None) -> Stats:
     """Fold a run's event log into per-layer and total statistics."""
     model = model or EnergyModel()
     geo = program.geometry
-    per_layer: dict[int, dict] = {}
+    by_kind, by_phase, layer_cycles = _fold(result.events, len(program.layers),
+                                            model)
+    layers = []
+    tot_energy = {k: 0.0 for k in EVENT_KINDS}
+    tot_phase = {p: 0.0 for p in PHASES}
+    tot_cycles = tot_adds = tot_subs = 0
     for idx, lp in enumerate(program.layers):
         util = 0.0
         adds = subs = 0
@@ -164,42 +209,20 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
             placed = place_layer(lp.shape, lp.in_bits, geo)
             util = placed["positions"] / (placed["row_groups"] * geo.rows)
             adds, subs = macro_counts(lp, geo)
-        per_layer[idx] = {
-            "kind": lp.kind,
-            "energy": {k: 0.0 for k in EVENT_KINDS},
-            "phase": {p: 0.0 for p in PHASES},
-            "epochs": {},   # epoch -> ap -> cycles
-            "adds": adds,
-            "subs": subs,
-            "util": util,
-        }
-    for ev in result.events:
-        slot = per_layer[ev.layer]
-        pj = event_energy_pj(ev, model)
-        slot["energy"][ev.kind] += pj
-        slot["phase"][ev.phase] += pj
-        by_ap = slot["epochs"].setdefault(ev.epoch, {})
-        by_ap[ev.ap] = by_ap.get(ev.ap, 0) + ev.cycles
-
-    layers = []
-    tot_energy = {k: 0.0 for k in EVENT_KINDS}
-    tot_phase = {p: 0.0 for p in PHASES}
-    tot_cycles = tot_adds = tot_subs = 0
-    for idx in sorted(per_layer):
-        slot = per_layer[idx]
-        cycles = sum(max(by_ap.values()) for by_ap in slot["epochs"].values())
+        energy = dict(zip(EVENT_KINDS, by_kind[idx]))
+        phase = dict(zip(PHASES, by_phase[idx]))
+        cycles = layer_cycles[idx]
         layers.append(LayerStats(
-            layer=idx, kind=slot["kind"], cycles=cycles,
-            ns=cycles * model.cycle_ns,
-            energy_pj=slot["energy"], phase_pj=slot["phase"],
-            adds=slot["adds"], subs=slot["subs"], utilization=slot["util"]))
+            layer=idx, kind=lp.kind, cycles=cycles,
+            ns=cycles * model.cycle_ns, energy_pj=energy, phase_pj=phase,
+            adds=adds, subs=subs, utilization=util))
         for k in EVENT_KINDS:
-            tot_energy[k] += slot["energy"][k]
+            tot_energy[k] += energy[k]
         for p in PHASES:
-            tot_phase[p] += slot["phase"][p]
+            tot_phase[p] += phase[p]
         tot_cycles += cycles
-        tot_adds += slot["adds"]
-        tot_subs += slot["subs"]
+        tot_adds += adds
+        tot_subs += subs
     return Stats(
         name=program.name, opt=program.opt, layers=layers,
         total_cycles=tot_cycles, total_ns=tot_cycles * model.cycle_ns,

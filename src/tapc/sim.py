@@ -9,6 +9,17 @@ Shifts just move the alignment and pay per domain step. Column moves between
 APs copy whole planes (the interconnect model charges them per bit, flat
 across hop levels).
 
+`run_macro` executes each add/sub macro straight on the planes: it runs the
+bit loop of `isa.expand_macro` (operand shifts, result clears, one search
+and one tagged write per table pass) without building micro-ops. The
+micro-op path, `isa.expand_macro` followed by `execute_micro_ops`, stays as
+the reference the tests compare it against; no run takes it.
+
+The event log is columnar: an `EventLog` keeps four int64 words per event
+(kind code, bits, steps, cycles) and one place (ap, layer, phase, epoch) per
+run of events that share it. `tapc.metrics` folds the columns with numpy;
+indexing or iterating the log yields `Event`s.
+
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
 decisions comes from there too: the placement (`place_layer`), the AP of
@@ -26,7 +37,10 @@ whole machine is deterministic, so do the energy figures.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -36,6 +50,9 @@ from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
 from .program import (ApGeometry, ApProgram, ConvLayer, adder_tree, ap_id,
                       macro_of, merge_adds, place_layer)
+
+EVENT_KINDS = ("search", "write", "shift", "move")
+SEARCH, WRITE, SHIFT, MOVE = range(len(EVENT_KINDS))
 
 
 @dataclass(slots=True)
@@ -53,13 +70,84 @@ class Event:
     cycles: int
 
 
+class EventLog:
+    """A run's costed actions in order, stored by column.
+
+    `data` holds four int64 words per event: kind code (an index into
+    EVENT_KINDS), bits, steps, cycles. Each run of events at one place
+    (ap, layer, phase, epoch) is a segment: segment i starts at event
+    `starts[i]` and sits at `places[i]`. Indexing and iteration yield
+    `Event`s.
+    """
+
+    __slots__ = ("data", "starts", "places")
+
+    def __init__(self):
+        self.data = array("q")
+        self.starts: list[int] = []
+        self.places: list[tuple[int, int, str, int]] = []
+
+    def at(self, ap: int, layer: int, phase: str, epoch: int) -> array:
+        """`data`, to be extended with the records of events at this place."""
+        place = (ap, layer, phase, epoch)
+        if not self.places or self.places[-1] != place:
+            n = len(self.data) >> 2
+            if self.starts and self.starts[-1] == n:
+                self.places[-1] = place     # the last place got no event
+            else:
+                self.starts.append(n)
+                self.places.append(place)
+        return self.data
+
+    def __len__(self) -> int:
+        return len(self.data) >> 2
+
+    def __getitem__(self, i) -> Event:
+        n = len(self)
+        i = index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"event {i} of a {n}-event log")
+        ap, layer, phase, epoch = self.places[bisect_right(self.starts, i) - 1]
+        kind, bits, steps, cycles = self.data[4 * i:4 * i + 4]
+        return Event(EVENT_KINDS[kind], ap, layer, phase, epoch, bits, steps,
+                     cycles)
+
+    def segments(self):
+        """(place, records) per segment, the records as a flat array of four
+        words per event."""
+        ends = self.starts[1:] + [len(self)]
+        for place, lo, hi in zip(self.places, self.starts, ends):
+            yield place, self.data[4 * lo:4 * hi]
+
+    def __iter__(self):
+        for (ap, layer, phase, epoch), records in self.segments():
+            it = iter(records)
+            for kind, bits, steps, cycles in zip(it, it, it, it):
+                yield Event(EVENT_KINDS[kind], ap, layer, phase, epoch, bits,
+                            steps, cycles)
+
+
 EXPORT_HEADER = "kind,ap,bits,steps,epoch"
 
 
-def export_events(events: list[Event]) -> str:
-    lines = [EXPORT_HEADER]
-    lines.extend(f"{e.kind},{e.ap},{e.bits},{e.steps},{e.epoch}" for e in events)
-    return "\n".join(lines) + "\n"
+def export_events(events: EventLog) -> str:
+    """events.csv: one line per event. Lines repeat within a segment, so
+    each distinct one is formatted once there."""
+    parts = [EXPORT_HEADER + "\n"]
+    for (ap, _layer, _phase, epoch), records in events.segments():
+        lines: dict[tuple, str] = {}
+
+        def line(record):
+            kind, bits, steps, _ = record
+            text = f"{EVENT_KINDS[kind]},{ap},{bits},{steps},{epoch}\n"
+            lines[record] = text
+            return text
+        it = iter(records)
+        parts.append("".join([lines.get(r) or line(r)
+                              for r in zip(it, it, it, it)]))
+    return "".join(parts)
 
 
 def _pack_rows(bits) -> int:
@@ -142,16 +230,12 @@ class SimState:
     def __init__(self, geometry: ApGeometry):
         self.geometry = geometry
         self.aps: dict[int, CamArray] = {}
-        self.events: list[Event] = []
+        self.events = EventLog()
 
     def ap(self, ap_id: int) -> CamArray:
         if ap_id not in self.aps:
             self.aps[ap_id] = CamArray(self.geometry)
         return self.aps[ap_id]
-
-    def log(self, kind, ap, layer, phase, epoch, bits, steps, cycles):
-        self.events.append(Event(kind, ap, layer, phase, epoch, bits, steps,
-                                 cycles))
 
     def col_write_max(self) -> int:
         return max((max(cam.writes) for cam in self.aps.values()), default=0)
@@ -161,59 +245,146 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
                       layer: int = 0, phase: str = "dfg", epoch: int = 0):
     """Run expanded micro-ops against one AP, logging every costed action.
 
-    Shifts carry their step count from expansion (planned against a copy of
-    the AP's alignment), so applying them here keeps plan and state in sync.
+    This is the reference `run_macro` is tested against. Shifts carry their
+    step count from expansion (planned against a copy of the AP's
+    alignment), so applying them here keeps plan and state in sync.
     """
     cam = state.ap(ap_id)
-    planes, align, writes = cam.planes, cam.align, cam.writes
+    align, writes = cam.align, cam.writes
     full, rows = cam.full, cam.rows
-    log = state.log
-    try:
-        for op in ops:
-            kind = op.kind
-            if kind == "search":
-                tag = full
-                for col, want in zip(op.cols, op.key):
-                    plane = planes[col][align.get(col, 0)]
-                    tag &= plane if want else full ^ plane
-                cam.tag = tag
-                log("search", ap_id, layer, phase, epoch, len(op.cols) * rows,
-                    0, 1)
-            elif kind == "write":
-                tag = cam.tag
-                for col, bit in zip(op.cols, op.bits):
-                    track = planes[col]
-                    dom = align.get(col, 0)
-                    track[dom] = track[dom] | tag if bit else track[dom] & ~tag
-                    writes[col] += 1
-                log("write", ap_id, layer, phase, epoch,
-                    len(op.cols) * tag.bit_count(), 0, 1)
-            elif kind == "clear":
-                for col in op.cols:
-                    planes[col][align.get(col, 0)] = 0
-                    writes[col] += 1
-                log("write", ap_id, layer, phase, epoch, len(op.cols) * rows,
-                    0, 1)
-            elif kind == "shift":
-                cam.shift(op.col, op.target)
-                if op.steps:
-                    log("shift", ap_id, layer, phase, epoch, rows, op.steps,
-                        op.steps)
-            else:
-                raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
-    except IndexError as exc:
-        raise SimulationError(f"AP {ap_id}: micro-op on a column outside the "
-                              f"{cam.columns}-column array") from exc
+    log = state.events.at(ap_id, layer, phase, epoch)
+    for op in ops:
+        kind = op.kind
+        if kind == "search":
+            tag = full
+            for col, want in zip(op.cols, op.key):
+                plane = cam.track(col)[align.get(col, 0)]
+                tag &= plane if want else full ^ plane
+            cam.tag = tag
+            log.extend((SEARCH, len(op.cols) * rows, 0, 1))
+        elif kind == "write":
+            tag = cam.tag
+            for col, bit in zip(op.cols, op.bits):
+                track = cam.track(col)
+                dom = align.get(col, 0)
+                track[dom] = track[dom] | tag if bit else track[dom] & ~tag
+                writes[col] += 1
+            log.extend((WRITE, len(op.cols) * tag.bit_count(), 0, 1))
+        elif kind == "clear":
+            for col in op.cols:
+                cam.track(col)[align.get(col, 0)] = 0
+                writes[col] += 1
+            log.extend((WRITE, len(op.cols) * rows, 0, 1))
+        elif kind == "shift":
+            cam.shift(op.col, op.target)
+            if op.steps:
+                log.extend((SHIFT, rows, op.steps, op.steps))
+        else:
+            raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
+
+
+def _ported_spans(macro: isa.MacroInstr, dest_cols: tuple):
+    """(column, first domain, last domain) of every column the bit loop of
+    `macro` reads or writes. The zero column is read where it stands, so
+    only its domain 0 is sure to exist."""
+    m = macro.width
+    spans = [(macro.carry_col, 0, 0)]
+    if macro.addressing == isa.IN_PLACE:
+        refs = (macro.a,)
+        if m > 0:
+            spans.append((macro.b.col, macro.b.base, macro.b.base + m - 1))
+    else:
+        refs = (macro.a, macro.b)
+        if m > 0:
+            spans += [(col, macro.dest_base, macro.dest_base + m - 1)
+                      for col in dest_cols]
+    for ref in refs:
+        n = min(ref.width, m)
+        if n > 0:
+            spans.append((ref.col, ref.base, ref.base + n - 1))
+        if ref.width < m:
+            top = ref.base + ref.width - 1
+            spans.append((ref.col, top, top) if ref.signed
+                         else (macro.zero_col, 0, 0))
+    return spans
 
 
 def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
               table: isa.LutTable, layer: int = 0, phase: str = "dfg",
-              epoch: int = 0) -> list[isa.MicroOp]:
-    """Expand one macro against the AP's live alignment and execute it."""
+              epoch: int = 0):
+    """Execute one macro against the AP's live alignment, straight on the
+    planes: the bit loop of `isa.expand_macro`, logging the events
+    `execute_micro_ops` would log for its expansion, in the same order.
+
+    Every column and domain the loop touches is checked before anything
+    changes, so a macro outside the geometry leaves the AP as it was.
+    """
     cam = state.ap(ap_id)
-    ops = isa.expand_macro(macro, table, dict(cam.align))
-    execute_micro_ops(state, ap_id, ops, layer, phase, epoch)
-    return ops
+    align = cam.align
+    dest_cols = isa.result_columns(macro, table, align)
+    for col, lo, hi in _ported_spans(macro, dest_cols):
+        cam.track(col, lo, hi - lo + 1)
+
+    planes, full, rows = cam.planes, cam.full, cam.rows
+    m, a, b, carry = macro.width, macro.a, macro.b, macro.carry_col
+    in_place = macro.addressing == isa.IN_PLACE
+    passes = [(*e.key, *e.write) for e in table.passes()]
+    search_bits, n_written = 3 * rows, 1 + len(dest_cols)
+    log = [WRITE, rows, 0, 1]       # the carry clear
+
+    def port(col, target):
+        cur = align.get(col, 0)
+        if cur != target:
+            align[col] = target
+            steps = abs(target - cur)
+            log.extend((SHIFT, rows, steps, steps))
+
+    def place(ref, bit):
+        # the searched position, clamped at the sign bit or redirected to
+        # the zero column past the stored width
+        if bit < ref.width:
+            port(ref.col, ref.base + bit)
+            return ref.col
+        if ref.signed:
+            port(ref.col, ref.base + ref.width - 1)
+            return ref.col
+        return macro.zero_col
+
+    ctrack = planes[carry]
+    ctrack[0] = 0
+    tag = cam.tag
+    for bit in range(m):
+        if in_place:
+            b_col = b.col
+            port(b_col, b.base + bit)
+        else:
+            b_col = place(b, bit)
+        a_col = place(a, bit)
+        if not in_place:
+            for col in dest_cols:
+                port(col, macro.dest_base + bit)
+            for col in dest_cols:
+                planes[col][align.get(col, 0)] = 0
+            log.extend((WRITE, len(dest_cols) * rows, 0, 1))
+        cdom = align.get(carry, 0)
+        btrack, bdom = planes[b_col], align.get(b_col, 0)
+        atrack, adom = planes[a_col], align.get(a_col, 0)
+        dests = [(planes[col], align.get(col, 0)) for col in dest_cols]
+        for kc, kb, ka, wc, wr in passes:
+            c, bv, av = ctrack[cdom], btrack[bdom], atrack[adom]
+            tag = ((c if kc else full ^ c) & (bv if kb else full ^ bv)
+                   & (av if ka else full ^ av))
+            ctrack[cdom] = c | tag if wc else c & ~tag
+            for track, dom in dests:
+                track[dom] = track[dom] | tag if wr else track[dom] & ~tag
+            log += (SEARCH, search_bits, 0, 1,
+                    WRITE, n_written * tag.bit_count(), 0, 1)
+    cam.tag = tag
+    per_bit = len(passes) if in_place else len(passes) + 1   # + the clear
+    cam.writes[carry] += 1 + len(passes) * m
+    for col in dest_cols:
+        cam.writes[col] += per_bit * m
+    state.events.at(ap_id, layer, phase, epoch).fromlist(log)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +394,7 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
 @dataclass
 class RunResult:
     trace: list[FeatureMap]
-    events: list[Event]
+    events: EventLog
     state: SimState
 
 
@@ -233,7 +404,8 @@ def _shift_log(state, ap_id, col, target, layer, phase, epoch):
     if cur != target:
         cam.shift(col, target)
         steps = abs(target - cur)
-        state.log("shift", ap_id, layer, phase, epoch, cam.rows, steps, steps)
+        state.events.at(ap_id, layer, phase, epoch).extend(
+            (SHIFT, cam.rows, steps, steps))
 
 
 def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
@@ -243,7 +415,8 @@ def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
     vals = np.zeros(n_rows, dtype=np.int64)
     for b in range(width):
         _shift_log(state, ap_id, col, base + b, layer, "io", epoch)
-        state.log("search", ap_id, layer, "io", epoch, cam.rows, 0, 1)
+        state.events.at(ap_id, layer, "io", epoch).extend(
+            (SEARCH, cam.rows, 0, 1))
         vals |= cam.visible(col)[:n_rows].astype(np.int64) << b
     vals -= ((vals >> (width - 1)) & 1) << width
     return vals
@@ -278,7 +451,8 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load)
         cam.track(tile.zero)[0] = 0
         cam.writes[tile.zero] += 1
-        state.log("write", ap, layer, "io", ep_load, cam.rows, 0, 1)
+        state.events.at(ap, layer, "io", ep_load).extend(
+            (WRITE, cam.rows, 0, 1))
         if prov is not None:
             agg: dict[int, int] = {}
             for ch in groups[cg]:
@@ -291,8 +465,8 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                     agg[int(s)] = agg.get(int(s), 0) + int(n)
             for src in sorted(agg):
                 bits = agg[src] * in_bits
-                state.log("move", ap, layer, "io", ep_load, bits, 0,
-                          -(-bits // geo.rows))
+                state.events.at(ap, layer, "io", ep_load).extend(
+                    (MOVE, bits, 0, -(-bits // geo.rows)))
         for ci, ch in enumerate(groups[cg]):
             vals = patches[ch][base_pos:base_pos + ru]
             for k in range(pim.slots):
@@ -301,7 +475,8 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                     _shift_log(state, ap, k, dom, layer, "io", ep_load)
                     cam.load(k, dom, (vals[:, k] >> b) & 1, ru)
                     cam.writes[k] += 1
-                    state.log("write", ap, layer, "io", ep_load, ru, 0, 1)
+                    state.events.at(ap, layer, "io", ep_load).extend(
+                        (WRITE, ru, 0, 1))
 
     # per-AP channel DFGs and accumulator folds; every row group runs the
     # stream of its (tile, channel group)
@@ -325,8 +500,8 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 cam.track(scratch, 0, w)[:w] = \
                     state.ap(src).track(col, 0, w)[:w]
                 cam.writes[scratch] += w
-                state.log("move", dst, layer, "accum", ep_next, cam.rows * w,
-                          0, w)
+                state.events.at(dst, layer, "accum", ep_next).extend(
+                    (MOVE, cam.rows * w, 0, w))
                 run_macro(state, dst, macro,
                           luts[macro.op_kind, macro.addressing], layer, phase,
                           ep_next)

@@ -2,13 +2,77 @@
 
 import json
 import types
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tapc import metrics, sim
+from tapc.metrics import EVENT_KINDS, PHASES, EnergyModel, LayerStats, Stats
 from tapc.model import make_synthetic_input, make_synthetic_network
-from tapc.program import PoolLayer
+from tapc.program import PoolLayer, macro_counts, place_layer
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
+
+
+def _reference_pj(ev, model):
+    if ev.kind == "search":
+        return ev.bits * model.search_fj_per_bit * 1e-3
+    if ev.kind == "write":
+        return ev.bits * model.write_fj_per_bit * 1e-3
+    if ev.kind == "shift":
+        return ev.bits * ev.steps * model.shift_fj_per_step * 1e-3
+    return ev.bits * model.move_pj_per_bit
+
+
+def _reference_account(program, result, model):
+    """The event-by-event fold `metrics.account` replaces, kept as its
+    oracle."""
+    geo = program.geometry
+    per_layer = {}
+    for idx, lp in enumerate(program.layers):
+        util = 0.0
+        adds = subs = 0
+        if lp.kind == "conv":
+            placed = place_layer(lp.shape, lp.in_bits, geo)
+            util = placed["positions"] / (placed["row_groups"] * geo.rows)
+            adds, subs = macro_counts(lp, geo)
+        per_layer[idx] = {"kind": lp.kind,
+                          "energy": {k: 0.0 for k in EVENT_KINDS},
+                          "phase": {p: 0.0 for p in PHASES},
+                          "epochs": {}, "adds": adds, "subs": subs,
+                          "util": util}
+    for ev in result.events:
+        slot = per_layer[ev.layer]
+        pj = _reference_pj(ev, model)
+        slot["energy"][ev.kind] += pj
+        slot["phase"][ev.phase] += pj
+        by_ap = slot["epochs"].setdefault(ev.epoch, {})
+        by_ap[ev.ap] = by_ap.get(ev.ap, 0) + ev.cycles
+    layers = []
+    tot_energy = {k: 0.0 for k in EVENT_KINDS}
+    tot_phase = {p: 0.0 for p in PHASES}
+    tot_cycles = tot_adds = tot_subs = 0
+    for idx in sorted(per_layer):
+        slot = per_layer[idx]
+        cycles = sum(max(by_ap.values()) for by_ap in slot["epochs"].values())
+        layers.append(LayerStats(
+            layer=idx, kind=slot["kind"], cycles=cycles,
+            ns=cycles * model.cycle_ns, energy_pj=slot["energy"],
+            phase_pj=slot["phase"], adds=slot["adds"], subs=slot["subs"],
+            utilization=slot["util"]))
+        for k in EVENT_KINDS:
+            tot_energy[k] += slot["energy"][k]
+        for p in PHASES:
+            tot_phase[p] += slot["phase"][p]
+        tot_cycles += cycles
+        tot_adds += slot["adds"]
+        tot_subs += slot["subs"]
+    return Stats(
+        name=program.name, opt=program.opt, layers=layers,
+        total_cycles=tot_cycles, total_ns=tot_cycles * model.cycle_ns,
+        energy_pj=tot_energy, phase_pj=tot_phase, adds=tot_adds,
+        subs=tot_subs, arrays_used=len(result.state.aps),
+        max_col_writes=result.state.col_write_max(), model=asdict(model))
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +127,54 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
     prog = ApProgram(name="crafted", opt="unroll", in_bits=4, in_c=1,
                      in_h=2, in_w=2, geometry=geo, luts=[],
                      layers=[PoolLayer()])
-    events = [
-        sim.Event("search", 0, 0, "dfg", 0, 64, 0, 4),
-        sim.Event("write", 0, 0, "dfg", 0, 64, 0, 6),    # ap0, epoch0: 10
-        sim.Event("search", 1, 0, "dfg", 0, 64, 0, 8),   # ap1, epoch0: 8
-        sim.Event("shift", 0, 0, "dfg", 1, 64, 3, 3),    # ap0, epoch1: 3
-        sim.Event("search", 1, 0, "dfg", 1, 64, 0, 9),   # ap1, epoch1: 9
-    ]
     state = sim.SimState(geo)
     state.ap(0), state.ap(1)
-    result = types.SimpleNamespace(events=events, state=state)
+    for ap, epoch, record in [
+        (0, 0, (sim.SEARCH, 64, 0, 4)),
+        (0, 0, (sim.WRITE, 64, 0, 6)),      # ap0, epoch0: 10
+        (1, 0, (sim.SEARCH, 64, 0, 8)),     # ap1, epoch0: 8
+        (0, 1, (sim.SHIFT, 64, 3, 3)),      # ap0, epoch1: 3
+        (1, 1, (sim.SEARCH, 64, 0, 9)),     # ap1, epoch1: 9
+    ]:
+        state.events.at(ap, 0, "dfg", epoch).extend(record)
+    result = types.SimpleNamespace(events=state.events, state=state)
     stats = metrics.account(prog, result)
     assert stats.total_cycles == max(10, 8) + max(3, 9) == 19
     assert stats.total_ns == pytest.approx(1.9, rel=1e-9)
+
+
+def test_account_matches_the_per_event_fold(accounted):
+    for prog, result, stats in accounted.values():
+        want = _reference_account(prog, result, EnergyModel())
+        assert stats.dumps() == want.dumps()
+
+
+def _pool_program(n_layers):
+    return ApProgram(name="drawn", opt="unroll", in_bits=4, in_c=1, in_h=2,
+                     in_w=2, geometry=ApGeometry(), luts=[],
+                     layers=[PoolLayer() for _ in range(n_layers)])
+
+
+rates = st.floats(0, 50, allow_nan=False, allow_infinity=False)
+drawn_events = st.lists(st.tuples(
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+    st.sampled_from(PHASES), st.integers(0, 4), st.integers(0, 1 << 20),
+    st.integers(0, 63), st.integers(0, 300)), max_size=200)
+
+
+@given(drawn_events, rates, rates, rates, rates)
+def test_account_of_drawn_logs_matches_the_per_event_fold(
+        events, search, write, shift, move):
+    model = EnergyModel(search, write, shift, move)
+    state = sim.SimState(ApGeometry())
+    for kind, ap, layer, phase, epoch, bits, steps, cycles in events:
+        state.ap(ap)
+        state.events.at(ap, layer, phase, epoch).extend(
+            (kind, bits, steps, cycles))
+    result = types.SimpleNamespace(events=state.events, state=state)
+    prog = _pool_program(3)
+    assert metrics.account(prog, result, model).dumps() == \
+        _reference_account(prog, result, model).dumps()
 
 
 def test_endurance_anchor_at_100ns_rewrite_interval():

@@ -1,12 +1,16 @@
-"""Functional simulation: array state, macros, and whole programs."""
+"""Functional simulation: array state, macros, the event log, and whole
+programs."""
 
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tapc import isa, sim
-from tapc.errors import FormatError, SimulationError
+from tapc.errors import FormatError, SimulationError, TapcError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
@@ -95,8 +99,14 @@ def test_unknown_micro_op_kind_is_rejected():
     isa.MicroOp("search", cols=(16,), key=(1,)),
     isa.MicroOp("write", cols=(16,), bits=(1,)),
     isa.MicroOp("clear", cols=(16,), bits=(0,)),
+    isa.MicroOp("search", cols=(-1,), key=(1,)),
+    isa.MicroOp("search", cols=(2, -16), key=(1, 0)),
+    isa.MicroOp("write", cols=(-1,), bits=(1,)),
+    isa.MicroOp("clear", cols=(-1,), bits=(0,)),
 ], ids=["shift-past-track", "shift-below-track", "search-past-columns",
-        "write-past-columns", "clear-past-columns"])
+        "write-past-columns", "clear-past-columns", "search-column-minus-1",
+        "search-column-minus-16", "write-column-minus-1",
+        "clear-column-minus-1"])
 def test_micro_ops_past_the_geometry_are_rejected(op):
     st = sim.SimState(GEO)
     with pytest.raises(SimulationError):
@@ -127,12 +137,16 @@ def test_alignment_persists_between_macros(catalog):
     table = catalog[(isa.ADD, isa.IN_PLACE, False)]
     sim.run_macro(st, 0, make_in_place_add(4), table)
     assert cam.align[0] == 3 and cam.align[1] == 3
-    # the second expansion plans against live alignment: both operand
-    # columns must first walk back down to bit 0
-    ops = sim.run_macro(st, 0, make_in_place_add(4), table)
+    # the second macro plans against live alignment: both operand columns
+    # must first walk back down to bit 0
+    ops = isa.expand_macro(make_in_place_add(4), table, dict(cam.align))
     first_shifts = [op for op in ops if op.kind == "shift"][:2]
     assert sorted(op.col for op in first_shifts) == [0, 1]
     assert all(op.target == 0 and op.steps == 3 for op in first_shifts)
+    logged = len(st.events)
+    sim.run_macro(st, 0, make_in_place_add(4), table)
+    shifts = [e for e in list(st.events)[logged:] if e.kind == "shift"][:2]
+    assert [e.steps for e in shifts] == [3, 3]
 
 
 def test_carry_column_must_sit_at_domain_zero(catalog):
@@ -141,6 +155,164 @@ def test_carry_column_must_sit_at_domain_zero(catalog):
     with pytest.raises(FormatError):
         sim.run_macro(st, 0, make_in_place_add(4),
                       catalog[(isa.ADD, isa.IN_PLACE, False)])
+
+
+def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
+    table = catalog[(isa.ADD, isa.IN_PLACE, False)]
+    a = isa.OperandRef(0, 0, 4, True)
+    b = isa.OperandRef(1, 0, 4, True)
+    macro = isa.MacroInstr(isa.ADD, isa.IN_PLACE, False, 4, a, b)
+    assert macro.carry_col == macro.zero_col == -1
+    state = sim.SimState(GEO)
+    cam = state.ap(0)
+    for col in range(GEO.columns):
+        cam.poke(col, 0, 4, np.arange(64) % 16, 64)
+    planes = copy.deepcopy(cam.planes)
+    with pytest.raises(SimulationError):
+        sim.run_macro(state, 0, macro, table)
+    # checked before anything runs: the last columns keep their contents
+    assert cam.planes == planes
+    assert cam.writes == [0] * GEO.columns and len(state.events) == 0
+    with pytest.raises(SimulationError):
+        sim.execute_micro_ops(state, 0, isa.expand_macro(macro, table, {}))
+
+
+# --- run_macro against the micro-op reference -----------------------------
+
+DIFF_COLUMNS, DIFF_DOMAINS = 10, 12
+TABLE_KEYS = [(op, mode, False) for op in (isa.ADD, isa.SUB)
+              for mode in (isa.IN_PLACE, isa.OUT_OF_PLACE)] + \
+    [(op, isa.OUT_OF_PLACE, True) for op in (isa.ADD, isa.SUB)]
+# contract errors, each raised by both executors
+FAULTS = ("other-table", "carry-shifted", "carry-default", "zero-default",
+          "column-past-end", "column-minus-1", "domain-past-track",
+          "bad-result")
+
+
+@st.composite
+def macro_cases(draw):
+    """A macro over any catalog table, the AP's starting alignment and plane
+    contents, and possibly one contract error."""
+    rows = draw(st.integers(1, 70))
+    key = draw(st.sampled_from(TABLE_KEYS))
+    op, mode, negated = key
+    m = draw(st.integers(1, 8))
+    n_dest = draw(st.integers(1, 3)) if mode == isa.OUT_OF_PLACE else 0
+    # roles may share a column; the executors must still agree
+    roles = draw(st.lists(st.integers(0, DIFF_COLUMNS - 1),
+                          min_size=4 + n_dest, max_size=4 + n_dest,
+                          unique=draw(st.booleans())))
+    carry, zero, a_col, b_col, *dests = roles
+
+    def operand(col, width):
+        return isa.OperandRef(col, draw(st.integers(0, DIFF_DOMAINS - width)),
+                              width, draw(st.booleans()))
+    a = operand(a_col, draw(st.integers(1, m)))
+    b = operand(b_col, m if mode == isa.IN_PLACE else draw(st.integers(1, m)))
+    macro = isa.MacroInstr(op, mode, negated, m, a, b, tuple(dests),
+                           draw(st.integers(0, DIFF_DOMAINS - m)), carry, zero)
+    align = draw(st.dictionaries(st.integers(0, DIFF_COLUMNS - 1),
+                                 st.integers(0, DIFF_DOMAINS - 1)))
+    align.pop(carry, None)
+    fault = draw(st.sampled_from((None,) * len(FAULTS) + FAULTS))
+    if fault == "other-table":
+        key = draw(st.sampled_from([k for k in TABLE_KEYS if k != key]))
+    elif fault == "carry-shifted":
+        align[carry] = draw(st.integers(1, DIFF_DOMAINS - 1))
+    elif fault == "carry-default":
+        macro.carry_col = -1
+    elif fault == "zero-default":     # an error only where it is read
+        macro.zero_col = -1
+    elif fault in ("column-past-end", "column-minus-1"):
+        bad = DIFF_COLUMNS if fault == "column-past-end" else -1
+        role = draw(st.sampled_from(("a", "b", "carry", "dest")))
+        if role == "dest" and dests:
+            macro.dest_cols = (bad,) + macro.dest_cols[1:]
+        elif role == "carry":
+            macro.carry_col = bad
+        else:
+            ref = a if role == "a" else b
+            ref.col = bad
+    elif fault == "domain-past-track":
+        a.base = DIFF_DOMAINS - a.width + 1
+    elif fault == "bad-result":
+        if mode == isa.IN_PLACE:
+            b.width = m + 1
+        else:
+            macro.dest_cols = ()
+    return rows, key, macro, align, draw(st.integers(0, 2**32))
+
+
+def _macro_outcome(rows, align, seed, execute):
+    state = sim.SimState(ApGeometry(rows=rows, columns=DIFF_COLUMNS,
+                                    domains_per_track=DIFF_DOMAINS))
+    cam = state.ap(0)
+    rng = random.Random(seed)
+    cam.planes = [[rng.getrandbits(rows) for _ in range(DIFF_DOMAINS)]
+                  for _ in range(DIFF_COLUMNS)]
+    cam.align = dict(align)
+    cam.tag = rng.getrandbits(rows)
+    try:
+        execute(state, cam)
+    except TapcError as exc:
+        return type(exc)
+    return cam.planes, cam.align, cam.writes, cam.tag, list(state.events)
+
+
+@given(macro_cases())
+def test_run_macro_matches_the_micro_op_reference(catalog, case):
+    rows, key, macro, align, seed = case
+    table = catalog[key]
+
+    def direct(state, cam):
+        sim.run_macro(state, 0, macro, table, 2, "accum", 5)
+
+    def reference(state, cam):
+        ops = isa.expand_macro(macro, table, dict(cam.align))
+        sim.execute_micro_ops(state, 0, ops, 2, "accum", 5)
+
+    got = _macro_outcome(rows, align, seed, direct)
+    want = _macro_outcome(rows, align, seed, reference)
+    assert got == want
+
+
+# --- the event log --------------------------------------------------------
+
+def _logged(places):
+    """An event log holding one search per entry, at the given places, with
+    the entry's position as its bits."""
+    log = sim.EventLog()
+    for i, place in enumerate(places):
+        log.at(*place).extend((sim.SEARCH, i, 0, 1))
+    return log
+
+
+def test_event_log_length_indexing_and_iteration():
+    places = [(0, 0, "io", 0), (0, 0, "io", 0), (1, 0, "io", 0),
+              (1, 0, "dfg", 1), (1, 0, "dfg", 1), (0, 1, "accum", 2)]
+    log = _logged(places)
+    log.at(3, 1, "io", 3)              # a place with no event yet
+    want = [sim.Event("search", ap, layer, phase, epoch, i, 0, 1)
+            for i, (ap, layer, phase, epoch) in enumerate(places)]
+    assert len(log) == 6
+    assert list(log) == want
+    assert [log[i] for i in range(6)] == want
+    assert [log[i] for i in range(-6, 0)] == want
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            log[i]
+    assert len(sim.EventLog()) == 0 and list(sim.EventLog()) == []
+
+
+def test_export_events_matches_the_per_event_formatter():
+    net = make_synthetic_network(2, 4, 0.7, bits=4, in_channels=2, seed=22)
+    events = sim.run(emit_program(net, 6, 6, ApGeometry()),
+                     make_synthetic_input(net, 6, 6, seed=1)).events
+    assert len({place[3] for place in events.places}) > 2
+    want = "".join([sim.EXPORT_HEADER + "\n"] + [
+        f"{e.kind},{e.ap},{e.bits},{e.steps},{e.epoch}\n" for e in events])
+    assert sim.export_events(events) == want
+    assert sim.export_events(sim.EventLog()) == sim.EXPORT_HEADER + "\n"
 
 
 # --- whole programs against the host reference ----------------------------
