@@ -3,7 +3,8 @@
 One command per process, no daemon state: compile and run read their inputs,
 write their artifacts into --out-dir and exit. Exit codes are part of the
 contract: 0 success, 2 verification mismatch, 3 capacity exceeded, 4 bad
-input format, 1 anything else.
+input format or usage (argparse's own exit 2 is mapped to 4), 1 anything
+else.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _add_model_flags(p):
                    help="activation bits for --synthetic")
 
 
+def _seed(text) -> int:
+    """argparse type of --seed: the generators take no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _geometry(args) -> ApGeometry:
     return ApGeometry(rows=args.rows, columns=args.cols,
                       domains_per_track=args.domains,
@@ -70,11 +79,11 @@ def _load_net(args):
     if args.synthetic:
         try:
             l, c, s = args.synthetic.split("x")
-            return make_synthetic_network(int(l), int(c), float(s),
-                                          bits=args.bits, seed=args.seed)
+            spec = int(l), int(c), float(s)
         except ValueError as exc:
             raise FormatError(f"bad --synthetic spec {args.synthetic!r}: "
                               f"expected LxCxS") from exc
+        return make_synthetic_network(*spec, bits=args.bits, seed=args.seed)
     if not args.model or not args.weights:
         raise FormatError("need --model and --weights, or --synthetic")
     return load_network(args.model, args.weights)
@@ -183,28 +192,24 @@ def cmd_verify(args) -> int:
 
 def cmd_lut(args) -> int:
     if args.action == "check":
-        printed = isa.builtin_luts()
-        for _key, table in sorted(printed.items()):
+        catalog, repairs = isa.standard_catalog()
+        repaired = {(r.op_kind, r.addressing): r for r in repairs}
+        for key, table in sorted(isa.builtin_luts().items()):
             if args.op and table.op_kind != args.op:
                 continue
             if args.mode and table.addressing != args.mode:
                 continue
             print(isa.format_lut(table), end="")
-            check = isa.validate_lut(table)
-            if check.ok:
+            repair = repaired.get(key)
+            if repair is None:
                 print(f"ok: {table.name} exact on all 8 states, "
                       f"{table.pass_count} passes")
             else:
-                fixed = isa.derive_lut(table.op_kind, table.addressing)
-                diverged = sorted(
-                    k for k in table.entries
-                    if (table.entries[k].write, table.entries[k].pass_index)
-                    != (fixed.entries[k].write, fixed.entries[k].pass_index))
                 print(f"BROKEN: {table.name} fails on "
-                      f"{len(check.counterexamples)} states; "
-                      f"repair touches keys {diverged}")
+                      f"{len(repair.counterexamples)} states; repair touches "
+                      f"keys {[k for k, _old, _new in repair.divergent_keys]}")
                 print("repaired table:")
-                print(isa.format_lut(fixed), end="")
+                print(isa.format_lut(catalog[(*key, False)]), end="")
             print()
         return 0
     # derive
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p)
     p.add_argument("--opt", choices=sorted(_OPT_MAP), default="unroll+cse")
     p.add_argument("--input-hw", default="16x16", metavar="HxW")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_compile)
 
@@ -257,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input feature map (.tfm)")
     p.add_argument("--input-hw", default="16x16", metavar="HxW")
     p.add_argument("--opt", choices=sorted(_OPT_MAP), default="unroll+cse")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_run)
 
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input feature map (.tfm)")
     p.add_argument("--input-hw", default="16x16", metavar="HxW")
     p.add_argument("--opt", choices=sorted(_OPT_MAP), default="unroll+cse")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lut", help="inspect or derive pass tables")
@@ -288,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, 2 on misuse
+        return 4 if exc.code else 0
     if getattr(args, "command", None) == "lut" and args.action == "derive":
         if not args.op or not args.mode:
             print("lut derive needs --op and --mode", file=sys.stderr)

@@ -387,6 +387,10 @@ def make_synthetic_network(n_layers: int, channels: int, sparsity: float,
     """
     if not 0.0 <= sparsity <= 1.0:
         raise FormatError("sparsity must be in [0, 1]")
+    if channels < 1:
+        raise FormatError(f"a synthetic network needs at least 1 channel, "
+                          f"got {channels}")
+    QuantSpec(bits)     # rejects a bad width before it sizes a shift
     rng = np.random.default_rng(seed)
     layers = []
     c_prev = in_channels

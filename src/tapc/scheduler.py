@@ -29,6 +29,7 @@ them the placement, the capacity rule and the adder tree.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -70,7 +71,7 @@ class ChannelPlan:
 
 
 def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
-    """Decide addressing, claim value instances and color their live ranges.
+    """Decide addressing, allocate value copies in one walk, color them.
 
     Values used k times are defined into k columns by one tagged write and
     each consumer burns its own copy; in-place results are only staged over
@@ -79,13 +80,16 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
     minuend as the destination). Copies for NC-row safety must come from
     pre-cleared columns, hence multi-use definitions are out-of-place.
 
-    Live ranges run over op steps followed by one fold step per output row;
-    every storage is dead again before the next channel reuses the pool.
-    Coloring is greedy largest-degree-first on the interference graph.
+    After addressing and the backward widening, one walk over the ops in
+    step order allocates: each operand read takes its value's next copy and
+    ends that storage's live range at the current step; an out-of-place op
+    then opens one storage per use, while an in-place op keeps the b copy it
+    just read. The folds read the same way, one step per output row after
+    the last op, so every storage is dead again before the next channel
+    reuses the pool. Coloring is greedy largest-degree-first on the
+    interference graph.
     """
     op_nodes = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
-    step = {n.id: i for i, n in enumerate(op_nodes)}
-    nsteps = len(op_nodes)
     is_value = {n.id: n.kind in (dfglib.ADD, dfglib.SUB) for n in g.nodes}
 
     addressing: dict[int, str] = {}
@@ -108,54 +112,40 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
             if is_value[b_op]:
                 req[b_op] = max(req[b_op], req[n.id])
 
-    # consumption order fixes which copy each consumer reads
-    inst_next: dict[int, int] = {}
-    claims: dict[tuple, tuple[int, int]] = {}
-
-    def claim(consumer_key, node_id):
-        idx = inst_next.get(node_id, 0)
-        inst_next[node_id] = idx + 1
-        claims[consumer_key] = (node_id, idx)
-
-    for n in op_nodes:
-        if is_value[n.lhs]:
-            claim((n.id, "lhs"), n.lhs)
-        if is_value[n.rhs]:
-            claim((n.id, "rhs"), n.rhs)
-    tags = g.row_tags()
-    for r, (node_id, _sign) in enumerate(tags):
-        if is_value[node_id]:
-            claim(("fold", r), node_id)
-
     storages: list[_Storage] = []
-    storage_of: dict[tuple[int, int], int] = {}
+    copies: dict[int, Iterator[int]] = {}   # value node -> its unread copies
 
-    def touch(consumer_key, t):
-        node_id, idx = claims[consumer_key]
-        s = storages[storage_of[(node_id, idx)]]
-        s.death = max(s.death, t)
-        return s.sid
+    def use(node_id, t):
+        """Operand descriptor of the next read of `node_id`, at step `t`."""
+        node = g.nodes[node_id]
+        if node.kind == dfglib.ZERO:
+            return None
+        if node.kind == dfglib.INPUT:
+            return ["in", node.slot]
+        sid = next(copies[node_id])
+        storages[sid].death = t
+        return ["val", sid]
 
-    for n in op_nodes:
-        t = step[n.id]
-        if is_value[n.lhs]:
-            touch((n.id, "lhs"), t)
-        if is_value[n.rhs]:
-            touch((n.id, "rhs"), t)
-        if addressing[n.id] == isa.OUT_OF_PLACE:
-            for i in range(max(n.use_count, 1)):
-                s = _Storage(len(storages), t, t, req[n.id])
-                storages.append(s)
-                storage_of[(n.id, i)] = s.sid
+    macros: list[dict] = []
+    for t, n in enumerate(op_nodes):
+        lhs_d, rhs_d = use(n.lhs, t), use(n.rhs, t)
+        b_d, a_d = (lhs_d, rhs_d) if b_is_lhs[n.id] else (rhs_d, lhs_d)
+        if addressing[n.id] == isa.IN_PLACE:
+            dest = [b_d[1]]
         else:
-            b_key = (n.id, "lhs" if b_is_lhs[n.id] else "rhs")
-            sid = storage_of[claims[b_key]]
-            storage_of[(n.id, 0)] = sid
-    for r, (node_id, _sign) in enumerate(tags):
-        if is_value[node_id]:
-            touch(("fold", r), nsteps + r)
+            dest = list(range(len(storages),
+                              len(storages) + max(n.use_count, 1)))
+            storages.extend(_Storage(sid, t, t, req[n.id]) for sid in dest)
+        copies[n.id] = iter(dest)
+        macros.append({
+            "node": n.id, "op": n.kind, "mode": addressing[n.id],
+            "m": storages[dest[0]].width, "a": a_d, "b": b_d, "dest": dest,
+        })
+    folds = [(r, use(node_id, len(op_nodes) + r), sign)
+             for r, (node_id, sign) in enumerate(g.row_tags())]
 
-    # interference coloring; storage count is small, quadratic is fine
+    # interference coloring, quadratic in the storage count: on a 4x64x0.7
+    # network over 96 columns this pair loop is the largest compile cost
     n_st = len(storages)
     adj = [set() for _ in range(n_st)]
     for i in range(n_st):
@@ -172,38 +162,6 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
             c += 1
         storages[i].color = c
     n_colors = 1 + max((s.color for s in storages), default=-1)
-
-    def operand_desc(node_id, consumer_key):
-        node = g.nodes[node_id]
-        if node.kind == dfglib.INPUT:
-            return ["in", node.slot]
-        return ["val", storage_of[claims[consumer_key]]]
-
-    macros: list[dict] = []
-    for n in op_nodes:
-        lhs_d = operand_desc(n.lhs, (n.id, "lhs"))
-        rhs_d = operand_desc(n.rhs, (n.id, "rhs"))
-        b_d, a_d = (lhs_d, rhs_d) if b_is_lhs[n.id] else (rhs_d, lhs_d)
-        if addressing[n.id] == isa.IN_PLACE:
-            width = storages[storage_of[(n.id, 0)]].width
-            dest = [storage_of[(n.id, 0)]]
-        else:
-            width = req[n.id]
-            dest = [storage_of[(n.id, i)] for i in range(max(n.use_count, 1))]
-        macros.append({
-            "node": n.id, "op": n.kind, "mode": addressing[n.id],
-            "m": width, "a": a_d, "b": b_d, "dest": dest,
-        })
-
-    folds: list[tuple] = []
-    for r, (node_id, sign) in enumerate(tags):
-        node = g.nodes[node_id]
-        if node.kind == dfglib.ZERO:
-            folds.append((r, None, sign))
-        elif node.kind == dfglib.INPUT:
-            folds.append((r, ["in", node.slot], sign))
-        else:
-            folds.append((r, ["val", storage_of[claims[("fold", r)]]], sign))
     return ChannelPlan(g, storages, n_colors, macros, folds)
 
 
@@ -404,15 +362,15 @@ def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[MacroItem]:
 
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
-    groups = place_layer(shape, in_bits, geometry)["channel_groups"]
-    tiles, systems, ops_cse = plan_conv_layer(layer.weights, shape, in_bits,
-                                              geometry, opt)
-    lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
-                   tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
-                          for t in tiles],
-                   streams=[[_stream(t, group, in_bits) for group in groups]
-                            for t in tiles])
     try:
+        groups = place_layer(shape, in_bits, geometry)["channel_groups"]
+        tiles, systems, ops_cse = plan_conv_layer(layer.weights, shape,
+                                                  in_bits, geometry, opt)
+        lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
+                       tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
+                              for t in tiles],
+                       streams=[[_stream(t, group, in_bits) for group in groups]
+                                for t in tiles])
         placed = fit_layer(lp, geometry)
     except CapacityError as exc:
         raise CapacityError(f"layer {idx}: {exc}") from exc

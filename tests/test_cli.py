@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tapc import cli
+from tapc import cli, isa
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_network,
                         save_feature_map, save_network)
@@ -171,6 +171,22 @@ def test_lut_check_filters_by_op(capsys):
     assert code == 0
     assert "sub in_place" in out and "sub out_of_place" in out
     assert "add in_place" not in out
+
+
+def test_lut_check_reports_the_repair_a_fresh_derivation_gives(capsys):
+    code, out, _ = run_cli(capsys, "lut", "check")
+    assert code == 0
+    for (op, mode), table in sorted(isa.builtin_luts().items()):
+        check = isa.validate_lut(table)
+        if check.ok:
+            continue
+        fixed = isa.derive_lut(op, mode)
+        keys = sorted(k for k in table.entries
+                      if (table.entries[k].write, table.entries[k].pass_index)
+                      != (fixed.entries[k].write, fixed.entries[k].pass_index))
+        assert (f"BROKEN: {table.name} fails on {len(check.counterexamples)} "
+                f"states; repair touches keys {keys}\nrepaired table:\n"
+                f"{isa.format_lut(fixed)}") in out
 
 
 def test_lut_derive(capsys):
@@ -343,6 +359,53 @@ def test_a_network_without_layers_is_a_format_error(tmp_path, capsys):
                                "--out-dir", str(tmp_path))
         assert code == 4 and "has no layers" in err, command
     assert not (tmp_path / "program.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--rows", "abc"), ("bogus",), ("lut", "check", "--op", "mul"),
+    ("compile", "--no-such-flag"), (),
+])
+def test_usage_errors_exit_4(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4 and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "run", "--help")
+    assert code == 0 and "--seed" in out
+
+
+@pytest.mark.parametrize("source", ["synthetic", "program"])
+def test_a_negative_seed_is_a_usage_error(source, compiled_program, tmp_path,
+                                          capsys):
+    if source == "program":
+        (tmp_path / "program.json").write_text(compiled_program)
+        argv = ("--program", str(tmp_path / "program.json"))
+    else:
+        argv = ("--synthetic", "1x4x0.8", "--input-hw", "6x6")
+    code, _, err = run_cli(capsys, "run", *argv, "--seed", "-1",
+                           "--out-dir", str(tmp_path))
+    assert code == 4
+    assert "argument --seed" in err and "bad --synthetic spec" not in err
+
+
+@pytest.mark.parametrize("spec, bits, message", [
+    ("2x0x0.5", "4", "at least 1 channel"), ("1x0x0.5", "4", "at least 1 channel"),
+    ("1x4x0.5", "-2", "activation_bits"),
+])
+def test_degenerate_synthetic_networks_are_format_errors(spec, bits, message,
+                                                         tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--synthetic", spec, "--bits", bits,
+                           "--out-dir", str(tmp_path))
+    assert code == 4 and err.startswith("format:") and message in err
+
+
+@pytest.mark.parametrize("flag, value", [("--domains", "3"), ("--cols", "12")])
+def test_capacity_errors_name_their_layer(flag, value, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "compile", "--synthetic", "2x4x0.5",
+                           flag, value, "--out-dir", str(tmp_path))
+    assert code == 3
+    assert err.startswith("capacity: layer 0: ")
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import system_for, ternary_matrix
 from tapc import dfg as dfglib
@@ -121,6 +123,164 @@ def test_multi_use_values_get_one_copy_per_consumer():
     # the single-tag chain op burns one of t's copies in place
     assert by_node[chain]["mode"] == isa.IN_PLACE
     assert by_node[chain]["dest"][0] in by_node[t]["dest"]
+
+
+def _reference_allocate(g):
+    """The three-walk allocation the single pass replaced, kept as its oracle:
+    claim every copy by consumer, then walk again for the storage lifetimes,
+    then once more after coloring for the operand descriptors.
+
+    Decide addressing, claim value instances and color their live ranges.
+
+    Values used k times are defined into k columns by one tagged write and
+    each consumer burns its own copy; in-place results are only staged over
+    an operand copy that dies at that op (inputs never qualify: their tail
+    domains belong to other channels, and subtraction additionally pins the
+    minuend as the destination). Copies for NC-row safety must come from
+    pre-cleared columns, hence multi-use definitions are out-of-place.
+
+    Live ranges run over op steps followed by one fold step per output row;
+    every storage is dead again before the next channel reuses the pool.
+    Coloring is greedy largest-degree-first on the interference graph.
+    """
+    op_nodes = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
+    step = {n.id: i for i, n in enumerate(op_nodes)}
+    nsteps = len(op_nodes)
+    is_value = {n.id: n.kind in (dfglib.ADD, dfglib.SUB) for n in g.nodes}
+
+    addressing: dict[int, str] = {}
+    b_is_lhs: dict[int, bool] = {}
+    for n in op_nodes:
+        k_res = max(n.use_count, 1)
+        v_lhs, v_rhs = is_value[n.lhs], is_value[n.rhs]
+        if k_res == 1 and (v_lhs or (n.kind == dfglib.ADD and v_rhs)):
+            addressing[n.id] = isa.IN_PLACE
+            b_is_lhs[n.id] = v_lhs
+        else:
+            addressing[n.id] = isa.OUT_OF_PLACE
+            b_is_lhs[n.id] = True
+
+    # widen definitions so every in-place destination is stored at op width
+    req = {n.id: n.width for n in op_nodes}
+    for n in reversed(op_nodes):
+        if addressing[n.id] == isa.IN_PLACE:
+            b_op = n.lhs if b_is_lhs[n.id] else n.rhs
+            if is_value[b_op]:
+                req[b_op] = max(req[b_op], req[n.id])
+
+    # consumption order fixes which copy each consumer reads
+    inst_next: dict[int, int] = {}
+    claims: dict[tuple, tuple[int, int]] = {}
+
+    def claim(consumer_key, node_id):
+        idx = inst_next.get(node_id, 0)
+        inst_next[node_id] = idx + 1
+        claims[consumer_key] = (node_id, idx)
+
+    for n in op_nodes:
+        if is_value[n.lhs]:
+            claim((n.id, "lhs"), n.lhs)
+        if is_value[n.rhs]:
+            claim((n.id, "rhs"), n.rhs)
+    tags = g.row_tags()
+    for r, (node_id, _sign) in enumerate(tags):
+        if is_value[node_id]:
+            claim(("fold", r), node_id)
+
+    storages: list[scheduler._Storage] = []
+    storage_of: dict[tuple[int, int], int] = {}
+
+    def touch(consumer_key, t):
+        node_id, idx = claims[consumer_key]
+        s = storages[storage_of[(node_id, idx)]]
+        s.death = max(s.death, t)
+        return s.sid
+
+    for n in op_nodes:
+        t = step[n.id]
+        if is_value[n.lhs]:
+            touch((n.id, "lhs"), t)
+        if is_value[n.rhs]:
+            touch((n.id, "rhs"), t)
+        if addressing[n.id] == isa.OUT_OF_PLACE:
+            for i in range(max(n.use_count, 1)):
+                s = scheduler._Storage(len(storages), t, t, req[n.id])
+                storages.append(s)
+                storage_of[(n.id, i)] = s.sid
+        else:
+            b_key = (n.id, "lhs" if b_is_lhs[n.id] else "rhs")
+            sid = storage_of[claims[b_key]]
+            storage_of[(n.id, 0)] = sid
+    for r, (node_id, _sign) in enumerate(tags):
+        if is_value[node_id]:
+            touch(("fold", r), nsteps + r)
+
+    # interference coloring, quadratic in the storage count
+    n_st = len(storages)
+    adj = [set() for _ in range(n_st)]
+    for i in range(n_st):
+        for j in range(i + 1, n_st):
+            a, b = storages[i], storages[j]
+            if a.birth <= b.death and b.birth <= a.death:
+                adj[i].add(j)
+                adj[j].add(i)
+    order = sorted(range(n_st), key=lambda i: (-len(adj[i]), i))
+    for i in order:
+        used = {storages[j].color for j in adj[i]}
+        c = 0
+        while c in used:
+            c += 1
+        storages[i].color = c
+    n_colors = 1 + max((s.color for s in storages), default=-1)
+
+    def operand_desc(node_id, consumer_key):
+        node = g.nodes[node_id]
+        if node.kind == dfglib.INPUT:
+            return ["in", node.slot]
+        return ["val", storage_of[claims[consumer_key]]]
+
+    macros: list[dict] = []
+    for n in op_nodes:
+        lhs_d = operand_desc(n.lhs, (n.id, "lhs"))
+        rhs_d = operand_desc(n.rhs, (n.id, "rhs"))
+        b_d, a_d = (lhs_d, rhs_d) if b_is_lhs[n.id] else (rhs_d, lhs_d)
+        if addressing[n.id] == isa.IN_PLACE:
+            width = storages[storage_of[(n.id, 0)]].width
+            dest = [storage_of[(n.id, 0)]]
+        else:
+            width = req[n.id]
+            dest = [storage_of[(n.id, i)] for i in range(max(n.use_count, 1))]
+        macros.append({
+            "node": n.id, "op": n.kind, "mode": addressing[n.id],
+            "m": width, "a": a_d, "b": b_d, "dest": dest,
+        })
+
+    folds: list[tuple] = []
+    for r, (node_id, sign) in enumerate(tags):
+        node = g.nodes[node_id]
+        if node.kind == dfglib.ZERO:
+            folds.append((r, None, sign))
+        elif node.kind == dfglib.INPUT:
+            folds.append((r, ["in", node.slot], sign))
+        else:
+            folds.append((r, ["val", storage_of[claims[("fold", r)]]], sign))
+    return scheduler.ChannelPlan(g, storages, n_colors, macros, folds)
+
+@given(st.integers(1, 40), st.integers(1, 12), st.floats(0.1, 0.9),
+       st.integers(0, 2**32 - 1), st.sampled_from(scheduler.OPT_LEVELS),
+       st.integers(1, 8))
+def test_single_pass_allocation_matches_the_three_walk_reference(
+        rows, slots, density, seed, opt, bits):
+    g = dfglib.build_dfg(system_for(ternary_matrix(rows, slots, 1 - density,
+                                                   seed)))
+    if opt == "unroll_cse":
+        g = dfglib.eliminate_common_subexpressions(g)
+    g = dfglib.annotate_bitwidths(g, bits)
+    plan, want = allocate_columns(g), _reference_allocate(g)
+    assert plan.macros == want.macros
+    assert plan.folds == want.folds
+    assert plan.n_colors == want.n_colors
+    assert plan.storages == want.storages
 
 
 # --- placement and tiling -------------------------------------------------
