@@ -79,10 +79,6 @@ class TernaryWeights:
     def shape(self):
         return self.data.shape
 
-    def sparsity(self) -> float:
-        """Fraction of zero entries."""
-        return float(np.count_nonzero(self.data == 0)) / self.data.size
-
 
 @dataclass(frozen=True)
 class QuantSpec:
@@ -301,6 +297,12 @@ def save_network(net: TernaryNetwork, manifest_path, weights_path):
         fh.write(bytes(blob))
 
 
+# the integer fields of a manifest's layer record, besides skip_from
+_MANIFEST_INTS = ("c_in", "c_out", "f_h", "f_w", "stride", "pad",
+                  "activation_bits", "requant_multiplier", "requant_shift",
+                  "weight_offset", "weight_len")
+
+
 def load_network(manifest_path, weights_path) -> TernaryNetwork:
     """Parse a manifest and its weight blob into a validated TernaryNetwork."""
     try:
@@ -322,16 +324,18 @@ def load_network(manifest_path, weights_path) -> TernaryNetwork:
     for i, rec in enumerate(manifest.get("layers", [])):
         try:
             kind = rec["type"]
-            c_in, c_out = int(rec["c_in"]), int(rec["c_out"])
-            f_h, f_w = int(rec["f_h"]), int(rec["f_w"])
-            stride, pad = int(rec["stride"]), int(rec["pad"])
-            quant = QuantSpec(int(rec["activation_bits"]),
-                              int(rec["requant_multiplier"]),
-                              int(rec["requant_shift"]),
-                              rec.get("activation_kind", "relu_clamp"))
-            offset, length = int(rec["weight_offset"]), int(rec["weight_len"])
-        except (KeyError, TypeError, ValueError) as exc:
+            c_in, c_out, f_h, f_w, stride, pad, bits, mult, shift, offset, \
+                length = (rec[name] for name in _MANIFEST_INTS)
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"layer {i}: bad record ({exc})") from exc
+        skip = rec.get("skip_from")     # absent or null: two layers back
+        names = _MANIFEST_INTS + (() if skip is None else ("skip_from",))
+        for name in names:
+            if type(rec[name]) is not int:  # a bool or a float is not an int
+                raise FormatError(f"layer {i}: {name} must be an integer, "
+                                  f"got {rec[name]!r}")
+        quant = QuantSpec(bits, mult, shift,
+                          rec.get("activation_kind", "relu_clamp"))
         weights = None
         if kind == "conv":
             expect = c_out * c_in * f_h * f_w
@@ -342,7 +346,7 @@ def load_network(manifest_path, weights_path) -> TernaryNetwork:
             raw = np.frombuffer(blob, dtype=np.int8, count=length, offset=offset)
             weights = TernaryWeights(raw.reshape(c_out, c_in, f_h, f_w))
         layers.append(Layer(kind, c_in, c_out, f_h, f_w, stride, pad, quant,
-                            weights, rec.get("skip_from")))
+                            weights, skip))
     return TernaryNetwork(str(manifest.get("name", "unnamed")), layers)
 
 

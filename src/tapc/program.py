@@ -4,13 +4,15 @@ its one checking loader.
 A program stores only the compiler's decisions. Per conv layer these are
 the shape and requantization, per output tile its channel range,
 accumulator interval and value-pool layout (`Tile`), and per (tile, channel
-group) one item stream that every row group runs. What follows from them
-is derived here and nowhere else: the placement (`place_layer`), whether it
-fits the geometry (`fit_layer`), a tile's columns (`Tile`), the AP of each
-(row group, tile, channel group) (`ap_id`), the adder tree over channel
-groups (`adder_tree`, `merge_adds`), a stored item's macro and energy phase
-(`macro_of`) and the add/sub counts (`macro_counts`). A layer's number is
-its position in `layers`.
+group) one item stream that every row group runs, one item list per channel
+of the group. An item stores its op, width and the columns it reads and
+writes. What follows from them is derived here and nowhere else: the
+placement (`place_layer`), whether it fits the geometry (`fit_layer`), a
+tile's columns (`Tile`), the AP of each (row group, tile, channel group)
+(`ap_id`), the adder tree over channel groups (`adder_tree`, `merge_adds`),
+each item's macro and energy phase, with the domains, width and signedness
+of its operands (`stream_macros`), and the add/sub counts (`macro_counts`).
+A layer's number is its position in `layers`.
 
 Every class holds exactly the fields of its JSON object and every item is a
 named tuple, which `json` writes as an array, so one `default=` hook encodes
@@ -32,7 +34,7 @@ from . import isa
 from .errors import CapacityError, FormatError
 from .model import LayerShape, QuantSpec
 
-PROGRAM_VERSION = 3
+PROGRAM_VERSION = 4
 OPT_LEVELS = ("unroll", "unroll_cse")
 
 
@@ -79,25 +81,16 @@ class ApGeometry:
 # the typed program
 # ---------------------------------------------------------------------------
 
-class Ref(NamedTuple):
-    """Where an operand lives: column, first domain, stored width, and 1 for
-    a signed value or 0 for an unsigned activation."""
-
-    col: int
-    base: int
-    width: int
-    signed: int
-
-
 class MacroItem(NamedTuple):
-    """An m-bit add or sub. Out of place the result lands in the `dest`
-    columns; in place `dest` is empty and the result overwrites b."""
+    """An m-bit add or sub of the columns a and b. Out of place the result
+    lands in the `dest` columns; in place `dest` is empty and the result
+    overwrites b. How each operand is read follows from its column
+    (`stream_macros`)."""
 
     op: str
-    mode: str
     m: int
-    a: Ref
-    b: Ref
+    a: int
+    b: int
     dest: tuple[int, ...]
 
 
@@ -178,7 +171,8 @@ class ConvLayer(_Requantized):
     w_in: int
     in_bits: int
     tiles: list[Tile]
-    streams: list[list[list[MacroItem]]]    # [tile][channel group]
+    # [tile][channel group][channel of the group]
+    streams: list[list[list[list[MacroItem]]]]
     kind: str = "conv"
 
     @property
@@ -280,7 +274,8 @@ def fit_layer(lp: ConvLayer, geometry: ApGeometry) -> dict:
             f"needs {n_aps} APs ({n_rows} row groups x {len(lp.tiles)} tiles "
             f"x {n_groups} channel groups), geometry has {geometry.total_aps}")
     for tile, row in zip(lp.tiles, lp.streams):
-        value_w = max((item.m for items in row for item in items), default=0)
+        value_w = max((item.m for channels in row for items in channels
+                       for item in items), default=0)
         for what, width in (("accumulator", tile.acc_width),
                             ("value", value_w)):
             if width > geometry.domains_per_track:
@@ -325,37 +320,85 @@ def adder_tree(lp: ConvLayer,
             for pairs in schedule_accumulation(n_groups)]
 
 
-def merge_adds(tile: Tile) -> list[MacroItem]:
+def merge_adds(tile: Tile) -> list[isa.MacroInstr]:
     """The adds of one merge on `tile`, one per accumulator column b. Before
     each, the b column of the source AP moves into the scratch column a of
     the destination AP; the add then folds it into b in place."""
     w = tile.acc_width
-    scratch = Ref(tile.scratch, 0, w, 1)
-    return [MacroItem(isa.ADD, isa.IN_PLACE, w, scratch, Ref(col, 0, w, 1), ())
+    scratch = isa.OperandRef(tile.scratch, 0, w, True)
+    return [isa.MacroInstr(isa.ADD, isa.IN_PLACE, False, w, scratch,
+                           isa.OperandRef(col, 0, w, True), (), 0, tile.carry,
+                           tile.zero)
             for col in range(tile.acc0, tile.carry)]
 
 
-def macro_of(item: MacroItem, tile: Tile) -> tuple[isa.MacroInstr, str]:
-    """The macro and energy phase of a stored item on one of `tile`'s APs.
-    The macro uses the tile's carry and zero columns; it belongs to the
-    "accum" phase when it writes an accumulator column (b in place, the
-    first result column otherwise)."""
-    op, mode, m, a, b, dest = item
-    macro = isa.MacroInstr(op, mode, False, m, isa.OperandRef(*a),
-                           isa.OperandRef(*b), dest, 0, tile.carry, tile.zero)
-    written = dest[0] if dest else b.col
-    phase = "accum" if tile.acc0 <= written < tile.carry else "dfg"
-    return macro, phase
+def stream_macros(channels: list[list[MacroItem]], tile: Tile,
+                  in_bits: int) -> list[tuple[isa.MacroInstr, str]]:
+    """The macros and energy phases of one (tile, channel group) stream,
+    whose list i holds the items of the group's channel i, in stream order.
+
+    Each operand reads its column as the column holds its data: a patch slot
+    as channel i's unsigned `in_bits`-bit activation, the zero column as one
+    unsigned bit, and a value-pool or accumulator column signed from domain
+    0 at the width of its last write in the stream. A macro uses the tile's
+    carry and zero columns, and belongs to the "accum" phase when it writes
+    an accumulator, else to "dfg". Raises FormatError on a read of any other
+    column or of a column not yet written, a write outside the value pool
+    and accumulators, an accumulator written at other than the accumulator
+    width, an in-place item whose width is not b's, and a stream that
+    leaves an accumulator unwritten.
+    """
+    value0, acc0, end, acc_w = tile.value0, tile.acc0, tile.carry, tile.acc_width
+    zero = isa.OperandRef(tile.zero, 0, 1, False)
+    width_of: dict[int, int] = {}    # column -> width of its last write
+    macros = []
+
+    def read(col, i, j):
+        if 0 <= col < value0:
+            return isa.OperandRef(col, i * in_bits, in_bits, False)
+        if col == zero.col:
+            return zero
+        if col in width_of:
+            return isa.OperandRef(col, 0, width_of[col], True)
+        what = "before writing it" if value0 <= col < end else \
+            "outside the slots, value pool, accumulators and zero column"
+        raise FormatError(f"channel {i} item {j} reads column {col} {what}")
+
+    for i, items in enumerate(channels):
+        for j, (op, m, a, b, dest) in enumerate(items):
+            a_ref, b_ref = read(a, i, j), read(b, i, j)
+            written = dest or (b,)
+            for col in written:
+                if not value0 <= col < end:
+                    raise FormatError(f"channel {i} item {j} writes column "
+                                      f"{col}, outside the value pool and "
+                                      f"accumulators")
+                if col >= acc0 and m != acc_w:
+                    raise FormatError(f"channel {i} item {j} writes a "
+                                      f"{acc_w}-bit accumulator at {m} bits")
+            if not dest and b_ref.width != m:
+                raise FormatError(f"channel {i} item {j} stores a {m}-bit "
+                                  f"result over a {b_ref.width}-bit b")
+            for col in written:
+                width_of[col] = m
+            macro = isa.MacroInstr(
+                op, isa.OUT_OF_PLACE if dest else isa.IN_PLACE, False, m,
+                a_ref, b_ref, dest, 0, tile.carry, tile.zero)
+            macros.append((macro, "accum" if written[0] >= acc0 else "dfg"))
+    for col in range(acc0, end):
+        if col not in width_of:
+            raise FormatError(f"accumulator column {col} is never written")
+    return macros
 
 
 def macro_counts(lp: ConvLayer, geometry: ApGeometry) -> tuple[int, int]:
     """Add and sub macros one conv layer issues: each row group runs every
     stream once, and each tree merge runs its adds once."""
     row_groups = place_layer(lp.shape, lp.in_bits, geometry)["row_groups"]
-    ops = [item.op for row in lp.streams for items in row
-           for item in items] * row_groups
-    ops += [item.op for level in adder_tree(lp, geometry)
-            for _dst, _src, og in level for item in merge_adds(lp.tiles[og])]
+    ops = [item.op for row in lp.streams for channels in row
+           for items in channels for item in items] * row_groups
+    ops += [macro.op_kind for level in adder_tree(lp, geometry)
+            for _dst, _src, og in level for macro in merge_adds(lp.tiles[og])]
     return ops.count(isa.ADD), ops.count(isa.SUB)
 
 
@@ -367,21 +410,24 @@ _PLAIN_LUTS = [(op, mode) for op in (isa.ADD, isa.SUB)
                for mode in (isa.IN_PLACE, isa.OUT_OF_PLACE)]
 
 
-def _check(ok, where: str, what: str):
+def _check(ok, where: str, what: str, *args):
+    """Raise FormatError `where: what` unless `ok`. The message is formatted
+    with `args` (`str.format`) only then, so a passing check costs no repr."""
     if not ok:
-        raise FormatError(f"{where}: {what}")
+        raise FormatError(f"{where}: {what.format(*args)}")
 
 
 def _int(v, where: str, lo=-math.inf, hi=math.inf) -> int:
     """`v` as an int in [lo, hi]; a bool or a float is not an int here."""
-    _check(type(v) is int, where, f"expected an integer, got {v!r}")
-    _check(lo <= v <= hi, where, f"{v} outside [{lo}, {hi}]")
+    _check(type(v) is int, where, "expected an integer, got {!r}", v)
+    _check(lo <= v <= hi, where, "{} outside [{}, {}]", v, lo, hi)
     return v
 
 
 def _list(v, where: str, n: int | None = None) -> list:
-    _check(type(v) is list, where, f"expected a list, got {v!r}")
-    _check(n is None or len(v) == n, where, f"expected {n} entries, got {len(v)}")
+    _check(type(v) is list, where, "expected a list, got {!r}", v)
+    _check(n is None or len(v) == n, where, "expected {} entries, got {}", n,
+           len(v))
     return v
 
 
@@ -394,15 +440,15 @@ _JSON_TYPES = {"int": (int,), "str": (str,), "float": (int, float),
 def checked_fields(v, cls, where: str) -> dict:
     """`v` as an object with exactly the fields of `cls`, each annotated
     int, str, float, list or dict one of that JSON type."""
-    _check(type(v) is dict, where, f"expected an object, got {v!r}")
+    _check(type(v) is dict, where, "expected an object, got {!r}", v)
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(v)), sorted(set(v) - names)
-    _check(not missing, where, f"missing fields {missing}")
-    _check(not extra, where, f"unknown fields {extra}")
+    _check(not missing, where, "missing fields {}", missing)
+    _check(not extra, where, "unknown fields {}", extra)
     for f in fields(cls):
         want = _JSON_TYPES.get(f.type.split("[")[0])
         _check(want is None or type(v[f.name]) in want, where,
-               f"{f.name} must be {f.type}, got {v[f.name]!r}")
+               "{} must be {}, got {!r}", f.name, f.type, v[f.name])
     return v
 
 
@@ -415,7 +461,7 @@ def _load(doc) -> ApProgram:
                                       "geometry"))
     prog = ApProgram(**{**doc, "geometry": geo, "luts": _luts(doc["luts"]),
                         "layers": []})
-    _check(prog.opt in OPT_LEVELS, "program", f"unknown opt level {prog.opt!r}")
+    _check(prog.opt in OPT_LEVELS, "program", "unknown opt level {!r}", prog.opt)
     _int(prog.in_bits, "in_bits", 1, 16)
     for name in ("in_c", "in_h", "in_w"):
         _int(getattr(prog, name), name, 1)
@@ -428,7 +474,7 @@ def _load(doc) -> ApProgram:
         where = f"layer {idx}"
         kind = ld.get("kind") if type(ld) is dict else None
         cls = _LAYERS.get(kind) if type(kind) is str else None
-        _check(cls, where, f"unknown kind {kind!r}")
+        _check(cls, where, "unknown kind {!r}", kind)
         layer = cls(**checked_fields(ld, cls, where))
         if cls is PoolLayer:
             c, h, w = cur
@@ -439,7 +485,8 @@ def _load(doc) -> ApProgram:
             skip = _int(layer.skip_from, f"{where} skip_from", -1, idx - 1)
             other = (prog.in_c, prog.in_h, prog.in_w) if skip == -1 \
                 else out_shapes[skip]
-            _check(other == cur, where, f"add operands differ {cur} vs {other}")
+            _check(other == cur, where, "add operands differ {} vs {}", cur,
+                   other)
         else:
             try:
                 cur = _conv(layer, where, cur, bits, geo)
@@ -465,8 +512,8 @@ def _luts(v) -> list[isa.LutTable]:
             write = tuple(_int(x, where, 0, 1) for x in _list(write, where, 2))
             entries[key] = isa.LutEntry(key, write, _int(pidx, where, 0))
         table = isa.LutTable(d["op"], d["addressing"], False, entries)
-        _check(isa.validate_lut(table).ok, where,
-               f"{table.name} table fails validation")
+        _check(isa.validate_lut(table).ok, where, "{} table fails validation",
+               table.name)
         tables.append(table)
     _check(sorted((t.op_kind, t.addressing) for t in tables) == _PLAIN_LUTS,
            "luts", "not exactly the four plain tables")
@@ -479,9 +526,8 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
     lists by typed ones and return its output shape. A layer that does not
     fit the geometry raises CapacityError."""
     _check((layer.c_in, layer.h_in, layer.w_in, layer.in_bits) == (*cur, bits),
-           where, f"expects {layer.c_in}x{layer.h_in}x{layer.w_in} at "
-                  f"{layer.in_bits} bits, gets {'x'.join(map(str, cur))} at "
-                  f"{bits}")
+           where, "expects {}x{}x{} at {} bits, gets {}x{}x{} at {}",
+           layer.c_in, layer.h_in, layer.w_in, layer.in_bits, *cur, bits)
     shape = layer.shape
     groups = place_layer(shape, layer.in_bits, geo)["channel_groups"]
 
@@ -493,17 +539,17 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
         _check(t.c_lo == c_hi < t.c_hi, at, "tiles do not partition c_out")
         c_hi = t.c_hi
         _check(t.value0 == shape.f_h * shape.f_w, at,
-               f"value0 {t.value0} is not the {shape.f_h * shape.f_w} "
-               f"patch slots")
+               "value0 {} is not the {} patch slots", t.value0,
+               shape.f_h * shape.f_w)
         _int(t.n_value_cols, f"{at} n_value_cols", 0)
         _check(t.columns_used <= geo.columns, at,
-               f"needs {t.columns_used} columns, geometry has {geo.columns}")
+               "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
     layer.streams = [
-        [_stream(items, geo, tile, layer.in_bits, len(groups[cg]),
+        [_stream(channels, geo, tile, layer.in_bits, len(groups[cg]),
                  f"{where} stream {og}/{cg}")
-         for cg, items in enumerate(_list(row, where, len(groups)))]
+         for cg, channels in enumerate(_list(row, where, len(groups)))]
         for og, (tile, row) in enumerate(zip(
             layer.tiles, _list(layer.streams, where, len(layer.tiles))))]
     fit_layer(layer, geo)
@@ -511,75 +557,23 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
 
 
 def _stream(v, geo: ApGeometry, tile: Tile, in_bits: int, n_channels: int,
-            where: str) -> list[MacroItem]:
-    """A stream's items, each reading its operands as their columns hold
-    them: a patch slot as one of the group's unsigned `in_bits`-bit
-    channels, the zero column as one unsigned bit, and a value-pool or
-    accumulator column signed from domain 0, after an earlier item wrote it
-    and at the width of that write. Results go only to value-pool and
-    accumulator columns, accumulators at the accumulator width, and an
-    in-place result has the width of b. The stream writes every
-    accumulator."""
-    width_of: dict[int, int] = {}    # column -> width of its last write
-    items = []
-    for i, raw in enumerate(_list(v, where)):
-        at = f"{where} item {i}"
-        item = _macro(raw, geo, at)
-        written = item.dest or (item.b.col,)
-        _check(all(tile.value0 <= col < tile.carry for col in written), at,
-               "writes outside the value pool and accumulators")
-        _check(item.dest or item.b.width == item.m, at,
-               f"stores a {item.m}-bit result over a {item.b.width}-bit b")
-        for col, base, width, signed in (item.a, item.b):
-            if col < tile.value0:
-                _check(not signed and width == in_bits
-                       and base % in_bits == 0
-                       and base < n_channels * in_bits, at,
-                       f"reads slot {col} other than as one of its "
-                       f"{n_channels} unsigned {in_bits}-bit channels")
-            elif col >= tile.carry:
-                _check(col == tile.zero and (base, width, signed) == (0, 1, 0),
-                       at, "reads the carry or scratch column, or the zero "
-                           "column other than as one unsigned bit")
-            else:
-                what = "accumulator" if col >= tile.acc0 else "value"
-                _check(signed and base == 0, at,
-                       f"reads {what} column {col} other than signed from "
-                       f"domain 0")
-                _check(col in width_of, at,
-                       f"reads {what} column {col} before writing it")
-                _check(width_of[col] == width, at,
-                       f"reads a {width_of[col]}-bit {what} as {width} bits")
-        for col in written:
-            _check(col < tile.acc0 or item.m == tile.acc_width, at,
-                   f"writes a {tile.acc_width}-bit accumulator at {item.m} "
-                   f"bits")
-            width_of[col] = item.m
-        items.append(item)
-    _check(all(col in width_of for col in range(tile.acc0, tile.carry)), where,
-           "leaves an accumulator unwritten")
-    return items
+            where: str) -> list[list[MacroItem]]:
+    """A stream's item lists, one per channel of its group, after
+    `stream_macros` accepts them."""
+    channels = [[_item(raw, geo, f"{where} channel {i} item {j}")
+                 for j, raw in enumerate(_list(items, where))]
+                for i, items in enumerate(_list(v, where, n_channels))]
+    try:
+        stream_macros(channels, tile, in_bits)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    return channels
 
 
-def _ref(v, geo: ApGeometry, where: str) -> Ref:
-    """An operand whose domains [base, base + width) exist in the geometry."""
-    ref = Ref(*_list(v, where, 4))
-    _int(ref.col, f"{where} column", 0, geo.columns - 1)
-    _int(ref.width, f"{where} width", 1, geo.domains_per_track)
-    _int(ref.base, f"{where} base", 0, geo.domains_per_track - ref.width)
-    _int(ref.signed, f"{where} signed", 0, 1)
-    return ref
-
-
-def _macro(v, geo: ApGeometry, where: str) -> MacroItem:
-    op, mode, m, a, b, dest = _list(v, where, 6)
-    _check(op in (isa.ADD, isa.SUB) and mode in (isa.IN_PLACE, isa.OUT_OF_PLACE),
-           where, f"unknown macro {op!r} {mode!r}")
+def _item(v, geo: ApGeometry, where: str) -> MacroItem:
+    op, m, a, b, dest = _list(v, where, 5)
+    _check(op in (isa.ADD, isa.SUB), where, "unknown macro {!r}", op)
     _int(m, f"{where} width", 1, geo.domains_per_track)
-    for col in _list(dest, where):
-        _int(col, f"{where} result column", 0, geo.columns - 1)
-    _check(bool(dest) == (mode == isa.OUT_OF_PLACE), where,
-           "an out-of-place macro needs result columns, an in-place one has "
-           "none")
-    return MacroItem(op, mode, m, _ref(a, geo, where), _ref(b, geo, where),
-                     tuple(dest))
+    for col in (a, b, *_list(dest, where)):
+        _int(col, where)
+    return MacroItem(op, m, a, b, tuple(dest))

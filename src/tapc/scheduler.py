@@ -22,9 +22,11 @@ width, so definition widths are widened backward along in-place chains;
 all other reads sign-extend for free by clamping at their MSB.
 
 The result is the typed program of `tapc.program`, which holds only the
-decisions made here: the tiles and the item streams. It also owns the
-encoding, the loader and everything derived from the decisions, among
-them the placement, the capacity rule and the adder tree.
+decisions made here: the tiles and the item streams, one item list per
+channel, whose items name the columns they read and write. It also owns
+the encoding, the loader and everything derived from the decisions, among
+them the placement, the capacity rule, the adder tree and how each item
+reads its operands.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
 from .model import QuantSpec, TernaryNetwork, _input_bits
 from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
-                      MacroItem, PoolLayer, Ref, Tile, fit_layer, macro_counts,
+                      MacroItem, PoolLayer, Tile, fit_layer, macro_counts,
                       place_layer)
 
 
@@ -314,51 +316,49 @@ def _requant(quant: QuantSpec) -> dict:
             "shift": quant.requant_shift, "act_kind": quant.activation_kind}
 
 
-def _stream(tile: _TilePlan, group: list[int], in_bits: int) -> list[MacroItem]:
-    """Items of the APs holding `group`'s channels for `tile`: each channel's
-    DFG macros, then its folds into the accumulators. Every row group runs
-    the same stream."""
+def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
+    """Items of the APs holding `group`'s channels for `tile`, one list per
+    channel: its DFG macros, then its folds into the accumulators. Every row
+    group runs the same stream."""
     acc_w = tile.acc_width
-    zero_ref = Ref(tile.zero, 0, 1, 0)
 
-    def ref(desc, plan, ch_local):
+    def col(desc, plan):
         if desc[0] == "in":
-            return Ref(desc[1], ch_local * in_bits, in_bits, 0)
-        s = plan.storages[desc[1]]
-        return Ref(tile.value0 + s.color, 0, s.width, 1)
+            return desc[1]
+        return tile.value0 + plan.storages[desc[1]].color
 
-    items = []
+    channels = []
     # the first fold into each accumulator runs out of place over the zero
     # column: its per-bit pre-clear initializes the column, so reused arrays
     # never leak a stale accumulator
     seeded: set[int] = set()
-    for ch_local, ch in enumerate(group):
+    for ch in group:
         plan = tile.plans[ch]
+        items = []
         for mk in plan.macros:
             dest = ()
             if mk["mode"] == isa.OUT_OF_PLACE:
                 dest = tuple(tile.value0 + plan.storages[s].color
                              for s in mk["dest"])
-            items.append(MacroItem(mk["op"], mk["mode"], mk["m"],
-                                   ref(mk["a"], plan, ch_local),
-                                   ref(mk["b"], plan, ch_local), dest))
+            items.append(MacroItem(mk["op"], mk["m"], col(mk["a"], plan),
+                                   col(mk["b"], plan), dest))
         for r, desc, sign in plan.folds:
             if desc is None:
                 continue
-            a = ref(desc, plan, ch_local)
             op = isa.ADD if sign > 0 else isa.SUB
             if r in seeded:
-                items.append(MacroItem(op, isa.IN_PLACE, acc_w, a,
-                                       Ref(tile.acc0 + r, 0, acc_w, 1), ()))
+                items.append(MacroItem(op, acc_w, col(desc, plan),
+                                       tile.acc0 + r, ()))
             else:
-                items.append(MacroItem(op, isa.OUT_OF_PLACE, acc_w, a,
-                                       zero_ref, (tile.acc0 + r,)))
+                items.append(MacroItem(op, acc_w, col(desc, plan), tile.zero,
+                                       (tile.acc0 + r,)))
                 seeded.add(r)
-    for r in range(tile.c_hi - tile.c_lo):
-        if r not in seeded:
-            items.append(MacroItem(isa.ADD, isa.OUT_OF_PLACE, acc_w, zero_ref,
-                                   zero_ref, (tile.acc0 + r,)))
-    return items
+        channels.append(items)
+    # accumulators no channel folds into are seeded at the end
+    channels[-1] += [MacroItem(isa.ADD, acc_w, tile.zero, tile.zero,
+                               (tile.acc0 + r,))
+                     for r in range(tile.c_hi - tile.c_lo) if r not in seeded]
+    return channels
 
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
@@ -369,7 +369,7 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
         lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
                        tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
                               for t in tiles],
-                       streams=[[_stream(t, group, in_bits) for group in groups]
+                       streams=[[_stream(t, group) for group in groups]
                                 for t in tiles])
         placed = fit_layer(lp, geometry)
     except CapacityError as exc:

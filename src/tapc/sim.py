@@ -18,15 +18,16 @@ the reference the tests compare it against; no run takes it.
 The event log is columnar: an `EventLog` keeps four int64 words per event
 (kind code, bits, steps, cycles) and one place (ap, layer, phase, epoch) per
 run of events that share it. `tapc.metrics` folds the columns with numpy;
-indexing or iterating the log yields `Event`s.
+iterating the log yields `Event`s.
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
 decisions comes from there too: the placement (`place_layer`), the AP of
 each (row group, tile, channel group) (`ap_id`), the adder-tree merges
-(`adder_tree`, `merge_adds`) and each item's macro and energy phase
-(`macro_of`). A layer's number is its position in the program. A conv
-layer's streams are decoded once and replayed on every row group.
+(`adder_tree`, `merge_adds`) and the macros and energy phases of each
+stream, whose items store only columns (`stream_macros`). A layer's number
+is its position in the program. A conv layer's streams are decoded once and
+replayed on every row group.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -38,9 +39,7 @@ whole machine is deterministic, so do the energy figures.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
 from .program import (ApGeometry, ApProgram, ConvLayer, adder_tree, ap_id,
-                      macro_of, merge_adds, place_layer)
+                      merge_adds, place_layer, stream_macros)
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 SEARCH, WRITE, SHIFT, MOVE = range(len(EVENT_KINDS))
@@ -76,8 +75,7 @@ class EventLog:
     `data` holds four int64 words per event: kind code (an index into
     EVENT_KINDS), bits, steps, cycles. Each run of events at one place
     (ap, layer, phase, epoch) is a segment: segment i starts at event
-    `starts[i]` and sits at `places[i]`. Indexing and iteration yield
-    `Event`s.
+    `starts[i]` and sits at `places[i]`. Iteration yields `Event`s.
     """
 
     __slots__ = ("data", "starts", "places")
@@ -101,18 +99,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.data) >> 2
-
-    def __getitem__(self, i) -> Event:
-        n = len(self)
-        i = index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"event {i} of a {n}-event log")
-        ap, layer, phase, epoch = self.places[bisect_right(self.starts, i) - 1]
-        kind, bits, steps, cycles = self.data[4 * i:4 * i + 4]
-        return Event(EVENT_KINDS[kind], ap, layer, phase, epoch, bits, steps,
-                     cycles)
 
     def segments(self):
         """(place, records) per segment, the records as a flat array of four
@@ -481,7 +467,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     # per-AP channel DFGs and accumulator folds; every row group runs the
     # stream of its (tile, channel group)
     ep_work = epoch + 1
-    streams = [[[macro_of(item, tile) for item in items] for items in row]
+    streams = [[stream_macros(channels, tile, in_bits) for channels in row]
                for tile, row in zip(tiles, lp.streams)]
     for ap, _rg, og, cg in grid:
         for macro, phase in streams[og][cg]:
@@ -491,20 +477,20 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     # adder tree across channel groups: before each add, the source AP's
     # copy of its b column moves into the scratch column a
     ep_next = ep_work + 1
-    merges = [[(item.a.col, item.b.col, item.m, *macro_of(item, tile))
-               for item in merge_adds(tile)] for tile in tiles]
+    merges = [merge_adds(tile) for tile in tiles]
     for level in adder_tree(lp, geo):
         for dst, src, og in level:
             cam = state.ap(dst)
-            for scratch, col, w, macro, phase in merges[og]:
+            for macro in merges[og]:
+                scratch, col, w = macro.a.col, macro.b.col, macro.width
                 cam.track(scratch, 0, w)[:w] = \
                     state.ap(src).track(col, 0, w)[:w]
                 cam.writes[scratch] += w
                 state.events.at(dst, layer, "accum", ep_next).extend(
                     (MOVE, cam.rows * w, 0, w))
                 run_macro(state, dst, macro,
-                          luts[macro.op_kind, macro.addressing], layer, phase,
-                          ep_next)
+                          luts[macro.op_kind, macro.addressing], layer,
+                          "accum", ep_next)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller

@@ -146,6 +146,28 @@ def test_compile_rejects_layers_that_do_not_chain(layers, tmp_path, capsys):
     assert code == 4 and "format:" in err
 
 
+@pytest.mark.parametrize("layer, field, value", [
+    (0, "stride", 1.9), (0, "requant_shift", 2.5), (0, "activation_bits", "4"),
+    (0, "pad", "1"), (1, "skip_from", "0"), (1, "skip_from", 0.0),
+    (1, "skip_from", [0]),
+], ids=["float-stride", "fractional-shift", "string-activation_bits",
+        "string-pad", "string-skip_from", "float-skip_from", "list-skip_from"])
+def test_manifest_integer_fields_must_be_json_integers(layer, field, value,
+                                                       tmp_path, capsys):
+    net = TernaryNetwork("net", [_conv(3, 4, 0), Layer(
+        "add", 4, 4, 1, 1, 1, 0, QuantSpec(4, 1, 1), skip_from=0)])
+    save_network(net, tmp_path / "net.json", tmp_path / "net.bin")
+    doc = json.loads((tmp_path / "net.json").read_text())
+    doc["layers"][layer][field] = value
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify",
+                           "--model", str(tmp_path / "net.json"),
+                           "--weights", str(tmp_path / "net.bin"),
+                           "--input-hw", "6x6")
+    assert code == 4 and err.startswith("format:"), err
+    assert f"{field} must be an integer" in err
+
+
 def test_saved_network_files_feed_every_command(tmp_path, capsys):
     net = make_synthetic_network(1, 4, 0.75, bits=4, in_channels=2, seed=6)
     save_network(net, tmp_path / "net.json", tmp_path / "net.bin")
@@ -308,10 +330,10 @@ def test_run_artifacts_match_golden_hashes(name, tmp_path, capsys):
 
 # sha256 of program.json as `tapc compile` writes it for the golden runs
 GOLDEN_PROGRAMS = {
-    "default": "939dbdc33aa6d6e1f6bceea6bf318168"
-               "6401c164b9947afea232992d4a98caeb",
-    "tiled": "d4ae00086e9702468191819004161794"
-             "e4488a9f431049cc8fbbe29bcf4832e2",
+    "default": "8c4c0b63741e56f4fbb84179a50dace0"
+               "030644b99dc5eabe4ada6d627f38c2fc",
+    "tiled": "cd2c339c445328d213c05aa08e37e400"
+             "90ea0fbb195ba0697b6da8fa210c51df",
 }
 
 
@@ -336,7 +358,7 @@ def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):
     run_cli(capsys, "compile", "--synthetic", "1x4x0.8", "--input-hw", "6x6",
             "--out-dir", str(tmp_path))
     doc = json.loads((tmp_path / "program.json").read_text())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         doc["format_version"] = version
         (tmp_path / "old.json").write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "run",
@@ -420,8 +442,9 @@ def test_bad_geometry_and_energy_flags_exit_4(flag, value, tmp_path, capsys):
     assert code == 4 and "format:" in err
 
 
-def _first(items, mode):
-    return next(item for item in items if item[1] == mode)
+def _first(items, in_place):
+    """The first in-place (empty `dest`) or out-of-place item of `items`."""
+    return next(item for item in items if (not item[4]) == in_place)
 
 
 def _columns(doc):
@@ -433,43 +456,38 @@ def _columns(doc):
     return acc0, carry, carry + 1, carry + 2
 
 
-def _stream(d):
+def _channels(d):
+    """The per-channel item lists of the first stream."""
     return d["layers"][0]["streams"][0][0]
+
+
+def _items(d):
+    """The first stream's items of its first channel."""
+    return _channels(d)[0]
+
+
+def _stream(d):
+    """The first stream's items in stream order."""
+    return [item for items in _channels(d) for item in items]
 
 
 def _last_fold(d):
     """The last in-place fold into an accumulator of the first stream."""
     acc0 = _columns(d)[0]
     return next(item for item in reversed(_stream(d))
-                if item[1] == "in_place" and item[4][0] >= acc0)
-
-
-def _narrow(item):
-    """Run an in-place item at 3 bits over a 3-domain b."""
-    item[2] = item[4][2] = 3
-
-
-def _value_read(d):
-    """The first item of the first stream whose a operand is a value-pool
-    column."""
-    value0, acc0 = d["layers"][0]["tiles"][0]["value0"], _columns(d)[0]
-    return next(item for item in _stream(d) if value0 <= item[3][0] < acc0)
-
-
-def _slot_read(d):
-    """The first item of the first stream whose a operand is a patch slot."""
-    value0 = d["layers"][0]["tiles"][0]["value0"]
-    return next(item for item in _stream(d) if item[3][0] < value0)
-
-
-def _widen(ref):
-    ref[2] += 1
+                if not item[4] and item[3] >= acc0)
 
 
 def _drop_writes_of_acc0(d):
     """Leave the first stream without any write of its first accumulator."""
-    _stream(d)[:] = [item for item in _stream(d)
-                     if _columns(d)[0] not in (item[5] or [item[4][0]])]
+    for items in _channels(d):
+        items[:] = [item for item in items
+                    if _columns(d)[0] not in (item[4] or [item[3]])]
+
+
+def _as_format_3(item):
+    """Give an item format 3's mode field."""
+    item.insert(1, "out_of_place" if item[4] else "in_place")
 
 
 # single-field edits of a compiled program; 16 domains hold two 8-bit input
@@ -491,32 +509,25 @@ PROGRAM_EDITS = {
     "no-channel-groups": lambda d: d["layers"][0].update(channel_groups=[]),
     "rows-used": lambda d: d["layers"][0].update(rows_used=[35]),
     "value0": lambda d: d["layers"][0]["tiles"][0].update(value0=8),
-    "item-missing-field": lambda d: d["layers"][0]["streams"][0][0][0].pop(),
-    "zero-width-macro": lambda d: d["layers"][0]["streams"][0][0][0]
-    .__setitem__(2, 0),
-    "column-past-geometry": lambda d: d["layers"][0]["streams"][0][0][0][3]
-    .__setitem__(0, 256),
-    "out-of-place-without-result": lambda d: _first(
-        d["layers"][0]["streams"][0][0], "out_of_place").__setitem__(5, []),
-    "in-place-with-result": lambda d: _first(
-        d["layers"][0]["streams"][0][0], "in_place").__setitem__(5, [0]),
+    "item-missing-field": lambda d: _items(d)[0].pop(),
+    "format-3-item": lambda d: _as_format_3(_items(d)[0]),
+    "missing-channel-list": lambda d: _channels(d).pop(),
+    "zero-width-macro": lambda d: _items(d)[0].__setitem__(1, 0),
+    "column-past-geometry": lambda d: _items(d)[0].__setitem__(2, 256),
     "stored-tree": lambda d: d["layers"][0].update(tree=[]),
     # items that stay inside the geometry but not inside the tile layout
-    "stream-reads-scratch": lambda d: _stream(d)[0][4].__setitem__(
-        0, _columns(d)[3]),
-    "stream-writes-a-slot": lambda d: _first(_stream(d), "in_place")[4]
-    .__setitem__(0, 0),
-    "stream-writes-scratch": lambda d: _first(_stream(d), "out_of_place")
-    .__setitem__(5, [_columns(d)[3]]),
+    "stream-reads-scratch": lambda d: _items(d)[0].__setitem__(
+        3, _columns(d)[3]),
+    "stream-writes-a-slot": lambda d: _first(_stream(d), True)
+    .__setitem__(3, 0),
+    "stream-writes-scratch": lambda d: _first(_stream(d), False)
+    .__setitem__(4, [_columns(d)[3]]),
     # items that fit the tile layout but do not read or write their columns
     # as those hold their data
-    "narrow-accumulator-read": lambda d: _narrow(_last_fold(d)),
-    "read-before-write": lambda d: _stream(d).pop(0),
-    "in-place-width": lambda d: _first(_stream(d), "in_place")[4]
-    .__setitem__(2, 1),
-    "value-read-width": lambda d: _widen(_value_read(d)[3]),
-    "unsigned-value-read": lambda d: _value_read(d)[3].__setitem__(3, 0),
-    "signed-slot-read": lambda d: _slot_read(d)[3].__setitem__(3, 1),
+    "narrow-accumulator-read": lambda d: _last_fold(d).__setitem__(1, 3),
+    "read-before-write": lambda d: _items(d).pop(0),
+    "in-place-width": lambda d: _first(_stream(d), True).__setitem__(
+        1, _first(_stream(d), True)[1] + 1),
     "accumulator-never-written": _drop_writes_of_acc0,
 }
 
@@ -556,7 +567,7 @@ def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
     # the in-place destination stays inside the geometry; the run used to
     # exit 0 with wrong output
     def edit(doc):
-        _first(reversed(_stream(doc)), "in_place")[4][0] = _columns(doc)[2]
+        _first(reversed(_stream(doc)), True)[3] = _columns(doc)[2]
 
     code, _, err = _run_edited(capsys, tmp_path,
                                ["--synthetic", "1x4x0.8", "--input-hw", "6x6",
