@@ -14,7 +14,13 @@ pattern occurs twice. Pair counts are kept incrementally (Hartley's
 pair-count CSE): taken once, then updated only in the rows an extraction
 rewrites, with the next pair drawn from a lazy-deletion heap whose key is
 the same tie-break a full recount would apply. Scope is one LinearSystem,
-i.e. one input channel of one layer.
+i.e. one input channel of one layer, or a contiguous range of its rows.
+
+Both opt levels start from the rows' signed slot terms (`row_terms`), taken
+once per system: `graph_from_terms` emits them as chains, or runs the pair
+extraction on a copy and emits the shared graph. `build_dfg` and
+`eliminate_common_subexpressions` are the same core behind the graph-level
+interface.
 """
 
 from __future__ import annotations
@@ -69,13 +75,14 @@ class DataFlowGraph:
 # construction
 # ---------------------------------------------------------------------------
 
-def _rows_as_terms(matrix: np.ndarray) -> list[dict[int, int]]:
-    rows = []
-    for r in range(matrix.shape[0]):
-        row = {}
-        for k in np.flatnonzero(matrix[r]):
-            row[int(k)] = int(matrix[r, k])
-        rows.append(row)
+def row_terms(matrix: np.ndarray) -> list[dict[int, int]]:
+    """Per row of a ternary matrix: its nonzero slots, ascending, mapped to
+    their signs."""
+    rows: list[dict[int, int]] = [{} for _ in range(matrix.shape[0])]
+    r_idx, k_idx = np.nonzero(matrix)
+    for r, k, c in zip(r_idx.tolist(), k_idx.tolist(),
+                       matrix[r_idx, k_idx].tolist()):
+        rows[r][k] = c
     return rows
 
 
@@ -130,10 +137,22 @@ def _emit(channel: int, n_rows: int, n_slots: int,
     return g
 
 
+def graph_from_terms(channel: int, n_slots: int, rows: list[dict[int, int]],
+                     cse: bool) -> DataFlowGraph:
+    """The graph of rows given as signed slot terms (see `row_terms`): with
+    `cse`, the shared-pair graph of `eliminate_common_subexpressions`, run on
+    a copy of the terms; otherwise one left-to-right chain per row."""
+    temp_defs: list[tuple[int, int, int]] = []
+    if cse:
+        rows = [dict(row) for row in rows]
+        temp_defs = _extract_pairs(rows, n_slots)
+    return _emit(channel, len(rows), n_slots, temp_defs, rows)
+
+
 def build_dfg(system: LinearSystem) -> DataFlowGraph:
     """Naive lowering: each row becomes a left-to-right chain, nothing shared."""
-    rows = _rows_as_terms(system.matrix)
-    return _emit(system.channel, system.matrix.shape[0], system.matrix.shape[1], [], rows)
+    return graph_from_terms(system.channel, system.matrix.shape[1],
+                            row_terms(system.matrix), cse=False)
 
 
 def _terms_of(g: DataFlowGraph) -> list[dict[int, int]]:
@@ -173,7 +192,15 @@ def _terms_of(g: DataFlowGraph) -> list[dict[int, int]]:
 
 
 def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
-    """Greedy shared-pair hoisting over one channel's rows.
+    """Greedy shared-pair hoisting over one graph's rows (see
+    `_extract_pairs`), starting from the rows' expanded terms."""
+    return graph_from_terms(g.channel, g.n_slots, _terms_of(g), cse=True)
+
+
+def _extract_pairs(rows: list[dict[int, int]],
+                   n_slots: int) -> list[tuple[int, int, int]]:
+    """Greedy shared-pair hoisting over one channel's rows, rewriting them in
+    place; returns the temporaries' definitions in `_emit`'s form.
 
     A signed pair (u, v, s), u < v, stands for both +-(x_u + s*x_v); its
     count is the number of rows holding either form. Counts are taken once.
@@ -188,10 +215,7 @@ def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
     form), so rebuilds are deterministic. Every extraction with k matching
     rows trades k chain ops for one temporary, so op_count never increases.
     """
-    rows = _terms_of(g)
-    n_slots = g.n_slots
     temp_defs: list[tuple[int, int, int]] = []
-
     counts: dict[tuple[int, int, int], int] = {}
     rows_of: dict[int, set[int]] = {}
     for r, row in enumerate(rows):
@@ -237,7 +261,7 @@ def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
         for (w, t, sw), c in formed.items():
             if c > 1:
                 heapq.heappush(heap, (-c, w, t, 0 if sw > 0 else 1))
-    return _emit(g.channel, g.n_rows, n_slots, temp_defs, rows)
+    return temp_defs
 
 
 # ---------------------------------------------------------------------------

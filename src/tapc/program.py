@@ -344,9 +344,9 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile,
     carry and zero columns, and belongs to the "accum" phase when it writes
     an accumulator, else to "dfg". Raises FormatError on a read of any other
     column or of a column not yet written, a write outside the value pool
-    and accumulators, an accumulator written at other than the accumulator
-    width, an in-place item whose width is not b's, and a stream that
-    leaves an accumulator unwritten.
+    and accumulators, a result column listed twice, an accumulator written
+    at other than the accumulator width, an in-place item whose width is not
+    b's, and a stream that leaves an accumulator unwritten.
     """
     value0, acc0, end, acc_w = tile.value0, tile.acc0, tile.carry, tile.acc_width
     zero = isa.OperandRef(tile.zero, 0, 1, False)
@@ -368,6 +368,9 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile,
         for j, (op, m, a, b, dest) in enumerate(items):
             a_ref, b_ref = read(a, i, j), read(b, i, j)
             written = dest or (b,)
+            if len(set(dest)) != len(dest):
+                raise FormatError(f"channel {i} item {j} lists a result "
+                                  f"column twice")
             for col in written:
                 if not value0 <= col < end:
                     raise FormatError(f"channel {i} item {j} writes column "

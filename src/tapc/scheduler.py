@@ -31,6 +31,7 @@ reads its operands.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
@@ -88,8 +89,13 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
     then opens one storage per use, while an in-place op keeps the b copy it
     just read. The folds read the same way, one step per output row after
     the last op, so every storage is dead again before the next channel
-    reuses the pool. Coloring is greedy largest-degree-first on the
-    interference graph.
+    reuses the pool.
+
+    Coloring is greedy largest-degree-first on the interval graph of the
+    live ranges, in (-degree, sid) order: each degree comes from the sorted
+    births and deaths, and each storage takes the first color none of whose
+    storages so far shares a step with it, found from one bitmask of
+    occupied steps per color.
     """
     op_nodes = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
     is_value = {n.id: n.kind in (dfglib.ADD, dfglib.SUB) for n in g.nodes}
@@ -146,37 +152,29 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
     folds = [(r, use(node_id, len(op_nodes) + r), sign)
              for r, (node_id, sign) in enumerate(g.row_tags())]
 
-    # interference coloring, quadratic in the storage count: on a 4x64x0.7
-    # network over 96 columns this pair loop is the largest compile cost
-    n_st = len(storages)
-    adj = [set() for _ in range(n_st)]
-    for i in range(n_st):
-        for j in range(i + 1, n_st):
-            a, b = storages[i], storages[j]
-            if a.birth <= b.death and b.birth <= a.death:
-                adj[i].add(j)
-                adj[j].add(i)
-    order = sorted(range(n_st), key=lambda i: (-len(adj[i]), i))
-    for i in order:
-        used = {storages[j].color for j in adj[i]}
+    # a storage's neighbors are the others born by its death, less those
+    # dead before its birth
+    births = sorted(s.birth for s in storages)
+    deaths = sorted(s.death for s in storages)
+    degree = [bisect_right(births, s.death) - bisect_left(deaths, s.birth) - 1
+              for s in storages]
+    occupied: list[int] = []    # color -> bitmask of the steps it holds
+    for i in sorted(range(len(storages)), key=lambda i: (-degree[i], i)):
+        s = storages[i]
+        span = ((2 << (s.death - s.birth)) - 1) << s.birth
         c = 0
-        while c in used:
+        while c < len(occupied) and occupied[c] & span:
             c += 1
-        storages[i].color = c
-    n_colors = 1 + max((s.color for s in storages), default=-1)
-    return ChannelPlan(g, storages, n_colors, macros, folds)
+        if c == len(occupied):
+            occupied.append(0)
+        occupied[c] |= span
+        s.color = c
+    return ChannelPlan(g, storages, len(occupied), macros, folds)
 
 
 # ---------------------------------------------------------------------------
 # layer planning
 # ---------------------------------------------------------------------------
-
-def _build_graph(system: LinearSystem, opt: str, in_bits: int) -> dfglib.DataFlowGraph:
-    g = dfglib.build_dfg(system)
-    if opt == "unroll_cse":
-        g = dfglib.eliminate_common_subexpressions(g)
-    return dfglib.annotate_bitwidths(g, in_bits)
-
 
 def _acc_interval(systems: list[LinearSystem], c_lo: int, c_hi: int,
                   in_bits: int) -> tuple[int, int]:
@@ -195,10 +193,6 @@ def _acc_interval(systems: list[LinearSystem], c_lo: int, c_hi: int,
     return int(-top * neg.max(initial=0)), int(top * pos.max(initial=0))
 
 
-def _slice_system(sys: LinearSystem, c_lo: int, c_hi: int) -> LinearSystem:
-    return LinearSystem(sys.channel, sys.matrix[c_lo:c_hi], sys.patch)
-
-
 @dataclass(frozen=True)
 class _TilePlan(Tile):
     plans: dict[int, ChannelPlan]   # channel -> plan
@@ -208,29 +202,48 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
                     opt: str) -> tuple[list[_TilePlan], list[LinearSystem], int]:
     """Split the layer into output tiles until every AP fits its columns.
 
-    Also returns the layer's op count after CSE over whole channels. The
-    first attempt's single tile spans every output channel, so under
-    unroll_cse its graphs are those; under unroll CSE runs once per channel
-    for the count alone."""
+    Each attempt halves the tile size. A tile fits exactly when its widest
+    channel's colors fit the columns its slots, accumulators, carry, zero
+    and scratch leave, so a tile stops allocating at its first channel over
+    that budget, and the attempt stops at its first tile that does not fit.
+    Only a one-channel tile allocates every channel, so that the
+    CapacityError names the widest.
+
+    Each channel's row terms are taken once and sliced per tile. Also
+    returns the layer's op count after CSE over whole channels: under
+    unroll_cse those graphs are the first attempt's, whose single tile spans
+    every output channel; under unroll CSE runs once per channel for the
+    count alone."""
     systems = lower_layer(weights, shape)
     n_slots = shape.f_h * shape.f_w
-    ops_cse = None
+    cse = opt == "unroll_cse"
+    terms = [dfglib.row_terms(sys.matrix) for sys in systems]
+    whole = [dfglib.graph_from_terms(sys.channel, n_slots, rows, cse=True)
+             for sys, rows in zip(systems, terms)]
+    ops_cse = sum(g.op_count for g in whole)
+
+    def graphs(c_lo, c_hi):
+        """Each channel's graph of rows [c_lo, c_hi), built when asked for."""
+        for sys, rows, g in zip(systems, terms, whole):
+            if not (cse and c_hi - c_lo == len(rows)):
+                g = dfglib.graph_from_terms(sys.channel, n_slots,
+                                            rows[c_lo:c_hi], cse)
+            yield dfglib.annotate_bitwidths(g, in_bits)
+
     n_tiles = 1
     while True:
         tile_size = -(-shape.c_out // n_tiles)
         tiles: list[_TilePlan] = []
         for c_lo in range(0, shape.c_out, tile_size):
             c_hi = min(c_lo + tile_size, shape.c_out)
+            # value columns the tile's slots and fixed columns leave
+            budget = (geometry.columns
+                      - Tile(c_lo, c_hi, 0, 0, n_slots, 0).columns_used)
             plans = {}
-            for sys in systems:
-                plans[sys.channel] = allocate_columns(_build_graph(
-                    _slice_system(sys, c_lo, c_hi), opt, in_bits))
-            if ops_cse is None:     # the first attempt's single tile
-                graphs = [p.graph for p in plans.values()]
-                if opt != "unroll_cse":
-                    graphs = [dfglib.eliminate_common_subexpressions(g)
-                              for g in graphs]
-                ops_cse = sum(g.op_count for g in graphs)
+            for sys, g in zip(systems, graphs(c_lo, c_hi)):
+                plans[sys.channel] = plan = allocate_columns(g)
+                if plan.n_colors > budget and tile_size > 1:
+                    break
             n_value = max((p.n_colors for p in plans.values()), default=0)
             lo, hi = _acc_interval(systems, c_lo, c_hi, in_bits)
             tile = _TilePlan(c_lo, c_hi, lo, hi, n_slots, n_value, plans)

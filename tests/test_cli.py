@@ -293,10 +293,13 @@ def test_report_rejects_a_bad_energy_model(field, value, tmp_path, capsys):
     assert code == 4 and "format:" in err
 
 
-# sha256 of the artifacts of two small runs: default geometry, and 32-row
-# 24-column arrays that force partial row groups, two output tiles and a
-# channel-group adder tree with moves. Any change to the simulated values,
-# the event log or the accounting shows here.
+# sha256 of the artifacts of small runs: default geometry, and 32-row
+# 24-column arrays that force partial row groups, two output tiles after a
+# retry and a channel-group adder tree with moves, the latter at both opt
+# levels. Any change to the simulated values, the event log or the
+# accounting shows here.
+_TILED = ["--synthetic", "2x10x0.8", "--bits", "8", "--input-hw", "6x6",
+          "--rows", "32", "--cols", "24", "--seed", "1"]
 GOLDEN_RUNS = {
     "default": (
         ["--synthetic", "2x6x0.8", "--input-hw", "8x8", "--seed", "3"],
@@ -307,12 +310,19 @@ GOLDEN_RUNS = {
          "output.tfm": "60452de23e0ad43e2a8c26774fb177bc"
                        "313b12bf40cbf749b04fef4ccfdb9022"}),
     "tiled": (
-        ["--synthetic", "2x10x0.8", "--bits", "8", "--input-hw", "6x6",
-         "--rows", "32", "--cols", "24", "--seed", "1"],
+        _TILED,
         {"events.csv": "2fcdc5e5821cfc1673cd04acf172bdfa"
                        "dea69eeedc4f7fbd4ed9fe8b480adbc9",
          "stats.json": "f0cfd3568beaf2cdff31c964084be6b2"
                        "08e9555048115fa85de2c816f0f090dd",
+         "output.tfm": "f2fecc0ea0c317f6f3bf0d6a4e669f1a"
+                       "75af44ae96b8e4b7c4b2361e37bf7d7d"}),
+    "tiled-unroll": (
+        _TILED + ["--opt", "unroll"],
+        {"events.csv": "d3d0dd7ad1e4fc76859f6f87742265ff"
+                       "ca397c78bd1e60258193537837ca391a",
+         "stats.json": "23f111d96bab37ffb8bbbbd50365d665"
+                       "fe8fa012af2b8bc0d9406f3e8c256cfc",
          "output.tfm": "f2fecc0ea0c317f6f3bf0d6a4e669f1a"
                        "75af44ae96b8e4b7c4b2361e37bf7d7d"}),
 }
@@ -334,6 +344,8 @@ GOLDEN_PROGRAMS = {
                "030644b99dc5eabe4ada6d627f38c2fc",
     "tiled": "cd2c339c445328d213c05aa08e37e400"
              "90ea0fbb195ba0697b6da8fa210c51df",
+    "tiled-unroll": "bfaeb90c714f2572ae4b2ff296919b97"
+                    "2116dd4a52116b03d3af2cf22018cd1a",
 }
 
 
@@ -485,6 +497,12 @@ def _drop_writes_of_acc0(d):
                     if _columns(d)[0] not in (item[4] or [item[3]])]
 
 
+def _repeat_first_result(d):
+    """List the first out-of-place item's first result column twice."""
+    item = _first(_stream(d), False)
+    item[4] = [item[4][0]] * 2
+
+
 def _as_format_3(item):
     """Give an item format 3's mode field."""
     item.insert(1, "out_of_place" if item[4] else "in_place")
@@ -529,6 +547,7 @@ PROGRAM_EDITS = {
     "in-place-width": lambda d: _first(_stream(d), True).__setitem__(
         1, _first(_stream(d), True)[1] + 1),
     "accumulator-never-written": _drop_writes_of_acc0,
+    "repeated-result-column": _repeat_first_result,
 }
 
 
@@ -577,7 +596,7 @@ def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
 
 def test_ops_cse_is_the_same_at_both_opt_levels(tmp_path, capsys):
     # two output tiles after a retry: the count is over whole channels
-    argv = GOLDEN_RUNS["tiled"][0]
+    argv = _TILED
     counts = {}
     for opt in ("unroll", "unroll+cse"):
         out = tmp_path / opt

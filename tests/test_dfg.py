@@ -184,3 +184,33 @@ def test_incremental_cse_matches_full_recount(m):
 def test_incremental_cse_matches_full_recount_on_the_worked_matrix(
         worked_matrix):
     _assert_matches_reference(worked_matrix)
+
+
+def _reference_chains(system):
+    """build_dfg before row terms: one np.flatnonzero walk per row, then
+    the chains."""
+    m = system.matrix
+    rows = [{int(k): int(m[r, k]) for k in np.flatnonzero(m[r])}
+            for r in range(m.shape[0])]
+    return dfglib._emit(system.channel, m.shape[0], m.shape[1], [], rows)
+
+
+@given(ternary_matrices(), st.integers(1, 8), st.data())
+def test_graphs_from_row_terms_match_the_graph_level_passes(m, bits, data):
+    # the scheduler takes a channel's terms once and slices them per tile
+    c_lo = data.draw(st.integers(0, m.shape[0] - 1))
+    c_hi = data.draw(st.integers(c_lo + 1, m.shape[0]))
+    sliced = system_for(m[c_lo:c_hi])
+    terms = dfglib.row_terms(m)
+    kept = [dict(row) for row in terms]
+
+    def from_terms(cse):
+        return dfglib.annotate_bitwidths(dfglib.graph_from_terms(
+            sliced.channel, m.shape[1], terms[c_lo:c_hi], cse), bits)
+
+    assert from_terms(True) == dfglib.annotate_bitwidths(
+        dfglib.eliminate_common_subexpressions(dfglib.build_dfg(sliced)), bits)
+    chains = from_terms(False)
+    assert chains == dfglib.annotate_bitwidths(_reference_chains(sliced), bits)
+    assert chains == dfglib.annotate_bitwidths(dfglib.build_dfg(sliced), bits)
+    assert terms == kept    # CSE ran on a copy

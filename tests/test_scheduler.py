@@ -11,6 +11,7 @@ from conftest import system_for, ternary_matrix
 from tapc import dfg as dfglib
 from tapc import isa, scheduler
 from tapc.errors import CapacityError, FormatError
+from tapc.lowering import LinearSystem, lower_layer
 from tapc.model import (Layer, LayerShape, QuantSpec, TernaryNetwork,
                         make_synthetic_network)
 from tapc.program import schedule_accumulation
@@ -348,6 +349,76 @@ def test_output_tiles_split_until_columns_fit():
 
     with pytest.raises(CapacityError):
         plan_conv_layer(layer.weights, shape, 4, ApGeometry(columns=12), "unroll_cse")
+
+
+def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
+    """The tile planner before early exits and row terms, kept as the oracle
+    of `plan_conv_layer`: every attempt builds and allocates every channel of
+    every tile through build_dfg, CSE and annotate_bitwidths, then compares
+    the tile's columns with the geometry."""
+    def build_graph(system):
+        g = dfglib.build_dfg(system)
+        if opt == "unroll_cse":
+            g = dfglib.eliminate_common_subexpressions(g)
+        return dfglib.annotate_bitwidths(g, in_bits)
+
+    systems = lower_layer(weights, shape)
+    n_slots = shape.f_h * shape.f_w
+    ops_cse = None
+    n_tiles = 1
+    while True:
+        tile_size = -(-shape.c_out // n_tiles)
+        tiles = []
+        for c_lo in range(0, shape.c_out, tile_size):
+            c_hi = min(c_lo + tile_size, shape.c_out)
+            plans = {}
+            for sys in systems:
+                plans[sys.channel] = _reference_allocate(build_graph(
+                    LinearSystem(sys.channel, sys.matrix[c_lo:c_hi],
+                                 sys.patch)))
+            if ops_cse is None:     # the first attempt's single tile
+                graphs = [p.graph for p in plans.values()]
+                if opt != "unroll_cse":
+                    graphs = [dfglib.eliminate_common_subexpressions(g)
+                              for g in graphs]
+                ops_cse = sum(g.op_count for g in graphs)
+            n_value = max((p.n_colors for p in plans.values()), default=0)
+            lo, hi = scheduler._acc_interval(systems, c_lo, c_hi, in_bits)
+            tile = scheduler._TilePlan(c_lo, c_hi, lo, hi, n_slots, n_value,
+                                       plans)
+            if tile.columns_used > geometry.columns:
+                break
+            tiles.append(tile)
+        else:   # every tile fits
+            return tiles, systems, ops_cse
+        if tile_size == 1:
+            raise CapacityError(
+                f"single output channel needs {tile.columns_used} columns, "
+                f"geometry has {geometry.columns}")
+        n_tiles *= 2
+
+
+def _tiles_or_error(plan, *args):
+    """The accepted tiles with their plans and ops_cse, or the
+    CapacityError message."""
+    try:
+        tiles, _systems, ops_cse = plan(*args)
+    except CapacityError as exc:
+        return str(exc)
+    return tiles, ops_cse
+
+
+@given(st.integers(12, 64), st.integers(1, 6), st.integers(2, 24),
+       st.floats(0.3, 0.95), st.integers(1, 5), st.integers(1, 8),
+       st.sampled_from(scheduler.OPT_LEVELS), st.integers(0, 2**32 - 1))
+def test_tile_plans_match_the_allocate_everything_reference(
+        columns, c_in, c_out, sparsity, hw, bits, opt, seed):
+    layer = make_synthetic_network(1, c_out, sparsity, bits=bits,
+                                   in_channels=c_in, seed=seed).layers[0]
+    args = (layer.weights, layer.shape_for(hw, hw), bits,
+            ApGeometry(columns=columns), opt)
+    assert (_tiles_or_error(plan_conv_layer, *args)
+            == _tiles_or_error(_reference_plan_conv_layer, *args))
 
 
 # --- whole-program emission -----------------------------------------------
