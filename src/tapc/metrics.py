@@ -1,10 +1,12 @@
-"""Energy, latency and endurance accounting over simulator event logs.
+"""Energy, latency and endurance accounting over simulator event counters.
 
 Costs are charged per event: searches and writes per bit touched, shifts per
 track and domain step, inter-array moves at a flat per-bit rate that already
-folds in the read, transfer and write at the far end. Latency adds up epoch
-by epoch, taking the slowest AP inside each epoch (APs run in lockstep
-between barriers, epochs are sequential).
+folds in the read, transfer and write at the far end. The simulator sums
+each event's integer energy size per (ap, layer, phase, epoch, kind), so
+pricing a layer takes one multiply per kind, and one per phase and kind.
+Latency adds up epoch by epoch, taking the slowest AP inside each epoch
+(APs run in lockstep between barriers, epochs are sequential).
 
 The default constants are deliberately few and are echoed into every report
 so a reader can see exactly what a number was built from.
@@ -15,11 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .errors import FormatError
 from .program import checked_fields, macro_counts, place_layer
-from .sim import EVENT_KINDS, SHIFT
+from .sim import EVENT_KINDS, MOVE, SHIFT
 
 PHASES = ("io", "dfg", "accum")
 
@@ -58,22 +58,21 @@ class EnergyModel:
         ]
 
 
-def _energy_pj(kind, bits, steps, model: EnergyModel):
-    """Energy of events given by kind code, bits and steps, as scalars or as
-    arrays alike: (size × rate) × scale. Searches, writes and moves are
-    sized by their bits, shifts by bits × steps."""
-    rate = np.array([model.search_fj_per_bit, model.write_fj_per_bit,
-                     model.shift_fj_per_step, model.move_pj_per_bit])
-    scale = np.array([1e-3, 1e-3, 1e-3, 1.0])
-    size = np.where(kind == SHIFT, bits * steps, bits)
-    return size * rate[kind] * scale[kind]
+def _energy_pj(kind: int, size: int, model: EnergyModel) -> float:
+    """Energy of `size` units of one kind code: (size × rate) × scale.
+    Searches, writes and moves are sized by their bits, shifts by bits ×
+    steps."""
+    rate = (model.search_fj_per_bit, model.write_fj_per_bit,
+            model.shift_fj_per_step, model.move_pj_per_bit)[kind]
+    return size * rate * (1.0 if kind == MOVE else 1e-3)
 
 
 def event_energy_pj(event, model: EnergyModel) -> float:
     if event.kind not in EVENT_KINDS:
         raise ValueError(f"unknown event kind {event.kind!r}")
-    return float(_energy_pj(EVENT_KINDS.index(event.kind), event.bits,
-                            event.steps, model))
+    kind = EVENT_KINDS.index(event.kind)
+    size = event.bits * event.steps if kind == SHIFT else event.bits
+    return _energy_pj(kind, size, model)
 
 
 @dataclass
@@ -160,40 +159,35 @@ def _tables(doc: dict, where: str) -> dict:
     return doc
 
 
-def _fold(log, n_layers: int, model: EnergyModel):
+def _fold(counts, n_layers: int, model: EnergyModel):
     """Energy by (layer, kind) and by (layer, phase), and cycles per layer,
-    of an event log. Each bin adds its events in log order, as a loop over
-    the events would."""
-    records = np.frombuffer(log.data, dtype=np.int64).reshape(-1, 4)
-    kind, bits, steps, cycles = records.T
-    starts = np.array(log.starts, dtype=np.int64)
-    lengths = np.diff(starts, append=len(records))
-    layer = np.repeat(np.array([pl[1] for pl in log.places], dtype=np.int64),
-                      lengths)
-    phase = np.repeat(np.array([PHASES.index(pl[2]) for pl in log.places],
-                               dtype=np.int64), lengths)
-    pj = _energy_pj(kind, bits, steps, model)
-    k, p = len(EVENT_KINDS), len(PHASES)
-    # (bincount of no events at all comes back as integer zeros)
-    by_kind = np.bincount(layer * k + kind, pj, n_layers * k).astype(float)
-    by_phase = np.bincount(layer * p + phase, pj, n_layers * p).astype(float)
-    # APs run in lockstep inside an epoch: the slowest one sets its length
-    kept = lengths > 0
-    places = [pl for pl, keep in zip(log.places, kept) if keep]
-    sums = np.add.reduceat(cycles, starts[kept]).tolist()
+    of a run's event counters. Energy sizes are summed as integers and
+    multiplied by their rate once per layer and kind, and once per layer,
+    phase and kind."""
+    k = len(EVENT_KINDS)
+    kind_size = [[0] * k for _ in range(n_layers)]
+    phase_size: dict[tuple[int, str, int], int] = {}
     busy: dict[tuple[int, int], dict[int, int]] = {}
-    for (ap, lay, _phase, epoch), n in zip(places, sums):
-        by_ap = busy.setdefault((lay, epoch), {})
-        by_ap[ap] = by_ap.get(ap, 0) + n
+    for (ap, layer, phase, epoch, kind), acc in counts.bins.items():
+        kind_size[layer][kind] += acc[4]
+        key = (layer, phase, kind)
+        phase_size[key] = phase_size.get(key, 0) + acc[4]
+        by_ap = busy.setdefault((layer, epoch), {})
+        by_ap[ap] = by_ap.get(ap, 0) + acc[3]
+    by_kind = [[_energy_pj(kind, size, model) for kind, size in enumerate(row)]
+               for row in kind_size]
+    by_phase = [[0.0] * len(PHASES) for _ in range(n_layers)]
+    for (layer, phase, kind), size in phase_size.items():
+        by_phase[layer][PHASES.index(phase)] += _energy_pj(kind, size, model)
+    # APs run in lockstep inside an epoch: the slowest one sets its length
     layer_cycles = [0] * n_layers
-    for (lay, _epoch), by_ap in busy.items():
-        layer_cycles[lay] += max(by_ap.values())
-    return (by_kind.reshape(n_layers, k).tolist(),
-            by_phase.reshape(n_layers, p).tolist(), layer_cycles)
+    for (layer, _epoch), by_ap in busy.items():
+        layer_cycles[layer] += max(by_ap.values())
+    return by_kind, by_phase, layer_cycles
 
 
 def account(program, result, model: EnergyModel | None = None) -> Stats:
-    """Fold a run's event log into per-layer and total statistics."""
+    """Fold a run's event counters into per-layer and total statistics."""
     model = model or EnergyModel()
     geo = program.geometry
     by_kind, by_phase, layer_cycles = _fold(result.events, len(program.layers),

@@ -47,12 +47,13 @@ class LayerShape:
                 raise FormatError(f"layer shape: {name} must be >= 1")
         if self.pad < 0:
             raise FormatError("layer shape: pad must be >= 0")
+        # the output extent floors: a last window that would overhang the
+        # padded input is dropped, as in a ResNet's stride-2 convs
         for dim, fdim, label in ((self.h_in, self.f_h, "h"), (self.w_in, self.f_w, "w")):
-            span = dim + 2 * self.pad - fdim
-            if span < 0 or span % self.stride != 0:
+            if dim + 2 * self.pad < fdim:
                 raise FormatError(
                     f"layer shape: {label}_in={dim} with f={fdim} pad={self.pad} "
-                    f"stride={self.stride} does not tile exactly"
+                    f"leaves no output position"
                 )
 
     @property

@@ -15,10 +15,13 @@ and one tagged write per table pass) without building micro-ops. The
 micro-op path, `isa.expand_macro` followed by `execute_micro_ops`, stays as
 the reference the tests compare it against; no run takes it.
 
-The event log is columnar: an `EventLog` keeps four int64 words per event
-(kind code, bits, steps, cycles) and one place (ap, layer, phase, epoch) per
-run of events that share it. `tapc.metrics` folds the columns with numpy;
-iterating the log yields `Event`s.
+Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
+epoch, kind), the number of events and the integer sums of their bits,
+steps, cycles and energy size. `run_macro` sums a macro's events in local
+integers and adds them once. `tapc.metrics` folds the counters, and
+`export_events` writes one row per counter key. A caller that needs each
+event, in order, passes a `sink` list, and every executor appends `Event`s
+to it.
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
@@ -38,7 +41,6 @@ whole machine is deterministic, so do the energy figures.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,71 +71,60 @@ class Event:
     cycles: int
 
 
-class EventLog:
-    """A run's costed actions in order, stored by column.
+class EventCounts:
+    """A run's costed actions, summed as they happen.
 
-    `data` holds four int64 words per event: kind code (an index into
-    EVENT_KINDS), bits, steps, cycles. Each run of events at one place
-    (ap, layer, phase, epoch) is a segment: segment i starts at event
-    `starts[i]` and sits at `places[i]`. Iteration yields `Event`s.
+    `bins` maps (ap, layer, phase, epoch, kind) to the integer sums
+    [events, bits, steps, cycles, size] of the events there. `kind` is an
+    index into EVENT_KINDS. An event's energy size is its bits, or bits ×
+    steps for a shift, so a bin's energy is its size times one rate. The
+    length is the number of events.
     """
 
-    __slots__ = ("data", "starts", "places")
+    __slots__ = ("bins",)
 
     def __init__(self):
-        self.data = array("q")
-        self.starts: list[int] = []
-        self.places: list[tuple[int, int, str, int]] = []
+        self.bins: dict[tuple[int, int, str, int, int], list[int]] = {}
 
-    def at(self, ap: int, layer: int, phase: str, epoch: int) -> array:
-        """`data`, to be extended with the records of events at this place."""
-        place = (ap, layer, phase, epoch)
-        if not self.places or self.places[-1] != place:
-            n = len(self.data) >> 2
-            if self.starts and self.starts[-1] == n:
-                self.places[-1] = place     # the last place got no event
-            else:
-                self.starts.append(n)
-                self.places.append(place)
-        return self.data
+    def add(self, key, n, bits, steps, cycles, size):
+        """Count `n` events at `key` whose sums are the rest."""
+        acc = self.bins.get(key)
+        if acc is None:
+            self.bins[key] = [n, bits, steps, cycles, size]
+        else:
+            acc[0] += n
+            acc[1] += bits
+            acc[2] += steps
+            acc[3] += cycles
+            acc[4] += size
+
+    def record(self, ap, layer, phase, epoch, kind, bits, steps, cycles,
+               sink=None):
+        """Count one event, and append it to `sink` if one is given."""
+        self.add((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
+                 bits * steps if kind == SHIFT else bits)
+        if sink is not None:
+            sink.append(Event(EVENT_KINDS[kind], ap, layer, phase, epoch,
+                              bits, steps, cycles))
 
     def __len__(self) -> int:
-        return len(self.data) >> 2
-
-    def segments(self):
-        """(place, records) per segment, the records as a flat array of four
-        words per event."""
-        ends = self.starts[1:] + [len(self)]
-        for place, lo, hi in zip(self.places, self.starts, ends):
-            yield place, self.data[4 * lo:4 * hi]
-
-    def __iter__(self):
-        for (ap, layer, phase, epoch), records in self.segments():
-            it = iter(records)
-            for kind, bits, steps, cycles in zip(it, it, it, it):
-                yield Event(EVENT_KINDS[kind], ap, layer, phase, epoch, bits,
-                            steps, cycles)
+        return sum(acc[0] for acc in self.bins.values())
 
 
-EXPORT_HEADER = "kind,ap,bits,steps,epoch"
+EXPORT_HEADER = "kind,ap,layer,phase,epoch,events,bits,steps,cycles,size"
 
 
-def export_events(events: EventLog) -> str:
-    """events.csv: one line per event. Lines repeat within a segment, so
-    each distinct one is formatted once there."""
-    parts = [EXPORT_HEADER + "\n"]
-    for (ap, _layer, _phase, epoch), records in events.segments():
-        lines: dict[tuple, str] = {}
-
-        def line(record):
-            kind, bits, steps, _ = record
-            text = f"{EVENT_KINDS[kind]},{ap},{bits},{steps},{epoch}\n"
-            lines[record] = text
-            return text
-        it = iter(records)
-        parts.append("".join([lines.get(r) or line(r)
-                              for r in zip(it, it, it, it)]))
-    return "".join(parts)
+def export_events(events: EventCounts) -> str:
+    """events.csv: one row per counter key, in time order (layer, epoch,
+    then AP, phase and kind). It is the per-AP, per-epoch timeline."""
+    rows = sorted((layer, epoch, ap, phase, kind, *sums)
+                  for (ap, layer, phase, epoch, kind), sums
+                  in events.bins.items())
+    return "".join([EXPORT_HEADER + "\n"] + [
+        f"{EVENT_KINDS[kind]},{ap},{layer},{phase},{epoch},"
+        f"{n},{bits},{steps},{cycles},{size}\n"
+        for layer, epoch, ap, phase, kind, n, bits, steps, cycles, size
+        in rows])
 
 
 def _pack_rows(bits) -> int:
@@ -209,14 +200,14 @@ class CamArray:
 
 
 class SimState:
-    """Lazy AP pool plus the event log. APs materialize on first touch and
+    """Lazy AP pool plus the event counters. APs materialize on first touch and
     persist across layers, which is exactly why programs must not assume
     freshly zeroed columns."""
 
     def __init__(self, geometry: ApGeometry):
         self.geometry = geometry
         self.aps: dict[int, CamArray] = {}
-        self.events = EventLog()
+        self.events = EventCounts()
 
     def ap(self, ap_id: int) -> CamArray:
         if ap_id not in self.aps:
@@ -228,8 +219,10 @@ class SimState:
 
 
 def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
-                      layer: int = 0, phase: str = "dfg", epoch: int = 0):
-    """Run expanded micro-ops against one AP, logging every costed action.
+                      layer: int = 0, phase: str = "dfg", epoch: int = 0,
+                      sink: list | None = None):
+    """Run expanded micro-ops against one AP, counting every costed action
+    and appending it, in order, to `sink` if one is given.
 
     This is the reference `run_macro` is tested against. Shifts carry their
     step count from expansion (planned against a copy of the AP's
@@ -238,7 +231,10 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
     cam = state.ap(ap_id)
     align, writes = cam.align, cam.writes
     full, rows = cam.full, cam.rows
-    log = state.events.at(ap_id, layer, phase, epoch)
+
+    def log(kind, bits, steps, cycles):
+        state.events.record(ap_id, layer, phase, epoch, kind, bits, steps,
+                            cycles, sink)
     for op in ops:
         kind = op.kind
         if kind == "search":
@@ -247,7 +243,7 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
                 plane = cam.track(col)[align.get(col, 0)]
                 tag &= plane if want else full ^ plane
             cam.tag = tag
-            log.extend((SEARCH, len(op.cols) * rows, 0, 1))
+            log(SEARCH, len(op.cols) * rows, 0, 1)
         elif kind == "write":
             tag = cam.tag
             for col, bit in zip(op.cols, op.bits):
@@ -255,16 +251,16 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
                 dom = align.get(col, 0)
                 track[dom] = track[dom] | tag if bit else track[dom] & ~tag
                 writes[col] += 1
-            log.extend((WRITE, len(op.cols) * tag.bit_count(), 0, 1))
+            log(WRITE, len(op.cols) * tag.bit_count(), 0, 1)
         elif kind == "clear":
             for col in op.cols:
                 cam.track(col)[align.get(col, 0)] = 0
                 writes[col] += 1
-            log.extend((WRITE, len(op.cols) * rows, 0, 1))
+            log(WRITE, len(op.cols) * rows, 0, 1)
         elif kind == "shift":
             cam.shift(op.col, op.target)
             if op.steps:
-                log.extend((SHIFT, rows, op.steps, op.steps))
+                log(SHIFT, rows, op.steps, op.steps)
         else:
             raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
 
@@ -297,10 +293,11 @@ def _ported_spans(macro: isa.MacroInstr, dest_cols: tuple):
 
 def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
               table: isa.LutTable, layer: int = 0, phase: str = "dfg",
-              epoch: int = 0):
+              epoch: int = 0, sink: list | None = None):
     """Execute one macro against the AP's live alignment, straight on the
-    planes: the bit loop of `isa.expand_macro`, logging the events
-    `execute_micro_ops` would log for its expansion, in the same order.
+    planes: the bit loop of `isa.expand_macro`. It counts the events
+    `execute_micro_ops` would count for its expansion, once per macro, and
+    appends them in the same order to `sink` if one is given.
 
     Every column and domain the loop touches is checked before anything
     changes, so a macro outside the geometry leaves the AP as it was.
@@ -316,14 +313,22 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
     in_place = macro.addressing == isa.IN_PLACE
     passes = [(*e.key, *e.write) for e in table.passes()]
     search_bits, n_written = 3 * rows, 1 + len(dest_cols)
-    log = [WRITE, rows, 0, 1]       # the carry clear
+    shifts = [0, 0]         # shift events and their domain steps
+    tagged = 0              # rows tagged, summed over the searches
+
+    def emit(kind, bits, steps=0, cycles=1):
+        sink.append(Event(EVENT_KINDS[kind], ap_id, layer, phase, epoch, bits,
+                          steps, cycles))
 
     def port(col, target):
         cur = align.get(col, 0)
         if cur != target:
             align[col] = target
             steps = abs(target - cur)
-            log.extend((SHIFT, rows, steps, steps))
+            shifts[0] += 1
+            shifts[1] += steps
+            if sink is not None:
+                emit(SHIFT, rows, steps, steps)
 
     def place(ref, bit):
         # the searched position, clamped at the sign bit or redirected to
@@ -338,6 +343,8 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
 
     ctrack = planes[carry]
     ctrack[0] = 0
+    if sink is not None:
+        emit(WRITE, rows)       # the carry clear
     tag = cam.tag
     for bit in range(m):
         if in_place:
@@ -351,7 +358,8 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
                 port(col, macro.dest_base + bit)
             for col in dest_cols:
                 planes[col][align.get(col, 0)] = 0
-            log.extend((WRITE, len(dest_cols) * rows, 0, 1))
+            if sink is not None:
+                emit(WRITE, len(dest_cols) * rows)
         cdom = align.get(carry, 0)
         btrack, bdom = planes[b_col], align.get(b_col, 0)
         atrack, adom = planes[a_col], align.get(a_col, 0)
@@ -363,14 +371,32 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
             ctrack[cdom] = c | tag if wc else c & ~tag
             for track, dom in dests:
                 track[dom] = track[dom] | tag if wr else track[dom] & ~tag
-            log += (SEARCH, search_bits, 0, 1,
-                    WRITE, n_written * tag.bit_count(), 0, 1)
+            n_tagged = tag.bit_count()
+            tagged += n_tagged
+            if sink is not None:
+                emit(SEARCH, search_bits)
+                emit(WRITE, n_written * n_tagged)
     cam.tag = tag
     per_bit = len(passes) if in_place else len(passes) + 1   # + the clear
     cam.writes[carry] += 1 + len(passes) * m
     for col in dest_cols:
         cam.writes[col] += per_bit * m
-    state.events.at(ap_id, layer, phase, epoch).fromlist(log)
+
+    searches = len(passes) * m
+    clears = 0 if in_place else m
+    writes = 1 + clears + searches
+    write_bits = rows * (1 + clears * len(dest_cols)) + n_written * tagged
+    add = state.events.add
+    if searches:
+        bits = searches * search_bits
+        add((ap_id, layer, phase, epoch, SEARCH), searches, bits, 0, searches,
+            bits)
+    add((ap_id, layer, phase, epoch, WRITE), writes, write_bits, 0, writes,
+        write_bits)
+    n_shifts, steps = shifts
+    if n_shifts:
+        add((ap_id, layer, phase, epoch, SHIFT), n_shifts, n_shifts * rows,
+            steps, steps, steps * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -380,36 +406,36 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
 @dataclass
 class RunResult:
     trace: list[FeatureMap]
-    events: EventLog
+    events: EventCounts
     state: SimState
 
 
-def _shift_log(state, ap_id, col, target, layer, phase, epoch):
+def _shift_log(state, ap_id, col, target, layer, phase, epoch, sink):
     cam = state.ap(ap_id)
     cur = cam.align.get(col, 0)
     if cur != target:
         cam.shift(col, target)
         steps = abs(target - cur)
-        state.events.at(ap_id, layer, phase, epoch).extend(
-            (SHIFT, cam.rows, steps, steps))
+        state.events.record(ap_id, layer, phase, epoch, SHIFT, cam.rows,
+                            steps, steps, sink)
 
 
-def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
+def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch, sink):
     """Read one value column through the port: a shift plus one search per
     bit, reconstructing two's-complement integers for the controller."""
     cam = state.ap(ap_id)
     vals = np.zeros(n_rows, dtype=np.int64)
     for b in range(width):
-        _shift_log(state, ap_id, col, base + b, layer, "io", epoch)
-        state.events.at(ap_id, layer, "io", epoch).extend(
-            (SEARCH, cam.rows, 0, 1))
+        _shift_log(state, ap_id, col, base + b, layer, "io", epoch, sink)
+        state.events.record(ap_id, layer, "io", epoch, SEARCH, cam.rows, 0, 1,
+                            sink)
         vals |= cam.visible(col)[:n_rows].astype(np.int64) << b
     vals -= ((vals >> (width - 1)) & 1) << width
     return vals
 
 
 def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
-              prov: np.ndarray | None, luts, epoch: int):
+              prov: np.ndarray | None, luts, epoch: int, sink: list | None):
     geo = state.geometry
     shape = lp.shape
     pim = im2col_indices(shape)
@@ -417,6 +443,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     placed = place_layer(shape, in_bits, geo)
     groups = placed["channel_groups"]
     rows_used = placed["rows_used"]
+    record = state.events.record
     tiles = lp.tiles
     n_tiles, n_groups = len(tiles), len(groups)
     grid = [(ap_id(rg, og, cg, n_tiles, n_groups), rg, og, cg)
@@ -433,12 +460,11 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         base_pos = rg * geo.rows
         # carry must sit at domain 0 (the expander insists) and the reserved
         # zero column must actually read zero on a reused array
-        _shift_log(state, ap, tile.carry, 0, layer, "io", ep_load)
-        _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load)
+        _shift_log(state, ap, tile.carry, 0, layer, "io", ep_load, sink)
+        _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load, sink)
         cam.track(tile.zero)[0] = 0
         cam.writes[tile.zero] += 1
-        state.events.at(ap, layer, "io", ep_load).extend(
-            (WRITE, cam.rows, 0, 1))
+        record(ap, layer, "io", ep_load, WRITE, cam.rows, 0, 1, sink)
         if prov is not None:
             agg: dict[int, int] = {}
             for ch in groups[cg]:
@@ -451,18 +477,17 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                     agg[int(s)] = agg.get(int(s), 0) + int(n)
             for src in sorted(agg):
                 bits = agg[src] * in_bits
-                state.events.at(ap, layer, "io", ep_load).extend(
-                    (MOVE, bits, 0, -(-bits // geo.rows)))
+                record(ap, layer, "io", ep_load, MOVE, bits, 0,
+                       -(-bits // geo.rows), sink)
         for ci, ch in enumerate(groups[cg]):
             vals = patches[ch][base_pos:base_pos + ru]
             for k in range(pim.slots):
                 for b in range(in_bits):
                     dom = ci * in_bits + b
-                    _shift_log(state, ap, k, dom, layer, "io", ep_load)
+                    _shift_log(state, ap, k, dom, layer, "io", ep_load, sink)
                     cam.load(k, dom, (vals[:, k] >> b) & 1, ru)
                     cam.writes[k] += 1
-                    state.events.at(ap, layer, "io", ep_load).extend(
-                        (WRITE, ru, 0, 1))
+                    record(ap, layer, "io", ep_load, WRITE, ru, 0, 1, sink)
 
     # per-AP channel DFGs and accumulator folds; every row group runs the
     # stream of its (tile, channel group)
@@ -472,10 +497,13 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     for ap, _rg, og, cg in grid:
         for macro, phase in streams[og][cg]:
             run_macro(state, ap, macro, luts[macro.op_kind, macro.addressing],
-                      layer, phase, ep_work)
+                      layer, phase, ep_work, sink)
 
     # adder tree across channel groups: before each add, the source AP's
-    # copy of its b column moves into the scratch column a
+    # copy of its b column moves into the scratch column a. A move charges
+    # rows × w bits, every row of the array, while the load above charges
+    # only the rows it uses; which of the two is right is still open, and
+    # changing either changes the modelled energy.
     ep_next = ep_work + 1
     merges = [merge_adds(tile) for tile in tiles]
     for level in adder_tree(lp, geo):
@@ -486,11 +514,11 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 cam.track(scratch, 0, w)[:w] = \
                     state.ap(src).track(col, 0, w)[:w]
                 cam.writes[scratch] += w
-                state.events.at(dst, layer, "accum", ep_next).extend(
-                    (MOVE, cam.rows * w, 0, w))
+                record(dst, layer, "accum", ep_next, MOVE, cam.rows * w, 0, w,
+                       sink)
                 run_macro(state, dst, macro,
                           luts[macro.op_kind, macro.addressing], layer,
-                          "accum", ep_next)
+                          "accum", ep_next, sink)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller
@@ -505,7 +533,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
             for r in range(tile.c_lo, tile.c_hi):
                 col = tile.acc0 + (r - tile.c_lo)
                 vals = _read_signed(state, root, col, 0, w_acc, ru, layer,
-                                    ep_next)
+                                    ep_next, sink)
                 if vals.min() < tile.acc_lo or vals.max() > tile.acc_hi:
                     raise SimulationError(
                         f"layer {layer}: accumulator for channel {r} left "
@@ -520,11 +548,13 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     return ofm, prov_new, ep_next + 1
 
 
-def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
+def run(program: ApProgram, ifm: FeatureMap,
+        sink: list | None = None) -> RunResult:
     """Execute a compiled program and return the per-layer output trace.
 
-    The trace must match the host reference bit for bit; the event log is
-    the raw material for the energy/latency/endurance accounting.
+    The trace must match the host reference bit for bit; the event counters
+    are the raw material for the energy/latency/endurance accounting. Every
+    event is also appended, in order, to `sink` if one is given.
     """
     if ifm.bits != program.in_bits:
         raise FormatError(f"program expects {program.in_bits}-bit input, "
@@ -543,7 +573,7 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     for layer, lp in enumerate(program.layers):
         if lp.kind == "conv":
             cur, prov, epoch = _run_conv(state, lp, layer, cur, prov, luts,
-                                         epoch)
+                                         epoch, sink)
         elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
             if prov is not None:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tapc import cli, isa
+from tapc import cli, isa, sim
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_network,
                         save_feature_map, save_network)
@@ -32,19 +32,36 @@ def test_compile_writes_program_and_report(tmp_path, capsys):
     assert len(report["layers"]) == 2
 
 
-def test_run_writes_all_artifacts(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "run", "--synthetic", "2x6x0.8",
-                           "--input-hw", "8x8", "--seed", "3",
-                           "--out-dir", str(tmp_path))
-    assert code == 0
+def test_run_writes_all_artifacts(tmp_path, capsys, monkeypatch):
+    runs = []
+    real_run = sim.run
+
+    def run_with_sink(program, ifm):
+        sink = []
+        runs.append((real_run(program, ifm, sink), sink))
+        return runs[-1][0]
+
+    monkeypatch.setattr(sim, "run", run_with_sink)
+    for out_dir in (tmp_path / "a", tmp_path / "b"):
+        code, out, _ = run_cli(capsys, "run", "--synthetic", "2x6x0.8",
+                               "--input-hw", "8x8", "--seed", "3",
+                               "--out-dir", str(out_dir))
+        assert code == 0
+    a, b = tmp_path / "a", tmp_path / "b"
     for name in ("program.json", "stats.json", "report.txt", "report.csv",
                  "events.csv", "output.tfm"):
-        assert (tmp_path / name).exists(), name
+        assert (a / name).exists(), name
     assert "network synthetic-2x6x0.8" in out
     assert "energy by kind [pJ]:" in out
-    events = (tmp_path / "events.csv").read_text().splitlines()
-    assert events[0] == "kind,ap,bits,steps,epoch"
-    assert len(events) > 100
+    # events.csv holds one row per counter key, and the rows add up to
+    # every event of the run
+    text = (a / "events.csv").read_text()
+    header, *rows = text.splitlines()
+    assert header == "kind,ap,layer,phase,epoch,events,bits,steps,cycles,size"
+    (result, sink), _ = runs
+    assert sum(int(row.split(",")[5]) for row in rows) == \
+        len(result.events) == len(sink) > 100
+    assert (b / "events.csv").read_text() == text
 
 
 def test_run_from_precompiled_program_matches_in_process_compile(tmp_path, capsys):
@@ -296,33 +313,33 @@ def test_report_rejects_a_bad_energy_model(field, value, tmp_path, capsys):
 # sha256 of the artifacts of small runs: default geometry, and 32-row
 # 24-column arrays that force partial row groups, two output tiles after a
 # retry and a channel-group adder tree with moves, the latter at both opt
-# levels. Any change to the simulated values, the event log or the
+# levels. Any change to the simulated values, the event counters or the
 # accounting shows here.
 _TILED = ["--synthetic", "2x10x0.8", "--bits", "8", "--input-hw", "6x6",
           "--rows", "32", "--cols", "24", "--seed", "1"]
 GOLDEN_RUNS = {
     "default": (
         ["--synthetic", "2x6x0.8", "--input-hw", "8x8", "--seed", "3"],
-        {"events.csv": "150ad65997a0a52f1190d0ff7eea95c0"
-                       "050b80084923e58270e7e3b3118dc4ed",
-         "stats.json": "0bf2d4191e0e05e8534e78750f12b20f"
-                       "8cd46b8d97276f783770c01b6c3ea0fa",
+        {"events.csv": "94f415776ce938f118617e2bfb939fe3"
+                       "71d0c4c361cf25d7868663dd67f3dff9",
+         "stats.json": "f187d89e7229610b6ec8ce848e3cde3c"
+                       "7478a126fd624a3e35a05a6e5309865a",
          "output.tfm": "60452de23e0ad43e2a8c26774fb177bc"
                        "313b12bf40cbf749b04fef4ccfdb9022"}),
     "tiled": (
         _TILED,
-        {"events.csv": "2fcdc5e5821cfc1673cd04acf172bdfa"
-                       "dea69eeedc4f7fbd4ed9fe8b480adbc9",
-         "stats.json": "f0cfd3568beaf2cdff31c964084be6b2"
-                       "08e9555048115fa85de2c816f0f090dd",
+        {"events.csv": "72dee705a0beee7f182954598bb0e791"
+                       "8d093956efa104de57eb7d5dc90b1a57",
+         "stats.json": "ff46370afcdf9d6c5fd98bcb6e5c78e7"
+                       "c6d0f6cfd9acbc259acf0d171763dd9c",
          "output.tfm": "f2fecc0ea0c317f6f3bf0d6a4e669f1a"
                        "75af44ae96b8e4b7c4b2361e37bf7d7d"}),
     "tiled-unroll": (
         _TILED + ["--opt", "unroll"],
-        {"events.csv": "d3d0dd7ad1e4fc76859f6f87742265ff"
-                       "ca397c78bd1e60258193537837ca391a",
-         "stats.json": "23f111d96bab37ffb8bbbbd50365d665"
-                       "fe8fa012af2b8bc0d9406f3e8c256cfc",
+        {"events.csv": "0082394c69781541aaf87dc2bfd434fc"
+                       "408b1ee2143441972b92311459b9d5d4",
+         "stats.json": "0c772b78bf6c5ba8412fabeac616a2e6"
+                       "b0320b8e3fa1d3870089911add332e11",
          "output.tfm": "f2fecc0ea0c317f6f3bf0d6a4e669f1a"
                        "75af44ae96b8e4b7c4b2361e37bf7d7d"}),
 }

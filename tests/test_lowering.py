@@ -9,7 +9,8 @@ from tapc.model import (FeatureMap, LayerShape, TernaryWeights,
                         reference_convolution)
 
 
-@pytest.mark.parametrize("stride,pad,h", [(1, 0, 5), (1, 1, 5), (2, 1, 7)])
+@pytest.mark.parametrize("stride,pad,h", [(1, 0, 5), (1, 1, 5), (2, 1, 7),
+                                          (2, 1, 8), (2, 0, 8), (2, 1, 32)])
 def test_im2col_indices_brute_force(stride, pad, h):
     shape = LayerShape(1, 1, 3, 3, stride, pad, h, h)
     pim = im2col_indices(shape)

@@ -24,9 +24,9 @@ def _reference_pj(ev, model):
     return ev.bits * model.move_pj_per_bit
 
 
-def _reference_account(program, result, model):
-    """The event-by-event fold `metrics.account` replaces, kept as its
-    oracle."""
+def _reference_account(program, events, state, model):
+    """The event-by-event fold of a run's events, each priced in turn, kept
+    as the oracle of `metrics.account`, which prices summed counters."""
     geo = program.geometry
     per_layer = {}
     for idx, lp in enumerate(program.layers):
@@ -41,7 +41,7 @@ def _reference_account(program, result, model):
                           "phase": {p: 0.0 for p in PHASES},
                           "epochs": {}, "adds": adds, "subs": subs,
                           "util": util}
-    for ev in result.events:
+    for ev in events:
         slot = per_layer[ev.layer]
         pj = _reference_pj(ev, model)
         slot["energy"][ev.kind] += pj
@@ -71,8 +71,30 @@ def _reference_account(program, result, model):
         name=program.name, opt=program.opt, layers=layers,
         total_cycles=tot_cycles, total_ns=tot_cycles * model.cycle_ns,
         energy_pj=tot_energy, phase_pj=tot_phase, adds=tot_adds,
-        subs=tot_subs, arrays_used=len(result.state.aps),
-        max_col_writes=result.state.col_write_max(), model=asdict(model))
+        subs=tot_subs, arrays_used=len(state.aps),
+        max_col_writes=state.col_write_max(), model=asdict(model))
+
+
+def assert_same_stats(got, want):
+    """Every int equal, every float within 1e-9 relative: the oracle adds
+    rounded per-event energies, `account` rounds once per sum. Below the
+    normal float range (a drawn rate of 5e-324, say) a per-event price
+    keeps no relative precision, hence the absolute floor."""
+    def same(a, b, where):
+        assert type(a) is type(b), where
+        if isinstance(a, dict):
+            assert a.keys() == b.keys(), where
+            for k in a:
+                same(a[k], b[k], f"{where}.{k}")
+        elif isinstance(a, list):
+            assert len(a) == len(b), where
+            for i, (x, y) in enumerate(zip(a, b)):
+                same(x, y, f"{where}[{i}]")
+        elif isinstance(a, float):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-300), where
+        else:
+            assert a == b, where
+    same(json.loads(got.dumps()), json.loads(want.dumps()), "stats")
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +104,9 @@ def accounted():
     out = {}
     for opt in ("unroll", "unroll_cse"):
         prog = emit_program(net, 8, 8, ApGeometry(), opt)
-        result = sim.run(prog, ifm)
-        out[opt] = (prog, result, metrics.account(prog, result))
+        sink = []
+        result = sim.run(prog, ifm, sink)
+        out[opt] = (prog, result, metrics.account(prog, result), sink)
     return out
 
 
@@ -105,16 +128,16 @@ def test_event_energy_anchors():
 
 
 def test_account_categories_sum_to_total(accounted):
-    for opt, (prog, result, stats) in accounted.items():
+    for opt, (prog, result, stats, sink) in accounted.items():
         by_layers = sum(ls.total_pj for ls in stats.layers)
         assert stats.total_pj == pytest.approx(by_layers, rel=1e-9)
         assert sum(stats.phase_pj.values()) == pytest.approx(stats.total_pj, rel=1e-9)
         for kind in metrics.EVENT_KINDS:
             per_layer = sum(ls.energy_pj[kind] for ls in stats.layers)
             assert stats.energy_pj[kind] == pytest.approx(per_layer, rel=1e-9)
-        # total re-derivable from raw events
+        # total re-derivable from the run's events, one by one
         model = metrics.EnergyModel()
-        raw = sum(metrics.event_energy_pj(e, model) for e in result.events)
+        raw = sum(metrics.event_energy_pj(e, model) for e in sink)
         assert stats.total_pj == pytest.approx(raw, rel=1e-9)
         assert stats.arrays_used == len(result.state.aps)
         assert stats.max_col_writes == result.state.col_write_max()
@@ -136,7 +159,7 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
         (0, 1, (sim.SHIFT, 64, 3, 3)),      # ap0, epoch1: 3
         (1, 1, (sim.SEARCH, 64, 0, 9)),     # ap1, epoch1: 9
     ]:
-        state.events.at(ap, 0, "dfg", epoch).extend(record)
+        state.events.record(ap, 0, "dfg", epoch, *record)
     result = types.SimpleNamespace(events=state.events, state=state)
     stats = metrics.account(prog, result)
     assert stats.total_cycles == max(10, 8) + max(3, 9) == 19
@@ -144,9 +167,9 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
 
 
 def test_account_matches_the_per_event_fold(accounted):
-    for prog, result, stats in accounted.values():
-        want = _reference_account(prog, result, EnergyModel())
-        assert stats.dumps() == want.dumps()
+    for prog, result, stats, sink in accounted.values():
+        want = _reference_account(prog, sink, result.state, EnergyModel())
+        assert_same_stats(stats, want)
 
 
 def _pool_program(n_layers):
@@ -167,14 +190,16 @@ def test_account_of_drawn_logs_matches_the_per_event_fold(
         events, search, write, shift, move):
     model = EnergyModel(search, write, shift, move)
     state = sim.SimState(ApGeometry())
+    sink = []
     for kind, ap, layer, phase, epoch, bits, steps, cycles in events:
         state.ap(ap)
-        state.events.at(ap, layer, phase, epoch).extend(
-            (kind, bits, steps, cycles))
+        state.events.record(ap, layer, phase, epoch, kind, bits, steps,
+                            cycles, sink)
+    assert len(state.events) == len(sink) == len(events)
     result = types.SimpleNamespace(events=state.events, state=state)
     prog = _pool_program(3)
-    assert metrics.account(prog, result, model).dumps() == \
-        _reference_account(prog, result, model).dumps()
+    assert_same_stats(metrics.account(prog, result, model),
+                      _reference_account(prog, sink, state, model))
 
 
 def test_endurance_anchor_at_100ns_rewrite_interval():
@@ -198,7 +223,7 @@ def test_endurance_estimate_divides_runtime_by_hottest_column():
 
 
 def test_csv_layout(accounted):
-    _, _, stats = accounted["unroll_cse"]
+    stats = accounted["unroll_cse"][2]
     text = metrics.to_csv(stats)
     lines = text.splitlines()
     assert lines[0] == ",".join(metrics.CSV_COLUMNS) == (
@@ -214,8 +239,8 @@ def test_csv_layout(accounted):
 
 
 def test_report_renders_assumptions_and_comparison(accounted):
-    _, _, base = accounted["unroll"]
-    _, _, stats = accounted["unroll_cse"]
+    base = accounted["unroll"][2]
+    stats = accounted["unroll_cse"][2]
     report = metrics.format_report(stats, baseline=base)
     assert "model assumptions:" in report
     assert "3.0 fJ/bit" in report
@@ -229,7 +254,7 @@ def test_report_renders_assumptions_and_comparison(accounted):
 
 
 def test_stats_round_trip(accounted):
-    _, _, stats = accounted["unroll_cse"]
+    stats = accounted["unroll_cse"][2]
     doc = json.loads(stats.dumps())
     again = metrics.Stats.from_doc(doc)
     assert again.dumps() == stats.dumps()

@@ -21,9 +21,15 @@ def test_layer_shape_output_extents():
     assert (s.h_out, s.w_out) == (8, 8)
 
 
-def test_layer_shape_rejects_ragged_tiling():
-    with pytest.raises(FormatError):
-        LayerShape(3, 8, 3, 3, 2, 0, 16, 16)
+def test_layer_shape_floors_ragged_tiling():
+    s = LayerShape(3, 8, 3, 3, 2, 0, 16, 16)
+    assert (s.h_out, s.w_out) == (7, 7)
+    s = LayerShape(3, 8, 3, 3, 2, 1, 32, 8)     # a ResNet downsampling conv
+    assert (s.h_out, s.w_out) == (16, 4)
+    s = LayerShape(3, 8, 1, 1, 2, 0, 8, 7)
+    assert (s.h_out, s.w_out) == (4, 4)
+    with pytest.raises(FormatError, match="no output position"):
+        LayerShape(3, 8, 3, 3, 2, 0, 2, 8)
 
 
 def test_ternary_weights_domain():
@@ -74,14 +80,15 @@ def _naive_conv(ifm, w, stride, pad):
     return out
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
 def test_reference_convolution_matches_naive(stride, pad):
     rng = np.random.default_rng(11)
     w = TernaryWeights(rng.integers(-1, 2, size=(4, 3, 3, 3)))
-    h = {(1, 0): 6, (1, 1): 6, (2, 1): 7}[(stride, pad)]  # exact tilings only
-    ifm = FeatureMap(rng.integers(0, 16, size=(3, h, h)), 4)
-    got = reference_convolution(ifm, w, stride, pad)
-    assert np.array_equal(got, _naive_conv(ifm, w, stride, pad))
+    # odd and even inputs: a stride-2 window that would overhang is dropped
+    for h, wd in ((6, 6), (7, 7), (8, 8), (8, 7)):
+        ifm = FeatureMap(rng.integers(0, 16, size=(3, h, wd)), 4)
+        got = reference_convolution(ifm, w, stride, pad)
+        assert np.array_equal(got, _naive_conv(ifm, w, stride, pad))
 
 
 def test_max_pool_matches_naive():

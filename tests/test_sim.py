@@ -1,5 +1,5 @@
-"""Functional simulation: array state, macros, the event log, and whole
-programs."""
+"""Functional simulation: array state, macros, the event counters, and
+whole programs."""
 
 import copy
 import json
@@ -75,13 +75,14 @@ def test_search_then_write_touches_only_tagged_rows():
     cam = st.ap(0)
     pattern = np.tile([0, 1], 32)
     cam.poke(0, 0, 1, pattern, 64)
+    events = []
     sim.execute_micro_ops(st, 0, [
         isa.MicroOp("search", cols=(0,), key=(1,)),
         isa.MicroOp("write", cols=(1,), bits=(1,)),
-    ])
+    ], sink=events)
     assert np.array_equal(cam.visible(1), pattern)
     assert cam.writes[1] == 1
-    search, write = st.events
+    search, write = events
     assert (search.kind, write.kind) == ("search", "write")
     assert search.bits == 64                # one column, every row sensed
     assert write.bits == 32                 # only the tagged half written
@@ -143,9 +144,9 @@ def test_alignment_persists_between_macros(catalog):
     first_shifts = [op for op in ops if op.kind == "shift"][:2]
     assert sorted(op.col for op in first_shifts) == [0, 1]
     assert all(op.target == 0 and op.steps == 3 for op in first_shifts)
-    logged = len(st.events)
-    sim.run_macro(st, 0, make_in_place_add(4), table)
-    shifts = [e for e in list(st.events)[logged:] if e.kind == "shift"][:2]
+    events = []
+    sim.run_macro(st, 0, make_in_place_add(4), table, sink=events)
+    shifts = [e for e in events if e.kind == "shift"][:2]
     assert [e.steps for e in shifts] == [3, 3]
 
 
@@ -252,62 +253,81 @@ def _macro_outcome(rows, align, seed, execute):
                   for _ in range(DIFF_COLUMNS)]
     cam.align = dict(align)
     cam.tag = rng.getrandbits(rows)
+    events = []
     try:
-        execute(state, cam)
+        execute(state, cam, events)
     except TapcError as exc:
         return type(exc)
-    return cam.planes, cam.align, cam.writes, cam.tag, list(state.events)
+    return (cam.planes, cam.align, cam.writes, cam.tag, events,
+            state.events.bins)
 
 
 @given(macro_cases())
 def test_run_macro_matches_the_micro_op_reference(catalog, case):
+    """Same state, the same events in the same order, and the same
+    counters."""
     rows, key, macro, align, seed = case
     table = catalog[key]
 
-    def direct(state, cam):
-        sim.run_macro(state, 0, macro, table, 2, "accum", 5)
+    def direct(state, cam, sink):
+        sim.run_macro(state, 0, macro, table, 2, "accum", 5, sink)
 
-    def reference(state, cam):
+    def reference(state, cam, sink):
         ops = isa.expand_macro(macro, table, dict(cam.align))
-        sim.execute_micro_ops(state, 0, ops, 2, "accum", 5)
+        sim.execute_micro_ops(state, 0, ops, 2, "accum", 5, sink)
 
     got = _macro_outcome(rows, align, seed, direct)
     want = _macro_outcome(rows, align, seed, reference)
     assert got == want
 
 
-# --- the event log --------------------------------------------------------
+# --- the event counters ---------------------------------------------------
 
-def _logged(places):
-    """An event log holding one search per entry, at the given places, with
-    the entry's position as its bits."""
-    log = sim.EventLog()
-    for i, place in enumerate(places):
-        log.at(*place).extend((sim.SEARCH, i, 0, 1))
-    return log
-
-
-def test_event_log_length_indexing_and_iteration():
-    places = [(0, 0, "io", 0), (0, 0, "io", 0), (1, 0, "io", 0),
-              (1, 0, "dfg", 1), (1, 0, "dfg", 1), (0, 1, "accum", 2)]
-    log = _logged(places)
-    log.at(3, 1, "io", 3)              # a place with no event yet
-    want = [sim.Event("search", ap, layer, phase, epoch, i, 0, 1)
-            for i, (ap, layer, phase, epoch) in enumerate(places)]
-    assert len(log) == 6
-    assert list(log) == want
-    assert len(sim.EventLog()) == 0 and list(sim.EventLog()) == []
+def test_event_counts_sum_each_key():
+    counts = sim.EventCounts()
+    assert len(counts) == 0 and counts.bins == {}
+    sink = []
+    counts.record(0, 0, "io", 0, sim.SEARCH, 64, 0, 1, sink)
+    counts.record(0, 0, "io", 0, sim.SEARCH, 32, 0, 1, sink)
+    counts.record(1, 0, "dfg", 1, sim.SHIFT, 64, 3, 3, sink)
+    counts.add((1, 0, "dfg", 1, sim.SHIFT), 2, 128, 5, 5, 320)
+    assert len(counts) == 5
+    assert counts.bins == {(0, 0, "io", 0, sim.SEARCH): [2, 96, 0, 2, 96],
+                           (1, 0, "dfg", 1, sim.SHIFT): [3, 192, 8, 8, 512]}
+    assert sink == [sim.Event("search", 0, 0, "io", 0, 64, 0, 1),
+                    sim.Event("search", 0, 0, "io", 0, 32, 0, 1),
+                    sim.Event("shift", 1, 0, "dfg", 1, 64, 3, 3)]
 
 
-def test_export_events_matches_the_per_event_formatter():
+def _events_csv(text):
+    header, *rows = text.splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def test_export_events_rows_sum_to_the_sink():
     net = make_synthetic_network(2, 4, 0.7, bits=4, in_channels=2, seed=22)
-    events = sim.run(emit_program(net, 6, 6, ApGeometry()),
-                     make_synthetic_input(net, 6, 6, seed=1)).events
-    assert len({place[3] for place in events.places}) > 2
-    want = "".join([sim.EXPORT_HEADER + "\n"] + [
-        f"{e.kind},{e.ap},{e.bits},{e.steps},{e.epoch}\n" for e in events])
-    assert sim.export_events(events) == want
-    assert sim.export_events(sim.EventLog()) == sim.EXPORT_HEADER + "\n"
+    prog = emit_program(net, 6, 6, ApGeometry())
+    ifm = make_synthetic_input(net, 6, 6, seed=1)
+    sink = []
+    result = sim.run(prog, ifm, sink)
+    text = sim.export_events(result.events)
+    header, rows = _events_csv(text)
+    assert header == ["kind", "ap", "layer", "phase", "epoch", "events",
+                      "bits", "steps", "cycles", "size"]
+    assert len({row[4] for row in rows}) > 2
+    assert sum(int(row[5]) for row in rows) == len(result.events) == len(sink)
+    # each row sums the sink's events at its key
+    want = {}
+    for e in sink:
+        key = (e.kind, str(e.ap), str(e.layer), e.phase, str(e.epoch))
+        acc = want.setdefault(key, [0, 0, 0, 0, 0])
+        size = e.bits * e.steps if e.kind == "shift" else e.bits
+        for i, x in enumerate((1, e.bits, e.steps, e.cycles, size)):
+            acc[i] += x
+    assert {tuple(row[:5]): [int(x) for x in row[5:]] for row in rows} == want
+    # without a sink the counters are the same, and so are the bytes
+    assert sim.export_events(sim.run(prog, ifm).events) == text
+    assert sim.export_events(sim.EventCounts()) == sim.EXPORT_HEADER + "\n"
 
 
 # --- whole programs against the host reference ----------------------------
@@ -320,6 +340,14 @@ def test_single_conv_layer_both_opt_levels():
 def test_strided_conv():
     net = TernaryNetwork("s2", [conv_layer(2, 3, 3, 2, 1, 4, seed=11)])
     check_net(net, 9, 9)
+
+
+@pytest.mark.parametrize("f,pad,hw", [(3, 1, 8), (1, 0, 8), (3, 1, 32)])
+def test_strided_conv_on_even_inputs(f, pad, hw):
+    # the two downsampling convs of a ResNet floor their output extent
+    net = TernaryNetwork("s2", [conv_layer(2, 3, f, 2, pad, 4, seed=11)])
+    result = check_net(net, hw, hw)
+    assert result.trace[0].shape == (3, hw // 2, hw // 2)
 
 
 def test_one_by_one_kernels_alias_inputs():
@@ -352,7 +380,7 @@ def test_channel_groups_spread_over_aps_and_merge():
     net = TernaryNetwork("cg", [conv_layer(16, 2, 3, 1, 1, 8, seed=17, shift=6)])
     result = check_net(net, 4, 4)
     assert len(result.state.aps) == 2
-    assert any(e.kind == "move" for e in result.events)
+    assert any(key[4] == sim.MOVE for key in result.events.bins)
 
 
 def test_row_groups_split_positions():
@@ -424,7 +452,13 @@ def test_export_events_header_and_rows():
     st = sim.SimState(GEO)
     sim.execute_micro_ops(st, 0, [isa.MicroOp("search", cols=(0,), key=(0,))],
                           layer=2, phase="dfg", epoch=7)
+    sim.execute_micro_ops(st, 0, [isa.MicroOp("shift", col=1, target=2,
+                                              steps=2)],
+                          layer=2, phase="dfg", epoch=7)
     text = sim.export_events(st.events)
-    lines = text.splitlines()
-    assert lines[0] == sim.EXPORT_HEADER == "kind,ap,bits,steps,epoch"
-    assert lines[1] == "search,0,64,0,7"
+    assert text.splitlines() == [
+        sim.EXPORT_HEADER,
+        "search,0,2,dfg,7,1,64,0,1,64",
+        "shift,0,2,dfg,7,1,64,2,2,128"]
+    assert sim.EXPORT_HEADER == \
+        "kind,ap,layer,phase,epoch,events,bits,steps,cycles,size"
