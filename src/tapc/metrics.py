@@ -193,9 +193,6 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
     by_kind, by_phase, layer_cycles = _fold(result.events, len(program.layers),
                                             model)
     layers = []
-    tot_energy = {k: 0.0 for k in EVENT_KINDS}
-    tot_phase = {p: 0.0 for p in PHASES}
-    tot_cycles = tot_adds = tot_subs = 0
     for idx, lp in enumerate(program.layers):
         util = 0.0
         adds = subs = 0
@@ -203,25 +200,21 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
             placed = place_layer(lp.shape, lp.in_bits, geo)
             util = placed["positions"] / (placed["row_groups"] * geo.rows)
             adds, subs = macro_counts(lp, geo)
-        energy = dict(zip(EVENT_KINDS, by_kind[idx]))
-        phase = dict(zip(PHASES, by_phase[idx]))
         cycles = layer_cycles[idx]
         layers.append(LayerStats(
             layer=idx, kind=lp.kind, cycles=cycles,
-            ns=cycles * model.cycle_ns, energy_pj=energy, phase_pj=phase,
+            ns=cycles * model.cycle_ns,
+            energy_pj=dict(zip(EVENT_KINDS, by_kind[idx])),
+            phase_pj=dict(zip(PHASES, by_phase[idx])),
             adds=adds, subs=subs, utilization=util))
-        for k in EVENT_KINDS:
-            tot_energy[k] += energy[k]
-        for p in PHASES:
-            tot_phase[p] += phase[p]
-        tot_cycles += cycles
-        tot_adds += adds
-        tot_subs += subs
+    total_cycles = sum(layer_cycles)
     return Stats(
         name=program.name, opt=program.opt, layers=layers,
-        total_cycles=tot_cycles, total_ns=tot_cycles * model.cycle_ns,
-        energy_pj=tot_energy, phase_pj=tot_phase,
-        adds=tot_adds, subs=tot_subs,
+        total_cycles=total_cycles, total_ns=total_cycles * model.cycle_ns,
+        energy_pj={k: sum(ls.energy_pj[k] for ls in layers)
+                   for k in EVENT_KINDS},
+        phase_pj={p: sum(ls.phase_pj[p] for ls in layers) for p in PHASES},
+        adds=sum(ls.adds for ls in layers), subs=sum(ls.subs for ls in layers),
         arrays_used=len(result.state.aps),
         max_col_writes=result.state.col_write_max(),
         model=asdict(model))

@@ -83,7 +83,11 @@ class TernaryWeights:
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Output quantization of one layer: y = clamp(floor(acc * mult / 2^shift))."""
+    """Output quantization of one layer: y = clamp(floor(acc * mult / 2^shift)).
+
+    The multiplier is below 2^31, so `acc * mult` stays inside int64 for any
+    accumulator below 2^32, and the shift is below 63, past which every
+    int64 product floors to 0 or -1 anyway."""
 
     activation_bits: int
     requant_multiplier: int = 1
@@ -93,8 +97,10 @@ class QuantSpec:
     def __post_init__(self):
         if not 1 <= self.activation_bits <= 16:
             raise FormatError("activation_bits must be in 1..16")
-        if self.requant_multiplier < 0 or self.requant_shift < 0:
-            raise FormatError("requant multiplier/shift must be non-negative")
+        if not 0 <= self.requant_multiplier < 1 << 31:
+            raise FormatError("requant multiplier must be in 0..2^31-1")
+        if not 0 <= self.requant_shift < 63:
+            raise FormatError("requant shift must be in 0..62")
         if self.activation_kind not in ACTIVATION_KINDS:
             raise FormatError(f"unknown activation_kind {self.activation_kind!r}")
 
@@ -321,8 +327,12 @@ def load_network(manifest_path, weights_path) -> TernaryNetwork:
     except OSError as exc:
         raise FormatError(f"cannot read weights: {exc}") from exc
 
+    records = manifest.get("layers", [])
+    if not isinstance(records, list):
+        raise FormatError("manifest layers must be a list, got "
+                          f"{type(records).__name__}")
     layers = []
-    for i, rec in enumerate(manifest.get("layers", [])):
+    for i, rec in enumerate(records):
         try:
             kind = rec["type"]
             c_in, c_out, f_h, f_w, stride, pad, bits, mult, shift, offset, \

@@ -199,7 +199,7 @@ class _TilePlan(Tile):
 
 
 def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
-                    opt: str) -> tuple[list[_TilePlan], list[LinearSystem], int]:
+                    opt: str) -> tuple[list[_TilePlan], list[LinearSystem]]:
     """Split the layer into output tiles until every AP fits its columns.
 
     Each attempt halves the tile size. A tile fits exactly when its widest
@@ -209,26 +209,13 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
     Only a one-channel tile allocates every channel, so that the
     CapacityError names the widest.
 
-    Each channel's row terms are taken once and sliced per tile. Also
-    returns the layer's op count after CSE over whole channels: under
-    unroll_cse those graphs are the first attempt's, whose single tile spans
-    every output channel; under unroll CSE runs once per channel for the
-    count alone."""
+    Each channel's row terms are taken once and sliced per tile, and a
+    tile builds each channel's graph, with CSE under unroll_cse, as it
+    allocates it."""
     systems = lower_layer(weights, shape)
     n_slots = shape.f_h * shape.f_w
     cse = opt == "unroll_cse"
     terms = [dfglib.row_terms(sys.matrix) for sys in systems]
-    whole = [dfglib.graph_from_terms(sys.channel, n_slots, rows, cse=True)
-             for sys, rows in zip(systems, terms)]
-    ops_cse = sum(g.op_count for g in whole)
-
-    def graphs(c_lo, c_hi):
-        """Each channel's graph of rows [c_lo, c_hi), built when asked for."""
-        for sys, rows, g in zip(systems, terms, whole):
-            if not (cse and c_hi - c_lo == len(rows)):
-                g = dfglib.graph_from_terms(sys.channel, n_slots,
-                                            rows[c_lo:c_hi], cse)
-            yield dfglib.annotate_bitwidths(g, in_bits)
 
     n_tiles = 1
     while True:
@@ -240,8 +227,11 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
             budget = (geometry.columns
                       - Tile(c_lo, c_hi, 0, 0, n_slots, 0).columns_used)
             plans = {}
-            for sys, g in zip(systems, graphs(c_lo, c_hi)):
-                plans[sys.channel] = plan = allocate_columns(g)
+            for sys, rows in zip(systems, terms):
+                g = dfglib.graph_from_terms(sys.channel, n_slots,
+                                            rows[c_lo:c_hi], cse)
+                plans[sys.channel] = plan = allocate_columns(
+                    dfglib.annotate_bitwidths(g, in_bits))
                 if plan.n_colors > budget and tile_size > 1:
                     break
             n_value = max((p.n_colors for p in plans.values()), default=0)
@@ -251,7 +241,7 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
                 break
             tiles.append(tile)
         else:   # every tile fits
-            return tiles, systems, ops_cse
+            return tiles, systems
         if tile_size == 1:
             raise CapacityError(
                 f"single output channel needs {tile.columns_used} columns, "
@@ -377,8 +367,8 @@ def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     try:
         groups = place_layer(shape, in_bits, geometry)["channel_groups"]
-        tiles, systems, ops_cse = plan_conv_layer(layer.weights, shape,
-                                                  in_bits, geometry, opt)
+        tiles, systems = plan_conv_layer(layer.weights, shape, in_bits,
+                                         geometry, opt)
         lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
                        tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
                               for t in tiles],
@@ -390,7 +380,9 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     adds, subs = macro_counts(lp, geometry)
     row_groups = placed["row_groups"]
     row = {"layer": idx, "kind": "conv",
-           "ops_unroll": unrolled_op_count(systems), "ops_cse": ops_cse,
+           "ops_unroll": unrolled_op_count(systems),
+           "ops_cse": sum(p.graph.op_count
+                          for t in tiles for p in t.plans.values()),
            "macro_adds": adds, "macro_subs": subs,
            "aps": row_groups * len(tiles) * len(groups),
            "row_groups": row_groups, "channel_groups": len(groups),

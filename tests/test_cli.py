@@ -185,6 +185,27 @@ def test_manifest_integer_fields_must_be_json_integers(layer, field, value,
     assert f"{field} must be an integer" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(layers=5), "layers must be a list"),
+    (lambda d: d.update(layers=None), "layers must be a list"),
+    (lambda d: d["layers"][0].update(requant_multiplier=2**63),
+     "requant multiplier"),
+    (lambda d: d["layers"][0].update(requant_shift=2**63), "requant shift"),
+], ids=["int-layers", "null-layers", "huge-multiplier", "huge-shift"])
+def test_malformed_manifests_are_format_errors(edit, message, tmp_path,
+                                               capsys):
+    save_network(TernaryNetwork("net", [_conv(3, 4, 0)]),
+                 tmp_path / "net.json", tmp_path / "net.bin")
+    doc = json.loads((tmp_path / "net.json").read_text())
+    edit(doc)
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify",
+                           "--model", str(tmp_path / "net.json"),
+                           "--weights", str(tmp_path / "net.bin"),
+                           "--input-hw", "6x6")
+    assert code == 4 and err.startswith("format:") and message in err, err
+
+
 def test_saved_network_files_feed_every_command(tmp_path, capsys):
     net = make_synthetic_network(1, 4, 0.75, bits=4, in_channels=2, seed=6)
     save_network(net, tmp_path / "net.json", tmp_path / "net.bin")
@@ -565,6 +586,8 @@ PROGRAM_EDITS = {
         1, _first(_stream(d), True)[1] + 1),
     "accumulator-never-written": _drop_writes_of_acc0,
     "repeated-result-column": _repeat_first_result,
+    "huge-multiplier": lambda d: d["layers"][0].update(multiplier=2**63),
+    "huge-shift": lambda d: d["layers"][0].update(shift=2**63),
 }
 
 
@@ -611,17 +634,31 @@ def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
     assert code == 4 and err.startswith("format:"), err
 
 
-def test_ops_cse_is_the_same_at_both_opt_levels(tmp_path, capsys):
-    # two output tiles after a retry: the count is over whole channels
-    argv = _TILED
+def _dfg_item_count(layer):
+    """Stream items of a conv layer whose result column lies below their
+    tile's acc0, summed over tiles and channel groups: its DFG macros."""
+    count = 0
+    for t, groups in zip(layer["tiles"], layer["streams"]):
+        acc0 = t["value0"] + t["n_value_cols"]
+        count += sum(1 for channels in groups for items in channels
+                     for item in items if (item[4] or [item[3]])[0] < acc0)
+    return count
+
+
+def test_ops_cse_counts_the_emitted_dfg_ops(tmp_path, capsys):
+    # two output tiles after a retry: the count is over the emitted tiles,
+    # and without CSE it is the unrolled count
     counts = {}
     for opt in ("unroll", "unroll+cse"):
         out = tmp_path / opt
-        code, _, _ = run_cli(capsys, "compile", *argv, "--opt", opt,
+        code, _, _ = run_cli(capsys, "compile", *_TILED, "--opt", opt,
                              "--out-dir", str(out))
         assert code == 0
         report = json.loads((out / "compile_report.json").read_text())
         counts[opt] = [(r["ops_unroll"], r["ops_cse"], r["out_tiles"])
                        for r in report["layers"]]
-    assert counts["unroll"] == counts["unroll+cse"] == [(24, 22, 2),
-                                                        (111, 98, 2)]
+        doc = json.loads((out / "program.json").read_text())
+        assert ([r["ops_cse"] for r in report["layers"]]
+                == [_dfg_item_count(layer) for layer in doc["layers"]])
+    assert counts == {"unroll": [(24, 24, 2), (111, 111, 2)],
+                      "unroll+cse": [(24, 23, 2), (111, 102, 2)]}

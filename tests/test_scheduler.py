@@ -331,13 +331,13 @@ def test_output_tiles_split_until_columns_fit():
     shape = layer.shape_for(8, 8)
 
     wide = ApGeometry()
-    tiles, systems, _ = plan_conv_layer(layer.weights, shape, 4, wide, "unroll_cse")
+    tiles, systems = plan_conv_layer(layer.weights, shape, 4, wide, "unroll_cse")
     assert len(systems) == 3
     assert len(tiles) == 1
     assert tiles[0].columns_used <= wide.columns
 
     narrow = ApGeometry(columns=24)
-    tiles, _, _ = plan_conv_layer(layer.weights, shape, 4, narrow, "unroll_cse")
+    tiles, _ = plan_conv_layer(layer.weights, shape, 4, narrow, "unroll_cse")
     assert len(tiles) > 1
     spans = [(t.c_lo, t.c_hi) for t in tiles]
     assert spans[0][0] == 0 and spans[-1][1] == 16
@@ -364,7 +364,6 @@ def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
 
     systems = lower_layer(weights, shape)
     n_slots = shape.f_h * shape.f_w
-    ops_cse = None
     n_tiles = 1
     while True:
         tile_size = -(-shape.c_out // n_tiles)
@@ -376,12 +375,6 @@ def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
                 plans[sys.channel] = _reference_allocate(build_graph(
                     LinearSystem(sys.channel, sys.matrix[c_lo:c_hi],
                                  sys.patch)))
-            if ops_cse is None:     # the first attempt's single tile
-                graphs = [p.graph for p in plans.values()]
-                if opt != "unroll_cse":
-                    graphs = [dfglib.eliminate_common_subexpressions(g)
-                              for g in graphs]
-                ops_cse = sum(g.op_count for g in graphs)
             n_value = max((p.n_colors for p in plans.values()), default=0)
             lo, hi = scheduler._acc_interval(systems, c_lo, c_hi, in_bits)
             tile = scheduler._TilePlan(c_lo, c_hi, lo, hi, n_slots, n_value,
@@ -390,7 +383,7 @@ def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
                 break
             tiles.append(tile)
         else:   # every tile fits
-            return tiles, systems, ops_cse
+            return tiles, systems
         if tile_size == 1:
             raise CapacityError(
                 f"single output channel needs {tile.columns_used} columns, "
@@ -399,13 +392,11 @@ def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
 
 
 def _tiles_or_error(plan, *args):
-    """The accepted tiles with their plans and ops_cse, or the
-    CapacityError message."""
+    """The accepted tiles with their plans, or the CapacityError message."""
     try:
-        tiles, _systems, ops_cse = plan(*args)
+        return plan(*args)[0]
     except CapacityError as exc:
         return str(exc)
-    return tiles, ops_cse
 
 
 @given(st.integers(12, 64), st.integers(1, 6), st.integers(2, 24),
