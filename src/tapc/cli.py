@@ -97,12 +97,20 @@ def _parse_hw(text) -> tuple[int, int]:
         raise FormatError(f"bad size {text!r}: expected HxW") from exc
 
 
-def _input_map(args, net=None, program=None) -> FeatureMap:
+def _compile_for_input(args, net) -> tuple[ApProgram, FeatureMap]:
+    """`net` compiled for the extents of --input or --input-hw, and its
+    input, drawn only after compiling succeeded."""
+    ifm = load_feature_map(args.input) if args.input else None
+    h, w = ifm.shape[1:] if ifm is not None else _parse_hw(args.input_hw)
+    prog = emit_program(net, h, w, _geometry(args), _OPT_MAP[args.opt])
+    if ifm is None:
+        ifm = make_synthetic_input(net, h, w, seed=args.seed)
+    return prog, ifm
+
+
+def _program_input(args, program) -> FeatureMap:
     if args.input:
         return load_feature_map(args.input)
-    if net is not None:
-        h, w = _parse_hw(args.input_hw)
-        return make_synthetic_input(net, h, w, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     data = rng.integers(0, 1 << program.in_bits,
                         size=(program.in_c, program.in_h, program.in_w),
@@ -149,12 +157,9 @@ def cmd_run(args) -> int:
     model = _energy_model(args)
     if args.program:
         prog = ApProgram.load(args.program)
-        ifm = _input_map(args, program=prog)
+        ifm = _program_input(args, prog)
     else:
-        net = _load_net(args)
-        ifm = _input_map(args, net=net)
-        prog = emit_program(net, ifm.shape[1], ifm.shape[2], _geometry(args),
-                            _OPT_MAP[args.opt])
+        prog, ifm = _compile_for_input(args, _load_net(args))
         prog.save(_out_path(args, "program.json"))
     result = sim.run(prog, ifm)
     stats = metrics.account(prog, result, model)
@@ -173,11 +178,9 @@ def cmd_verify(args) -> int:
     net = _load_net(args)
     if args.program:
         prog = ApProgram.load(args.program)
-        ifm = _input_map(args, program=prog)
+        ifm = _program_input(args, prog)
     else:
-        ifm = _input_map(args, net=net)
-        prog = emit_program(net, ifm.shape[1], ifm.shape[2], _geometry(args),
-                            _OPT_MAP[args.opt])
+        prog, ifm = _compile_for_input(args, net)
     want = reference_inference(net, ifm)
     got = sim.run(prog, ifm).trace
     div = sim.first_divergence(got, want)

@@ -15,6 +15,7 @@ so a reader can see exactly what a number was built from.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
@@ -41,11 +42,13 @@ class EnergyModel:
     def __post_init__(self):
         for name in ("search_fj_per_bit", "write_fj_per_bit",
                      "shift_fj_per_step", "move_pj_per_bit"):
-            if not getattr(self, name) >= 0:
-                raise FormatError(f"energy model: {name} must be >= 0")
-        if not (self.cycle_ns > 0 and self.write_endurance > 0):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FormatError(f"energy model: {name} must be finite "
+                                  f"and >= 0")
+        if not (0 < self.cycle_ns < math.inf
+                and 0 < self.write_endurance < math.inf):
             raise FormatError("energy model: cycle time and write endurance "
-                              "must be positive")
+                              "must be finite and positive")
 
     def assumptions(self) -> list[str]:
         return [
@@ -120,7 +123,8 @@ class Stats:
         return asdict(self)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, indent=1) + "\n"
+        return json.dumps(self.to_doc(), sort_keys=True, indent=1,
+                          allow_nan=False) + "\n"
 
     @classmethod
     def from_doc(cls, doc) -> "Stats":
@@ -148,14 +152,15 @@ class Stats:
 
 
 def _tables(doc: dict, where: str) -> dict:
-    """`doc` after checking that its energy tables hold a number for every
-    event kind and every phase, and nothing else."""
+    """`doc` after checking that its energy tables hold a finite number for
+    every event kind and every phase, and nothing else."""
     for name, keys in (("energy_pj", EVENT_KINDS), ("phase_pj", PHASES)):
         table = doc[name]
         if sorted(table) != sorted(keys) or any(
-                type(x) not in (int, float) for x in table.values()):
-            raise FormatError(f"{where}: {name} needs one number for each "
-                              f"of {', '.join(keys)}")
+                type(x) not in (int, float) or not math.isfinite(x)
+                for x in table.values()):
+            raise FormatError(f"{where}: {name} needs one finite number for "
+                              f"each of {', '.join(keys)}")
     return doc
 
 
@@ -208,7 +213,7 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
             phase_pj=dict(zip(PHASES, by_phase[idx])),
             adds=adds, subs=subs, utilization=util))
     total_cycles = sum(layer_cycles)
-    return Stats(
+    stats = Stats(
         name=program.name, opt=program.opt, layers=layers,
         total_cycles=total_cycles, total_ns=total_cycles * model.cycle_ns,
         energy_pj={k: sum(ls.energy_pj[k] for ls in layers)
@@ -218,6 +223,11 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
         arrays_used=len(result.state.aps),
         max_col_writes=result.state.col_write_max(),
         model=asdict(model))
+    # every figure is non-negative, so a finite total bounds its parts
+    if not all(map(math.isfinite, (stats.total_ns, stats.total_pj,
+                                   sum(stats.phase_pj.values())))):
+        raise FormatError("energy model: the run's totals overflow a float")
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,18 @@ its one checking loader.
 
 A program stores only the compiler's decisions. Per conv layer these are
 the shape and requantization, per output tile its channel range,
-accumulator interval and value-pool layout (`Tile`), and per (tile, channel
-group) one item stream that every row group runs, one item list per channel
-of the group. An item stores its op, width and the columns it reads and
-writes. What follows from them is derived here and nowhere else: the
-placement (`place_layer`), whether it fits the geometry (`fit_layer`), a
-tile's columns (`Tile`), the AP of each (row group, tile, channel group)
+accumulator interval and first accumulator column (`Tile`), and per (tile,
+channel group) one item stream that every row group runs, one item list
+per channel of the group. An item stores its op, width and the columns it
+reads and writes. What follows from them is derived here and nowhere else:
+the placement (`place_layer`), whether it fits the geometry (`fit_layer`),
+a tile's columns (`Tile`), the AP of each (row group, tile, channel group)
 (`ap_id`), the adder tree over channel groups (`adder_tree`, `merge_adds`),
 each item's macro and energy phase, with the domains, width and signedness
 of its operands (`stream_macros`), and the add/sub counts (`macro_counts`).
-A layer's number is its position in `layers`.
+A layer's number is its position in `layers`. The pass tables are the
+ISA's (`isa.standard_catalog`), the same for every program, so no program
+stores them.
 
 Every class holds exactly the fields of its JSON object and every item is a
 named tuple, which `json` writes as an array, so one `default=` hook encodes
@@ -34,7 +36,7 @@ from . import isa
 from .errors import CapacityError, FormatError
 from .model import LayerShape, QuantSpec
 
-PROGRAM_VERSION = 4
+PROGRAM_VERSION = 5
 OPT_LEVELS = ("unroll", "unroll_cse")
 
 
@@ -96,25 +98,20 @@ class MacroItem(NamedTuple):
 
 @dataclass(frozen=True)
 class Tile:
-    """Column layout of one output tile on each of its APs: patch slots, the
-    value pool from `value0`, one accumulator per local output channel from
-    `acc0`, then the carry, zero and move-scratch columns. The accumulator
+    """Column layout of one output tile on each of its APs: the layer's
+    patch slots, the value pool, one accumulator per local output channel
+    from `acc0`, then the carry, zero and move-scratch columns. The accumulator
     width is the narrowest that holds the proven interval [acc_lo, acc_hi]."""
 
     c_lo: int
     c_hi: int
     acc_lo: int
     acc_hi: int
-    value0: int
-    n_value_cols: int
+    acc0: int
 
     @property
     def acc_width(self) -> int:
         return dfglib.min_signed_width(self.acc_lo, self.acc_hi)
-
-    @property
-    def acc0(self) -> int:
-        return self.value0 + self.n_value_cols
 
     @property
     def carry(self) -> int:
@@ -200,7 +197,6 @@ class ApProgram:
     in_h: int
     in_w: int
     geometry: ApGeometry
-    luts: list[isa.LutTable]    # the four plain tables
     layers: list[ConvLayer | PoolLayer | AddLayer]
     format_version: int = PROGRAM_VERSION
     # compile-only outputs: class attributes, so never stored or compared
@@ -231,12 +227,8 @@ class ApProgram:
 
 
 def _encode(obj) -> dict:
-    """JSON object of a program dataclass or pass table; items are tuples,
-    which `json` writes as arrays itself."""
-    if isinstance(obj, isa.LutTable):
-        return {"op": obj.op_kind, "addressing": obj.addressing,
-                "entries": [[e.key, e.write, e.pass_index]
-                            for _k, e in sorted(obj.entries.items())]}
+    """JSON object of a program dataclass; items are tuples, which `json`
+    writes as arrays itself."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
@@ -244,18 +236,27 @@ def _encode(obj) -> dict:
 # what is derived from the stored decisions
 # ---------------------------------------------------------------------------
 
-def place_layer(shape, in_bits: int, geometry: ApGeometry) -> dict:
+def place_layer(shape, in_bits: int, geometry: ApGeometry,
+                n_tiles: int = 1) -> dict:
     """Geometric placement of one conv layer: output positions split into
     row groups of up to `rows`, input channels into nanowire-stacked groups
-    of floor(domains / in_bits). Column budgeting is done elsewhere."""
+    of floor(domains / in_bits). Column budgeting is done elsewhere. Raises
+    CapacityError, before building any list, when `n_tiles` output tiles
+    need more APs than the geometry has."""
     cap = geometry.domains_per_track // in_bits
     if cap < 1:
         raise CapacityError(f"{in_bits}-bit activations exceed "
                             f"{geometry.domains_per_track} domains per track")
-    channels = list(range(shape.c_in))
-    groups = [channels[i:i + cap] for i in range(0, shape.c_in, cap)]
     positions = shape.h_out * shape.w_out
     row_groups = -(-positions // geometry.rows)
+    n_groups = -(-shape.c_in // cap)
+    n_aps = row_groups * n_tiles * n_groups
+    if n_aps > geometry.total_aps:
+        raise CapacityError(
+            f"needs {n_aps} APs ({row_groups} row groups x {n_tiles} tiles "
+            f"x {n_groups} channel groups), geometry has {geometry.total_aps}")
+    channels = list(range(shape.c_in))
+    groups = [channels[i:i + cap] for i in range(0, shape.c_in, cap)]
     rows_used = [min(geometry.rows, positions - rg * geometry.rows)
                  for rg in range(row_groups)]
     return {"positions": positions, "row_groups": row_groups,
@@ -266,13 +267,7 @@ def fit_layer(lp: ConvLayer, geometry: ApGeometry) -> dict:
     """The placement of a conv layer, after checking that the layer fits the
     geometry: its APs, and every accumulator and stored value along one
     track, one bit per domain. Raises CapacityError otherwise."""
-    placed = place_layer(lp.shape, lp.in_bits, geometry)
-    n_rows, n_groups = placed["row_groups"], len(placed["channel_groups"])
-    n_aps = n_rows * len(lp.tiles) * n_groups
-    if n_aps > geometry.total_aps:
-        raise CapacityError(
-            f"needs {n_aps} APs ({n_rows} row groups x {len(lp.tiles)} tiles "
-            f"x {n_groups} channel groups), geometry has {geometry.total_aps}")
+    placed = place_layer(lp.shape, lp.in_bits, geometry, len(lp.tiles))
     for tile, row in zip(lp.tiles, lp.streams):
         value_w = max((item.m for channels in row for items in channels
                        for item in items), default=0)
@@ -332,10 +327,11 @@ def merge_adds(tile: Tile) -> list[isa.MacroInstr]:
             for col in range(tile.acc0, tile.carry)]
 
 
-def stream_macros(channels: list[list[MacroItem]], tile: Tile,
+def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
                   in_bits: int) -> list[tuple[isa.MacroInstr, str]]:
     """The macros and energy phases of one (tile, channel group) stream,
     whose list i holds the items of the group's channel i, in stream order.
+    `value0` is the layer's slot count, where the value pool starts.
 
     Each operand reads its column as the column holds its data: a patch slot
     as channel i's unsigned `in_bits`-bit activation, the zero column as one
@@ -348,7 +344,7 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile,
     at other than the accumulator width, an in-place item whose width is not
     b's, and a stream that leaves an accumulator unwritten.
     """
-    value0, acc0, end, acc_w = tile.value0, tile.acc0, tile.carry, tile.acc_width
+    acc0, end, acc_w = tile.acc0, tile.carry, tile.acc_width
     zero = isa.OperandRef(tile.zero, 0, 1, False)
     width_of: dict[int, int] = {}    # column -> width of its last write
     macros = []
@@ -409,10 +405,6 @@ def macro_counts(lp: ConvLayer, geometry: ApGeometry) -> tuple[int, int]:
 # the loader
 # ---------------------------------------------------------------------------
 
-_PLAIN_LUTS = [(op, mode) for op in (isa.ADD, isa.SUB)
-               for mode in (isa.IN_PLACE, isa.OUT_OF_PLACE)]
-
-
 def _check(ok, where: str, what: str, *args):
     """Raise FormatError `where: what` unless `ok`. The message is formatted
     with `args` (`str.format`) only then, so a passing check costs no repr."""
@@ -442,16 +434,18 @@ _JSON_TYPES = {"int": (int,), "str": (str,), "float": (int, float),
 
 def checked_fields(v, cls, where: str) -> dict:
     """`v` as an object with exactly the fields of `cls`, each annotated
-    int, str, float, list or dict one of that JSON type."""
+    int, str, float, list or dict one of that JSON type; a float must be
+    finite."""
     _check(type(v) is dict, where, "expected an object, got {!r}", v)
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(v)), sorted(set(v) - names)
     _check(not missing, where, "missing fields {}", missing)
     _check(not extra, where, "unknown fields {}", extra)
     for f in fields(cls):
-        want = _JSON_TYPES.get(f.type.split("[")[0])
-        _check(want is None or type(v[f.name]) in want, where,
-               "{} must be {}, got {!r}", f.name, f.type, v[f.name])
+        want, x = _JSON_TYPES.get(f.type.split("[")[0]), v[f.name]
+        _check(want is None or type(x) in want and (
+            type(x) is not float or math.isfinite(x)), where,
+            "{} must be {}, got {!r}", f.name, f.type, x)
     return v
 
 
@@ -462,8 +456,7 @@ def _load(doc) -> ApProgram:
     checked_fields(doc, ApProgram, "program")
     geo = ApGeometry(**checked_fields(doc["geometry"], ApGeometry,
                                       "geometry"))
-    prog = ApProgram(**{**doc, "geometry": geo, "luts": _luts(doc["luts"]),
-                        "layers": []})
+    prog = ApProgram(**{**doc, "geometry": geo, "layers": []})
     _check(prog.opt in OPT_LEVELS, "program", "unknown opt level {!r}", prog.opt)
     _int(prog.in_bits, "in_bits", 1, 16)
     for name in ("in_c", "in_h", "in_w"):
@@ -502,27 +495,6 @@ def _load(doc) -> ApProgram:
     return prog
 
 
-def _luts(v) -> list[isa.LutTable]:
-    tables = []
-    for i, d in enumerate(_list(v, "luts")):
-        where = f"lut {i}"
-        _check(type(d) is dict and set(d) == {"op", "addressing", "entries"},
-               where, "expected an object of op, addressing and entries")
-        entries = {}
-        for e in _list(d["entries"], where, 8):
-            key, write, pidx = _list(e, where, 3)
-            key = tuple(_int(x, where, 0, 1) for x in _list(key, where, 3))
-            write = tuple(_int(x, where, 0, 1) for x in _list(write, where, 2))
-            entries[key] = isa.LutEntry(key, write, _int(pidx, where, 0))
-        table = isa.LutTable(d["op"], d["addressing"], False, entries)
-        _check(isa.validate_lut(table).ok, where, "{} table fails validation",
-               table.name)
-        tables.append(table)
-    _check(sorted((t.op_kind, t.addressing) for t in tables) == _PLAIN_LUTS,
-           "luts", "not exactly the four plain tables")
-    return tables
-
-
 def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
           geo: ApGeometry) -> tuple[int, int, int]:
     """Check a conv layer against its input and the geometry, replace its
@@ -532,6 +504,7 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
            where, "expects {}x{}x{} at {} bits, gets {}x{}x{} at {}",
            layer.c_in, layer.h_in, layer.w_in, layer.in_bits, *cur, bits)
     shape = layer.shape
+    n_slots = shape.f_h * shape.f_w
     groups = place_layer(shape, layer.in_bits, geo)["channel_groups"]
 
     layer.tiles = [Tile(**checked_fields(t, Tile, f"{where} tile {og}"))
@@ -541,17 +514,15 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
         at = f"{where} tile {og}"
         _check(t.c_lo == c_hi < t.c_hi, at, "tiles do not partition c_out")
         c_hi = t.c_hi
-        _check(t.value0 == shape.f_h * shape.f_w, at,
-               "value0 {} is not the {} patch slots", t.value0,
-               shape.f_h * shape.f_w)
-        _int(t.n_value_cols, f"{at} n_value_cols", 0)
+        _check(t.acc0 >= n_slots, at, "acc0 {} lies in the {} patch slots",
+               t.acc0, n_slots)
         _check(t.columns_used <= geo.columns, at,
                "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
     layer.streams = [
-        [_stream(channels, geo, tile, layer.in_bits, len(groups[cg]),
-                 f"{where} stream {og}/{cg}")
+        [_stream(channels, geo, tile, n_slots, layer.in_bits,
+                 len(groups[cg]), f"{where} stream {og}/{cg}")
          for cg, channels in enumerate(_list(row, where, len(groups)))]
         for og, (tile, row) in enumerate(zip(
             layer.tiles, _list(layer.streams, where, len(layer.tiles))))]
@@ -559,15 +530,15 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
     return shape.c_out, shape.h_out, shape.w_out
 
 
-def _stream(v, geo: ApGeometry, tile: Tile, in_bits: int, n_channels: int,
-            where: str) -> list[list[MacroItem]]:
+def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
+            n_channels: int, where: str) -> list[list[MacroItem]]:
     """A stream's item lists, one per channel of its group, after
     `stream_macros` accepts them."""
     channels = [[_item(raw, geo, f"{where} channel {i} item {j}")
                  for j, raw in enumerate(_list(items, where))]
                 for i, items in enumerate(_list(v, where, n_channels))]
     try:
-        stream_macros(channels, tile, in_bits)
+        stream_macros(channels, tile, value0, in_bits)
     except FormatError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     return channels

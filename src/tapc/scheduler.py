@@ -225,7 +225,7 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
             c_hi = min(c_lo + tile_size, shape.c_out)
             # value columns the tile's slots and fixed columns leave
             budget = (geometry.columns
-                      - Tile(c_lo, c_hi, 0, 0, n_slots, 0).columns_used)
+                      - Tile(c_lo, c_hi, 0, 0, n_slots).columns_used)
             plans = {}
             for sys, rows in zip(systems, terms):
                 g = dfglib.graph_from_terms(sys.channel, n_slots,
@@ -236,7 +236,7 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
                     break
             n_value = max((p.n_colors for p in plans.values()), default=0)
             lo, hi = _acc_interval(systems, c_lo, c_hi, in_bits)
-            tile = _TilePlan(c_lo, c_hi, lo, hi, n_slots, n_value, plans)
+            tile = _TilePlan(c_lo, c_hi, lo, hi, n_slots + n_value, plans)
             if tile.columns_used > geometry.columns:
                 break
             tiles.append(tile)
@@ -266,7 +266,7 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
     different shapes, is a FormatError."""
     if opt not in OPT_LEVELS:
         raise FormatError(f"opt level must be one of {OPT_LEVELS}")
-    catalog, repairs = isa.standard_catalog()
+    repairs = isa.standard_catalog()[1]
     in_c = net.layers[0].c_in
     layers = []
     report_rows = []
@@ -304,8 +304,6 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
 
     prog = ApProgram(name=net.name, opt=opt, in_bits=_input_bits(net),
                      in_c=in_c, in_h=h, in_w=w, geometry=geometry,
-                     luts=[t for _key, t in sorted(catalog.items())
-                           if not t.negated],
                      layers=layers)
     prog.report_rows = report_rows
     prog.lut_notes = [r.describe() for r in repairs]
@@ -319,16 +317,17 @@ def _requant(quant: QuantSpec) -> dict:
             "shift": quant.requant_shift, "act_kind": quant.activation_kind}
 
 
-def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
+def _stream(tile: _TilePlan, group: list[int],
+            value0: int) -> list[list[MacroItem]]:
     """Items of the APs holding `group`'s channels for `tile`, one list per
-    channel: its DFG macros, then its folds into the accumulators. Every row
-    group runs the same stream."""
+    channel: its DFG macros over the value pool from `value0`, then its
+    folds into the accumulators. Every row group runs the same stream."""
     acc_w = tile.acc_width
 
     def col(desc, plan):
         if desc[0] == "in":
             return desc[1]
-        return tile.value0 + plan.storages[desc[1]].color
+        return value0 + plan.storages[desc[1]].color
 
     channels = []
     # the first fold into each accumulator runs out of place over the zero
@@ -341,7 +340,7 @@ def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
         for mk in plan.macros:
             dest = ()
             if mk["mode"] == isa.OUT_OF_PLACE:
-                dest = tuple(tile.value0 + plan.storages[s].color
+                dest = tuple(value0 + plan.storages[s].color
                              for s in mk["dest"])
             items.append(MacroItem(mk["op"], mk["m"], col(mk["a"], plan),
                                    col(mk["b"], plan), dest))
@@ -372,7 +371,8 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
         lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
                        tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
                               for t in tiles],
-                       streams=[[_stream(t, group) for group in groups]
+                       streams=[[_stream(t, group, shape.f_h * shape.f_w)
+                                 for group in groups]
                                 for t in tiles])
         placed = fit_layer(lp, geometry)
     except CapacityError as exc:

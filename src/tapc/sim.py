@@ -30,7 +30,9 @@ each (row group, tile, channel group) (`ap_id`), the adder-tree merges
 (`adder_tree`, `merge_adds`) and the macros and energy phases of each
 stream, whose items store only columns (`stream_macros`). A layer's number
 is its position in the program. A conv layer's streams are decoded once and
-replayed on every row group.
+replayed on every row group. The pass tables are the ISA's, not the
+program's: `run` takes them from `isa.standard_catalog()` once, and each
+macro runs on the table of its own op, addressing and negation.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -435,7 +437,7 @@ def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch, sink):
 
 
 def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
-              prov: np.ndarray | None, luts, epoch: int, sink: list | None):
+              prov: np.ndarray | None, catalog, epoch: int, sink: list | None):
     geo = state.geometry
     shape = lp.shape
     pim = im2col_indices(shape)
@@ -492,12 +494,14 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     # per-AP channel DFGs and accumulator folds; every row group runs the
     # stream of its (tile, channel group)
     ep_work = epoch + 1
-    streams = [[stream_macros(channels, tile, in_bits) for channels in row]
+    streams = [[stream_macros(channels, tile, pim.slots, in_bits)
+                for channels in row]
                for tile, row in zip(tiles, lp.streams)]
     for ap, _rg, og, cg in grid:
         for macro, phase in streams[og][cg]:
-            run_macro(state, ap, macro, luts[macro.op_kind, macro.addressing],
-                      layer, phase, ep_work, sink)
+            run_macro(state, ap, macro, catalog[
+                macro.op_kind, macro.addressing, macro.negated], layer, phase,
+                ep_work, sink)
 
     # adder tree across channel groups: before each add, the source AP's
     # copy of its b column moves into the scratch column a. A move charges
@@ -516,9 +520,9 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 cam.writes[scratch] += w
                 record(dst, layer, "accum", ep_next, MOVE, cam.rows * w, 0, w,
                        sink)
-                run_macro(state, dst, macro,
-                          luts[macro.op_kind, macro.addressing], layer,
-                          "accum", ep_next, sink)
+                run_macro(state, dst, macro, catalog[
+                    macro.op_kind, macro.addressing, macro.negated], layer,
+                    "accum", ep_next, sink)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller
@@ -564,7 +568,7 @@ def run(program: ApProgram, ifm: FeatureMap,
         raise FormatError(
             f"program compiled for {'x'.join(map(str, want))} (CxHxW) input, "
             f"feature map is {'x'.join(map(str, ifm.shape))}")
-    luts = {(t.op_kind, t.addressing): t for t in program.luts}
+    catalog = isa.standard_catalog()[0]
     state = SimState(program.geometry)
     trace: list[FeatureMap] = []
     cur = ifm
@@ -572,8 +576,8 @@ def run(program: ApProgram, ifm: FeatureMap,
     epoch = 0
     for layer, lp in enumerate(program.layers):
         if lp.kind == "conv":
-            cur, prov, epoch = _run_conv(state, lp, layer, cur, prov, luts,
-                                         epoch, sink)
+            cur, prov, epoch = _run_conv(state, lp, layer, cur, prov,
+                                         catalog, epoch, sink)
         elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
             if prov is not None:

@@ -103,6 +103,40 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "capacity:" in err
 
 
+@pytest.mark.parametrize("command", ["compile", "run", "verify"])
+@pytest.mark.parametrize("source", ["pad", "input-hw"])
+def test_a_layer_past_the_ap_count_exits_3_before_building_it(
+        command, source, tmp_path, capsys):
+    # an output extent of about 2^41, or 10^10 output positions: the AP
+    # count is checked before any per-row-group list or input is built
+    if source == "pad":
+        save_network(TernaryNetwork("net", [_conv(3, 4, 0)]),
+                     tmp_path / "net.json", tmp_path / "net.bin")
+        doc = json.loads((tmp_path / "net.json").read_text())
+        doc["layers"][0]["pad"] = 2**40
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        argv = ["--model", str(tmp_path / "net.json"),
+                "--weights", str(tmp_path / "net.bin"), "--input-hw", "6x6"]
+    else:
+        argv = ["--synthetic", "2x4x0.5", "--input-hw", "100000x100000"]
+    if command != "verify":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 3 and err.startswith("capacity: layer 0: needs "), err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--cycle-ps", "inf"), ("--search-fj", "inf"), ("--move-pj", "1e308"),
+])
+def test_non_finite_energy_figures_exit_4(flag, value, tmp_path, capsys):
+    # 1e308 pJ a bit is finite, but the run's move energy overflows a float
+    code, _, err = run_cli(capsys, "run", "--synthetic", "2x6x0.8",
+                           "--input-hw", "8x8", flag, value,
+                           "--out-dir", str(tmp_path))
+    assert code == 4 and err.startswith("format: energy model:"), err
+    assert not (tmp_path / "stats.json").exists()
+
+
 def test_format_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compile",
                            "--model", str(tmp_path / "nope.json"),
@@ -306,8 +340,11 @@ def test_report_rejects_unreadable_stats(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "run", "--synthetic", "1x4x0.8",
                          "--input-hw", "6x6", "--out-dir", str(tmp_path))
     assert code == 0
+    inf = float("inf")      # json writes it as Infinity
     for field, value in (("energy_pj", {}), ("total_ns", "x"),
-                         ("max_col_writes", "x"), ("adds", "x")):
+                         ("max_col_writes", "x"), ("adds", "x"),
+                         ("total_ns", inf),
+                         ("phase_pj", {"io": inf, "dfg": 0, "accum": 0})):
         doc = json.loads((tmp_path / "stats.json").read_text())
         doc[field] = value
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -318,7 +355,7 @@ def test_report_rejects_unreadable_stats(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("cycle_ns", "fast"), ("cycle_ns", -1.0), ("move_pj_per_bit", -2.0),
-    ("bogus", 1.0),
+    ("bogus", 1.0), ("search_fj_per_bit", float("inf")),
 ])
 def test_report_rejects_a_bad_energy_model(field, value, tmp_path, capsys):
     code, _, _ = run_cli(capsys, "run", "--synthetic", "1x4x0.8",
@@ -378,12 +415,12 @@ def test_run_artifacts_match_golden_hashes(name, tmp_path, capsys):
 
 # sha256 of program.json as `tapc compile` writes it for the golden runs
 GOLDEN_PROGRAMS = {
-    "default": "8c4c0b63741e56f4fbb84179a50dace0"
-               "030644b99dc5eabe4ada6d627f38c2fc",
-    "tiled": "cd2c339c445328d213c05aa08e37e400"
-             "90ea0fbb195ba0697b6da8fa210c51df",
-    "tiled-unroll": "bfaeb90c714f2572ae4b2ff296919b97"
-                    "2116dd4a52116b03d3af2cf22018cd1a",
+    "default": "569e5daf95e40948e528e8cc9df8421d"
+               "4182bf4f0be554b56b1854cbef5f2aec",
+    "tiled": "869fb2c3c989984e8560adad0c32f568"
+             "09c591779aa9cce3d3c1e32ebb582e1f",
+    "tiled-unroll": "7faf8a936f27d23879a316e2ffd7b9f1"
+                    "a66c23cf49637e14a7f79bb49f7b179b",
 }
 
 
@@ -408,7 +445,7 @@ def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):
     run_cli(capsys, "compile", "--synthetic", "1x4x0.8", "--input-hw", "6x6",
             "--out-dir", str(tmp_path))
     doc = json.loads((tmp_path / "program.json").read_text())
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         doc["format_version"] = version
         (tmp_path / "old.json").write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "run",
@@ -501,9 +538,8 @@ def _columns(doc):
     """acc0, carry, zero and scratch columns of the first layer's first
     tile."""
     t = doc["layers"][0]["tiles"][0]
-    acc0 = t["value0"] + t["n_value_cols"]
-    carry = acc0 + t["c_hi"] - t["c_lo"]
-    return acc0, carry, carry + 1, carry + 2
+    carry = t["acc0"] + t["c_hi"] - t["c_lo"]
+    return t["acc0"], carry, carry + 1, carry + 2
 
 
 def _channels(d):
@@ -548,7 +584,8 @@ def _as_format_3(item):
 
 # single-field edits of a compiled program; 16 domains hold two 8-bit input
 # channels, so the 3 channels form 2 groups and the layer has an adder tree.
-# The fields of format 2 that are now derived are unknown fields.
+# The fields of formats 2 and 4 that are now derived, or taken from the ISA,
+# are unknown fields.
 PROGRAM_EDITS = {
     "no-streams": lambda d: d["layers"][0].pop("streams"),
     "extra-field": lambda d: d["layers"][0].update(bogus=1),
@@ -559,12 +596,11 @@ PROGRAM_EDITS = {
     "index-out-of-order": lambda d: d["layers"][0].update(index=1),
     "string-c_in": lambda d: d["layers"][0].update(c_in="3"),
     "bool-in_bits": lambda d: d.update(in_bits=True),
-    "three-luts": lambda d: d["luts"].pop(),
-    "flipped-lut-bit": lambda d: d["luts"][0]["entries"][1][1].__setitem__(
-        1, 1 - d["luts"][0]["entries"][1][1][1]),
+    "stored-luts": lambda d: d.update(luts=[]),
     "no-channel-groups": lambda d: d["layers"][0].update(channel_groups=[]),
     "rows-used": lambda d: d["layers"][0].update(rows_used=[35]),
-    "value0": lambda d: d["layers"][0]["tiles"][0].update(value0=8),
+    "stored-value0": lambda d: d["layers"][0]["tiles"][0].update(value0=9),
+    "acc0-in-slots": lambda d: d["layers"][0]["tiles"][0].update(acc0=8),
     "item-missing-field": lambda d: _items(d)[0].pop(),
     "format-3-item": lambda d: _as_format_3(_items(d)[0]),
     "missing-channel-list": lambda d: _channels(d).pop(),
@@ -588,6 +624,8 @@ PROGRAM_EDITS = {
     "repeated-result-column": _repeat_first_result,
     "huge-multiplier": lambda d: d["layers"][0].update(multiplier=2**63),
     "huge-shift": lambda d: d["layers"][0].update(shift=2**63),
+    # one output tile of this layer already needs more APs than exist
+    "huge-pad": lambda d: d["layers"][0].update(pad=2**40),
 }
 
 
@@ -639,9 +677,9 @@ def _dfg_item_count(layer):
     tile's acc0, summed over tiles and channel groups: its DFG macros."""
     count = 0
     for t, groups in zip(layer["tiles"], layer["streams"]):
-        acc0 = t["value0"] + t["n_value_cols"]
         count += sum(1 for channels in groups for items in channels
-                     for item in items if (item[4] or [item[3]])[0] < acc0)
+                     for item in items
+                     if (item[4] or [item[3]])[0] < t["acc0"])
     return count
 
 

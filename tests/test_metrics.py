@@ -148,8 +148,7 @@ def test_account_categories_sum_to_total(accounted):
 def test_latency_is_epochwise_max_over_lockstep_aps():
     geo = ApGeometry()
     prog = ApProgram(name="crafted", opt="unroll", in_bits=4, in_c=1,
-                     in_h=2, in_w=2, geometry=geo, luts=[],
-                     layers=[PoolLayer()])
+                     in_h=2, in_w=2, geometry=geo, layers=[PoolLayer()])
     state = sim.SimState(geo)
     state.ap(0), state.ap(1)
     for ap, epoch, record in [
@@ -174,7 +173,7 @@ def test_account_matches_the_per_event_fold(accounted):
 
 def _pool_program(n_layers):
     return ApProgram(name="drawn", opt="unroll", in_bits=4, in_c=1, in_h=2,
-                     in_w=2, geometry=ApGeometry(), luts=[],
+                     in_w=2, geometry=ApGeometry(),
                      layers=[PoolLayer() for _ in range(n_layers)])
 
 

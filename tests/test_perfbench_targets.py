@@ -1,21 +1,66 @@
-"""The benchmark's traced repetition wraps functions by name; every one of
-them must still exist, or only that repetition would break."""
+"""What the benchmark reads of tapc must still exist: the functions its
+traced repetition wraps by name, and the report, stats and program fields
+its metrics come from. A rename would otherwise break only the benchmark."""
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
+
+import pytest
+
+from tapc import cli
+from tapc.model import make_synthetic_network
+from tapc.program import ApGeometry
+from tapc.scheduler import emit_program, plan_conv_layer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_trace_target_exists(monkeypatch):
+@pytest.fixture
+def harness(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))     # harness imports spans
     spec = importlib.util.spec_from_file_location(
         "perfbench_harness", PERFBENCH / "harness.py")
     harness = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, harness)    # for dataclasses
     spec.loader.exec_module(harness)
+    return harness
+
+
+def test_every_trace_target_exists(harness):
     targets = harness.trace_targets()
     assert targets
     missing = [t.name for t in targets if not hasattr(t.owner, t.attr)]
     assert missing == []
+
+
+def _positive(values: dict):
+    return {k: v for k, v in values.items()
+            if type(v) not in (int, float) or not v > 0}
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_the_fields_the_benchmark_reads_are_positive(command, harness,
+                                                     tmp_path):
+    wl = harness.Workload(f"tiny-{command}", command, 2, 4, 0.5, 4, (4, 4))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(wl.argv(1, str(tmp_path))) == 0
+    values = harness._modelled_and_size(wl, tmp_path)
+    if not wl.simulates:    # nothing is simulated, so nothing is modelled
+        for metric in harness.MODELLED:
+            assert values.pop(metric.name) == 0
+    assert _positive(values) == {}
+    assert set(values) >= {"program_bytes", "macro_ops"}
+
+
+def test_the_compile_counters_the_benchmark_reads_are_positive(harness):
+    net = make_synthetic_network(2, 4, 0.5, bits=4, seed=1)
+    prog = emit_program(net, 4, 4, ApGeometry())
+    assert _positive(harness._emit_counts(prog)) == {}
+    count = {t.name: t.count for t in harness.trace_targets()}
+    layer = net.layers[0]
+    planned = plan_conv_layer(layer.weights, layer.shape_for(4, 4), 4,
+                              ApGeometry(), "unroll_cse")
+    assert _positive(count["scheduler.plan_conv_layer"](planned)) == {}
