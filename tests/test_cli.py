@@ -582,6 +582,24 @@ def _as_format_3(item):
     item.insert(1, "out_of_place" if item[4] else "in_place")
 
 
+def _format_4_luts():
+    """The four plain pass tables as format 4 stored them."""
+    catalog, _ = isa.standard_catalog()
+    return [{"op": t.op_kind, "addressing": t.addressing,
+             "entries": [[list(e.key), list(e.write), e.pass_index]
+                         for _k, e in sorted(t.entries.items())]}
+            for (_op, _mode, negated), t in sorted(catalog.items())
+            if not negated]
+
+
+def _flipped_lut_bit():
+    """Format 4's tables with one write bit of the first table flipped."""
+    luts = _format_4_luts()
+    write = luts[0]["entries"][1][1]
+    write[1] = 1 - write[1]
+    return luts
+
+
 # single-field edits of a compiled program; 16 domains hold two 8-bit input
 # channels, so the 3 channels form 2 groups and the layer has an adder tree.
 # The fields of formats 2 and 4 that are now derived, or taken from the ISA,
@@ -596,7 +614,8 @@ PROGRAM_EDITS = {
     "index-out-of-order": lambda d: d["layers"][0].update(index=1),
     "string-c_in": lambda d: d["layers"][0].update(c_in="3"),
     "bool-in_bits": lambda d: d.update(in_bits=True),
-    "stored-luts": lambda d: d.update(luts=[]),
+    "three-luts": lambda d: d.update(luts=_format_4_luts()[:3]),
+    "flipped-lut-bit": lambda d: d.update(luts=_flipped_lut_bit()),
     "no-channel-groups": lambda d: d["layers"][0].update(channel_groups=[]),
     "rows-used": lambda d: d["layers"][0].update(rows_used=[35]),
     "stored-value0": lambda d: d["layers"][0]["tiles"][0].update(value0=9),
