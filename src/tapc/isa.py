@@ -45,6 +45,8 @@ class LutTable:
     addressing: str                  # in_place | out_of_place
     negated: bool
     entries: dict[tuple[int, int, int], LutEntry]
+    # the keys of passes(), set with the entries
+    pass_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op_kind not in (ADD, SUB):
@@ -56,6 +58,7 @@ class LutTable:
         ordinals = sorted(e.pass_index for e in self.entries.values() if e.pass_index)
         if ordinals != list(range(1, len(ordinals) + 1)):
             raise FormatError("pass ordinals must be 1..k without gaps")
+        self.pass_keys = tuple(e.key for e in self.passes())
 
     @property
     def name(self) -> str:
@@ -156,6 +159,18 @@ def reference_bit(op_kind: str, negated: bool, carry: int, b: int, a: int) -> tu
     return cout, out
 
 
+_STATES = [(c, b, a) for c in (0, 1) for b in (0, 1) for a in (0, 1)]
+
+
+def _changes(op_kind: str, addressing: str, negated: bool, key) -> bool:
+    """Whether rows in state `key` (carry, b, a) need a write: the
+    (carry, result) they hold differs from the op's. A result column out of
+    place holds 0, being cleared before the passes."""
+    c0, b0, _a0 = key
+    held = (c0, b0) if addressing == IN_PLACE else (c0, 0)
+    return reference_bit(op_kind, negated, *key) != held
+
+
 def _final_state(table: LutTable, c0: int, b0: int, a0: int):
     """Run the pass sequence on one initial row state; returns the end state
     plus how many times the row was written (re-match hazard diagnostics)."""
@@ -215,20 +230,9 @@ def derive_lut(op_kind: str, addressing: str, negated: bool = False) -> LutTable
     tried lexicographically and the first one that validates wins, which
     keeps derivation deterministic.
     """
-    active_keys = []
-    writes = {}
-    for c0 in (0, 1):
-        for b0 in (0, 1):
-            for a0 in (0, 1):
-                key = (c0, b0, a0)
-                cout, out = reference_bit(op_kind, negated, c0, b0, a0)
-                writes[key] = (cout, out)
-                if addressing == IN_PLACE:
-                    changed = (cout, out) != (c0, b0)
-                else:
-                    changed = cout != c0 or out != 0
-                if changed:
-                    active_keys.append(key)
+    writes = {key: reference_bit(op_kind, negated, *key) for key in _STATES}
+    active_keys = [key for key in _STATES
+                   if _changes(op_kind, addressing, negated, key)]
     for order in itertools.permutations(sorted(active_keys)):
         entries = {}
         for key in writes:
@@ -261,11 +265,14 @@ class LutRepair:
 
 
 def standard_catalog() -> tuple[dict[tuple[str, str, bool], LutTable], list[LutRepair]]:
-    """All eight tables (plain and negated), validated, repairing as needed.
+    """All six tables (four plain, two negated), validated, repairing as
+    needed.
 
     Published plain tables are kept verbatim when they validate; a failing
     one is replaced by derive_lut and the divergence is reported entry by
-    entry. Negated variants are always derived.
+    entry. Negated variants are always derived. Raises LutDerivationError
+    unless every table tags each row at most once, and exactly the rows
+    whose (carry, result) changes.
     """
     catalog: dict[tuple[str, str, bool], LutTable] = {}
     repairs: list[LutRepair] = []
@@ -292,6 +299,17 @@ def standard_catalog() -> tuple[dict[tuple[str, str, bool], LutTable], list[LutR
     # state only moves through the carry, and 5 passes suffice.
     for op in (ADD, SUB):
         catalog[(op, OUT_OF_PLACE, True)] = derive_lut(op, OUT_OF_PLACE, negated=True)
+    # what lets the simulator skip the passes: each row's whole bit is one
+    # reference_bit step, and the rows a pass tags are those whose state is
+    # its key
+    for (op, mode, negated), table in catalog.items():
+        tags = validate_lut(table).writes_per_state
+        wrong = [key for key in _STATES
+                 if tags[key] != _changes(op, mode, negated, key)]
+        if wrong:
+            raise LutDerivationError(
+                f"{table.name} table does not tag exactly the rows whose "
+                f"(carry, result) changes, once each: states {wrong}")
     return catalog, repairs
 
 
@@ -377,11 +395,25 @@ def _shift_to(ops: list[MicroOp], align: dict[int, int], col: int, target: int):
         align[col] = target
 
 
+def reads_zero(macro: MacroInstr) -> bool:
+    """Whether the bit loop reads the zero column: past the width of an
+    unsigned operand."""
+    a, b, m = macro.a, macro.b, macro.width
+    return not a.signed and a.width < m or not b.signed and b.width < m
+
+
 def result_columns(macro: MacroInstr, table: LutTable,
                    align: dict[int, int]) -> tuple:
     """The columns one macro writes its result bits into, after checking
-    that the macro fits its table and that its carry column sits at
-    domain 0."""
+    that the macro fits its table, that its carry column sits at domain 0,
+    and that no column it writes is one it searches otherwise:
+
+    - the carry column is not a's, b's, the zero column (where read) or a
+      result column;
+    - the result columns are distinct, and none of them is a's, the zero
+      column (where read) or, out of place, b's;
+    - a and b share a column only as the same operand.
+    """
     if (table.op_kind, table.addressing, table.negated) != \
             (macro.op_kind, macro.addressing, macro.negated):
         raise FormatError("macro and table disagree")
@@ -395,6 +427,20 @@ def result_columns(macro: MacroInstr, table: LutTable,
         dest_cols = tuple(macro.dest_cols)
     if align.get(macro.carry_col, 0) != 0:
         raise FormatError("carry column must stay at domain 0")
+    a, b, carry = macro.a, macro.b, macro.carry_col
+    searched = {a.col, macro.zero_col} if reads_zero(macro) else {a.col}
+    if carry in searched or carry == b.col or carry in dest_cols:
+        raise FormatError(f"carry column {carry} is also an operand, zero or "
+                          f"result column")
+    if macro.addressing == OUT_OF_PLACE:
+        searched.add(b.col)
+    if len(set(dest_cols)) != len(dest_cols) or \
+            not searched.isdisjoint(dest_cols):
+        raise FormatError(f"result columns {list(dest_cols)} repeat or are "
+                          f"also searched")
+    if a.col == b.col and a != b:
+        raise FormatError(f"a and b share column {a.col} as different "
+                          f"operands")
     return dest_cols
 
 

@@ -55,21 +55,20 @@ class LinearSystem:
 
 def im2col_indices(shape: LayerShape) -> PatchIndexMap:
     """Build the position/slot coordinate map for one layer."""
-    p = shape.h_out * shape.w_out
-    k = shape.f_h * shape.f_w
-    ys = np.full((p, k), PAD, dtype=np.int64)
-    xs = np.full((p, k), PAD, dtype=np.int64)
-    for oy in range(shape.h_out):
-        for ox in range(shape.w_out):
-            pos = oy * shape.w_out + ox
-            for ky in range(shape.f_h):
-                for kx in range(shape.f_w):
-                    iy = oy * shape.stride + ky - shape.pad
-                    ix = ox * shape.stride + kx - shape.pad
-                    if 0 <= iy < shape.h_in and 0 <= ix < shape.w_in:
-                        slot = ky * shape.f_w + kx
-                        ys[pos, slot] = iy
-                        xs[pos, slot] = ix
+    def coords(n_out, f, n_in):
+        # input coordinate of each (output index, kernel offset), and
+        # whether it lies inside the input
+        c = (np.arange(n_out, dtype=np.int64)[:, None] * shape.stride
+             + np.arange(f, dtype=np.int64) - shape.pad)
+        return c, (c >= 0) & (c < n_in)
+
+    iy, y_in = coords(shape.h_out, shape.f_h, shape.h_in)
+    ix, x_in = coords(shape.w_out, shape.f_w, shape.w_in)
+    # axes (oy, ox, ky, kx): positions and slots are both row-major
+    inside = y_in[:, None, :, None] & x_in[None, :, None, :]
+    grid = (shape.h_out * shape.w_out, shape.f_h * shape.f_w)
+    ys = np.where(inside, iy[:, None, :, None], PAD).reshape(grid)
+    xs = np.where(inside, ix[None, :, None, :], PAD).reshape(grid)
     return PatchIndexMap(shape, ys, xs)
 
 

@@ -342,7 +342,8 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
     column or of a column not yet written, a write outside the value pool
     and accumulators, a result column listed twice, an accumulator written
     at other than the accumulator width, an in-place item whose width is not
-    b's, and a stream that leaves an accumulator unwritten.
+    b's or whose a is its b, an out-of-place item whose result column is one
+    of its operands, and a stream that leaves an accumulator unwritten.
     """
     acc0, end, acc_w = tile.acc0, tile.carry, tile.acc_width
     zero = isa.OperandRef(tile.zero, 0, 1, False)
@@ -367,6 +368,10 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
             if len(set(dest)) != len(dest):
                 raise FormatError(f"channel {i} item {j} lists a result "
                                   f"column twice")
+            for col in (a, b) if dest else (a,):
+                if col in written:
+                    raise FormatError(f"channel {i} item {j} reads its "
+                                      f"result column {col} as an operand")
             for col in written:
                 if not value0 <= col < end:
                     raise FormatError(f"channel {i} item {j} writes column "

@@ -9,11 +9,15 @@ Shifts just move the alignment and pay per domain step. Column moves between
 APs copy whole planes (the interconnect model charges them per bit, flat
 across hop levels).
 
-`run_macro` executes each add/sub macro straight on the planes: it runs the
-bit loop of `isa.expand_macro` (operand shifts, result clears, one search
-and one tagged write per table pass) without building micro-ops. The
-micro-op path, `isa.expand_macro` followed by `execute_micro_ops`, stays as
-the reference the tests compare it against; no run takes it.
+`run_macro` executes each add/sub macro straight on the planes, one
+bit-parallel full add or subtract a bit: the result and carry planes are
+`isa.reference_bit` applied to the (carry, b, a) planes with a few integer
+operations, which is what a catalog table's passes leave in every row. The
+rows those passes would tag, the tag register they leave and the shifts of
+the operand walk are worked out from the same planes and alignments, so no
+pass is replayed and no micro-op is built. The micro-op path,
+`isa.expand_macro` followed by `execute_micro_ops`, replays every pass and
+stays as the reference the tests compare it against; no run takes it.
 
 Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
 epoch, kind), the number of events and the integer sums of their bits,
@@ -129,10 +133,13 @@ def export_events(events: EventCounts) -> str:
         in rows])
 
 
-def _pack_rows(bits) -> int:
-    """Row bitset of a 0/1 vector: element r becomes bit r."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def _pack_planes(values, width: int) -> list[int]:
+    """Row bitsets of bits 0..width-1 of a vector of integers, two's
+    complement: bit r of plane b is bit b of element r."""
+    vals = np.asarray(values, dtype=np.int64)
+    bits = (vals >> np.arange(width, dtype=np.int64)[:, None]) & 1
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _unpack_rows(plane: int, rows: int) -> np.ndarray:
@@ -167,23 +174,22 @@ class CamArray:
                 f"the {self.domains}-domain track")
         return self.planes[col]
 
-    def load(self, col: int, dom: int, bits, n_rows: int):
-        """Replace the low `n_rows` rows of one plane, keeping the rows above."""
+    def load(self, col: int, base: int, planes: list[int], n_rows: int):
+        """Replace the low `n_rows` rows of the planes of one column from
+        domain `base` on, keeping the rows above."""
         if n_rows > self.rows:
             raise SimulationError(f"{n_rows} rows loaded into a "
                                   f"{self.rows}-row array")
-        track = self.track(col, dom)
-        track[dom] = track[dom] >> n_rows << n_rows | _pack_rows(bits)
+        track = self.track(col, base, len(planes))
+        for dom, plane in enumerate(planes, base):
+            track[dom] = track[dom] >> n_rows << n_rows | plane
 
     def visible(self, col: int) -> np.ndarray:
         return _unpack_rows(self.planes[col][self.align.get(col, 0)], self.rows)
 
     # direct, uncosted access for harnesses and unit tests
     def poke(self, col: int, base: int, width: int, values, n_rows: int):
-        vals = np.asarray(values, dtype=np.int64)
-        mask = (1 << width) - 1
-        for b in range(width):
-            self.load(col, base + b, ((vals & mask) >> b) & 1, n_rows)
+        self.load(col, base, _pack_planes(values, width), n_rows)
 
     def peek(self, col: int, base: int, width: int, n_rows: int,
              signed: bool = True) -> np.ndarray:
@@ -267,138 +273,151 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
             raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
 
 
-def _ported_spans(macro: isa.MacroInstr, dest_cols: tuple):
-    """(column, first domain, last domain) of every column the bit loop of
-    `macro` reads or writes. The zero column is read where it stands, so
-    only its domain 0 is sure to exist."""
-    m = macro.width
-    spans = [(macro.carry_col, 0, 0)]
-    if macro.addressing == isa.IN_PLACE:
-        refs = (macro.a,)
-        if m > 0:
-            spans.append((macro.b.col, macro.b.base, macro.b.base + m - 1))
-    else:
-        refs = (macro.a, macro.b)
-        if m > 0:
-            spans += [(col, macro.dest_base, macro.dest_base + m - 1)
-                      for col in dest_cols]
-    for ref in refs:
-        n = min(ref.width, m)
-        if n > 0:
-            spans.append((ref.col, ref.base, ref.base + n - 1))
-        if ref.width < m:
-            top = ref.base + ref.width - 1
-            spans.append((ref.col, top, top) if ref.signed
-                         else (macro.zero_col, 0, 0))
-    return spans
+def _rows_in(full: int, key, c: int, b: int, a: int) -> int:
+    """The rows whose (carry, b, a) state is `key`."""
+    kc, kb, ka = key
+    return ((c if kc else full ^ c) & (b if kb else full ^ b)
+            & (a if ka else full ^ a))
 
 
 def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
               table: isa.LutTable, layer: int = 0, phase: str = "dfg",
               epoch: int = 0, sink: list | None = None):
-    """Execute one macro against the AP's live alignment, straight on the
-    planes: the bit loop of `isa.expand_macro`. It counts the events
-    `execute_micro_ops` would count for its expansion, once per macro, and
-    appends them in the same order to `sink` if one is given.
+    """Execute one macro against the AP's live alignment, each bit as one
+    bit-parallel full add or subtract over its (carry, b, a) planes.
 
-    Every column and domain the loop touches is checked before anything
-    changes, so a macro outside the geometry leaves the AP as it was.
+    `table` is the catalog's (`isa.standard_catalog`), whose passes take
+    each row from its (carry, b, a) state to `isa.reference_bit` of it and
+    tag exactly the rows whose (carry, result) changes, once each, in the
+    pass keyed by their state. So the result and carry planes, the tagged
+    rows and the tag register left by the last pass all follow from a
+    bit's input planes, and no pass is replayed. The macro contract
+    (`isa.result_columns`) keeps the searched planes apart from the written
+    ones. Each ported column steps to its first domain at bit 0 and then one
+    domain a bit, so its shifts are counted from its first and last domain,
+    not made one at a time.
+
+    It counts the events `execute_micro_ops` would count for the expansion,
+    once per macro, and appends them in the same order to `sink` if one is
+    given. Every column and domain the loop touches is checked before
+    anything changes, so a macro outside the geometry leaves the AP as it
+    was.
     """
     cam = state.ap(ap_id)
     align = cam.align
     dest_cols = isa.result_columns(macro, table, align)
-    for col, lo, hi in _ported_spans(macro, dest_cols):
-        cam.track(col, lo, hi - lo + 1)
+    m, a, b, zero = macro.width, macro.a, macro.b, macro.zero_col
+    carry = macro.carry_col
+    in_place = macro.addressing == isa.IN_PLACE
+    # first and last domain of each ported column, in the expander's port
+    # order; an operand past its width stays at its sign bit, or is not
+    # ported when unsigned (the zero column is read where it stands)
+    walks = {}
+    for ref in (b, a) if m else ():
+        if ref.signed or ref.width > 0:
+            top = ref.base + ref.width - 1      # the sign bit's domain
+            walks.setdefault(ref.col, (min(ref.base, top),
+                                       min(ref.base + m - 1, top)))
+    rbase = b.base if in_place else macro.dest_base
+    if not in_place and m:
+        for col in dest_cols:
+            walks[col] = (rbase, rbase + m - 1)
+    cam.track(carry)
+    if isa.reads_zero(macro):
+        cam.track(zero)
+    for col, (first, last) in walks.items():
+        cam.track(col, first, last - first + 1)
 
     planes, full, rows = cam.planes, cam.full, cam.rows
-    m, a, b, carry = macro.width, macro.a, macro.b, macro.carry_col
-    in_place = macro.addressing == isa.IN_PLACE
-    passes = [(*e.key, *e.write) for e in table.passes()]
-    search_bits, n_written = 3 * rows, 1 + len(dest_cols)
-    shifts = [0, 0]         # shift events and their domain steps
-    tagged = 0              # rows tagged, summed over the searches
+
+    def searched(ref):
+        # the plane each bit searches for ref: its own column's, then its
+        # sign bit's or the zero column's
+        n = max(0, min(ref.width, m))
+        track = planes[ref.col]
+        got = track[ref.base:ref.base + n]
+        if n == m:
+            return got
+        if ref.signed:
+            return got + [track[ref.base + ref.width - 1]] * (m - n)
+        walk = walks.get(zero)
+        return got + [planes[zero][min(walk[0] + bit, walk[1]) if walk
+                                   else align.get(zero, 0)]
+                      for bit in range(n, m)]
+
+    bs, as_ = searched(b), searched(a)
+    # a borrow is the carry of the complemented minuend plus the subtrahend;
+    # the negated sub swaps the roles, the negated add complements the sum
+    sub = macro.op_kind == isa.SUB
+    us, vs = (as_, bs) if sub and macro.negated else (bs, as_)
+    inv = full if sub else 0
+    flip = full if sub or macro.negated else 0
+    held = bs if in_place else [0] * m
+    keys = table.pass_keys
+    n_written = 1 + len(dest_cols)
+    # each walk's steps to its first domain, then its one-step shifts
+    moves = []
+    n_shifts = n_steps = 0
+    for col, (first, last) in walks.items():
+        to_first, more = abs(first - align.get(col, 0)), last - first
+        moves.append((to_first, more))
+        if to_first or more:
+            n_shifts += (to_first > 0) + more
+            n_steps += to_first + more
+            align[col] = last
 
     def emit(kind, bits, steps=0, cycles=1):
         sink.append(Event(EVENT_KINDS[kind], ap_id, layer, phase, epoch, bits,
                           steps, cycles))
 
-    def port(col, target):
-        cur = align.get(col, 0)
-        if cur != target:
-            align[col] = target
-            steps = abs(target - cur)
-            shifts[0] += 1
-            shifts[1] += steps
-            if sink is not None:
-                emit(SHIFT, rows, steps, steps)
-
-    def place(ref, bit):
-        # the searched position, clamped at the sign bit or redirected to
-        # the zero column past the stored width
-        if bit < ref.width:
-            port(ref.col, ref.base + bit)
-            return ref.col
-        if ref.signed:
-            port(ref.col, ref.base + ref.width - 1)
-            return ref.col
-        return macro.zero_col
-
-    ctrack = planes[carry]
-    ctrack[0] = 0
     if sink is not None:
         emit(WRITE, rows)       # the carry clear
-    tag = cam.tag
+    c = 0
+    tagged = 0                  # rows tagged, summed over the passes
+    results = []
     for bit in range(m):
-        if in_place:
-            b_col = b.col
-            port(b_col, b.base + bit)
-        else:
-            b_col = place(b, bit)
-        a_col = place(a, bit)
-        if not in_place:
-            for col in dest_cols:
-                port(col, macro.dest_base + bit)
-            for col in dest_cols:
-                planes[col][align.get(col, 0)] = 0
-            if sink is not None:
+        u, v = us[bit] ^ inv, vs[bit]
+        x = u ^ v
+        r = x ^ c ^ flip
+        c_out = u & v | x & c
+        tagged += (c ^ c_out | r ^ held[bit]).bit_count()
+        if sink is not None:
+            for to_first, more in moves:
+                if bit == 0 and to_first:
+                    emit(SHIFT, rows, to_first, to_first)
+                elif 0 < bit <= more:
+                    emit(SHIFT, rows, 1, 1)
+            if not in_place:
                 emit(WRITE, len(dest_cols) * rows)
-        cdom = align.get(carry, 0)
-        btrack, bdom = planes[b_col], align.get(b_col, 0)
-        atrack, adom = planes[a_col], align.get(a_col, 0)
-        dests = [(planes[col], align.get(col, 0)) for col in dest_cols]
-        for kc, kb, ka, wc, wr in passes:
-            c, bv, av = ctrack[cdom], btrack[bdom], atrack[adom]
-            tag = ((c if kc else full ^ c) & (bv if kb else full ^ bv)
-                   & (av if ka else full ^ av))
-            ctrack[cdom] = c | tag if wc else c & ~tag
-            for track, dom in dests:
-                track[dom] = track[dom] | tag if wr else track[dom] & ~tag
-            n_tagged = tag.bit_count()
-            tagged += n_tagged
-            if sink is not None:
-                emit(SEARCH, search_bits)
-                emit(WRITE, n_written * n_tagged)
-    cam.tag = tag
-    per_bit = len(passes) if in_place else len(passes) + 1   # + the clear
-    cam.writes[carry] += 1 + len(passes) * m
+            for key in keys:
+                emit(SEARCH, 3 * rows)
+                emit(WRITE, n_written * _rows_in(full, key, c, bs[bit],
+                                                 as_[bit]).bit_count())
+        if bit == m - 1:
+            cam.tag = _rows_in(full, keys[-1], c, bs[bit], as_[bit])
+        results.append(r)
+        c = c_out
+    planes[carry][0] = c
     for col in dest_cols:
-        cam.writes[col] += per_bit * m
+        planes[col][rbase:rbase + m] = results
 
-    searches = len(passes) * m
+    searches = len(keys) * m
     clears = 0 if in_place else m
+    cam.writes[carry] += 1 + searches
+    for col in dest_cols:
+        cam.writes[col] += searches + clears
     writes = 1 + clears + searches
     write_bits = rows * (1 + clears * len(dest_cols)) + n_written * tagged
     add = state.events.add
     if searches:
-        bits = searches * search_bits
+        bits = searches * 3 * rows
         add((ap_id, layer, phase, epoch, SEARCH), searches, bits, 0, searches,
             bits)
     add((ap_id, layer, phase, epoch, WRITE), writes, write_bits, 0, writes,
         write_bits)
-    n_shifts, steps = shifts
     if n_shifts:
         add((ap_id, layer, phase, epoch, SHIFT), n_shifts, n_shifts * rows,
-            steps, steps, steps * rows)
+            n_steps, n_steps, n_steps * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +500,38 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 bits = agg[src] * in_bits
                 record(ap, layer, "io", ep_load, MOVE, bits, 0,
                        -(-bits // geo.rows), sink)
+        # slot k holds channel i's bit b at domain i * in_bits + b: each
+        # slot column walks up from domain 0, one write a domain
+        n_doms = len(groups[cg]) * in_bits
         for ci, ch in enumerate(groups[cg]):
             vals = patches[ch][base_pos:base_pos + ru]
             for k in range(pim.slots):
-                for b in range(in_bits):
-                    dom = ci * in_bits + b
-                    _shift_log(state, ap, k, dom, layer, "io", ep_load, sink)
-                    cam.load(k, dom, (vals[:, k] >> b) & 1, ru)
-                    cam.writes[k] += 1
-                    record(ap, layer, "io", ep_load, WRITE, ru, 0, 1, sink)
+                cam.load(k, ci * in_bits, _pack_planes(vals[:, k], in_bits),
+                         ru)
+                if sink is None:
+                    continue
+                for dom in range(ci * in_bits, (ci + 1) * in_bits):
+                    step = 1 if dom else cam.align.get(k, 0)
+                    if step:
+                        sink.append(Event("shift", ap, layer, "io", ep_load,
+                                          cam.rows, step, step))
+                    sink.append(Event("write", ap, layer, "io", ep_load, ru,
+                                      0, 1))
+        shifts = steps = 0
+        for k in range(pim.slots):
+            at = cam.align.get(k, 0)
+            if at or n_doms > 1:
+                shifts += (at > 0) + n_doms - 1
+                steps += at + n_doms - 1
+                cam.align[k] = n_doms - 1
+            cam.writes[k] += n_doms
+        key = (ap, layer, "io", ep_load)
+        if shifts:
+            state.events.add((*key, SHIFT), shifts, shifts * cam.rows, steps,
+                             steps, steps * cam.rows)
+        n_writes = pim.slots * n_doms
+        state.events.add((*key, WRITE), n_writes, n_writes * ru, 0, n_writes,
+                         n_writes * ru)
 
     # per-AP channel DFGs and accumulator folds; every row group runs the
     # stream of its (tile, channel group)

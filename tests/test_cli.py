@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from tapc import cli, isa, sim
+from tapc.errors import FormatError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_network,
                         save_feature_map, save_network)
+from tapc.program import ApProgram
 
 
 def run_cli(capsys, *argv):
@@ -577,6 +579,22 @@ def _repeat_first_result(d):
     item[4] = [item[4][0]] * 2
 
 
+def _result_over_operand(d):
+    """Make the first out-of-place item with a value-pool a write its
+    result over that a too."""
+    layer = d["layers"][0]
+    value0, acc0 = layer["f_h"] * layer["f_w"], _columns(d)[0]
+    item = next(item for item in _stream(d)
+                if item[4] and value0 <= item[2] < acc0)
+    item[4].append(item[2])
+
+
+def _in_place_a_is_b(d):
+    """Make the first in-place item add its b to itself."""
+    item = _first(_stream(d), True)
+    item[2] = item[3]
+
+
 def _as_format_3(item):
     """Give an item format 3's mode field."""
     item.insert(1, "out_of_place" if item[4] else "in_place")
@@ -641,6 +659,8 @@ PROGRAM_EDITS = {
         1, _first(_stream(d), True)[1] + 1),
     "accumulator-never-written": _drop_writes_of_acc0,
     "repeated-result-column": _repeat_first_result,
+    "result-over-operand": _result_over_operand,
+    "in-place-a-is-b": _in_place_a_is_b,
     "huge-multiplier": lambda d: d["layers"][0].update(multiplier=2**63),
     "huge-shift": lambda d: d["layers"][0].update(shift=2**63),
     # one output tile of this layer already needs more APs than exist
@@ -666,6 +686,17 @@ def test_malformed_programs_are_format_errors(edit, compiled_program,
     code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "bad.json"),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 4 and err.startswith("format:"), err
+
+
+@pytest.mark.parametrize("edit", ["result-over-operand", "in-place-a-is-b"])
+def test_the_loader_rejects_an_item_reading_its_result_column(
+        edit, compiled_program):
+    # the simulator's macro contract would reject the item too, but only
+    # once it runs
+    doc = json.loads(compiled_program)
+    PROGRAM_EDITS[edit](doc)
+    with pytest.raises(FormatError, match="reads its result column"):
+        ApProgram.from_doc(doc)
 
 
 def _run_edited(capsys, tmp_path, argv, edit):

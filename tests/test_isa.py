@@ -51,6 +51,32 @@ def test_no_row_is_rewritten_twice_by_any_catalog_table():
         assert max(check.writes_per_state.values()) <= 1, table.name
 
 
+def test_catalog_tables_tag_exactly_the_changed_rows():
+    # what lets sim.run_macro count the tagged rows, and set the tag
+    # register, from the rows' states alone
+    tables, _ = isa.standard_catalog()
+    assert len(tables) == 6
+    for (op, mode, negated), table in tables.items():
+        tags = isa.validate_lut(table).writes_per_state
+        for (c, b, a), n in tags.items():
+            held = (c, b) if mode == IN_PLACE else (c, 0)
+            changes = isa.reference_bit(op, negated, c, b, a) != held
+            assert n == int(changes), (table.name, (c, b, a))
+
+
+def test_catalog_rejects_a_table_tagging_unchanged_rows(monkeypatch):
+    # (0, 1, 0) already holds its sum: a last pass rewriting it with the same
+    # bits still validates, but tags rows that do not change
+    printed = isa.builtin_luts()
+    entries = dict(printed[(ADD, IN_PLACE)].entries)
+    entries[(0, 1, 0)] = isa.LutEntry((0, 1, 0), (0, 1), 5)
+    printed[(ADD, IN_PLACE)] = isa.LutTable(ADD, IN_PLACE, False, entries)
+    assert isa.validate_lut(printed[(ADD, IN_PLACE)]).ok
+    monkeypatch.setattr(isa, "builtin_luts", lambda: printed)
+    with pytest.raises(LutDerivationError, match="add in_place"):
+        isa.standard_catalog()
+
+
 def test_catalog_contents_and_repair():
     tables, repairs = isa.standard_catalog()
     assert sorted(tables) == [

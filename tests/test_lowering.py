@@ -9,25 +9,38 @@ from tapc.model import (FeatureMap, LayerShape, TernaryWeights,
                         reference_convolution)
 
 
-@pytest.mark.parametrize("stride,pad,h", [(1, 0, 5), (1, 1, 5), (2, 1, 7),
-                                          (2, 1, 8), (2, 0, 8), (2, 1, 32)])
-def test_im2col_indices_brute_force(stride, pad, h):
-    shape = LayerShape(1, 1, 3, 3, stride, pad, h, h)
+@pytest.mark.parametrize("f_h,f_w,stride,pad,h,w", [
+    pytest.param(3, 3, 1, 0, 5, 5, id="1-0-5"),
+    pytest.param(3, 3, 1, 1, 5, 5, id="1-1-5"),
+    pytest.param(3, 3, 2, 1, 7, 7, id="2-1-7"),
+    pytest.param(3, 3, 2, 1, 8, 8, id="2-1-8"),
+    pytest.param(3, 3, 2, 0, 8, 8, id="2-0-8"),
+    pytest.param(3, 3, 2, 1, 32, 32, id="2-1-32"),
+    pytest.param(1, 3, 1, 1, 5, 7, id="1x3-s1-p1-5x7"),
+    pytest.param(3, 2, 2, 1, 9, 6, id="3x2-s2-p1-9x6"),
+    pytest.param(1, 1, 1, 0, 4, 6, id="1x1-s1-p0-4x6"),
+    pytest.param(1, 1, 2, 0, 7, 8, id="1x1-s2-p0-7x8"),
+    pytest.param(2, 3, 2, 0, 8, 5, id="2x3-s2-p0-8x5"),
+])
+def test_im2col_indices_brute_force(f_h, f_w, stride, pad, h, w):
+    shape = LayerShape(1, 1, f_h, f_w, stride, pad, h, w)
     pim = im2col_indices(shape)
+    assert pim.ys.shape == pim.xs.shape == (shape.h_out * shape.w_out,
+                                            f_h * f_w)
     for oy in range(shape.h_out):
         for ox in range(shape.w_out):
             pos = oy * shape.w_out + ox
-            for ky in range(3):
-                for kx in range(3):
-                    slot = ky * 3 + kx
+            for ky in range(f_h):
+                for kx in range(f_w):
+                    slot = ky * f_w + kx
                     iy = oy * stride + ky - pad
                     ix = ox * stride + kx - pad
-                    inside = 0 <= iy < h and 0 <= ix < h
+                    inside = 0 <= iy < h and 0 <= ix < w
                     if inside:
                         assert pim.ys[pos, slot] == iy
                         assert pim.xs[pos, slot] == ix
                     else:
-                        assert pim.ys[pos, slot] == PAD
+                        assert pim.ys[pos, slot] == pim.xs[pos, slot] == PAD
 
 
 def test_pad_slots_read_zero():

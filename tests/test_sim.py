@@ -184,38 +184,53 @@ DIFF_COLUMNS, DIFF_DOMAINS = 10, 12
 TABLE_KEYS = [(op, mode, False) for op in (isa.ADD, isa.SUB)
               for mode in (isa.IN_PLACE, isa.OUT_OF_PLACE)] + \
     [(op, isa.OUT_OF_PLACE, True) for op in (isa.ADD, isa.SUB)]
-# contract errors, each raised by both executors
-FAULTS = ("other-table", "carry-shifted", "carry-default", "zero-default",
-          "column-past-end", "column-minus-1", "domain-past-track",
-          "bad-result")
+# contract errors, each raised by both executors, and the error they raise
+FAULTS = {"other-table": FormatError, "carry-shifted": FormatError,
+          "carry-default": SimulationError, "zero-default": SimulationError,
+          "column-past-end": SimulationError,
+          "column-minus-1": SimulationError,
+          "domain-past-track": SimulationError, "bad-result": FormatError,
+          "aliased-roles": FormatError}
 
 
 @st.composite
 def macro_cases(draw):
     """A macro over any catalog table, the AP's starting alignment and plane
-    contents, and possibly one contract error."""
+    contents, and possibly one contract error, with the error type both
+    executors must raise (None for a macro that runs)."""
     rows = draw(st.integers(1, 70))
     key = draw(st.sampled_from(TABLE_KEYS))
     op, mode, negated = key
     m = draw(st.integers(1, 8))
     n_dest = draw(st.integers(1, 3)) if mode == isa.OUT_OF_PLACE else 0
-    # roles may share a column; the executors must still agree
     roles = draw(st.lists(st.integers(0, DIFF_COLUMNS - 1),
                           min_size=4 + n_dest, max_size=4 + n_dest,
-                          unique=draw(st.booleans())))
+                          unique=True))
     carry, zero, a_col, b_col, *dests = roles
 
     def operand(col, width):
-        return isa.OperandRef(col, draw(st.integers(0, DIFF_DOMAINS - width)),
-                              width, draw(st.booleans()))
-    a = operand(a_col, draw(st.integers(1, m)))
-    b = operand(b_col, m if mode == isa.IN_PLACE else draw(st.integers(1, m)))
+        # only the bits the macro reads need to lie on the track
+        base = draw(st.integers(0, DIFF_DOMAINS - min(width, m)))
+        return isa.OperandRef(col, base, width, draw(st.booleans()))
+    # an operand may be stored wider than the macro reads it
+    a = operand(a_col, draw(st.integers(1, m + 2)))
+    b = operand(b_col, m if mode == isa.IN_PLACE
+                else draw(st.integers(1, m + 2)))
+    # the columns the contract lets roles share: one operand as both a and
+    # b, or an operand on the zero column
+    share = draw(st.sampled_from(
+        (None, "a-on-zero") if mode == isa.IN_PLACE
+        else (None, "a-on-zero", "b-on-zero", "a-is-b")))
+    if share == "a-is-b":
+        b = a
+    elif share is not None:
+        (a if share == "a-on-zero" else b).col = zero
     macro = isa.MacroInstr(op, mode, negated, m, a, b, tuple(dests),
                            draw(st.integers(0, DIFF_DOMAINS - m)), carry, zero)
     align = draw(st.dictionaries(st.integers(0, DIFF_COLUMNS - 1),
                                  st.integers(0, DIFF_DOMAINS - 1)))
     align.pop(carry, None)
-    fault = draw(st.sampled_from((None,) * len(FAULTS) + FAULTS))
+    fault = draw(st.sampled_from((None,) * len(FAULTS) + tuple(FAULTS)))
     if fault == "other-table":
         key = draw(st.sampled_from([k for k in TABLE_KEYS if k != key]))
     elif fault == "carry-shifted":
@@ -224,6 +239,8 @@ def macro_cases(draw):
         macro.carry_col = -1
     elif fault == "zero-default":     # an error only where it is read
         macro.zero_col = -1
+        if not isa.reads_zero(macro):
+            fault = None
     elif fault in ("column-past-end", "column-minus-1"):
         bad = DIFF_COLUMNS if fault == "column-past-end" else -1
         role = draw(st.sampled_from(("a", "b", "carry", "dest")))
@@ -235,16 +252,47 @@ def macro_cases(draw):
             ref = a if role == "a" else b
             ref.col = bad
     elif fault == "domain-past-track":
-        a.base = DIFF_DOMAINS - a.width + 1
+        a.base = DIFF_DOMAINS - min(a.width, m) + 1
     elif fault == "bad-result":
         if mode == isa.IN_PLACE:
             b.width = m + 1
         else:
             macro.dest_cols = ()
-    return rows, key, macro, align, draw(st.integers(0, 2**32))
+    elif fault == "aliased-roles":
+        # a column the contract keeps apart from another role's
+        alias = draw(st.sampled_from(
+            ["carry-on-a", "carry-on-b", "carry-on-result"]
+            + (["zero-on-carry", "zero-on-result"]
+               if isa.reads_zero(macro) else [])
+            + (["a-on-b"] if mode == isa.IN_PLACE or b is not a else [])
+            + (["result-on-a", "result-on-b"]
+               if mode == isa.OUT_OF_PLACE else [])
+            + (["result-twice"] if n_dest > 1 else [])))
+        result = dests[0] if dests else b.col
+        if alias == "carry-on-a":
+            macro.carry_col = a.col
+        elif alias == "carry-on-b":
+            macro.carry_col = b.col
+        elif alias == "carry-on-result":
+            macro.carry_col = result
+        elif alias == "zero-on-carry":
+            macro.zero_col = carry
+        elif alias == "zero-on-result":
+            macro.zero_col = result
+        elif alias == "a-on-b":
+            a.col = b.col
+            if a == b:
+                a.base = (a.base + 1) % (DIFF_DOMAINS - a.width + 1)
+        elif alias == "result-twice":
+            macro.dest_cols = (dests[1],) + macro.dest_cols[1:]
+        else:
+            macro.dest_cols = ((a if alias == "result-on-a" else b).col,
+                               *dests[1:])
+    return (rows, key, macro, align, draw(st.integers(0, 2**32)),
+            FAULTS.get(fault))
 
 
-def _macro_outcome(rows, align, seed, execute):
+def _macro_outcome(rows, align, seed, execute, sink):
     state = sim.SimState(ApGeometry(rows=rows, columns=DIFF_COLUMNS,
                                     domains_per_track=DIFF_DOMAINS))
     cam = state.ap(0)
@@ -253,32 +301,95 @@ def _macro_outcome(rows, align, seed, execute):
                   for _ in range(DIFF_COLUMNS)]
     cam.align = dict(align)
     cam.tag = rng.getrandbits(rows)
-    events = []
     try:
-        execute(state, cam, events)
+        execute(state, cam, sink)
     except TapcError as exc:
         return type(exc)
-    return (cam.planes, cam.align, cam.writes, cam.tag, events,
+    return (cam.planes, cam.align, cam.writes, cam.tag, sink,
             state.events.bins)
 
 
-@given(macro_cases())
-def test_run_macro_matches_the_micro_op_reference(catalog, case):
-    """Same state, the same events in the same order, and the same
-    counters."""
-    rows, key, macro, align, seed = case
-    table = catalog[key]
-
+def _executors(macro, table):
+    """`run_macro` and its micro-op reference, as `_macro_outcome` runs
+    them."""
     def direct(state, cam, sink):
         sim.run_macro(state, 0, macro, table, 2, "accum", 5, sink)
 
     def reference(state, cam, sink):
         ops = isa.expand_macro(macro, table, dict(cam.align))
         sim.execute_micro_ops(state, 0, ops, 2, "accum", 5, sink)
+    return direct, reference
 
-    got = _macro_outcome(rows, align, seed, direct)
-    want = _macro_outcome(rows, align, seed, reference)
-    assert got == want
+
+@given(macro_cases())
+def test_run_macro_matches_the_micro_op_reference(catalog, case):
+    """Same state, the same events in the same order, and the same
+    counters, with a sink or without one; a macro that breaks its contract
+    raises the same error in both."""
+    rows, key, macro, align, seed, error = case
+    direct, reference = _executors(macro, catalog[key])
+    want = _macro_outcome(rows, align, seed, reference, [])
+    assert _macro_outcome(rows, align, seed, direct, []) == want
+    silent = _macro_outcome(rows, align, seed, direct, None)
+    if error is None:
+        assert silent == want[:4] + (None,) + want[5:]
+    else:
+        assert silent == want == error
+
+
+def _contract_case(edit):
+    """A 4-bit sub over a 2-bit unsigned a (so the zero column is read) and
+    a signed b: out of place into columns 2 and 5, unless the edit makes it
+    in place; carry 3, zero 4. `edit` then changes one role's column."""
+    a = isa.OperandRef(0, 0, 2, False)
+    b = isa.OperandRef(1, 0, 4, True)
+    macro = isa.MacroInstr(isa.SUB, isa.OUT_OF_PLACE, False, 4, a, b, (2, 5),
+                           0, 3, 4)
+    edit(macro)
+    return macro
+
+
+def _in_place(macro):
+    macro.addressing, macro.dest_cols = isa.IN_PLACE, ()
+
+
+# column sharings the macro contract forbids, and ones it allows
+ALIASED_ROLES = {
+    "carry-on-a": lambda mac: setattr(mac, "carry_col", 0),
+    "carry-on-b": lambda mac: setattr(mac, "carry_col", 1),
+    "carry-on-zero": lambda mac: setattr(mac, "carry_col", 4),
+    "carry-on-result": lambda mac: setattr(mac, "carry_col", 2),
+    "result-on-a": lambda mac: setattr(mac, "dest_cols", (0, 5)),
+    "result-on-b": lambda mac: setattr(mac, "dest_cols", (1, 5)),
+    "result-on-zero": lambda mac: setattr(mac, "dest_cols", (2, 4)),
+    "result-twice": lambda mac: setattr(mac, "dest_cols", (2, 2)),
+    "a-and-b-differ": lambda mac: setattr(mac.a, "col", 1),
+    "in-place-a-on-b": lambda mac: (_in_place(mac), setattr(mac.a, "col", 1)),
+    "in-place-b-on-zero": lambda mac: (_in_place(mac),
+                                       setattr(mac, "zero_col", 1)),
+}
+SHARED_ROLES = {
+    "a-is-b": lambda mac: setattr(mac, "b", mac.a),
+    "a-on-zero": lambda mac: setattr(mac.a, "col", 4),
+    "b-on-zero": lambda mac: setattr(mac.b, "col", 4),
+    "in-place-a-on-zero": lambda mac: (_in_place(mac),
+                                       setattr(mac.a, "col", 4)),
+    "carry-on-unread-zero": lambda mac: (setattr(mac.a, "signed", True),
+                                         setattr(mac, "carry_col", 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIASED_ROLES) + sorted(SHARED_ROLES))
+def test_macro_contract_on_shared_columns(catalog, name):
+    macro = _contract_case({**ALIASED_ROLES, **SHARED_ROLES}[name])
+    direct, reference = _executors(macro, catalog[
+        macro.op_kind, macro.addressing, macro.negated])
+    want = _macro_outcome(40, {}, 3, reference, [])
+    assert _macro_outcome(40, {}, 3, direct, []) == want
+    if name in ALIASED_ROLES:
+        assert want is FormatError
+    else:
+        assert isinstance(want, tuple)
 
 
 # --- the event counters ---------------------------------------------------
