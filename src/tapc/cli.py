@@ -18,10 +18,11 @@ import numpy as np
 
 from . import isa, metrics, sim
 from .errors import CapacityError, FormatError, LutDerivationError, TapcError
-from .model import (FeatureMap, load_feature_map, load_network,
-                    make_synthetic_input, make_synthetic_network,
-                    reference_inference, save_feature_map)
-from .program import ApGeometry, ApProgram
+from .model import (FeatureMap, LayerShape, QuantSpec, load_feature_map,
+                    load_network, make_synthetic_input,
+                    make_synthetic_network, reference_inference,
+                    save_feature_map)
+from .program import ApGeometry, ApProgram, place_layer
 from .scheduler import emit_program
 
 _OPT_MAP = {"unroll": "unroll", "unroll+cse": "unroll_cse"}
@@ -75,7 +76,28 @@ def _energy_model(args) -> metrics.EnergyModel:
                                cycle_ns=args.cycle_ps / 1000.0)
 
 
-def _load_net(args):
+def _check_synthetic_aps(args, geo: ApGeometry, n_layers: int,
+                         channels: int):
+    """Raise CapacityError, naming the layer, if a synthetic layer's channel
+    groups alone need more APs than `geo` has. It runs before any
+    weight is drawn, so it places each layer on one row group and one output
+    tile, the least it can take; compiling checks the full count."""
+    if channels < 1:
+        return              # make_synthetic_network rejects the spec
+    QuantSpec(args.bits)    # rejects a bad width before it sizes a group
+    # layer 0 reads make_synthetic_network's 3 input channels; every later
+    # layer has the shape of layer 1
+    for idx, c_in in enumerate((3, channels)[:n_layers]):
+        try:
+            place_layer(LayerShape(c_in, channels, 3, 3, 1, 1, 1, 1),
+                        args.bits, geo)
+        except CapacityError as exc:
+            raise CapacityError(f"layer {idx}: {exc}") from exc
+
+
+def _load_net(args, geo: ApGeometry):
+    """The network of --synthetic, or of --model and --weights. A synthetic
+    one is checked against the geometry `geo` it will run on."""
     if args.synthetic:
         try:
             l, c, s = args.synthetic.split("x")
@@ -83,6 +105,7 @@ def _load_net(args):
         except ValueError as exc:
             raise FormatError(f"bad --synthetic spec {args.synthetic!r}: "
                               f"expected LxCxS") from exc
+        _check_synthetic_aps(args, geo, *spec[:2])
         return make_synthetic_network(*spec, bits=args.bits, seed=args.seed)
     if not args.model or not args.weights:
         raise FormatError("need --model and --weights, or --synthetic")
@@ -133,9 +156,10 @@ def _write(path, text):
 # ---------------------------------------------------------------------------
 
 def cmd_compile(args) -> int:
-    net = _load_net(args)
+    geo = _geometry(args)
+    net = _load_net(args, geo)
     h, w = _parse_hw(args.input_hw)
-    prog = emit_program(net, h, w, _geometry(args), _OPT_MAP[args.opt])
+    prog = emit_program(net, h, w, geo, _OPT_MAP[args.opt])
     prog.save(_out_path(args, "program.json"))
     report = {"network": net.name, "opt": prog.opt,
               "layers": prog.report_rows, "lut_notes": prog.lut_notes}
@@ -159,7 +183,7 @@ def cmd_run(args) -> int:
         prog = ApProgram.load(args.program)
         ifm = _program_input(args, prog)
     else:
-        prog, ifm = _compile_for_input(args, _load_net(args))
+        prog, ifm = _compile_for_input(args, _load_net(args, _geometry(args)))
         prog.save(_out_path(args, "program.json"))
     result = sim.run(prog, ifm)
     stats = metrics.account(prog, result, model)
@@ -175,11 +199,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    net = _load_net(args)
     if args.program:
         prog = ApProgram.load(args.program)
+        net = _load_net(args, prog.geometry)
         ifm = _program_input(args, prog)
     else:
+        net = _load_net(args, _geometry(args))
         prog, ifm = _compile_for_input(args, net)
     want = reference_inference(net, ifm)
     got = sim.run(prog, ifm).trace

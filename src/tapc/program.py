@@ -521,6 +521,9 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
         c_hi = t.c_hi
         _check(t.acc0 >= n_slots, at, "acc0 {} lies in the {} patch slots",
                t.acc0, n_slots)
+        # an all-zero input leaves every accumulator at 0
+        _check(t.acc_lo <= 0 <= t.acc_hi, at,
+               "accumulator interval [{}, {}] excludes 0", t.acc_lo, t.acc_hi)
         _check(t.columns_used <= geo.columns, at,
                "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")

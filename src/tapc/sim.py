@@ -23,9 +23,9 @@ Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
 epoch, kind), the number of events and the integer sums of their bits,
 steps, cycles and energy size. `run_macro` sums a macro's events in local
 integers and adds them once. `tapc.metrics` folds the counters, and
-`export_events` writes one row per counter key. A caller that needs each
-event, in order, passes a `sink` list, and every executor appends `Event`s
-to it.
+`export_events` writes one row per counter key. The counters are the only
+account of a run's events: no executor lists them one by one. `Event` is
+the shape of one such event, which `metrics.event_energy_pj` prices.
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
@@ -104,14 +104,10 @@ class EventCounts:
             acc[3] += cycles
             acc[4] += size
 
-    def record(self, ap, layer, phase, epoch, kind, bits, steps, cycles,
-               sink=None):
-        """Count one event, and append it to `sink` if one is given."""
+    def record(self, ap, layer, phase, epoch, kind, bits, steps, cycles):
+        """Count one event of `kind` (an index into EVENT_KINDS)."""
         self.add((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
                  bits * steps if kind == SHIFT else bits)
-        if sink is not None:
-            sink.append(Event(EVENT_KINDS[kind], ap, layer, phase, epoch,
-                              bits, steps, cycles))
 
     def __len__(self) -> int:
         return sum(acc[0] for acc in self.bins.values())
@@ -227,10 +223,8 @@ class SimState:
 
 
 def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
-                      layer: int = 0, phase: str = "dfg", epoch: int = 0,
-                      sink: list | None = None):
-    """Run expanded micro-ops against one AP, counting every costed action
-    and appending it, in order, to `sink` if one is given.
+                      layer: int = 0, phase: str = "dfg", epoch: int = 0):
+    """Run expanded micro-ops against one AP, counting every costed action.
 
     This is the reference `run_macro` is tested against. Shifts carry their
     step count from expansion (planned against a copy of the AP's
@@ -242,7 +236,7 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
 
     def log(kind, bits, steps, cycles):
         state.events.record(ap_id, layer, phase, epoch, kind, bits, steps,
-                            cycles, sink)
+                            cycles)
     for op in ops:
         kind = op.kind
         if kind == "search":
@@ -282,7 +276,7 @@ def _rows_in(full: int, key, c: int, b: int, a: int) -> int:
 
 def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
               table: isa.LutTable, layer: int = 0, phase: str = "dfg",
-              epoch: int = 0, sink: list | None = None):
+              epoch: int = 0):
     """Execute one macro against the AP's live alignment, each bit as one
     bit-parallel full add or subtract over its (carry, b, a) planes.
 
@@ -297,9 +291,8 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
     domain a bit, so its shifts are counted from its first and last domain,
     not made one at a time.
 
-    It counts the events `execute_micro_ops` would count for the expansion,
-    once per macro, and appends them in the same order to `sink` if one is
-    given. Every column and domain the loop touches is checked before
+    It adds, once per macro, the counters `execute_micro_ops` would add for
+    the expansion. Every column and domain the loop touches is checked before
     anything changes, so a macro outside the geometry leaves the AP as it
     was.
     """
@@ -356,22 +349,14 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
     keys = table.pass_keys
     n_written = 1 + len(dest_cols)
     # each walk's steps to its first domain, then its one-step shifts
-    moves = []
     n_shifts = n_steps = 0
     for col, (first, last) in walks.items():
         to_first, more = abs(first - align.get(col, 0)), last - first
-        moves.append((to_first, more))
         if to_first or more:
             n_shifts += (to_first > 0) + more
             n_steps += to_first + more
             align[col] = last
 
-    def emit(kind, bits, steps=0, cycles=1):
-        sink.append(Event(EVENT_KINDS[kind], ap_id, layer, phase, epoch, bits,
-                          steps, cycles))
-
-    if sink is not None:
-        emit(WRITE, rows)       # the carry clear
     c = 0
     tagged = 0                  # rows tagged, summed over the passes
     results = []
@@ -381,18 +366,6 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
         r = x ^ c ^ flip
         c_out = u & v | x & c
         tagged += (c ^ c_out | r ^ held[bit]).bit_count()
-        if sink is not None:
-            for to_first, more in moves:
-                if bit == 0 and to_first:
-                    emit(SHIFT, rows, to_first, to_first)
-                elif 0 < bit <= more:
-                    emit(SHIFT, rows, 1, 1)
-            if not in_place:
-                emit(WRITE, len(dest_cols) * rows)
-            for key in keys:
-                emit(SEARCH, 3 * rows)
-                emit(WRITE, n_written * _rows_in(full, key, c, bs[bit],
-                                                 as_[bit]).bit_count())
         if bit == m - 1:
             cam.tag = _rows_in(full, keys[-1], c, bs[bit], as_[bit])
         results.append(r)
@@ -431,32 +404,31 @@ class RunResult:
     state: SimState
 
 
-def _shift_log(state, ap_id, col, target, layer, phase, epoch, sink):
+def _shift_log(state, ap_id, col, target, layer, phase, epoch):
     cam = state.ap(ap_id)
     cur = cam.align.get(col, 0)
     if cur != target:
         cam.shift(col, target)
         steps = abs(target - cur)
         state.events.record(ap_id, layer, phase, epoch, SHIFT, cam.rows,
-                            steps, steps, sink)
+                            steps, steps)
 
 
-def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch, sink):
+def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
     """Read one value column through the port: a shift plus one search per
     bit, reconstructing two's-complement integers for the controller."""
     cam = state.ap(ap_id)
     vals = np.zeros(n_rows, dtype=np.int64)
     for b in range(width):
-        _shift_log(state, ap_id, col, base + b, layer, "io", epoch, sink)
-        state.events.record(ap_id, layer, "io", epoch, SEARCH, cam.rows, 0, 1,
-                            sink)
+        _shift_log(state, ap_id, col, base + b, layer, "io", epoch)
+        state.events.record(ap_id, layer, "io", epoch, SEARCH, cam.rows, 0, 1)
         vals |= cam.visible(col)[:n_rows].astype(np.int64) << b
     vals -= ((vals >> (width - 1)) & 1) << width
     return vals
 
 
 def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
-              prov: np.ndarray | None, catalog, epoch: int, sink: list | None):
+              prov: np.ndarray | None, catalog, epoch: int):
     geo = state.geometry
     shape = lp.shape
     pim = im2col_indices(shape)
@@ -481,11 +453,11 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         base_pos = rg * geo.rows
         # carry must sit at domain 0 (the expander insists) and the reserved
         # zero column must actually read zero on a reused array
-        _shift_log(state, ap, tile.carry, 0, layer, "io", ep_load, sink)
-        _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load, sink)
+        _shift_log(state, ap, tile.carry, 0, layer, "io", ep_load)
+        _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load)
         cam.track(tile.zero)[0] = 0
         cam.writes[tile.zero] += 1
-        record(ap, layer, "io", ep_load, WRITE, cam.rows, 0, 1, sink)
+        record(ap, layer, "io", ep_load, WRITE, cam.rows, 0, 1)
         if prov is not None:
             agg: dict[int, int] = {}
             for ch in groups[cg]:
@@ -499,7 +471,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
             for src in sorted(agg):
                 bits = agg[src] * in_bits
                 record(ap, layer, "io", ep_load, MOVE, bits, 0,
-                       -(-bits // geo.rows), sink)
+                       -(-bits // geo.rows))
         # slot k holds channel i's bit b at domain i * in_bits + b: each
         # slot column walks up from domain 0, one write a domain
         n_doms = len(groups[cg]) * in_bits
@@ -508,15 +480,6 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
             for k in range(pim.slots):
                 cam.load(k, ci * in_bits, _pack_planes(vals[:, k], in_bits),
                          ru)
-                if sink is None:
-                    continue
-                for dom in range(ci * in_bits, (ci + 1) * in_bits):
-                    step = 1 if dom else cam.align.get(k, 0)
-                    if step:
-                        sink.append(Event("shift", ap, layer, "io", ep_load,
-                                          cam.rows, step, step))
-                    sink.append(Event("write", ap, layer, "io", ep_load, ru,
-                                      0, 1))
         shifts = steps = 0
         for k in range(pim.slots):
             at = cam.align.get(k, 0)
@@ -543,7 +506,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         for macro, phase in streams[og][cg]:
             run_macro(state, ap, macro, catalog[
                 macro.op_kind, macro.addressing, macro.negated], layer, phase,
-                ep_work, sink)
+                ep_work)
 
     # adder tree across channel groups: before each add, the source AP's
     # copy of its b column moves into the scratch column a. A move charges
@@ -560,11 +523,10 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 cam.track(scratch, 0, w)[:w] = \
                     state.ap(src).track(col, 0, w)[:w]
                 cam.writes[scratch] += w
-                record(dst, layer, "accum", ep_next, MOVE, cam.rows * w, 0, w,
-                       sink)
+                record(dst, layer, "accum", ep_next, MOVE, cam.rows * w, 0, w)
                 run_macro(state, dst, macro, catalog[
                     macro.op_kind, macro.addressing, macro.negated], layer,
-                    "accum", ep_next, sink)
+                    "accum", ep_next)
         ep_next += 1
 
     # readout at the tree roots, then requantize in the controller
@@ -579,7 +541,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
             for r in range(tile.c_lo, tile.c_hi):
                 col = tile.acc0 + (r - tile.c_lo)
                 vals = _read_signed(state, root, col, 0, w_acc, ru, layer,
-                                    ep_next, sink)
+                                    ep_next)
                 if vals.min() < tile.acc_lo or vals.max() > tile.acc_hi:
                     raise SimulationError(
                         f"layer {layer}: accumulator for channel {r} left "
@@ -594,13 +556,11 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     return ofm, prov_new, ep_next + 1
 
 
-def run(program: ApProgram, ifm: FeatureMap,
-        sink: list | None = None) -> RunResult:
+def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     """Execute a compiled program and return the per-layer output trace.
 
     The trace must match the host reference bit for bit; the event counters
-    are the raw material for the energy/latency/endurance accounting. Every
-    event is also appended, in order, to `sink` if one is given.
+    are the raw material for the energy/latency/endurance accounting.
     """
     if ifm.bits != program.in_bits:
         raise FormatError(f"program expects {program.in_bits}-bit input, "
@@ -619,7 +579,7 @@ def run(program: ApProgram, ifm: FeatureMap,
     for layer, lp in enumerate(program.layers):
         if lp.kind == "conv":
             cur, prov, epoch = _run_conv(state, lp, layer, cur, prov,
-                                         catalog, epoch, sink)
+                                         catalog, epoch)
         elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
             if prov is not None:

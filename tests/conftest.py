@@ -7,6 +7,7 @@ from collection on, so its home directory is a temporary one that the run
 removes, and a run leaves no `.hypothesis/` directory in the checkout.
 """
 
+import contextlib
 import shutil
 import tempfile
 
@@ -64,6 +65,28 @@ def worked_system():
 def catalog():
     tables, _repairs = isa.standard_catalog()
     return tables
+
+
+@contextlib.contextmanager
+def _logged_counter_updates():
+    """Log every `sim.EventCounts.add` call made inside the block, as
+    (key, n, bits, steps, cycles, size), and still apply it."""
+    calls = []
+    real_add = sim.EventCounts.add
+
+    def add(self, key, *sums):
+        calls.append((key, *sums))
+        real_add(self, key, *sums)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim.EventCounts, "add", add)
+        yield calls
+
+
+@pytest.fixture(scope="session")
+def counter_log():
+    """`with counter_log() as calls:` logs the counter updates of a run,
+    one call each, so a test can fold them its own way."""
+    return _logged_counter_updates
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tapc import cli, isa, sim
+from tapc import cli, isa
 from tapc.errors import FormatError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_network,
@@ -34,20 +34,12 @@ def test_compile_writes_program_and_report(tmp_path, capsys):
     assert len(report["layers"]) == 2
 
 
-def test_run_writes_all_artifacts(tmp_path, capsys, monkeypatch):
-    runs = []
-    real_run = sim.run
-
-    def run_with_sink(program, ifm):
-        sink = []
-        runs.append((real_run(program, ifm, sink), sink))
-        return runs[-1][0]
-
-    monkeypatch.setattr(sim, "run", run_with_sink)
+def test_run_writes_all_artifacts(tmp_path, capsys, counter_log):
     for out_dir in (tmp_path / "a", tmp_path / "b"):
-        code, out, _ = run_cli(capsys, "run", "--synthetic", "2x6x0.8",
-                               "--input-hw", "8x8", "--seed", "3",
-                               "--out-dir", str(out_dir))
+        with counter_log() as calls:
+            code, out, _ = run_cli(capsys, "run", "--synthetic", "2x6x0.8",
+                                   "--input-hw", "8x8", "--seed", "3",
+                                   "--out-dir", str(out_dir))
         assert code == 0
     a, b = tmp_path / "a", tmp_path / "b"
     for name in ("program.json", "stats.json", "report.txt", "report.csv",
@@ -56,13 +48,12 @@ def test_run_writes_all_artifacts(tmp_path, capsys, monkeypatch):
     assert "network synthetic-2x6x0.8" in out
     assert "energy by kind [pJ]:" in out
     # events.csv holds one row per counter key, and the rows add up to
-    # every event of the run
+    # every event the run counted (both runs log the same updates)
     text = (a / "events.csv").read_text()
     header, *rows = text.splitlines()
     assert header == "kind,ap,layer,phase,epoch,events,bits,steps,cycles,size"
-    (result, sink), _ = runs
     assert sum(int(row.split(",")[5]) for row in rows) == \
-        len(result.events) == len(sink) > 100
+        sum(call[1] for call in calls) > 100
     assert (b / "events.csv").read_text() == text
 
 
@@ -125,6 +116,27 @@ def test_a_layer_past_the_ap_count_exits_3_before_building_it(
         argv += ["--out-dir", str(tmp_path / "out")]
     code, _, err = run_cli(capsys, command, *argv)
     assert code == 3 and err.startswith("capacity: layer 0: needs "), err
+
+
+@pytest.mark.parametrize("command", ["compile", "run", "verify",
+                                     "verify-program"])
+def test_a_synthetic_layer_past_the_ap_count_exits_3_before_drawing_it(
+        command, compiled_program, tmp_path, capsys):
+    # layer 1 alone has 100000 / 16 = 6250 channel groups; its weights
+    # would take hundreds of GiB, so the AP count is checked first
+    argv = ["--synthetic", "2x100000x0.5", "--input-hw", "4x4"]
+    if command == "verify-program":
+        # the program's geometry counts: 16 domains hold 4 channels of 4 bits
+        (tmp_path / "program.json").write_text(compiled_program)
+        command, argv = "verify", argv + [
+            "--program", str(tmp_path / "program.json")]
+        want = "capacity: layer 1: needs 25000 APs"
+    else:
+        want = "capacity: layer 1: needs 6250 APs"
+    if command != "verify":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 3 and err.startswith(want), err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -638,6 +650,8 @@ PROGRAM_EDITS = {
     "rows-used": lambda d: d["layers"][0].update(rows_used=[35]),
     "stored-value0": lambda d: d["layers"][0]["tiles"][0].update(value0=9),
     "acc0-in-slots": lambda d: d["layers"][0]["tiles"][0].update(acc0=8),
+    "acc-lo-positive": lambda d: d["layers"][0]["tiles"][0].update(acc_lo=1),
+    "acc-hi-negative": lambda d: d["layers"][0]["tiles"][0].update(acc_hi=-1),
     "item-missing-field": lambda d: _items(d)[0].pop(),
     "format-3-item": lambda d: _as_format_3(_items(d)[0]),
     "missing-channel-list": lambda d: _channels(d).pop(),

@@ -14,19 +14,30 @@ from tapc.program import PoolLayer, macro_counts, place_layer
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 
-def _reference_pj(ev, model):
-    if ev.kind == "search":
-        return ev.bits * model.search_fj_per_bit * 1e-3
-    if ev.kind == "write":
-        return ev.bits * model.write_fj_per_bit * 1e-3
-    if ev.kind == "shift":
-        return ev.bits * ev.steps * model.shift_fj_per_step * 1e-3
-    return ev.bits * model.move_pj_per_bit
+def _reference_pj(kind, bits, size, model):
+    """Energy of one counter update: its bits at the kind's rate, or for
+    shifts its summed bits × steps."""
+    if kind == "search":
+        return bits * model.search_fj_per_bit * 1e-3
+    if kind == "write":
+        return bits * model.write_fj_per_bit * 1e-3
+    if kind == "shift":
+        return size * model.shift_fj_per_step * 1e-3
+    return bits * model.move_pj_per_bit
 
 
-def _reference_account(program, events, state, model):
-    """The event-by-event fold of a run's events, each priced in turn, kept
-    as the oracle of `metrics.account`, which prices summed counters."""
+def _record_calls(events):
+    """The counter updates `EventCounts.record` makes for drawn events,
+    one each: (key, n, bits, steps, cycles, size)."""
+    return [((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
+             bits * steps if kind == sim.SHIFT else bits)
+            for kind, ap, layer, phase, epoch, bits, steps, cycles in events]
+
+
+def _reference_account(program, calls, state, model):
+    """The update-by-update fold of a run's counter updates, as
+    `EventCounts.add` received them, each priced in turn: the oracle of
+    `metrics.account`, which prices the summed counters."""
     geo = program.geometry
     per_layer = {}
     for idx, lp in enumerate(program.layers):
@@ -41,13 +52,15 @@ def _reference_account(program, events, state, model):
                           "phase": {p: 0.0 for p in PHASES},
                           "epochs": {}, "adds": adds, "subs": subs,
                           "util": util}
-    for ev in events:
-        slot = per_layer[ev.layer]
-        pj = _reference_pj(ev, model)
-        slot["energy"][ev.kind] += pj
-        slot["phase"][ev.phase] += pj
-        by_ap = slot["epochs"].setdefault(ev.epoch, {})
-        by_ap[ev.ap] = by_ap.get(ev.ap, 0) + ev.cycles
+    for (ap, layer, phase, epoch, kind), _n, bits, _steps, cycles, size \
+            in calls:
+        slot = per_layer[layer]
+        kind = EVENT_KINDS[kind]
+        pj = _reference_pj(kind, bits, size, model)
+        slot["energy"][kind] += pj
+        slot["phase"][phase] += pj
+        by_ap = slot["epochs"].setdefault(epoch, {})
+        by_ap[ap] = by_ap.get(ap, 0) + cycles
     layers = []
     tot_energy = {k: 0.0 for k in EVENT_KINDS}
     tot_phase = {p: 0.0 for p in PHASES}
@@ -77,7 +90,7 @@ def _reference_account(program, events, state, model):
 
 def assert_same_stats(got, want):
     """Every int equal, every float within 1e-9 relative: the oracle adds
-    rounded per-event energies, `account` rounds once per sum. Below the
+    rounded per-update energies, `account` rounds once per sum. Below the
     normal float range (a drawn rate of 5e-324, say) a per-event price
     keeps no relative precision, hence the absolute floor."""
     def same(a, b, where):
@@ -98,15 +111,17 @@ def assert_same_stats(got, want):
 
 
 @pytest.fixture(scope="module")
-def accounted():
+def accounted(counter_log):
+    """Per opt level: the program, its run, the run's stats and the log of
+    the run's counter updates."""
     net = make_synthetic_network(2, 6, 0.7, bits=4, in_channels=3, seed=9)
     ifm = make_synthetic_input(net, 8, 8, seed=2)
     out = {}
     for opt in ("unroll", "unroll_cse"):
         prog = emit_program(net, 8, 8, ApGeometry(), opt)
-        sink = []
-        result = sim.run(prog, ifm, sink)
-        out[opt] = (prog, result, metrics.account(prog, result), sink)
+        with counter_log() as calls:
+            result = sim.run(prog, ifm)
+        out[opt] = (prog, result, metrics.account(prog, result), calls)
     return out
 
 
@@ -128,16 +143,17 @@ def test_event_energy_anchors():
 
 
 def test_account_categories_sum_to_total(accounted):
-    for opt, (prog, result, stats, sink) in accounted.items():
+    for opt, (prog, result, stats, calls) in accounted.items():
         by_layers = sum(ls.total_pj for ls in stats.layers)
         assert stats.total_pj == pytest.approx(by_layers, rel=1e-9)
         assert sum(stats.phase_pj.values()) == pytest.approx(stats.total_pj, rel=1e-9)
         for kind in metrics.EVENT_KINDS:
             per_layer = sum(ls.energy_pj[kind] for ls in stats.layers)
             assert stats.energy_pj[kind] == pytest.approx(per_layer, rel=1e-9)
-        # total re-derivable from the run's events, one by one
+        # total re-derivable from the run's counter updates, one by one
         model = metrics.EnergyModel()
-        raw = sum(metrics.event_energy_pj(e, model) for e in sink)
+        raw = sum(_reference_pj(EVENT_KINDS[key[4]], bits, size, model)
+                  for key, _n, bits, _steps, _cycles, size in calls)
         assert stats.total_pj == pytest.approx(raw, rel=1e-9)
         assert stats.arrays_used == len(result.state.aps)
         assert stats.max_col_writes == result.state.col_write_max()
@@ -166,8 +182,8 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
 
 
 def test_account_matches_the_per_event_fold(accounted):
-    for prog, result, stats, sink in accounted.values():
-        want = _reference_account(prog, sink, result.state, EnergyModel())
+    for prog, result, stats, calls in accounted.values():
+        want = _reference_account(prog, calls, result.state, EnergyModel())
         assert_same_stats(stats, want)
 
 
@@ -189,16 +205,16 @@ def test_account_of_drawn_logs_matches_the_per_event_fold(
         events, search, write, shift, move):
     model = EnergyModel(search, write, shift, move)
     state = sim.SimState(ApGeometry())
-    sink = []
     for kind, ap, layer, phase, epoch, bits, steps, cycles in events:
         state.ap(ap)
         state.events.record(ap, layer, phase, epoch, kind, bits, steps,
-                            cycles, sink)
-    assert len(state.events) == len(sink) == len(events)
+                            cycles)
+    assert len(state.events) == len(events)
     result = types.SimpleNamespace(events=state.events, state=state)
     prog = _pool_program(3)
     assert_same_stats(metrics.account(prog, result, model),
-                      _reference_account(prog, sink, state, model))
+                      _reference_account(prog, _record_calls(events), state,
+                                         model))
 
 
 def test_endurance_anchor_at_100ns_rewrite_interval():

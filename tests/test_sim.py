@@ -75,17 +75,17 @@ def test_search_then_write_touches_only_tagged_rows():
     cam = st.ap(0)
     pattern = np.tile([0, 1], 32)
     cam.poke(0, 0, 1, pattern, 64)
-    events = []
     sim.execute_micro_ops(st, 0, [
         isa.MicroOp("search", cols=(0,), key=(1,)),
         isa.MicroOp("write", cols=(1,), bits=(1,)),
-    ], sink=events)
+    ])
     assert np.array_equal(cam.visible(1), pattern)
     assert cam.writes[1] == 1
-    search, write = events
-    assert (search.kind, write.kind) == ("search", "write")
-    assert search.bits == 64                # one column, every row sensed
-    assert write.bits == 32                 # only the tagged half written
+    assert st.events.bins == {
+        # one column, every row sensed
+        (0, 0, "dfg", 0, sim.SEARCH): [1, 64, 0, 1, 64],
+        # only the tagged half written
+        (0, 0, "dfg", 0, sim.WRITE): [1, 32, 0, 1, 32]}
 
 
 def test_unknown_micro_op_kind_is_rejected():
@@ -144,10 +144,13 @@ def test_alignment_persists_between_macros(catalog):
     first_shifts = [op for op in ops if op.kind == "shift"][:2]
     assert sorted(op.col for op in first_shifts) == [0, 1]
     assert all(op.target == 0 and op.steps == 3 for op in first_shifts)
-    events = []
-    sim.run_macro(st, 0, make_in_place_add(4), table, sink=events)
-    shifts = [e for e in events if e.kind == "shift"][:2]
-    assert [e.steps for e in shifts] == [3, 3]
+    # the walk up from domain 0 is three one-step shifts a column; the
+    # second macro adds a 3-step walk back down to each, in its own epoch
+    sim.run_macro(st, 0, make_in_place_add(4), table, epoch=1)
+    shifts = {epoch: st.events.bins[0, 0, "dfg", epoch, sim.SHIFT]
+              for epoch in (0, 1)}
+    assert shifts == {0: [6, 6 * 64, 6, 6, 6 * 64],
+                      1: [8, 8 * 64, 12, 12, 12 * 64]}
 
 
 def test_carry_column_must_sit_at_domain_zero(catalog):
@@ -292,7 +295,7 @@ def macro_cases(draw):
             FAULTS.get(fault))
 
 
-def _macro_outcome(rows, align, seed, execute, sink):
+def _macro_outcome(rows, align, seed, execute):
     state = sim.SimState(ApGeometry(rows=rows, columns=DIFF_COLUMNS,
                                     domains_per_track=DIFF_DOMAINS))
     cam = state.ap(0)
@@ -302,39 +305,36 @@ def _macro_outcome(rows, align, seed, execute, sink):
     cam.align = dict(align)
     cam.tag = rng.getrandbits(rows)
     try:
-        execute(state, cam, sink)
+        execute(state, cam)
     except TapcError as exc:
         return type(exc)
-    return (cam.planes, cam.align, cam.writes, cam.tag, sink,
-            state.events.bins)
+    return cam.planes, cam.align, cam.writes, cam.tag, state.events.bins
 
 
 def _executors(macro, table):
     """`run_macro` and its micro-op reference, as `_macro_outcome` runs
     them."""
-    def direct(state, cam, sink):
-        sim.run_macro(state, 0, macro, table, 2, "accum", 5, sink)
+    def direct(state, cam):
+        sim.run_macro(state, 0, macro, table, 2, "accum", 5)
 
-    def reference(state, cam, sink):
+    def reference(state, cam):
         ops = isa.expand_macro(macro, table, dict(cam.align))
-        sim.execute_micro_ops(state, 0, ops, 2, "accum", 5, sink)
+        sim.execute_micro_ops(state, 0, ops, 2, "accum", 5)
     return direct, reference
 
 
 @given(macro_cases())
 def test_run_macro_matches_the_micro_op_reference(catalog, case):
-    """Same state, the same events in the same order, and the same
-    counters, with a sink or without one; a macro that breaks its contract
-    raises the same error in both."""
+    """The same planes, alignment, write counts, tag register and counters;
+    a macro that breaks its contract raises the same error in both."""
     rows, key, macro, align, seed, error = case
     direct, reference = _executors(macro, catalog[key])
-    want = _macro_outcome(rows, align, seed, reference, [])
-    assert _macro_outcome(rows, align, seed, direct, []) == want
-    silent = _macro_outcome(rows, align, seed, direct, None)
+    want = _macro_outcome(rows, align, seed, reference)
+    assert _macro_outcome(rows, align, seed, direct) == want
     if error is None:
-        assert silent == want[:4] + (None,) + want[5:]
+        assert isinstance(want, tuple)
     else:
-        assert silent == want == error
+        assert want == error
 
 
 def _contract_case(edit):
@@ -384,8 +384,8 @@ def test_macro_contract_on_shared_columns(catalog, name):
     macro = _contract_case({**ALIASED_ROLES, **SHARED_ROLES}[name])
     direct, reference = _executors(macro, catalog[
         macro.op_kind, macro.addressing, macro.negated])
-    want = _macro_outcome(40, {}, 3, reference, [])
-    assert _macro_outcome(40, {}, 3, direct, []) == want
+    want = _macro_outcome(40, {}, 3, reference)
+    assert _macro_outcome(40, {}, 3, direct) == want
     if name in ALIASED_ROLES:
         assert want is FormatError
     else:
@@ -397,17 +397,13 @@ def test_macro_contract_on_shared_columns(catalog, name):
 def test_event_counts_sum_each_key():
     counts = sim.EventCounts()
     assert len(counts) == 0 and counts.bins == {}
-    sink = []
-    counts.record(0, 0, "io", 0, sim.SEARCH, 64, 0, 1, sink)
-    counts.record(0, 0, "io", 0, sim.SEARCH, 32, 0, 1, sink)
-    counts.record(1, 0, "dfg", 1, sim.SHIFT, 64, 3, 3, sink)
+    counts.record(0, 0, "io", 0, sim.SEARCH, 64, 0, 1)
+    counts.record(0, 0, "io", 0, sim.SEARCH, 32, 0, 1)
+    counts.record(1, 0, "dfg", 1, sim.SHIFT, 64, 3, 3)
     counts.add((1, 0, "dfg", 1, sim.SHIFT), 2, 128, 5, 5, 320)
     assert len(counts) == 5
     assert counts.bins == {(0, 0, "io", 0, sim.SEARCH): [2, 96, 0, 2, 96],
                            (1, 0, "dfg", 1, sim.SHIFT): [3, 192, 8, 8, 512]}
-    assert sink == [sim.Event("search", 0, 0, "io", 0, 64, 0, 1),
-                    sim.Event("search", 0, 0, "io", 0, 32, 0, 1),
-                    sim.Event("shift", 1, 0, "dfg", 1, 64, 3, 3)]
 
 
 def _events_csv(text):
@@ -415,28 +411,28 @@ def _events_csv(text):
     return header.split(","), [row.split(",") for row in rows]
 
 
-def test_export_events_rows_sum_to_the_sink():
+def test_export_events_rows_sum_the_logged_counter_updates(counter_log):
     net = make_synthetic_network(2, 4, 0.7, bits=4, in_channels=2, seed=22)
     prog = emit_program(net, 6, 6, ApGeometry())
     ifm = make_synthetic_input(net, 6, 6, seed=1)
-    sink = []
-    result = sim.run(prog, ifm, sink)
+    with counter_log() as calls:
+        result = sim.run(prog, ifm)
     text = sim.export_events(result.events)
     header, rows = _events_csv(text)
     assert header == ["kind", "ap", "layer", "phase", "epoch", "events",
                       "bits", "steps", "cycles", "size"]
     assert len({row[4] for row in rows}) > 2
-    assert sum(int(row[5]) for row in rows) == len(result.events) == len(sink)
-    # each row sums the sink's events at its key
+    assert sum(int(row[5]) for row in rows) == len(result.events) == \
+        sum(call[1] for call in calls)
+    # each row sums the logged updates at its key
     want = {}
-    for e in sink:
-        key = (e.kind, str(e.ap), str(e.layer), e.phase, str(e.epoch))
+    for (ap, layer, phase, epoch, kind), *sums in calls:
+        key = (sim.EVENT_KINDS[kind], str(ap), str(layer), phase, str(epoch))
         acc = want.setdefault(key, [0, 0, 0, 0, 0])
-        size = e.bits * e.steps if e.kind == "shift" else e.bits
-        for i, x in enumerate((1, e.bits, e.steps, e.cycles, size)):
+        for i, x in enumerate(sums):
             acc[i] += x
     assert {tuple(row[:5]): [int(x) for x in row[5:]] for row in rows} == want
-    # without a sink the counters are the same, and so are the bytes
+    # a second run counts the same, to the byte
     assert sim.export_events(sim.run(prog, ifm).events) == text
     assert sim.export_events(sim.EventCounts()) == sim.EXPORT_HEADER + "\n"
 
