@@ -22,7 +22,7 @@ from .model import (FeatureMap, LayerShape, QuantSpec, load_feature_map,
                     load_network, make_synthetic_input,
                     make_synthetic_network, reference_inference,
                     save_feature_map)
-from .program import ApGeometry, ApProgram, place_layer
+from .program import ApGeometry, ApProgram, Tile, schedule
 from .scheduler import emit_program
 
 _OPT_MAP = {"unroll": "unroll", "unroll+cse": "unroll_cse"}
@@ -78,19 +78,21 @@ def _energy_model(args) -> metrics.EnergyModel:
 
 def _check_synthetic_aps(args, geo: ApGeometry, n_layers: int,
                          channels: int):
-    """Raise CapacityError, naming the layer, if a synthetic layer's channel
-    groups alone need more APs than `geo` has. It runs before any
-    weight is drawn, so it places each layer on one row group and one output
-    tile, the least it can take; compiling checks the full count."""
+    """Raise CapacityError, naming the layer, if a synthetic layer needs
+    more APs than `geo` has. It runs before any weight is drawn, so it
+    schedules each layer on one row group and on the fewest output tiles it
+    can take, those whose slots and fixed columns leave one accumulator
+    column per output channel; compiling checks the full count."""
     if channels < 1:
         return              # make_synthetic_network rejects the spec
     QuantSpec(args.bits)    # rejects a bad width before it sizes a group
+    per_tile = max(1, geo.columns - Tile(0, 0, 0, 0, 9).columns_used)
     # layer 0 reads make_synthetic_network's 3 input channels; every later
     # layer has the shape of layer 1
     for idx, c_in in enumerate((3, channels)[:n_layers]):
         try:
-            place_layer(LayerShape(c_in, channels, 3, 3, 1, 1, 1, 1),
-                        args.bits, geo)
+            schedule(LayerShape(c_in, channels, 3, 3, 1, 1, 1, 1), args.bits,
+                     geo, -(-channels // per_tile))
         except CapacityError as exc:
             raise CapacityError(f"layer {idx}: {exc}") from exc
 

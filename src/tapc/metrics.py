@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
-from .program import checked_fields, macro_counts, place_layer
+from .program import checked_fields, macro_counts, schedule
 from .sim import EVENT_KINDS, MOVE, SHIFT
 
 PHASES = ("io", "dfg", "accum")
@@ -202,9 +202,9 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
         util = 0.0
         adds = subs = 0
         if lp.kind == "conv":
-            placed = place_layer(lp.shape, lp.in_bits, geo)
-            util = placed["positions"] / (placed["row_groups"] * geo.rows)
-            adds, subs = macro_counts(lp, geo)
+            sched = schedule(lp.shape, lp.in_bits, geo, len(lp.tiles))
+            util = sched.utilization
+            adds, subs = macro_counts(lp, sched)
         cycles = layer_cycles[idx]
         layers.append(LayerStats(
             layer=idx, kind=lp.kind, cycles=cycles,

@@ -7,11 +7,12 @@ accumulator interval and first accumulator column (`Tile`), and per (tile,
 channel group) one item stream that every row group runs, one item list
 per channel of the group. An item stores its op, width and the columns it
 reads and writes. What follows from them is derived here and nowhere else:
-the placement (`place_layer`), whether it fits the geometry (`fit_layer`),
-a tile's columns (`Tile`), the AP of each (row group, tile, channel group)
-(`ap_id`), the adder tree over channel groups (`adder_tree`, `merge_adds`),
-each item's macro and energy phase, with the domains, width and signedness
-of its operands (`stream_macros`), and the add/sub counts (`macro_counts`).
+a conv layer's `Schedule` (`schedule`), with its row and channel groups,
+whether its APs fit the geometry, the AP of each (row group, tile, channel
+group), the adder tree over channel groups and the epoch of each step; a
+tile's columns (`Tile`); the adds of a tree merge (`merge_adds`); each
+item's macro and energy phase, with the domains, width and signedness of
+its operands (`stream_macros`); and the add/sub counts (`macro_counts`).
 A layer's number is its position in `layers`. The pass tables are the
 ISA's (`isa.standard_catalog`), the same for every program, so no program
 stores them.
@@ -236,13 +237,62 @@ def _encode(obj) -> dict:
 # what is derived from the stored decisions
 # ---------------------------------------------------------------------------
 
-def place_layer(shape, in_bits: int, geometry: ApGeometry,
-                n_tiles: int = 1) -> dict:
-    """Geometric placement of one conv layer: output positions split into
-    row groups of up to `rows`, input channels into nanowire-stacked groups
-    of floor(domains / in_bits). Column budgeting is done elsewhere. Raises
-    CapacityError, before building any list, when `n_tiles` output tiles
-    need more APs than the geometry has."""
+@dataclass(frozen=True)
+class Schedule:
+    """Where and when one conv layer runs: output positions in row groups
+    (`rows_used` each), input channels in nanowire-stacked `channel_groups`
+    and output channels in `n_tiles` tiles, one of its `aps` APs per (row
+    group, tile, channel group). Its epochs, from the layer's first, are the
+    load (`LOAD`), the stream (`STREAM`), one per adder-tree level from
+    `TREE` on, and the `readout` at the roots of channel group 0."""
+
+    LOAD, STREAM, TREE = 0, 1, 2
+
+    n_tiles: int
+    rows_used: list[int]
+    channel_groups: list[list[int]]
+    aps: int
+    utilization: float      # share of the row groups' rows in use
+
+    def ap(self, rg: int, og: int, cg: int) -> int:
+        """AP of (row group, output tile, channel group)."""
+        return (rg * self.n_tiles + og) * len(self.channel_groups) + cg
+
+    @property
+    def grid(self) -> list[tuple[int, int, int, int]]:
+        """(AP, rg, og, cg) of the APs of the load and stream epochs."""
+        return [(self.ap(rg, og, cg), rg, og, cg) for rg in range(
+            len(self.rows_used)) for og in range(self.n_tiles)
+            for cg in range(len(self.channel_groups))]
+
+    @property
+    def tree(self) -> list[list[tuple[int, int, int]]]:
+        """Per level of the binary adder tree over the channel groups, its
+        (dst AP, src AP, tile) merges by row group, tile and pair; level i
+        runs in epoch `TREE + i`. Each dst keeps the running partial, so
+        channel group 0 ends up with the full sums."""
+        n = len(self.channel_groups)
+        return [[(self.ap(rg, og, i), self.ap(rg, og, i + gap), og)
+                 for rg in range(len(self.rows_used))
+                 for og in range(self.n_tiles)
+                 for i in range(0, n - gap, 2 * gap)]
+                for gap in (1 << k for k in range((n - 1).bit_length()))]
+
+    @property
+    def readout(self) -> int:
+        return self.TREE + (len(self.channel_groups) - 1).bit_length()
+
+    @property
+    def epochs(self) -> int:
+        return self.readout + 1
+
+
+def schedule(shape, in_bits: int, geometry: ApGeometry,
+             n_tiles: int = 1) -> Schedule:
+    """The schedule of a conv layer on `n_tiles` output tiles, with row
+    groups of up to `rows` and floor(domains / in_bits) channels a group.
+    Raises CapacityError, before building any list, when an activation
+    does not fit a track or the APs exceed the geometry's."""
     cap = geometry.domains_per_track // in_bits
     if cap < 1:
         raise CapacityError(f"{in_bits}-bit activations exceed "
@@ -256,63 +306,11 @@ def place_layer(shape, in_bits: int, geometry: ApGeometry,
             f"needs {n_aps} APs ({row_groups} row groups x {n_tiles} tiles "
             f"x {n_groups} channel groups), geometry has {geometry.total_aps}")
     channels = list(range(shape.c_in))
-    groups = [channels[i:i + cap] for i in range(0, shape.c_in, cap)]
     rows_used = [min(geometry.rows, positions - rg * geometry.rows)
                  for rg in range(row_groups)]
-    return {"positions": positions, "row_groups": row_groups,
-            "rows_used": rows_used, "channel_groups": groups}
-
-
-def fit_layer(lp: ConvLayer, geometry: ApGeometry) -> dict:
-    """The placement of a conv layer, after checking that the layer fits the
-    geometry: its APs, and every accumulator and stored value along one
-    track, one bit per domain. Raises CapacityError otherwise."""
-    placed = place_layer(lp.shape, lp.in_bits, geometry, len(lp.tiles))
-    for tile, row in zip(lp.tiles, lp.streams):
-        value_w = max((item.m for channels in row for items in channels
-                       for item in items), default=0)
-        for what, width in (("accumulator", tile.acc_width),
-                            ("value", value_w)):
-            if width > geometry.domains_per_track:
-                raise CapacityError(
-                    f"{width}-bit {what} exceeds "
-                    f"{geometry.domains_per_track} domains per track")
-    return placed
-
-
-def ap_id(rg: int, og: int, cg: int, n_tiles: int, n_groups: int) -> int:
-    """AP of (row group, output tile, channel group) in a conv layer."""
-    return (rg * n_tiles + og) * n_groups + cg
-
-
-def schedule_accumulation(n_groups: int) -> list[list[tuple[int, int]]]:
-    """Binary-tree merge order over channel-group indices.
-
-    Each level holds (dst, src) pairs; dst keeps the running partial and
-    group 0 ends up with the full sum after ceil(log2(n)) levels.
-    """
-    levels = []
-    gap = 1
-    while gap < n_groups:
-        levels.append([(i, i + gap) for i in range(0, n_groups, 2 * gap)
-                       if i + gap < n_groups])
-        gap *= 2
-    return levels
-
-
-def adder_tree(lp: ConvLayer,
-               geometry: ApGeometry) -> list[list[tuple[int, int, int]]]:
-    """The adder tree over a conv layer's channel groups: per level, its
-    (dst AP, src AP, tile) merges by row group, then tile, then pair. Each
-    level is one epoch, and channel group 0 of every (row group, tile)
-    ends up with the full sums."""
-    placed = place_layer(lp.shape, lp.in_bits, geometry)
-    n_tiles, n_groups = len(lp.tiles), len(placed["channel_groups"])
-    return [[(ap_id(rg, og, dst, n_tiles, n_groups),
-              ap_id(rg, og, src, n_tiles, n_groups), og)
-             for rg in range(placed["row_groups"]) for og in range(n_tiles)
-             for dst, src in pairs]
-            for pairs in schedule_accumulation(n_groups)]
+    return Schedule(n_tiles, rows_used,
+                    [channels[i:i + cap] for i in range(0, shape.c_in, cap)],
+                    n_aps, positions / (row_groups * geometry.rows))
 
 
 def merge_adds(tile: Tile) -> list[isa.MacroInstr]:
@@ -395,13 +393,12 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
     return macros
 
 
-def macro_counts(lp: ConvLayer, geometry: ApGeometry) -> tuple[int, int]:
-    """Add and sub macros one conv layer issues: each row group runs every
-    stream once, and each tree merge runs its adds once."""
-    row_groups = place_layer(lp.shape, lp.in_bits, geometry)["row_groups"]
-    ops = [item.op for row in lp.streams for channels in row
-           for items in channels for item in items] * row_groups
-    ops += [macro.op_kind for level in adder_tree(lp, geometry)
+def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
+    """Add and sub macros one conv layer issues on its schedule: each AP of
+    the grid runs its stream once, and each tree merge runs its adds once."""
+    ops = [item.op for _ap, _rg, og, cg in sched.grid
+           for items in lp.streams[og][cg] for item in items]
+    ops += [macro.op_kind for level in sched.tree
             for _dst, _src, og in level for macro in merge_adds(lp.tiles[og])]
     return ops.count(isa.ADD), ops.count(isa.SUB)
 
@@ -510,7 +507,6 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
            layer.c_in, layer.h_in, layer.w_in, layer.in_bits, *cur, bits)
     shape = layer.shape
     n_slots = shape.f_h * shape.f_w
-    groups = place_layer(shape, layer.in_bits, geo)["channel_groups"]
 
     layer.tiles = [Tile(**checked_fields(t, Tile, f"{where} tile {og}"))
                    for og, t in enumerate(_list(layer.tiles, where))]
@@ -528,13 +524,15 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
                "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
+    # `_item` and `stream_macros` keep every value within a track
+    groups = schedule(shape, layer.in_bits, geo,
+                      len(layer.tiles)).channel_groups
     layer.streams = [
         [_stream(channels, geo, tile, n_slots, layer.in_bits,
                  len(groups[cg]), f"{where} stream {og}/{cg}")
          for cg, channels in enumerate(_list(row, where, len(groups)))]
         for og, (tile, row) in enumerate(zip(
             layer.tiles, _list(layer.streams, where, len(layer.tiles))))]
-    fit_layer(layer, geo)
     return shape.c_out, shape.h_out, shape.w_out
 
 

@@ -25,8 +25,8 @@ The result is the typed program of `tapc.program`, which holds only the
 decisions made here: the tiles and the item streams, one item list per
 channel, whose items name the columns they read and write. It also owns
 the encoding, the loader and everything derived from the decisions, among
-them the placement, the capacity rule, the adder tree and how each item
-reads its operands.
+them each conv layer's `Schedule` (its row and channel groups, AP count,
+adder tree and epochs) and how each item reads its operands.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
 from .model import QuantSpec, TernaryNetwork, _input_bits
 from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
-                      MacroItem, PoolLayer, Tile, fit_layer, macro_counts,
-                      place_layer)
+                      MacroItem, PoolLayer, Tile, macro_counts, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +364,36 @@ def _stream(tile: _TilePlan, group: list[int],
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     try:
-        groups = place_layer(shape, in_bits, geometry)["channel_groups"]
+        # one tile's AP count first: lowering builds per-position arrays
+        schedule(shape, in_bits, geometry)
         tiles, systems = plan_conv_layer(layer.weights, shape, in_bits,
                                          geometry, opt)
+        sched = schedule(shape, in_bits, geometry, len(tiles))
         lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
                        tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
                               for t in tiles],
                        streams=[[_stream(t, group, shape.f_h * shape.f_w)
-                                 for group in groups]
+                                 for group in sched.channel_groups]
                                 for t in tiles])
-        placed = fit_layer(lp, geometry)
+        # every value lies along one track, one bit per domain; each stream
+        # writes its tile's accumulators at their width
+        widest = max(item.m for row in lp.streams for channels in row
+                     for items in channels for item in items)
+        if widest > geometry.domains_per_track:
+            raise CapacityError(f"{widest}-bit value exceeds "
+                                f"{geometry.domains_per_track} domains per track")
     except CapacityError as exc:
         raise CapacityError(f"layer {idx}: {exc}") from exc
-    adds, subs = macro_counts(lp, geometry)
-    row_groups = placed["row_groups"]
+    adds, subs = macro_counts(lp, sched)
     row = {"layer": idx, "kind": "conv",
            "ops_unroll": unrolled_op_count(systems),
            "ops_cse": sum(p.graph.op_count
                           for t in tiles for p in t.plans.values()),
-           "macro_adds": adds, "macro_subs": subs,
-           "aps": row_groups * len(tiles) * len(groups),
-           "row_groups": row_groups, "channel_groups": len(groups),
+           "macro_adds": adds, "macro_subs": subs, "aps": sched.aps,
+           "row_groups": len(sched.rows_used),
+           "channel_groups": len(sched.channel_groups),
            "out_tiles": len(tiles),
            "acc_width": max(t.acc_width for t in tiles),
            "columns_used": max(t.columns_used for t in tiles),
-           "utilization": placed["positions"] / (row_groups * geometry.rows)}
+           "utilization": sched.utilization}
     return lp, row

@@ -29,11 +29,12 @@ the shape of one such event, which `metrics.event_energy_pj` prices.
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
-decisions comes from there too: the placement (`place_layer`), the AP of
-each (row group, tile, channel group) (`ap_id`), the adder-tree merges
-(`adder_tree`, `merge_adds`) and the macros and energy phases of each
-stream, whose items store only columns (`stream_macros`). A layer's number
-is its position in the program. A conv layer's streams are decoded once and
+decisions comes from there too: each conv layer's `Schedule`, with its
+row and channel groups, the AP of each (row group, tile, channel group),
+its adder tree and the epoch of each step; the adds of a merge
+(`merge_adds`); and the macros and energy phases of each stream, whose
+items store only columns (`stream_macros`). A layer's number is its
+position in the program. A conv layer's streams are decoded once and
 replayed on every row group. The pass tables are the ISA's, not the
 program's: `run` takes them from `isa.standard_catalog()` once, and each
 macro runs on the table of its own op, addressing and negation.
@@ -55,8 +56,8 @@ from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
-from .program import (ApGeometry, ApProgram, ConvLayer, adder_tree, ap_id,
-                      merge_adds, place_layer, stream_macros)
+from .program import (ApGeometry, ApProgram, ConvLayer, merge_adds, schedule,
+                      stream_macros)
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 SEARCH, WRITE, SHIFT, MOVE = range(len(EVENT_KINDS))
@@ -213,16 +214,16 @@ class SimState:
         self.aps: dict[int, CamArray] = {}
         self.events = EventCounts()
 
-    def ap(self, ap_id: int) -> CamArray:
-        if ap_id not in self.aps:
-            self.aps[ap_id] = CamArray(self.geometry)
-        return self.aps[ap_id]
+    def ap(self, ap: int) -> CamArray:
+        if ap not in self.aps:
+            self.aps[ap] = CamArray(self.geometry)
+        return self.aps[ap]
 
     def col_write_max(self) -> int:
         return max((max(cam.writes) for cam in self.aps.values()), default=0)
 
 
-def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
+def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
                       layer: int = 0, phase: str = "dfg", epoch: int = 0):
     """Run expanded micro-ops against one AP, counting every costed action.
 
@@ -230,12 +231,12 @@ def execute_micro_ops(state: SimState, ap_id: int, ops: list[isa.MicroOp],
     step count from expansion (planned against a copy of the AP's
     alignment), so applying them here keeps plan and state in sync.
     """
-    cam = state.ap(ap_id)
+    cam = state.ap(ap)
     align, writes = cam.align, cam.writes
     full, rows = cam.full, cam.rows
 
     def log(kind, bits, steps, cycles):
-        state.events.record(ap_id, layer, phase, epoch, kind, bits, steps,
+        state.events.record(ap, layer, phase, epoch, kind, bits, steps,
                             cycles)
     for op in ops:
         kind = op.kind
@@ -274,7 +275,7 @@ def _rows_in(full: int, key, c: int, b: int, a: int) -> int:
             & (a if ka else full ^ a))
 
 
-def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
+def run_macro(state: SimState, ap: int, macro: isa.MacroInstr,
               table: isa.LutTable, layer: int = 0, phase: str = "dfg",
               epoch: int = 0):
     """Execute one macro against the AP's live alignment, each bit as one
@@ -296,7 +297,7 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
     anything changes, so a macro outside the geometry leaves the AP as it
     was.
     """
-    cam = state.ap(ap_id)
+    cam = state.ap(ap)
     align = cam.align
     dest_cols = isa.result_columns(macro, table, align)
     m, a, b, zero = macro.width, macro.a, macro.b, macro.zero_col
@@ -384,12 +385,12 @@ def run_macro(state: SimState, ap_id: int, macro: isa.MacroInstr,
     add = state.events.add
     if searches:
         bits = searches * 3 * rows
-        add((ap_id, layer, phase, epoch, SEARCH), searches, bits, 0, searches,
+        add((ap, layer, phase, epoch, SEARCH), searches, bits, 0, searches,
             bits)
-    add((ap_id, layer, phase, epoch, WRITE), writes, write_bits, 0, writes,
+    add((ap, layer, phase, epoch, WRITE), writes, write_bits, 0, writes,
         write_bits)
     if n_shifts:
-        add((ap_id, layer, phase, epoch, SHIFT), n_shifts, n_shifts * rows,
+        add((ap, layer, phase, epoch, SHIFT), n_shifts, n_shifts * rows,
             n_steps, n_steps, n_steps * rows)
 
 
@@ -404,24 +405,24 @@ class RunResult:
     state: SimState
 
 
-def _shift_log(state, ap_id, col, target, layer, phase, epoch):
-    cam = state.ap(ap_id)
+def _shift_log(state, ap, col, target, layer, phase, epoch):
+    cam = state.ap(ap)
     cur = cam.align.get(col, 0)
     if cur != target:
         cam.shift(col, target)
         steps = abs(target - cur)
-        state.events.record(ap_id, layer, phase, epoch, SHIFT, cam.rows,
+        state.events.record(ap, layer, phase, epoch, SHIFT, cam.rows,
                             steps, steps)
 
 
-def _read_signed(state, ap_id, col, base, width, n_rows, layer, epoch):
+def _read_signed(state, ap, col, base, width, n_rows, layer, epoch):
     """Read one value column through the port: a shift plus one search per
     bit, reconstructing two's-complement integers for the controller."""
-    cam = state.ap(ap_id)
+    cam = state.ap(ap)
     vals = np.zeros(n_rows, dtype=np.int64)
     for b in range(width):
-        _shift_log(state, ap_id, col, base + b, layer, "io", epoch)
-        state.events.record(ap_id, layer, "io", epoch, SEARCH, cam.rows, 0, 1)
+        _shift_log(state, ap, col, base + b, layer, "io", epoch)
+        state.events.record(ap, layer, "io", epoch, SEARCH, cam.rows, 0, 1)
         vals |= cam.visible(col)[:n_rows].astype(np.int64) << b
     vals -= ((vals >> (width - 1)) & 1) << width
     return vals
@@ -433,31 +434,26 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     shape = lp.shape
     pim = im2col_indices(shape)
     in_bits = lp.in_bits
-    placed = place_layer(shape, in_bits, geo)
-    groups = placed["channel_groups"]
-    rows_used = placed["rows_used"]
-    record = state.events.record
     tiles = lp.tiles
-    n_tiles, n_groups = len(tiles), len(groups)
-    grid = [(ap_id(rg, og, cg, n_tiles, n_groups), rg, og, cg)
-            for rg in range(len(rows_used)) for og in range(n_tiles)
-            for cg in range(n_groups)]
+    sched = schedule(shape, in_bits, geo, len(tiles))
+    groups = sched.channel_groups
+    record = state.events.record
     patches = [extract_patches(cur, pim, ch) for ch in range(shape.c_in)]
 
     # load: column hygiene, interconnect from producer APs, bit-planes in
-    ep_load = epoch
-    for ap, rg, og, cg in grid:
+    load = epoch + sched.LOAD
+    for ap, rg, og, cg in sched.grid:
         cam = state.ap(ap)
         tile = tiles[og]
-        ru = rows_used[rg]
+        ru = sched.rows_used[rg]
         base_pos = rg * geo.rows
         # carry must sit at domain 0 (the expander insists) and the reserved
         # zero column must actually read zero on a reused array
-        _shift_log(state, ap, tile.carry, 0, layer, "io", ep_load)
-        _shift_log(state, ap, tile.zero, 0, layer, "io", ep_load)
+        _shift_log(state, ap, tile.carry, 0, layer, "io", load)
+        _shift_log(state, ap, tile.zero, 0, layer, "io", load)
         cam.track(tile.zero)[0] = 0
         cam.writes[tile.zero] += 1
-        record(ap, layer, "io", ep_load, WRITE, cam.rows, 0, 1)
+        record(ap, layer, "io", load, WRITE, cam.rows, 0, 1)
         if prov is not None:
             agg: dict[int, int] = {}
             for ch in groups[cg]:
@@ -470,7 +466,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                     agg[int(s)] = agg.get(int(s), 0) + int(n)
             for src in sorted(agg):
                 bits = agg[src] * in_bits
-                record(ap, layer, "io", ep_load, MOVE, bits, 0,
+                record(ap, layer, "io", load, MOVE, bits, 0,
                        -(-bits // geo.rows))
         # slot k holds channel i's bit b at domain i * in_bits + b: each
         # slot column walks up from domain 0, one write a domain
@@ -488,7 +484,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 steps += at + n_doms - 1
                 cam.align[k] = n_doms - 1
             cam.writes[k] += n_doms
-        key = (ap, layer, "io", ep_load)
+        key = (ap, layer, "io", load)
         if shifts:
             state.events.add((*key, SHIFT), shifts, shifts * cam.rows, steps,
                              steps, steps * cam.rows)
@@ -498,24 +494,22 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
 
     # per-AP channel DFGs and accumulator folds; every row group runs the
     # stream of its (tile, channel group)
-    ep_work = epoch + 1
     streams = [[stream_macros(channels, tile, pim.slots, in_bits)
                 for channels in row]
                for tile, row in zip(tiles, lp.streams)]
-    for ap, _rg, og, cg in grid:
+    for ap, _rg, og, cg in sched.grid:
         for macro, phase in streams[og][cg]:
             run_macro(state, ap, macro, catalog[
                 macro.op_kind, macro.addressing, macro.negated], layer, phase,
-                ep_work)
+                epoch + sched.STREAM)
 
     # adder tree across channel groups: before each add, the source AP's
     # copy of its b column moves into the scratch column a. A move charges
     # rows × w bits, every row of the array, while the load above charges
     # only the rows it uses; which of the two is right is still open, and
     # changing either changes the modelled energy.
-    ep_next = ep_work + 1
     merges = [merge_adds(tile) for tile in tiles]
-    for level in adder_tree(lp, geo):
+    for ep, level in enumerate(sched.tree, epoch + sched.TREE):
         for dst, src, og in level:
             cam = state.ap(dst)
             for macro in merges[og]:
@@ -523,11 +517,10 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 cam.track(scratch, 0, w)[:w] = \
                     state.ap(src).track(col, 0, w)[:w]
                 cam.writes[scratch] += w
-                record(dst, layer, "accum", ep_next, MOVE, cam.rows * w, 0, w)
+                record(dst, layer, "accum", ep, MOVE, cam.rows * w, 0, w)
                 run_macro(state, dst, macro, catalog[
                     macro.op_kind, macro.addressing, macro.negated], layer,
-                    "accum", ep_next)
-        ep_next += 1
+                    "accum", ep)
 
     # readout at the tree roots, then requantize in the controller
     positions = shape.h_out * shape.w_out
@@ -535,13 +528,13 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     prov_new = np.zeros((shape.c_out, positions), dtype=np.int64)
     for og, tile in enumerate(tiles):
         w_acc = tile.acc_width
-        for rg, ru in enumerate(rows_used):
-            root = ap_id(rg, og, 0, n_tiles, n_groups)
+        for rg, ru in enumerate(sched.rows_used):
+            root = sched.ap(rg, og, 0)
             base_pos = rg * geo.rows
             for r in range(tile.c_lo, tile.c_hi):
                 col = tile.acc0 + (r - tile.c_lo)
                 vals = _read_signed(state, root, col, 0, w_acc, ru, layer,
-                                    ep_next)
+                                    epoch + sched.readout)
                 if vals.min() < tile.acc_lo or vals.max() > tile.acc_hi:
                     raise SimulationError(
                         f"layer {layer}: accumulator for channel {r} left "
@@ -553,7 +546,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                    lp.quant),
         lp.out_bits)
     prov_new = prov_new.reshape(shape.c_out, shape.h_out, shape.w_out)
-    return ofm, prov_new, ep_next + 1
+    return ofm, prov_new, epoch + sched.epochs
 
 
 def run(program: ApProgram, ifm: FeatureMap) -> RunResult:

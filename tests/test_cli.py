@@ -11,7 +11,7 @@ from tapc.errors import FormatError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_network,
                         save_feature_map, save_network)
-from tapc.program import ApProgram
+from tapc.program import ApProgram, schedule, stream_macros
 
 
 def run_cli(capsys, *argv):
@@ -122,21 +122,24 @@ def test_a_layer_past_the_ap_count_exits_3_before_building_it(
                                      "verify-program"])
 def test_a_synthetic_layer_past_the_ap_count_exits_3_before_drawing_it(
         command, compiled_program, tmp_path, capsys):
-    # layer 1 alone has 100000 / 16 = 6250 channel groups; its weights
-    # would take hundreds of GiB, so the AP count is checked first
-    argv = ["--synthetic", "2x100000x0.5", "--input-hw", "4x4"]
+    # 100000 output channels need at least 100000 / 244 = 410 tiles of 256
+    # columns, one accumulator column a channel, so layer 0 fails before any
+    # weight is drawn; layer 1's weights would take hundreds of GiB
+    want = "capacity: layer 0: needs 410 APs"
+    tail = []
     if command == "verify-program":
-        # the program's geometry counts: 16 domains hold 4 channels of 4 bits
+        # the program's geometry counts: 16 domains hold 2 channels of 8
+        # bits, so layer 0's 3 input channels take 2 channel groups
         (tmp_path / "program.json").write_text(compiled_program)
-        command, argv = "verify", argv + [
-            "--program", str(tmp_path / "program.json")]
-        want = "capacity: layer 1: needs 25000 APs"
-    else:
-        want = "capacity: layer 1: needs 6250 APs"
-    if command != "verify":
-        argv += ["--out-dir", str(tmp_path / "out")]
-    code, _, err = run_cli(capsys, command, *argv)
-    assert code == 3 and err.startswith(want), err
+        command, tail = "verify", [
+            "--bits", "8", "--program", str(tmp_path / "program.json")]
+        want = "capacity: layer 0: needs 820 APs"
+    elif command != "verify":
+        tail = ["--out-dir", str(tmp_path / "out")]
+    for spec in ("1x100000x0.5", "2x100000x0.5"):
+        code, _, err = run_cli(capsys, command, "--synthetic", spec,
+                               "--input-hw", "4x4", *tail)
+        assert code == 3 and err.startswith(want), (spec, err)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -453,6 +456,43 @@ def test_saved_program_matches_golden_hash_and_replays(name, tmp_path, capsys):
     assert code == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in want}
     assert got == want
+
+
+def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
+    # per conv layer: io loads every grid AP, then each AP runs its stream,
+    # then each tree level's destinations merge, then the channel-group-0
+    # roots are read out; consecutive layers' epochs abut
+    with counter_log() as calls:
+        code, _, _ = run_cli(capsys, "run", *_TILED, "--out-dir",
+                             str(tmp_path))
+    assert code == 0
+    prog = ApProgram.load(tmp_path / "program.json")
+    got: dict[int, set] = {}
+    for (ap, layer, phase, epoch, _kind), *_ in calls:
+        got.setdefault(layer, set()).add((ap, phase, epoch))
+    first = 0
+    trees = 0
+    for idx, lp in enumerate(prog.layers):
+        if lp.kind != "conv":
+            assert idx not in got
+            continue
+        sched = schedule(lp.shape, lp.in_bits, prog.geometry, len(lp.tiles))
+        want = {(ap, "io", first) for ap, *_ in sched.grid}
+        for ap, _rg, og, cg in sched.grid:
+            want |= {(ap, phase, first + 1) for _macro, phase in stream_macros(
+                lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w, lp.in_bits)}
+        for at, level in enumerate(sched.tree, first + 2):
+            want |= {(dst, "accum", at) for dst, _src, _og in level}
+        last = first + 2 + len(sched.tree)
+        assert (sched.readout, sched.epochs) == (last - first, last - first + 1)
+        want |= {(sched.ap(rg, og, 0), "io", last)
+                 for rg in range(len(sched.rows_used))
+                 for og in range(len(lp.tiles))}
+        assert got[idx] == want, idx
+        assert {epoch for *_, epoch in got[idx]} == set(range(first, last + 1))
+        first = last + 1
+        trees += len(sched.tree)
+    assert trees > 0
 
 
 def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):

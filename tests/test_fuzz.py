@@ -21,7 +21,8 @@ from tapc.errors import CapacityError, FormatError, TapcError
 from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import OPT_LEVELS, ApGeometry, ApProgram, macro_counts
+from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, macro_counts,
+                          schedule)
 from tapc.scheduler import emit_program
 
 # --- networks against the host reference ------------------------------------
@@ -80,9 +81,10 @@ def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
     with mock.patch.object(sim, "run_macro", wraps=sim.run_macro) as run_macro:
         got = sim.run(prog, ifm).trace
     assert sim.first_divergence(got, reference_inference(net, ifm)) is None
-    assert run_macro.call_count == sum(sum(macro_counts(lp, geometry))
-                                       for lp in prog.layers
-                                       if lp.kind == "conv")
+    assert run_macro.call_count == sum(
+        sum(macro_counts(lp, schedule(lp.shape, lp.in_bits, geometry,
+                                      len(lp.tiles))))
+        for lp in prog.layers if lp.kind == "conv")
 
 
 # --- edited programs against the loader -------------------------------------

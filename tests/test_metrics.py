@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from tapc import metrics, sim
 from tapc.metrics import EVENT_KINDS, PHASES, EnergyModel, LayerStats, Stats
 from tapc.model import make_synthetic_input, make_synthetic_network
-from tapc.program import PoolLayer, macro_counts, place_layer
+from tapc.program import PoolLayer, macro_counts, schedule
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 
@@ -44,9 +44,10 @@ def _reference_account(program, calls, state, model):
         util = 0.0
         adds = subs = 0
         if lp.kind == "conv":
-            placed = place_layer(lp.shape, lp.in_bits, geo)
-            util = placed["positions"] / (placed["row_groups"] * geo.rows)
-            adds, subs = macro_counts(lp, geo)
+            positions = lp.shape.h_out * lp.shape.w_out
+            util = positions / (-(-positions // geo.rows) * geo.rows)
+            adds, subs = macro_counts(
+                lp, schedule(lp.shape, lp.in_bits, geo, len(lp.tiles)))
         per_layer[idx] = {"kind": lp.kind,
                           "energy": {k: 0.0 for k in EVENT_KINDS},
                           "phase": {p: 0.0 for p in PHASES},

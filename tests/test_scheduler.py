@@ -14,9 +14,9 @@ from tapc.errors import CapacityError, FormatError
 from tapc.lowering import LinearSystem, lower_layer
 from tapc.model import (Layer, LayerShape, QuantSpec, TernaryNetwork,
                         make_synthetic_network)
-from tapc.program import schedule_accumulation
+from tapc.program import schedule
 from tapc.scheduler import (ApGeometry, ApProgram, allocate_columns,
-                            emit_program, place_layer, plan_conv_layer)
+                            emit_program, plan_conv_layer)
 
 
 def plan_for(matrix, opt="unroll_cse", bits=4):
@@ -286,31 +286,55 @@ def test_single_pass_allocation_matches_the_three_walk_reference(
 
 # --- placement and tiling -------------------------------------------------
 
-def test_place_layer_row_and_channel_groups():
+def test_schedule_row_and_channel_groups():
     geo = ApGeometry()
     shape = LayerShape(16, 8, 3, 3, 1, 1, 30, 30)
-    pl = place_layer(shape, 4, geo)
-    assert pl["positions"] == 900
-    assert pl["row_groups"] == 4
-    assert pl["rows_used"] == [256, 256, 256, 132]
-    assert pl["channel_groups"] == [list(range(16))]
+    sched = schedule(shape, 4, geo)
+    assert sched.utilization == 900 / (4 * 256)      # 900 positions
+    assert len(sched.rows_used) == 4
+    assert sched.rows_used == [256, 256, 256, 132]
+    assert sched.channel_groups == [list(range(16))]
 
-    pl = place_layer(shape, 8, geo)
-    assert pl["channel_groups"] == [list(range(8)), list(range(8, 16))]
+    sched = schedule(shape, 8, geo)
+    assert sched.channel_groups == [list(range(8)), list(range(8, 16))]
 
     with pytest.raises(CapacityError):
-        place_layer(shape, 128, geo)
+        schedule(shape, 128, geo)
+
+
+def test_schedule_grid_tree_and_epochs():
+    shape = LayerShape(24, 8, 3, 3, 1, 1, 30, 30)     # 4 row groups
+    sched = schedule(shape, 8, ApGeometry(), n_tiles=2)  # 3 channel groups
+    assert sched.aps == 4 * 2 * 3
+    assert [ap for ap, *_ in sched.grid] == list(range(sched.aps))
+    assert sched.grid[7] == (7, 1, 0, 1) and sched.ap(1, 0, 1) == 7
+    assert sched.tree[1] == [(sched.ap(rg, og, 0), sched.ap(rg, og, 2), og)
+                             for rg in range(4) for og in range(2)]
+    assert len(sched.tree) == 2
+    assert (sched.LOAD, sched.STREAM, sched.TREE) == (0, 1, 2)
+    assert (sched.readout, sched.epochs) == (4, 5)
+    with pytest.raises(CapacityError, match="needs 72 APs"):
+        schedule(shape, 8, ApGeometry(), n_tiles=6)
+
+
+def _tree_pairs(n):
+    """The (dst, src) channel-group pairs of each adder-tree level of a
+    layer with n channel groups on one row group and one tile, where a
+    group's AP is its index."""
+    geo = ApGeometry(domains_per_track=1)
+    levels = schedule(LayerShape(n, 1, 1, 1, 1, 0, 1, 1), 1, geo).tree
+    return [[(dst, src) for dst, src, _og in level] for level in levels]
 
 
 def test_accumulation_tree_frozen_shapes():
-    assert schedule_accumulation(1) == []
-    assert schedule_accumulation(2) == [[(0, 1)]]
-    assert schedule_accumulation(5) == [[(0, 1), (2, 3)], [(0, 2)], [(0, 4)]]
+    assert _tree_pairs(1) == []
+    assert _tree_pairs(2) == [[(0, 1)]]
+    assert _tree_pairs(5) == [[(0, 1), (2, 3)], [(0, 2)], [(0, 4)]]
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_accumulation_tree_merges_everything_into_group_zero(n):
-    levels = schedule_accumulation(n)
+    levels = _tree_pairs(n)
     assert len(levels) == (n - 1).bit_length()
     alive = set(range(n))
     for level in levels:
