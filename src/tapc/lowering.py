@@ -50,7 +50,6 @@ class LinearSystem:
 
     channel: int
     matrix: np.ndarray
-    patch: PatchIndexMap
 
 
 def im2col_indices(shape: LayerShape) -> PatchIndexMap:
@@ -72,6 +71,21 @@ def im2col_indices(shape: LayerShape) -> PatchIndexMap:
     return PatchIndexMap(shape, ys, xs)
 
 
+def always_padded(shape: LayerShape) -> np.ndarray:
+    """Whether each patch slot is padding at every output position. Slot
+    (ky, kx) is exactly when no output row puts ky inside the input or no
+    output column puts kx inside it, so each axis is settled on its own,
+    from the first output index whose coordinate is not below 0."""
+    def reached(n_out, f, n_in):
+        k = np.arange(f, dtype=np.int64)
+        first = np.maximum(0, -((k - shape.pad) // shape.stride))
+        return (first < n_out) & (first * shape.stride + k - shape.pad < n_in)
+
+    ys = reached(shape.h_out, shape.f_h, shape.h_in)
+    xs = reached(shape.w_out, shape.f_w, shape.w_in)
+    return ~(ys[:, None] & xs[None, :]).reshape(-1)
+
+
 def lower_layer(weights: TernaryWeights, shape: LayerShape) -> list[LinearSystem]:
     """Split a conv layer into one LinearSystem per input channel.
 
@@ -79,13 +93,12 @@ def lower_layer(weights: TernaryWeights, shape: LayerShape) -> list[LinearSystem
     convolution exactly. Slots that are padding at every output position
     (kernel poking fully outside the input) get their column zeroed.
     """
-    pim = im2col_indices(shape)
-    always_pad = pim.is_pad().all(axis=0)
+    always_pad = always_padded(shape)
     systems = []
     for c in range(shape.c_in):
         matrix = weights.data[:, c, :, :].reshape(shape.c_out, shape.f_h * shape.f_w).copy()
         matrix[:, always_pad] = 0
-        systems.append(LinearSystem(c, matrix, pim))
+        systems.append(LinearSystem(c, matrix))
     return systems
 
 

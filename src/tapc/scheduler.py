@@ -364,8 +364,6 @@ def _stream(tile: _TilePlan, group: list[int],
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     try:
-        # one tile's AP count first: lowering builds per-position arrays
-        schedule(shape, in_bits, geometry)
         tiles, systems = plan_conv_layer(layer.weights, shape, in_bits,
                                          geometry, opt)
         sched = schedule(shape, in_bits, geometry, len(tiles))

@@ -19,13 +19,22 @@ pass is replayed and no micro-op is built. The micro-op path,
 `isa.expand_macro` followed by `execute_micro_ops`, replays every pass and
 stays as the reference the tests compare it against; no run takes it.
 
+The array is row-parallel, and so is the simulator: `run_macro` runs a
+macro on a `Bundle` of APs at once. A conv stream's row groups form one
+bundle, whose wide planes stack the APs' rows, so each stream runs once per
+(tile, channel group), however many row groups share it. Only the shifts
+(from each AP's own alignment) and the tagged rows (counted per AP's row
+segment) differ between the APs of a bundle. An adder-tree merge runs on a
+one-AP bundle, which works on the AP's own planes.
+
 Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
 epoch, kind), the number of events and the integer sums of their bits,
-steps, cycles and energy size. `run_macro` sums a macro's events in local
-integers and adds them once. `tapc.metrics` folds the counters, and
-`export_events` writes one row per counter key. The counters are the only
-account of a run's events: no executor lists them one by one. `Event` is
-the shape of one such event, which `metrics.event_energy_pj` prices.
+steps, cycles and energy size. `run_macro` sums a macro's events into its
+bundle, which adds them once per AP, phase and kind when it closes.
+`tapc.metrics` folds the counters, and `export_events` writes one row per
+counter key. The counters are the only account of a run's events: no
+executor lists them one by one. `Event` is the shape of one such event,
+which `metrics.event_energy_pj` prices.
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
@@ -34,10 +43,13 @@ row and channel groups, the AP of each (row group, tile, channel group),
 its adder tree and the epoch of each step; the adds of a merge
 (`merge_adds`); and the macros and energy phases of each stream, whose
 items store only columns (`stream_macros`). A layer's number is its
-position in the program. A conv layer's streams are decoded once and
-replayed on every row group. The pass tables are the ISA's, not the
-program's: `run` takes them from `isa.standard_catalog()` once, and each
-macro runs on the table of its own op, addressing and negation.
+position in the program. A conv layer's streams are decoded once and run
+once, on the bundle of their row groups. The load packs the slot planes of
+each (row group, channel group) with one `packbits`, and the readout
+decodes each root's block of accumulator planes with one `unpackbits`. The
+pass tables are the ISA's, not the program's: `run` takes them from
+`isa.standard_catalog()` once, and each macro runs on the table of its own
+op, addressing and negation.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -48,6 +60,7 @@ whole machine is deterministic, so do the energy figures.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,18 +143,33 @@ def export_events(events: EventCounts) -> str:
         in rows])
 
 
-def _pack_planes(values, width: int) -> list[int]:
-    """Row bitsets of bits 0..width-1 of a vector of integers, two's
-    complement: bit r of plane b is bit b of element r."""
-    vals = np.asarray(values, dtype=np.int64)
-    bits = (vals >> np.arange(width, dtype=np.int64)[:, None]) & 1
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _pack_planes(bits: np.ndarray) -> list[int]:
+    """Row bitsets of a 0/1 array whose last axis is the row: bit r of plane
+    i is element r of the array's i-th row, in C order."""
+    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=-1,
+                         bitorder="little")
+    size = packed.shape[-1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + size], "little")
+            for i in range(0, len(raw), size)]
 
 
-def _unpack_rows(plane: int, rows: int) -> np.ndarray:
-    raw = np.frombuffer(plane.to_bytes(-(-rows // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=rows, bitorder="little")
+def _decode(planes: list[int], rows: int, n_rows: int, width: int,
+            signed: bool) -> np.ndarray:
+    """Rows 0..n_rows-1 of each run of `width` planes as integers, one
+    result row a run: bit b of run i is plane i * width + b."""
+    size = -(-rows // 8)
+    raw = np.frombuffer(b"".join(p.to_bytes(size, "little") for p in planes),
+                        dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(planes), size), axis=1,
+                         count=n_rows, bitorder="little")
+    bits = bits.reshape(-1, width, n_rows)
+    vals = np.zeros((bits.shape[0], n_rows), dtype=np.int64)
+    for b in range(width):
+        vals |= bits[:, b].astype(np.int64) << b
+    if signed:
+        vals -= ((vals >> (width - 1)) & 1) << width
+    return vals
 
 
 class CamArray:
@@ -181,23 +209,23 @@ class CamArray:
         for dom, plane in enumerate(planes, base):
             track[dom] = track[dom] >> n_rows << n_rows | plane
 
-    def visible(self, col: int) -> np.ndarray:
-        return _unpack_rows(self.planes[col][self.align.get(col, 0)], self.rows)
+    def peek_block(self, cols, base: int, width: int, n_rows: int,
+                   signed: bool = True) -> np.ndarray:
+        """The `width`-bit values from domain `base` on in rows
+        0..n_rows-1 of each column of `cols`, one result row a column."""
+        planes = [plane for col in cols
+                  for plane in self.track(col, base, width)[base:base + width]]
+        return _decode(planes, self.rows, n_rows, width, signed)
 
     # direct, uncosted access for harnesses and unit tests
     def poke(self, col: int, base: int, width: int, values, n_rows: int):
-        self.load(col, base, _pack_planes(values, width), n_rows)
+        vals = np.asarray(values, dtype=np.int64)
+        bits = vals >> np.arange(width, dtype=np.int64)[:, None] & 1
+        self.load(col, base, _pack_planes(bits), n_rows)
 
     def peek(self, col: int, base: int, width: int, n_rows: int,
              signed: bool = True) -> np.ndarray:
-        track = self.track(col, base, width)
-        vals = np.zeros(n_rows, dtype=np.int64)
-        for b in range(width):
-            vals |= _unpack_rows(track[base + b],
-                                 self.rows)[:n_rows].astype(np.int64) << b
-        if signed:
-            vals -= ((vals >> (width - 1)) & 1) << width
-        return vals
+        return self.peek_block([col], base, width, n_rows, signed)[0]
 
     def shift(self, col: int, target: int):
         self.track(col, target)
@@ -275,11 +303,94 @@ def _rows_in(full: int, key, c: int, b: int, a: int) -> int:
             & (a if ka else full ^ a))
 
 
-def run_macro(state: SimState, ap: int, macro: isa.MacroInstr,
-              table: isa.LutTable, layer: int = 0, phase: str = "dfg",
-              epoch: int = 0):
-    """Execute one macro against the AP's live alignment, each bit as one
-    bit-parallel full add or subtract over its (carry, b, a) planes.
+class Bundle:
+    """The APs that run one stream together, as one array of their stacked
+    rows: AP k's rows are bits [k * rows, (k + 1) * rows) of each wide plane
+    `planes[col][dom]`. All `rows` rows of each AP are stacked, so rows above
+    a partially filled group take part as they do on the AP alone.
+
+    A one-AP bundle works on the AP's own planes, with no copy. A wider one
+    gathers a plane from its APs when a macro first reads it, and `close`
+    scatters the columns its macros wrote back. Each AP keeps its own
+    alignment and write counts. `sums` holds, per phase, the counters of
+    the macros run so far: [searches, writes, write bits outside the tagged
+    rows, then per AP the tagged write bits, shifts and shift steps].
+    `close` adds them per AP and phase, SEARCH, WRITE and SHIFT in that
+    order, the order in which a stream's kinds first occur (`metrics` sums
+    floats in that order), and gives each AP its segment of the last
+    macro's tag register.
+    """
+
+    def __init__(self, state: SimState, aps, layer: int = 0, epoch: int = 0):
+        self.events = state.events
+        self.aps = list(aps)
+        self.cams = [state.ap(ap) for ap in self.aps]
+        self.layer, self.epoch = layer, epoch
+        cam = self.cams[0]
+        self.rows = cam.rows
+        self.masks = [cam.full << k * cam.rows for k in range(len(self.aps))]
+        self.full = (1 << cam.rows * len(self.aps)) - 1
+        self.wide = len(self.aps) > 1
+        self.planes = (defaultdict(lambda: [None] * cam.domains) if self.wide
+                       else cam.planes)
+        self.written: set[int] = set()
+        self.tag: int | None = None
+        self.sums: dict[str, list] = {}
+
+    def __len__(self) -> int:
+        return len(self.cams)
+
+    def __enter__(self) -> Bundle:
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def gather(self, col: int, lo: int, hi: int):
+        """Make the wide planes of domains [lo, hi) of `col` readable: a
+        domain neither gathered nor written is None until then."""
+        if not self.wide:
+            return
+        track = self.planes[col]
+        for dom in range(lo, hi):
+            if track[dom] is None:
+                plane = 0
+                for k, cam in enumerate(self.cams):
+                    plane |= cam.planes[col][dom] << k * self.rows
+                track[dom] = plane
+
+    def close(self):
+        """Hand the planes, tag registers and counters back to the APs,
+        once, after the last macro."""
+        rows = self.rows
+        for col in self.written:
+            for dom, plane in enumerate(self.planes[col]):
+                if plane is not None:
+                    for k, cam in enumerate(self.cams):
+                        cam.planes[col][dom] = plane >> k * rows & cam.full
+        if self.tag is not None:
+            for k, cam in enumerate(self.cams):
+                cam.tag = self.tag >> k * rows & cam.full
+        add = self.events.add
+        for k, ap in enumerate(self.aps):
+            for phase, (searches, writes, write_bits, tagged, shifts,
+                        steps) in self.sums.items():
+                key = (ap, self.layer, phase, self.epoch)
+                if searches:
+                    bits = searches * 3 * rows
+                    add((*key, SEARCH), searches, bits, 0, searches, bits)
+                bits = write_bits + tagged[k]
+                add((*key, WRITE), writes, bits, 0, writes, bits)
+                if shifts[k]:
+                    add((*key, SHIFT), shifts[k], shifts[k] * rows, steps[k],
+                        steps[k], steps[k] * rows)
+
+
+def run_macro(bundle: Bundle, macro: isa.MacroInstr, table: isa.LutTable,
+              phase: str = "dfg"):
+    """Execute one macro on every AP of `bundle` against its live
+    alignment, each bit as one bit-parallel full add or subtract over its
+    (carry, b, a) planes, once for all the bundle's rows.
 
     `table` is the catalog's (`isa.standard_catalog`), whose passes take
     each row from its (carry, b, a) state to `isa.reference_bit` of it and
@@ -290,18 +401,21 @@ def run_macro(state: SimState, ap: int, macro: isa.MacroInstr,
     (`isa.result_columns`) keeps the searched planes apart from the written
     ones. Each ported column steps to its first domain at bit 0 and then one
     domain a bit, so its shifts are counted from its first and last domain,
-    not made one at a time.
+    not made one at a time, and from each AP's own alignment.
 
-    It adds, once per macro, the counters `execute_micro_ops` would add for
-    the expansion. Every column and domain the loop touches is checked before
-    anything changes, so a macro outside the geometry leaves the AP as it
-    was.
+    It adds to the bundle's sums the counters `execute_micro_ops` would add
+    for the expansion on each AP: the same searches and writes on every AP,
+    and each AP's own shifts and tagged rows, the latter counted over its
+    segment of the planes. Every column and domain the loop touches is
+    checked before anything changes, so a macro outside the geometry leaves
+    the APs as they were.
     """
-    cam = state.ap(ap)
-    align = cam.align
-    dest_cols = isa.result_columns(macro, table, align)
+    cams = bundle.cams
+    dest_cols = isa.result_columns(macro, table, cams[0].align)
     m, a, b, zero = macro.width, macro.a, macro.b, macro.zero_col
     carry = macro.carry_col
+    if any(cam.align.get(carry, 0) for cam in cams[1:]):
+        raise FormatError("carry column must stay at domain 0")
     in_place = macro.addressing == isa.IN_PLACE
     # first and last domain of each ported column, in the expander's port
     # order; an operand past its width stays at its sign bit, or is not
@@ -316,27 +430,39 @@ def run_macro(state: SimState, ap: int, macro: isa.MacroInstr,
     if not in_place and m:
         for col in dest_cols:
             walks[col] = (rbase, rbase + m - 1)
-    cam.track(carry)
+    check = cams[0].track   # the APs share one geometry
+    check(carry)
     if isa.reads_zero(macro):
-        cam.track(zero)
+        check(zero)
     for col, (first, last) in walks.items():
-        cam.track(col, first, last - first + 1)
+        check(col, first, last - first + 1)
 
-    planes, full, rows = cam.planes, cam.full, cam.rows
+    planes, full = bundle.planes, bundle.full
 
     def searched(ref):
         # the plane each bit searches for ref: its own column's, then its
         # sign bit's or the zero column's
         n = max(0, min(ref.width, m))
+        bundle.gather(ref.col, ref.base, ref.base + n)
         track = planes[ref.col]
         got = track[ref.base:ref.base + n]
         if n == m:
             return got
         if ref.signed:
-            return got + [track[ref.base + ref.width - 1]] * (m - n)
+            top = ref.base + ref.width - 1
+            bundle.gather(ref.col, top, top + 1)
+            return got + [track[top]] * (m - n)
         walk = walks.get(zero)
-        return got + [planes[zero][min(walk[0] + bit, walk[1]) if walk
-                                   else align.get(zero, 0)]
+        if walk is None:
+            # each AP's segment from the domain its port faces
+            plane = 0
+            for cam, mask in zip(cams, bundle.masks):
+                dom = cam.align.get(zero, 0)
+                bundle.gather(zero, dom, dom + 1)
+                plane |= planes[zero][dom] & mask
+            return got + [plane] * (m - n)
+        bundle.gather(zero, walk[0], walk[1] + 1)
+        return got + [planes[zero][min(walk[0] + bit, walk[1])]
                       for bit in range(n, m)]
 
     bs, as_ = searched(b), searched(a)
@@ -348,50 +474,53 @@ def run_macro(state: SimState, ap: int, macro: isa.MacroInstr,
     flip = full if sub or macro.negated else 0
     held = bs if in_place else [0] * m
     keys = table.pass_keys
-    n_written = 1 + len(dest_cols)
-    # each walk's steps to its first domain, then its one-step shifts
-    n_shifts = n_steps = 0
-    for col, (first, last) in walks.items():
-        to_first, more = abs(first - align.get(col, 0)), last - first
-        if to_first or more:
-            n_shifts += (to_first > 0) + more
-            n_steps += to_first + more
-            align[col] = last
+    sums = bundle.sums.get(phase)
+    if sums is None:
+        n = len(cams)
+        sums = bundle.sums[phase] = [0, 0, 0, [0] * n, [0] * n, [0] * n]
+    # each AP's walks: the steps to their first domain, then their one-step
+    # shifts
+    for k, cam in enumerate(cams):
+        align = cam.align
+        for col, (first, last) in walks.items():
+            to_first, more = abs(first - align.get(col, 0)), last - first
+            if to_first or more:
+                sums[4][k] += (to_first > 0) + more
+                sums[5][k] += to_first + more
+                align[col] = last
 
     c = 0
-    tagged = 0                  # rows tagged, summed over the passes
+    changed = []                # the rows each bit's passes tag
     results = []
     for bit in range(m):
         u, v = us[bit] ^ inv, vs[bit]
         x = u ^ v
         r = x ^ c ^ flip
         c_out = u & v | x & c
-        tagged += (c ^ c_out | r ^ held[bit]).bit_count()
+        changed.append(c ^ c_out | r ^ held[bit])
         if bit == m - 1:
-            cam.tag = _rows_in(full, keys[-1], c, bs[bit], as_[bit])
+            bundle.tag = _rows_in(full, keys[-1], c, bs[bit], as_[bit])
         results.append(r)
         c = c_out
     planes[carry][0] = c
     for col in dest_cols:
         planes[col][rbase:rbase + m] = results
+    if bundle.wide:
+        bundle.written.update((carry, *dest_cols))
 
     searches = len(keys) * m
     clears = 0 if in_place else m
-    cam.writes[carry] += 1 + searches
-    for col in dest_cols:
-        cam.writes[col] += searches + clears
-    writes = 1 + clears + searches
-    write_bits = rows * (1 + clears * len(dest_cols)) + n_written * tagged
-    add = state.events.add
-    if searches:
-        bits = searches * 3 * rows
-        add((ap, layer, phase, epoch, SEARCH), searches, bits, 0, searches,
-            bits)
-    add((ap, layer, phase, epoch, WRITE), writes, write_bits, 0, writes,
-        write_bits)
-    if n_shifts:
-        add((ap, layer, phase, epoch, SHIFT), n_shifts, n_shifts * rows,
-            n_steps, n_steps, n_steps * rows)
+    for cam in cams:
+        cam.writes[carry] += 1 + searches
+        for col in dest_cols:
+            cam.writes[col] += searches + clears
+    sums[0] += searches
+    sums[1] += 1 + clears + searches
+    sums[2] += bundle.rows * (1 + clears * len(dest_cols))
+    n_written = 1 + len(dest_cols)
+    for k, mask in enumerate(bundle.masks):
+        sums[3][k] += n_written * sum((t & mask).bit_count()
+                                      for t in changed)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +544,57 @@ def _shift_log(state, ap, col, target, layer, phase, epoch):
                             steps, steps)
 
 
-def _read_signed(state, ap, col, base, width, n_rows, layer, epoch):
-    """Read one value column through the port: a shift plus one search per
-    bit, reconstructing two's-complement integers for the controller."""
+def _slot_planes(patches, channels, lo: int, n_rows: int,
+                 in_bits: int) -> list[int]:
+    """The planes rows lo..lo+n_rows of a channel group load into the slot
+    columns, slot by slot: slot k holds channel i's bit b at domain
+    i * in_bits + b."""
+    shifts = np.arange(in_bits, dtype=np.int64)[:, None]
+    bits = np.empty((patches[0].shape[1], len(channels), in_bits, n_rows),
+                    dtype=np.uint8)
+    for i, ch in enumerate(channels):
+        bits[:, i] = patches[ch][lo:lo + n_rows].T[:, None] >> shifts & 1
+    return _pack_planes(bits)
+
+
+def _moved_values(prov: np.ndarray, pim, channels, lo: int,
+                  n_rows: int) -> list[int]:
+    """How many of the input values rows lo..lo+n_rows of a channel group
+    read come from each producer AP, in producer order."""
+    ys = pim.ys[lo:lo + n_rows]
+    xs = pim.xs[lo:lo + n_rows]
+    inside = ys >= 0
+    moved: dict[int, int] = {}
+    for ch in channels:
+        srcs, counts = np.unique(prov[ch][ys[inside], xs[inside]],
+                                 return_counts=True)
+        for src, n in zip(srcs, counts):
+            moved[int(src)] = moved.get(int(src), 0) + int(n)
+    return [moved[src] for src in sorted(moved)]
+
+
+def _read_out(state: SimState, ap: int, cols, width: int, layer: int,
+              epoch: int):
+    """Count reading `cols` through the port of an AP, each a search a bit
+    from domain 0 up with a shift before each bit not yet in place, and
+    leave each column at its top domain."""
     cam = state.ap(ap)
-    vals = np.zeros(n_rows, dtype=np.int64)
-    for b in range(width):
-        _shift_log(state, ap, col, base + b, layer, "io", epoch)
-        state.events.record(ap, layer, "io", epoch, SEARCH, cam.rows, 0, 1)
-        vals |= cam.visible(col)[:n_rows].astype(np.int64) << b
-    vals -= ((vals >> (width - 1)) & 1) << width
-    return vals
+    rows = cam.rows
+    shift_first = cam.align.get(cols[0], 0) != 0
+    shifts = steps = 0
+    for col in cols:
+        cur = cam.align.get(col, 0)
+        if cur or width > 1:
+            shifts += (cur != 0) + width - 1
+            steps += cur + width - 1
+            cam.align[col] = width - 1
+    n = len(cols) * width
+    # the kinds in the order they first occur, which `metrics` sums in
+    kinds = [(SEARCH, (n, n * rows, 0, n, n * rows)),
+             (SHIFT, (shifts, shifts * rows, steps, steps, steps * rows))]
+    for kind, sums in kinds[::-1] if shift_first else kinds:
+        if sums[0]:
+            state.events.add((ap, layer, "io", epoch, kind), *sums)
 
 
 def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
@@ -438,10 +607,13 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     sched = schedule(shape, in_bits, geo, len(tiles))
     groups = sched.channel_groups
     record = state.events.record
+    add = state.events.add
     patches = [extract_patches(cur, pim, ch) for ch in range(shape.c_in)]
 
-    # load: column hygiene, interconnect from producer APs, bit-planes in
+    # load: column hygiene, interconnect from producer APs, bit-planes in;
+    # the tiles of a (row group, channel group) load the same data
     load = epoch + sched.LOAD
+    loads = {}
     for ap, rg, og, cg in sched.grid:
         cam = state.ap(ap)
         tile = tiles[og]
@@ -454,28 +626,19 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         cam.track(tile.zero)[0] = 0
         cam.writes[tile.zero] += 1
         record(ap, layer, "io", load, WRITE, cam.rows, 0, 1)
-        if prov is not None:
-            agg: dict[int, int] = {}
-            for ch in groups[cg]:
-                ys = pim.ys[base_pos:base_pos + ru]
-                xs = pim.xs[base_pos:base_pos + ru]
-                m = ys >= 0
-                srcs, counts = np.unique(prov[ch][ys[m], xs[m]],
-                                         return_counts=True)
-                for s, n in zip(srcs, counts):
-                    agg[int(s)] = agg.get(int(s), 0) + int(n)
-            for src in sorted(agg):
-                bits = agg[src] * in_bits
-                record(ap, layer, "io", load, MOVE, bits, 0,
-                       -(-bits // geo.rows))
-        # slot k holds channel i's bit b at domain i * in_bits + b: each
-        # slot column walks up from domain 0, one write a domain
+        if (rg, cg) not in loads:
+            loads[rg, cg] = (
+                [] if prov is None else
+                _moved_values(prov, pim, groups[cg], base_pos, ru),
+                _slot_planes(patches, groups[cg], base_pos, ru, in_bits))
+        moved, planes = loads[rg, cg]
+        for n in moved:
+            bits = n * in_bits
+            record(ap, layer, "io", load, MOVE, bits, 0, -(-bits // geo.rows))
+        # each slot column walks up from domain 0, one write a domain
         n_doms = len(groups[cg]) * in_bits
-        for ci, ch in enumerate(groups[cg]):
-            vals = patches[ch][base_pos:base_pos + ru]
-            for k in range(pim.slots):
-                cam.load(k, ci * in_bits, _pack_planes(vals[:, k], in_bits),
-                         ru)
+        for k in range(pim.slots):
+            cam.load(k, 0, planes[k * n_doms:(k + 1) * n_doms], ru)
         shifts = steps = 0
         for k in range(pim.slots):
             at = cam.align.get(k, 0)
@@ -486,22 +649,24 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
             cam.writes[k] += n_doms
         key = (ap, layer, "io", load)
         if shifts:
-            state.events.add((*key, SHIFT), shifts, shifts * cam.rows, steps,
-                             steps, steps * cam.rows)
+            add((*key, SHIFT), shifts, shifts * cam.rows, steps, steps,
+                steps * cam.rows)
         n_writes = pim.slots * n_doms
-        state.events.add((*key, WRITE), n_writes, n_writes * ru, 0, n_writes,
-                         n_writes * ru)
+        add((*key, WRITE), n_writes, n_writes * ru, 0, n_writes,
+            n_writes * ru)
 
-    # per-AP channel DFGs and accumulator folds; every row group runs the
-    # stream of its (tile, channel group)
-    streams = [[stream_macros(channels, tile, pim.slots, in_bits)
-                for channels in row]
-               for tile, row in zip(tiles, lp.streams)]
-    for ap, _rg, og, cg in sched.grid:
-        for macro, phase in streams[og][cg]:
-            run_macro(state, ap, macro, catalog[
-                macro.op_kind, macro.addressing, macro.negated], layer, phase,
-                epoch + sched.STREAM)
+    # per-AP channel DFGs and accumulator folds: the row groups of a (tile,
+    # channel group) run its stream as one bundle
+    row_groups = range(len(sched.rows_used))
+    for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
+        for cg, channels in enumerate(row):
+            with Bundle(state, [sched.ap(rg, og, cg) for rg in row_groups],
+                        layer, epoch + sched.STREAM) as bundle:
+                for macro, phase in stream_macros(channels, tile, pim.slots,
+                                                  in_bits):
+                    run_macro(bundle, macro, catalog[
+                        macro.op_kind, macro.addressing, macro.negated],
+                        phase)
 
     # adder tree across channel groups: before each add, the source AP's
     # copy of its b column moves into the scratch column a. A move charges
@@ -511,35 +676,40 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     merges = [merge_adds(tile) for tile in tiles]
     for ep, level in enumerate(sched.tree, epoch + sched.TREE):
         for dst, src, og in level:
-            cam = state.ap(dst)
-            for macro in merges[og]:
-                scratch, col, w = macro.a.col, macro.b.col, macro.width
-                cam.track(scratch, 0, w)[:w] = \
-                    state.ap(src).track(col, 0, w)[:w]
-                cam.writes[scratch] += w
-                record(dst, layer, "accum", ep, MOVE, cam.rows * w, 0, w)
-                run_macro(state, dst, macro, catalog[
-                    macro.op_kind, macro.addressing, macro.negated], layer,
-                    "accum", ep)
+            with Bundle(state, [dst], layer, ep) as bundle:
+                cam = bundle.cams[0]
+                for macro in merges[og]:
+                    scratch, col, w = macro.a.col, macro.b.col, macro.width
+                    cam.track(scratch, 0, w)[:w] = \
+                        state.ap(src).track(col, 0, w)[:w]
+                    cam.writes[scratch] += w
+                    record(dst, layer, "accum", ep, MOVE, cam.rows * w, 0, w)
+                    run_macro(bundle, macro, catalog[
+                        macro.op_kind, macro.addressing, macro.negated],
+                        "accum")
 
-    # readout at the tree roots, then requantize in the controller
+    # readout at the tree roots, one block of accumulator planes a root and
+    # tile, then requantize in the controller
     positions = shape.h_out * shape.w_out
     acc = np.zeros((shape.c_out, positions), dtype=np.int64)
     prov_new = np.zeros((shape.c_out, positions), dtype=np.int64)
+    readout = epoch + sched.readout
     for og, tile in enumerate(tiles):
-        w_acc = tile.acc_width
+        cols = range(tile.acc0, tile.carry)
         for rg, ru in enumerate(sched.rows_used):
             root = sched.ap(rg, og, 0)
+            cam = state.ap(root)
+            vals = cam.peek_block(cols, 0, tile.acc_width, ru)
+            _read_out(state, root, cols, tile.acc_width, layer, readout)
+            bad = (vals.min(axis=1) < tile.acc_lo) | \
+                (vals.max(axis=1) > tile.acc_hi)
+            if bad.any():
+                raise SimulationError(
+                    f"layer {layer}: accumulator for channel "
+                    f"{tile.c_lo + int(bad.argmax())} left its proven "
+                    f"interval [{tile.acc_lo}, {tile.acc_hi}]")
             base_pos = rg * geo.rows
-            for r in range(tile.c_lo, tile.c_hi):
-                col = tile.acc0 + (r - tile.c_lo)
-                vals = _read_signed(state, root, col, 0, w_acc, ru, layer,
-                                    epoch + sched.readout)
-                if vals.min() < tile.acc_lo or vals.max() > tile.acc_hi:
-                    raise SimulationError(
-                        f"layer {layer}: accumulator for channel {r} left "
-                        f"its proven interval [{tile.acc_lo}, {tile.acc_hi}]")
-                acc[r, base_pos:base_pos + ru] = vals
+            acc[tile.c_lo:tile.c_hi, base_pos:base_pos + ru] = vals
             prov_new[tile.c_lo:tile.c_hi, base_pos:base_pos + ru] = root
     ofm = FeatureMap(
         requantize(acc.reshape(shape.c_out, shape.h_out, shape.w_out),

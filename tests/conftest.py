@@ -16,8 +16,7 @@ import pytest
 from hypothesis import configuration, settings
 
 from tapc import isa, sim
-from tapc.lowering import LinearSystem, im2col_indices
-from tapc.model import LayerShape
+from tapc.lowering import LinearSystem
 from tapc.scheduler import ApGeometry
 
 settings.register_profile("tapc", derandomize=True, database=None,
@@ -57,8 +56,7 @@ def worked_matrix():
 
 @pytest.fixture
 def worked_system():
-    shape = LayerShape(1, 6, 1, 6, 1, 0, 1, 6)
-    return LinearSystem(0, WORKED_MATRIX.copy(), im2col_indices(shape))
+    return LinearSystem(0, WORKED_MATRIX.copy())
 
 
 @pytest.fixture(scope="session")
@@ -117,7 +115,8 @@ def pair_harness(catalog):
                 b = isa.OperandRef(1, 0, k_bits, True)
                 mac = isa.MacroInstr(op, mode, negated, m, a, b, (2,), 0, 3, 4)
                 dest = 2
-            sim.run_macro(st, 0, mac, catalog[(op, mode, negated)])
+            with sim.Bundle(st, [0]) as bundle:
+                sim.run_macro(bundle, mac, catalog[(op, mode, negated)])
             out[lo:lo + n] = cam.peek(dest, 0, m, n, signed=True)
         return out
 
@@ -132,6 +131,4 @@ def ternary_matrix(rows, cols, sparsity, seed):
 
 
 def system_for(matrix):
-    rows, cols = matrix.shape
-    shape = LayerShape(1, rows, 1, cols, 1, 0, 1, cols)
-    return LinearSystem(0, matrix, im2col_indices(shape))
+    return LinearSystem(0, matrix)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from tapc.lowering import (PAD, extract_patches, im2col_indices, lower_layer,
-                           unrolled_op_count)
+from tapc.lowering import (PAD, always_padded, extract_patches,
+                           im2col_indices, lower_layer, unrolled_op_count)
 from tapc.model import (FeatureMap, LayerShape, TernaryWeights,
                         reference_convolution)
 
@@ -59,9 +60,10 @@ def test_lowering_sums_to_reference_convolution():
     w = TernaryWeights(rng.integers(-1, 2, size=(5, 3, 3, 3)))
     fm = FeatureMap(rng.integers(0, 16, size=(3, 6, 6)), 4)
     systems = lower_layer(w, shape)
+    pim = im2col_indices(shape)
     acc = np.zeros((5, shape.h_out * shape.w_out), dtype=np.int64)
     for sys_ in systems:
-        vals = extract_patches(fm, sys_.patch, sys_.channel)
+        vals = extract_patches(fm, pim, sys_.channel)
         acc += sys_.matrix @ vals.T
     want = reference_convolution(fm, w, 1, 1)
     assert np.array_equal(acc.reshape(5, 6, 6), want)
@@ -86,3 +88,23 @@ def test_unrolled_op_count_rules(worked_system):
     sys_ = worked_system
     sys_.matrix = m
     assert unrolled_op_count([sys_]) == 2
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 6), st.integers(1, 9), st.integers(1, 9))
+def test_always_padded_slots_match_the_patch_map(f_h, f_w, stride, pad, h,
+                                                 w):
+    assume(h + 2 * pad >= f_h and w + 2 * pad >= f_w)
+    shape = LayerShape(1, 1, f_h, f_w, stride, pad, h, w)
+    assert np.array_equal(always_padded(shape),
+                          im2col_indices(shape).is_pad().all(axis=0))
+
+
+def test_always_padded_slots_of_a_huge_output_extent():
+    # 2^41 - 1 output positions a side, settled per axis with no array of
+    # positions: each kernel offset meets the one input pixel somewhere
+    shape = LayerShape(1, 1, 3, 3, 1, 2**40, 1, 1)
+    assert not always_padded(shape).any()
+    # at stride 2^40 only output index 1 reaches the input, at offset 0
+    shape = LayerShape(1, 1, 3, 3, 2**40, 2**40, 1, 1)
+    assert always_padded(shape).tolist() == [False] + [True] * 8

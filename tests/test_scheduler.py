@@ -397,8 +397,7 @@ def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
             plans = {}
             for sys in systems:
                 plans[sys.channel] = _reference_allocate(build_graph(
-                    LinearSystem(sys.channel, sys.matrix[c_lo:c_hi],
-                                 sys.patch)))
+                    LinearSystem(sys.channel, sys.matrix[c_lo:c_hi])))
             n_value = max((p.n_colors for p in plans.values()), default=0)
             lo, hi = scheduler._acc_interval(systems, c_lo, c_hi, in_bits)
             tile = scheduler._TilePlan(c_lo, c_hi, lo, hi, n_slots + n_value,

@@ -55,9 +55,10 @@ def test_poke_peek_on_rows_not_a_multiple_of_eight():
     vals = np.arange(100) % 17 - 8
     cam.poke(1, 3, 5, vals, 100)
     assert np.array_equal(cam.peek(1, 3, 5, 100, signed=True), vals)
-    assert np.array_equal(cam.visible(1), np.zeros(100))    # domain 0 unset
+    assert np.array_equal(cam.peek(1, 0, 1, 100, signed=False),
+                          np.zeros(100))        # domain 0 unset
     cam.poke(2, 0, 1, np.ones(100, dtype=np.int64), 100)
-    assert np.array_equal(cam.visible(2), np.ones(100))
+    assert np.array_equal(cam.peek(2, 0, 1, 100, signed=False), np.ones(100))
 
 
 def test_partial_row_load_keeps_the_rows_above():
@@ -79,7 +80,7 @@ def test_search_then_write_touches_only_tagged_rows():
         isa.MicroOp("search", cols=(0,), key=(1,)),
         isa.MicroOp("write", cols=(1,), bits=(1,)),
     ])
-    assert np.array_equal(cam.visible(1), pattern)
+    assert np.array_equal(cam.peek(1, 0, 1, 64, signed=False), pattern)
     assert cam.writes[1] == 1
     assert st.events.bins == {
         # one column, every row sensed
@@ -136,7 +137,8 @@ def test_alignment_persists_between_macros(catalog):
     st = sim.SimState(GEO)
     cam = st.ap(0)
     table = catalog[(isa.ADD, isa.IN_PLACE, False)]
-    sim.run_macro(st, 0, make_in_place_add(4), table)
+    with sim.Bundle(st, [0]) as bundle:
+        sim.run_macro(bundle, make_in_place_add(4), table)
     assert cam.align[0] == 3 and cam.align[1] == 3
     # the second macro plans against live alignment: both operand columns
     # must first walk back down to bit 0
@@ -146,7 +148,8 @@ def test_alignment_persists_between_macros(catalog):
     assert all(op.target == 0 and op.steps == 3 for op in first_shifts)
     # the walk up from domain 0 is three one-step shifts a column; the
     # second macro adds a 3-step walk back down to each, in its own epoch
-    sim.run_macro(st, 0, make_in_place_add(4), table, epoch=1)
+    with sim.Bundle(st, [0], epoch=1) as bundle:
+        sim.run_macro(bundle, make_in_place_add(4), table)
     shifts = {epoch: st.events.bins[0, 0, "dfg", epoch, sim.SHIFT]
               for epoch in (0, 1)}
     assert shifts == {0: [6, 6 * 64, 6, 6, 6 * 64],
@@ -156,8 +159,8 @@ def test_alignment_persists_between_macros(catalog):
 def test_carry_column_must_sit_at_domain_zero(catalog):
     st = sim.SimState(GEO)
     sim.execute_micro_ops(st, 0, [isa.MicroOp("shift", col=3, target=2, steps=2)])
-    with pytest.raises(FormatError):
-        sim.run_macro(st, 0, make_in_place_add(4),
+    with pytest.raises(FormatError), sim.Bundle(st, [0]) as bundle:
+        sim.run_macro(bundle, make_in_place_add(4),
                       catalog[(isa.ADD, isa.IN_PLACE, False)])
 
 
@@ -172,8 +175,8 @@ def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
     for col in range(GEO.columns):
         cam.poke(col, 0, 4, np.arange(64) % 16, 64)
     planes = copy.deepcopy(cam.planes)
-    with pytest.raises(SimulationError):
-        sim.run_macro(state, 0, macro, table)
+    with pytest.raises(SimulationError), sim.Bundle(state, [0]) as bundle:
+        sim.run_macro(bundle, macro, table)
     # checked before anything runs: the last columns keep their contents
     assert cam.planes == planes
     assert cam.writes == [0] * GEO.columns and len(state.events) == 0
@@ -197,19 +200,16 @@ FAULTS = {"other-table": FormatError, "carry-shifted": FormatError,
 
 
 @st.composite
-def macro_cases(draw):
-    """A macro over any catalog table, the AP's starting alignment and plane
-    contents, and possibly one contract error, with the error type both
-    executors must raise (None for a macro that runs)."""
-    rows = draw(st.integers(1, 70))
-    key = draw(st.sampled_from(TABLE_KEYS))
+def contract_macros(draw, key, carry, zero, columns):
+    """A macro over the table at `key` that keeps the macro contract: the
+    given carry and zero columns, and a, b and the result columns on
+    distinct `columns`, except where the contract lets two roles share one."""
     op, mode, negated = key
     m = draw(st.integers(1, 8))
     n_dest = draw(st.integers(1, 3)) if mode == isa.OUT_OF_PLACE else 0
-    roles = draw(st.lists(st.integers(0, DIFF_COLUMNS - 1),
-                          min_size=4 + n_dest, max_size=4 + n_dest,
-                          unique=True))
-    carry, zero, a_col, b_col, *dests = roles
+    a_col, b_col, *dests = draw(st.lists(st.sampled_from(columns),
+                                         min_size=2 + n_dest,
+                                         max_size=2 + n_dest, unique=True))
 
     def operand(col, width):
         # only the bits the macro reads need to lie on the track
@@ -228,8 +228,24 @@ def macro_cases(draw):
         b = a
     elif share is not None:
         (a if share == "a-on-zero" else b).col = zero
-    macro = isa.MacroInstr(op, mode, negated, m, a, b, tuple(dests),
-                           draw(st.integers(0, DIFF_DOMAINS - m)), carry, zero)
+    return isa.MacroInstr(op, mode, negated, m, a, b, tuple(dests),
+                          draw(st.integers(0, DIFF_DOMAINS - m)), carry, zero)
+
+
+@st.composite
+def macro_cases(draw):
+    """A macro over any catalog table, the AP's starting alignment and plane
+    contents, and possibly one contract error, with the error type both
+    executors must raise (None for a macro that runs)."""
+    rows = draw(st.integers(1, 70))
+    key = draw(st.sampled_from(TABLE_KEYS))
+    mode = key[1]
+    carry, zero = draw(st.lists(st.integers(0, DIFF_COLUMNS - 1),
+                                min_size=2, max_size=2, unique=True))
+    macro = draw(contract_macros(key, carry, zero, [
+        col for col in range(DIFF_COLUMNS) if col not in (carry, zero)]))
+    m, a, b, dests = macro.width, macro.a, macro.b, list(macro.dest_cols)
+    n_dest = len(dests)
     align = draw(st.dictionaries(st.integers(0, DIFF_COLUMNS - 1),
                                  st.integers(0, DIFF_DOMAINS - 1)))
     align.pop(carry, None)
@@ -315,7 +331,8 @@ def _executors(macro, table):
     """`run_macro` and its micro-op reference, as `_macro_outcome` runs
     them."""
     def direct(state, cam):
-        sim.run_macro(state, 0, macro, table, 2, "accum", 5)
+        with sim.Bundle(state, [0], 2, 5) as bundle:
+            sim.run_macro(bundle, macro, table, "accum")
 
     def reference(state, cam):
         ops = isa.expand_macro(macro, table, dict(cam.align))
@@ -390,6 +407,77 @@ def test_macro_contract_on_shared_columns(catalog, name):
         assert want is FormatError
     else:
         assert isinstance(want, tuple)
+
+
+# --- bundles: one stream on the stacked rows of several APs ----------------
+
+@st.composite
+def stream_cases(draw):
+    """A stream of macros that keep the contract, on carry column 0 and zero
+    column 1, each with its phase, and the starting alignments of 2-3 APs
+    (the carry column at domain 0 on each)."""
+    stream = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(st.sampled_from(TABLE_KEYS))
+        stream.append((draw(contract_macros(key, 0, 1,
+                                            range(2, DIFF_COLUMNS))),
+                       key, draw(st.sampled_from(("dfg", "accum")))))
+    aligns = draw(st.lists(
+        st.dictionaries(st.integers(1, DIFF_COLUMNS - 1),
+                        st.integers(0, DIFF_DOMAINS - 1)),
+        min_size=2, max_size=3))
+    return draw(st.integers(1, 40)), stream, aligns, draw(
+        st.integers(0, 2**32))
+
+
+def _stream_outcome(rows, aligns, seed, execute):
+    """Each AP's planes, alignment, write counts and tag register, and the
+    counters, after `execute(state, aps)`. Every row of every AP starts
+    with its own random bits, so the APs differ in the rows a partially
+    filled group leaves stale as well as in the rows it uses."""
+    state = sim.SimState(ApGeometry(rows=rows, columns=DIFF_COLUMNS,
+                                    domains_per_track=DIFF_DOMAINS))
+    rng = random.Random(seed)
+    aps = list(range(len(aligns)))
+    for ap, align in zip(aps, aligns):
+        cam = state.ap(ap)
+        cam.planes = [[rng.getrandbits(rows) for _ in range(DIFF_DOMAINS)]
+                      for _ in range(DIFF_COLUMNS)]
+        cam.align = dict(align)
+        cam.tag = rng.getrandbits(rows)
+    execute(state, aps)
+    return ([(cam.planes, cam.align, cam.writes, cam.tag)
+             for cam in map(state.ap, aps)], state.events.bins)
+
+
+@given(stream_cases())
+def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
+    """One bundle over all the APs leaves each AP's planes, alignment,
+    write counts and tag register, and every counter bin, as running the
+    stream on each AP alone does, with `run_macro` or the micro-op
+    reference."""
+    rows, stream, aligns, seed = case
+
+    def bundled(state, aps):
+        with sim.Bundle(state, aps, 2, 5) as bundle:
+            for macro, key, phase in stream:
+                sim.run_macro(bundle, macro, catalog[key], phase)
+
+    def alone(state, aps):
+        for ap in aps:
+            for macro, key, phase in stream:
+                with sim.Bundle(state, [ap], 2, 5) as bundle:
+                    sim.run_macro(bundle, macro, catalog[key], phase)
+
+    def reference(state, aps):
+        for ap in aps:
+            for macro, key, phase in stream:
+                ops = isa.expand_macro(macro, catalog[key],
+                                       dict(state.ap(ap).align))
+                sim.execute_micro_ops(state, ap, ops, 2, phase, 5)
+    want = _stream_outcome(rows, aligns, seed, reference)
+    assert _stream_outcome(rows, aligns, seed, alone) == want
+    assert _stream_outcome(rows, aligns, seed, bundled) == want
 
 
 # --- the event counters ---------------------------------------------------
