@@ -17,16 +17,21 @@ the same tie-break a full recount would apply. Scope is one LinearSystem,
 i.e. one input channel of one layer, or a contiguous range of its rows.
 
 Both opt levels start from the rows' signed slot terms (`row_terms`), taken
-once per system: `graph_from_terms` emits them as chains, or runs the pair
-extraction on a copy and emits the shared graph. `build_dfg` and
-`eliminate_common_subexpressions` are the same core behind the graph-level
-interface.
+once per system; `shared_terms` runs the pair extraction on a copy under
+CSE. `number_nodes` is the one numbering of the resulting temporaries and
+rows: parallel per-node lists of kind, operands, value interval, use count
+and one (node, sign) tag per row, each interval computed as its op is
+made. The scheduler plans columns straight from those lists. The graph
+interface (`DataFlowGraph`, `graph_from_terms`, `build_dfg`,
+`eliminate_common_subexpressions`, `annotate_bitwidths`, `dfg_evaluate`)
+reads the same numbering and serves the checks of the graph itself.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,55 +91,120 @@ def row_terms(matrix: np.ndarray) -> list[dict[int, int]]:
     return rows
 
 
-def _emit(channel: int, n_rows: int, n_slots: int,
-          temp_defs: list[tuple[int, int, int]],
-          rows: list[dict[int, int]]) -> DataFlowGraph:
-    """Materialize term lists as a node graph.
+class NodeTable(NamedTuple):
+    """One channel's nodes in topological order as parallel lists indexed
+    by node id: the one numbering that `DataFlowGraph` and the scheduler's
+    column planner both read.
+
+    `lo` and `hi` bound each node's value over inputs in [0, 1]; every node
+    is a signed sum of distinct inputs, so scaling both by an input's top
+    value gives the exact interval of `annotate_bitwidths`."""
+
+    n_slots: int
+    kind: list[str]       # INPUT, ADD, SUB or ZERO
+    lhs: list[int]        # add/sub: operand node ids; input: lhs is its slot
+    rhs: list[int]
+    lo: list[int]
+    hi: list[int]
+    uses: list[int]       # operand uses plus output tags
+    tags: list[tuple[int, int]]   # per output row: (node id, sign)
+
+
+def number_nodes(n_slots: int, temp_defs: list[tuple[int, int, int]],
+                 rows: list[dict[int, int]]) -> NodeTable:
+    """Number the nodes of term lists: each temporary's op, then each row's
+    left-to-right chain, an input at its first reference and one zero node
+    at the first empty row.
 
     temp_defs entries are (u, sign_v, v): temporary atom n_slots+i equals
     atom u plus sign_v * atom v. Atoms below n_slots are patch slots.
     """
-    g = DataFlowGraph(channel, n_rows, n_slots)
-    atom_node: dict[int, int] = {}
-    zero_id = -1
+    kind: list[str] = []
+    lhs: list[int] = []
+    rhs: list[int] = []
+    lo: list[int] = []
+    hi: list[int] = []
+    uses: list[int] = []
+    tags: list[tuple[int, int]] = []
+    node_of = [-1] * (n_slots + len(temp_defs))     # atom -> node id
 
-    def node_for(atom: int) -> int:
-        if atom not in atom_node:
-            if atom >= n_slots:
-                raise ValueError("temporary referenced before definition")
-            n = DfgNode(len(g.nodes), INPUT, slot=atom)
-            g.nodes.append(n)
-            atom_node[atom] = n.id
-        return atom_node[atom]
+    def new_node(k: str, a: int, b: int, l: int, h: int) -> int:
+        kind.append(k)
+        lhs.append(a)
+        rhs.append(b)
+        lo.append(l)
+        hi.append(h)
+        uses.append(0)
+        return len(kind) - 1
 
-    def new_op(kind: str, lhs: int, rhs: int) -> int:
-        n = DfgNode(len(g.nodes), kind, lhs=lhs, rhs=rhs)
-        g.nodes.append(n)
-        g.nodes[lhs].use_count += 1
-        g.nodes[rhs].use_count += 1
-        return n.id
+    def new_input(atom: int) -> int:
+        if atom >= n_slots:
+            raise ValueError("temporary referenced before definition")
+        node_of[atom] = n = new_node(INPUT, atom, -1, 0, 1)
+        return n
+
+    def new_op(sign: int, a: int, b: int) -> int:
+        uses[a] += 1
+        uses[b] += 1
+        if sign > 0:
+            return new_node(ADD, a, b, lo[a] + lo[b], hi[a] + hi[b])
+        return new_node(SUB, a, b, lo[a] - hi[b], hi[a] - lo[b])
 
     for i, (u, sv, v) in enumerate(temp_defs):
-        lhs, rhs = node_for(u), node_for(v)
-        atom_node[n_slots + i] = new_op(ADD if sv > 0 else SUB, lhs, rhs)
+        a = node_of[u]
+        if a < 0:
+            a = new_input(u)
+        b = node_of[v]
+        if b < 0:
+            b = new_input(v)
+        node_of[n_slots + i] = new_op(sv, a, b)
 
-    for r, row in enumerate(rows):
+    zero = -1
+    for row in rows:
         terms = sorted(row.items())
         if not terms:
-            if zero_id < 0:
-                zero = DfgNode(len(g.nodes), ZERO)
-                g.nodes.append(zero)
-                zero_id = zero.id
-            g.nodes[zero_id].output_tags.append((r, 1))
-            g.nodes[zero_id].use_count += 1
+            if zero < 0:
+                zero = new_node(ZERO, -1, -1, 0, 0)
+            uses[zero] += 1
+            tags.append((zero, 1))
             continue
         (a0, s0), rest = terms[0], terms[1:]
-        cur = node_for(a0)
+        cur = node_of[a0]
+        if cur < 0:
+            cur = new_input(a0)
         for a, s in rest:
-            cur = new_op(ADD if s == s0 else SUB, cur, node_for(a))
-        g.nodes[cur].output_tags.append((r, s0))
-        g.nodes[cur].use_count += 1
-    return g
+            b = node_of[a]
+            if b < 0:
+                b = new_input(a)
+            cur = new_op(s * s0, cur, b)
+        uses[cur] += 1
+        tags.append((cur, s0))
+    return NodeTable(n_slots, kind, lhs, rhs, lo, hi, uses, tags)
+
+
+def shared_terms(rows: list[dict[int, int]], n_slots: int, cse: bool
+                 ) -> tuple[list[tuple[int, int, int]], list[dict[int, int]]]:
+    """`number_nodes`' input for rows given as signed slot terms (see
+    `row_terms`): with `cse`, the temporaries `_extract_pairs` hoists from a
+    copy of the rows and the rewritten copy; otherwise the rows as they are."""
+    if not cse:
+        return [], rows
+    rows = [dict(row) for row in rows]
+    return _extract_pairs(rows, n_slots), rows
+
+
+def _emit(channel: int, n_rows: int, n_slots: int,
+          temp_defs: list[tuple[int, int, int]],
+          rows: list[dict[int, int]]) -> DataFlowGraph:
+    """Materialize `number_nodes`' numbering as a node graph."""
+    t = number_nodes(n_slots, temp_defs, rows)
+    nodes = [DfgNode(n, k, lhs=a, rhs=b, use_count=u) if k in (ADD, SUB)
+             else DfgNode(n, k, slot=a, use_count=u)
+             for n, (k, a, b, u) in enumerate(zip(t.kind, t.lhs, t.rhs,
+                                                  t.uses))]
+    for r, (n, sign) in enumerate(t.tags):
+        nodes[n].output_tags.append((r, sign))
+    return DataFlowGraph(channel, n_rows, n_slots, nodes)
 
 
 def graph_from_terms(channel: int, n_slots: int, rows: list[dict[int, int]],
@@ -142,11 +212,8 @@ def graph_from_terms(channel: int, n_slots: int, rows: list[dict[int, int]],
     """The graph of rows given as signed slot terms (see `row_terms`): with
     `cse`, the shared-pair graph of `eliminate_common_subexpressions`, run on
     a copy of the terms; otherwise one left-to-right chain per row."""
-    temp_defs: list[tuple[int, int, int]] = []
-    if cse:
-        rows = [dict(row) for row in rows]
-        temp_defs = _extract_pairs(rows, n_slots)
-    return _emit(channel, len(rows), n_slots, temp_defs, rows)
+    return _emit(channel, len(rows), n_slots,
+                 *shared_terms(rows, n_slots, cse))
 
 
 def build_dfg(system: LinearSystem) -> DataFlowGraph:
@@ -200,7 +267,7 @@ def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
 def _extract_pairs(rows: list[dict[int, int]],
                    n_slots: int) -> list[tuple[int, int, int]]:
     """Greedy shared-pair hoisting over one channel's rows, rewriting them in
-    place; returns the temporaries' definitions in `_emit`'s form.
+    place; returns the temporaries' definitions in `number_nodes`' form.
 
     A signed pair (u, v, s), u < v, stands for both +-(x_u + s*x_v); its
     count is the number of rows holding either form. Counts are taken once.
@@ -269,11 +336,11 @@ def _extract_pairs(rows: list[dict[int, int]],
 # ---------------------------------------------------------------------------
 
 def min_signed_width(lo: int, hi: int) -> int:
-    """Smallest two's-complement width whose range covers [lo, hi]."""
-    w = 1
-    while lo < -(1 << (w - 1)) or hi > (1 << (w - 1)) - 1:
-        w += 1
-    return w
+    """Smallest two's-complement width whose range covers [lo, hi], lo <= hi:
+    one sign bit over the magnitude bits of the wider end, where a negative
+    x needs as many as its complement ~x = -x - 1."""
+    return 1 + max(lo.bit_length() if lo >= 0 else (~lo).bit_length(),
+                   hi.bit_length() if hi >= 0 else (~hi).bit_length())
 
 
 def annotate_bitwidths(g: DataFlowGraph, input_bits: int) -> DataFlowGraph:

@@ -8,18 +8,27 @@ A conv layer lands on the accelerator as a grid of APs:
   output tiles   : contiguous output-channel ranges, split only when the
                    column budget of a single AP overflows
 
-Each AP runs the per-channel DFGs for its channel group back to back,
-folding every channel's row values into fixed accumulator columns, then a
-binary tree of move+add steps merges the channel groups. Requantize and
-the im2col writeback to the next layer happen in the controller.
+Each AP runs the per-channel add/sub chains for its channel group back to
+back, folding every channel's row values into fixed accumulator columns,
+then a binary tree of move+add steps merges the channel groups. Requantize
+and the im2col writeback to the next layer happen in the controller.
 
-Column budget per AP: patch slots, a shared pool of value columns (graph
-coloring over storage live ranges), one accumulator column per local
-output channel, one carry, one always-zero column and one move scratch.
+Column budget per AP, in column order: patch slots (slot k is column k), a
+shared pool of value columns from column n_slots (color c is column
+n_slots + c, colors from interval coloring of storage live ranges), one
+accumulator column per local output channel, one carry, one always-zero
+column and one move scratch.
+
+Each (channel, tile) is planned in one flat pass over the parallel lists of
+`dfg.number_nodes`, whose intervals come with the nodes: one backward walk
+decides addressing and widths, one forward sweep allocates copies and live
+ranges, and the coloring then turns the sweep's operands into columns.
+The plan keeps the finished macro items and the op count, no graph.
 
 Width planning: destinations of in-place ops must be stored at the op
-width, so definition widths are widened backward along in-place chains;
-all other reads sign-extend for free by clamping at their MSB.
+width, so definition widths are widened backward along in-place chains, in
+the same walk that decides the addressing; all other reads sign-extend for
+free by clamping at their MSB.
 
 The result is the typed program of `tapc.program`, which holds only the
 decisions made here: the tiles and the item streams, one item list per
@@ -32,8 +41,8 @@ adder tree and epochs) and how each item reads its operands.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,33 +56,23 @@ from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
 
 
 # ---------------------------------------------------------------------------
-# per-channel planning: addressing, storages, coloring, widths
+# per-channel planning: addressing, widths, copies, coloring
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Storage:
-    """One physical column's worth of value lifetime (an in-place chain)."""
+class ChannelPlan(NamedTuple):
+    """Everything needed to emit one channel's macros on one tile, over
+    the tile's columns: slot k is column k, and value color c is column
+    n_slots + c."""
 
-    sid: int
-    birth: int
-    death: int
-    width: int
-    color: int = -1
-
-
-@dataclass
-class ChannelPlan:
-    """Everything needed to emit one channel's macros on one tile."""
-
-    graph: dfglib.DataFlowGraph
-    storages: list[_Storage]
+    op_count: int
     n_colors: int
-    macros: list[dict]       # skeletons with ("in", slot) / ("val", sid) operands
-    folds: list[tuple]       # (row, operand desc or None, sign)
+    macros: list[MacroItem]
+    folds: list[tuple]        # (row, column or None for a zero row, sign)
+    storages: list[tuple]     # (birth, death, width, color) per storage
 
 
-def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
-    """Decide addressing, allocate value copies in one walk, color them.
+def allocate_columns(nodes: dfglib.NodeTable, in_bits: int) -> ChannelPlan:
+    """Decide addressing, allocate value copies in one sweep, color them.
 
     Values used k times are defined into k columns by one tagged write and
     each consumer burns its own copy; in-place results are only staged over
@@ -82,115 +81,109 @@ def allocate_columns(g: dfglib.DataFlowGraph) -> ChannelPlan:
     minuend as the destination). Copies for NC-row safety must come from
     pre-cleared columns, hence multi-use definitions are out-of-place.
 
-    After addressing and the backward widening, one walk over the ops in
-    step order allocates: each operand read takes its value's next copy and
-    ends that storage's live range at the current step; an out-of-place op
-    then opens one storage per use, while an in-place op keeps the b copy it
-    just read. The folds read the same way, one step per output row after
-    the last op, so every storage is dead again before the next channel
-    reuses the pool.
+    One backward walk over the ops decides each op's addressing and widens
+    definitions, so that every in-place destination is stored at its op's
+    width. One forward sweep then allocates: each operand read takes its
+    value's next copy and ends that storage's live range at the current
+    step; an out-of-place op opens one storage per use, while an in-place
+    op keeps the b copy it just read. The folds read the same way, one step
+    per output row after the last op, so every storage is dead again before
+    the next channel reuses the pool.
 
     Coloring is greedy largest-degree-first on the interval graph of the
     live ranges, in (-degree, sid) order: each degree comes from the sorted
     births and deaths, and each storage takes the first color none of whose
     storages so far shares a step with it, found from one bitmask of
-    occupied steps per color.
+    occupied steps per color. The sweep's operands are then read off as
+    columns: a storage's is its color's, an input's is its slot.
     """
-    op_nodes = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
-    is_value = {n.id: n.kind in (dfglib.ADD, dfglib.SUB) for n in g.nodes}
+    n_slots, kind, lhs, rhs, lo, hi, uses, tags = nodes
+    top = (1 << in_bits) - 1
+    width = dfglib.min_signed_width
+    is_value = [k in (dfglib.ADD, dfglib.SUB) for k in kind]
+    ops = [n for n, v in enumerate(is_value) if v]
 
-    addressing: dict[int, str] = {}
-    b_is_lhs: dict[int, bool] = {}
-    for n in op_nodes:
-        k_res = max(n.use_count, 1)
-        v_lhs, v_rhs = is_value[n.lhs], is_value[n.rhs]
-        if k_res == 1 and (v_lhs or (n.kind == dfglib.ADD and v_rhs)):
-            addressing[n.id] = isa.IN_PLACE
-            b_is_lhs[n.id] = v_lhs
+    # backward: (node, b operand, a operand, in place) per op, and widths
+    req = [0] * len(kind)
+    decided = []
+    for n in reversed(ops):
+        w = req[n] = max(req[n], width(lo[n] * top, hi[n] * top))
+        x, y = lhs[n], rhs[n]
+        if uses[n] <= 1 and (is_value[x]
+                             or (kind[n] == dfglib.ADD and is_value[y])):
+            if not is_value[x]:
+                x, y = y, x
+            if req[x] < w:
+                req[x] = w
+            decided.append((n, x, y, True))
         else:
-            addressing[n.id] = isa.OUT_OF_PLACE
-            b_is_lhs[n.id] = True
+            decided.append((n, x, y, False))
 
-    # widen definitions so every in-place destination is stored at op width
-    req = {n.id: n.width for n in op_nodes}
-    for n in reversed(op_nodes):
-        if addressing[n.id] == isa.IN_PLACE:
-            b_op = n.lhs if b_is_lhs[n.id] else n.rhs
-            if is_value[b_op]:
-                req[b_op] = max(req[b_op], req[n.id])
+    # forward: storages by sid, each op as (kind, m, a, b, first dest, count)
+    # over operand refs, a sid or an input's slot - n_slots
+    births: list[int] = []
+    deaths: list[int] = []
+    widths: list[int] = []
+    next_copy = [0] * len(kind)
 
-    storages: list[_Storage] = []
-    copies: dict[int, Iterator[int]] = {}   # value node -> its unread copies
+    def read(x: int, t: int) -> int:
+        if not is_value[x]:
+            return lhs[x] - n_slots
+        sid = next_copy[x]
+        next_copy[x] = sid + 1
+        deaths[sid] = t
+        return sid
 
-    def use(node_id, t):
-        """Operand descriptor of the next read of `node_id`, at step `t`."""
-        node = g.nodes[node_id]
-        if node.kind == dfglib.ZERO:
-            return None
-        if node.kind == dfglib.INPUT:
-            return ["in", node.slot]
-        sid = next(copies[node_id])
-        storages[sid].death = t
-        return ["val", sid]
-
-    macros: list[dict] = []
-    for t, n in enumerate(op_nodes):
-        lhs_d, rhs_d = use(n.lhs, t), use(n.rhs, t)
-        b_d, a_d = (lhs_d, rhs_d) if b_is_lhs[n.id] else (rhs_d, lhs_d)
-        if addressing[n.id] == isa.IN_PLACE:
-            dest = [b_d[1]]
+    steps = []
+    for t, (n, b, a, in_place) in enumerate(reversed(decided)):
+        b_ref, a_ref = read(b, t), read(a, t)
+        if in_place:
+            next_copy[n] = b_ref
+            steps.append((kind[n], widths[b_ref], a_ref, b_ref, 0, 0))
         else:
-            dest = list(range(len(storages),
-                              len(storages) + max(n.use_count, 1)))
-            storages.extend(_Storage(sid, t, t, req[n.id]) for sid in dest)
-        copies[n.id] = iter(dest)
-        macros.append({
-            "node": n.id, "op": n.kind, "mode": addressing[n.id],
-            "m": storages[dest[0]].width, "a": a_d, "b": b_d, "dest": dest,
-        })
-    folds = [(r, use(node_id, len(op_nodes) + r), sign)
-             for r, (node_id, sign) in enumerate(g.row_tags())]
+            k, s0 = max(uses[n], 1), len(births)
+            births += [t] * k
+            deaths += [t] * k
+            widths += [req[n]] * k
+            next_copy[n] = s0
+            steps.append((kind[n], req[n], a_ref, b_ref, s0, k))
+    folds = [(r, None if kind[x] == dfglib.ZERO else read(x, len(ops) + r),
+              sign) for r, (x, sign) in enumerate(tags)]
 
     # a storage's neighbors are the others born by its death, less those
     # dead before its birth
-    births = sorted(s.birth for s in storages)
-    deaths = sorted(s.death for s in storages)
-    degree = [bisect_right(births, s.death) - bisect_left(deaths, s.birth) - 1
-              for s in storages]
+    by_birth, by_death = sorted(births), sorted(deaths)
+    degree = [bisect_right(by_birth, d) - bisect_left(by_death, b) - 1
+              for b, d in zip(births, deaths)]
+    colors = [0] * len(births)
     occupied: list[int] = []    # color -> bitmask of the steps it holds
-    for i in sorted(range(len(storages)), key=lambda i: (-degree[i], i)):
-        s = storages[i]
-        span = ((2 << (s.death - s.birth)) - 1) << s.birth
-        c = 0
-        while c < len(occupied) and occupied[c] & span:
-            c += 1
-        if c == len(occupied):
-            occupied.append(0)
-        occupied[c] |= span
-        s.color = c
-    return ChannelPlan(g, storages, len(occupied), macros, folds)
+    # a stable sort, so equal degrees stay in sid order
+    for i in sorted(range(len(births)), key=degree.__getitem__, reverse=True):
+        span = ((2 << (deaths[i] - births[i])) - 1) << births[i]
+        for c, steps_held in enumerate(occupied):
+            if not steps_held & span:
+                occupied[c] |= span
+                break
+        else:
+            c = len(occupied)
+            occupied.append(span)
+        colors[i] = c
+
+    # a sid's column, then each slot's at its negative ref
+    column = [n_slots + c for c in colors]
+    column += range(n_slots)
+    return ChannelPlan(
+        len(ops), len(occupied),
+        [MacroItem(op, m, column[a], column[b], tuple(column[s0:s0 + k]))
+         for op, m, a, b, s0, k in steps],
+        [(r, None if ref is None else column[ref], sign)
+         for r, ref, sign in folds],
+        list(zip(births, deaths, widths, colors)))
 
 
 # ---------------------------------------------------------------------------
 # layer planning
 # ---------------------------------------------------------------------------
-
-def _acc_interval(systems: list[LinearSystem], c_lo: int, c_hi: int,
-                  in_bits: int) -> tuple[int, int]:
-    """Value interval of the full cross-channel sum for a tile's rows.
-
-    One uniform accumulator width per tile (the widest row) keeps the
-    accumulator columns interchangeable across rows and tree levels.
-    """
-    top = (1 << in_bits) - 1
-    neg = np.zeros(c_hi - c_lo, dtype=np.int64)
-    pos = np.zeros(c_hi - c_lo, dtype=np.int64)
-    for sys in systems:
-        m = sys.matrix[c_lo:c_hi]
-        neg += np.count_nonzero(m == -1, axis=1)
-        pos += np.count_nonzero(m == 1, axis=1)
-    return int(-top * neg.max(initial=0)), int(top * pos.max(initial=0))
-
 
 @dataclass(frozen=True)
 class _TilePlan(Tile):
@@ -209,12 +202,22 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
     CapacityError names the widest.
 
     Each channel's row terms are taken once and sliced per tile, and a
-    tile builds each channel's graph, with CSE under unroll_cse, as it
-    allocates it."""
+    tile numbers each channel's nodes, after pair extraction under
+    unroll_cse, as it allocates it. The accumulators hold the full
+    cross-channel sum of a row; its interval comes from the row's -1 and +1
+    counts over all channels, taken once per layer. One uniform width per
+    tile (the widest row) keeps the accumulator columns interchangeable
+    across rows and tree levels."""
     systems = lower_layer(weights, shape)
     n_slots = shape.f_h * shape.f_w
     cse = opt == "unroll_cse"
     terms = [dfglib.row_terms(sys.matrix) for sys in systems]
+    top = (1 << in_bits) - 1
+    neg = np.zeros(shape.c_out, dtype=np.int64)
+    pos = np.zeros(shape.c_out, dtype=np.int64)
+    for sys in systems:
+        neg += np.count_nonzero(sys.matrix == -1, axis=1)
+        pos += np.count_nonzero(sys.matrix == 1, axis=1)
 
     n_tiles = 1
     while True:
@@ -227,15 +230,16 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
                       - Tile(c_lo, c_hi, 0, 0, n_slots).columns_used)
             plans = {}
             for sys, rows in zip(systems, terms):
-                g = dfglib.graph_from_terms(sys.channel, n_slots,
-                                            rows[c_lo:c_hi], cse)
-                plans[sys.channel] = plan = allocate_columns(
-                    dfglib.annotate_bitwidths(g, in_bits))
+                nodes = dfglib.number_nodes(n_slots, *dfglib.shared_terms(
+                    rows[c_lo:c_hi], n_slots, cse))
+                plans[sys.channel] = plan = allocate_columns(nodes, in_bits)
                 if plan.n_colors > budget and tile_size > 1:
                     break
             n_value = max((p.n_colors for p in plans.values()), default=0)
-            lo, hi = _acc_interval(systems, c_lo, c_hi, in_bits)
-            tile = _TilePlan(c_lo, c_hi, lo, hi, n_slots + n_value, plans)
+            tile = _TilePlan(c_lo, c_hi,
+                             -top * int(neg[c_lo:c_hi].max(initial=0)),
+                             top * int(pos[c_lo:c_hi].max(initial=0)),
+                             n_slots + n_value, plans)
             if tile.columns_used > geometry.columns:
                 break
             tiles.append(tile)
@@ -316,18 +320,11 @@ def _requant(quant: QuantSpec) -> dict:
             "shift": quant.requant_shift, "act_kind": quant.activation_kind}
 
 
-def _stream(tile: _TilePlan, group: list[int],
-            value0: int) -> list[list[MacroItem]]:
+def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
     """Items of the APs holding `group`'s channels for `tile`, one list per
-    channel: its DFG macros over the value pool from `value0`, then its
-    folds into the accumulators. Every row group runs the same stream."""
+    channel: its planned macros, then its folds into the accumulators.
+    Every row group runs the same stream."""
     acc_w = tile.acc_width
-
-    def col(desc, plan):
-        if desc[0] == "in":
-            return desc[1]
-        return value0 + plan.storages[desc[1]].color
-
     channels = []
     # the first fold into each accumulator runs out of place over the zero
     # column: its per-bit pre-clear initializes the column, so reused arrays
@@ -335,23 +332,15 @@ def _stream(tile: _TilePlan, group: list[int],
     seeded: set[int] = set()
     for ch in group:
         plan = tile.plans[ch]
-        items = []
-        for mk in plan.macros:
-            dest = ()
-            if mk["mode"] == isa.OUT_OF_PLACE:
-                dest = tuple(value0 + plan.storages[s].color
-                             for s in mk["dest"])
-            items.append(MacroItem(mk["op"], mk["m"], col(mk["a"], plan),
-                                   col(mk["b"], plan), dest))
-        for r, desc, sign in plan.folds:
-            if desc is None:
+        items = plan.macros.copy()
+        for r, col, sign in plan.folds:
+            if col is None:
                 continue
             op = isa.ADD if sign > 0 else isa.SUB
             if r in seeded:
-                items.append(MacroItem(op, acc_w, col(desc, plan),
-                                       tile.acc0 + r, ()))
+                items.append(MacroItem(op, acc_w, col, tile.acc0 + r, ()))
             else:
-                items.append(MacroItem(op, acc_w, col(desc, plan), tile.zero,
+                items.append(MacroItem(op, acc_w, col, tile.zero,
                                        (tile.acc0 + r,)))
                 seeded.add(r)
         channels.append(items)
@@ -370,7 +359,7 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
         lp = ConvLayer(**vars(shape), in_bits=in_bits, **_requant(layer.quant),
                        tiles=[Tile(*(getattr(t, f.name) for f in fields(Tile)))
                               for t in tiles],
-                       streams=[[_stream(t, group, shape.f_h * shape.f_w)
+                       streams=[[_stream(t, group)
                                  for group in sched.channel_groups]
                                 for t in tiles])
         # every value lies along one track, one bit per domain; each stream
@@ -385,7 +374,7 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
     adds, subs = macro_counts(lp, sched)
     row = {"layer": idx, "kind": "conv",
            "ops_unroll": unrolled_op_count(systems),
-           "ops_cse": sum(p.graph.op_count
+           "ops_cse": sum(p.op_count
                           for t in tiles for p in t.plans.values()),
            "macro_adds": adds, "macro_subs": subs, "aps": sched.aps,
            "row_groups": len(sched.rows_used),

@@ -438,7 +438,13 @@ GOLDEN_PROGRAMS = {
              "09c591779aa9cce3d3c1e32ebb582e1f",
     "tiled-unroll": "7faf8a936f27d23879a316e2ffd7b9f1"
                     "a66c23cf49637e14a7f79bb49f7b179b",
+    # compile only, 96 columns: the tile-doubling retry, heap ties in the
+    # pair extraction and value pools of many colors
+    "compile-wide": "0e2b85d500c6d042908b8a9b6fff3dfc"
+                    "dbebf1c469443aac36b2400aab58ace5",
 }
+_COMPILE_WIDE = ["--synthetic", "4x64x0.7", "--bits", "4", "--input-hw",
+                 "16x16", "--cols", "96", "--seed", "0"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
@@ -456,6 +462,14 @@ def test_saved_program_matches_golden_hash_and_replays(name, tmp_path, capsys):
     assert code == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in want}
     assert got == want
+
+
+def test_compile_wide_program_matches_golden_hash(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "compile", *_COMPILE_WIDE, "--out-dir",
+                         str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "program.json").read_bytes()
+                          ).hexdigest() == GOLDEN_PROGRAMS["compile-wide"]
 
 
 def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):

@@ -85,6 +85,25 @@ def test_min_signed_width_frozen_points():
         assert dfglib.min_signed_width(lo, hi) == want
 
 
+def _least_width_holding(w, lo, hi):
+    def holds(w):
+        return -(1 << (w - 1)) <= lo and hi <= (1 << (w - 1)) - 1
+    return holds(w) and (w == 1 or not holds(w - 1))
+
+
+def test_min_signed_width_is_the_least_width_holding_small_intervals():
+    for lo in range(-300, 301):
+        for hi in range(lo, 301):
+            assert _least_width_holding(dfglib.min_signed_width(lo, hi),
+                                        lo, hi), (lo, hi)
+
+
+@given(st.integers(-2**200, 2**200), st.integers(-2**200, 2**200))
+def test_min_signed_width_is_the_least_width_holding_big_intervals(a, b):
+    lo, hi = min(a, b), max(a, b)
+    assert _least_width_holding(dfglib.min_signed_width(lo, hi), lo, hi)
+
+
 def test_annotation_intervals_cover_all_inputs():
     m = ternary_matrix(12, 6, 0.6, 3)
     g, _ = _graphs(m, bits=4)

@@ -64,3 +64,18 @@ def test_the_compile_counters_the_benchmark_reads_are_positive(harness):
     planned = plan_conv_layer(layer.weights, layer.shape_for(4, 4), 4,
                               ApGeometry(), "unroll_cse")
     assert _positive(count["scheduler.plan_conv_layer"](planned)) == {}
+
+
+def test_a_traced_compile_calls_every_compile_stage(harness, tmp_path):
+    # a stage the scheduler stops calling by its traced name would read as
+    # zero seconds in the benchmark, not fail it
+    wl = harness.Workload("tiny-compile", "compile", 2, 4, 0.5, 4, (4, 4))
+    tracer = harness.Tracer()
+    with tracer.installed(harness.trace_targets()), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert tracer.call("cli.main", cli.main,
+                           (wl.argv(1, str(tmp_path)),), {}) == 0
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    for name in ("scheduler.plan_conv_layer", "scheduler.allocate_columns",
+                 "lowering.lower_layer", "scheduler.ApProgram.dumps"):
+        assert calls.get(name, 0) >= 1, name

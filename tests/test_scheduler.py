@@ -1,29 +1,37 @@
 """Column allocation, placement, output tiling and program emission."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import system_for, ternary_matrix
+from conftest import ternary_matrix
 from tapc import dfg as dfglib
 from tapc import isa, scheduler
 from tapc.errors import CapacityError, FormatError
 from tapc.lowering import LinearSystem, lower_layer
 from tapc.model import (Layer, LayerShape, QuantSpec, TernaryNetwork,
                         make_synthetic_network)
-from tapc.program import schedule
+from tapc.program import MacroItem, schedule
 from tapc.scheduler import (ApGeometry, ApProgram, allocate_columns,
                             emit_program, plan_conv_layer)
 
 
 def plan_for(matrix, opt="unroll_cse", bits=4):
-    g = dfglib.build_dfg(system_for(matrix))
-    if opt == "unroll_cse":
-        g = dfglib.eliminate_common_subexpressions(g)
-    return allocate_columns(dfglib.annotate_bitwidths(g, bits))
+    n_slots = matrix.shape[1]
+    nodes = dfglib.number_nodes(n_slots, *dfglib.shared_terms(
+        dfglib.row_terms(matrix), n_slots, opt == "unroll_cse"))
+    return allocate_columns(nodes, bits)
+
+
+def graph_for(matrix, opt="unroll_cse", bits=4):
+    """The annotated graph of the nodes `plan_for` plans."""
+    return dfglib.annotate_bitwidths(dfglib.graph_from_terms(
+        0, matrix.shape[1], dfglib.row_terms(matrix), opt == "unroll_cse"),
+        bits)
 
 
 # --- geometry -------------------------------------------------------------
@@ -47,58 +55,69 @@ def test_hop_levels():
 
 # --- per-channel allocation -----------------------------------------------
 
+def _storage_at(plan, column, t, n_slots):
+    """The one storage holding value column `column` at step `t`."""
+    live = [s for s in plan.storages
+            if s[3] == column - n_slots and s[0] <= t <= s[1]]
+    assert len(live) == 1
+    return live[0]
+
+
 @pytest.mark.parametrize("opt", scheduler.OPT_LEVELS)
 @pytest.mark.parametrize("seed", range(4))
 def test_allocation_invariants(opt, seed):
     matrix = ternary_matrix(24, 9, 0.75, seed)
-    plan = plan_for(matrix, opt)
-    g = plan.graph
-    storage = {s.sid: s for s in plan.storages}
-    for mac in plan.macros:
-        node = g.nodes[mac["node"]]
-        if mac["mode"] == isa.IN_PLACE:
+    plan, g = plan_for(matrix, opt), graph_for(matrix, opt)
+    n_slots = g.n_slots
+    ops = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
+    assert plan.op_count == len(plan.macros) == len(ops)
+    for t, (mac, node) in enumerate(zip(plan.macros, ops)):
+        assert mac.op == node.kind
+        if not mac.dest:    # in place
             assert node.use_count <= 1
-            assert mac["b"][0] == "val"
+            assert mac.b >= n_slots
             # the result lands exactly where b lived, at the macro width
-            assert mac["dest"] == [mac["b"][1]]
-            assert storage[mac["dest"][0]].width == mac["m"]
+            birth, death, width, _ = _storage_at(plan, mac.b, t, n_slots)
+            assert birth <= t < death
+            assert width == mac.m
         else:
-            assert len(mac["dest"]) == max(node.use_count, 1)
-            assert len(set(mac["dest"])) == len(mac["dest"])
-        assert mac["m"] >= node.width
+            assert len(mac.dest) == max(node.use_count, 1)
+            assert len(set(mac.dest)) == len(mac.dest)
+            assert min(mac.dest) >= n_slots
+        assert mac.m >= node.width
 
     # colors form a valid interference coloring over live ranges
-    for s in plan.storages:
-        assert 0 <= s.color < plan.n_colors
-        assert s.birth <= s.death
+    for birth, death, _, color in plan.storages:
+        assert 0 <= color < plan.n_colors
+        assert birth <= death
     for i, a in enumerate(plan.storages):
         for b in plan.storages[i + 1:]:
-            if a.birth <= b.death and b.birth <= a.death:
-                assert a.color != b.color
+            if a[0] <= b[1] and b[0] <= a[1]:
+                assert a[3] != b[3]
 
     # one fold per output row, sign straight off the row tag
     tags = g.row_tags()
     assert [f[0] for f in plan.folds] == list(range(g.n_rows))
-    for (_r, desc, sign), (nid, tag_sign) in zip(plan.folds, tags):
+    for (_r, col, sign), (nid, tag_sign) in zip(plan.folds, tags):
         assert sign == tag_sign
         kind = g.nodes[nid].kind
         if kind == dfglib.ZERO:
-            assert desc is None
+            assert col is None
         elif kind == dfglib.INPUT:
-            assert desc == ["in", g.nodes[nid].slot]
+            assert col == g.nodes[nid].slot
         else:
-            assert desc[0] == "val"
+            assert col >= n_slots
 
 
 def test_in_place_chains_pre_widen_their_definition():
     # ((x0+x1)+x2)+x3 over 4-bit inputs: natural widths are 6, 7, 7, so the
     # head definition must already be stored 7 wide for the chain to land on it
     plan = plan_for(np.array([[1, 1, 1, 1]]), opt="unroll")
-    assert [m["mode"] for m in plan.macros] == [
-        isa.OUT_OF_PLACE, isa.IN_PLACE, isa.IN_PLACE]
-    assert [m["m"] for m in plan.macros] == [7, 7, 7]
+    # one out-of-place definition, then two in-place ops
+    assert [len(m.dest) for m in plan.macros] == [1, 0, 0]
+    assert [m.m for m in plan.macros] == [7, 7, 7]
     assert len(plan.storages) == 1
-    assert plan.storages[0].width == 7
+    assert plan.storages[0][2] == 7
     assert plan.n_colors == 1
 
 
@@ -106,24 +125,52 @@ def test_multi_use_values_get_one_copy_per_consumer():
     matrix = np.array([[1, -1, 1, 0],
                        [1, -1, 0, 1],
                        [-1, 1, 0, -1]], dtype=np.int64)
-    plan = plan_for(matrix)
-    g = plan.graph
-    by_node = {mac["node"]: mac for mac in plan.macros}
-    storage = {s.sid: s for s in plan.storages}
+    plan, g = plan_for(matrix), graph_for(matrix)
+    ops = [n.id for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
+    by_node = dict(zip(ops, plan.macros))
     t = next(n.id for n in g.nodes if n.kind == dfglib.SUB)
     u = next(n.id for n in g.nodes if len(n.output_tags) == 2)
     chain = next(n.id for n in g.nodes
                  if len(n.output_tags) == 1 and n.kind == dfglib.ADD)
-    assert by_node[t]["mode"] == isa.OUT_OF_PLACE
-    assert len(by_node[t]["dest"]) == 2          # one op consumer, one chain
-    assert by_node[u]["mode"] == isa.OUT_OF_PLACE
-    assert len(by_node[u]["dest"]) == 2          # two fold consumers
+    # out of place, one copy per consumer
+    assert len(by_node[t].dest) == 2           # one op consumer, one chain
+    assert len(by_node[u].dest) == 2           # two fold consumers
     # copies are written together, so they are live together: distinct colors
-    c0, c1 = by_node[t]["dest"]
-    assert storage[c0].color != storage[c1].color
+    c0, c1 = by_node[t].dest
+    assert c0 != c1
     # the single-tag chain op burns one of t's copies in place
-    assert by_node[chain]["mode"] == isa.IN_PLACE
-    assert by_node[chain]["dest"][0] in by_node[t]["dest"]
+    assert by_node[chain].dest == ()
+    assert by_node[chain].b in by_node[t].dest
+
+
+@dataclass
+class _Storage:
+    """One physical column's worth of value lifetime (an in-place chain)."""
+
+    sid: int
+    birth: int
+    death: int
+    width: int
+    color: int = -1
+
+
+def _resolved(g, storages, n_colors, macros, folds):
+    """A plan of storage-id skeletons as the column plan `allocate_columns`
+    returns: an input reads its slot's column, a storage its color's."""
+    def column(desc):
+        if desc is None:
+            return None
+        kind, ref = desc
+        return ref if kind == "in" else g.n_slots + storages[ref].color
+
+    items = [MacroItem(mk["op"], mk["m"], column(mk["a"]), column(mk["b"]),
+                       tuple(column(["val", s]) for s in mk["dest"])
+                       if mk["mode"] == isa.OUT_OF_PLACE else ())
+             for mk in macros]
+    return scheduler.ChannelPlan(
+        g.op_count, n_colors, items,
+        [(r, column(desc), sign) for r, desc, sign in folds],
+        [(s.birth, s.death, s.width, s.color) for s in storages])
 
 
 def _reference_allocate(g):
@@ -188,7 +235,7 @@ def _reference_allocate(g):
         if is_value[node_id]:
             claim(("fold", r), node_id)
 
-    storages: list[scheduler._Storage] = []
+    storages: list[_Storage] = []
     storage_of: dict[tuple[int, int], int] = {}
 
     def touch(consumer_key, t):
@@ -205,7 +252,7 @@ def _reference_allocate(g):
             touch((n.id, "rhs"), t)
         if addressing[n.id] == isa.OUT_OF_PLACE:
             for i in range(max(n.use_count, 1)):
-                s = scheduler._Storage(len(storages), t, t, req[n.id])
+                s = _Storage(len(storages), t, t, req[n.id])
                 storages.append(s)
                 storage_of[(n.id, i)] = s.sid
         else:
@@ -265,23 +312,22 @@ def _reference_allocate(g):
             folds.append((r, ["in", node.slot], sign))
         else:
             folds.append((r, ["val", storage_of[claims[("fold", r)]]], sign))
-    return scheduler.ChannelPlan(g, storages, n_colors, macros, folds)
+    return _resolved(g, storages, n_colors, macros, folds)
+
 
 @given(st.integers(1, 40), st.integers(1, 12), st.floats(0.1, 0.9),
        st.integers(0, 2**32 - 1), st.sampled_from(scheduler.OPT_LEVELS),
        st.integers(1, 8))
 def test_single_pass_allocation_matches_the_three_walk_reference(
         rows, slots, density, seed, opt, bits):
-    g = dfglib.build_dfg(system_for(ternary_matrix(rows, slots, 1 - density,
-                                                   seed)))
-    if opt == "unroll_cse":
-        g = dfglib.eliminate_common_subexpressions(g)
-    g = dfglib.annotate_bitwidths(g, bits)
-    plan, want = allocate_columns(g), _reference_allocate(g)
+    matrix = ternary_matrix(rows, slots, 1 - density, seed)
+    plan, g = plan_for(matrix, opt, bits), graph_for(matrix, opt, bits)
+    want = _reference_allocate(g)
     assert plan.macros == want.macros
     assert plan.folds == want.folds
     assert plan.n_colors == want.n_colors
     assert plan.storages == want.storages
+    assert plan.op_count == g.op_count
 
 
 # --- placement and tiling -------------------------------------------------
@@ -375,6 +421,36 @@ def test_output_tiles_split_until_columns_fit():
         plan_conv_layer(layer.weights, shape, 4, ApGeometry(columns=12), "unroll_cse")
 
 
+def _acc_interval(systems, c_lo, c_hi, in_bits):
+    """The widest interval of a row's sum over every channel's slots, with
+    inputs in [0, 2**in_bits - 1], summed weight by weight."""
+    top = (1 << in_bits) - 1
+    lo = hi = 0
+    for r in range(c_lo, c_hi):
+        weights = [int(w) for sys in systems for w in sys.matrix[r]]
+        lo = min(lo, sum(top * w for w in weights if w < 0))
+        hi = max(hi, sum(top * w for w in weights if w > 0))
+    return lo, hi
+
+
+@given(st.integers(16, 48), st.integers(1, 6), st.integers(1, 24),
+       st.floats(0.3, 0.95), st.integers(1, 5), st.integers(1, 8),
+       st.sampled_from(scheduler.OPT_LEVELS), st.integers(0, 2**32 - 1))
+def test_tile_accumulator_intervals_are_the_summed_row_bounds(
+        columns, c_in, c_out, sparsity, hw, bits, opt, seed):
+    layer = make_synthetic_network(1, c_out, sparsity, bits=bits,
+                                   in_channels=c_in, seed=seed).layers[0]
+    shape = layer.shape_for(hw, hw)
+    try:
+        tiles, systems = plan_conv_layer(layer.weights, shape, bits,
+                                         ApGeometry(columns=columns), opt)
+    except CapacityError:
+        return
+    for t in tiles:
+        assert (t.acc_lo, t.acc_hi) == _acc_interval(systems, t.c_lo,
+                                                     t.c_hi, bits)
+
+
 def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
     """The tile planner before early exits and row terms, kept as the oracle
     of `plan_conv_layer`: every attempt builds and allocates every channel of
@@ -399,7 +475,7 @@ def _reference_plan_conv_layer(weights, shape, in_bits, geometry, opt):
                 plans[sys.channel] = _reference_allocate(build_graph(
                     LinearSystem(sys.channel, sys.matrix[c_lo:c_hi])))
             n_value = max((p.n_colors for p in plans.values()), default=0)
-            lo, hi = scheduler._acc_interval(systems, c_lo, c_hi, in_bits)
+            lo, hi = _acc_interval(systems, c_lo, c_hi, in_bits)
             tile = scheduler._TilePlan(c_lo, c_hi, lo, hi, n_slots + n_value,
                                        plans)
             if tile.columns_used > geometry.columns:
