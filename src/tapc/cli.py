@@ -14,14 +14,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import isa, metrics, sim
 from .errors import CapacityError, FormatError, LutDerivationError, TapcError
 from .model import (FeatureMap, LayerShape, QuantSpec, load_feature_map,
-                    load_network, make_synthetic_input,
-                    make_synthetic_network, reference_inference,
-                    save_feature_map)
+                    load_network, make_synthetic_network, random_feature_map,
+                    reference_inference, save_feature_map)
 from .program import ApGeometry, ApProgram, Tile, schedule
 from .scheduler import emit_program
 
@@ -129,18 +126,15 @@ def _compile_for_input(args, net) -> tuple[ApProgram, FeatureMap]:
     h, w = ifm.shape[1:] if ifm is not None else _parse_hw(args.input_hw)
     prog = emit_program(net, h, w, _geometry(args), _OPT_MAP[args.opt])
     if ifm is None:
-        ifm = make_synthetic_input(net, h, w, seed=args.seed)
+        ifm = _program_input(args, prog)
     return prog, ifm
 
 
 def _program_input(args, program) -> FeatureMap:
     if args.input:
         return load_feature_map(args.input)
-    rng = np.random.default_rng(args.seed)
-    data = rng.integers(0, 1 << program.in_bits,
-                        size=(program.in_c, program.in_h, program.in_w),
-                        dtype=np.int64)
-    return FeatureMap(data, program.in_bits)
+    return random_feature_map(program.in_c, program.in_h, program.in_w,
+                              program.in_bits, args.seed)
 
 
 def _out_path(args, name) -> str:

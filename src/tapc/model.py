@@ -129,6 +129,10 @@ class Layer:
         return LayerShape(self.c_in, self.c_out, self.f_h, self.f_w,
                           self.stride, self.pad, h_in, w_in)
 
+    def skip_source(self, index: int) -> int:
+        """The layer an add at position `index` reads besides its input."""
+        return self.skip_from if self.skip_from is not None else index - 2
+
 
 @dataclass
 class TernaryNetwork:
@@ -160,7 +164,7 @@ def _check_layer(i: int, layer: Layer):
     elif layer.kind == "add":
         if layer.c_in != layer.c_out:
             raise FormatError(f"layer {i}: add must keep the channel count")
-        src = layer.skip_from if layer.skip_from is not None else i - 2
+        src = layer.skip_source(i)
         if src < -1 or src >= i:
             raise FormatError(f"layer {i}: skip_from {src} out of range")
 
@@ -257,7 +261,7 @@ def reference_inference(net: TernaryNetwork, ifm: FeatureMap) -> list[FeatureMap
         elif layer.kind == "pool":
             cur = max_pool_2x2(cur)
         else:  # add
-            src = layer.skip_from if layer.skip_from is not None else i - 2
+            src = layer.skip_source(i)
             other = ifm if src == -1 else trace[src]
             if other.shape != cur.shape:
                 raise FormatError(
@@ -427,10 +431,13 @@ def make_synthetic_network(n_layers: int, channels: int, sparsity: float,
 
 def make_synthetic_input(net: TernaryNetwork, h: int, w: int, seed: int = 0) -> FeatureMap:
     """Uniform random input matching the first layer's channel count and bit width."""
-    first = net.layers[0]
-    bits = _input_bits(net)
+    return random_feature_map(net.layers[0].c_in, h, w, _input_bits(net), seed)
+
+
+def random_feature_map(c: int, h: int, w: int, bits: int, seed: int = 0) -> FeatureMap:
+    """A (c, h, w) map of uniform random `bits`-bit values drawn from `seed`."""
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 1 << bits, size=(first.c_in, h, w))
+    data = rng.integers(0, 1 << bits, size=(c, h, w))
     return FeatureMap(data, bits)
 
 

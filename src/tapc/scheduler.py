@@ -285,7 +285,7 @@ def emit_program(net: TernaryNetwork, h: int, w: int, geometry: ApGeometry,
             report_rows.append({"layer": idx, "kind": "pool", **_NO_OPS_ROW})
             cur = (cur_c, cur_h // 2, cur_w // 2)
         elif layer.kind == "add":
-            skip = layer.skip_from if layer.skip_from is not None else idx - 2
+            skip = layer.skip_source(idx)
             other = (in_c, h, w) if skip == -1 else out_shapes[skip]
             if other != cur:
                 raise FormatError(f"layer {idx}: add operands differ "

@@ -25,12 +25,15 @@ bundle, whose wide planes stack the APs' rows, so each stream runs once per
 (tile, channel group), however many row groups share it. Only the shifts
 (from each AP's own alignment) and the tagged rows (counted per AP's row
 segment) differ between the APs of a bundle. An adder-tree merge runs on a
-one-AP bundle, which works on the AP's own planes.
+one-AP bundle, which works on the AP's own planes; its scratch copy goes in
+through the bundle (`Bundle.move_in`), as a wide bundle needs.
 
 Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
 epoch, kind), the number of events and the integer sums of their bits,
-steps, cycles and energy size. `run_macro` sums a macro's events into its
-bundle, which adds them once per AP, phase and kind when it closes.
+steps, cycles and energy size. A run charges them only through `access`
+(searches and writes), `shift` and `move`, each given the rows it charges,
+and moves ports only by `CamArray.walk`. `run_macro` sums a macro's events
+into its bundle, which adds them once per AP, phase and kind when it closes.
 `tapc.metrics` folds the counters, and `export_events` writes one row per
 counter key. The counters are the only account of a run's events: no
 executor lists them one by one. `Event` is the shape of one such event,
@@ -122,6 +125,22 @@ class EventCounts:
         """Count one event of `kind` (an index into EVENT_KINDS)."""
         self.add((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
                  bits * steps if kind == SHIFT else bits)
+
+    # The run path's only charges, at a `key` of (ap, layer, phase, epoch);
+    # `rows` counts a row once per column charged. Zero events add no bin.
+    def access(self, key, kind, n, rows):
+        """`n` searches or writes, `rows` rows in all: a cycle each."""
+        if n:
+            self.add((*key, kind), n, rows, 0, n, rows)
+
+    def shift(self, key, n, steps, rows):
+        """`n` shifts of `steps` domain steps in all, each of `rows` tracks."""
+        if n:
+            self.add((*key, SHIFT), n, n * rows, steps, steps, steps * rows)
+
+    def move(self, key, bits, rows):
+        """A move of `bits` bits into `rows` rows: ⌈bits / rows⌉ cycles."""
+        self.add((*key, MOVE), 1, bits, 0, -(-bits // rows), bits)
 
     def __len__(self) -> int:
         return sum(acc[0] for acc in self.bins.values())
@@ -227,9 +246,18 @@ class CamArray:
              signed: bool = True) -> np.ndarray:
         return self.peek_block([col], base, width, n_rows, signed)[0]
 
-    def shift(self, col: int, target: int):
-        self.track(col, target)
-        self.align[col] = target
+    def walk(self, walks) -> tuple[int, int]:
+        """Move the port of each column of a {column: (first, last)} map to
+        `first`, then one domain a shift to `last`; return the shifts and
+        domain steps in all. The caller checks that the domains exist."""
+        shifts = steps = 0
+        for col, (first, last) in walks.items():
+            to_first, more = abs(first - self.align.get(col, 0)), last - first
+            if to_first or more:
+                shifts += (to_first > 0) + more
+                steps += to_first + more
+                self.align[col] = last
+        return shifts, steps
 
 
 class SimState:
@@ -289,7 +317,8 @@ def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
                 writes[col] += 1
             log(WRITE, len(op.cols) * rows, 0, 1)
         elif kind == "shift":
-            cam.shift(op.col, op.target)
+            cam.track(op.col, op.target)
+            align[op.col] = op.target
             if op.steps:
                 log(SHIFT, rows, op.steps, op.steps)
         else:
@@ -359,6 +388,19 @@ class Bundle:
                     plane |= cam.planes[col][dom] << k * self.rows
                 track[dom] = plane
 
+    def move_in(self, srcs, col: int, scratch: int, width: int, phase: str):
+        """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
+        into column `scratch` of the k-th AP, charging each a move of all its
+        rows; a wide bundle then gathers those domains afresh."""
+        for ap, cam, src in zip(self.aps, self.cams, srcs):
+            cam.track(scratch, 0, width)[:width] = \
+                src.track(col, 0, width)[:width]
+            cam.writes[scratch] += width
+            self.events.move((ap, self.layer, phase, self.epoch),
+                             self.rows * width, self.rows)
+        if self.wide:
+            self.planes[scratch][:width] = [None] * width
+
     def close(self):
         """Hand the planes, tag registers and counters back to the APs,
         once, after the last macro."""
@@ -371,19 +413,13 @@ class Bundle:
         if self.tag is not None:
             for k, cam in enumerate(self.cams):
                 cam.tag = self.tag >> k * rows & cam.full
-        add = self.events.add
         for k, ap in enumerate(self.aps):
             for phase, (searches, writes, write_bits, tagged, shifts,
                         steps) in self.sums.items():
                 key = (ap, self.layer, phase, self.epoch)
-                if searches:
-                    bits = searches * 3 * rows
-                    add((*key, SEARCH), searches, bits, 0, searches, bits)
-                bits = write_bits + tagged[k]
-                add((*key, WRITE), writes, bits, 0, writes, bits)
-                if shifts[k]:
-                    add((*key, SHIFT), shifts[k], shifts[k] * rows, steps[k],
-                        steps[k], steps[k] * rows)
+                self.events.access(key, SEARCH, searches, searches * 3 * rows)
+                self.events.access(key, WRITE, writes, write_bits + tagged[k])
+                self.events.shift(key, shifts[k], steps[k], rows)
 
 
 def run_macro(bundle: Bundle, macro: isa.MacroInstr, table: isa.LutTable,
@@ -478,16 +514,10 @@ def run_macro(bundle: Bundle, macro: isa.MacroInstr, table: isa.LutTable,
     if sums is None:
         n = len(cams)
         sums = bundle.sums[phase] = [0, 0, 0, [0] * n, [0] * n, [0] * n]
-    # each AP's walks: the steps to their first domain, then their one-step
-    # shifts
     for k, cam in enumerate(cams):
-        align = cam.align
-        for col, (first, last) in walks.items():
-            to_first, more = abs(first - align.get(col, 0)), last - first
-            if to_first or more:
-                sums[4][k] += (to_first > 0) + more
-                sums[5][k] += to_first + more
-                align[col] = last
+        shifts, steps = cam.walk(walks)
+        sums[4][k] += shifts
+        sums[5][k] += steps
 
     c = 0
     changed = []                # the rows each bit's passes tag
@@ -534,16 +564,6 @@ class RunResult:
     state: SimState
 
 
-def _shift_log(state, ap, col, target, layer, phase, epoch):
-    cam = state.ap(ap)
-    cur = cam.align.get(col, 0)
-    if cur != target:
-        cam.shift(col, target)
-        steps = abs(target - cur)
-        state.events.record(ap, layer, phase, epoch, SHIFT, cam.rows,
-                            steps, steps)
-
-
 def _slot_planes(patches, channels, lo: int, n_rows: int,
                  in_bits: int) -> list[int]:
     """The planes rows lo..lo+n_rows of a channel group load into the slot
@@ -573,28 +593,22 @@ def _moved_values(prov: np.ndarray, pim, channels, lo: int,
     return [moved[src] for src in sorted(moved)]
 
 
-def _read_out(state: SimState, ap: int, cols, width: int, layer: int,
-              epoch: int):
-    """Count reading `cols` through the port of an AP, each a search a bit
-    from domain 0 up with a shift before each bit not yet in place, and
-    leave each column at its top domain."""
-    cam = state.ap(ap)
-    rows = cam.rows
-    shift_first = cam.align.get(cols[0], 0) != 0
-    shifts = steps = 0
-    for col in cols:
-        cur = cam.align.get(col, 0)
-        if cur or width > 1:
-            shifts += (cur != 0) + width - 1
-            steps += cur + width - 1
-            cam.align[col] = width - 1
+def _read_out(state: SimState, ap: int, cols, width: int, n_rows: int,
+              layer: int, epoch: int) -> np.ndarray:
+    """Read the `width`-bit values of rows 0..n_rows-1 of `cols` through the
+    port of an AP, each a search a bit from domain 0 up with a shift before
+    each bit not yet in place, and leave each column at its top domain."""
+    cam, events = state.ap(ap), state.events
+    vals = cam.peek_block(cols, 0, width, n_rows)
+    key = (ap, layer, "io", epoch)
+    # the first column's port goes home before the first search, so a shift
+    # there is charged first: `metrics` sums the kinds in first-charge order
+    events.shift(key, *cam.walk({cols[0]: (0, 0)}), cam.rows)
     n = len(cols) * width
-    # the kinds in the order they first occur, which `metrics` sums in
-    kinds = [(SEARCH, (n, n * rows, 0, n, n * rows)),
-             (SHIFT, (shifts, shifts * rows, steps, steps, steps * rows))]
-    for kind, sums in kinds[::-1] if shift_first else kinds:
-        if sums[0]:
-            state.events.add((ap, layer, "io", epoch, kind), *sums)
+    events.access(key, SEARCH, n, n * cam.rows)
+    events.shift(key, *cam.walk(dict.fromkeys(cols, (0, width - 1))),
+                 cam.rows)
+    return vals
 
 
 def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
@@ -606,8 +620,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     tiles = lp.tiles
     sched = schedule(shape, in_bits, geo, len(tiles))
     groups = sched.channel_groups
-    record = state.events.record
-    add = state.events.add
+    events = state.events
     patches = [extract_patches(cur, pim, ch) for ch in range(shape.c_in)]
 
     # load: column hygiene, interconnect from producer APs, bit-planes in;
@@ -619,13 +632,14 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         tile = tiles[og]
         ru = sched.rows_used[rg]
         base_pos = rg * geo.rows
+        key = (ap, layer, "io", load)
         # carry must sit at domain 0 (the expander insists) and the reserved
         # zero column must actually read zero on a reused array
-        _shift_log(state, ap, tile.carry, 0, layer, "io", load)
-        _shift_log(state, ap, tile.zero, 0, layer, "io", load)
+        events.shift(key, *cam.walk({tile.carry: (0, 0), tile.zero: (0, 0)}),
+                     cam.rows)
         cam.track(tile.zero)[0] = 0
         cam.writes[tile.zero] += 1
-        record(ap, layer, "io", load, WRITE, cam.rows, 0, 1)
+        events.access(key, WRITE, 1, cam.rows)
         if (rg, cg) not in loads:
             loads[rg, cg] = (
                 [] if prov is None else
@@ -633,27 +647,16 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                 _slot_planes(patches, groups[cg], base_pos, ru, in_bits))
         moved, planes = loads[rg, cg]
         for n in moved:
-            bits = n * in_bits
-            record(ap, layer, "io", load, MOVE, bits, 0, -(-bits // geo.rows))
+            events.move(key, n * in_bits, cam.rows)
         # each slot column walks up from domain 0, one write a domain
         n_doms = len(groups[cg]) * in_bits
         for k in range(pim.slots):
             cam.load(k, 0, planes[k * n_doms:(k + 1) * n_doms], ru)
-        shifts = steps = 0
-        for k in range(pim.slots):
-            at = cam.align.get(k, 0)
-            if at or n_doms > 1:
-                shifts += (at > 0) + n_doms - 1
-                steps += at + n_doms - 1
-                cam.align[k] = n_doms - 1
             cam.writes[k] += n_doms
-        key = (ap, layer, "io", load)
-        if shifts:
-            add((*key, SHIFT), shifts, shifts * cam.rows, steps, steps,
-                steps * cam.rows)
+        events.shift(key, *cam.walk(dict.fromkeys(range(pim.slots),
+                                                  (0, n_doms - 1))), cam.rows)
         n_writes = pim.slots * n_doms
-        add((*key, WRITE), n_writes, n_writes * ru, 0, n_writes,
-            n_writes * ru)
+        events.access(key, WRITE, n_writes, n_writes * ru)
 
     # per-AP channel DFGs and accumulator folds: the row groups of a (tile,
     # channel group) run its stream as one bundle
@@ -677,13 +680,9 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
     for ep, level in enumerate(sched.tree, epoch + sched.TREE):
         for dst, src, og in level:
             with Bundle(state, [dst], layer, ep) as bundle:
-                cam = bundle.cams[0]
                 for macro in merges[og]:
-                    scratch, col, w = macro.a.col, macro.b.col, macro.width
-                    cam.track(scratch, 0, w)[:w] = \
-                        state.ap(src).track(col, 0, w)[:w]
-                    cam.writes[scratch] += w
-                    record(dst, layer, "accum", ep, MOVE, cam.rows * w, 0, w)
+                    bundle.move_in([state.ap(src)], macro.b.col, macro.a.col,
+                                   macro.width, "accum")
                     run_macro(bundle, macro, catalog[
                         macro.op_kind, macro.addressing, macro.negated],
                         "accum")
@@ -698,9 +697,8 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         cols = range(tile.acc0, tile.carry)
         for rg, ru in enumerate(sched.rows_used):
             root = sched.ap(rg, og, 0)
-            cam = state.ap(root)
-            vals = cam.peek_block(cols, 0, tile.acc_width, ru)
-            _read_out(state, root, cols, tile.acc_width, layer, readout)
+            vals = _read_out(state, root, cols, tile.acc_width, ru, layer,
+                             readout)
             bad = (vals.min(axis=1) < tile.acc_lo) | \
                 (vals.max(axis=1) > tile.acc_hi)
             if bad.any():

@@ -472,6 +472,33 @@ def test_compile_wide_program_matches_golden_hash(tmp_path, capsys):
                           ).hexdigest() == GOLDEN_PROGRAMS["compile-wide"]
 
 
+# sha256 of stats.json for one 3x3 conv, 1 -> 1 channel, 1-bit activations,
+# on a 6x6 input, seed 0. Its loads shift nothing, so the readout's shift
+# before its first search sets the order in which the io phase's energies
+# are summed, and that order shows in the last digits of the float.
+_ONE_CHANNEL_STATS = ("e83fb5e7d91dbe54e5f14589a15129b1"
+                      "f7f92b338bb1db1aabb58e7f2803f59d")
+
+
+def test_one_channel_readout_stats_match_golden_hash(tmp_path, capsys):
+    net = TernaryNetwork("one", [Layer(
+        "conv", 1, 1, 3, 3, 1, 1, QuantSpec(1, 1, 2),
+        TernaryWeights([[[[1, -1, -1], [-1, 0, 1], [0, -1, 0]]]]))])
+    save_network(net, tmp_path / "net.json", tmp_path / "net.bin")
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "run", "--model", str(tmp_path / "net.json"),
+                         "--weights", str(tmp_path / "net.bin"),
+                         "--input-hw", "6x6", "--seed", "0",
+                         "--out-dir", str(out))
+    assert code == 0
+    rows = (out / "events.csv").read_text().splitlines()
+    assert [r.split(",")[:4] for r in rows if ",io," in r] == [
+        ["write", "0", "0", "io"], ["search", "0", "0", "io"],
+        ["shift", "0", "0", "io"]]
+    assert hashlib.sha256((out / "stats.json").read_bytes()
+                          ).hexdigest() == _ONE_CHANNEL_STATS
+
+
 def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
     # per conv layer: io loads every grid AP, then each AP runs its stream,
     # then each tree level's destinations merge, then the channel-group-0

@@ -7,13 +7,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tapc import isa, sim
 from tapc.errors import FormatError, SimulationError, TapcError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
+from tapc.program import Tile, merge_adds
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 GEO = ApGeometry(rows=64, columns=16, domains_per_track=64)
@@ -478,6 +479,68 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
     want = _stream_outcome(rows, aligns, seed, reference)
     assert _stream_outcome(rows, aligns, seed, alone) == want
     assert _stream_outcome(rows, aligns, seed, bundled) == want
+
+
+def _merge_outcome(table, rows, aligns, seed, pairs, bundles):
+    """`_stream_outcome` of one merge of a tile whose carry is column 5 and
+    scratch column 7, so no alignment may move column 5. `bundles` lists
+    which of the (destination, source) AP pairs in `pairs` share a bundle;
+    before each add, the source's accumulator moves into the destination's
+    scratch column."""
+    tile = Tile(c_lo=0, c_hi=3, acc_lo=-40, acc_hi=40, acc0=2)
+    assert (tile.carry, tile.scratch) == (5, 7)
+
+    def execute(state, aps):
+        for bundle_pairs in bundles:
+            dsts, srcs = zip(*(pairs[i] for i in bundle_pairs))
+            with sim.Bundle(state, dsts, 2, 5) as bundle:
+                for macro in merge_adds(tile):
+                    bundle.move_in([state.ap(src) for src in srcs],
+                                   macro.b.col, macro.a.col, macro.width,
+                                   "accum")
+                    sim.run_macro(bundle, macro, table, "accum")
+    return _stream_outcome(rows, aligns, seed, execute)
+
+
+@given(st.integers(1, 40), st.lists(
+    st.dictionaries(st.sampled_from([0, 1, 2, 3, 4, 6, 7, 8, 9]),
+                    st.integers(0, DIFF_DOMAINS - 1)),
+    min_size=4, max_size=4), st.integers(0, 2**32))
+def test_a_wide_bundle_merges_as_each_ap_merges_alone(catalog, rows, aligns,
+                                                      seed):
+    """APs 0 and 1 each merge three accumulators from their own source AP,
+    2 and 3. On one two-AP bundle that leaves every AP's planes, alignment,
+    write counts and tag register, and every counter bin, as each merge
+    on its own one-AP bundle: each add reads the scratch column its move
+    just wrote, not one the bundle gathered for the add before."""
+    table = catalog[isa.ADD, isa.IN_PLACE, False]
+    pairs = [(0, 2), (1, 3)]
+    assert _merge_outcome(table, rows, aligns, seed, pairs, [[0, 1]]) == \
+        _merge_outcome(table, rows, aligns, seed, pairs, [[0], [1]])
+
+
+walk_spans = st.integers(0, DIFF_DOMAINS - 1).flatmap(
+    lambda first: st.tuples(st.just(first),
+                            st.integers(first, DIFF_DOMAINS - 1)))
+
+
+@given(st.dictionaries(st.integers(0, DIFF_COLUMNS - 1),
+                       st.integers(0, DIFF_DOMAINS - 1)),
+       st.dictionaries(st.integers(0, DIFF_COLUMNS - 1), walk_spans))
+@example(align={3: 5, 4: 2}, walks={3: (5, 5), 4: (0, 0), 6: (2, 2)})
+def test_walk_replays_the_expanders_port_moves(align, walks):
+    """`CamArray.walk` makes the shifts, domain steps and final alignment
+    of `isa._shift_to` stepping each column's port to its first domain and
+    then one domain at a time to its last."""
+    cam = sim.CamArray(ApGeometry(rows=8, columns=DIFF_COLUMNS,
+                                  domains_per_track=DIFF_DOMAINS))
+    cam.align = dict(align)
+    want_align, ops = dict(align), []
+    for col, (first, last) in walks.items():
+        for dom in range(first, last + 1):
+            isa._shift_to(ops, want_align, col, dom)
+    assert cam.walk(walks) == (len(ops), sum(op.steps for op in ops))
+    assert cam.align == want_align
 
 
 # --- the event counters ---------------------------------------------------
