@@ -388,15 +388,15 @@ class Bundle:
                     plane |= cam.planes[col][dom] << k * self.rows
                 track[dom] = plane
 
-    def move_in(self, srcs, col: int, scratch: int, width: int, phase: str):
+    def move_in(self, srcs, col: int, scratch: int, width: int):
         """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
-        into column `scratch` of the k-th AP, charging each a move of all its
-        rows; a wide bundle then gathers those domains afresh."""
+        into column `scratch` of the k-th AP, charging each an "accum" move
+        of all its rows; a wide bundle then gathers those domains afresh."""
         for ap, cam, src in zip(self.aps, self.cams, srcs):
             cam.track(scratch, 0, width)[:width] = \
                 src.track(col, 0, width)[:width]
             cam.writes[scratch] += width
-            self.events.move((ap, self.layer, phase, self.epoch),
+            self.events.move((ap, self.layer, "accum", self.epoch),
                              self.rows * width, self.rows)
         if self.wide:
             self.planes[scratch][:width] = [None] * width
@@ -682,7 +682,7 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
             with Bundle(state, [dst], layer, ep) as bundle:
                 for macro in merges[og]:
                     bundle.move_in([state.ap(src)], macro.b.col, macro.a.col,
-                                   macro.width, "accum")
+                                   macro.width)
                     run_macro(bundle, macro, catalog[
                         macro.op_kind, macro.addressing, macro.negated],
                         "accum")

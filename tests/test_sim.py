@@ -496,8 +496,7 @@ def _merge_outcome(table, rows, aligns, seed, pairs, bundles):
             with sim.Bundle(state, dsts, 2, 5) as bundle:
                 for macro in merge_adds(tile):
                     bundle.move_in([state.ap(src) for src in srcs],
-                                   macro.b.col, macro.a.col, macro.width,
-                                   "accum")
+                                   macro.b.col, macro.a.col, macro.width)
                     sim.run_macro(bundle, macro, table, "accum")
     return _stream_outcome(rows, aligns, seed, execute)
 
