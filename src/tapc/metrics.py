@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import FormatError
 from .program import checked_fields, macro_counts, schedule
-from .sim import EVENT_KINDS, MOVE, SHIFT
+from .sim import EVENT_KINDS, MOVE
 
 PHASES = ("io", "dfg", "accum")
 
@@ -62,9 +62,8 @@ class EnergyModel:
 
 
 def _energy_pj(kind: int, size: int, model: EnergyModel) -> float:
-    """Energy of `size` units of one kind code: (size × rate) × scale.
-    Searches, writes and moves are sized by their bits, shifts by bits ×
-    steps."""
+    """Energy of `size` units of one kind code (`sim.energy_size`):
+    (size × rate) × scale."""
     rate = (model.search_fj_per_bit, model.write_fj_per_bit,
             model.shift_fj_per_step, model.move_pj_per_bit)[kind]
     return size * rate * (1.0 if kind == MOVE else 1e-3)
@@ -73,9 +72,7 @@ def _energy_pj(kind: int, size: int, model: EnergyModel) -> float:
 def event_energy_pj(event, model: EnergyModel) -> float:
     if event.kind not in EVENT_KINDS:
         raise ValueError(f"unknown event kind {event.kind!r}")
-    kind = EVENT_KINDS.index(event.kind)
-    size = event.bits * event.steps if kind == SHIFT else event.bits
-    return _energy_pj(kind, size, model)
+    return _energy_pj(EVENT_KINDS.index(event.kind), event.size, model)
 
 
 @dataclass

@@ -11,11 +11,12 @@ a conv layer's `Schedule` (`schedule`), with its row and channel groups,
 whether its APs fit the geometry, the AP of each (row group, tile, channel
 group), the adder tree over channel groups and the epoch of each step; a
 tile's columns (`Tile`); the adds of a tree merge (`merge_adds`); each
-item's macro and energy phase, with the domains, width and signedness of
-its operands (`stream_macros`); and the add/sub counts (`macro_counts`).
-A layer's number is its position in `layers`. The pass tables are the
-ISA's (`isa.standard_catalog`), the same for every program, so no program
-stores them.
+item's energy phase and the domains, width and signedness of its operands,
+yielded by the one walk that checks a stream (`stream_items`), and its
+decoded step (`isa.Step`), made as the walk yields it (`stream_macros`);
+and the add/sub counts (`macro_counts`). A layer's number is its position
+in `layers`. The pass tables are the ISA's (`isa.standard_catalog`), the
+same for every program, so no program stores them.
 
 Every class holds exactly the fields of its JSON object and every item is a
 named tuple, which `json` writes as an array, so one `default=` hook encodes
@@ -325,37 +326,38 @@ def merge_adds(tile: Tile) -> list[isa.MacroInstr]:
             for col in range(tile.acc0, tile.carry)]
 
 
-def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
-                  in_bits: int) -> list[tuple[isa.MacroInstr, str]]:
-    """The macros and energy phases of one (tile, channel group) stream,
-    whose list i holds the items of the group's channel i, in stream order.
-    `value0` is the layer's slot count, where the value pool starts.
+def stream_items(channels: list[list[MacroItem]], tile: Tile, value0: int,
+                 in_bits: int):
+    """Check the items of one (tile, channel group) stream, whose list i
+    holds the items of the group's channel i, in stream order, and yield
+    each one's (phase, op, m, a, b, dest) as soon as it is checked, its
+    operands as (column, first domain, stored width, signed). `value0` is
+    the layer's slot count, where the value pool starts.
 
     Each operand reads its column as the column holds its data: a patch slot
     as channel i's unsigned `in_bits`-bit activation, the zero column as one
     unsigned bit, and a value-pool or accumulator column signed from domain
-    0 at the width of its last write in the stream. A macro uses the tile's
-    carry and zero columns, and belongs to the "accum" phase when it writes
-    an accumulator, else to "dfg". Raises FormatError on a read of any other
-    column or of a column not yet written, a write outside the value pool
-    and accumulators, a result column listed twice, an accumulator written
-    at other than the accumulator width, an in-place item whose width is not
-    b's or whose a is its b, an out-of-place item whose result column is one
-    of its operands, and a stream that leaves an accumulator unwritten.
+    0 at the width of its last write in the stream. An item belongs to the
+    "accum" phase when it writes an accumulator, else to "dfg". Raises
+    FormatError on a read of any other column or of a column not yet
+    written, a write outside the value pool and accumulators, a result
+    column listed twice, an accumulator written at other than the
+    accumulator width, an in-place item whose width is not b's or whose a
+    is its b, an out-of-place item whose result column is one of its
+    operands, and a stream that leaves an accumulator unwritten.
     """
-    acc0, end, acc_w = tile.acc0, tile.carry, tile.acc_width
-    zero = isa.OperandRef(tile.zero, 0, 1, False)
+    acc0, carry, zero, acc_w = tile.acc0, tile.carry, tile.zero, \
+        tile.acc_width
     width_of: dict[int, int] = {}    # column -> width of its last write
-    macros = []
 
     def read(col, i, j):
         if 0 <= col < value0:
-            return isa.OperandRef(col, i * in_bits, in_bits, False)
-        if col == zero.col:
-            return zero
+            return col, i * in_bits, in_bits, False
+        if col == zero:
+            return zero, 0, 1, False
         if col in width_of:
-            return isa.OperandRef(col, 0, width_of[col], True)
-        what = "before writing it" if value0 <= col < end else \
+            return col, 0, width_of[col], True
+        what = "before writing it" if value0 <= col < carry else \
             "outside the slots, value pool, accumulators and zero column"
         raise FormatError(f"channel {i} item {j} reads column {col} {what}")
 
@@ -371,26 +373,45 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
                     raise FormatError(f"channel {i} item {j} reads its "
                                       f"result column {col} as an operand")
             for col in written:
-                if not value0 <= col < end:
+                if not value0 <= col < carry:
                     raise FormatError(f"channel {i} item {j} writes column "
                                       f"{col}, outside the value pool and "
                                       f"accumulators")
                 if col >= acc0 and m != acc_w:
                     raise FormatError(f"channel {i} item {j} writes a "
                                       f"{acc_w}-bit accumulator at {m} bits")
-            if not dest and b_ref.width != m:
+            if not dest and b_ref[2] != m:
                 raise FormatError(f"channel {i} item {j} stores a {m}-bit "
-                                  f"result over a {b_ref.width}-bit b")
+                                  f"result over a {b_ref[2]}-bit b")
             for col in written:
                 width_of[col] = m
-            macro = isa.MacroInstr(
-                op, isa.OUT_OF_PLACE if dest else isa.IN_PLACE, False, m,
-                a_ref, b_ref, dest, 0, tile.carry, tile.zero)
-            macros.append((macro, "accum" if written[0] >= acc0 else "dfg"))
-    for col in range(acc0, end):
+            yield ("accum" if written[0] >= acc0 else "dfg", op, m, a_ref,
+                   b_ref, dest)
+    for col in range(acc0, carry):
         if col not in width_of:
             raise FormatError(f"accumulator column {col} is never written")
-    return macros
+
+
+def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
+                  in_bits: int, catalog) -> list[isa.Step]:
+    """The steps of one (tile, channel group) stream, each decoded as
+    `stream_items` checks its item, on the tile's carry and zero columns
+    and the pass tables of `catalog` (`isa.standard_catalog`). A result
+    starts at domain 0, as b does in place.
+
+    The stream rules imply the macro contract (`isa.result_columns`), so no
+    step is checked against it again: operands and results lie below the
+    carry column and the zero column above it, results lie in the value
+    pool and accumulators, and two reads of one column in one item are one
+    operand. Only where the carry column stands is left to the simulator.
+    """
+    carry, zero = tile.carry, tile.zero
+    return [isa.make_step(phase, op, False, not dest, m, a, b, dest or b[:1],
+                          0, carry, zero, catalog[
+                              op, isa.OUT_OF_PLACE if dest else isa.IN_PLACE,
+                              False])
+            for phase, op, m, a, b, dest in stream_items(channels, tile,
+                                                         value0, in_bits)]
 
 
 def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
@@ -524,7 +545,7 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
                "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
-    # `_item` and `stream_macros` keep every value within a track
+    # `_item` and `stream_items` keep every value within a track
     groups = schedule(shape, layer.in_bits, geo,
                       len(layer.tiles)).channel_groups
     layer.streams = [
@@ -539,12 +560,13 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
 def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
             n_channels: int, where: str) -> list[list[MacroItem]]:
     """A stream's item lists, one per channel of its group, after
-    `stream_macros` accepts them."""
+    `stream_items` accepts them."""
     channels = [[_item(raw, geo, f"{where} channel {i} item {j}")
                  for j, raw in enumerate(_list(items, where))]
                 for i, items in enumerate(_list(v, where, n_channels))]
     try:
-        stream_macros(channels, tile, value0, in_bits)
+        for _checked in stream_items(channels, tile, value0, in_bits):
+            pass
     except FormatError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     return channels

@@ -19,8 +19,18 @@ pass is replayed and no micro-op is built. The micro-op path,
 `isa.expand_macro` followed by `execute_micro_ops`, replays every pass and
 stays as the reference the tests compare it against; no run takes it.
 
+A macro runs as a decoded `isa.Step`: its operand reads (with the clamp
+at a signed operand's sign bit or the redirect of an unsigned one to the
+zero column resolved), its port walks, result columns and table passes are
+fixed before the run. A conv stream's steps are decoded as the walk that
+checks its items yields them (`stream_macros`), and its rules imply the
+macro contract; any other macro, an adder-tree merge among them, passes
+`isa.result_columns` in `isa.decode`, once per tile. `run_macro` is left
+with what only the run knows: where the carry column stands, the geometry,
+each AP's port walk, the plane slices, the bit loop and the counter sums.
+
 The array is row-parallel, and so is the simulator: `run_macro` runs a
-macro on a `Bundle` of APs at once. A conv stream's row groups form one
+step on a `Bundle` of APs at once. A conv stream's row groups form one
 bundle, whose wide planes stack the APs' rows, so each stream runs once per
 (tile, channel group), however many row groups share it. Only the shifts
 (from each AP's own alignment) and the tagged rows (counted per AP's row
@@ -32,27 +42,28 @@ Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
 epoch, kind), the number of events and the integer sums of their bits,
 steps, cycles and energy size. A run charges them only through `access`
 (searches and writes), `shift` and `move`, each given the rows it charges,
-and moves ports only by `CamArray.walk`. `run_macro` sums a macro's events
+and moves ports only by `CamArray.walk`. `run_macro` sums a step's events
 into its bundle, which adds them once per AP, phase and kind when it closes.
 `tapc.metrics` folds the counters, and `export_events` writes one row per
 counter key. The counters are the only account of a run's events: no
 executor lists them one by one. `Event` is the shape of one such event,
-which `metrics.event_energy_pj` prices.
+which `metrics.event_energy_pj` prices, and `energy_size` the one rule for
+an event's energy size.
 
 Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
 decisions comes from there too: each conv layer's `Schedule`, with its
 row and channel groups, the AP of each (row group, tile, channel group),
 its adder tree and the epoch of each step; the adds of a merge
-(`merge_adds`); and the macros and energy phases of each stream, whose
+(`merge_adds`); and the steps and energy phases of each stream, whose
 items store only columns (`stream_macros`). A layer's number is its
 position in the program. A conv layer's streams are decoded once and run
 once, on the bundle of their row groups. The load packs the slot planes of
 each (row group, channel group) with one `packbits`, and the readout
 decodes each root's block of accumulator planes with one `unpackbits`. The
 pass tables are the ISA's, not the program's: `run` takes them from
-`isa.standard_catalog()` once, and each macro runs on the table of its own
-op, addressing and negation.
+`isa.standard_catalog()` once, and each step carries the pass count and
+last key of the table of its own op, addressing and negation.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -79,6 +90,13 @@ EVENT_KINDS = ("search", "write", "shift", "move")
 SEARCH, WRITE, SHIFT, MOVE = range(len(EVENT_KINDS))
 
 
+def energy_size(kind: int, bits: int, steps: int) -> int:
+    """The energy size of an event of `kind` (an index into EVENT_KINDS):
+    its bits, or bits × steps for a shift, whose every bit moves `steps`
+    domains. A kind's energy is its size times one rate."""
+    return bits * steps if kind == SHIFT else bits
+
+
 @dataclass(slots=True)
 class Event:
     """One costed array action. bits/steps carry the energy-relevant size,
@@ -93,15 +111,19 @@ class Event:
     steps: int
     cycles: int
 
+    @property
+    def size(self) -> int:
+        return energy_size(EVENT_KINDS.index(self.kind), self.bits,
+                           self.steps)
+
 
 class EventCounts:
     """A run's costed actions, summed as they happen.
 
     `bins` maps (ap, layer, phase, epoch, kind) to the integer sums
     [events, bits, steps, cycles, size] of the events there. `kind` is an
-    index into EVENT_KINDS. An event's energy size is its bits, or bits ×
-    steps for a shift, so a bin's energy is its size times one rate. The
-    length is the number of events.
+    index into EVENT_KINDS, and size sums `energy_size`, so a bin's energy
+    is its size times one rate. The length is the number of events.
     """
 
     __slots__ = ("bins",)
@@ -124,7 +146,7 @@ class EventCounts:
     def record(self, ap, layer, phase, epoch, kind, bits, steps, cycles):
         """Count one event of `kind` (an index into EVENT_KINDS)."""
         self.add((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
-                 bits * steps if kind == SHIFT else bits)
+                 energy_size(kind, bits, steps))
 
     # The run path's only charges, at a `key` of (ap, layer, phase, epoch);
     # `rows` counts a row once per column charged. Zero events add no bin.
@@ -134,9 +156,11 @@ class EventCounts:
             self.add((*key, kind), n, rows, 0, n, rows)
 
     def shift(self, key, n, steps, rows):
-        """`n` shifts of `steps` domain steps in all, each of `rows` tracks."""
+        """`n` shifts of `steps` domain steps in all, each of `rows` tracks:
+        their sizes sum to that of `rows` tracks moved `steps` domains."""
         if n:
-            self.add((*key, SHIFT), n, n * rows, steps, steps, steps * rows)
+            self.add((*key, SHIFT), n, n * rows, steps, steps,
+                     energy_size(SHIFT, rows, steps))
 
     def move(self, key, bits, rows):
         """A move of `bits` bits into `rows` rows: ⌈bits / rows⌉ cycles."""
@@ -339,15 +363,16 @@ class Bundle:
     a partially filled group take part as they do on the AP alone.
 
     A one-AP bundle works on the AP's own planes, with no copy. A wider one
-    gathers a plane from its APs when a macro first reads it, and `close`
-    scatters the columns its macros wrote back. Each AP keeps its own
+    gathers a plane from its APs when a step first reads it, and `close`
+    scatters the columns its steps wrote back. Each AP keeps its own
     alignment and write counts. `sums` holds, per phase, the counters of
-    the macros run so far: [searches, writes, write bits outside the tagged
+    the steps run so far: [searches, writes, write bits outside the tagged
     rows, then per AP the tagged write bits, shifts and shift steps].
     `close` adds them per AP and phase, SEARCH, WRITE and SHIFT in that
     order, the order in which a stream's kinds first occur (`metrics` sums
-    floats in that order), and gives each AP its segment of the last
-    macro's tag register.
+    floats in that order), and gives each AP its segment of the tag
+    register the last step's last pass leaves, from the (key, carry, b, a)
+    planes in `last`.
     """
 
     def __init__(self, state: SimState, aps, layer: int = 0, epoch: int = 0):
@@ -363,7 +388,7 @@ class Bundle:
         self.planes = (defaultdict(lambda: [None] * cam.domains) if self.wide
                        else cam.planes)
         self.written: set[int] = set()
-        self.tag: int | None = None
+        self.last: tuple | None = None
         self.sums: dict[str, list] = {}
 
     def __len__(self) -> int:
@@ -376,10 +401,9 @@ class Bundle:
         self.close()
 
     def gather(self, col: int, lo: int, hi: int):
-        """Make the wide planes of domains [lo, hi) of `col` readable: a
-        domain neither gathered nor written is None until then."""
-        if not self.wide:
-            return
+        """Make the wide planes of domains [lo, hi) of `col` readable on a
+        wide bundle: a domain neither gathered nor written is None until
+        then."""
         track = self.planes[col]
         for dom in range(lo, hi):
             if track[dom] is None:
@@ -387,6 +411,33 @@ class Bundle:
                 for k, cam in enumerate(self.cams):
                     plane |= cam.planes[col][dom] << k * self.rows
                 track[dom] = plane
+
+    def read(self, ref: isa.Operand, m: int) -> list[int]:
+        """The planes an m-bit step searches for one operand, a bit each."""
+        col, base, n, fill, first, last = ref
+        wide, planes = self.wide, self.planes
+        if wide:
+            self.gather(col, base, base + n)
+        got = planes[col][base:base + n]
+        if n == m:
+            return got
+        if first is None:
+            # each AP's segment from the domain its port faces
+            if not wide:
+                plane = planes[fill][self.cams[0].align.get(fill, 0)]
+                return got + [plane] * (m - n)
+            plane = 0
+            for cam, mask in zip(self.cams, self.masks):
+                dom = cam.align.get(fill, 0)
+                self.gather(fill, dom, dom + 1)
+                plane |= planes[fill][dom] & mask
+            return got + [plane] * (m - n)
+        if wide:
+            self.gather(fill, min(first, last), last + 1)
+        track = planes[fill]
+        if first >= last:
+            return got + [track[last]] * (m - n)
+        return got + [track[min(first + i, last)] for i in range(m - n)]
 
     def move_in(self, srcs, col: int, scratch: int, width: int):
         """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
@@ -403,16 +454,17 @@ class Bundle:
 
     def close(self):
         """Hand the planes, tag registers and counters back to the APs,
-        once, after the last macro."""
+        once, after the last step."""
         rows = self.rows
         for col in self.written:
             for dom, plane in enumerate(self.planes[col]):
                 if plane is not None:
                     for k, cam in enumerate(self.cams):
                         cam.planes[col][dom] = plane >> k * rows & cam.full
-        if self.tag is not None:
+        if self.last is not None:
+            tag = _rows_in(self.full, *self.last)
             for k, cam in enumerate(self.cams):
-                cam.tag = self.tag >> k * rows & cam.full
+                cam.tag = tag >> k * rows & cam.full
         for k, ap in enumerate(self.aps):
             for phase, (searches, writes, write_bits, tagged, shifts,
                         steps) in self.sums.items():
@@ -422,135 +474,110 @@ class Bundle:
                 self.events.shift(key, shifts[k], steps[k], rows)
 
 
-def run_macro(bundle: Bundle, macro: isa.MacroInstr, table: isa.LutTable,
-              phase: str = "dfg"):
-    """Execute one macro on every AP of `bundle` against its live
+def _check_reach(cam: CamArray, step: isa.Step):
+    """Raise SimulationError for the first column or domain of `step`
+    outside the geometry of `cam`: its carry, the columns its operands
+    read past their width, then its walks."""
+    cam.track(step.carry)
+    for ref in (step.a, step.b):
+        if ref.n < step.m:
+            cam.track(ref.fill)
+    for col, (first, last) in step.walks.items():
+        cam.track(col, first, last - first + 1)
+
+
+def run_macro(bundle: Bundle, step: isa.Step):
+    """Execute one decoded macro on every AP of `bundle` against its live
     alignment, each bit as one bit-parallel full add or subtract over its
     (carry, b, a) planes, once for all the bundle's rows.
 
-    `table` is the catalog's (`isa.standard_catalog`), whose passes take
-    each row from its (carry, b, a) state to `isa.reference_bit` of it and
-    tag exactly the rows whose (carry, result) changes, once each, in the
-    pass keyed by their state. So the result and carry planes, the tagged
-    rows and the tag register left by the last pass all follow from a
-    bit's input planes, and no pass is replayed. The macro contract
-    (`isa.result_columns`) keeps the searched planes apart from the written
-    ones. Each ported column steps to its first domain at bit 0 and then one
-    domain a bit, so its shifts are counted from its first and last domain,
-    not made one at a time, and from each AP's own alignment.
+    The step's table is the catalog's (`isa.standard_catalog`), whose
+    passes take each row from its (carry, b, a) state to
+    `isa.reference_bit` of it and tag exactly the rows whose (carry,
+    result) changes, once each, in the pass keyed by their state. So the
+    result and carry planes, the tagged rows and the tag register left by
+    the last pass all follow from a bit's input planes, and no pass is
+    replayed. The macro contract, which the step's decoder checked or
+    whose rules imply it, keeps the searched planes apart from the written
+    ones. Each ported column steps to its first domain at bit 0 and then
+    one domain a bit, so its shifts are counted from its first and last
+    domain, not made one at a time, and from each AP's own alignment.
 
     It adds to the bundle's sums the counters `execute_micro_ops` would add
     for the expansion on each AP: the same searches and writes on every AP,
     and each AP's own shifts and tagged rows, the latter counted over its
-    segment of the planes. Every column and domain the loop touches is
-    checked before anything changes, so a macro outside the geometry leaves
-    the APs as they were.
+    segment of the planes. The carry's alignment and the step's reach are
+    checked before anything changes, so a step outside the geometry
+    leaves the APs as they were.
     """
+    (phase, op, negated, in_place, m, a, b, dest, rbase, carry, walks,
+     passes, last_key, reach) = step
     cams = bundle.cams
-    dest_cols = isa.result_columns(macro, table, cams[0].align)
-    m, a, b, zero = macro.width, macro.a, macro.b, macro.zero_col
-    carry = macro.carry_col
-    if any(cam.align.get(carry, 0) for cam in cams[1:]):
-        raise FormatError("carry column must stay at domain 0")
-    in_place = macro.addressing == isa.IN_PLACE
-    # first and last domain of each ported column, in the expander's port
-    # order; an operand past its width stays at its sign bit, or is not
-    # ported when unsigned (the zero column is read where it stands)
-    walks = {}
-    for ref in (b, a) if m else ():
-        if ref.signed or ref.width > 0:
-            top = ref.base + ref.width - 1      # the sign bit's domain
-            walks.setdefault(ref.col, (min(ref.base, top),
-                                       min(ref.base + m - 1, top)))
-    rbase = b.base if in_place else macro.dest_base
-    if not in_place and m:
-        for col in dest_cols:
-            walks[col] = (rbase, rbase + m - 1)
-    check = cams[0].track   # the APs share one geometry
-    check(carry)
-    if isa.reads_zero(macro):
-        check(zero)
-    for col, (first, last) in walks.items():
-        check(col, first, last - first + 1)
+    for cam in cams:
+        if cam.align.get(carry, 0):
+            raise FormatError("carry column must stay at domain 0")
+    lo, col_hi, dom_hi = reach
+    cam = cams[0]   # the APs share one geometry
+    if lo < 0 or col_hi >= cam.columns or dom_hi >= cam.domains:
+        _check_reach(cam, step)
 
-    planes, full = bundle.planes, bundle.full
-
-    def searched(ref):
-        # the plane each bit searches for ref: its own column's, then its
-        # sign bit's or the zero column's
-        n = max(0, min(ref.width, m))
-        bundle.gather(ref.col, ref.base, ref.base + n)
-        track = planes[ref.col]
-        got = track[ref.base:ref.base + n]
-        if n == m:
-            return got
-        if ref.signed:
-            top = ref.base + ref.width - 1
-            bundle.gather(ref.col, top, top + 1)
-            return got + [track[top]] * (m - n)
-        walk = walks.get(zero)
-        if walk is None:
-            # each AP's segment from the domain its port faces
-            plane = 0
-            for cam, mask in zip(cams, bundle.masks):
-                dom = cam.align.get(zero, 0)
-                bundle.gather(zero, dom, dom + 1)
-                plane |= planes[zero][dom] & mask
-            return got + [plane] * (m - n)
-        bundle.gather(zero, walk[0], walk[1] + 1)
-        return got + [planes[zero][min(walk[0] + bit, walk[1])]
-                      for bit in range(n, m)]
-
-    bs, as_ = searched(b), searched(a)
-    # a borrow is the carry of the complemented minuend plus the subtrahend;
-    # the negated sub swaps the roles, the negated add complements the sum
-    sub = macro.op_kind == isa.SUB
-    us, vs = (as_, bs) if sub and macro.negated else (bs, as_)
-    inv = full if sub else 0
-    flip = full if sub or macro.negated else 0
-    held = bs if in_place else [0] * m
-    keys = table.pass_keys
     sums = bundle.sums.get(phase)
     if sums is None:
         n = len(cams)
         sums = bundle.sums[phase] = [0, 0, 0, [0] * n, [0] * n, [0] * n]
+    tagged, shifts, steps = sums[3:]
     for k, cam in enumerate(cams):
-        shifts, steps = cam.walk(walks)
-        sums[4][k] += shifts
-        sums[5][k] += steps
+        n_shifts, n_steps = cam.walk(walks)
+        shifts[k] += n_shifts
+        steps[k] += n_steps
+    bs, as_ = bundle.read(b, m), bundle.read(a, m)
 
-    c = 0
-    changed = []                # the rows each bit's passes tag
+    # a borrow is the carry of the complemented minuend plus the subtrahend;
+    # the negated sub swaps the roles, the negated add complements the sum
+    sub = op == isa.SUB
+    us, vs = (as_, bs) if sub and negated else (bs, as_)
+    full, wide = bundle.full, bundle.wide
+    inv = full if sub else 0
+    flip = full if sub or negated else 0
+    c = c_in = count = 0
+    changed = []                # on a wide bundle, the rows each bit tags
     results = []
-    for bit in range(m):
-        u, v = us[bit] ^ inv, vs[bit]
+    for u, v, held in zip(us, vs, bs if in_place else [0] * m):
+        u ^= inv
         x = u ^ v
         r = x ^ c ^ flip
-        c_out = u & v | x & c
-        changed.append(c ^ c_out | r ^ held[bit])
-        if bit == m - 1:
-            bundle.tag = _rows_in(full, keys[-1], c, bs[bit], as_[bit])
+        c_in, c = c, u & v | x & c
+        t = c_in ^ c | r ^ held     # the rows the bit's passes tag
+        if wide:
+            changed.append(t)
+        else:
+            count += t.bit_count()
         results.append(r)
-        c = c_out
+    planes = bundle.planes
     planes[carry][0] = c
-    for col in dest_cols:
+    for col in dest:
         planes[col][rbase:rbase + m] = results
-    if bundle.wide:
-        bundle.written.update((carry, *dest_cols))
+    if m:
+        bundle.last = (last_key, c_in, bs[-1], as_[-1])
 
-    searches = len(keys) * m
+    searches = passes * m
     clears = 0 if in_place else m
     for cam in cams:
-        cam.writes[carry] += 1 + searches
-        for col in dest_cols:
-            cam.writes[col] += searches + clears
+        writes = cam.writes
+        writes[carry] += 1 + searches
+        for col in dest:
+            writes[col] += searches + clears
     sums[0] += searches
     sums[1] += 1 + clears + searches
-    sums[2] += bundle.rows * (1 + clears * len(dest_cols))
-    n_written = 1 + len(dest_cols)
-    for k, mask in enumerate(bundle.masks):
-        sums[3][k] += n_written * sum((t & mask).bit_count()
-                                      for t in changed)
+    sums[2] += bundle.rows * (1 + clears * len(dest))
+    n_written = 1 + len(dest)
+    if wide:
+        bundle.written.update((carry, *dest))
+        for k, mask in enumerate(bundle.masks):
+            tagged[k] += n_written * sum((t & mask).bit_count()
+                                         for t in changed)
+    else:
+        tagged[0] += n_written * count
 
 
 # ---------------------------------------------------------------------------
@@ -665,27 +692,25 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
         for cg, channels in enumerate(row):
             with Bundle(state, [sched.ap(rg, og, cg) for rg in row_groups],
                         layer, epoch + sched.STREAM) as bundle:
-                for macro, phase in stream_macros(channels, tile, pim.slots,
-                                                  in_bits):
-                    run_macro(bundle, macro, catalog[
-                        macro.op_kind, macro.addressing, macro.negated],
-                        phase)
+                for step in stream_macros(channels, tile, pim.slots,
+                                          in_bits, catalog):
+                    run_macro(bundle, step)
 
     # adder tree across channel groups: before each add, the source AP's
     # copy of its b column moves into the scratch column a. A move charges
     # rows × w bits, every row of the array, while the load above charges
     # only the rows it uses; which of the two is right is still open, and
     # changing either changes the modelled energy.
-    merges = [merge_adds(tile) for tile in tiles]
+    merges = [[isa.decode(macro, catalog[macro.op_kind, macro.addressing,
+                                         macro.negated], "accum")
+               for macro in merge_adds(tile)] for tile in tiles]
     for ep, level in enumerate(sched.tree, epoch + sched.TREE):
         for dst, src, og in level:
             with Bundle(state, [dst], layer, ep) as bundle:
-                for macro in merges[og]:
-                    bundle.move_in([state.ap(src)], macro.b.col, macro.a.col,
-                                   macro.width)
-                    run_macro(bundle, macro, catalog[
-                        macro.op_kind, macro.addressing, macro.negated],
-                        "accum")
+                for step in merges[og]:
+                    bundle.move_in([state.ap(src)], step.b.col, step.a.col,
+                                   step.m)
+                    run_macro(bundle, step)
 
     # readout at the tree roots, one block of accumulator planes a root and
     # tile, then requantize in the controller

@@ -116,7 +116,8 @@ def pair_harness(catalog):
                 mac = isa.MacroInstr(op, mode, negated, m, a, b, (2,), 0, 3, 4)
                 dest = 2
             with sim.Bundle(st, [0]) as bundle:
-                sim.run_macro(bundle, mac, catalog[(op, mode, negated)])
+                sim.run_macro(bundle, isa.decode(
+                    mac, catalog[(op, mode, negated)]))
             out[lo:lo + n] = cam.peek(dest, 0, m, n, signed=True)
         return out
 

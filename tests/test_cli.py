@@ -511,6 +511,7 @@ def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
     got: dict[int, set] = {}
     for (ap, layer, phase, epoch, _kind), *_ in calls:
         got.setdefault(layer, set()).add((ap, phase, epoch))
+    catalog = isa.standard_catalog()[0]
     first = 0
     trees = 0
     for idx, lp in enumerate(prog.layers):
@@ -520,8 +521,9 @@ def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
         sched = schedule(lp.shape, lp.in_bits, prog.geometry, len(lp.tiles))
         want = {(ap, "io", first) for ap, *_ in sched.grid}
         for ap, _rg, og, cg in sched.grid:
-            want |= {(ap, phase, first + 1) for _macro, phase in stream_macros(
-                lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w, lp.in_bits)}
+            want |= {(ap, step.phase, first + 1) for step in stream_macros(
+                lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w, lp.in_bits,
+                catalog)}
         for at, level in enumerate(sched.tree, first + 2):
             want |= {(dst, "accum", at) for dst, _src, _og in level}
         last = first + 2 + len(sched.tree)

@@ -3,26 +3,30 @@ program loader.
 
 Every network the compiler accepts must simulate bit-exactly against the
 host reference, run exactly the macros `macro_counts` counts, and its
-program must come back unchanged through program.json. Every edit of a
-compiled program must either be rejected by the loader with a FormatError
-or run with at most a toolchain error.
+program must come back unchanged through program.json. Each of its conv
+streams, decoded once into steps, must run on its bundle of row groups as
+its items' macros run one by one through the micro-op reference on each AP.
+Every item stream the stream rules accept must keep the macro contract.
+Every edit of a compiled program must either be rejected by the loader
+with a FormatError or run with at most a toolchain error.
 """
 
 import copy
 import functools
 import json
+import random
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from tapc import sim
+from tapc import isa, sim
 from tapc.errors import CapacityError, FormatError, TapcError
 from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, macro_counts,
-                          schedule)
+from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, MacroItem, Tile,
+                          macro_counts, schedule, stream_macros)
 from tapc.scheduler import emit_program
 
 # --- networks against the host reference ------------------------------------
@@ -86,6 +90,169 @@ def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
         sum(macro_counts(lp, schedule(lp.shape, lp.in_bits, geometry,
                                       len(lp.tiles))))
         for lp in prog.layers if lp.kind == "conv")
+
+
+# --- decoded streams against the micro-op reference -------------------------
+
+def item_macros(channels, tile: Tile, value0: int, in_bits: int):
+    """Each item's macro and energy phase, read as `stream_items` documents:
+    a slot as channel i's unsigned activation, the zero column as one
+    unsigned bit, any other column signed at the width of its last write."""
+    width_of = {}
+    out = []
+    for i, items in enumerate(channels):
+        for op, m, a, b, dest in items:
+            def read(col):
+                if 0 <= col < value0:
+                    return isa.OperandRef(col, i * in_bits, in_bits, False)
+                if col == tile.zero:
+                    return isa.OperandRef(col, 0, 1, False)
+                return isa.OperandRef(col, 0, width_of[col], True)
+            macro = isa.MacroInstr(
+                op, isa.OUT_OF_PLACE if dest else isa.IN_PLACE, False, m,
+                read(a), read(b), dest, 0, tile.carry, tile.zero)
+            written = dest or (b,)
+            width_of.update(dict.fromkeys(written, m))
+            out.append((macro, "accum" if written[0] >= tile.acc0 else "dfg"))
+    return out
+
+
+def _table(catalog, macro):
+    return catalog[macro.op_kind, macro.addressing, macro.negated]
+
+
+def _bundle_outcome(geometry, aps, seed, execute):
+    """Each AP's planes, alignment, write counts and tag register, and the
+    counters, after `execute(state)` on APs whose planes, ports and tag
+    registers start random."""
+    state = sim.SimState(geometry)
+    rng = random.Random(seed)
+    doms = geometry.domains_per_track
+    for ap in aps:
+        cam = state.ap(ap)
+        cam.planes = [[rng.getrandbits(geometry.rows) for _ in range(doms)]
+                      for _ in range(geometry.columns)]
+        cam.align = {col: rng.randrange(doms)
+                     for col in range(geometry.columns)}
+        cam.tag = rng.getrandbits(geometry.rows)
+    execute(state)
+    return ([(cam.planes, cam.align, cam.writes, cam.tag)
+             for cam in map(state.ap, aps)], state.events.bins)
+
+
+@given(networks(), geometries, st.sampled_from(OPT_LEVELS),
+       st.integers(0, 2**32))
+def test_decoded_streams_match_the_micro_op_reference(catalog, case,
+                                                      geometry, opt, seed):
+    """Each conv stream's steps, run on the bundle of its row groups, leave
+    every AP's planes, alignment, write counts and tag register, and every
+    counter bin, as its items' macros run one by one through
+    `isa.expand_macro` and `execute_micro_ops` on each AP. Each step is the
+    one `isa.decode` makes of its item's macro."""
+    net, h, w = case
+    try:
+        prog = emit_program(net, h, w, geometry, opt)
+    except (CapacityError, FormatError):
+        return
+    for layer, lp in enumerate(prog.layers):
+        if lp.kind != "conv":
+            continue
+        n_rg = len(schedule(lp.shape, lp.in_bits, geometry,
+                            len(lp.tiles)).rows_used)
+        aps = range(n_rg)
+        for og, (tile, row) in enumerate(zip(lp.tiles, lp.streams)):
+            for channels in row:
+                value0 = lp.f_h * lp.f_w
+                steps = stream_macros(channels, tile, value0, lp.in_bits,
+                                      catalog)
+                macros = item_macros(channels, tile, value0, lp.in_bits)
+                assert steps == [isa.decode(macro, _table(catalog, macro),
+                                            phase)
+                                 for macro, phase in macros]
+
+                def bundled(state):
+                    for ap in aps:      # the load leaves the carry at 0
+                        state.ap(ap).align[tile.carry] = 0
+                    with sim.Bundle(state, aps, layer, 1) as bundle:
+                        for step in steps:
+                            sim.run_macro(bundle, step)
+
+                def reference(state):
+                    for ap in aps:
+                        cam = state.ap(ap)
+                        cam.align[tile.carry] = 0
+                        for macro, phase in macros:
+                            ops = isa.expand_macro(
+                                macro, _table(catalog, macro),
+                                dict(cam.align))
+                            sim.execute_micro_ops(state, ap, ops, layer,
+                                                  phase, 1)
+                assert _bundle_outcome(geometry, aps, seed, bundled) == \
+                    _bundle_outcome(geometry, aps, seed, reference)
+
+
+@st.composite
+def item_streams(draw):
+    """A random item stream over a small tile, with its slot count and
+    activation bits. Each item is drawn to keep the stream rules, and then
+    one in ten has one field redrawn at random: a column of the tile or one
+    past it on either side, or a width."""
+    in_bits = draw(st.integers(1, 4))
+    value0 = draw(st.integers(1, 3))
+    tile = Tile(0, draw(st.integers(1, 3)), draw(st.integers(-40, 0)),
+                draw(st.integers(0, 40)), value0 + draw(st.integers(0, 3)))
+    any_col = st.integers(-1, tile.columns_used)
+    writable = range(value0, tile.carry)
+    width_of = {}
+    channels = []
+    for _ in range(draw(st.integers(1, 3))):
+        items = []
+        for _ in range(draw(st.integers(0, 5))):
+            readable = st.sampled_from([*range(value0), tile.zero,
+                                        *sorted(width_of)])
+            a = draw(readable)
+            in_place = [col for col in width_of if col != a]
+            if in_place and draw(st.booleans()):
+                b = draw(st.sampled_from(sorted(in_place)))
+                m, dest = width_of[b], ()
+            else:
+                b = draw(readable)
+                # with no other column to write, the carry breaks a rule
+                dest = tuple(draw(st.lists(st.sampled_from(
+                    [col for col in writable if col not in (a, b)]
+                    or [tile.carry]), min_size=1, max_size=2, unique=True)))
+                m = tile.acc_width if max(dest) >= tile.acc0 else \
+                    draw(st.integers(1, 8))
+            item = [draw(st.sampled_from((isa.ADD, isa.SUB))), m, a, b, dest]
+            if draw(st.integers(0, 9)) == 0:
+                field = draw(st.integers(1, 4))
+                item[field] = draw(st.integers(1, 8)) if field == 1 else \
+                    tuple(draw(st.lists(any_col, max_size=2))) \
+                    if field == 4 else draw(any_col)
+            width_of.update(dict.fromkeys(item[4] or item[3:4], item[1]))
+            items.append(MacroItem(*item))
+        channels.append(items)
+    if draw(st.booleans()):     # write every accumulator last
+        channels[-1] += [MacroItem(isa.ADD, tile.acc_width, 0, tile.zero,
+                                   (col,))
+                         for col in range(tile.acc0, tile.carry)]
+    return channels, tile, value0, in_bits
+
+
+@given(item_streams())
+def test_the_stream_rules_imply_the_macro_contract(catalog, case):
+    """Every item of a stream that `stream_macros` accepts keeps the macro
+    contract (`isa.result_columns`), and its step is the one `isa.decode`
+    makes of its macro: why the stream path skips the contract check."""
+    channels, tile, value0, in_bits = case
+    try:
+        steps = stream_macros(channels, tile, value0, in_bits, catalog)
+    except FormatError:
+        return
+    macros = item_macros(channels, tile, value0, in_bits)
+    for (macro, phase), step in zip(macros, steps, strict=True):
+        isa.result_columns(macro, _table(catalog, macro), {})
+        assert isa.decode(macro, _table(catalog, macro), phase) == step
 
 
 # --- edited programs against the loader -------------------------------------

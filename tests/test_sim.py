@@ -139,7 +139,7 @@ def test_alignment_persists_between_macros(catalog):
     cam = st.ap(0)
     table = catalog[(isa.ADD, isa.IN_PLACE, False)]
     with sim.Bundle(st, [0]) as bundle:
-        sim.run_macro(bundle, make_in_place_add(4), table)
+        sim.run_macro(bundle, isa.decode(make_in_place_add(4), table))
     assert cam.align[0] == 3 and cam.align[1] == 3
     # the second macro plans against live alignment: both operand columns
     # must first walk back down to bit 0
@@ -150,7 +150,7 @@ def test_alignment_persists_between_macros(catalog):
     # the walk up from domain 0 is three one-step shifts a column; the
     # second macro adds a 3-step walk back down to each, in its own epoch
     with sim.Bundle(st, [0], epoch=1) as bundle:
-        sim.run_macro(bundle, make_in_place_add(4), table)
+        sim.run_macro(bundle, isa.decode(make_in_place_add(4), table))
     shifts = {epoch: st.events.bins[0, 0, "dfg", epoch, sim.SHIFT]
               for epoch in (0, 1)}
     assert shifts == {0: [6, 6 * 64, 6, 6, 6 * 64],
@@ -161,8 +161,8 @@ def test_carry_column_must_sit_at_domain_zero(catalog):
     st = sim.SimState(GEO)
     sim.execute_micro_ops(st, 0, [isa.MicroOp("shift", col=3, target=2, steps=2)])
     with pytest.raises(FormatError), sim.Bundle(st, [0]) as bundle:
-        sim.run_macro(bundle, make_in_place_add(4),
-                      catalog[(isa.ADD, isa.IN_PLACE, False)])
+        sim.run_macro(bundle, isa.decode(
+            make_in_place_add(4), catalog[(isa.ADD, isa.IN_PLACE, False)]))
 
 
 def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
@@ -177,7 +177,7 @@ def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
         cam.poke(col, 0, 4, np.arange(64) % 16, 64)
     planes = copy.deepcopy(cam.planes)
     with pytest.raises(SimulationError), sim.Bundle(state, [0]) as bundle:
-        sim.run_macro(bundle, macro, table)
+        sim.run_macro(bundle, isa.decode(macro, table))
     # checked before anything runs: the last columns keep their contents
     assert cam.planes == planes
     assert cam.writes == [0] * GEO.columns and len(state.events) == 0
@@ -333,7 +333,7 @@ def _executors(macro, table):
     them."""
     def direct(state, cam):
         with sim.Bundle(state, [0], 2, 5) as bundle:
-            sim.run_macro(bundle, macro, table, "accum")
+            sim.run_macro(bundle, isa.decode(macro, table, "accum"))
 
     def reference(state, cam):
         ops = isa.expand_macro(macro, table, dict(cam.align))
@@ -462,13 +462,15 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
     def bundled(state, aps):
         with sim.Bundle(state, aps, 2, 5) as bundle:
             for macro, key, phase in stream:
-                sim.run_macro(bundle, macro, catalog[key], phase)
+                sim.run_macro(bundle, isa.decode(macro, catalog[key],
+                                                 phase))
 
     def alone(state, aps):
         for ap in aps:
             for macro, key, phase in stream:
                 with sim.Bundle(state, [ap], 2, 5) as bundle:
-                    sim.run_macro(bundle, macro, catalog[key], phase)
+                    sim.run_macro(bundle, isa.decode(macro, catalog[key],
+                                                     phase))
 
     def reference(state, aps):
         for ap in aps:
@@ -497,7 +499,7 @@ def _merge_outcome(table, rows, aligns, seed, pairs, bundles):
                 for macro in merge_adds(tile):
                     bundle.move_in([state.ap(src) for src in srcs],
                                    macro.b.col, macro.a.col, macro.width)
-                    sim.run_macro(bundle, macro, table, "accum")
+                    sim.run_macro(bundle, isa.decode(macro, table, "accum"))
     return _stream_outcome(rows, aligns, seed, execute)
 
 
