@@ -73,7 +73,7 @@ class LutTable:
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for e in self.entries.values() if e.pass_index)
+        return len(self.pass_keys)
 
 
 def _table(op_kind, addressing, rows, negated=False) -> LutTable:
@@ -480,7 +480,6 @@ class Step(NamedTuple):
     carry: int
     walks: dict
     passes: int
-    last_key: tuple
     reach: tuple
 
 
@@ -531,16 +530,17 @@ def make_step(phase: str, op: str, negated: bool, in_place: bool, m: int,
         reads.append(_new(Operand, (col, base, n, zero, None, None)
                           if walk is None else
                           (col, base, n, zero, walk[0] + n, walk[1])))
-    keys = table.pass_keys
     return _new(Step, (phase, op, negated, in_place, m, *reads, tuple(dest),
-                       rbase, carry, walks, len(keys), keys[-1],
+                       rbase, carry, walks, table.pass_count,
                        (lo, col_hi, dom_hi)))
 
 
 def decode(macro: MacroInstr, table: LutTable, phase: str = "dfg") -> Step:
     """The step of `macro` on `table`, after `result_columns` checks it
     (against no alignment: where the carry column stands is a run-time
-    fact, which the simulator checks)."""
+    fact, which the simulator checks). Only the tests decode macros: to
+    run those the micro-op reference runs, and to check the steps
+    `program.stream_macros` and `program.merge_steps` make."""
     dest = result_columns(macro, table, {})
     a, b = macro.a, macro.b
     in_place = macro.addressing == IN_PLACE

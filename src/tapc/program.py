@@ -9,14 +9,16 @@ per channel of the group. An item stores its op, width and the columns it
 reads and writes. What follows from them is derived here and nowhere else:
 a conv layer's `Schedule` (`schedule`), with its row and channel groups,
 whether its APs fit the geometry, the AP of each (row group, tile, channel
-group), the adder tree over channel groups and the epoch of each step; a
-tile's columns (`Tile`); the adds of a tree merge (`merge_adds`); each
-item's energy phase and the domains, width and signedness of its operands,
-yielded by the one walk that checks a stream (`stream_items`), and its
-decoded step (`isa.Step`), made as the walk yields it (`stream_macros`);
-and the add/sub counts (`macro_counts`). A layer's number is its position
-in `layers`. The pass tables are the ISA's (`isa.standard_catalog`), the
-same for every program, so no program stores them.
+group), the bundle of each (tile, channel group), one AP per row group,
+the adder tree over channel groups and the epoch of each step; a tile's
+columns (`Tile`); each item's energy phase and the domains, width and
+signedness of its operands, yielded by the one walk that checks a stream
+(`stream_items`); the decoded steps (`isa.Step`, made by `isa.make_step`)
+of a stream's items, made as the walk yields them (`stream_macros`), and
+of a tree merge (`merge_steps`); and the add/sub counts (`macro_counts`).
+A layer's number is its position in `layers`. The pass tables are the
+ISA's (`isa.standard_catalog`), the same for every program, so no program
+stores them.
 
 Every class holds exactly the fields of its JSON object and every item is a
 named tuple, which `json` writes as an array, so one `default=` hook encodes
@@ -266,16 +268,20 @@ class Schedule:
             len(self.rows_used)) for og in range(self.n_tiles)
             for cg in range(len(self.channel_groups))]
 
+    def bundle(self, og: int, cg: int) -> list[int]:
+        """The APs of (output tile, channel group), one per row group: the
+        unit that runs one stream or one side of a tree merge."""
+        return [self.ap(rg, og, cg) for rg in range(len(self.rows_used))]
+
     @property
     def tree(self) -> list[list[tuple[int, int, int]]]:
         """Per level of the binary adder tree over the channel groups, its
-        (dst AP, src AP, tile) merges by row group, tile and pair; level i
-        runs in epoch `TREE + i`. Each dst keeps the running partial, so
-        channel group 0 ends up with the full sums."""
+        (tile, dst group, src group) merges by tile and pair, each run on
+        the tile's bundles of those groups; level i runs in epoch
+        `TREE + i`. Each dst keeps the running partial, so channel group 0
+        ends up with the full sums."""
         n = len(self.channel_groups)
-        return [[(self.ap(rg, og, i), self.ap(rg, og, i + gap), og)
-                 for rg in range(len(self.rows_used))
-                 for og in range(self.n_tiles)
+        return [[(og, i, i + gap) for og in range(self.n_tiles)
                  for i in range(0, n - gap, 2 * gap)]
                 for gap in (1 << k for k in range((n - 1).bit_length()))]
 
@@ -314,16 +320,20 @@ def schedule(shape, in_bits: int, geometry: ApGeometry,
                     n_aps, positions / (row_groups * geometry.rows))
 
 
-def merge_adds(tile: Tile) -> list[isa.MacroInstr]:
-    """The adds of one merge on `tile`, one per accumulator column b. Before
-    each, the b column of the source AP moves into the scratch column a of
-    the destination AP; the add then folds it into b in place."""
-    w = tile.acc_width
-    scratch = isa.OperandRef(tile.scratch, 0, w, True)
-    return [isa.MacroInstr(isa.ADD, isa.IN_PLACE, False, w, scratch,
-                           isa.OperandRef(col, 0, w, True), (), 0, tile.carry,
-                           tile.zero)
-            for col in range(tile.acc0, tile.carry)]
+def merge_steps(tile: Tile, catalog) -> list[isa.Step]:
+    """The steps of one merge on `tile`, one in-place add per accumulator
+    column b, on the pass tables of `catalog`. Before each, the b column of
+    the source AP moves into the scratch column a of the destination AP;
+    the add then folds it into b. Scratch, accumulators, carry and zero are
+    distinct columns and both operands are signed at the accumulator width,
+    so the adds keep the macro contract (`isa.make_step`)."""
+    w, carry = tile.acc_width, tile.carry
+    table = catalog[isa.ADD, isa.IN_PLACE, False]
+    scratch = (tile.scratch, 0, w, True)
+    return [isa.make_step("accum", isa.ADD, False, True, w, scratch,
+                          (col, 0, w, True), (col,), 0, carry, tile.zero,
+                          table)
+            for col in range(tile.acc0, carry)]
 
 
 def stream_items(channels: list[list[MacroItem]], tile: Tile, value0: int,
@@ -399,7 +409,7 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
     and the pass tables of `catalog` (`isa.standard_catalog`). A result
     starts at domain 0, as b does in place.
 
-    The stream rules imply the macro contract (`isa.result_columns`), so no
+    The stream rules imply the macro contract (`isa.make_step`), so no
     step is checked against it again: operands and results lie below the
     carry column and the zero column above it, results lie in the value
     pool and accumulators, and two reads of one column in one item are one
@@ -415,13 +425,15 @@ def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
 
 
 def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
-    """Add and sub macros one conv layer issues on its schedule: each AP of
-    the grid runs its stream once, and each tree merge runs its adds once."""
-    ops = [item.op for _ap, _rg, og, cg in sched.grid
-           for items in lp.streams[og][cg] for item in items]
-    ops += [macro.op_kind for level in sched.tree
-            for _dst, _src, og in level for macro in merge_adds(lp.tiles[og])]
-    return ops.count(isa.ADD), ops.count(isa.SUB)
+    """Add and sub macros one conv layer issues on its schedule: each row
+    group runs each (tile, channel group) stream once, and each tree merge
+    runs one add per accumulator of its tile on each row group."""
+    ops = [item.op for row in lp.streams for channels in row
+           for items in channels for item in items]
+    merges = sum(lp.tiles[og].carry - lp.tiles[og].acc0
+                 for level in sched.tree for og, _dst, _src in level)
+    n = len(sched.rows_used)
+    return n * (ops.count(isa.ADD) + merges), n * ops.count(isa.SUB)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Array state is one row bitset per (column, domain) plane: a Python int whose
 bit r is row r's stored bit. The per-column `align` map says which domain
 each track currently ports. A search ANDs the ported planes of its columns
-(or their complements, for a 0 key bit) into the tag register; a tagged write
-ORs the tag into, or clears it out of, the ported planes of its columns.
+(or their complements, for a 0 key bit) into a tag of the rows it matches;
+the tagged write after it ORs the tag into, or clears it out of, the ported
+planes of its columns.
 Shifts just move the alignment and pay per domain step. Column moves between
 APs copy whole planes (the interconnect model charges them per bit, flat
 across hop levels).
@@ -13,30 +14,33 @@ across hop levels).
 bit-parallel full add or subtract a bit: the result and carry planes are
 `isa.reference_bit` applied to the (carry, b, a) planes with a few integer
 operations, which is what a catalog table's passes leave in every row. The
-rows those passes would tag, the tag register they leave and the shifts of
-the operand walk are worked out from the same planes and alignments, so no
-pass is replayed and no micro-op is built. The micro-op path,
+rows those passes would tag and the shifts of the operand walk are worked
+out from the same planes and alignments, so no pass is replayed and no
+micro-op is built. The micro-op path,
 `isa.expand_macro` followed by `execute_micro_ops`, replays every pass and
 stays as the reference the tests compare it against; no run takes it.
 
 A macro runs as a decoded `isa.Step`: its operand reads (with the clamp
 at a signed operand's sign bit or the redirect of an unsigned one to the
 zero column resolved), its port walks, result columns and table passes are
-fixed before the run. A conv stream's steps are decoded as the walk that
+fixed before the run. A conv stream's steps are made as the walk that
 checks its items yields them (`stream_macros`), and its rules imply the
-macro contract; any other macro, an adder-tree merge among them, passes
-`isa.result_columns` in `isa.decode`, once per tile. `run_macro` is left
+macro contract; an adder-tree merge's steps are its tile's in-place adds
+(`merge_steps`), made once per tile, whose columns keep the contract by
+the tile's layout. Both make them with `isa.make_step`. `run_macro` is left
 with what only the run knows: where the carry column stands, the geometry,
 each AP's port walk, the plane slices, the bit loop and the counter sums.
 
 The array is row-parallel, and so is the simulator: `run_macro` runs a
-step on a `Bundle` of APs at once. A conv stream's row groups form one
-bundle, whose wide planes stack the APs' rows, so each stream runs once per
-(tile, channel group), however many row groups share it. Only the shifts
-(from each AP's own alignment) and the tagged rows (counted per AP's row
-segment) differ between the APs of a bundle. An adder-tree merge runs on a
-one-AP bundle, which works on the AP's own planes; its scratch copy goes in
-through the bundle (`Bundle.move_in`), as a wide bundle needs.
+step on a `Bundle` of APs at once. The row groups of a (tile, channel
+group) form one bundle (`Schedule.bundle`), whose wide planes stack the
+APs' rows, so each stream runs once per (tile, channel group), however many
+row groups share it. An adder-tree merge runs the same way, on the bundle
+of its destination group: before each add, the scratch copy goes in from
+the source group's APs, row group by row group, through the bundle
+(`Bundle.move_in`). Only the shifts (from each AP's own alignment) and the
+tagged rows (counted per AP's row segment) differ between the APs of a
+bundle.
 
 Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
 epoch, kind), the number of events and the integer sums of their bits,
@@ -54,16 +58,17 @@ Programs are the typed form of `tapc.program`, read by attribute; loaded
 ones were checked by its loader. Everything a run needs beyond the stored
 decisions comes from there too: each conv layer's `Schedule`, with its
 row and channel groups, the AP of each (row group, tile, channel group),
-its adder tree and the epoch of each step; the adds of a merge
-(`merge_adds`); and the steps and energy phases of each stream, whose
+the bundle of each (tile, channel group), its adder tree of (tile, dst
+group, src group) merges and the epoch of each step; the steps of a merge
+(`merge_steps`); and the steps and energy phases of each stream, whose
 items store only columns (`stream_macros`). A layer's number is its
-position in the program. A conv layer's streams are decoded once and run
-once, on the bundle of their row groups. The load packs the slot planes of
+position in the program. A conv layer's streams and merges are decoded
+once and run once a bundle. The load packs the slot planes of
 each (row group, channel group) with one `packbits`, and the readout
 decodes each root's block of accumulator planes with one `unpackbits`. The
 pass tables are the ISA's, not the program's: `run` takes them from
-`isa.standard_catalog()` once, and each step carries the pass count and
-last key of the table of its own op, addressing and negation.
+`isa.standard_catalog()` once, and each step carries the pass count of
+the table of its own op, addressing and negation.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -83,7 +88,7 @@ from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
-from .program import (ApGeometry, ApProgram, ConvLayer, merge_adds, schedule,
+from .program import (ApGeometry, ApProgram, ConvLayer, merge_steps, schedule,
                       stream_macros)
 
 EVENT_KINDS = ("search", "write", "shift", "move")
@@ -143,13 +148,8 @@ class EventCounts:
             acc[3] += cycles
             acc[4] += size
 
-    def record(self, ap, layer, phase, epoch, kind, bits, steps, cycles):
-        """Count one event of `kind` (an index into EVENT_KINDS)."""
-        self.add((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
-                 energy_size(kind, bits, steps))
-
-    # The run path's only charges, at a `key` of (ap, layer, phase, epoch);
-    # `rows` counts a row once per column charged. Zero events add no bin.
+    # A run's only charges, at a `key` of (ap, layer, phase, epoch); `rows`
+    # counts a row once per column charged. Zero events add no bin.
     def access(self, key, kind, n, rows):
         """`n` searches or writes, `rows` rows in all: a cycle each."""
         if n:
@@ -216,9 +216,9 @@ def _decode(planes: list[int], rows: int, n_rows: int, width: int,
 
 
 class CamArray:
-    """One AP: the row-bitset planes plus alignment, tag register and wear
-    counts. `planes[col][dom]` holds domain `dom` of every row's track in
-    column `col`."""
+    """One AP: the row-bitset planes plus alignment and wear counts.
+    `planes[col][dom]` holds domain `dom` of every row's track in column
+    `col`."""
 
     def __init__(self, geometry: ApGeometry):
         self.rows = geometry.rows
@@ -227,7 +227,6 @@ class CamArray:
         self.full = (1 << geometry.rows) - 1
         self.planes = [[0] * self.domains for _ in range(self.columns)]
         self.align: dict[int, int] = {}
-        self.tag = 0
         self.writes = [0] * self.columns
 
     def track(self, col: int, base: int = 0, width: int = 1) -> list[int]:
@@ -309,15 +308,14 @@ def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
 
     This is the reference `run_macro` is tested against. Shifts carry their
     step count from expansion (planned against a copy of the AP's
-    alignment), so applying them here keeps plan and state in sync.
+    alignment), so applying them here keeps plan and state in sync. A
+    write goes to the rows the last search before it in `ops` tagged.
     """
     cam = state.ap(ap)
     align, writes = cam.align, cam.writes
     full, rows = cam.full, cam.rows
-
-    def log(kind, bits, steps, cycles):
-        state.events.record(ap, layer, phase, epoch, kind, bits, steps,
-                            cycles)
+    events, key = state.events, (ap, layer, phase, epoch)
+    tag = 0
     for op in ops:
         kind = op.kind
         if kind == "search":
@@ -325,42 +323,36 @@ def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
             for col, want in zip(op.cols, op.key):
                 plane = cam.track(col)[align.get(col, 0)]
                 tag &= plane if want else full ^ plane
-            cam.tag = tag
-            log(SEARCH, len(op.cols) * rows, 0, 1)
+            events.access(key, SEARCH, 1, len(op.cols) * rows)
         elif kind == "write":
-            tag = cam.tag
             for col, bit in zip(op.cols, op.bits):
                 track = cam.track(col)
                 dom = align.get(col, 0)
                 track[dom] = track[dom] | tag if bit else track[dom] & ~tag
                 writes[col] += 1
-            log(WRITE, len(op.cols) * tag.bit_count(), 0, 1)
+            events.access(key, WRITE, 1, len(op.cols) * tag.bit_count())
         elif kind == "clear":
             for col in op.cols:
                 cam.track(col)[align.get(col, 0)] = 0
                 writes[col] += 1
-            log(WRITE, len(op.cols) * rows, 0, 1)
+            events.access(key, WRITE, 1, len(op.cols) * rows)
         elif kind == "shift":
             cam.track(op.col, op.target)
             align[op.col] = op.target
             if op.steps:
-                log(SHIFT, rows, op.steps, op.steps)
+                events.shift(key, 1, op.steps, rows)
         else:
             raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
 
 
-def _rows_in(full: int, key, c: int, b: int, a: int) -> int:
-    """The rows whose (carry, b, a) state is `key`."""
-    kc, kb, ka = key
-    return ((c if kc else full ^ c) & (b if kb else full ^ b)
-            & (a if ka else full ^ a))
-
-
 class Bundle:
-    """The APs that run one stream together, as one array of their stacked
-    rows: AP k's rows are bits [k * rows, (k + 1) * rows) of each wide plane
-    `planes[col][dom]`. All `rows` rows of each AP are stacked, so rows above
-    a partially filled group take part as they do on the AP alone.
+    """The APs that run a step together, as one array of their stacked rows:
+    AP k's rows are bits [k * rows, (k + 1) * rows) of each wide plane
+    `planes[col][dom]`. A conv layer's bundles are `Schedule.bundle`'s, the
+    row groups of one (tile, channel group), which run its stream and, as
+    the destination of a tree merge, the merge's adds. All `rows` rows of
+    each AP are stacked, so rows above a partially filled group take part
+    as they do on the AP alone.
 
     A one-AP bundle works on the AP's own planes, with no copy. A wider one
     gathers a plane from its APs when a step first reads it, and `close`
@@ -370,9 +362,7 @@ class Bundle:
     rows, then per AP the tagged write bits, shifts and shift steps].
     `close` adds them per AP and phase, SEARCH, WRITE and SHIFT in that
     order, the order in which a stream's kinds first occur (`metrics` sums
-    floats in that order), and gives each AP its segment of the tag
-    register the last step's last pass leaves, from the (key, carry, b, a)
-    planes in `last`.
+    floats in that order).
     """
 
     def __init__(self, state: SimState, aps, layer: int = 0, epoch: int = 0):
@@ -388,7 +378,6 @@ class Bundle:
         self.planes = (defaultdict(lambda: [None] * cam.domains) if self.wide
                        else cam.planes)
         self.written: set[int] = set()
-        self.last: tuple | None = None
         self.sums: dict[str, list] = {}
 
     def __len__(self) -> int:
@@ -453,18 +442,14 @@ class Bundle:
             self.planes[scratch][:width] = [None] * width
 
     def close(self):
-        """Hand the planes, tag registers and counters back to the APs,
-        once, after the last step."""
+        """Hand the planes and counters back to the APs, once, after the
+        last step."""
         rows = self.rows
         for col in self.written:
             for dom, plane in enumerate(self.planes[col]):
                 if plane is not None:
                     for k, cam in enumerate(self.cams):
                         cam.planes[col][dom] = plane >> k * rows & cam.full
-        if self.last is not None:
-            tag = _rows_in(self.full, *self.last)
-            for k, cam in enumerate(self.cams):
-                cam.tag = tag >> k * rows & cam.full
         for k, ap in enumerate(self.aps):
             for phase, (searches, writes, write_bits, tagged, shifts,
                         steps) in self.sums.items():
@@ -495,13 +480,13 @@ def run_macro(bundle: Bundle, step: isa.Step):
     passes take each row from its (carry, b, a) state to
     `isa.reference_bit` of it and tag exactly the rows whose (carry,
     result) changes, once each, in the pass keyed by their state. So the
-    result and carry planes, the tagged rows and the tag register left by
-    the last pass all follow from a bit's input planes, and no pass is
-    replayed. The macro contract, which the step's decoder checked or
-    whose rules imply it, keeps the searched planes apart from the written
-    ones. Each ported column steps to its first domain at bit 0 and then
-    one domain a bit, so its shifts are counted from its first and last
-    domain, not made one at a time, and from each AP's own alignment.
+    result and carry planes and the tagged rows follow from a bit's input
+    planes, and no pass is replayed. The macro contract, which the step's
+    maker checked or whose rules imply it, keeps the searched planes apart
+    from the written ones. Each ported column steps to its first domain at
+    bit 0 and then one domain a bit, so its shifts are counted from its
+    first and last domain, not made one at a time, and from each AP's own
+    alignment.
 
     It adds to the bundle's sums the counters `execute_micro_ops` would add
     for the expansion on each AP: the same searches and writes on every AP,
@@ -511,7 +496,7 @@ def run_macro(bundle: Bundle, step: isa.Step):
     leaves the APs as they were.
     """
     (phase, op, negated, in_place, m, a, b, dest, rbase, carry, walks,
-     passes, last_key, reach) = step
+     passes, reach) = step
     cams = bundle.cams
     for cam in cams:
         if cam.align.get(carry, 0):
@@ -539,7 +524,7 @@ def run_macro(bundle: Bundle, step: isa.Step):
     full, wide = bundle.full, bundle.wide
     inv = full if sub else 0
     flip = full if sub or negated else 0
-    c = c_in = count = 0
+    c = count = 0
     changed = []                # on a wide bundle, the rows each bit tags
     results = []
     for u, v, held in zip(us, vs, bs if in_place else [0] * m):
@@ -557,8 +542,6 @@ def run_macro(bundle: Bundle, step: isa.Step):
     planes[carry][0] = c
     for col in dest:
         planes[col][rbase:rbase + m] = results
-    if m:
-        bundle.last = (last_key, c_in, bs[-1], as_[-1])
 
     searches = passes * m
     clears = 0 if in_place else m
@@ -687,29 +670,27 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
 
     # per-AP channel DFGs and accumulator folds: the row groups of a (tile,
     # channel group) run its stream as one bundle
-    row_groups = range(len(sched.rows_used))
     for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
         for cg, channels in enumerate(row):
-            with Bundle(state, [sched.ap(rg, og, cg) for rg in row_groups],
-                        layer, epoch + sched.STREAM) as bundle:
+            with Bundle(state, sched.bundle(og, cg), layer,
+                        epoch + sched.STREAM) as bundle:
                 for step in stream_macros(channels, tile, pim.slots,
                                           in_bits, catalog):
                     run_macro(bundle, step)
 
-    # adder tree across channel groups: before each add, the source AP's
-    # copy of its b column moves into the scratch column a. A move charges
+    # adder tree across channel groups, a merge on the bundle of its dst
+    # group: before each add, each source AP's copy of its b column moves
+    # into the scratch column a of its row group's AP. A move charges
     # rows × w bits, every row of the array, while the load above charges
     # only the rows it uses; which of the two is right is still open, and
     # changing either changes the modelled energy.
-    merges = [[isa.decode(macro, catalog[macro.op_kind, macro.addressing,
-                                         macro.negated], "accum")
-               for macro in merge_adds(tile)] for tile in tiles]
+    merges = [merge_steps(tile, catalog) for tile in tiles]
     for ep, level in enumerate(sched.tree, epoch + sched.TREE):
-        for dst, src, og in level:
-            with Bundle(state, [dst], layer, ep) as bundle:
+        for og, dst, src in level:
+            srcs = [state.ap(ap) for ap in sched.bundle(og, src)]
+            with Bundle(state, sched.bundle(og, dst), layer, ep) as bundle:
                 for step in merges[og]:
-                    bundle.move_in([state.ap(src)], step.b.col, step.a.col,
-                                   step.m)
+                    bundle.move_in(srcs, step.b.col, step.a.col, step.m)
                     run_macro(bundle, step)
 
     # readout at the tree roots, one block of accumulator planes a root and

@@ -525,7 +525,8 @@ def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
                 lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w, lp.in_bits,
                 catalog)}
         for at, level in enumerate(sched.tree, first + 2):
-            want |= {(dst, "accum", at) for dst, _src, _og in level}
+            want |= {(ap, "accum", at) for og, dst, _src in level
+                     for ap in sched.bundle(og, dst)}
         last = first + 2 + len(sched.tree)
         assert (sched.readout, sched.epochs) == (last - first, last - first + 1)
         want |= {(sched.ap(rg, og, 0), "io", last)

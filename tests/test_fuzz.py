@@ -6,7 +6,8 @@ host reference, run exactly the macros `macro_counts` counts, and its
 program must come back unchanged through program.json. Each of its conv
 streams, decoded once into steps, must run on its bundle of row groups as
 its items' macros run one by one through the micro-op reference on each AP.
-Every item stream the stream rules accept must keep the macro contract.
+Every item stream the stream rules accept, and every tree merge, must keep
+the macro contract.
 Every edit of a compiled program must either be rejected by the loader
 with a FormatError or run with at most a toolchain error.
 """
@@ -26,7 +27,7 @@ from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
 from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, MacroItem, Tile,
-                          macro_counts, schedule, stream_macros)
+                          macro_counts, merge_steps, schedule, stream_macros)
 from tapc.scheduler import emit_program
 
 # --- networks against the host reference ------------------------------------
@@ -122,9 +123,8 @@ def _table(catalog, macro):
 
 
 def _bundle_outcome(geometry, aps, seed, execute):
-    """Each AP's planes, alignment, write counts and tag register, and the
-    counters, after `execute(state)` on APs whose planes, ports and tag
-    registers start random."""
+    """Each AP's planes, alignment and write counts, and the counters,
+    after `execute(state)` on APs whose planes and ports start random."""
     state = sim.SimState(geometry)
     rng = random.Random(seed)
     doms = geometry.domains_per_track
@@ -134,9 +134,8 @@ def _bundle_outcome(geometry, aps, seed, execute):
                       for _ in range(geometry.columns)]
         cam.align = {col: rng.randrange(doms)
                      for col in range(geometry.columns)}
-        cam.tag = rng.getrandbits(geometry.rows)
     execute(state)
-    return ([(cam.planes, cam.align, cam.writes, cam.tag)
+    return ([(cam.planes, cam.align, cam.writes)
              for cam in map(state.ap, aps)], state.events.bins)
 
 
@@ -145,10 +144,10 @@ def _bundle_outcome(geometry, aps, seed, execute):
 def test_decoded_streams_match_the_micro_op_reference(catalog, case,
                                                       geometry, opt, seed):
     """Each conv stream's steps, run on the bundle of its row groups, leave
-    every AP's planes, alignment, write counts and tag register, and every
-    counter bin, as its items' macros run one by one through
-    `isa.expand_macro` and `execute_micro_ops` on each AP. Each step is the
-    one `isa.decode` makes of its item's macro."""
+    every AP's planes, alignment and write counts, and every counter bin,
+    as its items' macros run one by one through `isa.expand_macro` and
+    `execute_micro_ops` on each AP. Each step is the one `isa.decode` makes
+    of its item's macro."""
     net, h, w = case
     try:
         prog = emit_program(net, h, w, geometry, opt)
@@ -253,6 +252,25 @@ def test_the_stream_rules_imply_the_macro_contract(catalog, case):
     for (macro, phase), step in zip(macros, steps, strict=True):
         isa.result_columns(macro, _table(catalog, macro), {})
         assert isa.decode(macro, _table(catalog, macro), phase) == step
+
+
+tiles = st.builds(Tile, st.just(0), st.integers(1, 6), st.integers(-300, 0),
+                  st.integers(0, 300), st.integers(1, 20))
+
+
+@given(tiles)
+def test_merge_steps_are_the_reference_adds(catalog, tile):
+    """Each step of a tree merge is the one `isa.decode` makes of the
+    in-place add of the scratch column into an accumulator, both signed at
+    the accumulator width, which also passes the macro contract."""
+    w = tile.acc_width
+    scratch = isa.OperandRef(tile.scratch, 0, w, True)
+    want = [isa.decode(isa.MacroInstr(isa.ADD, isa.IN_PLACE, False, w,
+                                      scratch, isa.OperandRef(acc, 0, w, True),
+                                      (), 0, tile.carry, tile.zero),
+                       catalog[isa.ADD, isa.IN_PLACE, False], "accum")
+            for acc in range(tile.acc0, tile.carry)]
+    assert merge_steps(tile, catalog) == want
 
 
 # --- edited programs against the loader -------------------------------------

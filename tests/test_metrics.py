@@ -27,8 +27,8 @@ def _reference_pj(kind, bits, size, model):
 
 
 def _record_calls(events):
-    """The counter updates `EventCounts.record` makes for drawn events,
-    one each: (key, n, bits, steps, cycles, size)."""
+    """The counter update the test makes for each drawn event, one an
+    event: (key, n, bits, steps, cycles, size)."""
     return [((ap, layer, phase, epoch, kind), 1, bits, steps, cycles,
              bits * steps if kind == sim.SHIFT else bits)
             for kind, ap, layer, phase, epoch, bits, steps, cycles in events]
@@ -175,7 +175,9 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
         (0, 1, (sim.SHIFT, 64, 3, 3)),      # ap0, epoch1: 3
         (1, 1, (sim.SEARCH, 64, 0, 9)),     # ap1, epoch1: 9
     ]:
-        state.events.record(ap, 0, "dfg", epoch, *record)
+        kind, bits, steps, cycles = record
+        state.events.add((ap, 0, "dfg", epoch, kind), 1, bits, steps, cycles,
+                         sim.energy_size(kind, bits, steps))
     result = types.SimpleNamespace(events=state.events, state=state)
     stats = metrics.account(prog, result)
     assert stats.total_cycles == max(10, 8) + max(3, 9) == 19
@@ -208,8 +210,8 @@ def test_account_of_drawn_logs_matches_the_per_event_fold(
     state = sim.SimState(ApGeometry())
     for kind, ap, layer, phase, epoch, bits, steps, cycles in events:
         state.ap(ap)
-        state.events.record(ap, layer, phase, epoch, kind, bits, steps,
-                            cycles)
+        state.events.add((ap, layer, phase, epoch, kind), 1, bits, steps,
+                         cycles, sim.energy_size(kind, bits, steps))
     assert len(state.events) == len(events)
     result = types.SimpleNamespace(events=state.events, state=state)
     prog = _pool_program(3)

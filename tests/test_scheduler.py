@@ -354,9 +354,9 @@ def test_schedule_grid_tree_and_epochs():
     assert sched.aps == 4 * 2 * 3
     assert [ap for ap, *_ in sched.grid] == list(range(sched.aps))
     assert sched.grid[7] == (7, 1, 0, 1) and sched.ap(1, 0, 1) == 7
-    assert sched.tree[1] == [(sched.ap(rg, og, 0), sched.ap(rg, og, 2), og)
-                             for rg in range(4) for og in range(2)]
-    assert len(sched.tree) == 2
+    assert sched.bundle(1, 2) == [5, 11, 17, 23]
+    assert sched.bundle(0, 1) == [sched.ap(rg, 0, 1) for rg in range(4)]
+    assert sched.tree == [[(0, 0, 1), (1, 0, 1)], [(0, 0, 2), (1, 0, 2)]]
     assert (sched.LOAD, sched.STREAM, sched.TREE) == (0, 1, 2)
     assert (sched.readout, sched.epochs) == (4, 5)
     with pytest.raises(CapacityError, match="needs 72 APs"):
@@ -365,11 +365,11 @@ def test_schedule_grid_tree_and_epochs():
 
 def _tree_pairs(n):
     """The (dst, src) channel-group pairs of each adder-tree level of a
-    layer with n channel groups on one row group and one tile, where a
-    group's AP is its index."""
+    layer with n channel groups on one row group and one tile."""
     geo = ApGeometry(domains_per_track=1)
     levels = schedule(LayerShape(n, 1, 1, 1, 1, 0, 1, 1), 1, geo).tree
-    return [[(dst, src) for dst, src, _og in level] for level in levels]
+    assert all(og == 0 for level in levels for og, _dst, _src in level)
+    return [[(dst, src) for _og, dst, src in level] for level in levels]
 
 
 def test_accumulation_tree_frozen_shapes():

@@ -14,7 +14,7 @@ from tapc.errors import FormatError, SimulationError, TapcError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import Tile, merge_adds
+from tapc.program import Tile, merge_steps
 from tapc.scheduler import ApGeometry, ApProgram, emit_program
 
 GEO = ApGeometry(rows=64, columns=16, domains_per_track=64)
@@ -320,12 +320,11 @@ def _macro_outcome(rows, align, seed, execute):
     cam.planes = [[rng.getrandbits(rows) for _ in range(DIFF_DOMAINS)]
                   for _ in range(DIFF_COLUMNS)]
     cam.align = dict(align)
-    cam.tag = rng.getrandbits(rows)
     try:
         execute(state, cam)
     except TapcError as exc:
         return type(exc)
-    return cam.planes, cam.align, cam.writes, cam.tag, state.events.bins
+    return cam.planes, cam.align, cam.writes, state.events.bins
 
 
 def _executors(macro, table):
@@ -343,8 +342,8 @@ def _executors(macro, table):
 
 @given(macro_cases())
 def test_run_macro_matches_the_micro_op_reference(catalog, case):
-    """The same planes, alignment, write counts, tag register and counters;
-    a macro that breaks its contract raises the same error in both."""
+    """The same planes, alignment, write counts and counters; a macro that
+    breaks its contract raises the same error in both."""
     rows, key, macro, align, seed, error = case
     direct, reference = _executors(macro, catalog[key])
     want = _macro_outcome(rows, align, seed, reference)
@@ -432,8 +431,8 @@ def stream_cases(draw):
 
 
 def _stream_outcome(rows, aligns, seed, execute):
-    """Each AP's planes, alignment, write counts and tag register, and the
-    counters, after `execute(state, aps)`. Every row of every AP starts
+    """Each AP's planes, alignment and write counts, and the counters,
+    after `execute(state, aps)`. Every row of every AP starts
     with its own random bits, so the APs differ in the rows a partially
     filled group leaves stale as well as in the rows it uses."""
     state = sim.SimState(ApGeometry(rows=rows, columns=DIFF_COLUMNS,
@@ -445,18 +444,16 @@ def _stream_outcome(rows, aligns, seed, execute):
         cam.planes = [[rng.getrandbits(rows) for _ in range(DIFF_DOMAINS)]
                       for _ in range(DIFF_COLUMNS)]
         cam.align = dict(align)
-        cam.tag = rng.getrandbits(rows)
     execute(state, aps)
-    return ([(cam.planes, cam.align, cam.writes, cam.tag)
+    return ([(cam.planes, cam.align, cam.writes)
              for cam in map(state.ap, aps)], state.events.bins)
 
 
 @given(stream_cases())
 def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
-    """One bundle over all the APs leaves each AP's planes, alignment,
-    write counts and tag register, and every counter bin, as running the
-    stream on each AP alone does, with `run_macro` or the micro-op
-    reference."""
+    """One bundle over all the APs leaves each AP's planes, alignment and
+    write counts, and every counter bin, as running the stream on each AP
+    alone does, with `run_macro` or the micro-op reference."""
     rows, stream, aligns, seed = case
 
     def bundled(state, aps):
@@ -483,7 +480,7 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
     assert _stream_outcome(rows, aligns, seed, bundled) == want
 
 
-def _merge_outcome(table, rows, aligns, seed, pairs, bundles):
+def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
     """`_stream_outcome` of one merge of a tile whose carry is column 5 and
     scratch column 7, so no alignment may move column 5. `bundles` lists
     which of the (destination, source) AP pairs in `pairs` share a bundle;
@@ -496,10 +493,10 @@ def _merge_outcome(table, rows, aligns, seed, pairs, bundles):
         for bundle_pairs in bundles:
             dsts, srcs = zip(*(pairs[i] for i in bundle_pairs))
             with sim.Bundle(state, dsts, 2, 5) as bundle:
-                for macro in merge_adds(tile):
+                for step in merge_steps(tile, catalog):
                     bundle.move_in([state.ap(src) for src in srcs],
-                                   macro.b.col, macro.a.col, macro.width)
-                    sim.run_macro(bundle, isa.decode(macro, table, "accum"))
+                                   step.b.col, step.a.col, step.m)
+                    sim.run_macro(bundle, step)
     return _stream_outcome(rows, aligns, seed, execute)
 
 
@@ -510,14 +507,13 @@ def _merge_outcome(table, rows, aligns, seed, pairs, bundles):
 def test_a_wide_bundle_merges_as_each_ap_merges_alone(catalog, rows, aligns,
                                                       seed):
     """APs 0 and 1 each merge three accumulators from their own source AP,
-    2 and 3. On one two-AP bundle that leaves every AP's planes, alignment,
-    write counts and tag register, and every counter bin, as each merge
-    on its own one-AP bundle: each add reads the scratch column its move
-    just wrote, not one the bundle gathered for the add before."""
-    table = catalog[isa.ADD, isa.IN_PLACE, False]
+    2 and 3. On one two-AP bundle that leaves every AP's planes, alignment
+    and write counts, and every counter bin, as each merge on its own
+    one-AP bundle: each add reads the scratch column its move just wrote,
+    not one the bundle gathered for the add before."""
     pairs = [(0, 2), (1, 3)]
-    assert _merge_outcome(table, rows, aligns, seed, pairs, [[0, 1]]) == \
-        _merge_outcome(table, rows, aligns, seed, pairs, [[0], [1]])
+    assert _merge_outcome(catalog, rows, aligns, seed, pairs, [[0, 1]]) == \
+        _merge_outcome(catalog, rows, aligns, seed, pairs, [[0], [1]])
 
 
 walk_spans = st.integers(0, DIFF_DOMAINS - 1).flatmap(
@@ -549,9 +545,11 @@ def test_walk_replays_the_expanders_port_moves(align, walks):
 def test_event_counts_sum_each_key():
     counts = sim.EventCounts()
     assert len(counts) == 0 and counts.bins == {}
-    counts.record(0, 0, "io", 0, sim.SEARCH, 64, 0, 1)
-    counts.record(0, 0, "io", 0, sim.SEARCH, 32, 0, 1)
-    counts.record(1, 0, "dfg", 1, sim.SHIFT, 64, 3, 3)
+    for key, bits, steps, cycles in [((0, 0, "io", 0, sim.SEARCH), 64, 0, 1),
+                                     ((0, 0, "io", 0, sim.SEARCH), 32, 0, 1),
+                                     ((1, 0, "dfg", 1, sim.SHIFT), 64, 3, 3)]:
+        counts.add(key, 1, bits, steps, cycles,
+                   sim.energy_size(key[-1], bits, steps))
     counts.add((1, 0, "dfg", 1, sim.SHIFT), 2, 128, 5, 5, 320)
     assert len(counts) == 5
     assert counts.bins == {(0, 0, "io", 0, sim.SEARCH): [2, 96, 0, 2, 96],
