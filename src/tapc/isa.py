@@ -406,8 +406,9 @@ def reads_zero(macro: MacroInstr) -> bool:
 def result_columns(macro: MacroInstr, table: LutTable,
                    align: dict[int, int]) -> tuple:
     """The columns one macro writes its result bits into, after checking
-    that the macro fits its table, that its carry column sits at domain 0,
-    and that no column it writes is one it searches otherwise:
+    that the macro fits its table, that its carry column and, where read
+    at its port, its zero column sit at domain 0, and that no column it
+    writes is one it searches otherwise:
 
     - the carry column is not a's, b's, the zero column (where read) or a
       result column;
@@ -429,6 +430,9 @@ def result_columns(macro: MacroInstr, table: LutTable,
     if align.get(macro.carry_col, 0) != 0:
         raise FormatError("carry column must stay at domain 0")
     a, b, carry = macro.a, macro.b, macro.carry_col
+    if reads_zero(macro) and macro.zero_col not in (a.col, b.col) and \
+            align.get(macro.zero_col, 0):
+        raise FormatError("zero column must stay at domain 0")
     searched = {a.col, macro.zero_col} if reads_zero(macro) else {a.col}
     if carry in searched or carry == b.col or carry in dest_cols:
         raise FormatError(f"carry column {carry} is also an operand, zero or "

@@ -189,7 +189,8 @@ def _fold(counts, n_layers: int, model: EnergyModel):
 
 
 def account(program, result, model: EnergyModel | None = None) -> Stats:
-    """Fold a run's event counters into per-layer and total statistics."""
+    """Fold a run's counters and wear, all the derivation's (`sim.Charges`)
+    but the tagged write bits, into per-layer and total statistics."""
     model = model or EnergyModel()
     geo = program.geometry
     by_kind, by_phase, layer_cycles = _fold(result.events, len(program.layers),
@@ -217,8 +218,8 @@ def account(program, result, model: EnergyModel | None = None) -> Stats:
                    for k in EVENT_KINDS},
         phase_pj={p: sum(ls.phase_pj[p] for ls in layers) for p in PHASES},
         adds=sum(ls.adds for ls in layers), subs=sum(ls.subs for ls in layers),
-        arrays_used=len(result.state.aps),
-        max_col_writes=result.state.col_write_max(),
+        arrays_used=result.state.arrays_used,
+        max_col_writes=result.state.max_col_writes,
         model=asdict(model))
     # every figure is non-negative, so a finite total bounds its parts
     if not all(map(math.isfinite, (stats.total_ns, stats.total_pj,

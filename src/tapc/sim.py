@@ -1,74 +1,47 @@
 """Bit-accurate functional simulation of the CAM arrays on racetrack storage.
 
 Array state is one row bitset per (column, domain) plane: a Python int whose
-bit r is row r's stored bit. The per-column `align` map says which domain
-each track currently ports. A search ANDs the ported planes of its columns
+bit r is row r's stored bit. A search ANDs the ported planes of its columns
 (or their complements, for a 0 key bit) into a tag of the rows it matches;
 the tagged write after it ORs the tag into, or clears it out of, the ported
-planes of its columns.
-Shifts just move the alignment and pay per domain step. Column moves between
-APs copy whole planes (the interconnect model charges them per bit, flat
-across hop levels).
+planes of its columns. Shifts move a port and pay per domain step. Column
+moves between APs copy whole planes (charged per bit, flat across hops).
 
-`run_macro` executes each add/sub macro straight on the planes, one
-bit-parallel full add or subtract a bit: the result and carry planes are
-`isa.reference_bit` applied to the (carry, b, a) planes with a few integer
-operations, which is what a catalog table's passes leave in every row. The
-rows those passes would tag and the shifts of the operand walk are worked
-out from the same planes and alignments, so no pass is replayed and no
-micro-op is built. The micro-op path,
-`isa.expand_macro` followed by `execute_micro_ops`, replays every pass and
-stays as the reference the tests compare it against; no run takes it.
+A run has two halves. What it costs follows from the program alone, but
+for the bits its tagged writes write: `Charges` derives that layer by layer
+with no planes (`derive` runs it alone). It keeps each AP's port alignment
+and per-column write count (wear), walks the ports of the load, each step
+and the readout (`walk`), checks each step's carry, zero column and reach,
+and charges every search, write, shift and move through
+`EventCounts.access`, `shift` and `move`. The executor moves only data and
+counts the rows each bit tags: the load packs each (row group, channel
+group)'s slot planes with one `packbits`, `run_macro` runs each step on a
+`Bundle`'s planes, and the readout decodes each root's accumulators with
+one `unpackbits`. `run` calls both on each layer, the derivation first,
+with the same decoded steps (`isa.Step`, made once per run by
+`program.stream_macros` and `merge_steps`). The one alignment a data read
+looks at is the zero column's, for an unsigned operand read past its
+width, and the executor reads its domain 0: the load walks its port there,
+no step writes it, a step walks it only as a one-bit operand, from domain 0
+to 0 (`isa.make_step`), and the derivation rejects a step that would read
+it off domain 0, as it rejects a carry column off domain 0.
 
-A macro runs as a decoded `isa.Step`: its operand reads (with the clamp
-at a signed operand's sign bit or the redirect of an unsigned one to the
-zero column resolved), its port walks, result columns and table passes are
-fixed before the run. A conv stream's steps are made as the walk that
-checks its items yields them (`stream_macros`), and its rules imply the
-macro contract; an adder-tree merge's steps are its tile's in-place adds
-(`merge_steps`), made once per tile, whose columns keep the contract by
-the tile's layout. Both make them with `isa.make_step`. `run_macro` is left
-with what only the run knows: where the carry column stands, the geometry,
-each AP's port walk, the plane slices, the bit loop and the counter sums.
+`run_macro` runs each bit of an add/sub macro as one bit-parallel full
+add or subtract: the result and carry planes are `isa.reference_bit` of
+the (carry, b, a) planes, which is what a catalog table's passes leave in
+every row, and the rows those passes tag follow from the same planes. The
+micro-op path, `isa.expand_macro` then `execute_micro_ops`, replays every
+pass and charges each micro-op itself: it is the reference the tests
+compare derivation and executor against. The row groups of a (tile,
+channel group) form one bundle (`Schedule.bundle`), whose wide planes
+stack their rows, so a stream, or a tree merge on the bundle of its
+destination group, runs once however many row groups share it.
 
-The array is row-parallel, and so is the simulator: `run_macro` runs a
-step on a `Bundle` of APs at once. The row groups of a (tile, channel
-group) form one bundle (`Schedule.bundle`), whose wide planes stack the
-APs' rows, so each stream runs once per (tile, channel group), however many
-row groups share it. An adder-tree merge runs the same way, on the bundle
-of its destination group: before each add, the scratch copy goes in from
-the source group's APs, row group by row group, through the bundle
-(`Bundle.move_in`). Only the shifts (from each AP's own alignment) and the
-tagged rows (counted per AP's row segment) differ between the APs of a
-bundle.
-
-Events are counted, not listed: `EventCounts` keeps, per (ap, layer, phase,
-epoch, kind), the number of events and the integer sums of their bits,
-steps, cycles and energy size. A run charges them only through `access`
-(searches and writes), `shift` and `move`, each given the rows it charges,
-and moves ports only by `CamArray.walk`. `run_macro` sums a step's events
-into its bundle, which adds them once per AP, phase and kind when it closes.
-`tapc.metrics` folds the counters, and `export_events` writes one row per
-counter key. The counters are the only account of a run's events: no
-executor lists them one by one. `Event` is the shape of one such event,
-which `metrics.event_energy_pj` prices, and `energy_size` the one rule for
-an event's energy size.
-
-Programs are the typed form of `tapc.program`, read by attribute; loaded
-ones were checked by its loader. Everything a run needs beyond the stored
-decisions comes from there too: each conv layer's `Schedule`, with its
-row and channel groups, the AP of each (row group, tile, channel group),
-the bundle of each (tile, channel group), its adder tree of (tile, dst
-group, src group) merges and the epoch of each step; the steps of a merge
-(`merge_steps`); and the steps and energy phases of each stream, whose
-items store only columns (`stream_macros`). A layer's number is its
-position in the program. A conv layer's streams and merges are decoded
-once and run once a bundle. The load packs the slot planes of
-each (row group, channel group) with one `packbits`, and the readout
-decodes each root's block of accumulator planes with one `unpackbits`. The
-pass tables are the ISA's, not the program's: `run` takes them from
-`isa.standard_catalog()` once, and each step carries the pass count of
-the table of its own op, addressing and negation.
+`EventCounts` keeps, per (ap, layer, phase, epoch, kind), the number of
+events and the integer sums of their bits, steps, cycles and energy size;
+`tapc.metrics` folds them and `export_events` writes one row per key.
+`Event` is the shape of one event, which `metrics.event_energy_pj`
+prices, and `energy_size` the one rule for an event's energy size.
 
 Event costs follow the array's physical behavior, not the program's intent:
 searches compare every row, tagged writes pay per tagged row, and rows beyond
@@ -88,8 +61,8 @@ from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
-from .program import (ApGeometry, ApProgram, ConvLayer, merge_steps, schedule,
-                      stream_macros)
+from .program import (ApGeometry, ApProgram, ConvLayer, merge_steps,
+                      schedule, stream_macros)
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 SEARCH, WRITE, SHIFT, MOVE = range(len(EVENT_KINDS))
@@ -148,8 +121,8 @@ class EventCounts:
             acc[3] += cycles
             acc[4] += size
 
-    # A run's only charges, at a `key` of (ap, layer, phase, epoch); `rows`
-    # counts a row once per column charged. Zero events add no bin.
+    # The derivation's charges, at a `key` of (ap, layer, phase, epoch);
+    # `rows` counts a row once per column charged. Zero events add no bin.
     def access(self, key, kind, n, rows):
         """`n` searches or writes, `rows` rows in all: a cycle each."""
         if n:
@@ -215,30 +188,33 @@ def _decode(planes: list[int], rows: int, n_rows: int, width: int,
     return vals
 
 
+def _check_track(geometry: ApGeometry, col: int, base: int = 0,
+                 width: int = 1):
+    """Raise SimulationError unless `col` has domains [base, base + width)."""
+    if not 0 <= col < geometry.columns:
+        raise SimulationError(
+            f"column {col} outside the {geometry.columns}-column array")
+    if base < 0 or base + width > geometry.domains_per_track:
+        raise SimulationError(
+            f"domains [{base}, {base + width}) of column {col} outside "
+            f"the {geometry.domains_per_track}-domain track")
+
+
 class CamArray:
-    """One AP: the row-bitset planes plus alignment and wear counts.
-    `planes[col][dom]` holds domain `dom` of every row's track in column
-    `col`."""
+    """The planes of one AP: `planes[col][dom]` holds domain `dom` of every
+    row's track in column `col`."""
 
     def __init__(self, geometry: ApGeometry):
+        self.geometry = geometry
         self.rows = geometry.rows
-        self.columns = geometry.columns
-        self.domains = geometry.domains_per_track
         self.full = (1 << geometry.rows) - 1
-        self.planes = [[0] * self.domains for _ in range(self.columns)]
-        self.align: dict[int, int] = {}
-        self.writes = [0] * self.columns
+        self.planes = [[0] * geometry.domains_per_track
+                       for _ in range(geometry.columns)]
 
     def track(self, col: int, base: int = 0, width: int = 1) -> list[int]:
         """The planes of one column, after checking that domains
         [base, base + width) exist on it."""
-        if not 0 <= col < self.columns:
-            raise SimulationError(
-                f"column {col} outside the {self.columns}-column array")
-        if base < 0 or base + width > self.domains:
-            raise SimulationError(
-                f"domains [{base}, {base + width}) of column {col} outside "
-                f"the {self.domains}-domain track")
+        _check_track(self.geometry, col, base, width)
         return self.planes[col]
 
     def load(self, col: int, base: int, planes: list[int], n_rows: int):
@@ -259,60 +235,228 @@ class CamArray:
                   for plane in self.track(col, base, width)[base:base + width]]
         return _decode(planes, self.rows, n_rows, width, signed)
 
-    # direct, uncosted access for harnesses and unit tests
-    def poke(self, col: int, base: int, width: int, values, n_rows: int):
-        vals = np.asarray(values, dtype=np.int64)
-        bits = vals >> np.arange(width, dtype=np.int64)[:, None] & 1
-        self.load(col, base, _pack_planes(bits), n_rows)
 
-    def peek(self, col: int, base: int, width: int, n_rows: int,
-             signed: bool = True) -> np.ndarray:
-        return self.peek_block([col], base, width, n_rows, signed)[0]
-
-    def walk(self, walks) -> tuple[int, int]:
-        """Move the port of each column of a {column: (first, last)} map to
-        `first`, then one domain a shift to `last`; return the shifts and
-        domain steps in all. The caller checks that the domains exist."""
-        shifts = steps = 0
-        for col, (first, last) in walks.items():
-            to_first, more = abs(first - self.align.get(col, 0)), last - first
-            if to_first or more:
-                shifts += (to_first > 0) + more
-                steps += to_first + more
-                self.align[col] = last
-        return shifts, steps
+def walk(align: dict[int, int], walks) -> tuple[int, int]:
+    """Move the port of each column of a {column: (first, last)} map, in
+    `align`, to `first`, then one domain a shift to `last`; return the
+    shifts and domain steps in all."""
+    shifts = steps = 0
+    for col, (first, last) in walks.items():
+        to_first, more = abs(first - align.get(col, 0)), last - first
+        if to_first or more:
+            shifts += (to_first > 0) + more
+            steps += to_first + more
+            align[col] = last
+    return shifts, steps
 
 
-class SimState:
-    """Lazy AP pool plus the event counters. APs materialize on first touch and
-    persist across layers, which is exactly why programs must not assume
-    freshly zeroed columns."""
+class Charges:
+    """The derivation: every charge of a run that follows from the program
+    alone, which is all but the bits of its tagged writes, made in the
+    order the executor used to make them, so `metrics` sums each layer's
+    floats in the same order. `align[ap]` maps an AP's columns to the
+    domain each port faces and `writes[ap]` counts each column's write
+    cycles (wear), both made on first touch (`ports`)."""
 
     def __init__(self, geometry: ApGeometry):
         self.geometry = geometry
-        self.aps: dict[int, CamArray] = {}
         self.events = EventCounts()
+        self.align: dict[int, dict[int, int]] = {}
+        self.writes: dict[int, list[int]] = {}
+        self.n_layers = self.epoch = 0
+        self.prov = None    # the root AP of each value of the last conv
+
+    def ports(self, ap: int) -> tuple[dict[int, int], list[int]]:
+        if ap not in self.writes:
+            self.align[ap], self.writes[ap] = {}, [0] * self.geometry.columns
+        return self.align[ap], self.writes[ap]
+
+    @property
+    def arrays_used(self) -> int:
+        return len(self.writes)
+
+    @property
+    def max_col_writes(self) -> int:
+        return max((max(w) for w in self.writes.values()), default=0)
+
+    def steps(self, aps, steps: list[isa.Step], layer: int, epoch: int):
+        """Charge `steps` on the bundle of `aps` as `execute_micro_ops` does
+        their expansions on each AP, but for the tagged rows: per AP and
+        phase, SEARCH, WRITE and SHIFT. A step's carry, and its zero column
+        where read at its port, must face domain 0, and its reach exist."""
+        geo, rows = self.geometry, self.geometry.rows
+        columns, domains = geo.columns, geo.domains_per_track
+        ports = [self.ports(ap) for ap in aps]
+        n = len(ports)
+        sums = defaultdict(lambda: [0, 0, 0, [0] * n, [0] * n])
+        checked = None      # the carry column last found at domain 0
+        for step in steps:
+            (phase, _op, _neg, in_place, m, a, b, dest, _rbase, carry,
+             walks, passes, (lo, col_hi, dom_hi)) = step
+            if carry != checked:    # no step walks its carry column
+                for align, _ in ports:
+                    if align.get(carry, 0):
+                        raise FormatError("carry column must stay at domain 0")
+                checked = carry
+            if a.first is None and a.n < m or b.first is None and b.n < m:
+                zero = a.fill if a.first is None and a.n < m else b.fill
+                for align, _ in ports:
+                    if align.get(zero, 0):
+                        raise FormatError("zero column must stay at domain 0")
+            if lo < 0 or col_hi >= columns or dom_hi >= domains:
+                _check_track(geo, carry)
+                for ref in (a, b):
+                    if ref.n < m:
+                        _check_track(geo, ref.fill)
+                for col, (first, last) in walks.items():
+                    _check_track(geo, col, first, last - first + 1)
+            acc = sums[phase]
+            searches = passes * m
+            clears = 0 if in_place else m
+            acc[0] += searches
+            acc[1] += 1 + clears + searches
+            acc[2] += rows * (1 + clears * len(dest))
+            for k, (align, writes) in enumerate(ports):
+                n_shifts, n_steps = walk(align, walks)
+                acc[3][k] += n_shifts
+                acc[4][k] += n_steps
+                writes[carry] += 1 + searches
+                for col in dest:
+                    writes[col] += searches + clears
+        for k, ap in enumerate(aps):
+            for phase, (searches, writes, bits, shifts, moved) in sums.items():
+                key = (ap, layer, phase, epoch)
+                self.events.access(key, SEARCH, searches, searches * 3 * rows)
+                self.events.access(key, WRITE, writes, bits)
+                self.events.shift(key, shifts[k], moved[k], rows)
+
+    def moves(self, aps, steps: list[isa.Step], layer: int, epoch: int):
+        """Charge a tree merge's moves on the bundle of `aps`: before each
+        step, a source AP's b column moves into the scratch column a of
+        each AP, an "accum" move of every row."""
+        rows = self.geometry.rows
+        for ap in aps:
+            writes = self.ports(ap)[1]
+            for step in steps:
+                writes[step.a.col] += step.m
+                self.events.move((ap, layer, "accum", epoch), rows * step.m,
+                                 rows)
+
+    def layer(self, lp, catalog):
+        """Charge the program's next layer. A conv layer's number, first
+        epoch, schedule, patch map and steps, per (tile, channel group)
+        stream and per tile's merge, are returned for the executor. A pool
+        keeps the top-left producer of a block (its max is data-dependent)."""
+        layer = self.n_layers
+        self.n_layers += 1
+        if lp.kind == "pool" and self.prov is not None:
+            self.prov = self.prov[:, ::2, ::2]
+        if lp.kind != "conv":
+            return None     # an add runs in the controller
+        geo, events, epoch = self.geometry, self.events, self.epoch
+        rows, shape, in_bits, tiles = geo.rows, lp.shape, lp.in_bits, lp.tiles
+        pim = im2col_indices(shape)
+        sched = schedule(shape, in_bits, geo, len(tiles))
+        groups = sched.channel_groups
+        streams = [[stream_macros(items, tile, pim.slots, in_bits, catalog)
+                    for items in row] for tile, row in zip(tiles, lp.streams)]
+        merges = [merge_steps(tile, catalog) for tile in tiles]
+
+        # load: carry and zero ports home and the zero column cleared, the
+        # moves from the producer APs of the values each row group reads,
+        # each slot column written up from domain 0, a write a domain
+        moved = {}
+        for ap, rg, og, cg in sched.grid:
+            align, writes = self.ports(ap)
+            tile, ru = tiles[og], sched.rows_used[rg]
+            key = (ap, layer, "io", epoch + sched.LOAD)
+            events.shift(key, *walk(align, {tile.carry: (0, 0),
+                                            tile.zero: (0, 0)}), rows)
+            writes[tile.zero] += 1
+            events.access(key, WRITE, 1, rows)
+            if self.prov is not None and (rg, cg) not in moved:
+                ys, xs = pim.ys[rg * rows:][:ru], pim.xs[rg * rows:][:ru]
+                srcs = self.prov[groups[cg]][:, ys[ys >= 0], xs[ys >= 0]]
+                moved[rg, cg] = np.unique(srcs, return_counts=True)[1]
+            for n in moved.get((rg, cg), ()):
+                events.move(key, int(n) * in_bits, rows)
+            n_doms = len(groups[cg]) * in_bits
+            for k in range(pim.slots):
+                writes[k] += n_doms
+            events.shift(key, *walk(align, dict.fromkeys(
+                range(pim.slots), (0, n_doms - 1))), rows)
+            events.access(key, WRITE, pim.slots * n_doms,
+                          pim.slots * n_doms * ru)
+
+        for og, row in enumerate(streams):
+            for cg, steps in enumerate(row):
+                self.steps(sched.bundle(og, cg), steps, layer,
+                           epoch + sched.STREAM)
+        # a move charges rows × w bits, every row of the array, while the
+        # load charges only the rows it uses; which of the two is right is
+        # still open, and changing either changes the modelled energy
+        for ep, level in enumerate(sched.tree, epoch + sched.TREE):
+            for og, dst, _src in level:
+                self.moves(sched.bundle(og, dst), merges[og], layer, ep)
+                self.steps(sched.bundle(og, dst), merges[og], layer, ep)
+
+        # readout at the roots: the first column's port home, a search an
+        # accumulator bit from domain 0 up, each column left at its top
+        prov = np.empty((shape.c_out, shape.h_out * shape.w_out), int)
+        for og, tile in enumerate(tiles):
+            cols, width = range(tile.acc0, tile.carry), tile.acc_width
+            for rg, ru in enumerate(sched.rows_used):
+                root = sched.ap(rg, og, 0)
+                align = self.ports(root)[0]
+                key = (root, layer, "io", epoch + sched.readout)
+                events.shift(key, *walk(align, {cols[0]: (0, 0)}), rows)
+                n = len(cols) * width
+                events.access(key, SEARCH, n, n * rows)
+                events.shift(key, *walk(align, dict.fromkeys(
+                    cols, (0, width - 1))), rows)
+                prov[tile.c_lo:tile.c_hi, rg * rows:rg * rows + ru] = root
+        self.prov = prov.reshape(shape.c_out, shape.h_out, shape.w_out)
+        self.epoch += sched.epochs
+        return layer, epoch, sched, pim, streams, merges
+
+
+def derive(program: ApProgram) -> Charges:
+    """Every charge of running `program` but its tagged rows' write bits,
+    and each AP's alignment and wear, derived with no planes."""
+    catalog = isa.standard_catalog()[0]
+    charges = Charges(program.geometry)
+    for lp in program.layers:
+        charges.layer(lp, catalog)
+    return charges
+
+
+class SimState(Charges):
+    """A run's charges and the planes of its APs. APs materialize on first
+    touch and persist across layers, which is exactly why programs must not
+    assume freshly zeroed columns."""
+
+    def __init__(self, geometry: ApGeometry):
+        super().__init__(geometry)
+        self.aps: dict[int, CamArray] = {}
 
     def ap(self, ap: int) -> CamArray:
         if ap not in self.aps:
             self.aps[ap] = CamArray(self.geometry)
         return self.aps[ap]
 
-    def col_write_max(self) -> int:
-        return max((max(cam.writes) for cam in self.aps.values()), default=0)
-
 
 def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
                       layer: int = 0, phase: str = "dfg", epoch: int = 0):
-    """Run expanded micro-ops against one AP, counting every costed action.
+    """Run expanded micro-ops against one AP, moving its ports, counting
+    its wear and charging every costed action itself.
 
-    This is the reference `run_macro` is tested against. Shifts carry their
-    step count from expansion (planned against a copy of the AP's
-    alignment), so applying them here keeps plan and state in sync. A
-    write goes to the rows the last search before it in `ops` tagged.
+    This is the reference derivation and executor are tested against.
+    Shifts carry their step count from expansion (planned against a copy
+    of the AP's alignment), so applying them here keeps plan and state in
+    sync. A write goes to the rows the last search before it tagged.
     """
     cam = state.ap(ap)
-    align, writes = cam.align, cam.writes
+    align, writes = state.ports(ap)
     full, rows = cam.full, cam.rows
     events, key = state.events, (ap, layer, phase, epoch)
     tag = 0
@@ -347,23 +491,13 @@ def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
 
 class Bundle:
     """The APs that run a step together, as one array of their stacked rows:
-    AP k's rows are bits [k * rows, (k + 1) * rows) of each wide plane
-    `planes[col][dom]`. A conv layer's bundles are `Schedule.bundle`'s, the
-    row groups of one (tile, channel group), which run its stream and, as
-    the destination of a tree merge, the merge's adds. All `rows` rows of
-    each AP are stacked, so rows above a partially filled group take part
-    as they do on the AP alone.
-
-    A one-AP bundle works on the AP's own planes, with no copy. A wider one
-    gathers a plane from its APs when a step first reads it, and `close`
-    scatters the columns its steps wrote back. Each AP keeps its own
-    alignment and write counts. `sums` holds, per phase, the counters of
-    the steps run so far: [searches, writes, write bits outside the tagged
-    rows, then per AP the tagged write bits, shifts and shift steps].
-    `close` adds them per AP and phase, SEARCH, WRITE and SHIFT in that
-    order, the order in which a stream's kinds first occur (`metrics` sums
-    floats in that order).
-    """
+    AP k's rows, all `rows` of them, are bits [k * rows, (k + 1) * rows) of
+    each wide plane `planes[col][dom]`. A one-AP bundle works on the AP's
+    own planes. A wider one gathers a plane from its APs when a step first
+    reads it, and `close` scatters back the planes its steps wrote
+    (`written`: per column, a bit mask of domains). `tagged` holds, per
+    phase, each AP's tagged write bits, which `close` adds to the write
+    counters the derivation made."""
 
     def __init__(self, state: SimState, aps, layer: int = 0, epoch: int = 0):
         self.events = state.events
@@ -375,10 +509,10 @@ class Bundle:
         self.masks = [cam.full << k * cam.rows for k in range(len(self.aps))]
         self.full = (1 << cam.rows * len(self.aps)) - 1
         self.wide = len(self.aps) > 1
-        self.planes = (defaultdict(lambda: [None] * cam.domains) if self.wide
-                       else cam.planes)
-        self.written: set[int] = set()
-        self.sums: dict[str, list] = {}
+        self.planes = (defaultdict(lambda: [None] * len(cam.planes[0]))
+                       if self.wide else cam.planes)
+        self.written: dict[int, int] = {}
+        self.tagged = defaultdict(lambda: [0] * len(self.aps))
 
     def __len__(self) -> int:
         return len(self.cams)
@@ -402,7 +536,8 @@ class Bundle:
                 track[dom] = plane
 
     def read(self, ref: isa.Operand, m: int) -> list[int]:
-        """The planes an m-bit step searches for one operand, a bit each."""
+        """The planes an m-bit step searches for one operand, a bit each;
+        an unsigned one reads the zero column's domain 0 past its width."""
         col, base, n, fill, first, last = ref
         wide, planes = self.wide, self.planes
         if wide:
@@ -411,16 +546,7 @@ class Bundle:
         if n == m:
             return got
         if first is None:
-            # each AP's segment from the domain its port faces
-            if not wide:
-                plane = planes[fill][self.cams[0].align.get(fill, 0)]
-                return got + [plane] * (m - n)
-            plane = 0
-            for cam, mask in zip(self.cams, self.masks):
-                dom = cam.align.get(fill, 0)
-                self.gather(fill, dom, dom + 1)
-                plane |= planes[fill][dom] & mask
-            return got + [plane] * (m - n)
+            first = last = 0
         if wide:
             self.gather(fill, min(first, last), last + 1)
         track = planes[fill]
@@ -430,91 +556,46 @@ class Bundle:
 
     def move_in(self, srcs, col: int, scratch: int, width: int):
         """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
-        into column `scratch` of the k-th AP, charging each an "accum" move
-        of all its rows; a wide bundle then gathers those domains afresh."""
-        for ap, cam, src in zip(self.aps, self.cams, srcs):
+        into column `scratch` of the k-th AP; a wide bundle stacks the
+        copies into its scratch planes."""
+        for cam, src in zip(self.cams, srcs):
             cam.track(scratch, 0, width)[:width] = \
                 src.track(col, 0, width)[:width]
-            cam.writes[scratch] += width
-            self.events.move((ap, self.layer, "accum", self.epoch),
-                             self.rows * width, self.rows)
         if self.wide:
-            self.planes[scratch][:width] = [None] * width
+            self.planes[scratch][:width] = [
+                sum(src.planes[col][dom] << k * self.rows
+                    for k, src in enumerate(srcs)) for dom in range(width)]
 
     def close(self):
-        """Hand the planes and counters back to the APs, once, after the
-        last step."""
-        rows = self.rows
-        for col in self.written:
+        """Hand the written planes and the tagged bits back to the APs,
+        once, after the last step."""
+        for col, doms in self.written.items():
             for dom, plane in enumerate(self.planes[col]):
-                if plane is not None:
+                if doms >> dom & 1:
                     for k, cam in enumerate(self.cams):
-                        cam.planes[col][dom] = plane >> k * rows & cam.full
+                        cam.planes[col][dom] = plane >> k * cam.rows & cam.full
         for k, ap in enumerate(self.aps):
-            for phase, (searches, writes, write_bits, tagged, shifts,
-                        steps) in self.sums.items():
-                key = (ap, self.layer, phase, self.epoch)
-                self.events.access(key, SEARCH, searches, searches * 3 * rows)
-                self.events.access(key, WRITE, writes, write_bits + tagged[k])
-                self.events.shift(key, shifts[k], steps[k], rows)
-
-
-def _check_reach(cam: CamArray, step: isa.Step):
-    """Raise SimulationError for the first column or domain of `step`
-    outside the geometry of `cam`: its carry, the columns its operands
-    read past their width, then its walks."""
-    cam.track(step.carry)
-    for ref in (step.a, step.b):
-        if ref.n < step.m:
-            cam.track(ref.fill)
-    for col, (first, last) in step.walks.items():
-        cam.track(col, first, last - first + 1)
+            for phase, tagged in self.tagged.items():
+                if tagged[k]:
+                    self.events.add((ap, self.layer, phase, self.epoch,
+                                     WRITE), 0, tagged[k], 0, 0, tagged[k])
 
 
 def run_macro(bundle: Bundle, step: isa.Step):
-    """Execute one decoded macro on every AP of `bundle` against its live
-    alignment, each bit as one bit-parallel full add or subtract over its
-    (carry, b, a) planes, once for all the bundle's rows.
+    """Execute one decoded macro on every AP of `bundle`, each bit as one
+    bit-parallel full add or subtract over its (carry, b, a) planes, once
+    for all the bundle's rows, and count the rows each bit tags.
 
-    The step's table is the catalog's (`isa.standard_catalog`), whose
-    passes take each row from its (carry, b, a) state to
-    `isa.reference_bit` of it and tag exactly the rows whose (carry,
-    result) changes, once each, in the pass keyed by their state. So the
-    result and carry planes and the tagged rows follow from a bit's input
-    planes, and no pass is replayed. The macro contract, which the step's
-    maker checked or whose rules imply it, keeps the searched planes apart
-    from the written ones. Each ported column steps to its first domain at
-    bit 0 and then one domain a bit, so its shifts are counted from its
-    first and last domain, not made one at a time, and from each AP's own
-    alignment.
-
-    It adds to the bundle's sums the counters `execute_micro_ops` would add
-    for the expansion on each AP: the same searches and writes on every AP,
-    and each AP's own shifts and tagged rows, the latter counted over its
-    segment of the planes. The carry's alignment and the step's reach are
-    checked before anything changes, so a step outside the geometry
-    leaves the APs as they were.
+    The catalog's tables (`isa.standard_catalog`) take each row from its
+    (carry, b, a) state to `isa.reference_bit` of it and tag exactly the
+    rows whose (carry, result) changes, once each, so the planes and the
+    tagged rows follow from a bit's input planes. The macro contract keeps
+    the searched planes apart from the written ones. The derivation
+    (`Charges.steps`) charges the rest of the step, walks its ports,
+    counts its wear and checks its carry, zero column and reach.
     """
-    (phase, op, negated, in_place, m, a, b, dest, rbase, carry, walks,
-     passes, reach) = step
-    cams = bundle.cams
-    for cam in cams:
-        if cam.align.get(carry, 0):
-            raise FormatError("carry column must stay at domain 0")
-    lo, col_hi, dom_hi = reach
-    cam = cams[0]   # the APs share one geometry
-    if lo < 0 or col_hi >= cam.columns or dom_hi >= cam.domains:
-        _check_reach(cam, step)
-
-    sums = bundle.sums.get(phase)
-    if sums is None:
-        n = len(cams)
-        sums = bundle.sums[phase] = [0, 0, 0, [0] * n, [0] * n, [0] * n]
-    tagged, shifts, steps = sums[3:]
-    for k, cam in enumerate(cams):
-        n_shifts, n_steps = cam.walk(walks)
-        shifts[k] += n_shifts
-        steps[k] += n_steps
+    (phase, op, negated, in_place, m, a, b, dest, rbase, carry, _walks,
+     _passes, _reach) = step
     bs, as_ = bundle.read(b, m), bundle.read(a, m)
 
     # a borrow is the carry of the complemented minuend plus the subtrahend;
@@ -543,29 +624,19 @@ def run_macro(bundle: Bundle, step: isa.Step):
     for col in dest:
         planes[col][rbase:rbase + m] = results
 
-    searches = passes * m
-    clears = 0 if in_place else m
-    for cam in cams:
-        writes = cam.writes
-        writes[carry] += 1 + searches
-        for col in dest:
-            writes[col] += searches + clears
-    sums[0] += searches
-    sums[1] += 1 + clears + searches
-    sums[2] += bundle.rows * (1 + clears * len(dest))
+    tagged = bundle.tagged[phase]
     n_written = 1 + len(dest)
     if wide:
-        bundle.written.update((carry, *dest))
+        written = bundle.written
+        written[carry] = written.get(carry, 0) | 1
+        for col in dest:
+            written[col] = written.get(col, 0) | ((1 << m) - 1) << rbase
         for k, mask in enumerate(bundle.masks):
             tagged[k] += n_written * sum((t & mask).bit_count()
                                          for t in changed)
     else:
         tagged[0] += n_written * count
 
-
-# ---------------------------------------------------------------------------
-# program execution
-# ---------------------------------------------------------------------------
 
 @dataclass
 class RunResult:
@@ -587,104 +658,40 @@ def _slot_planes(patches, channels, lo: int, n_rows: int,
     return _pack_planes(bits)
 
 
-def _moved_values(prov: np.ndarray, pim, channels, lo: int,
-                  n_rows: int) -> list[int]:
-    """How many of the input values rows lo..lo+n_rows of a channel group
-    read come from each producer AP, in producer order."""
-    ys = pim.ys[lo:lo + n_rows]
-    xs = pim.xs[lo:lo + n_rows]
-    inside = ys >= 0
-    moved: dict[int, int] = {}
-    for ch in channels:
-        srcs, counts = np.unique(prov[ch][ys[inside], xs[inside]],
-                                 return_counts=True)
-        for src, n in zip(srcs, counts):
-            moved[int(src)] = moved.get(int(src), 0) + int(n)
-    return [moved[src] for src in sorted(moved)]
-
-
-def _read_out(state: SimState, ap: int, cols, width: int, n_rows: int,
-              layer: int, epoch: int) -> np.ndarray:
-    """Read the `width`-bit values of rows 0..n_rows-1 of `cols` through the
-    port of an AP, each a search a bit from domain 0 up with a shift before
-    each bit not yet in place, and leave each column at its top domain."""
-    cam, events = state.ap(ap), state.events
-    vals = cam.peek_block(cols, 0, width, n_rows)
-    key = (ap, layer, "io", epoch)
-    # the first column's port goes home before the first search, so a shift
-    # there is charged first: `metrics` sums the kinds in first-charge order
-    events.shift(key, *cam.walk({cols[0]: (0, 0)}), cam.rows)
-    n = len(cols) * width
-    events.access(key, SEARCH, n, n * cam.rows)
-    events.shift(key, *cam.walk(dict.fromkeys(cols, (0, width - 1))),
-                 cam.rows)
-    return vals
-
-
-def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
-              prov: np.ndarray | None, catalog, epoch: int):
-    geo = state.geometry
-    shape = lp.shape
-    pim = im2col_indices(shape)
-    in_bits = lp.in_bits
-    tiles = lp.tiles
-    sched = schedule(shape, in_bits, geo, len(tiles))
+def _run_conv(state: SimState, lp: ConvLayer, plan, cur: FeatureMap):
+    """Move the data of a conv layer the derivation has charged and planned
+    (`Charges.layer`), and return its output."""
+    layer, epoch, sched, pim, streams, merges = plan
+    rows, in_bits, tiles = state.geometry.rows, lp.in_bits, lp.tiles
     groups = sched.channel_groups
-    events = state.events
-    patches = [extract_patches(cur, pim, ch) for ch in range(shape.c_in)]
+    patches = [extract_patches(cur, pim, ch) for ch in range(lp.c_in)]
 
-    # load: column hygiene, interconnect from producer APs, bit-planes in;
-    # the tiles of a (row group, channel group) load the same data
-    load = epoch + sched.LOAD
+    # load: the zero column cleared, then the slot planes; the tiles of a
+    # (row group, channel group) load the same data
     loads = {}
     for ap, rg, og, cg in sched.grid:
         cam = state.ap(ap)
-        tile = tiles[og]
         ru = sched.rows_used[rg]
-        base_pos = rg * geo.rows
-        key = (ap, layer, "io", load)
-        # carry must sit at domain 0 (the expander insists) and the reserved
-        # zero column must actually read zero on a reused array
-        events.shift(key, *cam.walk({tile.carry: (0, 0), tile.zero: (0, 0)}),
-                     cam.rows)
-        cam.track(tile.zero)[0] = 0
-        cam.writes[tile.zero] += 1
-        events.access(key, WRITE, 1, cam.rows)
+        cam.track(tiles[og].zero)[0] = 0
         if (rg, cg) not in loads:
-            loads[rg, cg] = (
-                [] if prov is None else
-                _moved_values(prov, pim, groups[cg], base_pos, ru),
-                _slot_planes(patches, groups[cg], base_pos, ru, in_bits))
-        moved, planes = loads[rg, cg]
-        for n in moved:
-            events.move(key, n * in_bits, cam.rows)
-        # each slot column walks up from domain 0, one write a domain
+            loads[rg, cg] = _slot_planes(patches, groups[cg], rg * rows, ru,
+                                         in_bits)
         n_doms = len(groups[cg]) * in_bits
         for k in range(pim.slots):
-            cam.load(k, 0, planes[k * n_doms:(k + 1) * n_doms], ru)
-            cam.writes[k] += n_doms
-        events.shift(key, *cam.walk(dict.fromkeys(range(pim.slots),
-                                                  (0, n_doms - 1))), cam.rows)
-        n_writes = pim.slots * n_doms
-        events.access(key, WRITE, n_writes, n_writes * ru)
+            cam.load(k, 0, loads[rg, cg][k * n_doms:(k + 1) * n_doms], ru)
 
     # per-AP channel DFGs and accumulator folds: the row groups of a (tile,
     # channel group) run its stream as one bundle
-    for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
-        for cg, channels in enumerate(row):
+    for og, row in enumerate(streams):
+        for cg, steps in enumerate(row):
             with Bundle(state, sched.bundle(og, cg), layer,
                         epoch + sched.STREAM) as bundle:
-                for step in stream_macros(channels, tile, pim.slots,
-                                          in_bits, catalog):
+                for step in steps:
                     run_macro(bundle, step)
 
     # adder tree across channel groups, a merge on the bundle of its dst
     # group: before each add, each source AP's copy of its b column moves
-    # into the scratch column a of its row group's AP. A move charges
-    # rows × w bits, every row of the array, while the load above charges
-    # only the rows it uses; which of the two is right is still open, and
-    # changing either changes the modelled energy.
-    merges = [merge_steps(tile, catalog) for tile in tiles]
+    # into the scratch column a of its row group's AP
     for ep, level in enumerate(sched.tree, epoch + sched.TREE):
         for og, dst, src in level:
             srcs = [state.ap(ap) for ap in sched.bundle(og, src)]
@@ -695,16 +702,13 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
 
     # readout at the tree roots, one block of accumulator planes a root and
     # tile, then requantize in the controller
-    positions = shape.h_out * shape.w_out
-    acc = np.zeros((shape.c_out, positions), dtype=np.int64)
-    prov_new = np.zeros((shape.c_out, positions), dtype=np.int64)
-    readout = epoch + sched.readout
+    shape = lp.shape
+    acc = np.zeros((shape.c_out, shape.h_out * shape.w_out), dtype=np.int64)
     for og, tile in enumerate(tiles):
         cols = range(tile.acc0, tile.carry)
         for rg, ru in enumerate(sched.rows_used):
-            root = sched.ap(rg, og, 0)
-            vals = _read_out(state, root, cols, tile.acc_width, ru, layer,
-                             readout)
+            vals = state.ap(sched.ap(rg, og, 0)).peek_block(
+                cols, 0, tile.acc_width, ru)
             bad = (vals.min(axis=1) < tile.acc_lo) | \
                 (vals.max(axis=1) > tile.acc_hi)
             if bad.any():
@@ -712,15 +716,11 @@ def _run_conv(state: SimState, lp: ConvLayer, layer: int, cur: FeatureMap,
                     f"layer {layer}: accumulator for channel "
                     f"{tile.c_lo + int(bad.argmax())} left its proven "
                     f"interval [{tile.acc_lo}, {tile.acc_hi}]")
-            base_pos = rg * geo.rows
-            acc[tile.c_lo:tile.c_hi, base_pos:base_pos + ru] = vals
-            prov_new[tile.c_lo:tile.c_hi, base_pos:base_pos + ru] = root
-    ofm = FeatureMap(
+            acc[tile.c_lo:tile.c_hi, rg * rows:rg * rows + ru] = vals
+    return FeatureMap(
         requantize(acc.reshape(shape.c_out, shape.h_out, shape.w_out),
                    lp.quant),
         lp.out_bits)
-    prov_new = prov_new.reshape(shape.c_out, shape.h_out, shape.w_out)
-    return ofm, prov_new, epoch + sched.epochs
 
 
 def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
@@ -741,18 +741,12 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     state = SimState(program.geometry)
     trace: list[FeatureMap] = []
     cur = ifm
-    prov: np.ndarray | None = None
-    epoch = 0
-    for layer, lp in enumerate(program.layers):
-        if lp.kind == "conv":
-            cur, prov, epoch = _run_conv(state, lp, layer, cur, prov,
-                                         catalog, epoch)
+    for lp in program.layers:
+        plan = state.layer(lp, catalog)
+        if plan is not None:
+            cur = _run_conv(state, lp, plan, cur)
         elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
-            if prov is not None:
-                # provenance of the surviving max is data-dependent; charge
-                # the block's top-left producer, deterministically
-                prov = prov[:, ::2, ::2]
         else:  # add: controller-side, the skip operand is already host data
             other = ifm if lp.skip_from == -1 else trace[lp.skip_from]
             acc = cur.data.astype(np.int64) + other.data.astype(np.int64)

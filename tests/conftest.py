@@ -65,6 +65,29 @@ def catalog():
     return tables
 
 
+def poke(cam, col, base, width, values, n_rows):
+    """Store `values` as `width`-bit numbers from domain `base` on in rows
+    0..n_rows-1 of column `col` of `cam`, uncharged."""
+    vals = np.asarray(values, dtype=np.int64)
+    bits = vals >> np.arange(width, dtype=np.int64)[:, None] & 1
+    cam.load(col, base, sim._pack_planes(bits), n_rows)
+
+
+def peek(cam, col, base, width, n_rows, signed=True):
+    """The `width`-bit values from domain `base` on in rows 0..n_rows-1 of
+    column `col` of `cam`."""
+    return cam.peek_block([col], base, width, n_rows, signed)[0]
+
+
+def run_steps(state, aps, steps, layer=0, epoch=0):
+    """Charge `steps` on the bundle of `aps`, then run them on its planes,
+    as `sim.run` runs a stream: the derivation first, then the executor."""
+    state.steps(aps, steps, layer, epoch)
+    with sim.Bundle(state, aps, layer, epoch) as bundle:
+        for step in steps:
+            sim.run_macro(bundle, step)
+
+
 @contextlib.contextmanager
 def _logged_counter_updates():
     """Log every `sim.EventCounts.add` call made inside the block, as
@@ -103,22 +126,20 @@ def pair_harness(catalog):
             n = min(geo.rows, len(a_vals) - lo)
             st = sim.SimState(geo)
             cam = st.ap(0)
-            cam.poke(0, 0, k_bits, a_vals[lo:lo + n], n)
+            poke(cam, 0, 0, k_bits, a_vals[lo:lo + n], n)
             a = isa.OperandRef(0, 0, k_bits, True)
             if mode == isa.IN_PLACE:
-                cam.poke(1, 0, m, b_vals[lo:lo + n], n)
+                poke(cam, 1, 0, m, b_vals[lo:lo + n], n)
                 b = isa.OperandRef(1, 0, m, True)
                 mac = isa.MacroInstr(op, mode, negated, m, a, b, (), 0, 3, 4)
                 dest = 1
             else:
-                cam.poke(1, 0, k_bits, b_vals[lo:lo + n], n)
+                poke(cam, 1, 0, k_bits, b_vals[lo:lo + n], n)
                 b = isa.OperandRef(1, 0, k_bits, True)
                 mac = isa.MacroInstr(op, mode, negated, m, a, b, (2,), 0, 3, 4)
                 dest = 2
-            with sim.Bundle(st, [0]) as bundle:
-                sim.run_macro(bundle, isa.decode(
-                    mac, catalog[(op, mode, negated)]))
-            out[lo:lo + n] = cam.peek(dest, 0, m, n, signed=True)
+            run_steps(st, [0], [isa.decode(mac, catalog[op, mode, negated])])
+            out[lo:lo + n] = peek(cam, dest, 0, m, n, signed=True)
         return out
 
     return run_pairs

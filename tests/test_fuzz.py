@@ -7,21 +7,29 @@ program must come back unchanged through program.json. Each of its conv
 streams, decoded once into steps, must run on its bundle of row groups as
 its items' macros run one by one through the micro-op reference on each AP.
 Every item stream the stream rules accept, and every tree merge, must keep
-the macro contract.
+the macro contract. What a run charges must follow from its program alone,
+but for the bits of its tagged writes: the derivation run alone makes every
+other counter of the run, and two inputs change only those bits.
 Every edit of a compiled program must either be rejected by the loader
 with a FormatError or run with at most a toolchain error.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from tapc import isa, sim
+from conftest import run_steps
+from tapc import cli, isa, sim
 from tapc.errors import CapacityError, FormatError, TapcError
 from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
@@ -132,22 +140,22 @@ def _bundle_outcome(geometry, aps, seed, execute):
         cam = state.ap(ap)
         cam.planes = [[rng.getrandbits(geometry.rows) for _ in range(doms)]
                       for _ in range(geometry.columns)]
-        cam.align = {col: rng.randrange(doms)
-                     for col in range(geometry.columns)}
+        state.ports(ap)[0].update({col: rng.randrange(doms)
+                                   for col in range(geometry.columns)})
     execute(state)
-    return ([(cam.planes, cam.align, cam.writes)
-             for cam in map(state.ap, aps)], state.events.bins)
+    return ([(state.ap(ap).planes, state.align[ap], state.writes[ap])
+             for ap in aps], state.events.bins)
 
 
 @given(networks(), geometries, st.sampled_from(OPT_LEVELS),
        st.integers(0, 2**32))
 def test_decoded_streams_match_the_micro_op_reference(catalog, case,
                                                       geometry, opt, seed):
-    """Each conv stream's steps, run on the bundle of its row groups, leave
-    every AP's planes, alignment and write counts, and every counter bin,
-    as its items' macros run one by one through `isa.expand_macro` and
-    `execute_micro_ops` on each AP. Each step is the one `isa.decode` makes
-    of its item's macro."""
+    """Each conv stream's steps, charged and run on the bundle of its row
+    groups, leave every AP's planes, alignment and write counts, and every
+    counter bin, as its items' macros run one by one through
+    `isa.expand_macro` and `execute_micro_ops` on each AP. Each step is the
+    one `isa.decode` makes of its item's macro."""
     net, h, w = case
     try:
         prog = emit_program(net, h, w, geometry, opt)
@@ -170,20 +178,17 @@ def test_decoded_streams_match_the_micro_op_reference(catalog, case,
                                  for macro, phase in macros]
 
                 def bundled(state):
-                    for ap in aps:      # the load leaves the carry at 0
-                        state.ap(ap).align[tile.carry] = 0
-                    with sim.Bundle(state, aps, layer, 1) as bundle:
-                        for step in steps:
-                            sim.run_macro(bundle, step)
+                    for ap in aps:  # the load leaves carry and zero at 0
+                        state.align[ap].update({tile.carry: 0, tile.zero: 0})
+                    run_steps(state, aps, steps, layer, 1)
 
                 def reference(state):
                     for ap in aps:
-                        cam = state.ap(ap)
-                        cam.align[tile.carry] = 0
+                        align = state.align[ap]
+                        align.update({tile.carry: 0, tile.zero: 0})
                         for macro, phase in macros:
                             ops = isa.expand_macro(
-                                macro, _table(catalog, macro),
-                                dict(cam.align))
+                                macro, _table(catalog, macro), dict(align))
                             sim.execute_micro_ops(state, ap, ops, layer,
                                                   phase, 1)
                 assert _bundle_outcome(geometry, aps, seed, bundled) == \
@@ -271,6 +276,122 @@ def test_merge_steps_are_the_reference_adds(catalog, tile):
                        catalog[isa.ADD, isa.IN_PLACE, False], "accum")
             for acc in range(tile.acc0, tile.carry)]
     assert merge_steps(tile, catalog) == want
+
+
+# --- what a run charges follows from its program ----------------------------
+
+# the benchmark ladder's networks: layers, channels, sparsity, activation
+# bits, input extent and columns, compiled at seed 0
+LADDER = {"sim-dense": (4, 32, 0.85, 4, 16, 256),
+          "compile-wide": (4, 64, 0.7, 4, 16, 96),
+          "sim-tiled": (3, 16, 0.85, 8, 24, 256)}
+
+
+def _ladder_program(name):
+    layers, channels, sparsity, bits, hw, columns = LADDER[name]
+    net = make_synthetic_network(layers, channels, sparsity, bits=bits,
+                                 seed=0)
+    return net, emit_program(net, hw, hw, ApGeometry(columns=columns),
+                             "unroll_cse")
+
+
+def assert_derived(prog, ifm, counter_log):
+    """`sim.derive` alone makes the bins of the run's counters, in the same
+    order, and each holds the same sums, but for the write bits and sizes
+    of the tagged rows. Those are exactly what the executor added, in the
+    run's only counter updates that count no events, and are >= 0. The
+    wear, alignment and APs used are the run's too."""
+    with counter_log() as calls:
+        result = sim.run(prog, ifm)
+    charges = sim.derive(prog)
+    tagged = {}
+    for key, n, bits, steps, cycles, size in calls:
+        if n == 0:
+            assert key[4] == sim.WRITE and bits == size >= 0
+            assert steps == cycles == 0
+            tagged[key] = tagged.get(key, 0) + bits
+    derived = charges.events.bins
+    assert list(result.events.bins) == list(derived)
+    for key, (n, bits, steps, cycles, size) in derived.items():
+        more = tagged.pop(key, 0)
+        assert result.events.bins[key] == [n, bits + more, steps, cycles,
+                                           size + more]
+    assert tagged == {}
+    assert charges.writes == result.state.writes
+    assert charges.align == result.state.align
+    assert charges.arrays_used == len(result.state.aps)
+
+
+@given(networks(), geometries, st.sampled_from(OPT_LEVELS), st.integers(0, 3))
+def test_the_derivation_alone_makes_the_runs_counters(counter_log, case,
+                                                      geometry, opt, seed):
+    net, h, w = case
+    try:
+        prog = emit_program(net, h, w, geometry, opt)
+    except (CapacityError, FormatError):
+        return
+    assert_derived(prog, make_synthetic_input(net, h, w, seed=seed),
+                   counter_log)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_the_derivation_alone_makes_a_ladder_runs_counters(counter_log,
+                                                           name):
+    net, prog = _ladder_program(name)
+    hw = LADDER[name][4]
+    assert_derived(prog, make_synthetic_input(net, hw, hw, seed=0),
+                   counter_log)
+
+
+def _replay(prog, seed):
+    """events.csv rows, split, and stats.json of `tapc run --program` of
+    `prog` on the random input of `seed`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "program.json"
+        prog.save(path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--program", str(path), "--seed",
+                             str(seed), "--out-dir", tmp]) == 0
+        rows = [row.split(",") for row in
+                (Path(tmp) / "events.csv").read_text().splitlines()]
+        return rows, json.loads((Path(tmp) / "stats.json").read_text())
+
+
+def assert_input_independent(prog):
+    """Two replays of one program on other inputs write the same events.csv
+    but for the bits and size of its write rows, and the same cycles,
+    hottest column, APs used and search, shift and move energies."""
+    (rows1, stats1), (rows2, stats2) = _replay(prog, 1), _replay(prog, 2)
+    header = rows1[0]
+    data = [i for i, name in enumerate(header) if name in ("bits", "size")]
+    assert len(rows1) == len(rows2)
+    for row1, row2 in zip(rows1, rows2):
+        if row1[0] == "write":
+            for i in data:
+                row1[i] = row2[i] = "tagged"
+        assert row1 == row2
+    for field in ("total_cycles", "max_col_writes", "arrays_used"):
+        assert stats1[field] == stats2[field]
+    for one, two in [(stats1, stats2)] + list(zip(stats1["layers"],
+                                                  stats2["layers"])):
+        for kind in ("search", "shift", "move"):
+            assert one["energy_pj"][kind] == two["energy_pj"][kind]
+
+
+def test_replays_on_other_inputs_differ_only_in_tagged_write_bits():
+    assert_input_independent(_ladder_program("sim-tiled")[1])
+
+
+@settings(max_examples=10)
+@given(networks(), geometries, st.sampled_from(OPT_LEVELS))
+def test_fuzzed_replays_differ_only_in_tagged_write_bits(case, geometry,
+                                                         opt):
+    net, h, w = case
+    try:
+        prog = emit_program(net, h, w, geometry, opt)
+    except (CapacityError, FormatError):
+        return
+    assert_input_independent(prog)
 
 
 # --- edited programs against the loader -------------------------------------

@@ -85,8 +85,9 @@ def _reference_account(program, calls, state, model):
         name=program.name, opt=program.opt, layers=layers,
         total_cycles=tot_cycles, total_ns=tot_cycles * model.cycle_ns,
         energy_pj=tot_energy, phase_pj=tot_phase, adds=tot_adds,
-        subs=tot_subs, arrays_used=len(state.aps),
-        max_col_writes=state.col_write_max(), model=asdict(model))
+        subs=tot_subs, arrays_used=len(state.writes),
+        max_col_writes=max(map(max, state.writes.values()), default=0),
+        model=asdict(model))
 
 
 def assert_same_stats(got, want):
@@ -157,7 +158,8 @@ def test_account_categories_sum_to_total(accounted):
                   for key, _n, bits, _steps, _cycles, size in calls)
         assert stats.total_pj == pytest.approx(raw, rel=1e-9)
         assert stats.arrays_used == len(result.state.aps)
-        assert stats.max_col_writes == result.state.col_write_max()
+        assert stats.max_col_writes == max(map(max,
+                                               result.state.writes.values()))
         assert stats.adds + stats.subs > 0
         assert stats.opt == opt
 
@@ -167,7 +169,7 @@ def test_latency_is_epochwise_max_over_lockstep_aps():
     prog = ApProgram(name="crafted", opt="unroll", in_bits=4, in_c=1,
                      in_h=2, in_w=2, geometry=geo, layers=[PoolLayer()])
     state = sim.SimState(geo)
-    state.ap(0), state.ap(1)
+    state.ports(0), state.ports(1)
     for ap, epoch, record in [
         (0, 0, (sim.SEARCH, 64, 0, 4)),
         (0, 0, (sim.WRITE, 64, 0, 6)),      # ap0, epoch0: 10
@@ -209,7 +211,7 @@ def test_account_of_drawn_logs_matches_the_per_event_fold(
     model = EnergyModel(search, write, shift, move)
     state = sim.SimState(ApGeometry())
     for kind, ap, layer, phase, epoch, bits, steps, cycles in events:
-        state.ap(ap)
+        state.ports(ap)
         state.events.add((ap, layer, phase, epoch, kind), 1, bits, steps,
                          cycles, sim.energy_size(kind, bits, steps))
     assert len(state.events) == len(events)

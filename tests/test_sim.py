@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import peek, poke, run_steps
 from tapc import isa, sim
 from tapc.errors import FormatError, SimulationError, TapcError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
@@ -44,30 +45,30 @@ def check_net(net, h, w, geometry=None, opts=("unroll_cse",), seed=0):
 def test_poke_peek_round_trip():
     cam = sim.SimState(GEO).ap(0)
     vals = np.arange(-32, 32)
-    cam.poke(2, 4, 6, vals, 64)
-    assert np.array_equal(cam.peek(2, 4, 6, 64, signed=True), vals)
+    poke(cam, 2, 4, 6, vals, 64)
+    assert np.array_equal(peek(cam, 2, 4, 6, 64, signed=True), vals)
     unsigned = np.arange(64)
-    cam.poke(3, 0, 6, unsigned, 64)
-    assert np.array_equal(cam.peek(3, 0, 6, 64, signed=False), unsigned)
+    poke(cam, 3, 0, 6, unsigned, 64)
+    assert np.array_equal(peek(cam, 3, 0, 6, 64, signed=False), unsigned)
 
 
 def test_poke_peek_on_rows_not_a_multiple_of_eight():
     cam = sim.SimState(ApGeometry(rows=100, columns=4, domains_per_track=8)).ap(0)
     vals = np.arange(100) % 17 - 8
-    cam.poke(1, 3, 5, vals, 100)
-    assert np.array_equal(cam.peek(1, 3, 5, 100, signed=True), vals)
-    assert np.array_equal(cam.peek(1, 0, 1, 100, signed=False),
+    poke(cam, 1, 3, 5, vals, 100)
+    assert np.array_equal(peek(cam, 1, 3, 5, 100, signed=True), vals)
+    assert np.array_equal(peek(cam, 1, 0, 1, 100, signed=False),
                           np.zeros(100))        # domain 0 unset
-    cam.poke(2, 0, 1, np.ones(100, dtype=np.int64), 100)
-    assert np.array_equal(cam.peek(2, 0, 1, 100, signed=False), np.ones(100))
+    poke(cam, 2, 0, 1, np.ones(100, dtype=np.int64), 100)
+    assert np.array_equal(peek(cam, 2, 0, 1, 100, signed=False), np.ones(100))
 
 
 def test_partial_row_load_keeps_the_rows_above():
     cam = sim.SimState(ApGeometry(rows=100, columns=4, domains_per_track=8)).ap(0)
     old = np.arange(100) % 31
-    cam.poke(0, 2, 5, old, 100)
-    cam.poke(0, 2, 5, np.full(37, 7), 37)
-    got = cam.peek(0, 2, 5, 100, signed=False)
+    poke(cam, 0, 2, 5, old, 100)
+    poke(cam, 0, 2, 5, np.full(37, 7), 37)
+    got = peek(cam, 0, 2, 5, 100, signed=False)
     assert np.array_equal(got[:37], np.full(37, 7))
     assert np.array_equal(got[37:], old[37:])
 
@@ -76,13 +77,13 @@ def test_search_then_write_touches_only_tagged_rows():
     st = sim.SimState(GEO)
     cam = st.ap(0)
     pattern = np.tile([0, 1], 32)
-    cam.poke(0, 0, 1, pattern, 64)
+    poke(cam, 0, 0, 1, pattern, 64)
     sim.execute_micro_ops(st, 0, [
         isa.MicroOp("search", cols=(0,), key=(1,)),
         isa.MicroOp("write", cols=(1,), bits=(1,)),
     ])
-    assert np.array_equal(cam.peek(1, 0, 1, 64, signed=False), pattern)
-    assert cam.writes[1] == 1
+    assert np.array_equal(peek(cam, 1, 0, 1, 64, signed=False), pattern)
+    assert st.writes[0][1] == 1
     assert st.events.bins == {
         # one column, every row sensed
         (0, 0, "dfg", 0, sim.SEARCH): [1, 64, 0, 1, 64],
@@ -138,19 +139,17 @@ def test_alignment_persists_between_macros(catalog):
     st = sim.SimState(GEO)
     cam = st.ap(0)
     table = catalog[(isa.ADD, isa.IN_PLACE, False)]
-    with sim.Bundle(st, [0]) as bundle:
-        sim.run_macro(bundle, isa.decode(make_in_place_add(4), table))
-    assert cam.align[0] == 3 and cam.align[1] == 3
+    run_steps(st, [0], [isa.decode(make_in_place_add(4), table)])
+    assert st.align[0][0] == 3 and st.align[0][1] == 3
     # the second macro plans against live alignment: both operand columns
     # must first walk back down to bit 0
-    ops = isa.expand_macro(make_in_place_add(4), table, dict(cam.align))
+    ops = isa.expand_macro(make_in_place_add(4), table, dict(st.align[0]))
     first_shifts = [op for op in ops if op.kind == "shift"][:2]
     assert sorted(op.col for op in first_shifts) == [0, 1]
     assert all(op.target == 0 and op.steps == 3 for op in first_shifts)
     # the walk up from domain 0 is three one-step shifts a column; the
     # second macro adds a 3-step walk back down to each, in its own epoch
-    with sim.Bundle(st, [0], epoch=1) as bundle:
-        sim.run_macro(bundle, isa.decode(make_in_place_add(4), table))
+    run_steps(st, [0], [isa.decode(make_in_place_add(4), table)], epoch=1)
     shifts = {epoch: st.events.bins[0, 0, "dfg", epoch, sim.SHIFT]
               for epoch in (0, 1)}
     assert shifts == {0: [6, 6 * 64, 6, 6, 6 * 64],
@@ -160,9 +159,9 @@ def test_alignment_persists_between_macros(catalog):
 def test_carry_column_must_sit_at_domain_zero(catalog):
     st = sim.SimState(GEO)
     sim.execute_micro_ops(st, 0, [isa.MicroOp("shift", col=3, target=2, steps=2)])
-    with pytest.raises(FormatError), sim.Bundle(st, [0]) as bundle:
-        sim.run_macro(bundle, isa.decode(
-            make_in_place_add(4), catalog[(isa.ADD, isa.IN_PLACE, False)]))
+    with pytest.raises(FormatError):
+        run_steps(st, [0], [isa.decode(
+            make_in_place_add(4), catalog[(isa.ADD, isa.IN_PLACE, False)])])
 
 
 def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
@@ -174,13 +173,13 @@ def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
     state = sim.SimState(GEO)
     cam = state.ap(0)
     for col in range(GEO.columns):
-        cam.poke(col, 0, 4, np.arange(64) % 16, 64)
+        poke(cam, col, 0, 4, np.arange(64) % 16, 64)
     planes = copy.deepcopy(cam.planes)
-    with pytest.raises(SimulationError), sim.Bundle(state, [0]) as bundle:
-        sim.run_macro(bundle, isa.decode(macro, table))
+    with pytest.raises(SimulationError):
+        run_steps(state, [0], [isa.decode(macro, table)])
     # checked before anything runs: the last columns keep their contents
     assert cam.planes == planes
-    assert cam.writes == [0] * GEO.columns and len(state.events) == 0
+    assert state.writes[0] == [0] * GEO.columns and len(state.events) == 0
     with pytest.raises(SimulationError):
         sim.execute_micro_ops(state, 0, isa.expand_macro(macro, table, {}))
 
@@ -193,6 +192,7 @@ TABLE_KEYS = [(op, mode, False) for op in (isa.ADD, isa.SUB)
     [(op, isa.OUT_OF_PLACE, True) for op in (isa.ADD, isa.SUB)]
 # contract errors, each raised by both executors, and the error they raise
 FAULTS = {"other-table": FormatError, "carry-shifted": FormatError,
+          "zero-shifted": FormatError,
           "carry-default": SimulationError, "zero-default": SimulationError,
           "column-past-end": SimulationError,
           "column-minus-1": SimulationError,
@@ -249,12 +249,17 @@ def macro_cases(draw):
     n_dest = len(dests)
     align = draw(st.dictionaries(st.integers(0, DIFF_COLUMNS - 1),
                                  st.integers(0, DIFF_DOMAINS - 1)))
-    align.pop(carry, None)
+    align.pop(carry, None)      # the load leaves the carry and zero
+    align.pop(zero, None)       # columns at domain 0
     fault = draw(st.sampled_from((None,) * len(FAULTS) + tuple(FAULTS)))
     if fault == "other-table":
         key = draw(st.sampled_from([k for k in TABLE_KEYS if k != key]))
     elif fault == "carry-shifted":
         align[carry] = draw(st.integers(1, DIFF_DOMAINS - 1))
+    elif fault == "zero-shifted":     # an error only where read at its port
+        align[zero] = draw(st.integers(1, DIFF_DOMAINS - 1))
+        if not isa.reads_zero(macro) or zero in (a.col, b.col):
+            fault = None
     elif fault == "carry-default":
         macro.carry_col = -1
     elif fault == "zero-default":     # an error only where it is read
@@ -319,23 +324,22 @@ def _macro_outcome(rows, align, seed, execute):
     rng = random.Random(seed)
     cam.planes = [[rng.getrandbits(rows) for _ in range(DIFF_DOMAINS)]
                   for _ in range(DIFF_COLUMNS)]
-    cam.align = dict(align)
+    state.ports(0)[0].update(align)
     try:
         execute(state, cam)
     except TapcError as exc:
         return type(exc)
-    return cam.planes, cam.align, cam.writes, state.events.bins
+    return cam.planes, state.align[0], state.writes[0], state.events.bins
 
 
 def _executors(macro, table):
-    """`run_macro` and its micro-op reference, as `_macro_outcome` runs
-    them."""
+    """The derivation and `run_macro`, and their micro-op reference, as
+    `_macro_outcome` runs them."""
     def direct(state, cam):
-        with sim.Bundle(state, [0], 2, 5) as bundle:
-            sim.run_macro(bundle, isa.decode(macro, table, "accum"))
+        run_steps(state, [0], [isa.decode(macro, table, "accum")], 2, 5)
 
     def reference(state, cam):
-        ops = isa.expand_macro(macro, table, dict(cam.align))
+        ops = isa.expand_macro(macro, table, dict(state.align[0]))
         sim.execute_micro_ops(state, 0, ops, 2, "accum", 5)
     return direct, reference
 
@@ -415,7 +419,8 @@ def test_macro_contract_on_shared_columns(catalog, name):
 def stream_cases(draw):
     """A stream of macros that keep the contract, on carry column 0 and zero
     column 1, each with its phase, and the starting alignments of 2-3 APs
-    (the carry column at domain 0 on each)."""
+    (the carry and zero columns at domain 0 on each, as the load leaves
+    them)."""
     stream = []
     for _ in range(draw(st.integers(1, 4))):
         key = draw(st.sampled_from(TABLE_KEYS))
@@ -423,7 +428,7 @@ def stream_cases(draw):
                                             range(2, DIFF_COLUMNS))),
                        key, draw(st.sampled_from(("dfg", "accum")))))
     aligns = draw(st.lists(
-        st.dictionaries(st.integers(1, DIFF_COLUMNS - 1),
+        st.dictionaries(st.integers(2, DIFF_COLUMNS - 1),
                         st.integers(0, DIFF_DOMAINS - 1)),
         min_size=2, max_size=3))
     return draw(st.integers(1, 40)), stream, aligns, draw(
@@ -432,9 +437,10 @@ def stream_cases(draw):
 
 def _stream_outcome(rows, aligns, seed, execute):
     """Each AP's planes, alignment and write counts, and the counters,
-    after `execute(state, aps)`. Every row of every AP starts
-    with its own random bits, so the APs differ in the rows a partially
-    filled group leaves stale as well as in the rows it uses."""
+    after `execute(state, aps)`, or the type of the error it raises. Every
+    row of every AP starts with its own random bits, so the APs differ in
+    the rows a partially filled group leaves stale as well as in the rows
+    it uses."""
     state = sim.SimState(ApGeometry(rows=rows, columns=DIFF_COLUMNS,
                                     domains_per_track=DIFF_DOMAINS))
     rng = random.Random(seed)
@@ -443,37 +449,38 @@ def _stream_outcome(rows, aligns, seed, execute):
         cam = state.ap(ap)
         cam.planes = [[rng.getrandbits(rows) for _ in range(DIFF_DOMAINS)]
                       for _ in range(DIFF_COLUMNS)]
-        cam.align = dict(align)
-    execute(state, aps)
-    return ([(cam.planes, cam.align, cam.writes)
-             for cam in map(state.ap, aps)], state.events.bins)
+        state.ports(ap)[0].update(align)
+    try:
+        execute(state, aps)
+    except TapcError as exc:    # a step that reads a shifted zero column
+        return type(exc)
+    return ([(state.ap(ap).planes, state.align[ap], state.writes[ap])
+             for ap in aps], state.events.bins)
 
 
 @given(stream_cases())
 def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
-    """One bundle over all the APs leaves each AP's planes, alignment and
-    write counts, and every counter bin, as running the stream on each AP
-    alone does, with `run_macro` or the micro-op reference."""
+    """Charging and running the stream on one bundle over all the APs
+    leaves each AP's planes, alignment and write counts, and every counter
+    bin, as doing so for each macro on each AP alone does, or running the
+    micro-op reference."""
     rows, stream, aligns, seed = case
+    steps = [isa.decode(macro, catalog[key], phase)
+             for macro, key, phase in stream]
 
     def bundled(state, aps):
-        with sim.Bundle(state, aps, 2, 5) as bundle:
-            for macro, key, phase in stream:
-                sim.run_macro(bundle, isa.decode(macro, catalog[key],
-                                                 phase))
+        run_steps(state, aps, steps, 2, 5)
 
     def alone(state, aps):
         for ap in aps:
-            for macro, key, phase in stream:
-                with sim.Bundle(state, [ap], 2, 5) as bundle:
-                    sim.run_macro(bundle, isa.decode(macro, catalog[key],
-                                                     phase))
+            for step in steps:
+                run_steps(state, [ap], [step], 2, 5)
 
     def reference(state, aps):
         for ap in aps:
             for macro, key, phase in stream:
                 ops = isa.expand_macro(macro, catalog[key],
-                                       dict(state.ap(ap).align))
+                                       dict(state.align[ap]))
                 sim.execute_micro_ops(state, ap, ops, 2, phase, 5)
     want = _stream_outcome(rows, aligns, seed, reference)
     assert _stream_outcome(rows, aligns, seed, alone) == want
@@ -484,16 +491,19 @@ def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
     """`_stream_outcome` of one merge of a tile whose carry is column 5 and
     scratch column 7, so no alignment may move column 5. `bundles` lists
     which of the (destination, source) AP pairs in `pairs` share a bundle;
-    before each add, the source's accumulator moves into the destination's
-    scratch column."""
+    the merge's moves and adds are charged on it, then before each add the
+    source's accumulator moves into the destination's scratch column."""
     tile = Tile(c_lo=0, c_hi=3, acc_lo=-40, acc_hi=40, acc0=2)
     assert (tile.carry, tile.scratch) == (5, 7)
+    steps = merge_steps(tile, catalog)
 
     def execute(state, aps):
         for bundle_pairs in bundles:
             dsts, srcs = zip(*(pairs[i] for i in bundle_pairs))
+            state.moves(dsts, steps, 2, 5)
+            state.steps(dsts, steps, 2, 5)
             with sim.Bundle(state, dsts, 2, 5) as bundle:
-                for step in merge_steps(tile, catalog):
+                for step in steps:
                     bundle.move_in([state.ap(src) for src in srcs],
                                    step.b.col, step.a.col, step.m)
                     sim.run_macro(bundle, step)
@@ -526,18 +536,17 @@ walk_spans = st.integers(0, DIFF_DOMAINS - 1).flatmap(
        st.dictionaries(st.integers(0, DIFF_COLUMNS - 1), walk_spans))
 @example(align={3: 5, 4: 2}, walks={3: (5, 5), 4: (0, 0), 6: (2, 2)})
 def test_walk_replays_the_expanders_port_moves(align, walks):
-    """`CamArray.walk` makes the shifts, domain steps and final alignment
-    of `isa._shift_to` stepping each column's port to its first domain and
+    """`sim.walk` makes the shifts, domain steps and final alignment of
+    `isa._shift_to` stepping each column's port to its first domain and
     then one domain at a time to its last."""
-    cam = sim.CamArray(ApGeometry(rows=8, columns=DIFF_COLUMNS,
-                                  domains_per_track=DIFF_DOMAINS))
-    cam.align = dict(align)
+    got_align = dict(align)
     want_align, ops = dict(align), []
     for col, (first, last) in walks.items():
         for dom in range(first, last + 1):
             isa._shift_to(ops, want_align, col, dom)
-    assert cam.walk(walks) == (len(ops), sum(op.steps for op in ops))
-    assert cam.align == want_align
+    assert sim.walk(got_align, walks) == (len(ops),
+                                          sum(op.steps for op in ops))
+    assert got_align == want_align
 
 
 # --- the event counters ---------------------------------------------------
@@ -689,7 +698,7 @@ def test_simulation_is_deterministic():
     r2 = sim.run(prog, ifm)
     assert sim.export_events(r1.events) == sim.export_events(r2.events)
     assert sim.first_divergence(r1.trace, r2.trace) is None
-    assert r1.state.col_write_max() > 0
+    assert r1.state.max_col_writes > 0
 
 
 # --- diagnostics ----------------------------------------------------------
