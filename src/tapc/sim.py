@@ -17,8 +17,9 @@ and charges every search, write, shift and move through
 counts the rows each bit tags: the load packs each (row group, channel
 group)'s slot planes with one `packbits`, `run_macro` runs each step on a
 `Bundle`'s planes, and the readout decodes each root's accumulators with
-one `unpackbits`. `run` calls both on each layer, the derivation first,
-with the same decoded steps (`isa.Step`, made once per run by
+one `unpackbits`. `run` calls both on each layer, a part at a time: the
+derivation hands the executor each part it has charged, a stream or tree
+merge with its decoded steps (`isa.Step`, made once per run by
 `program.stream_macros` and `merge_steps`). The one alignment a data read
 looks at is the zero column's, for an unsigned operand read past its
 width, and the executor reads its domain 0: the load walks its port there,
@@ -294,9 +295,8 @@ class Charges:
             (phase, _op, _neg, in_place, m, a, b, dest, _rbase, carry,
              walks, passes, (lo, col_hi, dom_hi)) = step
             if carry != checked:    # no step walks its carry column
-                for align, _ in ports:
-                    if align.get(carry, 0):
-                        raise FormatError("carry column must stay at domain 0")
+                if any(align.get(carry, 0) for align, _ in ports):
+                    raise FormatError("carry column must stay at domain 0")
                 checked = carry
             if a.first is None and a.n < m or b.first is None and b.n < m:
                 zero = a.fill if a.first is None and a.n < m else b.fill
@@ -343,24 +343,25 @@ class Charges:
                                  rows)
 
     def layer(self, lp, catalog):
-        """Charge the program's next layer. A conv layer's number, first
-        epoch, schedule, patch map and steps, per (tile, channel group)
-        stream and per tile's merge, are returned for the executor. A pool
-        keeps the top-left producer of a block (its max is data-dependent)."""
-        layer = self.n_layers
+        """Charge the program's next layer. A conv layer is charged part by
+        part, on the pass tables of `catalog`, by the generator returned,
+        which yields each part for the executor once it is charged: after
+        the load, (layer, first epoch, schedule, patch map); per stream and
+        tree merge, (APs, source APs, steps, epoch); then it charges the
+        readout. A pool keeps the top-left producer of a block (its max is
+        data-dependent), and an add runs in the controller."""
         self.n_layers += 1
         if lp.kind == "pool" and self.prov is not None:
             self.prov = self.prov[:, ::2, ::2]
-        if lp.kind != "conv":
-            return None     # an add runs in the controller
+        return self._conv(lp, catalog) if lp.kind == "conv" else None
+
+    def _conv(self, lp, catalog):
         geo, events, epoch = self.geometry, self.events, self.epoch
-        rows, shape, in_bits, tiles = geo.rows, lp.shape, lp.in_bits, lp.tiles
+        layer, rows, tiles = self.n_layers - 1, geo.rows, lp.tiles
+        shape, in_bits = lp.shape, lp.in_bits
         pim = im2col_indices(shape)
         sched = schedule(shape, in_bits, geo, len(tiles))
         groups = sched.channel_groups
-        streams = [[stream_macros(items, tile, pim.slots, in_bits, catalog)
-                    for items in row] for tile, row in zip(tiles, lp.streams)]
-        merges = [merge_steps(tile, catalog) for tile in tiles]
 
         # load: carry and zero ports home and the zero column cleared, the
         # moves from the producer APs of the values each row group reads,
@@ -387,18 +388,24 @@ class Charges:
                 range(pim.slots), (0, n_doms - 1))), rows)
             events.access(key, WRITE, pim.slots * n_doms,
                           pim.slots * n_doms * ru)
+        yield layer, epoch, sched, pim
 
-        for og, row in enumerate(streams):
-            for cg, steps in enumerate(row):
+        for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
+            for cg, items in enumerate(row):
+                steps = stream_macros(items, tile, pim.slots, in_bits, catalog)
                 self.steps(sched.bundle(og, cg), steps, layer,
                            epoch + sched.STREAM)
+                yield sched.bundle(og, cg), (), steps, epoch + sched.STREAM
         # a move charges rows × w bits, every row of the array, while the
         # load charges only the rows it uses; which of the two is right is
         # still open, and changing either changes the modelled energy
+        merges = [merge_steps(tile, catalog) for tile in tiles]
         for ep, level in enumerate(sched.tree, epoch + sched.TREE):
-            for og, dst, _src in level:
+            for og, dst, src in level:
                 self.moves(sched.bundle(og, dst), merges[og], layer, ep)
                 self.steps(sched.bundle(og, dst), merges[og], layer, ep)
+                yield sched.bundle(og, dst), sched.bundle(og, src), \
+                    merges[og], ep
 
         # readout at the roots: the first column's port home, a search an
         # accumulator bit from domain 0 up, each column left at its top
@@ -417,7 +424,6 @@ class Charges:
                 prov[tile.c_lo:tile.c_hi, rg * rows:rg * rows + ru] = root
         self.prov = prov.reshape(shape.c_out, shape.h_out, shape.w_out)
         self.epoch += sched.epochs
-        return layer, epoch, sched, pim, streams, merges
 
 
 def derive(program: ApProgram) -> Charges:
@@ -426,7 +432,8 @@ def derive(program: ApProgram) -> Charges:
     catalog = isa.standard_catalog()[0]
     charges = Charges(program.geometry)
     for lp in program.layers:
-        charges.layer(lp, catalog)
+        for _part in charges.layer(lp, catalog) or ():
+            pass
     return charges
 
 
@@ -570,8 +577,9 @@ class Bundle:
         """Hand the written planes and the tagged bits back to the APs,
         once, after the last step."""
         for col, doms in self.written.items():
-            for dom, plane in enumerate(self.planes[col]):
+            for dom in range(doms.bit_length()):
                 if doms >> dom & 1:
+                    plane = self.planes[col][dom]
                     for k, cam in enumerate(self.cams):
                         cam.planes[col][dom] = plane >> k * cam.rows & cam.full
         for k, ap in enumerate(self.aps):
@@ -658,10 +666,10 @@ def _slot_planes(patches, channels, lo: int, n_rows: int,
     return _pack_planes(bits)
 
 
-def _run_conv(state: SimState, lp: ConvLayer, plan, cur: FeatureMap):
-    """Move the data of a conv layer the derivation has charged and planned
-    (`Charges.layer`), and return its output."""
-    layer, epoch, sched, pim, streams, merges = plan
+def _run_conv(state: SimState, lp: ConvLayer, parts, cur: FeatureMap):
+    """Move the data of a conv layer, each part once the derivation has
+    charged it (`Charges.layer`), and return its output."""
+    layer, epoch, sched, pim = next(parts)
     rows, in_bits, tiles = state.geometry.rows, lp.in_bits, lp.tiles
     groups = sched.channel_groups
     patches = [extract_patches(cur, pim, ch) for ch in range(lp.c_in)]
@@ -680,25 +688,17 @@ def _run_conv(state: SimState, lp: ConvLayer, plan, cur: FeatureMap):
         for k in range(pim.slots):
             cam.load(k, 0, loads[rg, cg][k * n_doms:(k + 1) * n_doms], ru)
 
-    # per-AP channel DFGs and accumulator folds: the row groups of a (tile,
-    # channel group) run its stream as one bundle
-    for og, row in enumerate(streams):
-        for cg, steps in enumerate(row):
-            with Bundle(state, sched.bundle(og, cg), layer,
-                        epoch + sched.STREAM) as bundle:
-                for step in steps:
-                    run_macro(bundle, step)
-
-    # adder tree across channel groups, a merge on the bundle of its dst
-    # group: before each add, each source AP's copy of its b column moves
-    # into the scratch column a of its row group's AP
-    for ep, level in enumerate(sched.tree, epoch + sched.TREE):
-        for og, dst, src in level:
-            srcs = [state.ap(ap) for ap in sched.bundle(og, src)]
-            with Bundle(state, sched.bundle(og, dst), layer, ep) as bundle:
-                for step in merges[og]:
+    # each stream on the bundle of the row groups of its (tile, channel
+    # group), then the adder tree across channel groups, a merge on the
+    # bundle of its dst group: before each add, each source AP's copy of
+    # its b column moves into the scratch column a of its row group's AP
+    for aps, srcs, steps, ep in parts:
+        srcs = [state.ap(ap) for ap in srcs]
+        with Bundle(state, aps, layer, ep) as bundle:
+            for step in steps:
+                if srcs:
                     bundle.move_in(srcs, step.b.col, step.a.col, step.m)
-                    run_macro(bundle, step)
+                run_macro(bundle, step)
 
     # readout at the tree roots, one block of accumulator planes a root and
     # tile, then requantize in the controller
@@ -742,9 +742,9 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
     trace: list[FeatureMap] = []
     cur = ifm
     for lp in program.layers:
-        plan = state.layer(lp, catalog)
-        if plan is not None:
-            cur = _run_conv(state, lp, plan, cur)
+        parts = state.layer(lp, catalog)
+        if parts is not None:
+            cur = _run_conv(state, lp, parts, cur)
         elif lp.kind == "pool":
             cur = max_pool_2x2(cur)
         else:  # add: controller-side, the skip operand is already host data

@@ -520,10 +520,14 @@ def test_a_wide_bundle_merges_as_each_ap_merges_alone(catalog, rows, aligns,
     2 and 3. On one two-AP bundle that leaves every AP's planes, alignment
     and write counts, and every counter bin, as each merge on its own
     one-AP bundle: each add reads the scratch column its move just wrote,
-    not one the bundle gathered for the add before."""
+    not one the bundle gathered for the add before. Only the moves write
+    the scratch column, each one of the 7-bit accumulators."""
     pairs = [(0, 2), (1, 3)]
-    assert _merge_outcome(catalog, rows, aligns, seed, pairs, [[0, 1]]) == \
-        _merge_outcome(catalog, rows, aligns, seed, pairs, [[0], [1]])
+    got = _merge_outcome(catalog, rows, aligns, seed, pairs, [[0, 1]])
+    assert got == _merge_outcome(catalog, rows, aligns, seed, pairs,
+                                 [[0], [1]])
+    assert [writes[7] for _planes, _align, writes in got[0]] == \
+        [3 * 7, 3 * 7, 0, 0]
 
 
 walk_spans = st.integers(0, DIFF_DOMAINS - 1).flatmap(
