@@ -12,20 +12,19 @@ for the bits its tagged writes write: `Charges` derives that layer by layer
 with no planes (`derive` runs it alone). It keeps each AP's port alignment
 and per-column write count (wear), walks the ports of the load, each step
 and the readout (`walk`), checks each step's carry, zero column and reach,
-and charges every search, write, shift and move through
-`EventCounts.access`, `shift` and `move`. The executor moves only data and
-counts the rows each bit tags: the load packs each (row group, channel
-group)'s slot planes with one `packbits`, `run_macro` runs each step on a
-`Bundle`'s planes, and the readout decodes each root's accumulators with
-one `unpackbits`. `run` calls both on each layer, a part at a time: the
-derivation hands the executor each part it has charged, a stream or tree
-merge with its decoded steps (`isa.Step`, made once per run by
-`program.stream_macros` and `merge_steps`). The one alignment a data read
-looks at is the zero column's, for an unsigned operand read past its
-width, and the executor reads its domain 0: the load walks its port there,
-no step writes it, a step walks it only as a one-bit operand, from domain 0
-to 0 (`isa.make_step`), and the derivation rejects a step that would read
-it off domain 0, as it rejects a carry column off domain 0.
+and charges it all through `EventCounts.access`, `shift` and `move`.
+The executor moves only data and counts the rows each bit tags: the load
+packs each (row group, channel group)'s slot planes with one `packbits`,
+`run_macro` runs each step on a `Bundle`'s planes, and the readout decodes
+each root's accumulators with one `unpackbits`. `run` calls both, a part
+of a layer at a time: the derivation hands the executor each part it has
+charged, a stream or tree merge with its decoded steps (`isa.Step`, made
+once per run by `program.stream_macros` and `merge_steps`). The one
+alignment a data read looks at is the zero column's, past an unsigned
+operand's width, and the executor reads its domain 0: the load walks its
+port there, no step writes it, a step walks it only as a one-bit operand,
+from domain 0 to 0 (`isa.make_step`), and the derivation rejects a step
+that would read it elsewhere, as it rejects a carry column off domain 0.
 
 `run_macro` runs each bit of an add/sub macro as one bit-parallel full
 add or subtract: the result and carry planes are `isa.reference_bit` of
@@ -253,11 +252,10 @@ def walk(align: dict[int, int], walks) -> tuple[int, int]:
 
 class Charges:
     """The derivation: every charge of a run that follows from the program
-    alone, which is all but the bits of its tagged writes, made in the
-    order the executor used to make them, so `metrics` sums each layer's
-    floats in the same order. `align[ap]` maps an AP's columns to the
-    domain each port faces and `writes[ap]` counts each column's write
-    cycles (wear), both made on first touch (`ports`)."""
+    alone, all but the bits of its tagged writes, in the order `run` meets
+    them, the order `metrics` sums each layer's floats in. `align[ap]` maps
+    an AP's columns to the domain each port faces and `writes[ap]` counts
+    each column's write cycles (wear), both made on first touch (`ports`)."""
 
     def __init__(self, geometry: ApGeometry):
         self.geometry = geometry
@@ -392,10 +390,11 @@ class Charges:
 
         for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
             for cg, items in enumerate(row):
+                aps, ep = sched.bundle(og, cg), epoch + sched.STREAM
                 steps = stream_macros(items, tile, pim.slots, in_bits, catalog)
-                self.steps(sched.bundle(og, cg), steps, layer,
-                           epoch + sched.STREAM)
-                yield sched.bundle(og, cg), (), steps, epoch + sched.STREAM
+                self.steps(aps, steps, layer, ep)
+                yield aps, (), steps, ep
+                del steps       # before the next stream is decoded
         # a move charges rows × w bits, every row of the array, while the
         # load charges only the rows it uses; which of the two is right is
         # still open, and changing either changes the modelled energy
@@ -699,6 +698,7 @@ def _run_conv(state: SimState, lp: ConvLayer, parts, cur: FeatureMap):
                 if srcs:
                     bundle.move_in(srcs, step.b.col, step.a.col, step.m)
                 run_macro(bundle, step)
+        del steps               # before the derivation decodes the next
 
     # readout at the tree roots, one block of accumulator planes a root and
     # tile, then requantize in the controller
