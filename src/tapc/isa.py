@@ -430,10 +430,9 @@ def result_columns(macro: MacroInstr, table: LutTable,
     if align.get(macro.carry_col, 0) != 0:
         raise FormatError("carry column must stay at domain 0")
     a, b, carry = macro.a, macro.b, macro.carry_col
-    if reads_zero(macro) and macro.zero_col not in (a.col, b.col) and \
-            align.get(macro.zero_col, 0):
-        raise FormatError("zero column must stay at domain 0")
     searched = {a.col, macro.zero_col} if reads_zero(macro) else {a.col}
+    if searched - {a.col, b.col} and align.get(macro.zero_col, 0):
+        raise FormatError("zero column must stay at domain 0")  # its port
     if carry in searched or carry == b.col or carry in dest_cols:
         raise FormatError(f"carry column {carry} is also an operand, zero or "
                           f"result column")

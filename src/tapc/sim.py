@@ -406,7 +406,8 @@ class Charges:
                 yield sched.bundle(og, dst), sched.bundle(og, src), \
                     merges[og], ep
 
-        # readout at the roots: the first column's port home, a search an
+        # readout at the roots: the first column's port home, charged first
+        # as `metrics` sums the kinds in first-charge order, then a search an
         # accumulator bit from domain 0 up, each column left at its top
         prov = np.empty((shape.c_out, shape.h_out * shape.w_out), int)
         for og, tile in enumerate(tiles):
