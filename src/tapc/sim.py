@@ -188,8 +188,7 @@ def _decode(planes: list[int], rows: int, n_rows: int, width: int,
     return vals
 
 
-def _check_track(geometry: ApGeometry, col: int, base: int = 0,
-                 width: int = 1):
+def _check_track(geometry: ApGeometry, col: int, base: int, width: int):
     """Raise SimulationError unless `col` has domains [base, base + width)."""
     if not 0 <= col < geometry.columns:
         raise SimulationError(
@@ -302,10 +301,10 @@ class Charges:
                     if align.get(zero, 0):
                         raise FormatError("zero column must stay at domain 0")
             if lo < 0 or col_hi >= columns or dom_hi >= domains:
-                _check_track(geo, carry)
+                _check_track(geo, carry, 0, 1)
                 for ref in (a, b):
                     if ref.n < m:
-                        _check_track(geo, ref.fill)
+                        _check_track(geo, ref.fill, 0, 1)
                 for col, (first, last) in walks.items():
                     _check_track(geo, col, first, last - first + 1)
             acc = sums[phase]
