@@ -400,10 +400,10 @@ class Charges:
         merges = [merge_steps(tile, catalog) for tile in tiles]
         for ep, level in enumerate(sched.tree, epoch + sched.TREE):
             for og, dst, src in level:
-                self.moves(sched.bundle(og, dst), merges[og], layer, ep)
-                self.steps(sched.bundle(og, dst), merges[og], layer, ep)
-                yield sched.bundle(og, dst), sched.bundle(og, src), \
-                    merges[og], ep
+                aps = sched.bundle(og, dst)
+                self.moves(aps, merges[og], layer, ep)
+                self.steps(aps, merges[og], layer, ep)
+                yield aps, sched.bundle(og, src), merges[og], ep
 
         # readout at the roots: the first column's port home, charged first
         # as `metrics` sums the kinds in first-charge order, then a search an
