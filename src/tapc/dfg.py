@@ -19,18 +19,19 @@ i.e. one input channel of one layer, or a contiguous range of its rows.
 Both opt levels start from the rows' signed slot terms (`row_terms`), taken
 once per system; `shared_terms` runs the pair extraction on a copy under
 CSE. `number_nodes` is the one numbering of the resulting temporaries and
-rows: parallel per-node lists of kind, operands, value interval, use count
+rows, and the one representation of a channel's graph: parallel per-node
+lists of kind, operands, value interval over inputs in [0, 1], use count
 and one (node, sign) tag per row, each interval computed as its op is
-made. The scheduler plans columns straight from those lists. The graph
-interface (`DataFlowGraph`, `graph_from_terms`, `build_dfg`,
-`eliminate_common_subexpressions`, `annotate_bitwidths`, `dfg_evaluate`)
-reads the same numbering and serves the checks of the graph itself.
+made. The scheduler plans columns straight from that table.
+`DataFlowGraph` is a view of it that also keeps the rows' terms, from which
+CSE reruns, and the top input value, by which `annotate_bitwidths` scales
+the table's intervals; `dfg_evaluate` checks a graph against them.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,42 +39,6 @@ import numpy as np
 from .lowering import LinearSystem
 
 INPUT, ADD, SUB, ZERO = "input", "add", "sub", "zero"
-
-
-@dataclass
-class DfgNode:
-    id: int
-    kind: str
-    slot: int = -1            # input nodes: patch slot index
-    lhs: int = -1             # add/sub: operand node ids
-    rhs: int = -1
-    output_tags: list = field(default_factory=list)   # (row, sign) pairs
-    lo: int = 0               # value interval, filled by annotate_bitwidths
-    hi: int = 0
-    width: int = 0            # minimal two's-complement width for [lo, hi]
-    use_count: int = 0        # operand uses plus output tags
-
-
-@dataclass
-class DataFlowGraph:
-    """Topologically ordered nodes computing every row of one LinearSystem."""
-
-    channel: int
-    n_rows: int
-    n_slots: int
-    nodes: list[DfgNode] = field(default_factory=list)
-
-    @property
-    def op_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind in (ADD, SUB))
-
-    def row_tags(self) -> list[tuple[int, int]]:
-        """Per output row: (node id, sign), exactly one tag per row."""
-        tags: dict[int, tuple[int, int]] = {}
-        for node in self.nodes:
-            for row, sign in node.output_tags:
-                tags[row] = (node.id, sign)
-        return [tags[r] for r in range(self.n_rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +58,12 @@ def row_terms(matrix: np.ndarray) -> list[dict[int, int]]:
 
 class NodeTable(NamedTuple):
     """One channel's nodes in topological order as parallel lists indexed
-    by node id: the one numbering that `DataFlowGraph` and the scheduler's
-    column planner both read.
+    by node id: the one numbering that `DataFlowGraph` views and the
+    scheduler's column planner reads.
 
     `lo` and `hi` bound each node's value over inputs in [0, 1]; every node
     is a signed sum of distinct inputs, so scaling both by an input's top
-    value gives the exact interval of `annotate_bitwidths`."""
+    value gives its exact interval over inputs in [0, top]."""
 
     n_slots: int
     kind: list[str]       # INPUT, ADD, SUB or ZERO
@@ -193,18 +158,36 @@ def shared_terms(rows: list[dict[int, int]], n_slots: int, cse: bool
     return _extract_pairs(rows, n_slots), rows
 
 
-def _emit(channel: int, n_rows: int, n_slots: int,
-          temp_defs: list[tuple[int, int, int]],
-          rows: list[dict[int, int]]) -> DataFlowGraph:
-    """Materialize `number_nodes`' numbering as a node graph."""
-    t = number_nodes(n_slots, temp_defs, rows)
-    nodes = [DfgNode(n, k, lhs=a, rhs=b, use_count=u) if k in (ADD, SUB)
-             else DfgNode(n, k, slot=a, use_count=u)
-             for n, (k, a, b, u) in enumerate(zip(t.kind, t.lhs, t.rhs,
-                                                  t.uses))]
-    for r, (n, sign) in enumerate(t.tags):
-        nodes[n].output_tags.append((r, sign))
-    return DataFlowGraph(channel, n_rows, n_slots, nodes)
+@dataclass
+class DataFlowGraph:
+    """One LinearSystem's graph, as a view of `number_nodes`' table: the
+    rows' signed slot terms as given (before any extraction), the table
+    numbered from them and the top input value, 0 until
+    `annotate_bitwidths` sets it."""
+
+    channel: int
+    terms: list[dict[int, int]]
+    nodes: NodeTable
+    top: int = 0
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.terms)
+
+    @property
+    def n_slots(self) -> int:
+        return self.nodes.n_slots
+
+    @property
+    def op_count(self) -> int:
+        return sum(k in (ADD, SUB) for k in self.nodes.kind)
+
+    def interval(self, n: int) -> tuple[int, int]:
+        """Node n's value interval over inputs in [0, top]."""
+        return self.nodes.lo[n] * self.top, self.nodes.hi[n] * self.top
+
+    def width(self, n: int) -> int:
+        return min_signed_width(*self.interval(n))
 
 
 def graph_from_terms(channel: int, n_slots: int, rows: list[dict[int, int]],
@@ -212,8 +195,8 @@ def graph_from_terms(channel: int, n_slots: int, rows: list[dict[int, int]],
     """The graph of rows given as signed slot terms (see `row_terms`): with
     `cse`, the shared-pair graph of `eliminate_common_subexpressions`, run on
     a copy of the terms; otherwise one left-to-right chain per row."""
-    return _emit(channel, len(rows), n_slots,
-                 *shared_terms(rows, n_slots, cse))
+    return DataFlowGraph(channel, rows, number_nodes(
+        n_slots, *shared_terms(rows, n_slots, cse)))
 
 
 def build_dfg(system: LinearSystem) -> DataFlowGraph:
@@ -222,46 +205,10 @@ def build_dfg(system: LinearSystem) -> DataFlowGraph:
                             row_terms(system.matrix), cse=False)
 
 
-def _terms_of(g: DataFlowGraph) -> list[dict[int, int]]:
-    """Expand every output row back into signed slot terms (exact for DAGs)."""
-    memo: dict[int, dict[int, int]] = {}
-
-    def expand(nid: int) -> dict[int, int]:
-        if nid in memo:
-            return memo[nid]
-        node = g.nodes[nid]
-        if node.kind == INPUT:
-            out = {node.slot: 1}
-        elif node.kind == ZERO:
-            out = {}
-        else:
-            out = dict(expand(node.lhs))
-            sign = 1 if node.kind == ADD else -1
-            for a, s in expand(node.rhs).items():
-                c = out.get(a, 0) + sign * s
-                if c == 0:
-                    del out[a]
-                elif abs(c) > 1:
-                    # ternary rows never repeat a slot, so coefficients stay
-                    # in {-1, +1}
-                    raise ValueError(
-                        "non-ternary expansion; graph is not row-affine")
-                else:
-                    out[a] = c
-        memo[nid] = out
-        return out
-
-    rows: list[dict[int, int]] = [dict() for _ in range(g.n_rows)]
-    for node in g.nodes:
-        for row, sign in node.output_tags:
-            rows[row] = {a: sign * s for a, s in expand(node.id).items()}
-    return rows
-
-
 def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
     """Greedy shared-pair hoisting over one graph's rows (see
-    `_extract_pairs`), starting from the rows' expanded terms."""
-    return graph_from_terms(g.channel, g.n_slots, _terms_of(g), cse=True)
+    `_extract_pairs`), starting from the rows' stored terms."""
+    return graph_from_terms(g.channel, g.n_slots, g.terms, cse=True)
 
 
 def _extract_pairs(rows: list[dict[int, int]],
@@ -344,20 +291,9 @@ def min_signed_width(lo: int, hi: int) -> int:
 
 
 def annotate_bitwidths(g: DataFlowGraph, input_bits: int) -> DataFlowGraph:
-    """Interval analysis: inputs are unsigned input_bits wide, ops combine exactly."""
-    top = (1 << input_bits) - 1
-    for node in g.nodes:
-        if node.kind == INPUT:
-            node.lo, node.hi = 0, top
-        elif node.kind == ZERO:
-            node.lo = node.hi = 0
-        else:
-            l, r = g.nodes[node.lhs], g.nodes[node.rhs]
-            if node.kind == ADD:
-                node.lo, node.hi = l.lo + r.lo, l.hi + r.hi
-            else:
-                node.lo, node.hi = l.lo - r.hi, l.hi - r.lo
-        node.width = min_signed_width(node.lo, node.hi)
+    """Interval analysis: inputs are unsigned input_bits wide, and the
+    table's exact intervals over [0, 1] scale by the top input value."""
+    g.top = (1 << input_bits) - 1
     return g
 
 
@@ -370,21 +306,23 @@ def dfg_evaluate(g: DataFlowGraph, patch, check_ranges: bool = False) -> np.ndar
     patch = np.asarray(patch, dtype=np.int64)
     if patch.shape != (g.n_slots,):
         raise ValueError(f"patch must have {g.n_slots} entries")
-    values = np.zeros(len(g.nodes), dtype=np.int64)
-    out = np.zeros(g.n_rows, dtype=np.int64)
-    for node in g.nodes:
-        if node.kind == INPUT:
-            v = int(patch[node.slot])
-        elif node.kind == ZERO:
+    x = patch.tolist()
+    kind, lhs, rhs = g.nodes.kind, g.nodes.lhs, g.nodes.rhs
+    values: list[int] = []
+    for n, k in enumerate(kind):
+        if k == INPUT:
+            v = x[lhs[n]]
+        elif k == ZERO:
             v = 0
-        elif node.kind == ADD:
-            v = int(values[node.lhs] + values[node.rhs])
+        elif k == ADD:
+            v = values[lhs[n]] + values[rhs[n]]
         else:
-            v = int(values[node.lhs] - values[node.rhs])
-        if check_ranges and not node.lo <= v <= node.hi:
-            raise AssertionError(
-                f"node {node.id} ({node.kind}) value {v} outside [{node.lo}, {node.hi}]")
-        values[node.id] = v
-        for row, sign in node.output_tags:
-            out[row] = sign * v
-    return out
+            v = values[lhs[n]] - values[rhs[n]]
+        if check_ranges:
+            lo, hi = g.interval(n)
+            if not lo <= v <= hi:
+                raise AssertionError(
+                    f"node {n} ({k}) value {v} outside [{lo}, {hi}]")
+        values.append(v)
+    return np.array([sign * values[n] for n, sign in g.nodes.tags],
+                    dtype=np.int64)

@@ -29,13 +29,12 @@ def test_chain_op_count_matches_unrolled_metric():
 def test_empty_rows_share_one_zero_node():
     m = np.zeros((4, 6), dtype=np.int64)
     m[1, 3] = -1
-    g = dfglib.build_dfg(system_for(m))
-    zero_tags = [nid for nid, _ in g.row_tags()
-                 if g.nodes[nid].kind == dfglib.ZERO]
+    t = dfglib.build_dfg(system_for(m)).nodes
+    zero_tags = [nid for nid, _ in t.tags if t.kind[nid] == dfglib.ZERO]
     assert len(zero_tags) == 3 and len(set(zero_tags)) == 1
     # the single-term row aliases the input with a negative sign
-    nid, sign = g.row_tags()[1]
-    assert g.nodes[nid].kind == dfglib.INPUT and sign == -1
+    nid, sign = t.tags[1]
+    assert t.kind[nid] == dfglib.INPUT and t.lhs[nid] == 3 and sign == -1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -67,7 +66,7 @@ def test_cse_shares_negated_occurrences():
                   [-1, 1, 0, -1]], dtype=np.int64)
     g1 = dfglib.eliminate_common_subexpressions(dfglib.build_dfg(system_for(m)))
     assert g1.op_count == 3
-    tags = g1.row_tags()
+    tags = g1.nodes.tags
     assert tags[1][0] == tags[2][0] and tags[1][1] == -tags[2][1]
 
 
@@ -109,9 +108,10 @@ def test_annotation_intervals_cover_all_inputs():
     g, _ = _graphs(m, bits=4)
     for x in ([0] * 6, [15] * 6, [15, 0, 15, 0, 15, 0]):
         dfglib.dfg_evaluate(g, np.array(x), check_ranges=True)
-    for node in g.nodes:
-        if node.kind in (dfglib.ADD, dfglib.SUB):
-            assert node.width == dfglib.min_signed_width(node.lo, node.hi)
+    for n, kind in enumerate(g.nodes.kind):
+        if kind in (dfglib.ADD, dfglib.SUB):
+            assert g.width(n) == dfglib.min_signed_width(*g.interval(n))
+            assert _least_width_holding(g.width(n), *g.interval(n))
 
 
 @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=6),
@@ -121,23 +121,22 @@ def test_single_row_interval_is_tight(coeffs, bits):
     # exactly [sum of negatives, sum of positives] scaled by the input top
     m = np.array([coeffs], dtype=np.int64)
     g, _ = _graphs(m, bits=bits)
-    nid, sign = g.row_tags()[0]
-    node = g.nodes[nid]
+    nid, sign = g.nodes.tags[0]
     arr = np.array(coeffs)
     top = (1 << bits) - 1
     row_lo = int(arr[arr < 0].sum()) * top
     row_hi = int(arr[arr > 0].sum()) * top
-    if node.kind == dfglib.ZERO:
+    if g.nodes.kind[nid] == dfglib.ZERO:
         assert row_lo == row_hi == 0
         return
-    ends = (sign * node.lo, sign * node.hi)
+    ends = [sign * end for end in g.interval(nid)]
     assert (min(ends), max(ends)) == (row_lo, row_hi)
 
 
 def _reference_cse(g):
     """The full-recount greedy CSE the incremental engine replaced: recount
     every signed pair in every row after each extraction."""
-    rows = dfglib._terms_of(g)
+    rows = [dict(row) for row in g.terms]
     n_slots = g.n_slots
     temp_defs = []
     while True:
@@ -166,17 +165,12 @@ def _reference_cse(g):
                 elif row[u] == -1 and row[v] == -sv:
                     del row[u], row[v]
                     row[temp] = -1
-    return dfglib._emit(g.channel, g.n_rows, n_slots, temp_defs, rows)
-
-
-def _node_list(g):
-    return [(n.kind, n.slot, n.lhs, n.rhs, n.output_tags) for n in g.nodes]
+    return dfglib.number_nodes(n_slots, temp_defs, rows)
 
 
 def _assert_matches_reference(m):
     g = dfglib.build_dfg(system_for(m))
-    assert (_node_list(dfglib.eliminate_common_subexpressions(g))
-            == _node_list(_reference_cse(g)))
+    assert dfglib.eliminate_common_subexpressions(g).nodes == _reference_cse(g)
 
 
 @st.composite
@@ -211,7 +205,8 @@ def _reference_chains(system):
     m = system.matrix
     rows = [{int(k): int(m[r, k]) for k in np.flatnonzero(m[r])}
             for r in range(m.shape[0])]
-    return dfglib._emit(system.channel, m.shape[0], m.shape[1], [], rows)
+    return dfglib.DataFlowGraph(system.channel, rows,
+                                dfglib.number_nodes(m.shape[1], [], rows))
 
 
 @given(ternary_matrices(), st.integers(1, 8), st.data())
@@ -229,7 +224,36 @@ def test_graphs_from_row_terms_match_the_graph_level_passes(m, bits, data):
 
     assert from_terms(True) == dfglib.annotate_bitwidths(
         dfglib.eliminate_common_subexpressions(dfglib.build_dfg(sliced)), bits)
+    # CSE reruns from the rows' terms, not from the graph it is given
+    assert (dfglib.eliminate_common_subexpressions(from_terms(True))
+            == dfglib.eliminate_common_subexpressions(from_terms(False)))
     chains = from_terms(False)
     assert chains == dfglib.annotate_bitwidths(_reference_chains(sliced), bits)
     assert chains == dfglib.annotate_bitwidths(dfglib.build_dfg(sliced), bits)
     assert terms == kept    # CSE ran on a copy
+
+
+def _reference_intervals(g, bits):
+    """Every node's interval recomputed from its operands' intervals: inputs
+    span [0, 2**bits - 1], a zero is [0, 0], and add and sub combine their
+    operands' ends."""
+    t, top = g.nodes, (1 << bits) - 1
+    out = []
+    for kind, a, b in zip(t.kind, t.lhs, t.rhs):
+        if kind == dfglib.INPUT:
+            out.append((0, top))
+        elif kind == dfglib.ZERO:
+            out.append((0, 0))
+        elif kind == dfglib.ADD:
+            out.append((out[a][0] + out[b][0], out[a][1] + out[b][1]))
+        else:
+            out.append((out[a][0] - out[b][1], out[a][1] - out[b][0]))
+    return out
+
+
+@given(ternary_matrices(), st.integers(1, 8), st.booleans())
+def test_annotated_intervals_match_the_operand_rule(m, bits, cse):
+    g = dfglib.annotate_bitwidths(dfglib.graph_from_terms(
+        0, m.shape[1], dfglib.row_terms(m), cse), bits)
+    assert [g.interval(n) for n in range(len(g.nodes.kind))] \
+        == _reference_intervals(g, bits)

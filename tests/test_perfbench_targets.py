@@ -5,12 +5,13 @@ its metrics come from. A rename would otherwise break only the benchmark."""
 import contextlib
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from tapc import cli
+from tapc import cli, dfg
 from tapc.model import make_synthetic_network
 from tapc.program import ApGeometry
 from tapc.scheduler import emit_program, plan_conv_layer
@@ -79,3 +80,19 @@ def test_a_traced_compile_calls_every_compile_stage(harness, tmp_path):
     for name in ("scheduler.plan_conv_layer", "scheduler.allocate_columns",
                  "lowering.lower_layer", "scheduler.ApProgram.dumps"):
         assert calls.get(name, 0) >= 1, name
+
+
+def test_the_graph_check_reports_a_narrow_annotation(harness, monkeypatch):
+    # compile-wide's correctness verdict rests on this check returning its
+    # problems as strings, one per failing layer and channel, not raising
+    wl = harness.Workload("tiny-compile", "compile", 2, 4, 0.5, 4, (4, 4))
+    net, _ = wl.network(3)
+    assert harness.check_cse_graphs(wl, net, 3) == []
+    annotate = dfg.annotate_bitwidths
+    monkeypatch.setattr(dfg, "annotate_bitwidths",
+                        lambda g, bits: annotate(g, bits - 1))
+    problems = harness.check_cse_graphs(wl, net, 3)
+    assert problems
+    for problem in problems:
+        assert re.fullmatch(r"layer \d+ channel \d+: node \d+ \(\w+\) "
+                            r"value -?\d+ outside \[-?\d+, -?\d+\]", problem)

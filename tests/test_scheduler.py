@@ -68,23 +68,23 @@ def _storage_at(plan, column, t, n_slots):
 def test_allocation_invariants(opt, seed):
     matrix = ternary_matrix(24, 9, 0.75, seed)
     plan, g = plan_for(matrix, opt), graph_for(matrix, opt)
-    n_slots = g.n_slots
-    ops = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
+    n_slots, nodes = g.n_slots, g.nodes
+    ops = [n for n, k in enumerate(nodes.kind) if k in (dfglib.ADD, dfglib.SUB)]
     assert plan.op_count == len(plan.macros) == len(ops)
-    for t, (mac, node) in enumerate(zip(plan.macros, ops)):
-        assert mac.op == node.kind
+    for t, (mac, n) in enumerate(zip(plan.macros, ops)):
+        assert mac.op == nodes.kind[n]
         if not mac.dest:    # in place
-            assert node.use_count <= 1
+            assert nodes.uses[n] <= 1
             assert mac.b >= n_slots
             # the result lands exactly where b lived, at the macro width
             birth, death, width, _ = _storage_at(plan, mac.b, t, n_slots)
             assert birth <= t < death
             assert width == mac.m
         else:
-            assert len(mac.dest) == max(node.use_count, 1)
+            assert len(mac.dest) == max(nodes.uses[n], 1)
             assert len(set(mac.dest)) == len(mac.dest)
             assert min(mac.dest) >= n_slots
-        assert mac.m >= node.width
+        assert mac.m >= g.width(n)
 
     # colors form a valid interference coloring over live ranges
     for birth, death, _, color in plan.storages:
@@ -96,15 +96,14 @@ def test_allocation_invariants(opt, seed):
                 assert a[3] != b[3]
 
     # one fold per output row, sign straight off the row tag
-    tags = g.row_tags()
     assert [f[0] for f in plan.folds] == list(range(g.n_rows))
-    for (_r, col, sign), (nid, tag_sign) in zip(plan.folds, tags):
+    for (_r, col, sign), (nid, tag_sign) in zip(plan.folds, nodes.tags):
         assert sign == tag_sign
-        kind = g.nodes[nid].kind
+        kind = nodes.kind[nid]
         if kind == dfglib.ZERO:
             assert col is None
         elif kind == dfglib.INPUT:
-            assert col == g.nodes[nid].slot
+            assert col == nodes.lhs[nid]
         else:
             assert col >= n_slots
 
@@ -126,12 +125,13 @@ def test_multi_use_values_get_one_copy_per_consumer():
                        [1, -1, 0, 1],
                        [-1, 1, 0, -1]], dtype=np.int64)
     plan, g = plan_for(matrix), graph_for(matrix)
-    ops = [n.id for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
+    kind, tags = g.nodes.kind, g.nodes.tags
+    ops = [n for n, k in enumerate(kind) if k in (dfglib.ADD, dfglib.SUB)]
     by_node = dict(zip(ops, plan.macros))
-    t = next(n.id for n in g.nodes if n.kind == dfglib.SUB)
-    u = next(n.id for n in g.nodes if len(n.output_tags) == 2)
-    chain = next(n.id for n in g.nodes
-                 if len(n.output_tags) == 1 and n.kind == dfglib.ADD)
+    n_tags = [sum(x == n for x, _ in tags) for n in range(len(kind))]
+    t = kind.index(dfglib.SUB)
+    u = n_tags.index(2)
+    chain = next(n for n in ops if n_tags[n] == 1 and kind[n] == dfglib.ADD)
     # out of place, one copy per consumer
     assert len(by_node[t].dest) == 2           # one op consumer, one chain
     assert len(by_node[u].dest) == 2           # two fold consumers
@@ -191,30 +191,32 @@ def _reference_allocate(g):
     every storage is dead again before the next channel reuses the pool.
     Coloring is greedy largest-degree-first on the interference graph.
     """
-    op_nodes = [n for n in g.nodes if n.kind in (dfglib.ADD, dfglib.SUB)]
-    step = {n.id: i for i, n in enumerate(op_nodes)}
+    kind, lhs, rhs, uses, tags = (g.nodes.kind, g.nodes.lhs, g.nodes.rhs,
+                                  g.nodes.uses, g.nodes.tags)
+    op_nodes = [n for n, k in enumerate(kind) if k in (dfglib.ADD, dfglib.SUB)]
+    step = {n: i for i, n in enumerate(op_nodes)}
     nsteps = len(op_nodes)
-    is_value = {n.id: n.kind in (dfglib.ADD, dfglib.SUB) for n in g.nodes}
+    is_value = {n: k in (dfglib.ADD, dfglib.SUB) for n, k in enumerate(kind)}
 
     addressing: dict[int, str] = {}
     b_is_lhs: dict[int, bool] = {}
     for n in op_nodes:
-        k_res = max(n.use_count, 1)
-        v_lhs, v_rhs = is_value[n.lhs], is_value[n.rhs]
-        if k_res == 1 and (v_lhs or (n.kind == dfglib.ADD and v_rhs)):
-            addressing[n.id] = isa.IN_PLACE
-            b_is_lhs[n.id] = v_lhs
+        k_res = max(uses[n], 1)
+        v_lhs, v_rhs = is_value[lhs[n]], is_value[rhs[n]]
+        if k_res == 1 and (v_lhs or (kind[n] == dfglib.ADD and v_rhs)):
+            addressing[n] = isa.IN_PLACE
+            b_is_lhs[n] = v_lhs
         else:
-            addressing[n.id] = isa.OUT_OF_PLACE
-            b_is_lhs[n.id] = True
+            addressing[n] = isa.OUT_OF_PLACE
+            b_is_lhs[n] = True
 
     # widen definitions so every in-place destination is stored at op width
-    req = {n.id: n.width for n in op_nodes}
+    req = {n: g.width(n) for n in op_nodes}
     for n in reversed(op_nodes):
-        if addressing[n.id] == isa.IN_PLACE:
-            b_op = n.lhs if b_is_lhs[n.id] else n.rhs
+        if addressing[n] == isa.IN_PLACE:
+            b_op = lhs[n] if b_is_lhs[n] else rhs[n]
             if is_value[b_op]:
-                req[b_op] = max(req[b_op], req[n.id])
+                req[b_op] = max(req[b_op], req[n])
 
     # consumption order fixes which copy each consumer reads
     inst_next: dict[int, int] = {}
@@ -226,11 +228,10 @@ def _reference_allocate(g):
         claims[consumer_key] = (node_id, idx)
 
     for n in op_nodes:
-        if is_value[n.lhs]:
-            claim((n.id, "lhs"), n.lhs)
-        if is_value[n.rhs]:
-            claim((n.id, "rhs"), n.rhs)
-    tags = g.row_tags()
+        if is_value[lhs[n]]:
+            claim((n, "lhs"), lhs[n])
+        if is_value[rhs[n]]:
+            claim((n, "rhs"), rhs[n])
     for r, (node_id, _sign) in enumerate(tags):
         if is_value[node_id]:
             claim(("fold", r), node_id)
@@ -245,20 +246,20 @@ def _reference_allocate(g):
         return s.sid
 
     for n in op_nodes:
-        t = step[n.id]
-        if is_value[n.lhs]:
-            touch((n.id, "lhs"), t)
-        if is_value[n.rhs]:
-            touch((n.id, "rhs"), t)
-        if addressing[n.id] == isa.OUT_OF_PLACE:
-            for i in range(max(n.use_count, 1)):
-                s = _Storage(len(storages), t, t, req[n.id])
+        t = step[n]
+        if is_value[lhs[n]]:
+            touch((n, "lhs"), t)
+        if is_value[rhs[n]]:
+            touch((n, "rhs"), t)
+        if addressing[n] == isa.OUT_OF_PLACE:
+            for i in range(max(uses[n], 1)):
+                s = _Storage(len(storages), t, t, req[n])
                 storages.append(s)
-                storage_of[(n.id, i)] = s.sid
+                storage_of[(n, i)] = s.sid
         else:
-            b_key = (n.id, "lhs" if b_is_lhs[n.id] else "rhs")
+            b_key = (n, "lhs" if b_is_lhs[n] else "rhs")
             sid = storage_of[claims[b_key]]
-            storage_of[(n.id, 0)] = sid
+            storage_of[(n, 0)] = sid
     for r, (node_id, _sign) in enumerate(tags):
         if is_value[node_id]:
             touch(("fold", r), nsteps + r)
@@ -282,34 +283,32 @@ def _reference_allocate(g):
     n_colors = 1 + max((s.color for s in storages), default=-1)
 
     def operand_desc(node_id, consumer_key):
-        node = g.nodes[node_id]
-        if node.kind == dfglib.INPUT:
-            return ["in", node.slot]
+        if kind[node_id] == dfglib.INPUT:
+            return ["in", lhs[node_id]]     # an input's lhs is its slot
         return ["val", storage_of[claims[consumer_key]]]
 
     macros: list[dict] = []
     for n in op_nodes:
-        lhs_d = operand_desc(n.lhs, (n.id, "lhs"))
-        rhs_d = operand_desc(n.rhs, (n.id, "rhs"))
-        b_d, a_d = (lhs_d, rhs_d) if b_is_lhs[n.id] else (rhs_d, lhs_d)
-        if addressing[n.id] == isa.IN_PLACE:
-            width = storages[storage_of[(n.id, 0)]].width
-            dest = [storage_of[(n.id, 0)]]
+        lhs_d = operand_desc(lhs[n], (n, "lhs"))
+        rhs_d = operand_desc(rhs[n], (n, "rhs"))
+        b_d, a_d = (lhs_d, rhs_d) if b_is_lhs[n] else (rhs_d, lhs_d)
+        if addressing[n] == isa.IN_PLACE:
+            width = storages[storage_of[(n, 0)]].width
+            dest = [storage_of[(n, 0)]]
         else:
-            width = req[n.id]
-            dest = [storage_of[(n.id, i)] for i in range(max(n.use_count, 1))]
+            width = req[n]
+            dest = [storage_of[(n, i)] for i in range(max(uses[n], 1))]
         macros.append({
-            "node": n.id, "op": n.kind, "mode": addressing[n.id],
+            "node": n, "op": kind[n], "mode": addressing[n],
             "m": width, "a": a_d, "b": b_d, "dest": dest,
         })
 
     folds: list[tuple] = []
     for r, (node_id, sign) in enumerate(tags):
-        node = g.nodes[node_id]
-        if node.kind == dfglib.ZERO:
+        if kind[node_id] == dfglib.ZERO:
             folds.append((r, None, sign))
-        elif node.kind == dfglib.INPUT:
-            folds.append((r, ["in", node.slot], sign))
+        elif kind[node_id] == dfglib.INPUT:
+            folds.append((r, ["in", lhs[node_id]], sign))
         else:
             folds.append((r, ["val", storage_of[claims[("fold", r)]]], sign))
     return _resolved(g, storages, n_colors, macros, folds)
