@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import FormatError, LutDerivationError
 
@@ -446,112 +445,6 @@ def result_columns(macro: MacroInstr, table: LutTable,
         raise FormatError(f"a and b share column {a.col} as different "
                           f"operands")
     return dest_cols
-
-
-class Operand(NamedTuple):
-    """How a step reads one operand, bit by bit: bits [0, n) from domains
-    `base` on of `col`, then bit n + i from domain min(first + i, last) of
-    `fill`. That is the operand's own sign bit when signed, else the zero
-    column, read at each AP's current port when `first` is None. The fill
-    fields are unused when n is the step's width."""
-
-    col: int
-    base: int
-    n: int
-    fill: int
-    first: int | None
-    last: int | None
-
-
-class Step(NamedTuple):
-    """One macro, decoded for the simulator: everything but the planes,
-    the alignments and the counters is resolved. `walks` maps each ported
-    column to the (first, last) domain of its walk, in the expander's port
-    order; `reach` is (the least column or first domain, the greatest
-    column, the greatest domain) the step touches, for the geometry check.
-    The result lands in domains `rbase` on of the `dest` columns."""
-
-    phase: str
-    op: str
-    negated: bool
-    in_place: bool
-    m: int
-    a: Operand
-    b: Operand
-    dest: tuple
-    rbase: int
-    carry: int
-    walks: dict
-    passes: int
-    reach: tuple
-
-
-# a named tuple built from a tuple without its keyword-parsing constructor
-_new = tuple.__new__
-
-
-def make_step(phase: str, op: str, negated: bool, in_place: bool, m: int,
-              a: tuple, b: tuple, dest: tuple, rbase: int, carry: int,
-              zero: int, table: LutTable) -> Step:
-    """The step of a macro that keeps the macro contract (`result_columns`).
-    `a` and `b` are (column, first domain, stored width, signed); in place,
-    `dest` is b's column and `rbase` its first domain. An operand past its
-    width stays at its sign bit, or, unsigned, reads the zero column where
-    it stands, so it is not ported."""
-    # conditional expressions, not min and max: this runs once an item
-    walks = {}
-    if m:
-        for col, base, width, signed in (b, a):
-            if (signed or width > 0) and col not in walks:
-                top = base + width - 1      # the sign bit's domain
-                last = base + m - 1
-                walks[col] = (base if base < top else top,
-                              last if last < top else top)
-        if not in_place:
-            for col in dest:
-                walks[col] = (rbase, rbase + m - 1)
-    lo = col_hi = carry
-    dom_hi = 0
-    for col, (first, last) in walks.items():
-        lo = col if col < lo else lo
-        lo = first if first < lo else lo
-        col_hi = col if col > col_hi else col_hi
-        dom_hi = last if last > dom_hi else dom_hi
-    reads = []
-    for col, base, width, signed in (a, b):
-        if width >= m:
-            reads.append(_new(Operand, (col, base, m, col, None, None)))
-            continue
-        n = width if width > 0 else 0
-        if signed:
-            top = base + width - 1
-            reads.append(_new(Operand, (col, base, n, col, top, top)))
-            continue
-        lo = zero if zero < lo else lo
-        col_hi = zero if zero > col_hi else col_hi
-        walk = walks.get(zero)
-        reads.append(_new(Operand, (col, base, n, zero, None, None)
-                          if walk is None else
-                          (col, base, n, zero, walk[0] + n, walk[1])))
-    return _new(Step, (phase, op, negated, in_place, m, *reads, tuple(dest),
-                       rbase, carry, walks, table.pass_count,
-                       (lo, col_hi, dom_hi)))
-
-
-def decode(macro: MacroInstr, table: LutTable, phase: str = "dfg") -> Step:
-    """The step of `macro` on `table`, after `result_columns` checks it
-    (against no alignment: where the carry column stands is a run-time
-    fact, which the simulator checks). Only the tests decode macros: to
-    run those the micro-op reference runs, and to check the steps
-    `program.stream_macros` and `program.merge_steps` make."""
-    dest = result_columns(macro, table, {})
-    a, b = macro.a, macro.b
-    in_place = macro.addressing == IN_PLACE
-    return make_step(phase, macro.op_kind, macro.negated, in_place,
-                     macro.width, (a.col, a.base, a.width, a.signed),
-                     (b.col, b.base, b.width, b.signed), dest,
-                     b.base if in_place else macro.dest_base,
-                     macro.carry_col, macro.zero_col, table)
 
 
 def expand_macro(macro: MacroInstr, table: LutTable, align: dict[int, int]) -> list[MicroOp]:

@@ -4,28 +4,25 @@ its one checking loader.
 A program stores only the compiler's decisions. Per conv layer these are
 the shape and requantization, per output tile its channel range,
 accumulator interval and first accumulator column (`Tile`), and per (tile,
-channel group) one item stream that every row group runs, one item list
-per channel of the group. An item stores its op, width and the columns it
-reads and writes. What follows from them is derived here and nowhere else:
-a conv layer's `Schedule` (`schedule`), with its row and channel groups,
-whether its APs fit the geometry, the AP of each (row group, tile, channel
-group), the bundle of each (tile, channel group), one AP per row group,
-the adder tree over channel groups and the epoch of each step; a tile's
-columns (`Tile`); each item's energy phase and the domains, width and
-signedness of its operands, yielded by the one walk that checks a stream
-(`stream_items`); the decoded steps (`isa.Step`, made by `isa.make_step`)
-of a stream's items, made as the walk yields them (`stream_macros`), and
-of a tree merge (`merge_steps`); and the add/sub counts (`macro_counts`).
-A layer's number is its position in `layers`. The pass tables are the
-ISA's (`isa.standard_catalog`), the same for every program, so no program
-stores them.
+channel group) one item stream that every row group runs: an item list per
+channel in the file, one table (`Stream`) here. An item stores its op,
+width and the columns it reads and writes. What follows from them is
+derived here and nowhere else: a conv layer's `Schedule` (`schedule`), with
+its row and channel groups, whether its APs fit the geometry, the AP of
+each (row group, tile, channel group), the bundle of each (tile, channel
+group), one AP per row group, the adder tree over channel groups and the
+epoch of each step; a tile's columns (`Tile`); the decoded steps (`Steps`)
+of a stream, made by the one check of its table (`stream_steps`), and of a
+tree merge (`merge_steps`), with their port walks and bit reads; and the
+add/sub counts (`macro_counts`). A layer's number is its position in
+`layers`. The pass tables are the ISA's (`isa.standard_catalog`), so no
+program stores them.
 
-Every class holds exactly the fields of its JSON object and every item is a
-named tuple, which `json` writes as an array, so one `default=` hook encodes
-the whole program. `ApProgram.from_doc` is the only way a program enters
-from outside. It raises FormatError for anything the compiler could not
-have emitted for the stored geometry, so the simulator and the accounting
-read attributes without checking them again.
+Every class holds exactly the fields of its JSON object, and one `default=`
+hook encodes the whole program. `ApProgram.from_doc` is the only way a
+program enters from outside. It raises FormatError for anything the
+compiler could not have emitted for the stored geometry, so the simulator
+and the accounting read attributes without checking them again.
 """
 
 from __future__ import annotations
@@ -33,7 +30,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from . import dfg as dfglib
 from . import isa
@@ -42,6 +42,8 @@ from .model import LayerShape, QuantSpec
 
 PROGRAM_VERSION = 5
 OPT_LEVELS = ("unroll", "unroll_cse")
+OPS = (isa.ADD, isa.SUB)        # an op's code is its index here
+PHASES = ("dfg", "accum")       # and a step's energy phase's here
 
 
 @dataclass
@@ -87,17 +89,96 @@ class ApGeometry:
 # the typed program
 # ---------------------------------------------------------------------------
 
-class MacroItem(NamedTuple):
-    """An m-bit add or sub of the columns a and b. Out of place the result
-    lands in the `dest` columns; in place `dest` is empty and the result
-    overwrites b. How each operand is read follows from its column
-    (`stream_macros`)."""
+class Stream:
+    """One (tile, channel group) stream as a table, an entry per item in
+    stream order: op (an index into OPS), width m, columns a and b, channel
+    in the group, and `nd` result columns (0 in place: b), which `dest`
+    holds item after item. The file has an item list a channel (`channels`)."""
 
-    op: str
-    m: int
-    a: int
-    b: int
-    dest: tuple[int, ...]
+    __slots__ = ("op", "m", "a", "b", "ch", "nd", "dest", "n_channels")
+
+    def __init__(self, channels):
+        items = list(chain.from_iterable(channels))
+        ops, m, a, b, dest = zip(*items) if items else ((),) * 5
+        self.op = np.fromiter(map(OPS.index, ops), np.int64, len(items))
+        self.m, self.a, self.b = (np.array(x, np.int64) for x in (m, a, b))
+        self.nd = np.fromiter(map(len, dest), np.int64, len(items))
+        self.dest = np.fromiter(chain.from_iterable(dest), np.int64)
+        self.ch = np.repeat(np.arange(len(channels)), [*map(len, channels)])
+        self.n_channels = len(channels)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Stream and self.channels() == other.channels()
+
+    def channels(self) -> list[list[tuple]]:
+        """The file's lists: per channel, its (op, m, a, b, dest) items."""
+        flat, ends = self.dest.tolist(), np.cumsum(self.nd).tolist()
+        items = list(zip(map(OPS.__getitem__, self.op.tolist()),
+                         self.m.tolist(), self.a.tolist(), self.b.tolist(),
+                         map(flat.__getitem__, map(slice, [0, *ends], ends))))
+        cuts = np.cumsum(np.bincount(self.ch, minlength=self.n_channels))
+        return [items[i:j] for i, j in zip([0, *cuts], cuts)]
+
+
+class Steps(NamedTuple):
+    """Decoded macros as a table, an entry per step in run order: energy
+    phase (an index into PHASES), op (into OPS), negated, in place, width m,
+    operands a and b as (column, first domain, stored width, signed)
+    arrays, result-column count `nd` (1 in place: b) and first domain, and
+    pass count; `dest` holds the result columns, step after step."""
+
+    phase: np.ndarray
+    op: np.ndarray
+    negated: np.ndarray
+    in_place: np.ndarray
+    m: np.ndarray
+    a: tuple
+    b: tuple
+    dest: np.ndarray
+    nd: np.ndarray
+    rbase: np.ndarray
+    passes: np.ndarray
+    carry: int
+    zero: int
+
+    def ports(self):
+        """(walks, reads, port). The walks, as `isa.expand_macro` moves the
+        ports: (step, column, first, last domain) arrays, of b, of a if not
+        on a ported b, of the result columns out of place; a signed operand
+        or one of positive width is ported. The reads of a and b, (col,
+        base, n, fill, lo, hi): bits [0, n) from domains `base` on of `col`,
+        then bit n + i from domain min(lo + i, hi) of `fill`, the sign bit,
+        else the zero column along the step's walk of it or, with none, at
+        its port, domain 0, which the derivation checks (`port` marks it)."""
+        m, idx = self.m, np.arange(len(self.m))
+        ported = [(signed != 0) | (width > 0)
+                  for _col, _base, width, signed in (self.b, self.a)]
+        ported[1] &= ~ported[0] | (self.a[0] != self.b[0])
+        parts = []
+        for (col, base, width, _signed), on in zip((self.b, self.a), ported):
+            top = base + width - 1
+            parts.append((idx[on], col[on], np.minimum(base, top)[on],
+                          np.minimum(base + m - 1, top)[on]))
+        owner = np.repeat(idx, self.nd)
+        out = ~self.in_place[owner]
+        first = self.rbase[owner][out]
+        parts.append((owner[out], self.dest[out], first,
+                      first + m[owner][out] - 1))
+        item, col, first, last = walks = tuple(map(np.concatenate,
+                                                   zip(*parts)))
+        on = col == self.zero
+        walked, z_first, z_last = np.zeros((3, len(m)), np.int64)
+        walked[item[on]], z_first[item[on]], z_last[item[on]] = \
+            1, first[on], last[on]
+        port, reads = np.zeros(len(m), bool), []
+        for col, base, width, signed in (self.a, self.b):
+            n, top = np.clip(width, 0, m), base + width - 1
+            hi = np.where(signed, top, z_last)
+            reads.append((col, base, n, np.where(signed, col, self.zero),
+                          np.where(signed, top, np.minimum(z_first + n, hi)),
+                          hi))
+            port |= ~signed.astype(bool) & (n < m) & (walked == 0)
+        return walks, reads, port
 
 
 @dataclass(frozen=True)
@@ -172,8 +253,8 @@ class ConvLayer(_Requantized):
     w_in: int
     in_bits: int
     tiles: list[Tile]
-    # [tile][channel group][channel of the group]
-    streams: list[list[list[list[MacroItem]]]]
+    # [tile][channel group]
+    streams: list[list[Stream]]
     kind: str = "conv"
 
     @property
@@ -230,9 +311,11 @@ class ApProgram:
         return _load(doc)
 
 
-def _encode(obj) -> dict:
-    """JSON object of a program dataclass; items are tuples, which `json`
-    writes as arrays itself."""
+def _encode(obj) -> dict | list:
+    """JSON object of a program dataclass, or a stream's lists; items are
+    tuples, which `json` writes as arrays itself."""
+    if type(obj) is Stream:
+        return obj.channels()
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
@@ -320,120 +403,99 @@ def schedule(shape, in_bits: int, geometry: ApGeometry,
                     n_aps, positions / (row_groups * geometry.rows))
 
 
-def merge_steps(tile: Tile, catalog) -> list[isa.Step]:
-    """The steps of one merge on `tile`, one in-place add per accumulator
-    column b, on the pass tables of `catalog`. Before each, the b column of
-    the source AP moves into the scratch column a of the destination AP;
-    the add then folds it into b. Scratch, accumulators, carry and zero are
-    distinct columns and both operands are signed at the accumulator width,
-    so the adds keep the macro contract (`isa.make_step`)."""
-    w, carry = tile.acc_width, tile.carry
-    table = catalog[isa.ADD, isa.IN_PLACE, False]
-    scratch = (tile.scratch, 0, w, True)
-    return [isa.make_step("accum", isa.ADD, False, True, w, scratch,
-                          (col, 0, w, True), (col,), 0, carry, tile.zero,
-                          table)
-            for col in range(tile.acc0, carry)]
+def merge_steps(tile: Tile, catalog) -> Steps:
+    """The steps of one merge on `tile`, an in-place add per accumulator
+    column b, into which it folds the scratch column a, where the b column
+    of the source AP has moved. Scratch, accumulators, carry and zero are
+    distinct columns, so the adds keep the macro contract."""
+    cols, w = np.arange(tile.acc0, tile.carry), tile.acc_width
+    one, yes = np.ones(len(cols), np.int64), np.ones(len(cols), bool)
+    passes = catalog[isa.ADD, isa.IN_PLACE, False].pass_count
+    return Steps(one * PHASES.index("accum"), one * OPS.index(isa.ADD), ~yes,
+                 yes, one * w, (one * tile.scratch, 0 * one, one * w, yes),
+                 (cols, 0 * one, one * w, yes), cols, one, 0 * one,
+                 one * passes, tile.carry, tile.zero)
 
 
-def stream_items(channels: list[list[MacroItem]], tile: Tile, value0: int,
-                 in_bits: int):
-    """Check the items of one (tile, channel group) stream, whose list i
-    holds the items of the group's channel i, in stream order, and yield
-    each one's (phase, op, m, a, b, dest) as soon as it is checked, its
-    operands as (column, first domain, stored width, signed). `value0` is
-    the layer's slot count, where the value pool starts.
+def stream_steps(stream: Stream, tile: Tile, value0: int, in_bits: int,
+                 catalog) -> Steps:
+    """Check one (tile, channel group) stream and decode its items into
+    steps on the tile's carry and zero columns and the pass tables of
+    `catalog`; the value pool starts at `value0`, the layer's slot count.
 
-    Each operand reads its column as the column holds its data: a patch slot
-    as channel i's unsigned `in_bits`-bit activation, the zero column as one
-    unsigned bit, and a value-pool or accumulator column signed from domain
-    0 at the width of its last write in the stream. An item belongs to the
-    "accum" phase when it writes an accumulator, else to "dfg". Raises
-    FormatError on a read of any other column or of a column not yet
-    written, a write outside the value pool and accumulators, a result
-    column listed twice, an accumulator written at other than the
-    accumulator width, an in-place item whose width is not b's or whose a
-    is its b, an out-of-place item whose result column is one of its
-    operands, and a stream that leaves an accumulator unwritten.
-    """
-    acc0, carry, zero, acc_w = tile.acc0, tile.carry, tile.zero, \
-        tile.acc_width
-    width_of: dict[int, int] = {}    # column -> width of its last write
+    An operand reads a patch slot as channel i's unsigned `in_bits`-bit
+    activation from domain i × in_bits, the zero column as one unsigned bit,
+    and a pool or accumulator column signed from domain 0 at the width of
+    its last write before the item, found by one search of the writes
+    sorted by (column, item). A result starts at domain 0. An item writing
+    an accumulator is in the "accum" phase, else in "dfg". FormatError names
+    the first item that breaks one of the `rules`, or an accumulator no item
+    writes. The rules imply the macro contract (`isa.result_columns`), so
+    no step is checked against it; only where the carry and zero columns
+    stand is left to the simulator."""
+    s, acc0, carry, acc_w = stream, tile.acc0, tile.carry, tile.acc_width
+    n, m, idx, in_place = len(s.m), s.m, np.arange(len(s.m)), s.nd == 0
+    # the columns each item writes, item by item: its results, or b in place
+    owner = np.concatenate([np.repeat(idx, s.nd), idx[in_place]])
+    order = np.argsort(owner, kind="stable")
+    owner, dest = owner[order], np.concatenate([s.dest, s.b[in_place]])[order]
+    by = np.lexsort((owner, dest))
+    keys = dest[by] * (n + 1) + owner[by]
 
-    def read(col, i, j):
-        if 0 <= col < value0:
-            return col, i * in_bits, in_bits, False
-        if col == zero:
-            return zero, 0, 1, False
-        if col in width_of:
-            return col, 0, width_of[col], True
-        what = "before writing it" if value0 <= col < carry else \
-            "outside the slots, value pool, accumulators and zero column"
-        raise FormatError(f"channel {i} item {j} reads column {col} {what}")
-
-    for i, items in enumerate(channels):
-        for j, (op, m, a, b, dest) in enumerate(items):
-            a_ref, b_ref = read(a, i, j), read(b, i, j)
-            written = dest or (b,)
-            if len(set(dest)) != len(dest):
-                raise FormatError(f"channel {i} item {j} lists a result "
-                                  f"column twice")
-            for col in (a, b) if dest else (a,):
-                if col in written:
-                    raise FormatError(f"channel {i} item {j} reads its "
-                                      f"result column {col} as an operand")
-            for col in written:
-                if not value0 <= col < carry:
-                    raise FormatError(f"channel {i} item {j} writes column "
-                                      f"{col}, outside the value pool and "
-                                      f"accumulators")
-                if col >= acc0 and m != acc_w:
-                    raise FormatError(f"channel {i} item {j} writes a "
-                                      f"{acc_w}-bit accumulator at {m} bits")
-            if not dest and b_ref[2] != m:
-                raise FormatError(f"channel {i} item {j} stores a {m}-bit "
-                                  f"result over a {b_ref[2]}-bit b")
-            for col in written:
-                width_of[col] = m
-            yield ("accum" if written[0] >= acc0 else "dfg", op, m, a_ref,
-                   b_ref, dest)
-    for col in range(acc0, carry):
-        if col not in width_of:
-            raise FormatError(f"accumulator column {col} is never written")
-
-
-def stream_macros(channels: list[list[MacroItem]], tile: Tile, value0: int,
-                  in_bits: int, catalog) -> list[isa.Step]:
-    """The steps of one (tile, channel group) stream, each decoded as
-    `stream_items` checks its item, on the tile's carry and zero columns
-    and the pass tables of `catalog` (`isa.standard_catalog`). A result
-    starts at domain 0, as b does in place.
-
-    The stream rules imply the macro contract (`isa.make_step`), so no
-    step is checked against it again: operands and results lie below the
-    carry column and the zero column above it, results lie in the value
-    pool and accumulators, and two reads of one column in one item are one
-    operand. Only where the carry column stands is left to the simulator.
-    """
-    carry, zero = tile.carry, tile.zero
-    return [isa.make_step(phase, op, False, not dest, m, a, b, dest or b[:1],
-                          0, carry, zero, catalog[
-                              op, isa.OUT_OF_PLACE if dest else isa.IN_PLACE,
-                              False])
-            for phase, op, m, a, b, dest in stream_items(channels, tile,
-                                                         value0, in_bits)]
+    def read(col):
+        slot, zero = (col >= 0) & (col < value0), col == tile.zero
+        at = np.searchsorted(keys, col * (n + 1) + idx) - 1
+        last = by[at]       # the column's last write before the item
+        width = np.where(slot, in_bits, np.where(zero, 1, m[owner[last]]))
+        return ((col, np.where(slot, s.ch * in_bits, 0), width,
+                 ~(slot | zero)),
+                ~(slot | zero) & ((at < 0) | (dest[last] != col)))
+    (a, bad_a), (b, bad_b) = read(s.a), read(s.b)
+    same = (dest[by][1:] == dest[by][:-1]) & (owner[by][1:] == owner[by][:-1])
+    rules = [(idx[bad_a | bad_b], "reads a column before writing it, or "
+              "outside the slots, value pool, accumulators and zero column"),
+             (owner[by][1:][same], "lists a result column twice"),
+             (np.append(owner[~in_place[owner] & ((dest == s.a[owner])
+                                                  | (dest == s.b[owner]))],
+                        idx[in_place & (s.a == s.b)]),
+              "reads its result column as an operand"),
+             (owner[(dest < value0) | (dest >= carry) | (dest >= acc0)
+                    & (m[owner] != acc_w)], "writes outside the value pool "
+              f"and accumulators, or a {acc_w}-bit accumulator at another "
+              "width"),
+             (idx[in_place & (b[2] != m)], "stores its result over a b of "
+              "another width")]
+    firsts = [int(items.min(initial=n)) for items, _ in rules]
+    if min(firsts) < n:
+        k = min(firsts)
+        i, j = s.ch[k], k - np.searchsorted(s.ch, s.ch[k])
+        raise FormatError(f"channel {i} item {j} {[*s.channels()[i][j]]} "
+                          f"{rules[firsts.index(k)][1]}")
+    unwritten = np.ones(carry - acc0, bool)
+    unwritten[dest[dest >= acc0] - acc0] = False
+    if unwritten.any():
+        raise FormatError(f"accumulator column {acc0 + unwritten.argmax()} "
+                          f"is never written")
+    passes = np.array([[catalog[op, mode, False].pass_count
+                        for mode in (isa.OUT_OF_PLACE, isa.IN_PLACE)]
+                       for op in OPS])
+    return Steps((dest[np.searchsorted(owner, idx)] >= acc0) * 1, s.op,
+                 np.zeros(n, bool), in_place, m, a, b, dest,
+                 np.maximum(s.nd, 1), np.zeros(n, np.int64),
+                 passes[s.op, in_place * 1], carry, tile.zero)
 
 
 def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
     """Add and sub macros one conv layer issues on its schedule: each row
     group runs each (tile, channel group) stream once, and each tree merge
     runs one add per accumulator of its tile on each row group."""
-    ops = [item.op for row in lp.streams for channels in row
-           for items in channels for item in items]
+    streams = [stream for row in lp.streams for stream in row]
+    subs = sum(int(stream.op.sum()) for stream in streams)
+    adds = sum(len(stream.m) for stream in streams) - subs
     merges = sum(lp.tiles[og].carry - lp.tiles[og].acc0
                  for level in sched.tree for og, _dst, _src in level)
     n = len(sched.rows_used)
-    return n * (ops.count(isa.ADD) + merges), n * ops.count(isa.SUB)
+    return n * (adds + merges), n * subs
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +562,7 @@ def _load(doc) -> ApProgram:
 
     cur = (prog.in_c, prog.in_h, prog.in_w)
     bits = prog.in_bits
+    catalog = isa.standard_catalog()[0]
     out_shapes: list[tuple[int, int, int]] = []
     for idx, ld in enumerate(doc["layers"]):
         where = f"layer {idx}"
@@ -520,7 +583,7 @@ def _load(doc) -> ApProgram:
                    other)
         else:
             try:
-                cur = _conv(layer, where, cur, bits, geo)
+                cur = _conv(layer, where, cur, bits, geo, catalog)
             except CapacityError as exc:
                 raise FormatError(f"{where}: {exc}") from exc
         if cls is not PoolLayer:
@@ -531,7 +594,7 @@ def _load(doc) -> ApProgram:
 
 
 def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
-          geo: ApGeometry) -> tuple[int, int, int]:
+          geo: ApGeometry, catalog) -> tuple[int, int, int]:
     """Check a conv layer against its input and the geometry, replace its
     lists by typed ones and return its output shape. A layer that does not
     fit the geometry raises CapacityError."""
@@ -557,12 +620,12 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
                "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
-    # `_item` and `stream_items` keep every value within a track
+    # `_well_typed` and `stream_steps` keep every value within a track
     groups = schedule(shape, layer.in_bits, geo,
                       len(layer.tiles)).channel_groups
     layer.streams = [
         [_stream(channels, geo, tile, n_slots, layer.in_bits,
-                 len(groups[cg]), f"{where} stream {og}/{cg}")
+                 len(groups[cg]), f"{where} stream {og}/{cg}", catalog)
          for cg, channels in enumerate(_list(row, where, len(groups)))]
         for og, (tile, row) in enumerate(zip(
             layer.tiles, _list(layer.streams, where, len(layer.tiles))))]
@@ -570,24 +633,38 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
 
 
 def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
-            n_channels: int, where: str) -> list[list[MacroItem]]:
-    """A stream's item lists, one per channel of its group, after
-    `stream_items` accepts them."""
-    channels = [[_item(raw, geo, f"{where} channel {i} item {j}")
-                 for j, raw in enumerate(_list(items, where))]
-                for i, items in enumerate(_list(v, where, n_channels))]
+            n_channels: int, where: str, catalog) -> Stream:
+    """A stream's table, from its item lists, one per channel of its group,
+    once `stream_steps` accepts it."""
+    channels = [_list(items, where) for items in _list(v, where, n_channels)]
+    if not _well_typed(list(chain.from_iterable(channels)), geo):
+        i, j, item = next((i, j, item) for i, items in enumerate(channels)
+                          for j, item in enumerate(items)
+                          if not _well_typed([item], geo))
+        raise FormatError(f"{where}: channel {i} item {j} {item!r} is not "
+                          f"[op, m, a, b, [result columns]] with op add or "
+                          f"sub, m in [1, {geo.domains_per_track}] and "
+                          f"columns in [0, {geo.columns})")
+    stream = Stream(channels)
     try:
-        for _checked in stream_items(channels, tile, value0, in_bits):
-            pass
+        stream_steps(stream, tile, value0, in_bits, catalog)
     except FormatError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    return channels
+    return stream
 
 
-def _item(v, geo: ApGeometry, where: str) -> MacroItem:
-    op, m, a, b, dest = _list(v, where, 5)
-    _check(op in (isa.ADD, isa.SUB), where, "unknown macro {!r}", op)
-    _int(m, f"{where} width", 1, geo.domains_per_track)
-    for col in (a, b, *_list(dest, where)):
-        _int(col, where)
-    return MacroItem(op, m, a, b, tuple(dest))
+def _well_typed(items: list, geo: ApGeometry) -> bool:
+    """Whether every item is [op, m, a, b, [result columns]] with a known op,
+    a width that fits a track and columns of the geometry."""
+    if set(map(type, items)) - {list} or set(map(len, items)) - {5}:
+        return False
+    if not items:
+        return True
+    ops, m, a, b, dest = zip(*items)
+    if set(map(type, dest)) - {list}:
+        return False
+    cols = a + b + tuple(chain.from_iterable(dest))
+    return not set(map(type, ops)) - {str} and set(ops) <= set(OPS) and \
+        set(map(type, m + cols)) == {int} and 1 <= min(m) and \
+        max(m) <= geo.domains_per_track and 0 <= min(cols) <= max(cols) < \
+        geo.columns

@@ -52,7 +52,7 @@ from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
 from .model import QuantSpec, TernaryNetwork, _input_bits
 from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
-                      MacroItem, PoolLayer, Tile, macro_counts, schedule)
+                      PoolLayer, Stream, Tile, macro_counts, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ class ChannelPlan(NamedTuple):
 
     op_count: int
     n_colors: int
-    macros: list[MacroItem]
+    macros: list[tuple]       # (op, m, a, b, result columns), a stream's items
     folds: list[tuple]        # (row, column or None for a zero row, sign)
     storages: list[tuple]     # (birth, death, width, color) per storage
 
@@ -174,7 +174,7 @@ def allocate_columns(nodes: dfglib.NodeTable, in_bits: int) -> ChannelPlan:
     column += range(n_slots)
     return ChannelPlan(
         len(ops), len(occupied),
-        [MacroItem(op, m, column[a], column[b], tuple(column[s0:s0 + k]))
+        [(op, m, column[a], column[b], tuple(column[s0:s0 + k]))
          for op, m, a, b, s0, k in steps],
         [(r, None if ref is None else column[ref], sign)
          for r, ref, sign in folds],
@@ -320,10 +320,10 @@ def _requant(quant: QuantSpec) -> dict:
             "shift": quant.requant_shift, "act_kind": quant.activation_kind}
 
 
-def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
-    """Items of the APs holding `group`'s channels for `tile`, one list per
-    channel: its planned macros, then its folds into the accumulators.
-    Every row group runs the same stream."""
+def _stream(tile: _TilePlan, group: list[int]) -> Stream:
+    """The stream of the APs holding `group`'s channels for `tile`, an item
+    list per channel: its planned macros, then its folds into the
+    accumulators. Every row group runs the same stream."""
     acc_w = tile.acc_width
     channels = []
     # the first fold into each accumulator runs out of place over the zero
@@ -338,17 +338,15 @@ def _stream(tile: _TilePlan, group: list[int]) -> list[list[MacroItem]]:
                 continue
             op = isa.ADD if sign > 0 else isa.SUB
             if r in seeded:
-                items.append(MacroItem(op, acc_w, col, tile.acc0 + r, ()))
+                items.append((op, acc_w, col, tile.acc0 + r, ()))
             else:
-                items.append(MacroItem(op, acc_w, col, tile.zero,
-                                       (tile.acc0 + r,)))
+                items.append((op, acc_w, col, tile.zero, (tile.acc0 + r,)))
                 seeded.add(r)
         channels.append(items)
     # accumulators no channel folds into are seeded at the end
-    channels[-1] += [MacroItem(isa.ADD, acc_w, tile.zero, tile.zero,
-                               (tile.acc0 + r,))
+    channels[-1] += [(isa.ADD, acc_w, tile.zero, tile.zero, (tile.acc0 + r,))
                      for r in range(tile.c_hi - tile.c_lo) if r not in seeded]
-    return channels
+    return Stream(channels)
 
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
@@ -364,8 +362,8 @@ def _emit_conv(idx, layer, shape, in_bits, geometry, opt):
                                 for t in tiles])
         # every value lies along one track, one bit per domain; each stream
         # writes its tile's accumulators at their width
-        widest = max(item.m for row in lp.streams for channels in row
-                     for items in channels for item in items)
+        widest = max(int(stream.m.max()) for row in lp.streams
+                     for stream in row)
         if widest > geometry.domains_per_track:
             raise CapacityError(f"{widest}-bit value exceeds "
                                 f"{geometry.domains_per_track} domains per track")

@@ -9,22 +9,15 @@ moves between APs copy whole planes (charged per bit, flat across hops).
 
 A run has two halves. What it costs follows from the program alone, but
 for the bits its tagged writes write: `Charges` derives that layer by layer
-with no planes (`derive` runs it alone). It keeps each AP's port alignment
-and per-column write count (wear), walks the ports of the load, each step
-and the readout (`walk`), checks each step's carry, zero column and reach,
-and charges it all through `EventCounts.access`, `shift` and `move`.
-The executor moves only data and counts the rows each bit tags: the load
-packs each (row group, channel group)'s slot planes with one `packbits`,
-`run_macro` runs each step on a `Bundle`'s planes, and the readout decodes
-each root's accumulators with one `unpackbits`. `run` calls both, a part
-of a layer at a time: the derivation hands the executor each part it has
-charged, a stream or tree merge with its decoded steps (`isa.Step`, made
-once per run by `program.stream_macros` and `merge_steps`). The one
-alignment a data read looks at is the zero column's, past an unsigned
-operand's width, and the executor reads its domain 0: the load walks its
-port there, no step writes it, a step walks it only as a one-bit operand,
-from domain 0 to 0 (`isa.make_step`), and the derivation rejects a step
-that would read it elsewhere, as it rejects a carry column off domain 0.
+with no planes (`derive` runs it alone), with each AP's port alignment and
+per-column write count (wear). It charges a stream or tree merge as one
+table of decoded steps (`program.Steps`), by sums over its columns and by
+differences along each column's walks. The executor moves only data and
+counts the rows each bit tags: the load packs each (row group, channel
+group)'s slot planes with one `packbits`, `run_macro` runs each step (a
+flat tuple of `macro_rows`) on a `Bundle`'s planes, and the readout
+decodes each root's accumulators with one `unpackbits`. `run` calls both,
+a layer's part at a time, once the derivation has charged it.
 
 `run_macro` runs each bit of an add/sub macro as one bit-parallel full
 add or subtract: the result and carry planes are `isa.reference_bit` of
@@ -54,6 +47,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -61,8 +55,8 @@ from . import isa
 from .errors import FormatError, SimulationError
 from .lowering import extract_patches, im2col_indices
 from .model import FeatureMap, max_pool_2x2, requantize
-from .program import (ApGeometry, ApProgram, ConvLayer, merge_steps,
-                      schedule, stream_macros)
+from .program import (PHASES, ApGeometry, ApProgram, ConvLayer, Steps,
+                      merge_steps, schedule, stream_steps)
 
 EVENT_KINDS = ("search", "write", "shift", "move")
 SEARCH, WRITE, SHIFT, MOVE = range(len(EVENT_KINDS))
@@ -249,6 +243,32 @@ def walk(align: dict[int, int], walks) -> tuple[int, int]:
     return shifts, steps
 
 
+def _check_steps(geo: ApGeometry, t: Steps, walks, reads, port,
+                 zero_off: bool):
+    """Raise for the first step of `t` that reads the zero column at its port
+    off domain 0 (FormatError) or reaches past the geometry (SimulationError).
+    `walks` are by (column, step); `zero_off`: the zero port starts off 0."""
+    item, col, first, last = walks
+    n, z_item, z_last = len(t.m), item[col == t.zero], last[col == t.zero]
+    at_port = np.flatnonzero(port)
+    # where the zero column's last walk before the step left its port
+    before = np.searchsorted(z_item, at_port) - 1
+    off = np.where(before >= 0, np.append(z_last, 0)[before] != 0, zero_off)
+    far = [item[(col < 0) | (col >= geo.columns) | (first < 0)
+                | (last >= geo.domains_per_track)]] + [
+        np.flatnonzero((bits < t.m) & ((fill < 0) | (fill >= geo.columns)))
+        for _col, _base, bits, fill, _lo, _hi in reads]
+    i_reach = 0 if not 0 <= t.carry < geo.columns else \
+        min(int(x.min(initial=n)) for x in far)
+    i_zero = int(at_port[off].min(initial=n))
+    if i_zero < n and i_zero <= i_reach:
+        raise FormatError("zero column must stay at domain 0")
+    if i_reach < n:
+        raise SimulationError(
+            f"step {i_reach} reaches past the {geo.columns}-column, "
+            f"{geo.domains_per_track}-domain array")
+
+
 class Charges:
     """The derivation: every charge of a run that follows from the program
     alone, all but the bits of its tagged writes, in the order `run` meets
@@ -277,67 +297,69 @@ class Charges:
     def max_col_writes(self) -> int:
         return max((max(w) for w in self.writes.values()), default=0)
 
-    def steps(self, aps, steps: list[isa.Step], layer: int, epoch: int):
-        """Charge `steps` on the bundle of `aps` as `execute_micro_ops` does
-        their expansions on each AP, but for the tagged rows: per AP and
-        phase, SEARCH, WRITE and SHIFT. A step's carry, and its zero column
-        where read at its port, must face domain 0, and its reach exist."""
-        geo, rows = self.geometry, self.geometry.rows
-        columns, domains = geo.columns, geo.domains_per_track
-        ports = [self.ports(ap) for ap in aps]
-        n = len(ports)
-        sums = defaultdict(lambda: [0, 0, 0, [0] * n, [0] * n])
-        checked = None      # the carry column last found at domain 0
-        for step in steps:
-            (phase, _op, _neg, in_place, m, a, b, dest, _rbase, carry,
-             walks, passes, (lo, col_hi, dom_hi)) = step
-            if carry != checked:    # no step walks its carry column
-                if any(align.get(carry, 0) for align, _ in ports):
-                    raise FormatError("carry column must stay at domain 0")
-                checked = carry
-            if a.first is None and a.n < m or b.first is None and b.n < m:
-                zero = a.fill if a.first is None and a.n < m else b.fill
-                for align, _ in ports:
-                    if align.get(zero, 0):
-                        raise FormatError("zero column must stay at domain 0")
-            if lo < 0 or col_hi >= columns or dom_hi >= domains:
-                _check_track(geo, carry, 0, 1)
-                for ref in (a, b):
-                    if ref.n < m:
-                        _check_track(geo, ref.fill, 0, 1)
-                for col, (first, last) in walks.items():
-                    _check_track(geo, col, first, last - first + 1)
-            acc = sums[phase]
-            searches = passes * m
-            clears = 0 if in_place else m
-            acc[0] += searches
-            acc[1] += 1 + clears + searches
-            acc[2] += rows * (1 + clears * len(dest))
-            for k, (align, writes) in enumerate(ports):
-                n_shifts, n_steps = walk(align, walks)
-                acc[3][k] += n_shifts
-                acc[4][k] += n_steps
-                writes[carry] += 1 + searches
-                for col in dest:
-                    writes[col] += searches + clears
-        for k, ap in enumerate(aps):
-            for phase, (searches, writes, bits, shifts, moved) in sums.items():
-                key = (ap, layer, phase, epoch)
-                self.events.access(key, SEARCH, searches, searches * 3 * rows)
-                self.events.access(key, WRITE, writes, bits)
-                self.events.shift(key, shifts[k], moved[k], rows)
+    def _wear(self, aps, cols, counts):
+        """Add `counts` write cycles to the columns `cols` on each AP."""
+        wear = np.bincount(cols, counts, self.geometry.columns).astype(int)
+        worn = np.flatnonzero(wear)
+        for ap in aps:
+            writes = self.ports(ap)[1]
+            for col, n in zip(worn.tolist(), wear[worn].tolist()):
+                writes[col] += n
 
-    def moves(self, aps, steps: list[isa.Step], layer: int, epoch: int):
+    def steps(self, aps, t: Steps, layer: int, epoch: int):
+        """Charge the steps of `t` on the bundle of `aps` as
+        `execute_micro_ops` does their expansions on each AP, but for the
+        tagged rows: per AP and phase, in the order the steps meet the
+        phases, SEARCH, WRITE and SHIFT, once `_check_steps` passes them. A
+        column's shifts are the differences along its walks, where only the
+        first depends on the AP."""
+        rows = self.geometry.rows
+        ports = [self.ports(ap) for ap in aps]
+        if any(align.get(t.carry, 0) for align, _ in ports):
+            raise FormatError("carry column must stay at domain 0")
+        walks, reads, port = t.ports()
+        by = np.lexsort(walks[:2])
+        item, col, first, last = walks = tuple(x[by] for x in walks)
+        _check_steps(self.geometry, t, walks, reads, port, any(
+            align.get(t.zero, 0) for align, _ in ports))
+        heads = np.flatnonzero(np.append(True, col[1:] != col[:-1]))
+        jump = np.append(0, first[1:] - last[:-1])  # from the walk before
+        jump[heads] = 0
+        span, phase = last - first, t.phase[item]
+        moved = np.logical_or.reduceat((jump != 0) | (span != 0), heads)
+        final = last[np.append(heads[1:], len(col)) - 1]
+        h_col, h_first, h_phase = col[heads], first[heads], phase[heads]
+        searches, clears = t.passes * t.m, np.where(t.in_place, 0, t.m)
+        self._wear(aps, np.append(t.dest, t.carry), np.append(np.repeat(
+            searches + clears, t.nd), (1 + searches).sum()))
+        sums = {}       # phase -> searches, writes, bits, shifts, steps
+        p0 = int(t.phase[0])    # the phases in the order the steps meet them
+        for p in [p0, 1 - p0] if (t.phase != p0).any() else [p0]:
+            on, at = t.phase == p, phase == p
+            sums[p] = [int(x.sum()) for x in (
+                searches[on], (1 + clears + searches)[on],
+                rows * (1 + clears * t.nd)[on], (jump[at] != 0) + span[at],
+                np.abs(jump[at]) + span[at])]
+        for ap, (align, _writes) in zip(aps, ports):
+            into = h_first - [align.get(c, 0) for c in h_col.tolist()]
+            now = moved | (into != 0)
+            align.update(zip(h_col[now].tolist(), final[now].tolist()))
+            for p, (n_search, n_write, bits, shifts, moves) in sums.items():
+                key, on = (ap, layer, PHASES[p], epoch), into[h_phase == p]
+                self.events.access(key, SEARCH, n_search, n_search * 3 * rows)
+                self.events.access(key, WRITE, n_write, bits)
+                self.events.shift(key, shifts + int(np.count_nonzero(on)),
+                                  moves + int(np.abs(on).sum()), rows)
+
+    def moves(self, aps, t: Steps, layer: int, epoch: int):
         """Charge a tree merge's moves on the bundle of `aps`: before each
         step, a source AP's b column moves into the scratch column a of
         each AP, an "accum" move of every row."""
-        rows = self.geometry.rows
+        rows, total = self.geometry.rows, int(t.m.sum())
+        self._wear(aps, t.a[0], t.m)
         for ap in aps:
-            writes = self.ports(ap)[1]
-            for step in steps:
-                writes[step.a.col] += step.m
-                self.events.move((ap, layer, "accum", epoch), rows * step.m,
-                                 rows)
+            self.events.add((ap, layer, "accum", epoch, MOVE), len(t.m),
+                            rows * total, 0, total, rows * total)
 
     def layer(self, lp, catalog):
         """Charge the program's next layer. A conv layer is charged part by
@@ -388,12 +410,11 @@ class Charges:
         yield layer, epoch, sched, pim
 
         for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
-            for cg, items in enumerate(row):
+            for cg, stream in enumerate(row):
                 aps, ep = sched.bundle(og, cg), epoch + sched.STREAM
-                steps = stream_macros(items, tile, pim.slots, in_bits, catalog)
+                steps = stream_steps(stream, tile, pim.slots, in_bits, catalog)
                 self.steps(aps, steps, layer, ep)
                 yield aps, (), steps, ep
-                del steps       # before the next stream is decoded
         # a move charges rows × w bits, every row of the array, while the
         # load charges only the rows it uses; which of the two is right is
         # still open, and changing either changes the modelled energy
@@ -541,24 +562,22 @@ class Bundle:
                     plane |= cam.planes[col][dom] << k * self.rows
                 track[dom] = plane
 
-    def read(self, ref: isa.Operand, m: int) -> list[int]:
-        """The planes an m-bit step searches for one operand, a bit each;
-        an unsigned one reads the zero column's domain 0 past its width."""
-        col, base, n, fill, first, last = ref
+    def read(self, col: int, base: int, n: int, fill: int, lo: int,
+             hi: int, m: int) -> list[int]:
+        """The planes an m-bit step searches for one operand, a bit each,
+        as `Steps.ports` gives its reads."""
         wide, planes = self.wide, self.planes
         if wide:
             self.gather(col, base, base + n)
         got = planes[col][base:base + n]
         if n == m:
             return got
-        if first is None:
-            first = last = 0
         if wide:
-            self.gather(fill, min(first, last), last + 1)
+            self.gather(fill, lo, hi + 1)
         track = planes[fill]
-        if first >= last:
-            return got + [track[last]] * (m - n)
-        return got + [track[min(first + i, last)] for i in range(m - n)]
+        if lo >= hi:
+            return got + [track[hi]] * (m - n)
+        return got + [track[min(lo + i, hi)] for i in range(m - n)]
 
     def move_in(self, srcs, col: int, scratch: int, width: int):
         """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
@@ -588,10 +607,23 @@ class Bundle:
                                      WRITE), 0, tagged[k], 0, 0, tagged[k])
 
 
-def run_macro(bundle: Bundle, step: isa.Step):
-    """Execute one decoded macro on every AP of `bundle`, each bit as one
-    bit-parallel full add or subtract over its (carry, b, a) planes, once
-    for all the bundle's rows, and count the rows each bit tags.
+def macro_rows(t: Steps) -> list[tuple]:
+    """The steps of `t` as `run_macro` reads them, a flat tuple each: phase,
+    op, negated, in place, m, a's and b's reads (`Steps.ports`), the result
+    columns, their first domain and the carry column."""
+    _walks, (a, b), _port = t.ports()
+    flat, ends = t.dest.tolist(), np.cumsum(t.nd).tolist()
+    return list(zip(map(PHASES.__getitem__, t.phase.tolist()),
+                    *(x.tolist() for x in (t.op, t.negated, t.in_place, t.m,
+                                           *a, *b)),
+                    map(flat.__getitem__, map(slice, [0, *ends], ends)),
+                    t.rbase.tolist(), repeat(t.carry)))
+
+
+def run_macro(bundle: Bundle, step: tuple):
+    """Execute one decoded macro (`macro_rows`) on every AP of `bundle`, each
+    bit as one bit-parallel full add or subtract over its (carry, b, a)
+    planes, once for all the bundle's rows, and count the rows each bit tags.
 
     The catalog's tables (`isa.standard_catalog`) take each row from its
     (carry, b, a) state to `isa.reference_bit` of it and tag exactly the
@@ -601,13 +633,13 @@ def run_macro(bundle: Bundle, step: isa.Step):
     (`Charges.steps`) charges the rest of the step, walks its ports,
     counts its wear and checks its carry, zero column and reach.
     """
-    (phase, op, negated, in_place, m, a, b, dest, rbase, carry, _walks,
-     _passes, _reach) = step
-    bs, as_ = bundle.read(b, m), bundle.read(a, m)
+    (phase, sub, negated, in_place, m, a_col, a_base, a_n, a_fill, a_lo,
+     a_hi, b_col, b_base, b_n, b_fill, b_lo, b_hi, dest, rbase, carry) = step
+    bs = bundle.read(b_col, b_base, b_n, b_fill, b_lo, b_hi, m)
+    as_ = bundle.read(a_col, a_base, a_n, a_fill, a_lo, a_hi, m)
 
     # a borrow is the carry of the complemented minuend plus the subtrahend;
     # the negated sub swaps the roles, the negated add complements the sum
-    sub = op == isa.SUB
     us, vs = (as_, bs) if sub and negated else (bs, as_)
     full, wide = bundle.full, bundle.wide
     inv = full if sub else 0
@@ -693,12 +725,12 @@ def _run_conv(state: SimState, lp: ConvLayer, parts, cur: FeatureMap):
     # its b column moves into the scratch column a of its row group's AP
     for aps, srcs, steps, ep in parts:
         srcs = [state.ap(ap) for ap in srcs]
+        moves = zip(steps.b[0].tolist(), steps.a[0].tolist(), steps.m.tolist())
         with Bundle(state, aps, layer, ep) as bundle:
-            for step in steps:
+            for step, move in zip(macro_rows(steps), moves):
                 if srcs:
-                    bundle.move_in(srcs, step.b.col, step.a.col, step.m)
+                    bundle.move_in(srcs, *move)
                 run_macro(bundle, step)
-        del steps               # before the derivation decodes the next
 
     # readout at the tree roots, one block of accumulator planes a root and
     # tile, then requantize in the controller

@@ -10,6 +10,7 @@ removes, and a run leaves no `.hypothesis/` directory in the checkout.
 import contextlib
 import shutil
 import tempfile
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import configuration, settings
 
 from tapc import isa, sim
 from tapc.lowering import LinearSystem
+from tapc.program import OPS, PHASES, Steps
 from tapc.scheduler import ApGeometry
 
 settings.register_profile("tapc", derandomize=True, database=None,
@@ -79,12 +81,47 @@ def peek(cam, col, base, width, n_rows, signed=True):
     return cam.peek_block([col], base, width, n_rows, signed)[0]
 
 
+def decode(macros) -> Steps:
+    """The steps table of (macro, pass table, phase) triples, a row each in
+    order, after `isa.result_columns` checks each macro against no
+    alignment: where the carry and zero columns stand is a run-time fact,
+    which the derivation checks. The macros share one carry and one zero
+    column. Only tests decode `isa.MacroInstr`s: to run those the micro-op
+    reference runs, and to check the tables `program.stream_steps` and
+    `program.merge_steps` make."""
+    rows = []
+    for macro, table, phase in macros:
+        dest = isa.result_columns(macro, table, {})
+        in_place = macro.addressing == isa.IN_PLACE
+        rows.append((PHASES.index(phase), OPS.index(macro.op_kind),
+                     macro.negated, in_place, macro.width,
+                     *(astuple(ref) for ref in (macro.a, macro.b)), dest,
+                     len(dest), macro.b.base if in_place else macro.dest_base,
+                     table.pass_count))
+    (carry,), (zero,) = ({getattr(macro, f) for macro, *_ in macros}
+                         for f in ("carry_col", "zero_col"))
+    (phase, op, negated, in_place, m, a, b, dest, nd, rbase,
+     passes) = zip(*rows)
+    return Steps(*map(np.array, (phase, op, negated, in_place, m)),
+                 *(tuple(map(np.array, zip(*ref))) for ref in (a, b)),
+                 np.array([col for cols in dest for col in cols], np.int64),
+                 *map(np.array, (nd, rbase, passes)), carry, zero)
+
+
+def steps_equal(got: Steps, want: Steps) -> bool:
+    """Whether two steps tables hold the same values, field by field."""
+    return all(np.array_equal(x, y) for x, y in zip(
+        got[:5] + got.a + got.b + got[7:], want[:5] + want.a + want.b
+        + want[7:]))
+
+
 def run_steps(state, aps, steps, layer=0, epoch=0):
-    """Charge `steps` on the bundle of `aps`, then run them on its planes,
-    as `sim.run` runs a stream: the derivation first, then the executor."""
+    """Charge the table `steps` on the bundle of `aps`, then run it on its
+    planes, as `sim.run` runs a stream: the derivation first, then the
+    executor."""
     state.steps(aps, steps, layer, epoch)
     with sim.Bundle(state, aps, layer, epoch) as bundle:
-        for step in steps:
+        for step in sim.macro_rows(steps):
             sim.run_macro(bundle, step)
 
 
@@ -138,7 +175,8 @@ def pair_harness(catalog):
                 b = isa.OperandRef(1, 0, k_bits, True)
                 mac = isa.MacroInstr(op, mode, negated, m, a, b, (2,), 0, 3, 4)
                 dest = 2
-            run_steps(st, [0], [isa.decode(mac, catalog[op, mode, negated])])
+            run_steps(st, [0], decode([(mac, catalog[op, mode, negated],
+                                        "dfg")]))
             out[lo:lo + n] = peek(cam, dest, 0, m, n, signed=True)
         return out
 

@@ -11,7 +11,7 @@ from tapc.errors import FormatError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
                         TernaryWeights, make_synthetic_network,
                         save_feature_map, save_network)
-from tapc.program import ApProgram, schedule, stream_macros
+from tapc.program import PHASES, ApProgram, schedule, stream_steps
 
 
 def run_cli(capsys, *argv):
@@ -521,9 +521,9 @@ def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
         sched = schedule(lp.shape, lp.in_bits, prog.geometry, len(lp.tiles))
         want = {(ap, "io", first) for ap, *_ in sched.grid}
         for ap, _rg, og, cg in sched.grid:
-            want |= {(ap, step.phase, first + 1) for step in stream_macros(
+            want |= {(ap, PHASES[p], first + 1) for p in stream_steps(
                 lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w, lp.in_bits,
-                catalog)}
+                catalog).phase}
         for at, level in enumerate(sched.tree, first + 2):
             want |= {(ap, "accum", at) for og, dst, _src in level
                      for ap in sched.bundle(og, dst)}
@@ -766,6 +766,33 @@ PROGRAM_EDITS = {
 }
 
 
+def _first_reader(d):
+    """The first item after the first stream's first item that reads one of
+    that item's result columns: the read that `read-before-write` leaves
+    without its write."""
+    written = set(_items(d)[0][4] or _items(d)[0][3:4])
+    return next(item for item in _stream(d)[1:]
+                if {item[2], item[3]} & written)
+
+
+# the item each edit of a stream item leaves at fault, found before the edit
+ITEM_AT_FAULT = {
+    **dict.fromkeys(("item-missing-field", "format-3-item", "zero-width-macro",
+                     "column-past-geometry", "stream-reads-scratch"),
+                    lambda d: _items(d)[0]),
+    **dict.fromkeys(("stream-writes-a-slot", "in-place-width",
+                     "in-place-a-is-b"),
+                    lambda d: _first(_stream(d), True)),
+    **dict.fromkeys(("stream-writes-scratch", "repeated-result-column"),
+                    lambda d: _first(_stream(d), False)),
+    "narrow-accumulator-read": _last_fold,
+    "read-before-write": _first_reader,
+    "result-over-operand": lambda d: next(
+        item for item in _stream(d) if item[4] and d["layers"][0]["f_h"]
+        * d["layers"][0]["f_w"] <= item[2] < _columns(d)[0]),
+}
+
+
 @pytest.fixture(scope="module")
 def compiled_program(tmp_path_factory):
     out = tmp_path_factory.mktemp("program")
@@ -779,11 +806,20 @@ def compiled_program(tmp_path_factory):
 def test_malformed_programs_are_format_errors(edit, compiled_program,
                                               tmp_path, capsys):
     doc = json.loads(compiled_program)
+    at_fault = ITEM_AT_FAULT.get(edit, lambda d: None)(doc)
     PROGRAM_EDITS[edit](doc)
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "bad.json"),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 4 and err.startswith("format:"), err
+    # an edited stream item is named by its stream, channel and index
+    if at_fault is not None:
+        (where,) = [(i, j) for i, items in enumerate(_channels(doc))
+                    for j, item in enumerate(items) if item is at_fault]
+        assert err.startswith("format: layer 0 stream 0/0: channel {} item "
+                              "{} ".format(*where)), err
+    elif edit in ("missing-channel-list", "accumulator-never-written"):
+        assert err.startswith("format: layer 0 stream 0/0: "), err
 
 
 @pytest.mark.parametrize("edit", ["result-over-operand", "in-place-a-is-b"])

@@ -28,14 +28,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_steps
+from conftest import decode, run_steps, steps_equal
 from tapc import cli, isa, sim
 from tapc.errors import CapacityError, FormatError, TapcError
 from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, MacroItem, Tile,
-                          macro_counts, merge_steps, schedule, stream_macros)
+from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, Stream, Tile,
+                          macro_counts, merge_steps, schedule, stream_steps)
 from tapc.scheduler import emit_program
 
 # --- networks against the host reference ------------------------------------
@@ -104,7 +104,7 @@ def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
 # --- decoded streams against the micro-op reference -------------------------
 
 def item_macros(channels, tile: Tile, value0: int, in_bits: int):
-    """Each item's macro and energy phase, read as `stream_items` documents:
+    """Each item's macro and energy phase, read as `stream_steps` documents:
     a slot as channel i's unsigned activation, the zero column as one
     unsigned bit, any other column signed at the width of its last write."""
     width_of = {}
@@ -155,7 +155,7 @@ def test_decoded_streams_match_the_micro_op_reference(catalog, case,
     groups, leave every AP's planes, alignment and write counts, and every
     counter bin, as its items' macros run one by one through
     `isa.expand_macro` and `execute_micro_ops` on each AP. Each step is the
-    one `isa.decode` makes of its item's macro."""
+    row `conftest.decode` makes of its item's macro."""
     net, h, w = case
     try:
         prog = emit_program(net, h, w, geometry, opt)
@@ -168,14 +168,15 @@ def test_decoded_streams_match_the_micro_op_reference(catalog, case,
                             len(lp.tiles)).rows_used)
         aps = range(n_rg)
         for og, (tile, row) in enumerate(zip(lp.tiles, lp.streams)):
-            for channels in row:
+            for stream in row:
                 value0 = lp.f_h * lp.f_w
-                steps = stream_macros(channels, tile, value0, lp.in_bits,
-                                      catalog)
-                macros = item_macros(channels, tile, value0, lp.in_bits)
-                assert steps == [isa.decode(macro, _table(catalog, macro),
-                                            phase)
-                                 for macro, phase in macros]
+                steps = stream_steps(stream, tile, value0, lp.in_bits,
+                                     catalog)
+                macros = item_macros(stream.channels(), tile, value0,
+                                     lp.in_bits)
+                assert steps_equal(steps, decode(
+                    [(macro, _table(catalog, macro), phase)
+                     for macro, phase in macros]))
 
                 def bundled(state):
                     for ap in aps:  # the load leaves carry and zero at 0
@@ -234,29 +235,30 @@ def item_streams(draw):
                     tuple(draw(st.lists(any_col, max_size=2))) \
                     if field == 4 else draw(any_col)
             width_of.update(dict.fromkeys(item[4] or item[3:4], item[1]))
-            items.append(MacroItem(*item))
+            items.append(tuple(item))
         channels.append(items)
     if draw(st.booleans()):     # write every accumulator last
-        channels[-1] += [MacroItem(isa.ADD, tile.acc_width, 0, tile.zero,
-                                   (col,))
+        channels[-1] += [(isa.ADD, tile.acc_width, 0, tile.zero, (col,))
                          for col in range(tile.acc0, tile.carry)]
     return channels, tile, value0, in_bits
 
 
 @given(item_streams())
 def test_the_stream_rules_imply_the_macro_contract(catalog, case):
-    """Every item of a stream that `stream_macros` accepts keeps the macro
-    contract (`isa.result_columns`), and its step is the one `isa.decode`
-    makes of its macro: why the stream path skips the contract check."""
+    """Every item of a stream that `stream_steps` accepts keeps the macro
+    contract (`isa.result_columns`), and its step is the row
+    `conftest.decode` makes of its macro: why the stream path skips the
+    contract check."""
     channels, tile, value0, in_bits = case
     try:
-        steps = stream_macros(channels, tile, value0, in_bits, catalog)
+        steps = stream_steps(Stream(channels), tile, value0, in_bits, catalog)
     except FormatError:
         return
     macros = item_macros(channels, tile, value0, in_bits)
-    for (macro, phase), step in zip(macros, steps, strict=True):
+    for macro, _phase in macros:
         isa.result_columns(macro, _table(catalog, macro), {})
-        assert isa.decode(macro, _table(catalog, macro), phase) == step
+    assert steps_equal(steps, decode([(macro, _table(catalog, macro), phase)
+                                      for macro, phase in macros]))
 
 
 tiles = st.builds(Tile, st.just(0), st.integers(1, 6), st.integers(-300, 0),
@@ -265,17 +267,17 @@ tiles = st.builds(Tile, st.just(0), st.integers(1, 6), st.integers(-300, 0),
 
 @given(tiles)
 def test_merge_steps_are_the_reference_adds(catalog, tile):
-    """Each step of a tree merge is the one `isa.decode` makes of the
+    """Each step of a tree merge is the row `conftest.decode` makes of the
     in-place add of the scratch column into an accumulator, both signed at
     the accumulator width, which also passes the macro contract."""
     w = tile.acc_width
     scratch = isa.OperandRef(tile.scratch, 0, w, True)
-    want = [isa.decode(isa.MacroInstr(isa.ADD, isa.IN_PLACE, False, w,
-                                      scratch, isa.OperandRef(acc, 0, w, True),
-                                      (), 0, tile.carry, tile.zero),
-                       catalog[isa.ADD, isa.IN_PLACE, False], "accum")
-            for acc in range(tile.acc0, tile.carry)]
-    assert merge_steps(tile, catalog) == want
+    want = decode([(isa.MacroInstr(isa.ADD, isa.IN_PLACE, False, w, scratch,
+                                   isa.OperandRef(acc, 0, w, True), (), 0,
+                                   tile.carry, tile.zero),
+                    catalog[isa.ADD, isa.IN_PLACE, False], "accum")
+                   for acc in range(tile.acc0, tile.carry)])
+    assert steps_equal(merge_steps(tile, catalog), want)
 
 
 # --- what a run charges follows from its program ----------------------------

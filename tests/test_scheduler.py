@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tapc.errors import CapacityError, FormatError
 from tapc.lowering import LinearSystem, lower_layer
 from tapc.model import (Layer, LayerShape, QuantSpec, TernaryNetwork,
                         make_synthetic_network)
-from tapc.program import MacroItem, schedule
+from tapc.program import schedule
 from tapc.scheduler import (ApGeometry, ApProgram, allocate_columns,
                             emit_program, plan_conv_layer)
 
@@ -63,6 +64,20 @@ def _storage_at(plan, column, t, n_slots):
     return live[0]
 
 
+class Item(NamedTuple):
+    """A planned macro's fields, by name."""
+
+    op: str
+    m: int
+    a: int
+    b: int
+    dest: tuple
+
+
+def items(plan) -> list[Item]:
+    return [Item(*mac) for mac in plan.macros]
+
+
 @pytest.mark.parametrize("opt", scheduler.OPT_LEVELS)
 @pytest.mark.parametrize("seed", range(4))
 def test_allocation_invariants(opt, seed):
@@ -71,7 +86,7 @@ def test_allocation_invariants(opt, seed):
     n_slots, nodes = g.n_slots, g.nodes
     ops = [n for n, k in enumerate(nodes.kind) if k in (dfglib.ADD, dfglib.SUB)]
     assert plan.op_count == len(plan.macros) == len(ops)
-    for t, (mac, n) in enumerate(zip(plan.macros, ops)):
+    for t, (mac, n) in enumerate(zip(items(plan), ops)):
         assert mac.op == nodes.kind[n]
         if not mac.dest:    # in place
             assert nodes.uses[n] <= 1
@@ -113,8 +128,8 @@ def test_in_place_chains_pre_widen_their_definition():
     # head definition must already be stored 7 wide for the chain to land on it
     plan = plan_for(np.array([[1, 1, 1, 1]]), opt="unroll")
     # one out-of-place definition, then two in-place ops
-    assert [len(m.dest) for m in plan.macros] == [1, 0, 0]
-    assert [m.m for m in plan.macros] == [7, 7, 7]
+    assert [len(m.dest) for m in items(plan)] == [1, 0, 0]
+    assert [m.m for m in items(plan)] == [7, 7, 7]
     assert len(plan.storages) == 1
     assert plan.storages[0][2] == 7
     assert plan.n_colors == 1
@@ -127,7 +142,7 @@ def test_multi_use_values_get_one_copy_per_consumer():
     plan, g = plan_for(matrix), graph_for(matrix)
     kind, tags = g.nodes.kind, g.nodes.tags
     ops = [n for n, k in enumerate(kind) if k in (dfglib.ADD, dfglib.SUB)]
-    by_node = dict(zip(ops, plan.macros))
+    by_node = dict(zip(ops, items(plan)))
     n_tags = [sum(x == n for x, _ in tags) for n in range(len(kind))]
     t = kind.index(dfglib.SUB)
     u = n_tags.index(2)
@@ -163,9 +178,9 @@ def _resolved(g, storages, n_colors, macros, folds):
         kind, ref = desc
         return ref if kind == "in" else g.n_slots + storages[ref].color
 
-    items = [MacroItem(mk["op"], mk["m"], column(mk["a"]), column(mk["b"]),
-                       tuple(column(["val", s]) for s in mk["dest"])
-                       if mk["mode"] == isa.OUT_OF_PLACE else ())
+    items = [(mk["op"], mk["m"], column(mk["a"]), column(mk["b"]),
+              tuple(column(["val", s]) for s in mk["dest"])
+              if mk["mode"] == isa.OUT_OF_PLACE else ())
              for mk in macros]
     return scheduler.ChannelPlan(
         g.op_count, n_colors, items,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import peek, poke, run_steps
+from conftest import decode, peek, poke, run_steps
 from tapc import isa, sim
 from tapc.errors import FormatError, SimulationError, TapcError
 from tapc.model import (FeatureMap, Layer, QuantSpec, TernaryNetwork,
@@ -139,7 +139,7 @@ def test_alignment_persists_between_macros(catalog):
     st = sim.SimState(GEO)
     cam = st.ap(0)
     table = catalog[(isa.ADD, isa.IN_PLACE, False)]
-    run_steps(st, [0], [isa.decode(make_in_place_add(4), table)])
+    run_steps(st, [0], decode([(make_in_place_add(4), table, "dfg")]))
     assert st.align[0][0] == 3 and st.align[0][1] == 3
     # the second macro plans against live alignment: both operand columns
     # must first walk back down to bit 0
@@ -149,7 +149,8 @@ def test_alignment_persists_between_macros(catalog):
     assert all(op.target == 0 and op.steps == 3 for op in first_shifts)
     # the walk up from domain 0 is three one-step shifts a column; the
     # second macro adds a 3-step walk back down to each, in its own epoch
-    run_steps(st, [0], [isa.decode(make_in_place_add(4), table)], epoch=1)
+    run_steps(st, [0], decode([(make_in_place_add(4), table, "dfg")]),
+              epoch=1)
     shifts = {epoch: st.events.bins[0, 0, "dfg", epoch, sim.SHIFT]
               for epoch in (0, 1)}
     assert shifts == {0: [6, 6 * 64, 6, 6, 6 * 64],
@@ -160,8 +161,9 @@ def test_carry_column_must_sit_at_domain_zero(catalog):
     st = sim.SimState(GEO)
     sim.execute_micro_ops(st, 0, [isa.MicroOp("shift", col=3, target=2, steps=2)])
     with pytest.raises(FormatError):
-        run_steps(st, [0], [isa.decode(
-            make_in_place_add(4), catalog[(isa.ADD, isa.IN_PLACE, False)])])
+        run_steps(st, [0], decode([(
+            make_in_place_add(4), catalog[(isa.ADD, isa.IN_PLACE, False)],
+            "dfg")]))
 
 
 def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
@@ -176,7 +178,7 @@ def test_macro_left_at_the_default_carry_column_is_rejected(catalog):
         poke(cam, col, 0, 4, np.arange(64) % 16, 64)
     planes = copy.deepcopy(cam.planes)
     with pytest.raises(SimulationError):
-        run_steps(state, [0], [isa.decode(macro, table)])
+        run_steps(state, [0], decode([(macro, table, "dfg")]))
     # checked before anything runs: the last columns keep their contents
     assert cam.planes == planes
     assert state.writes[0] == [0] * GEO.columns and len(state.events) == 0
@@ -336,7 +338,7 @@ def _executors(macro, table):
     """The derivation and `run_macro`, and their micro-op reference, as
     `_macro_outcome` runs them."""
     def direct(state, cam):
-        run_steps(state, [0], [isa.decode(macro, table, "accum")], 2, 5)
+        run_steps(state, [0], decode([(macro, table, "accum")]), 2, 5)
 
     def reference(state, cam):
         ops = isa.expand_macro(macro, table, dict(state.align[0]))
@@ -465,16 +467,17 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
     bin, as doing so for each macro on each AP alone does, or running the
     micro-op reference."""
     rows, stream, aligns, seed = case
-    steps = [isa.decode(macro, catalog[key], phase)
-             for macro, key, phase in stream]
+    steps = decode([(macro, catalog[key], phase)
+                    for macro, key, phase in stream])
 
     def bundled(state, aps):
         run_steps(state, aps, steps, 2, 5)
 
     def alone(state, aps):
         for ap in aps:
-            for step in steps:
-                run_steps(state, [ap], [step], 2, 5)
+            for macro, key, phase in stream:
+                run_steps(state, [ap], decode([(macro, catalog[key], phase)]),
+                          2, 5)
 
     def reference(state, aps):
         for ap in aps:
@@ -485,6 +488,85 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
     want = _stream_outcome(rows, aligns, seed, reference)
     assert _stream_outcome(rows, aligns, seed, alone) == want
     assert _stream_outcome(rows, aligns, seed, bundled) == want
+
+
+def _table_and_reference(catalog, stream, rows, aligns, seed):
+    """`_stream_outcome` of `stream`'s (macro, table key, phase) triples
+    decoded into one table and charged and run on one bundle of all the
+    APs, and of its macros run AP by AP through the micro-op reference."""
+    def bundled(state, aps):
+        run_steps(state, aps, decode([(macro, catalog[key], phase)
+                                      for macro, key, phase in stream]), 2, 5)
+
+    def reference(state, aps):
+        for ap in aps:
+            for macro, key, phase in stream:
+                sim.execute_micro_ops(state, ap, isa.expand_macro(
+                    macro, catalog[key], dict(state.align[ap])), 2, phase, 5)
+    return (_stream_outcome(rows, aligns, seed, bundled),
+            _stream_outcome(rows, aligns, seed, reference))
+
+
+OUT = (isa.ADD, isa.OUT_OF_PLACE, False)
+
+
+def _out_of_place(m, a, b, dest, rbase=0):
+    """An m-bit out-of-place add on carry column 0 and zero column 1."""
+    return isa.MacroInstr(*OUT, m, a, b, dest, rbase, 0, 1)
+
+
+def test_shifts_are_charged_to_the_phase_of_their_step(catalog):
+    """A "dfg" step and an "accum" step, on columns of their own, each walk
+    three ports: the table charges each step's shifts and domain steps in
+    its own phase's bin, as the micro-op reference does."""
+    ref = isa.OperandRef
+    stream = [(_out_of_place(4, ref(2, 0, 4, True), ref(3, 0, 4, True), (4,)),
+               OUT, "dfg"),
+              (_out_of_place(3, ref(5, 2, 3, True), ref(6, 1, 3, True), (7,),
+                             5), OUT, "accum")]
+    got, want = _table_and_reference(catalog, stream, 16, [{}], 1)
+    assert got == want
+    # columns 2-4 walk 0..3; then 6 walks 0, 1..3, 5 0, 2..4 and 7 0, 5..7
+    assert [got[1][0, 2, phase, 5, sim.SHIFT][:3] for phase in
+            ("dfg", "accum")] == [[9, 9 * 16, 9], [9, 9 * 16, 3 + 4 + 7]]
+
+
+def test_each_ap_of_a_wide_bundle_walks_from_its_own_ports(catalog):
+    """Two APs whose ports start apart run one step on one bundle: each is
+    charged the walks from its own ports, as the reference charges each AP
+    alone."""
+    ref = isa.OperandRef
+    stream = [(_out_of_place(4, ref(2, 0, 4, True), ref(3, 0, 4, True), (4,)),
+               OUT, "dfg")]
+    aligns = [{2: 0, 3: 0}, {2: 6, 3: 2, 4: 9}]
+    got, want = _table_and_reference(catalog, stream, 16, aligns, 2)
+    assert got == want
+    assert [got[1][ap, 2, "dfg", 5, sim.SHIFT][2] for ap in (0, 1)] == \
+        [9, 6 + 2 + 9 + 9]
+
+
+@pytest.mark.parametrize("shifted", ["none", "at-start", "by-a-step"])
+def test_a_step_reading_the_zero_column_off_domain_0_is_rejected(catalog,
+                                                                 shifted):
+    """A step whose 2-bit unsigned a runs out below its 4-bit width reads
+    the zero column at its port. Where that port stands off domain 0, from
+    the start or because an earlier step read the zero column as its
+    operand from domain 2, the table is rejected as the reference rejects
+    the macro; otherwise both run."""
+    ref = isa.OperandRef
+    stream = [(_out_of_place(4, ref(2, 0, 2, False), ref(3, 0, 4, True),
+                             (4,)), OUT, "dfg")]
+    if shifted == "by-a-step":
+        stream.insert(0, (_out_of_place(3, ref(1, 2, 1, False),
+                                        ref(5, 0, 3, True), (6,)), OUT,
+                          "dfg"))
+    aligns = [{1: 3}] if shifted == "at-start" else [{}]
+    got, want = _table_and_reference(catalog, stream, 16, aligns, 3)
+    assert got == want
+    if shifted == "none":
+        assert isinstance(got, tuple)
+    else:
+        assert got is FormatError
 
 
 def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
@@ -503,9 +585,9 @@ def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
             state.moves(dsts, steps, 2, 5)
             state.steps(dsts, steps, 2, 5)
             with sim.Bundle(state, dsts, 2, 5) as bundle:
-                for step in steps:
-                    bundle.move_in([state.ap(src) for src in srcs],
-                                   step.b.col, step.a.col, step.m)
+                for step, b, a, m in zip(sim.macro_rows(steps), steps.b[0],
+                                         steps.a[0], steps.m):
+                    bundle.move_in([state.ap(src) for src in srcs], b, a, m)
                     sim.run_macro(bundle, step)
     return _stream_outcome(rows, aligns, seed, execute)
 
