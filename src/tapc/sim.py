@@ -312,9 +312,9 @@ class Charges:
         tagged rows: per AP and phase, in the order the steps meet the
         phases, SEARCH, WRITE and SHIFT, once `_check_steps` passes them. A
         column's shifts are the differences along its walks, where only the
-        first depends on the AP."""
-        rows = self.geometry.rows
-        ports = [self.ports(ap) for ap in aps]
+        first depends on the AP. Returns the steps' reads for the executor
+        (`macro_rows`)."""
+        rows, ports = self.geometry.rows, [self.ports(ap) for ap in aps]
         if any(align.get(t.carry, 0) for align, _ in ports):
             raise FormatError("carry column must stay at domain 0")
         walks, reads, port = t.ports()
@@ -350,6 +350,7 @@ class Charges:
                 self.events.access(key, WRITE, n_write, bits)
                 self.events.shift(key, shifts + int(np.count_nonzero(on)),
                                   moves + int(np.abs(on).sum()), rows)
+        return reads
 
     def moves(self, aps, t: Steps, layer: int, epoch: int):
         """Charge a tree merge's moves on the bundle of `aps`: before each
@@ -366,9 +367,9 @@ class Charges:
         part, on the pass tables of `catalog`, by the generator returned,
         which yields each part for the executor once it is charged: after
         the load, (layer, first epoch, schedule, patch map); per stream and
-        tree merge, (APs, source APs, steps, epoch); then it charges the
-        readout. A pool keeps the top-left producer of a block (its max is
-        data-dependent), and an add runs in the controller."""
+        tree merge, (APs, source APs, steps, their reads, epoch); then it
+        charges the readout. A pool keeps the top-left producer of a block
+        (its max is data-dependent), and an add runs in the controller."""
         self.n_layers += 1
         if lp.kind == "pool" and self.prov is not None:
             self.prov = self.prov[:, ::2, ::2]
@@ -413,8 +414,7 @@ class Charges:
             for cg, stream in enumerate(row):
                 aps, ep = sched.bundle(og, cg), epoch + sched.STREAM
                 steps = stream_steps(stream, tile, pim.slots, in_bits, catalog)
-                self.steps(aps, steps, layer, ep)
-                yield aps, (), steps, ep
+                yield aps, (), steps, self.steps(aps, steps, layer, ep), ep
         # a move charges rows × w bits, every row of the array, while the
         # load charges only the rows it uses; which of the two is right is
         # still open, and changing either changes the modelled energy
@@ -423,8 +423,8 @@ class Charges:
             for og, dst, src in level:
                 aps = sched.bundle(og, dst)
                 self.moves(aps, merges[og], layer, ep)
-                self.steps(aps, merges[og], layer, ep)
-                yield aps, sched.bundle(og, src), merges[og], ep
+                yield aps, sched.bundle(og, src), merges[og], self.steps(
+                    aps, merges[og], layer, ep), ep
 
         # readout at the roots: the first column's port home, charged first
         # as `metrics` sums the kinds in first-charge order, then a search an
@@ -607,11 +607,11 @@ class Bundle:
                                      WRITE), 0, tagged[k], 0, 0, tagged[k])
 
 
-def macro_rows(t: Steps) -> list[tuple]:
+def macro_rows(t: Steps, reads) -> list[tuple]:
     """The steps of `t` as `run_macro` reads them, a flat tuple each: phase,
-    op, negated, in place, m, a's and b's reads (`Steps.ports`), the result
-    columns, their first domain and the carry column."""
-    _walks, (a, b), _port = t.ports()
+    op, negated, in place, m, a's and b's `reads` (`Steps.ports`), the
+    result columns, their first domain and the carry column."""
+    a, b = reads
     flat, ends = t.dest.tolist(), np.cumsum(t.nd).tolist()
     return list(zip(map(PHASES.__getitem__, t.phase.tolist()),
                     *(x.tolist() for x in (t.op, t.negated, t.in_place, t.m,
@@ -723,11 +723,11 @@ def _run_conv(state: SimState, lp: ConvLayer, parts, cur: FeatureMap):
     # group), then the adder tree across channel groups, a merge on the
     # bundle of its dst group: before each add, each source AP's copy of
     # its b column moves into the scratch column a of its row group's AP
-    for aps, srcs, steps, ep in parts:
+    for aps, srcs, steps, reads, ep in parts:
         srcs = [state.ap(ap) for ap in srcs]
         moves = zip(steps.b[0].tolist(), steps.a[0].tolist(), steps.m.tolist())
         with Bundle(state, aps, layer, ep) as bundle:
-            for step, move in zip(macro_rows(steps), moves):
+            for step, move in zip(macro_rows(steps, reads), moves):
                 if srcs:
                     bundle.move_in(srcs, *move)
                 run_macro(bundle, step)

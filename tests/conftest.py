@@ -119,9 +119,9 @@ def run_steps(state, aps, steps, layer=0, epoch=0):
     """Charge the table `steps` on the bundle of `aps`, then run it on its
     planes, as `sim.run` runs a stream: the derivation first, then the
     executor."""
-    state.steps(aps, steps, layer, epoch)
+    reads = state.steps(aps, steps, layer, epoch)
     with sim.Bundle(state, aps, layer, epoch) as bundle:
-        for step in sim.macro_rows(steps):
+        for step in sim.macro_rows(steps, reads):
             sim.run_macro(bundle, step)
 
 

@@ -583,10 +583,10 @@ def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
         for bundle_pairs in bundles:
             dsts, srcs = zip(*(pairs[i] for i in bundle_pairs))
             state.moves(dsts, steps, 2, 5)
-            state.steps(dsts, steps, 2, 5)
+            reads = state.steps(dsts, steps, 2, 5)
             with sim.Bundle(state, dsts, 2, 5) as bundle:
-                for step, b, a, m in zip(sim.macro_rows(steps), steps.b[0],
-                                         steps.a[0], steps.m):
+                for step, b, a, m in zip(sim.macro_rows(steps, reads),
+                                         steps.b[0], steps.a[0], steps.m):
                     bundle.move_in([state.ap(src) for src in srcs], b, a, m)
                     sim.run_macro(bundle, step)
     return _stream_outcome(rows, aligns, seed, execute)
