@@ -183,14 +183,15 @@ def cmd_run(args) -> int:
         prog.save(_out_path(args, "program.json"))
     result = sim.run(prog, ifm)
     stats = metrics.account(prog, result, model)
+    report = metrics.format_report(stats)
     _write(_out_path(args, "stats.json"), stats.dumps())
-    _write(_out_path(args, "report.txt"), metrics.format_report(stats))
+    _write(_out_path(args, "report.txt"), report)
     _write(_out_path(args, "report.csv"), metrics.to_csv(stats))
     _write(_out_path(args, "events.csv"), sim.export_events(result.events))
     last = result.trace[-1]
     if last.bits <= 8:
         save_feature_map(last, _out_path(args, "output.tfm"))
-    print(metrics.format_report(stats), end="")
+    print(report, end="")
     return 0
 
 

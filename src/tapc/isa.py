@@ -45,8 +45,6 @@ class LutTable:
     addressing: str                  # in_place | out_of_place
     negated: bool
     entries: dict[tuple[int, int, int], LutEntry]
-    # the keys of passes(), set with the entries
-    pass_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op_kind not in (ADD, SUB):
@@ -58,7 +56,6 @@ class LutTable:
         ordinals = sorted(e.pass_index for e in self.entries.values() if e.pass_index)
         if ordinals != list(range(1, len(ordinals) + 1)):
             raise FormatError("pass ordinals must be 1..k without gaps")
-        self.pass_keys = tuple(e.key for e in self.passes())
 
     @property
     def name(self) -> str:
@@ -72,7 +69,7 @@ class LutTable:
 
     @property
     def pass_count(self) -> int:
-        return len(self.pass_keys)
+        return len(self.passes())
 
 
 def _table(op_kind, addressing, rows, negated=False) -> LutTable:

@@ -15,8 +15,8 @@ epoch of each step; a tile's columns (`Tile`); the decoded steps (`Steps`)
 of a stream, made by the one check of its table (`stream_steps`), and of a
 tree merge (`merge_steps`), with their port walks and bit reads; and the
 add/sub counts (`macro_counts`). A layer's number is its position in
-`layers`. The pass tables are the ISA's (`isa.standard_catalog`), so no
-program stores them.
+`layers`. The pass tables are the ISA's (`isa.standard_catalog`), read
+once a process, so no program stores them.
 
 Every class holds exactly the fields of its JSON object, and one `default=`
 hook encodes the whole program. `ApProgram.from_doc` is the only way a
@@ -27,6 +27,7 @@ and the accounting read attributes without checking them again.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -107,9 +108,6 @@ class Stream:
         self.ch = np.repeat(np.arange(len(channels)), [*map(len, channels)])
         self.n_channels = len(channels)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Stream and self.channels() == other.channels()
-
     def channels(self) -> list[list[tuple]]:
         """The file's lists: per channel, its (op, m, a, b, dest) items."""
         flat, ends = self.dest.tolist(), np.cumsum(self.nd).tolist()
@@ -124,8 +122,9 @@ class Steps(NamedTuple):
     """Decoded macros as a table, an entry per step in run order: energy
     phase (an index into PHASES), op (into OPS), negated, in place, width m,
     operands a and b as (column, first domain, stored width, signed)
-    arrays, result-column count `nd` (1 in place: b) and first domain, and
-    pass count; `dest` holds the result columns, step after step."""
+    arrays, result-column count `nd` (1 in place: b) and pass count; `dest`
+    holds the result columns, step after step, each written from domain 0.
+    An operand on the zero column is one unsigned bit at domain 0."""
 
     phase: np.ndarray
     op: np.ndarray
@@ -136,7 +135,6 @@ class Steps(NamedTuple):
     b: tuple
     dest: np.ndarray
     nd: np.ndarray
-    rbase: np.ndarray
     passes: np.ndarray
     carry: int
     zero: int
@@ -144,12 +142,12 @@ class Steps(NamedTuple):
     def ports(self):
         """(walks, reads, port). The walks, as `isa.expand_macro` moves the
         ports: (step, column, first, last domain) arrays, of b, of a if not
-        on a ported b, of the result columns out of place; a signed operand
-        or one of positive width is ported. The reads of a and b, (col,
-        base, n, fill, lo, hi): bits [0, n) from domains `base` on of `col`,
-        then bit n + i from domain min(lo + i, hi) of `fill`, the sign bit,
-        else the zero column along the step's walk of it or, with none, at
-        its port, domain 0, which the derivation checks (`port` marks it)."""
+        on a ported b, of the result columns out of place, from domain 0; a
+        signed operand or one of positive width is ported. The reads of a
+        and b, (col, base, n, fill, dom): bits [0, n) from domains `base` on
+        of `col`, then each further bit from domain `dom` of `fill`, the
+        sign bit, else the zero column's domain 0, read at its port by the
+        steps `port` marks, which walk no operand on it."""
         m, idx = self.m, np.arange(len(self.m))
         ported = [(signed != 0) | (width > 0)
                   for _col, _base, width, signed in (self.b, self.a)]
@@ -161,24 +159,17 @@ class Steps(NamedTuple):
                           np.minimum(base + m - 1, top)[on]))
         owner = np.repeat(idx, self.nd)
         out = ~self.in_place[owner]
-        first = self.rbase[owner][out]
-        parts.append((owner[out], self.dest[out], first,
-                      first + m[owner][out] - 1))
-        item, col, first, last = walks = tuple(map(np.concatenate,
-                                                   zip(*parts)))
-        on = col == self.zero
-        walked, z_first, z_last = np.zeros((3, len(m)), np.int64)
-        walked[item[on]], z_first[item[on]], z_last[item[on]] = \
-            1, first[on], last[on]
+        parts.append((owner[out], self.dest[out], 0 * owner[out],
+                      m[owner][out] - 1))
+        walks = tuple(map(np.concatenate, zip(*parts)))
+        walked = np.isin(idx, walks[0][walks[1] == self.zero])
         port, reads = np.zeros(len(m), bool), []
         for col, base, width, signed in (self.a, self.b):
-            n, top = np.clip(width, 0, m), base + width - 1
-            hi = np.where(signed, top, z_last)
+            n, signed = np.clip(width, 0, m), signed.astype(bool)
             reads.append((col, base, n, np.where(signed, col, self.zero),
-                          np.where(signed, top, np.minimum(z_first + n, hi)),
-                          hi))
-            port |= ~signed.astype(bool) & (n < m) & (walked == 0)
-        return walks, reads, port
+                          np.where(signed, base + width - 1, 0)))
+            port |= ~signed & (n < m)
+        return walks, reads, port & ~walked
 
 
 @dataclass(frozen=True)
@@ -403,25 +394,34 @@ def schedule(shape, in_bits: int, geometry: ApGeometry,
                     n_aps, positions / (row_groups * geometry.rows))
 
 
-def merge_steps(tile: Tile, catalog) -> Steps:
+@functools.cache
+def _pass_counts() -> np.ndarray:
+    """The ISA's plain tables' passes by op and (out of place, in place),
+    read at the first decode: importing this module derives no table."""
+    tables = isa.standard_catalog()[0]
+    return np.array([[tables[op, mode, False].pass_count for mode in (
+        isa.OUT_OF_PLACE, isa.IN_PLACE)] for op in OPS])
+
+
+def merge_steps(tile: Tile) -> Steps:
     """The steps of one merge on `tile`, an in-place add per accumulator
     column b, into which it folds the scratch column a, where the b column
     of the source AP has moved. Scratch, accumulators, carry and zero are
     distinct columns, so the adds keep the macro contract."""
     cols, w = np.arange(tile.acc0, tile.carry), tile.acc_width
     one, yes = np.ones(len(cols), np.int64), np.ones(len(cols), bool)
-    passes = catalog[isa.ADD, isa.IN_PLACE, False].pass_count
     return Steps(one * PHASES.index("accum"), one * OPS.index(isa.ADD), ~yes,
                  yes, one * w, (one * tile.scratch, 0 * one, one * w, yes),
-                 (cols, 0 * one, one * w, yes), cols, one, 0 * one,
-                 one * passes, tile.carry, tile.zero)
+                 (cols, 0 * one, one * w, yes), cols, one,
+                 one * _pass_counts()[OPS.index(isa.ADD), 1], tile.carry,
+                 tile.zero)
 
 
-def stream_steps(stream: Stream, tile: Tile, value0: int, in_bits: int,
-                 catalog) -> Steps:
+def stream_steps(stream: Stream, tile: Tile, value0: int,
+                 in_bits: int) -> Steps:
     """Check one (tile, channel group) stream and decode its items into
-    steps on the tile's carry and zero columns and the pass tables of
-    `catalog`; the value pool starts at `value0`, the layer's slot count.
+    steps on the tile's carry and zero columns and the ISA's pass tables;
+    the value pool starts at `value0`, the layer's slot count.
 
     An operand reads a patch slot as channel i's unsigned `in_bits`-bit
     activation from domain i × in_bits, the zero column as one unsigned bit,
@@ -476,13 +476,10 @@ def stream_steps(stream: Stream, tile: Tile, value0: int, in_bits: int,
     if unwritten.any():
         raise FormatError(f"accumulator column {acc0 + unwritten.argmax()} "
                           f"is never written")
-    passes = np.array([[catalog[op, mode, False].pass_count
-                        for mode in (isa.OUT_OF_PLACE, isa.IN_PLACE)]
-                       for op in OPS])
     return Steps((dest[np.searchsorted(owner, idx)] >= acc0) * 1, s.op,
                  np.zeros(n, bool), in_place, m, a, b, dest,
-                 np.maximum(s.nd, 1), np.zeros(n, np.int64),
-                 passes[s.op, in_place * 1], carry, tile.zero)
+                 np.maximum(s.nd, 1), _pass_counts()[s.op, in_place * 1],
+                 carry, tile.zero)
 
 
 def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
@@ -562,7 +559,6 @@ def _load(doc) -> ApProgram:
 
     cur = (prog.in_c, prog.in_h, prog.in_w)
     bits = prog.in_bits
-    catalog = isa.standard_catalog()[0]
     out_shapes: list[tuple[int, int, int]] = []
     for idx, ld in enumerate(doc["layers"]):
         where = f"layer {idx}"
@@ -583,7 +579,7 @@ def _load(doc) -> ApProgram:
                    other)
         else:
             try:
-                cur = _conv(layer, where, cur, bits, geo, catalog)
+                cur = _conv(layer, where, cur, bits, geo)
             except CapacityError as exc:
                 raise FormatError(f"{where}: {exc}") from exc
         if cls is not PoolLayer:
@@ -594,7 +590,7 @@ def _load(doc) -> ApProgram:
 
 
 def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
-          geo: ApGeometry, catalog) -> tuple[int, int, int]:
+          geo: ApGeometry) -> tuple[int, int, int]:
     """Check a conv layer against its input and the geometry, replace its
     lists by typed ones and return its output shape. A layer that does not
     fit the geometry raises CapacityError."""
@@ -625,7 +621,7 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
                       len(layer.tiles)).channel_groups
     layer.streams = [
         [_stream(channels, geo, tile, n_slots, layer.in_bits,
-                 len(groups[cg]), f"{where} stream {og}/{cg}", catalog)
+                 len(groups[cg]), f"{where} stream {og}/{cg}")
          for cg, channels in enumerate(_list(row, where, len(groups)))]
         for og, (tile, row) in enumerate(zip(
             layer.tiles, _list(layer.streams, where, len(layer.tiles))))]
@@ -633,7 +629,7 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
 
 
 def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
-            n_channels: int, where: str, catalog) -> Stream:
+            n_channels: int, where: str) -> Stream:
     """A stream's table, from its item lists, one per channel of its group,
     once `stream_steps` accepts it."""
     channels = [_list(items, where) for items in _list(v, where, n_channels)]
@@ -647,7 +643,7 @@ def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
                           f"columns in [0, {geo.columns})")
     stream = Stream(channels)
     try:
-        stream_steps(stream, tile, value0, in_bits, catalog)
+        stream_steps(stream, tile, value0, in_bits)
     except FormatError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     return stream

@@ -16,7 +16,9 @@ differences along each column's walks. The executor moves only data and
 counts the rows each bit tags: the load packs each (row group, channel
 group)'s slot planes with one `packbits`, `run_macro` runs each step (a
 flat tuple of `macro_rows`) on a `Bundle`'s planes, and the readout
-decodes each root's accumulators with one `unpackbits`. `run` calls both,
+decodes each root's accumulators with one `unpackbits`. A step reads one
+plane, its sign bit or the zero column's domain 0, for each bit past an
+operand's width, and writes its results from domain 0. `run` calls both,
 a layer's part at a time, once the derivation has charged it.
 
 `run_macro` runs each bit of an add/sub macro as one bit-parallel full
@@ -245,22 +247,21 @@ def walk(align: dict[int, int], walks) -> tuple[int, int]:
 
 def _check_steps(geo: ApGeometry, t: Steps, walks, reads, port,
                  zero_off: bool):
-    """Raise for the first step of `t` that reads the zero column at its port
-    off domain 0 (FormatError) or reaches past the geometry (SimulationError).
-    `walks` are by (column, step); `zero_off`: the zero port starts off 0."""
+    """Raise for the first step of `t` that reaches past the geometry
+    (SimulationError), walks the zero column past domain 0 or, where its
+    port starts off 0 (`zero_off`), reads it there before a step walks it
+    home (FormatError). `walks` are by (column, step)."""
     item, col, first, last = walks
-    n, z_item, z_last = len(t.m), item[col == t.zero], last[col == t.zero]
-    at_port = np.flatnonzero(port)
-    # where the zero column's last walk before the step left its port
-    before = np.searchsorted(z_item, at_port) - 1
-    off = np.where(before >= 0, np.append(z_last, 0)[before] != 0, zero_off)
+    n, on = len(t.m), col == t.zero
+    home = item[on].min(initial=n)
     far = [item[(col < 0) | (col >= geo.columns) | (first < 0)
                 | (last >= geo.domains_per_track)]] + [
         np.flatnonzero((bits < t.m) & ((fill < 0) | (fill >= geo.columns)))
-        for _col, _base, bits, fill, _lo, _hi in reads]
+        for _col, _base, bits, fill, _dom in reads]
     i_reach = 0 if not 0 <= t.carry < geo.columns else \
         min(int(x.min(initial=n)) for x in far)
-    i_zero = int(at_port[off].min(initial=n))
+    i_zero = min(int(item[on & (last > 0)].min(initial=n)),
+                 int(np.flatnonzero(port[:home] & zero_off).min(initial=n)))
     if i_zero < n and i_zero <= i_reach:
         raise FormatError("zero column must stay at domain 0")
     if i_reach < n:
@@ -362,20 +363,20 @@ class Charges:
             self.events.add((ap, layer, "accum", epoch, MOVE), len(t.m),
                             rows * total, 0, total, rows * total)
 
-    def layer(self, lp, catalog):
+    def layer(self, lp):
         """Charge the program's next layer. A conv layer is charged part by
-        part, on the pass tables of `catalog`, by the generator returned,
-        which yields each part for the executor once it is charged: after
-        the load, (layer, first epoch, schedule, patch map); per stream and
-        tree merge, (APs, source APs, steps, their reads, epoch); then it
-        charges the readout. A pool keeps the top-left producer of a block
-        (its max is data-dependent), and an add runs in the controller."""
+        part by the generator returned, which yields each part for the
+        executor once it is charged: after the load, (layer, first epoch,
+        schedule, patch map); per stream and tree merge, (APs, source APs,
+        steps, their reads, epoch); then it charges the readout. A pool
+        keeps the top-left producer of a block (its max is data-dependent),
+        and an add runs in the controller."""
         self.n_layers += 1
         if lp.kind == "pool" and self.prov is not None:
             self.prov = self.prov[:, ::2, ::2]
-        return self._conv(lp, catalog) if lp.kind == "conv" else None
+        return self._conv(lp) if lp.kind == "conv" else None
 
-    def _conv(self, lp, catalog):
+    def _conv(self, lp):
         geo, events, epoch = self.geometry, self.events, self.epoch
         layer, rows, tiles = self.n_layers - 1, geo.rows, lp.tiles
         shape, in_bits = lp.shape, lp.in_bits
@@ -413,12 +414,12 @@ class Charges:
         for og, (tile, row) in enumerate(zip(tiles, lp.streams)):
             for cg, stream in enumerate(row):
                 aps, ep = sched.bundle(og, cg), epoch + sched.STREAM
-                steps = stream_steps(stream, tile, pim.slots, in_bits, catalog)
+                steps = stream_steps(stream, tile, pim.slots, in_bits)
                 yield aps, (), steps, self.steps(aps, steps, layer, ep), ep
         # a move charges rows × w bits, every row of the array, while the
         # load charges only the rows it uses; which of the two is right is
         # still open, and changing either changes the modelled energy
-        merges = [merge_steps(tile, catalog) for tile in tiles]
+        merges = [merge_steps(tile) for tile in tiles]
         for ep, level in enumerate(sched.tree, epoch + sched.TREE):
             for og, dst, src in level:
                 aps = sched.bundle(og, dst)
@@ -449,10 +450,9 @@ class Charges:
 def derive(program: ApProgram) -> Charges:
     """Every charge of running `program` but its tagged rows' write bits,
     and each AP's alignment and wear, derived with no planes."""
-    catalog = isa.standard_catalog()[0]
     charges = Charges(program.geometry)
     for lp in program.layers:
-        for _part in charges.layer(lp, catalog) or ():
+        for _part in charges.layer(lp) or ():
             pass
     return charges
 
@@ -562,22 +562,19 @@ class Bundle:
                     plane |= cam.planes[col][dom] << k * self.rows
                 track[dom] = plane
 
-    def read(self, col: int, base: int, n: int, fill: int, lo: int,
-             hi: int, m: int) -> list[int]:
+    def read(self, col: int, base: int, n: int, fill: int, dom: int,
+             m: int) -> list[int]:
         """The planes an m-bit step searches for one operand, a bit each,
-        as `Steps.ports` gives its reads."""
-        wide, planes = self.wide, self.planes
-        if wide:
+        as `Steps.ports` gives its reads: n planes of `col` from domain
+        `base` on, then domain `dom` of `fill` for every further bit."""
+        if self.wide:
             self.gather(col, base, base + n)
-        got = planes[col][base:base + n]
+        got = self.planes[col][base:base + n]
         if n == m:
             return got
-        if wide:
-            self.gather(fill, lo, hi + 1)
-        track = planes[fill]
-        if lo >= hi:
-            return got + [track[hi]] * (m - n)
-        return got + [track[min(lo + i, hi)] for i in range(m - n)]
+        if self.wide:
+            self.gather(fill, dom, dom + 1)
+        return got + [self.planes[fill][dom]] * (m - n)
 
     def move_in(self, srcs, col: int, scratch: int, width: int):
         """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
@@ -610,14 +607,14 @@ class Bundle:
 def macro_rows(t: Steps, reads) -> list[tuple]:
     """The steps of `t` as `run_macro` reads them, a flat tuple each: phase,
     op, negated, in place, m, a's and b's `reads` (`Steps.ports`), the
-    result columns, their first domain and the carry column."""
+    result columns, each written from domain 0, and the carry column."""
     a, b = reads
     flat, ends = t.dest.tolist(), np.cumsum(t.nd).tolist()
     return list(zip(map(PHASES.__getitem__, t.phase.tolist()),
                     *(x.tolist() for x in (t.op, t.negated, t.in_place, t.m,
                                            *a, *b)),
                     map(flat.__getitem__, map(slice, [0, *ends], ends)),
-                    t.rbase.tolist(), repeat(t.carry)))
+                    repeat(t.carry)))
 
 
 def run_macro(bundle: Bundle, step: tuple):
@@ -633,10 +630,10 @@ def run_macro(bundle: Bundle, step: tuple):
     (`Charges.steps`) charges the rest of the step, walks its ports,
     counts its wear and checks its carry, zero column and reach.
     """
-    (phase, sub, negated, in_place, m, a_col, a_base, a_n, a_fill, a_lo,
-     a_hi, b_col, b_base, b_n, b_fill, b_lo, b_hi, dest, rbase, carry) = step
-    bs = bundle.read(b_col, b_base, b_n, b_fill, b_lo, b_hi, m)
-    as_ = bundle.read(a_col, a_base, a_n, a_fill, a_lo, a_hi, m)
+    (phase, sub, negated, in_place, m, a_col, a_base, a_n, a_fill, a_dom,
+     b_col, b_base, b_n, b_fill, b_dom, dest, carry) = step
+    bs = bundle.read(b_col, b_base, b_n, b_fill, b_dom, m)
+    as_ = bundle.read(a_col, a_base, a_n, a_fill, a_dom, m)
 
     # a borrow is the carry of the complemented minuend plus the subtrahend;
     # the negated sub swaps the roles, the negated add complements the sum
@@ -661,7 +658,7 @@ def run_macro(bundle: Bundle, step: tuple):
     planes = bundle.planes
     planes[carry][0] = c
     for col in dest:
-        planes[col][rbase:rbase + m] = results
+        planes[col][:m] = results
 
     tagged = bundle.tagged[phase]
     n_written = 1 + len(dest)
@@ -669,7 +666,7 @@ def run_macro(bundle: Bundle, step: tuple):
         written = bundle.written
         written[carry] = written.get(carry, 0) | 1
         for col in dest:
-            written[col] = written.get(col, 0) | ((1 << m) - 1) << rbase
+            written[col] = written.get(col, 0) | (1 << m) - 1
         for k, mask in enumerate(bundle.masks):
             tagged[k] += n_written * sum((t & mask).bit_count()
                                          for t in changed)
@@ -769,12 +766,11 @@ def run(program: ApProgram, ifm: FeatureMap) -> RunResult:
         raise FormatError(
             f"program compiled for {'x'.join(map(str, want))} (CxHxW) input, "
             f"feature map is {'x'.join(map(str, ifm.shape))}")
-    catalog = isa.standard_catalog()[0]
     state = SimState(program.geometry)
     trace: list[FeatureMap] = []
     cur = ifm
     for lp in program.layers:
-        parts = state.layer(lp, catalog)
+        parts = state.layer(lp)
         if parts is not None:
             cur = _run_conv(state, lp, parts, cur)
         elif lp.kind == "pool":

@@ -86,26 +86,32 @@ def decode(macros) -> Steps:
     order, after `isa.result_columns` checks each macro against no
     alignment: where the carry and zero columns stand is a run-time fact,
     which the derivation checks. The macros share one carry and one zero
-    column. Only tests decode `isa.MacroInstr`s: to run those the micro-op
-    reference runs, and to check the tables `program.stream_steps` and
+    column. A table holds only what a program can state, so a macro whose
+    result starts past domain 0, or that reads the zero column as other
+    than one unsigned bit at domain 0, is refused (AssertionError). Only
+    tests decode `isa.MacroInstr`s: to run those the micro-op reference
+    runs, and to check the tables `program.stream_steps` and
     `program.merge_steps` make."""
     rows = []
     for macro, table, phase in macros:
         dest = isa.result_columns(macro, table, {})
         in_place = macro.addressing == isa.IN_PLACE
+        assert (macro.b.base if in_place else macro.dest_base) == 0, \
+            f"{macro}: result past domain 0"
+        zero = isa.OperandRef(macro.zero_col, 0, 1, False)
+        assert all(ref == zero for ref in (macro.a, macro.b)
+                   if ref.col == zero.col), f"{macro}: zero column read wide"
         rows.append((PHASES.index(phase), OPS.index(macro.op_kind),
                      macro.negated, in_place, macro.width,
                      *(astuple(ref) for ref in (macro.a, macro.b)), dest,
-                     len(dest), macro.b.base if in_place else macro.dest_base,
-                     table.pass_count))
+                     len(dest), table.pass_count))
     (carry,), (zero,) = ({getattr(macro, f) for macro, *_ in macros}
                          for f in ("carry_col", "zero_col"))
-    (phase, op, negated, in_place, m, a, b, dest, nd, rbase,
-     passes) = zip(*rows)
+    (phase, op, negated, in_place, m, a, b, dest, nd, passes) = zip(*rows)
     return Steps(*map(np.array, (phase, op, negated, in_place, m)),
                  *(tuple(map(np.array, zip(*ref))) for ref in (a, b)),
                  np.array([col for cols in dest for col in cols], np.int64),
-                 *map(np.array, (nd, rbase, passes)), carry, zero)
+                 *map(np.array, (nd, passes)), carry, zero)
 
 
 def steps_equal(got: Steps, want: Steps) -> bool:

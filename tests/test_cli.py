@@ -511,7 +511,6 @@ def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
     got: dict[int, set] = {}
     for (ap, layer, phase, epoch, _kind), *_ in calls:
         got.setdefault(layer, set()).add((ap, phase, epoch))
-    catalog = isa.standard_catalog()[0]
     first = 0
     trees = 0
     for idx, lp in enumerate(prog.layers):
@@ -522,8 +521,8 @@ def test_event_epochs_follow_the_schedule(tmp_path, capsys, counter_log):
         want = {(ap, "io", first) for ap, *_ in sched.grid}
         for ap, _rg, og, cg in sched.grid:
             want |= {(ap, PHASES[p], first + 1) for p in stream_steps(
-                lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w, lp.in_bits,
-                catalog).phase}
+                lp.streams[og][cg], lp.tiles[og], lp.f_h * lp.f_w,
+                lp.in_bits).phase}
         for at, level in enumerate(sched.tree, first + 2):
             want |= {(ap, "accum", at) for og, dst, _src in level
                      for ap in sched.bundle(og, dst)}

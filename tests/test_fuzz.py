@@ -89,7 +89,8 @@ def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
         prog = emit_program(net, h, w, geometry, opt)
     except (CapacityError, FormatError):
         return
-    assert ApProgram.from_doc(json.loads(prog.dumps())) == prog
+    text = prog.dumps()
+    assert ApProgram.from_doc(json.loads(text)).dumps() == text
     ifm = make_synthetic_input(net, h, w, seed=seed)
     with mock.patch.object(sim, "run_macro", wraps=sim.run_macro) as run_macro:
         got = sim.run(prog, ifm).trace
@@ -170,8 +171,7 @@ def test_decoded_streams_match_the_micro_op_reference(catalog, case,
         for og, (tile, row) in enumerate(zip(lp.tiles, lp.streams)):
             for stream in row:
                 value0 = lp.f_h * lp.f_w
-                steps = stream_steps(stream, tile, value0, lp.in_bits,
-                                     catalog)
+                steps = stream_steps(stream, tile, value0, lp.in_bits)
                 macros = item_macros(stream.channels(), tile, value0,
                                      lp.in_bits)
                 assert steps_equal(steps, decode(
@@ -251,7 +251,7 @@ def test_the_stream_rules_imply_the_macro_contract(catalog, case):
     contract check."""
     channels, tile, value0, in_bits = case
     try:
-        steps = stream_steps(Stream(channels), tile, value0, in_bits, catalog)
+        steps = stream_steps(Stream(channels), tile, value0, in_bits)
     except FormatError:
         return
     macros = item_macros(channels, tile, value0, in_bits)
@@ -277,7 +277,40 @@ def test_merge_steps_are_the_reference_adds(catalog, tile):
                                    tile.carry, tile.zero),
                     catalog[isa.ADD, isa.IN_PLACE, False], "accum")
                    for acc in range(tile.acc0, tile.carry)])
-    assert steps_equal(merge_steps(tile, catalog), want)
+    assert steps_equal(merge_steps(tile), want)
+
+
+@given(networks(), geometries)
+def test_compiled_tables_read_the_zero_column_as_one_bit_at_domain_0(
+        case, geometry):
+    """Every stream and merge table of a compiled program, at both opt
+    levels, reads the zero column only as one unsigned bit at domain 0 and
+    never walks its port past domain 0: what lets an unsigned operand read
+    past its width from the one plane at the zero column's domain 0."""
+    net, h, w = case
+    for opt in OPT_LEVELS:
+        try:
+            prog = emit_program(net, h, w, geometry, opt)
+        except (CapacityError, FormatError):
+            continue
+        for lp in prog.layers:
+            if lp.kind != "conv":
+                continue
+            for tile, row in zip(lp.tiles, lp.streams):
+                for steps in [merge_steps(tile)] + [
+                        stream_steps(stream, tile, lp.f_h * lp.f_w,
+                                     lp.in_bits) for stream in row]:
+                    assert steps.zero == tile.zero
+                    for col, base, width, signed in (steps.a, steps.b):
+                        on = col == tile.zero
+                        assert (base[on] == 0).all() and \
+                            (width[on] == 1).all() and not signed[on].any()
+                    (_item, col, first, last), reads, _port = steps.ports()
+                    on = col == tile.zero
+                    assert (first[on] == 0).all() and (last[on] == 0).all()
+                    for _col, _base, n, fill, dom in reads:
+                        past = n < steps.m
+                        assert (dom[past & (fill == tile.zero)] == 0).all()
 
 
 # --- what a run charges follows from its program ----------------------------

@@ -206,7 +206,9 @@ FAULTS = {"other-table": FormatError, "carry-shifted": FormatError,
 def contract_macros(draw, key, carry, zero, columns):
     """A macro over the table at `key` that keeps the macro contract: the
     given carry and zero columns, and a, b and the result columns on
-    distinct `columns`, except where the contract lets two roles share one."""
+    distinct `columns`, except where the contract lets two roles share one.
+    It states only what a program can: its result starts at domain 0, and
+    an operand on the zero column is one unsigned bit at domain 0."""
     op, mode, negated = key
     m = draw(st.integers(1, 8))
     n_dest = draw(st.integers(1, 3)) if mode == isa.OUT_OF_PLACE else 0
@@ -220,8 +222,10 @@ def contract_macros(draw, key, carry, zero, columns):
         return isa.OperandRef(col, base, width, draw(st.booleans()))
     # an operand may be stored wider than the macro reads it
     a = operand(a_col, draw(st.integers(1, m + 2)))
-    b = operand(b_col, m if mode == isa.IN_PLACE
-                else draw(st.integers(1, m + 2)))
+    if mode == isa.IN_PLACE:
+        b = isa.OperandRef(b_col, 0, m, draw(st.booleans()))
+    else:
+        b = operand(b_col, draw(st.integers(1, m + 2)))
     # the columns the contract lets roles share: one operand as both a and
     # b, or an operand on the zero column
     share = draw(st.sampled_from(
@@ -229,10 +233,12 @@ def contract_macros(draw, key, carry, zero, columns):
         else (None, "a-on-zero", "b-on-zero", "a-is-b")))
     if share == "a-is-b":
         b = a
-    elif share is not None:
-        (a if share == "a-on-zero" else b).col = zero
-    return isa.MacroInstr(op, mode, negated, m, a, b, tuple(dests),
-                          draw(st.integers(0, DIFF_DOMAINS - m)), carry, zero)
+    elif share == "a-on-zero":
+        a = isa.OperandRef(zero, 0, 1, False)
+    elif share == "b-on-zero":
+        b = isa.OperandRef(zero, 0, 1, False)
+    return isa.MacroInstr(op, mode, negated, m, a, b, tuple(dests), 0, carry,
+                          zero)
 
 
 @st.composite
@@ -279,7 +285,13 @@ def macro_cases(draw):
             ref = a if role == "a" else b
             ref.col = bad
     elif fault == "domain-past-track":
-        a.base = DIFF_DOMAINS - min(a.width, m) + 1
+        # of a read operand off the zero column: an in-place b, the
+        # result, starts at domain 0
+        ref = a if a.col != zero else b if mode == isa.OUT_OF_PLACE else None
+        if ref is None:
+            fault = None
+        else:
+            ref.base = DIFF_DOMAINS - min(ref.width, m) + 1
     elif fault == "bad-result":
         if mode == isa.IN_PLACE:
             b.width = m + 1
@@ -391,12 +403,13 @@ ALIASED_ROLES = {
     "in-place-b-on-zero": lambda mac: (_in_place(mac),
                                        setattr(mac, "zero_col", 1)),
 }
+ZERO = isa.OperandRef(4, 0, 1, False)     # the zero column as an operand
 SHARED_ROLES = {
     "a-is-b": lambda mac: setattr(mac, "b", mac.a),
-    "a-on-zero": lambda mac: setattr(mac.a, "col", 4),
-    "b-on-zero": lambda mac: setattr(mac.b, "col", 4),
+    "a-on-zero": lambda mac: setattr(mac, "a", ZERO),
+    "b-on-zero": lambda mac: setattr(mac, "b", ZERO),
     "in-place-a-on-zero": lambda mac: (_in_place(mac),
-                                       setattr(mac.a, "col", 4)),
+                                       setattr(mac, "a", ZERO)),
     "carry-on-unread-zero": lambda mac: (setattr(mac.a, "signed", True),
                                          setattr(mac, "carry_col", 4)),
 }
@@ -490,13 +503,17 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
     assert _stream_outcome(rows, aligns, seed, bundled) == want
 
 
-def _table_and_reference(catalog, stream, rows, aligns, seed):
+def _table_and_reference(catalog, stream, rows, aligns, seed, steps=None):
     """`_stream_outcome` of `stream`'s (macro, table key, phase) triples
-    decoded into one table and charged and run on one bundle of all the
-    APs, and of its macros run AP by AP through the micro-op reference."""
+    decoded into one table, or of the table `steps`, charged and run on
+    one bundle of all the APs, and of its macros run AP by AP through the
+    micro-op reference."""
+    if steps is None:
+        steps = decode([(macro, catalog[key], phase)
+                        for macro, key, phase in stream])
+
     def bundled(state, aps):
-        run_steps(state, aps, decode([(macro, catalog[key], phase)
-                                      for macro, key, phase in stream]), 2, 5)
+        run_steps(state, aps, steps, 2, 5)
 
     def reference(state, aps):
         for ap in aps:
@@ -510,9 +527,9 @@ def _table_and_reference(catalog, stream, rows, aligns, seed):
 OUT = (isa.ADD, isa.OUT_OF_PLACE, False)
 
 
-def _out_of_place(m, a, b, dest, rbase=0):
+def _out_of_place(m, a, b, dest):
     """An m-bit out-of-place add on carry column 0 and zero column 1."""
-    return isa.MacroInstr(*OUT, m, a, b, dest, rbase, 0, 1)
+    return isa.MacroInstr(*OUT, m, a, b, dest, 0, 0, 1)
 
 
 def test_shifts_are_charged_to_the_phase_of_their_step(catalog):
@@ -522,13 +539,13 @@ def test_shifts_are_charged_to_the_phase_of_their_step(catalog):
     ref = isa.OperandRef
     stream = [(_out_of_place(4, ref(2, 0, 4, True), ref(3, 0, 4, True), (4,)),
                OUT, "dfg"),
-              (_out_of_place(3, ref(5, 2, 3, True), ref(6, 1, 3, True), (7,),
-                             5), OUT, "accum")]
+              (_out_of_place(3, ref(5, 2, 3, True), ref(6, 1, 3, True), (7,)),
+               OUT, "accum")]
     got, want = _table_and_reference(catalog, stream, 16, [{}], 1)
     assert got == want
-    # columns 2-4 walk 0..3; then 6 walks 0, 1..3, 5 0, 2..4 and 7 0, 5..7
+    # columns 2-4 walk 0..3; then 6 walks 0, 1..3, 5 0, 2..4 and 7 0..2
     assert [got[1][0, 2, phase, 5, sim.SHIFT][:3] for phase in
-            ("dfg", "accum")] == [[9, 9 * 16, 9], [9, 9 * 16, 3 + 4 + 7]]
+            ("dfg", "accum")] == [[9, 9 * 16, 9], [8, 8 * 16, 3 + 4 + 2]]
 
 
 def test_each_ap_of_a_wide_bundle_walks_from_its_own_ports(catalog):
@@ -545,31 +562,39 @@ def test_each_ap_of_a_wide_bundle_walks_from_its_own_ports(catalog):
         [9, 6 + 2 + 9 + 9]
 
 
-@pytest.mark.parametrize("shifted", ["none", "at-start", "by-a-step"])
+@pytest.mark.parametrize("shifted", ["none", "at-start", "by-a-step",
+                                     "walked-home"])
 def test_a_step_reading_the_zero_column_off_domain_0_is_rejected(catalog,
                                                                  shifted):
     """A step whose 2-bit unsigned a runs out below its 4-bit width reads
-    the zero column at its port. Where that port stands off domain 0, from
-    the start or because an earlier step read the zero column as its
-    operand from domain 2, the table is rejected as the reference rejects
-    the macro; otherwise both run."""
+    the zero column at its port. Where that port stands off domain 0 from
+    the start, the table is rejected as the reference rejects the macro,
+    unless a step before it reads the zero column as its a, which walks
+    the port home. A step that walks the zero column off domain 0, reading
+    it as its a from domain 2, is rejected itself, where the reference
+    rejects the step after it; no program can state that read, so the
+    table is edited to make it. Otherwise both run."""
     ref = isa.OperandRef
     stream = [(_out_of_place(4, ref(2, 0, 2, False), ref(3, 0, 4, True),
                              (4,)), OUT, "dfg")]
+    steps, zero = None, ref(1, 0, 1, False)
+    if shifted in ("by-a-step", "walked-home"):
+        stream.insert(0, (_out_of_place(3, zero, ref(5, 0, 3, True), (6,)),
+                          OUT, "dfg"))
     if shifted == "by-a-step":
-        stream.insert(0, (_out_of_place(3, ref(1, 2, 1, False),
-                                        ref(5, 0, 3, True), (6,)), OUT,
-                          "dfg"))
-    aligns = [{1: 3}] if shifted == "at-start" else [{}]
-    got, want = _table_and_reference(catalog, stream, 16, aligns, 3)
+        steps = decode([(macro, catalog[key], phase)
+                        for macro, key, phase in stream])
+        steps.a[1][0] = zero.base = 2
+    aligns = [{1: 3}] if shifted in ("at-start", "walked-home") else [{}]
+    got, want = _table_and_reference(catalog, stream, 16, aligns, 3, steps)
     assert got == want
-    if shifted == "none":
+    if shifted in ("none", "walked-home"):
         assert isinstance(got, tuple)
     else:
         assert got is FormatError
 
 
-def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
+def _merge_outcome(rows, aligns, seed, pairs, bundles):
     """`_stream_outcome` of one merge of a tile whose carry is column 5 and
     scratch column 7, so no alignment may move column 5. `bundles` lists
     which of the (destination, source) AP pairs in `pairs` share a bundle;
@@ -577,7 +602,7 @@ def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
     source's accumulator moves into the destination's scratch column."""
     tile = Tile(c_lo=0, c_hi=3, acc_lo=-40, acc_hi=40, acc0=2)
     assert (tile.carry, tile.scratch) == (5, 7)
-    steps = merge_steps(tile, catalog)
+    steps = merge_steps(tile)
 
     def execute(state, aps):
         for bundle_pairs in bundles:
@@ -596,8 +621,7 @@ def _merge_outcome(catalog, rows, aligns, seed, pairs, bundles):
     st.dictionaries(st.sampled_from([0, 1, 2, 3, 4, 6, 7, 8, 9]),
                     st.integers(0, DIFF_DOMAINS - 1)),
     min_size=4, max_size=4), st.integers(0, 2**32))
-def test_a_wide_bundle_merges_as_each_ap_merges_alone(catalog, rows, aligns,
-                                                      seed):
+def test_a_wide_bundle_merges_as_each_ap_merges_alone(rows, aligns, seed):
     """APs 0 and 1 each merge three accumulators from their own source AP,
     2 and 3. On one two-AP bundle that leaves every AP's planes, alignment
     and write counts, and every counter bin, as each merge on its own
@@ -605,9 +629,8 @@ def test_a_wide_bundle_merges_as_each_ap_merges_alone(catalog, rows, aligns,
     not one the bundle gathered for the add before. Only the moves write
     the scratch column, each one of the 7-bit accumulators."""
     pairs = [(0, 2), (1, 3)]
-    got = _merge_outcome(catalog, rows, aligns, seed, pairs, [[0, 1]])
-    assert got == _merge_outcome(catalog, rows, aligns, seed, pairs,
-                                 [[0], [1]])
+    got = _merge_outcome(rows, aligns, seed, pairs, [[0, 1]])
+    assert got == _merge_outcome(rows, aligns, seed, pairs, [[0], [1]])
     assert [writes[7] for _planes, _align, writes in got[0]] == \
         [3 * 7, 3 * 7, 0, 0]
 
