@@ -7,25 +7,21 @@ materialized: a value consumed with flipped sign turns an add into a sub
 tagged with a minus sign that the accumulation phase resolves by
 subtracting instead of adding.
 
-The optimizer is a greedy signed-pair extractor: the two-term pattern
-(+-x_i +-x_j) occurring in the most rows, counting a pattern and its
-negation together, is hoisted into a temporary and substituted, until no
-pattern occurs twice. Pair counts are kept incrementally (Hartley's
-pair-count CSE): taken once, then updated only in the rows an extraction
-rewrites, with the next pair drawn from a lazy-deletion heap whose key is
-the same tie-break a full recount would apply. Scope is one LinearSystem,
-i.e. one input channel of one layer, or a contiguous range of its rows.
+The optimizer is Hartley's greedy signed-pair extraction: the two-term
+pattern (+-x_i +-x_j) occurring in the most rows, counting a pattern and
+its negation together, is hoisted into a temporary and substituted, until
+no pattern occurs twice. Scope is one LinearSystem (one input channel of
+one layer) or a contiguous range of its rows. Rows are two bitsets per
+atom (`RowBits`), one per sign, taken once per channel; a range's are the
+channel's shifted and masked, and a pair's count is a popcount.
 
-Both opt levels start from the rows' signed slot terms (`row_terms`), taken
-once per system; `shared_terms` runs the pair extraction on a copy under
-CSE. `number_nodes` is the one numbering of the resulting temporaries and
-rows, and the one representation of a channel's graph: parallel per-node
-lists of kind, operands, value interval over inputs in [0, 1], use count
-and one (node, sign) tag per row, each interval computed as its op is
-made. The scheduler plans columns straight from that table.
-`DataFlowGraph` is a view of it that also keeps the rows' terms, from which
-CSE reruns, and the top input value, by which `annotate_bitwidths` scales
-the table's intervals; `dfg_evaluate` checks a graph against them.
+`graph_from_terms` numbers the rows, after pair extraction on a copy under
+CSE, with `number_nodes`: the one representation of a channel's graph, as
+parallel per-node lists of kind, operands, value interval over inputs in
+[0, 1], use count and one (node, sign) tag per row. The scheduler plans
+columns from that table. `DataFlowGraph` views it with the rows' bitsets,
+from which CSE reruns, and the top input value, by which
+`annotate_bitwidths` scales the intervals; `dfg_evaluate` checks a graph.
 """
 
 from __future__ import annotations
@@ -45,15 +41,41 @@ INPUT, ADD, SUB, ZERO = "input", "add", "sub", "zero"
 # construction
 # ---------------------------------------------------------------------------
 
-def row_terms(matrix: np.ndarray) -> list[dict[int, int]]:
-    """Per row of a ternary matrix: its nonzero slots, ascending, mapped to
-    their signs."""
-    rows: list[dict[int, int]] = [{} for _ in range(matrix.shape[0])]
-    r_idx, k_idx = np.nonzero(matrix)
-    for r, k, c in zip(r_idx.tolist(), k_idx.tolist(),
-                       matrix[r_idx, k_idx].tolist()):
-        rows[r][k] = c
-    return rows
+class RowBits(NamedTuple):
+    """A system's rows as two row bitsets per atom, an atom being a patch
+    slot or, after extraction, a temporary: bit r of pos[a] is set where
+    row r holds atom a with +1, and of neg[a] where it holds it with -1."""
+
+    n_rows: int
+    pos: list[int]
+    neg: list[int]
+
+    def rows(self, lo: int, hi: int) -> RowBits:
+        """Rows lo..hi-1 as a system of their own."""
+        mask = (1 << (hi - lo)) - 1
+        return RowBits(hi - lo, [b >> lo & mask for b in self.pos],
+                       [b >> lo & mask for b in self.neg])
+
+
+def channel_bits(matrices: np.ndarray) -> list[RowBits]:
+    """The rows of each ternary matrix of a (channels, rows, slots) stack,
+    taken with one `np.packbits` per sign."""
+    n_ch, n_rows, n_slots = matrices.shape
+    size = -(-n_rows // 8)      # bytes a bitset takes
+
+    def bits(sign: int) -> list[int]:
+        raw = np.packbits(matrices == sign, axis=1, bitorder="little"
+                          ).transpose(0, 2, 1).tobytes()
+        return [int.from_bytes(raw[i * size:(i + 1) * size], "little")
+                for i in range(n_ch * n_slots)]
+    pos, neg = bits(1), bits(-1)
+    return [RowBits(n_rows, pos[i:i + n_slots], neg[i:i + n_slots])
+            for i in range(0, n_ch * n_slots, n_slots)]
+
+
+def row_bits(matrix: np.ndarray) -> RowBits:
+    """One ternary matrix's rows (see `channel_bits`)."""
+    return channel_bits(matrix[None])[0]
 
 
 class NodeTable(NamedTuple):
@@ -76,13 +98,14 @@ class NodeTable(NamedTuple):
 
 
 def number_nodes(n_slots: int, temp_defs: list[tuple[int, int, int]],
-                 rows: list[dict[int, int]]) -> NodeTable:
-    """Number the nodes of term lists: each temporary's op, then each row's
-    left-to-right chain, an input at its first reference and one zero node
-    at the first empty row.
+                 rows: RowBits) -> NodeTable:
+    """Number the nodes of a system's rows: each temporary's op, then each
+    row's left-to-right chain over its atoms in ascending order, an input
+    at its first reference and one zero node at the first empty row.
 
     temp_defs entries are (u, sign_v, v): temporary atom n_slots+i equals
-    atom u plus sign_v * atom v. Atoms below n_slots are patch slots.
+    atom u plus sign_v * atom v. Atoms below n_slots are patch slots, and
+    `rows` holds a bitset pair for every atom, slots first.
     """
     kind: list[str] = []
     lhs: list[int] = []
@@ -102,10 +125,13 @@ def number_nodes(n_slots: int, temp_defs: list[tuple[int, int, int]],
         uses.append(0)
         return len(kind) - 1
 
-    def new_input(atom: int) -> int:
-        if atom >= n_slots:
-            raise ValueError("temporary referenced before definition")
-        node_of[atom] = n = new_node(INPUT, atom, -1, 0, 1)
+    def node(atom: int) -> int:
+        """The atom's node; a slot's input is made at its first reference."""
+        n = node_of[atom]
+        if n < 0:
+            if atom >= n_slots:
+                raise ValueError("temporary referenced before definition")
+            node_of[atom] = n = new_node(INPUT, atom, -1, 0, 1)
         return n
 
     def new_op(sign: int, a: int, b: int) -> int:
@@ -116,63 +142,48 @@ def number_nodes(n_slots: int, temp_defs: list[tuple[int, int, int]],
         return new_node(SUB, a, b, lo[a] - hi[b], hi[a] - lo[b])
 
     for i, (u, sv, v) in enumerate(temp_defs):
-        a = node_of[u]
-        if a < 0:
-            a = new_input(u)
-        b = node_of[v]
-        if b < 0:
-            b = new_input(v)
-        node_of[n_slots + i] = new_op(sv, a, b)
+        node_of[n_slots + i] = new_op(sv, node(u), node(v))
+
+    # each row's (atom, sign) chain, ascending: an atom has one sign a row
+    chains: list[list[tuple[int, int]]] = [[] for _ in range(rows.n_rows)]
+    for atom, (p, n) in enumerate(zip(rows.pos, rows.neg)):
+        for bits, s in ((p, 1), (n, -1)):
+            while bits:
+                low = bits & -bits
+                chains[low.bit_length() - 1].append((atom, s))
+                bits ^= low
 
     zero = -1
-    for row in rows:
-        terms = sorted(row.items())
-        if not terms:
+    for terms in chains:
+        if terms:
+            (a0, s0), rest = terms[0], terms[1:]
+            cur = node(a0)
+            for a, s in rest:
+                cur = new_op(s * s0, cur, node(a))
+        else:
             if zero < 0:
                 zero = new_node(ZERO, -1, -1, 0, 0)
-            uses[zero] += 1
-            tags.append((zero, 1))
-            continue
-        (a0, s0), rest = terms[0], terms[1:]
-        cur = node_of[a0]
-        if cur < 0:
-            cur = new_input(a0)
-        for a, s in rest:
-            b = node_of[a]
-            if b < 0:
-                b = new_input(a)
-            cur = new_op(s * s0, cur, b)
+            cur, s0 = zero, 1
         uses[cur] += 1
         tags.append((cur, s0))
     return NodeTable(n_slots, kind, lhs, rhs, lo, hi, uses, tags)
 
 
-def shared_terms(rows: list[dict[int, int]], n_slots: int, cse: bool
-                 ) -> tuple[list[tuple[int, int, int]], list[dict[int, int]]]:
-    """`number_nodes`' input for rows given as signed slot terms (see
-    `row_terms`): with `cse`, the temporaries `_extract_pairs` hoists from a
-    copy of the rows and the rewritten copy; otherwise the rows as they are."""
-    if not cse:
-        return [], rows
-    rows = [dict(row) for row in rows]
-    return _extract_pairs(rows, n_slots), rows
-
-
 @dataclass
 class DataFlowGraph:
     """One LinearSystem's graph, as a view of `number_nodes`' table: the
-    rows' signed slot terms as given (before any extraction), the table
-    numbered from them and the top input value, 0 until
-    `annotate_bitwidths` sets it."""
+    rows' slot bitsets as given (before any extraction), the table numbered
+    from them and the top input value, 0 until `annotate_bitwidths` sets
+    it."""
 
     channel: int
-    terms: list[dict[int, int]]
+    terms: RowBits
     nodes: NodeTable
     top: int = 0
 
     @property
     def n_rows(self) -> int:
-        return len(self.terms)
+        return self.terms.n_rows
 
     @property
     def n_slots(self) -> int:
@@ -190,91 +201,79 @@ class DataFlowGraph:
         return min_signed_width(*self.interval(n))
 
 
-def graph_from_terms(channel: int, n_slots: int, rows: list[dict[int, int]],
-                     cse: bool) -> DataFlowGraph:
-    """The graph of rows given as signed slot terms (see `row_terms`): with
-    `cse`, the shared-pair graph of `eliminate_common_subexpressions`, run on
-    a copy of the terms; otherwise one left-to-right chain per row."""
+def graph_from_terms(channel: int, rows: RowBits, cse: bool
+                     ) -> DataFlowGraph:
+    """The graph of a system's rows: under `cse`, numbered after
+    `_extract_pairs` runs on a copy of the bitsets; else one chain a row."""
+    pos, neg = list(rows.pos), list(rows.neg)
+    temp_defs = _extract_pairs(pos, neg) if cse else []
     return DataFlowGraph(channel, rows, number_nodes(
-        n_slots, *shared_terms(rows, n_slots, cse)))
+        len(rows.pos), temp_defs, RowBits(rows.n_rows, pos, neg)))
 
 
 def build_dfg(system: LinearSystem) -> DataFlowGraph:
     """Naive lowering: each row becomes a left-to-right chain, nothing shared."""
-    return graph_from_terms(system.channel, system.matrix.shape[1],
-                            row_terms(system.matrix), cse=False)
+    return graph_from_terms(system.channel, row_bits(system.matrix),
+                            cse=False)
 
 
 def eliminate_common_subexpressions(g: DataFlowGraph) -> DataFlowGraph:
-    """Greedy shared-pair hoisting over one graph's rows (see
-    `_extract_pairs`), starting from the rows' stored terms."""
-    return graph_from_terms(g.channel, g.n_slots, g.terms, cse=True)
+    """Greedy shared-pair hoisting from the graph's stored row bitsets."""
+    return graph_from_terms(g.channel, g.terms, cse=True)
 
 
-def _extract_pairs(rows: list[dict[int, int]],
-                   n_slots: int) -> list[tuple[int, int, int]]:
-    """Greedy shared-pair hoisting over one channel's rows, rewriting them in
-    place; returns the temporaries' definitions in `number_nodes`' form.
+def _extract_pairs(pos: list[int], neg: list[int]
+                   ) -> list[tuple[int, int, int]]:
+    """Greedy shared-pair hoisting, in place over one system's row
+    bitsets: each temporary's are appended and its rows leave its
+    operands'. Returns the temporaries in `number_nodes`' form.
 
-    A signed pair (u, v, s), u < v, stands for both +-(x_u + s*x_v); its
-    count is the number of rows holding either form. Counts are taken once.
-    Extracting a pair touches only the rows holding it, found through an
-    atom -> rows index: the pairs those rows lose with u or v are
-    decremented and the pairs the new temporary forms with their remaining
-    atoms are counted. The next pair comes off a lazy-deletion heap keyed
-    by (-count, u, v, 0 if s > 0 else 1): counts only fall once a pair
-    exists, so a popped entry whose count has fallen is pushed back at its
-    current count, and one below 2 is dropped. The key is the tie-break of
-    a full recount (most rows, then the lowest (u, v), then the positive
-    form), so rebuilds are deterministic. Every extraction with k matching
-    rows trades k chain ops for one temporary, so op_count never increases.
+    A signed pair (u, v, s), u < v, stands for both +-(x_u + s*x_v). Its
+    count, the rows holding either form, is read off the bitsets when it
+    comes off a lazy-deletion heap keyed by (-count, u, v, 0 if s > 0 else
+    1). Counts only fall once a pair exists, so an entry whose count has
+    fallen goes back at its current count, or is dropped below 2. The key
+    is a full recount's tie-break: most rows, the lowest (u, v), the
+    positive form. A new temporary pairs with every atom sharing two of its
+    rows. Each extraction with k rows trades k chain ops for one temporary,
+    so op_count never increases.
     """
     temp_defs: list[tuple[int, int, int]] = []
-    counts: dict[tuple[int, int, int], int] = {}
-    rows_of: dict[int, set[int]] = {}
-    for r, row in enumerate(rows):
-        atoms = sorted(row.items())
-        for i, (u, su) in enumerate(atoms):
-            rows_of.setdefault(u, set()).add(r)
-            for v, sv in atoms[i + 1:]:
-                key = (u, v, su * sv)
-                counts[key] = counts.get(key, 0) + 1
-    heap = [(-c, u, v, 0 if s > 0 else 1)
-            for (u, v, s), c in counts.items() if c > 1]
-    heapq.heapify(heap)
+    heap: list[tuple[int, int, int, int]] = []
 
+    def pair_up(v: int) -> None:
+        """Push each form of (u, v), u < v, that two rows or more hold."""
+        rows_v = pos[v] | neg[v]
+        for u in range(v):
+            shared = (pos[u] | neg[u]) & rows_v
+            if shared & (shared - 1):   # two rows or more
+                same = (pos[u] & pos[v] | neg[u] & neg[v]).bit_count()
+                opposite = shared.bit_count() - same
+                if same > 1:
+                    heapq.heappush(heap, (-same, u, v, 0))
+                if opposite > 1:
+                    heapq.heappush(heap, (-opposite, u, v, 1))
+
+    for v in range(len(pos)):
+        pair_up(v)
     while heap:
-        neg, u, v, neg_s = heapq.heappop(heap)
-        s = -1 if neg_s else 1
-        c = counts[u, v, s]
-        if c != -neg:
+        count, u, v, crossed = heapq.heappop(heap)
+        if crossed:
+            held = pos[u] & neg[v] | neg[u] & pos[v]
+        else:
+            held = pos[u] & pos[v] | neg[u] & neg[v]
+        c = held.bit_count()
+        if c != -count:
             if c > 1:
-                heapq.heappush(heap, (-c, u, v, neg_s))
+                heapq.heappush(heap, (-c, u, v, crossed))
             continue
-        temp = n_slots + len(temp_defs)
-        temp_defs.append((u, s, v))
-        counts[u, v, s] = 0     # every row holding the pair is rewritten
-        formed: dict[tuple[int, int, int], int] = {}
-        for r in rows_of[u] & rows_of[v]:
-            row = rows[r]
-            su = row[u]
-            if row[v] != s * su:
-                continue
-            del row[u], row[v]
-            rows_of[u].discard(r)
-            rows_of[v].discard(r)
-            for w, sw in row.items():
-                for x, sx in ((u, su), (v, s * su)):
-                    lo, hi = (x, w) if x < w else (w, x)
-                    counts[lo, hi, sx * sw] -= 1
-                key = (w, temp, su * sw)
-                formed[key] = formed.get(key, 0) + 1
-            row[temp] = su
-            rows_of.setdefault(temp, set()).add(r)
-        counts.update(formed)
-        for (w, t, sw), c in formed.items():
-            if c > 1:
-                heapq.heappush(heap, (-c, w, t, 0 if sw > 0 else 1))
+        temp_defs.append((u, -1 if crossed else 1, v))
+        pos.append(pos[u] & held)
+        neg.append(neg[u] & held)
+        for x in u, v:
+            pos[x] &= ~held
+            neg[x] &= ~held
+        pair_up(len(pos) - 1)
     return temp_defs
 
 

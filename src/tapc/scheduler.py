@@ -20,7 +20,8 @@ accumulator column per local output channel, one carry, one always-zero
 column and one move scratch.
 
 Each (channel, tile) is planned in one flat pass over the parallel lists of
-`dfg.number_nodes`, whose intervals come with the nodes: one backward walk
+`dfg.number_nodes`, numbered from the tile's slice of the channel's row
+bitsets, whose intervals come with the nodes: one backward walk
 decides addressing and widths, one forward sweep allocates copies and live
 ranges, and the coloring then turns the sweep's operands into columns.
 The plan keeps the finished macro items and the op count, no graph.
@@ -201,8 +202,9 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
     Only a one-channel tile allocates every channel, so that the
     CapacityError names the widest.
 
-    Each channel's row terms are taken once and sliced per tile, and a
-    tile numbers each channel's nodes, after pair extraction under
+    Each channel's row bitsets are taken once per layer, and a tile's are
+    the channel's shifted down by c_lo and masked to its rows. A tile
+    numbers each channel's nodes from them, after pair extraction under
     unroll_cse, as it allocates it. The accumulators hold the full
     cross-channel sum of a row; its interval comes from the row's -1 and +1
     counts over all channels, taken once per layer. One uniform width per
@@ -211,13 +213,11 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
     systems = lower_layer(weights, shape)
     n_slots = shape.f_h * shape.f_w
     cse = opt == "unroll_cse"
-    terms = [dfglib.row_terms(sys.matrix) for sys in systems]
+    matrices = np.stack([sys.matrix for sys in systems])
+    bits = dfglib.channel_bits(matrices)
     top = (1 << in_bits) - 1
-    neg = np.zeros(shape.c_out, dtype=np.int64)
-    pos = np.zeros(shape.c_out, dtype=np.int64)
-    for sys in systems:
-        neg += np.count_nonzero(sys.matrix == -1, axis=1)
-        pos += np.count_nonzero(sys.matrix == 1, axis=1)
+    neg = np.count_nonzero(matrices == -1, axis=(0, 2))
+    pos = np.count_nonzero(matrices == 1, axis=(0, 2))
 
     n_tiles = 1
     while True:
@@ -229,10 +229,10 @@ def plan_conv_layer(weights, shape, in_bits: int, geometry: ApGeometry,
             budget = (geometry.columns
                       - Tile(c_lo, c_hi, 0, 0, n_slots).columns_used)
             plans = {}
-            for sys, rows in zip(systems, terms):
-                nodes = dfglib.number_nodes(n_slots, *dfglib.shared_terms(
-                    rows[c_lo:c_hi], n_slots, cse))
-                plans[sys.channel] = plan = allocate_columns(nodes, in_bits)
+            for sys, rows in zip(systems, bits):
+                plans[sys.channel] = plan = allocate_columns(
+                    dfglib.graph_from_terms(sys.channel, rows.rows(c_lo, c_hi),
+                                            cse).nodes, in_bits)
                 if plan.n_colors > budget and tile_size > 1:
                     break
             n_value = max((p.n_colors for p in plans.values()), default=0)

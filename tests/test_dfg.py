@@ -9,6 +9,7 @@ from conftest import (WORKED_OPS_CSE, WORKED_OPS_UNROLL, WORKED_X, WORKED_Y,
                       system_for, ternary_matrix)
 from tapc import dfg as dfglib
 from tapc.lowering import unrolled_op_count
+from tapc.scheduler import allocate_columns
 
 
 def _graphs(matrix, bits=4):
@@ -133,11 +134,30 @@ def test_single_row_interval_is_tight(coeffs, bits):
     assert (min(ends), max(ends)) == (row_lo, row_hi)
 
 
-def _reference_cse(g):
+def _dict_rows(m):
+    """Each row of a ternary matrix as {slot: sign}, one np.flatnonzero
+    walk per row."""
+    return [{int(k): int(m[r, k]) for k in np.flatnonzero(m[r])}
+            for r in range(m.shape[0])]
+
+
+def _bits_of(rows, n_atoms):
+    """Dict rows as `dfglib.RowBits`, one bit at a time."""
+    pos, neg = [0] * n_atoms, [0] * n_atoms
+    for r, row in enumerate(rows):
+        for atom, sign in row.items():
+            if sign > 0:
+                pos[atom] |= 1 << r
+            else:
+                neg[atom] |= 1 << r
+    return dfglib.RowBits(len(rows), pos, neg)
+
+
+def _reference_cse(m):
     """The full-recount greedy CSE the incremental engine replaced: recount
     every signed pair in every row after each extraction."""
-    rows = [dict(row) for row in g.terms]
-    n_slots = g.n_slots
+    rows = _dict_rows(m)
+    n_slots = m.shape[1]
     temp_defs = []
     while True:
         counts = {}
@@ -165,25 +185,26 @@ def _reference_cse(g):
                 elif row[u] == -1 and row[v] == -sv:
                     del row[u], row[v]
                     row[temp] = -1
-    return dfglib.number_nodes(n_slots, temp_defs, rows)
+    return dfglib.number_nodes(n_slots, temp_defs,
+                               _bits_of(rows, n_slots + len(temp_defs)))
 
 
 def _assert_matches_reference(m):
     g = dfglib.build_dfg(system_for(m))
-    assert dfglib.eliminate_common_subexpressions(g).nodes == _reference_cse(g)
+    assert dfglib.eliminate_common_subexpressions(g).nodes == _reference_cse(m)
 
 
 @st.composite
-def ternary_matrices(draw):
-    """1-64 rows over 1-27 slots, with zero rows and with some rows repeated
-    or negated from earlier ones."""
+def ternary_matrices(draw, max_rows=64):
+    """1 to max_rows rows over 1-27 slots, with zero rows and with some rows
+    repeated or negated from earlier ones."""
     n_cols = draw(st.integers(1, 27))
-    base = draw(arrays(np.int64, (draw(st.integers(1, 64)), n_cols),
+    base = draw(arrays(np.int64, (draw(st.integers(1, max_rows)), n_cols),
                        elements=st.sampled_from([-1, 0, 1])))
     rows = list(base)
     for src, how in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
                                             st.sampled_from([1, -1, 0])),
-                                  max_size=64 - len(rows))):
+                                  max_size=max_rows - len(rows))):
         rows.append(how * base[src])
     order = draw(st.permutations(range(len(rows))))
     return np.array([rows[i] for i in order], dtype=np.int64)
@@ -200,37 +221,76 @@ def test_incremental_cse_matches_full_recount_on_the_worked_matrix(
 
 
 def _reference_chains(system):
-    """build_dfg before row terms: one np.flatnonzero walk per row, then
+    """build_dfg before row bitsets: one np.flatnonzero walk per row, then
     the chains."""
     m = system.matrix
-    rows = [{int(k): int(m[r, k]) for k in np.flatnonzero(m[r])}
-            for r in range(m.shape[0])]
+    rows = _bits_of(_dict_rows(m), m.shape[1])
     return dfglib.DataFlowGraph(system.channel, rows,
                                 dfglib.number_nodes(m.shape[1], [], rows))
 
 
+def _assert_slice_matches_references(m, c_lo, c_hi, cse, x):
+    """The graph of rows c_lo..c_hi-1 sliced from the whole matrix's
+    bitsets equals the reference's on the sub-matrix, and computes it."""
+    sub = m[c_lo:c_hi]
+    g = dfglib.graph_from_terms(0, dfglib.row_bits(m).rows(c_lo, c_hi), cse)
+    if cse:
+        assert g.nodes == _reference_cse(sub)
+    else:
+        assert g == _reference_chains(system_for(sub))
+    assert np.array_equal(dfglib.dfg_evaluate(g, x), sub @ x)
+
+
+@given(ternary_matrices(max_rows=130), st.booleans(), st.data())
+def test_cse_on_a_tile_slice_matches_full_recount(m, cse, data):
+    # a tile's rows are a slice of its channel's bitsets, at any offset
+    c_lo = data.draw(st.integers(0, m.shape[0] - 1))
+    c_hi = data.draw(st.integers(c_lo + 1, m.shape[0]))
+    x = np.array(data.draw(st.lists(st.integers(0, 15), min_size=m.shape[1],
+                                    max_size=m.shape[1])))
+    _assert_slice_matches_references(m, c_lo, c_hi, cse, x)
+
+
+@pytest.mark.parametrize("cse", [False, True])
+@pytest.mark.parametrize("c_lo, c_hi", [(0, 1), (7, 8), (64, 65), (129, 130),
+                                        (0, 130), (3, 130), (9, 17), (13, 77)])
+def test_cse_on_fixed_tile_slices_matches_full_recount(c_lo, c_hi, cse):
+    # 130 rows, a third of them zero, cut into one-row tiles and slices off
+    # byte boundaries
+    m = ternary_matrix(130, 9, 0.6, 11)
+    m[::3] = 0
+    x = np.random.default_rng(5).integers(0, 16, size=9)
+    _assert_slice_matches_references(m, c_lo, c_hi, cse, x)
+
+
 @given(ternary_matrices(), st.integers(1, 8), st.data())
 def test_graphs_from_row_terms_match_the_graph_level_passes(m, bits, data):
-    # the scheduler takes a channel's terms once and slices them per tile
+    # the scheduler takes a channel's bitsets once and slices them per tile
     c_lo = data.draw(st.integers(0, m.shape[0] - 1))
     c_hi = data.draw(st.integers(c_lo + 1, m.shape[0]))
     sliced = system_for(m[c_lo:c_hi])
-    terms = dfglib.row_terms(m)
-    kept = [dict(row) for row in terms]
+    terms = dfglib.row_bits(m).rows(c_lo, c_hi)
+    kept = dfglib.row_bits(sliced.matrix)
+    assert terms == kept
 
     def from_terms(cse):
         return dfglib.annotate_bitwidths(dfglib.graph_from_terms(
-            sliced.channel, m.shape[1], terms[c_lo:c_hi], cse), bits)
+            sliced.channel, terms, cse), bits)
 
     assert from_terms(True) == dfglib.annotate_bitwidths(
         dfglib.eliminate_common_subexpressions(dfglib.build_dfg(sliced)), bits)
-    # CSE reruns from the rows' terms, not from the graph it is given
+    # CSE reruns from the rows' bitsets, not from the graph it is given
     assert (dfglib.eliminate_common_subexpressions(from_terms(True))
             == dfglib.eliminate_common_subexpressions(from_terms(False)))
     chains = from_terms(False)
     assert chains == dfglib.annotate_bitwidths(_reference_chains(sliced), bits)
     assert chains == dfglib.annotate_bitwidths(dfglib.build_dfg(sliced), bits)
-    assert terms == kept    # CSE ran on a copy
+    for cse in (False, True):   # the same ChannelPlan from either
+        sliced_plan, own_plan = (
+            allocate_columns(dfglib.graph_from_terms(0, t, cse).nodes, bits)
+            for t in (terms, kept))
+        assert sliced_plan == own_plan
+    assert terms == kept == from_terms(True).terms    # CSE ran on a copy
 
 
 def _reference_intervals(g, bits):
@@ -254,6 +314,6 @@ def _reference_intervals(g, bits):
 @given(ternary_matrices(), st.integers(1, 8), st.booleans())
 def test_annotated_intervals_match_the_operand_rule(m, bits, cse):
     g = dfglib.annotate_bitwidths(dfglib.graph_from_terms(
-        0, m.shape[1], dfglib.row_terms(m), cse), bits)
+        0, dfglib.row_bits(m), cse), bits)
     assert [g.interval(n) for n in range(len(g.nodes.kind))] \
         == _reference_intervals(g, bits)

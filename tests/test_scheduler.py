@@ -22,17 +22,14 @@ from tapc.scheduler import (ApGeometry, ApProgram, allocate_columns,
 
 
 def plan_for(matrix, opt="unroll_cse", bits=4):
-    n_slots = matrix.shape[1]
-    nodes = dfglib.number_nodes(n_slots, *dfglib.shared_terms(
-        dfglib.row_terms(matrix), n_slots, opt == "unroll_cse"))
-    return allocate_columns(nodes, bits)
+    return allocate_columns(dfglib.graph_from_terms(
+        0, dfglib.row_bits(matrix), opt == "unroll_cse").nodes, bits)
 
 
 def graph_for(matrix, opt="unroll_cse", bits=4):
     """The annotated graph of the nodes `plan_for` plans."""
     return dfglib.annotate_bitwidths(dfglib.graph_from_terms(
-        0, matrix.shape[1], dfglib.row_terms(matrix), opt == "unroll_cse"),
-        bits)
+        0, dfglib.row_bits(matrix), opt == "unroll_cse"), bits)
 
 
 # --- geometry -------------------------------------------------------------
