@@ -32,9 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .isa import ADD, SUB
 from .lowering import LinearSystem
 
-INPUT, ADD, SUB, ZERO = "input", "add", "sub", "zero"
+INPUT, ZERO = "input", "zero"
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+from . import program as programlib
 from .errors import FormatError
 from .program import checked_fields, macro_counts, schedule
 from .sim import EVENT_KINDS, MOVE
 
-PHASES = ("io", "dfg", "accum")
+PHASES = ("io", *programlib.PHASES)
 
 NS_PER_YEAR = 365.25 * 24 * 3600 * 1e9
 

@@ -28,9 +28,9 @@ every row, and the rows those passes tag follow from the same planes. The
 micro-op path, `isa.expand_macro` then `execute_micro_ops`, replays every
 pass and charges each micro-op itself: it is the reference the tests
 compare derivation and executor against. The row groups of a (tile,
-channel group) form one bundle (`Schedule.bundle`), whose wide planes
-stack their rows, so a stream, or a tree merge on the bundle of its
-destination group, runs once however many row groups share it.
+channel group) form one bundle (`Schedule.bundle`): a stream, or a tree
+merge on the bundle of its destination group, is decoded and charged once
+and runs on each AP's own planes.
 
 `EventCounts` keeps, per (ap, layer, phase, epoch, kind), the number of
 events and the integer sums of their bits, steps, cycles and energy size;
@@ -517,28 +517,15 @@ def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
 
 
 class Bundle:
-    """The APs that run a step together, as one array of their stacked rows:
-    AP k's rows, all `rows` of them, are bits [k * rows, (k + 1) * rows) of
-    each wide plane `planes[col][dom]`. A one-AP bundle works on the AP's
-    own planes. A wider one gathers a plane from its APs when a step first
-    reads it, and `close` scatters back the planes its steps wrote
-    (`written`: per column, a bit mask of domains). `tagged` holds, per
-    phase, each AP's tagged write bits, which `close` adds to the write
-    counters the derivation made."""
+    """The APs that run a step together, each on its own planes. `tagged`
+    holds, per phase, each AP's tagged write bits, which `close` adds to
+    the write counters the derivation made."""
 
     def __init__(self, state: SimState, aps, layer: int = 0, epoch: int = 0):
         self.events = state.events
         self.aps = list(aps)
         self.cams = [state.ap(ap) for ap in self.aps]
         self.layer, self.epoch = layer, epoch
-        cam = self.cams[0]
-        self.rows = cam.rows
-        self.masks = [cam.full << k * cam.rows for k in range(len(self.aps))]
-        self.full = (1 << cam.rows * len(self.aps)) - 1
-        self.wide = len(self.aps) > 1
-        self.planes = (defaultdict(lambda: [None] * len(cam.planes[0]))
-                       if self.wide else cam.planes)
-        self.written: dict[int, int] = {}
         self.tagged = defaultdict(lambda: [0] * len(self.aps))
 
     def __len__(self) -> int:
@@ -550,53 +537,16 @@ class Bundle:
     def __exit__(self, *exc):
         self.close()
 
-    def gather(self, col: int, lo: int, hi: int):
-        """Make the wide planes of domains [lo, hi) of `col` readable on a
-        wide bundle: a domain neither gathered nor written is None until
-        then."""
-        track = self.planes[col]
-        for dom in range(lo, hi):
-            if track[dom] is None:
-                plane = 0
-                for k, cam in enumerate(self.cams):
-                    plane |= cam.planes[col][dom] << k * self.rows
-                track[dom] = plane
-
-    def read(self, col: int, base: int, n: int, fill: int, dom: int,
-             m: int) -> list[int]:
-        """The planes an m-bit step searches for one operand, a bit each,
-        as `Steps.ports` gives its reads: n planes of `col` from domain
-        `base` on, then domain `dom` of `fill` for every further bit."""
-        if self.wide:
-            self.gather(col, base, base + n)
-        got = self.planes[col][base:base + n]
-        if n == m:
-            return got
-        if self.wide:
-            self.gather(fill, dom, dom + 1)
-        return got + [self.planes[fill][dom]] * (m - n)
-
     def move_in(self, srcs, col: int, scratch: int, width: int):
         """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
-        into column `scratch` of the k-th AP; a wide bundle stacks the
-        copies into its scratch planes."""
+        into column `scratch` of the k-th AP."""
         for cam, src in zip(self.cams, srcs):
             cam.track(scratch, 0, width)[:width] = \
                 src.track(col, 0, width)[:width]
-        if self.wide:
-            self.planes[scratch][:width] = [
-                sum(src.planes[col][dom] << k * self.rows
-                    for k, src in enumerate(srcs)) for dom in range(width)]
 
     def close(self):
-        """Hand the written planes and the tagged bits back to the APs,
-        once, after the last step."""
-        for col, doms in self.written.items():
-            for dom in range(doms.bit_length()):
-                if doms >> dom & 1:
-                    plane = self.planes[col][dom]
-                    for k, cam in enumerate(self.cams):
-                        cam.planes[col][dom] = plane >> k * cam.rows & cam.full
+        """Add the tagged bits to the APs' write counters, once, after the
+        last step."""
         for k, ap in enumerate(self.aps):
             for phase, tagged in self.tagged.items():
                 if tagged[k]:
@@ -619,8 +569,8 @@ def macro_rows(t: Steps, reads) -> list[tuple]:
 
 def run_macro(bundle: Bundle, step: tuple):
     """Execute one decoded macro (`macro_rows`) on every AP of `bundle`, each
-    bit as one bit-parallel full add or subtract over its (carry, b, a)
-    planes, once for all the bundle's rows, and count the rows each bit tags.
+    bit as one bit-parallel full add or subtract over the AP's (carry, b, a)
+    planes, and count the rows each bit tags.
 
     The catalog's tables (`isa.standard_catalog`) take each row from its
     (carry, b, a) state to `isa.reference_bit` of it and tag exactly the
@@ -632,46 +582,37 @@ def run_macro(bundle: Bundle, step: tuple):
     """
     (phase, sub, negated, in_place, m, a_col, a_base, a_n, a_fill, a_dom,
      b_col, b_base, b_n, b_fill, b_dom, dest, carry) = step
-    bs = bundle.read(b_col, b_base, b_n, b_fill, b_dom, m)
-    as_ = bundle.read(a_col, a_base, a_n, a_fill, a_dom, m)
-
     # a borrow is the carry of the complemented minuend plus the subtrahend;
     # the negated sub swaps the roles, the negated add complements the sum
-    us, vs = (as_, bs) if sub and negated else (bs, as_)
-    full, wide = bundle.full, bundle.wide
+    full = bundle.cams[0].full
     inv = full if sub else 0
     flip = full if sub or negated else 0
-    c = count = 0
-    changed = []                # on a wide bundle, the rows each bit tags
-    results = []
-    for u, v, held in zip(us, vs, bs if in_place else [0] * m):
-        u ^= inv
-        x = u ^ v
-        r = x ^ c ^ flip
-        c_in, c = c, u & v | x & c
-        t = c_in ^ c | r ^ held     # the rows the bit's passes tag
-        if wide:
-            changed.append(t)
-        else:
-            count += t.bit_count()
-        results.append(r)
-    planes = bundle.planes
-    planes[carry][0] = c
-    for col in dest:
-        planes[col][:m] = results
-
-    tagged = bundle.tagged[phase]
     n_written = 1 + len(dest)
-    if wide:
-        written = bundle.written
-        written[carry] = written.get(carry, 0) | 1
+    tagged = bundle.tagged[phase]
+    for k, cam in enumerate(bundle.cams):
+        # the planes a bit searches for each operand: n planes from its
+        # base, then the fill plane for every further bit (`Steps.ports`)
+        planes = cam.planes
+        bs = planes[b_col][b_base:b_base + b_n]
+        if b_n < m:
+            bs += [planes[b_fill][b_dom]] * (m - b_n)
+        as_ = planes[a_col][a_base:a_base + a_n]
+        if a_n < m:
+            as_ += [planes[a_fill][a_dom]] * (m - a_n)
+        us, vs = (as_, bs) if sub and negated else (bs, as_)
+        c = count = 0
+        results = []
+        for u, v, held in zip(us, vs, bs if in_place else repeat(0)):
+            u ^= inv
+            x = u ^ v
+            r = x ^ c ^ flip
+            c_in, c = c, u & v | x & c
+            count += (c_in ^ c | r ^ held).bit_count()  # the rows it tags
+            results.append(r)
+        planes[carry][0] = c
         for col in dest:
-            written[col] = written.get(col, 0) | (1 << m) - 1
-        for k, mask in enumerate(bundle.masks):
-            tagged[k] += n_written * sum((t & mask).bit_count()
-                                         for t in changed)
-    else:
-        tagged[0] += n_written * count
+            planes[col][:m] = results
+        tagged[k] += n_written * count
 
 
 @dataclass

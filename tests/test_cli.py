@@ -417,6 +417,16 @@ GOLDEN_RUNS = {
                        "b0320b8e3fa1d3870089911add332e11",
          "output.tfm": "f2fecc0ea0c317f6f3bf0d6a4e669f1a"
                        "75af44ae96b8e4b7c4b2361e37bf7d7d"}),
+    # _TILED at a 10x10 input: row groups of 32, 32, 32 and 4 rows, so each
+    # tree merge runs on a 4-AP bundle
+    "tiled-4rg": (
+        _TILED[:5] + ["10x10"] + _TILED[6:],
+        {"events.csv": "eb0b0df9a42a7410016d95bf71cd0943"
+                       "0a8ccd30554fb1ad7295c35e1dcce061",
+         "stats.json": "08348f614b13e6da3732ce83a19fadca"
+                       "1e98eb30699ff36325a56f1f561fda10",
+         "output.tfm": "1f8660c35eaaf7b2ca38ef26df847098"
+                       "1447e793f3c5f56fa64c76e7ce4eb719"}),
 }
 
 
@@ -438,6 +448,8 @@ GOLDEN_PROGRAMS = {
              "09c591779aa9cce3d3c1e32ebb582e1f",
     "tiled-unroll": "7faf8a936f27d23879a316e2ffd7b9f1"
                     "a66c23cf49637e14a7f79bb49f7b179b",
+    "tiled-4rg": "0b8ba5dbae5371e79fa37f7961732fca"
+                 "6ddc2e12e4730070c611ae9e610ec944",
     # compile only, 96 columns: the tile-doubling retry, heap ties in the
     # pair extraction and value pools of many colors
     "compile-wide": "0e2b85d500c6d042908b8a9b6fff3dfc"

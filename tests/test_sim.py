@@ -428,7 +428,7 @@ def test_macro_contract_on_shared_columns(catalog, name):
         assert isinstance(want, tuple)
 
 
-# --- bundles: one stream on the stacked rows of several APs ----------------
+# --- bundles: one stream on the planes of each of several APs -------------
 
 @st.composite
 def stream_cases(draw):
