@@ -626,8 +626,8 @@ def test_a_wide_bundle_merges_as_each_ap_merges_alone(rows, aligns, seed):
     2 and 3. On one two-AP bundle that leaves every AP's planes, alignment
     and write counts, and every counter bin, as each merge on its own
     one-AP bundle: each add reads the scratch column its move just wrote,
-    not one the bundle gathered for the add before. Only the moves write
-    the scratch column, each one of the 7-bit accumulators."""
+    not the one the add before it read. Only the moves write the scratch
+    column, each one of the 7-bit accumulators."""
     pairs = [(0, 2), (1, 3)]
     got = _merge_outcome(rows, aligns, seed, pairs, [[0, 1]])
     assert got == _merge_outcome(rows, aligns, seed, pairs, [[0], [1]])
