@@ -4,9 +4,9 @@ its one checking loader.
 A program stores only the compiler's decisions. Per conv layer these are
 the shape and requantization, per output tile its channel range,
 accumulator interval and first accumulator column (`Tile`), and per (tile,
-channel group) one item stream that every row group runs: an item list per
-channel in the file, one table (`Stream`) here. An item stores its op,
-width and the columns it reads and writes. What follows from them is
+channel group) one item stream that every row group runs, a table of
+integer columns (`Stream`) in the file and here alike. An item stores its
+op, width and the columns it reads and writes. What follows from them is
 derived here and nowhere else: a conv layer's `Schedule` (`schedule`), with
 its row and channel groups, whether its APs fit the geometry, the AP of
 each (row group, tile, channel group), the bundle of each (tile, channel
@@ -31,7 +31,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +40,7 @@ from . import isa
 from .errors import CapacityError, FormatError
 from .model import LayerShape, QuantSpec
 
-PROGRAM_VERSION = 5
+PROGRAM_VERSION = 6
 OPT_LEVELS = ("unroll", "unroll_cse")
 OPS = (isa.ADD, isa.SUB)        # an op's code is its index here
 PHASES = ("dfg", "accum")       # and a step's energy phase's here
@@ -90,32 +89,24 @@ class ApGeometry:
 # the typed program
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class Stream:
-    """One (tile, channel group) stream as a table, an entry per item in
-    stream order: op (an index into OPS), width m, columns a and b, channel
-    in the group, and `nd` result columns (0 in place: b), which `dest`
-    holds item after item. The file has an item list a channel (`channels`)."""
+    """One (tile, channel group) stream as the file's table of integer
+    columns: `items`, each channel's item count in group order, and per item
+    in stream order its op (an index into OPS), width m, columns a and b and
+    count `nd` of result columns (0 in place: b), that `dest` holds in turn."""
 
-    __slots__ = ("op", "m", "a", "b", "ch", "nd", "dest", "n_channels")
+    items: np.ndarray
+    op: np.ndarray
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    nd: np.ndarray
+    dest: np.ndarray
 
-    def __init__(self, channels):
-        items = list(chain.from_iterable(channels))
-        ops, m, a, b, dest = zip(*items) if items else ((),) * 5
-        self.op = np.fromiter(map(OPS.index, ops), np.int64, len(items))
-        self.m, self.a, self.b = (np.array(x, np.int64) for x in (m, a, b))
-        self.nd = np.fromiter(map(len, dest), np.int64, len(items))
-        self.dest = np.fromiter(chain.from_iterable(dest), np.int64)
-        self.ch = np.repeat(np.arange(len(channels)), [*map(len, channels)])
-        self.n_channels = len(channels)
-
-    def channels(self) -> list[list[tuple]]:
-        """The file's lists: per channel, its (op, m, a, b, dest) items."""
-        flat, ends = self.dest.tolist(), np.cumsum(self.nd).tolist()
-        items = list(zip(map(OPS.__getitem__, self.op.tolist()),
-                         self.m.tolist(), self.a.tolist(), self.b.tolist(),
-                         map(flat.__getitem__, map(slice, [0, *ends], ends))))
-        cuts = np.cumsum(np.bincount(self.ch, minlength=self.n_channels))
-        return [items[i:j] for i, j in zip([0, *cuts], cuts)]
+    @property
+    def ch(self) -> np.ndarray:     # each item's channel in the group
+        return np.repeat(np.arange(len(self.items)), self.items)
 
 
 class Steps(NamedTuple):
@@ -303,10 +294,9 @@ class ApProgram:
 
 
 def _encode(obj) -> dict | list:
-    """JSON object of a program dataclass, or a stream's lists; items are
-    tuples, which `json` writes as arrays itself."""
-    if type(obj) is Stream:
-        return obj.channels()
+    """JSON object of a program dataclass, or list of a stream's column."""
+    if type(obj) is np.ndarray:
+        return obj.tolist()
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
@@ -466,11 +456,13 @@ def stream_steps(stream: Stream, tile: Tile, value0: int,
              (idx[in_place & (b[2] != m)], "stores its result over a b of "
               "another width")]
     firsts = [int(items.min(initial=n)) for items, _ in rules]
-    if min(firsts) < n:
-        k = min(firsts)
-        i, j = s.ch[k], k - np.searchsorted(s.ch, s.ch[k])
-        raise FormatError(f"channel {i} item {j} {[*s.channels()[i][j]]} "
-                          f"{rules[firsts.index(k)][1]}")
+    k = min(firsts)
+    if k < n:
+        at = s.nd[:k].sum()
+        raise FormatError(
+            f"{_item(s.items, k)} ({OPS[s.op[k]]} m {s.m[k]}, a {s.a[k]}, b "
+            f"{s.b[k]}, dest {s.dest[at:][:s.nd[k]].tolist()}) "
+            f"{rules[firsts.index(k)][1]}")
     unwritten = np.ones(carry - acc0, bool)
     unwritten[dest[dest >= acc0] - acc0] = False
     if unwritten.any():
@@ -480,6 +472,12 @@ def stream_steps(stream: Stream, tile: Tile, value0: int,
                  np.zeros(n, bool), in_place, m, a, b, dest,
                  np.maximum(s.nd, 1), _pass_counts()[s.op, in_place * 1],
                  carry, tile.zero)
+
+
+def _item(items: np.ndarray, k: int) -> str:
+    """Item k of a stream of these item counts, by channel and index."""
+    i = np.searchsorted(np.cumsum(items), k, "right")
+    return f"channel {i} item {k - items[:i].sum()}"
 
 
 def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
@@ -506,13 +504,6 @@ def _check(ok, where: str, what: str, *args):
         raise FormatError(f"{where}: {what.format(*args)}")
 
 
-def _int(v, where: str, lo=-math.inf, hi=math.inf) -> int:
-    """`v` as an int in [lo, hi]; a bool or a float is not an int here."""
-    _check(type(v) is int, where, "expected an integer, got {!r}", v)
-    _check(lo <= v <= hi, where, "{} outside [{}, {}]", v, lo, hi)
-    return v
-
-
 def _list(v, where: str, n: int | None = None) -> list:
     _check(type(v) is list, where, "expected a list, got {!r}", v)
     _check(n is None or len(v) == n, where, "expected {} entries, got {}", n,
@@ -521,15 +512,15 @@ def _list(v, where: str, n: int | None = None) -> list:
 
 
 # JSON types of the field annotations a loader checks; a float may be
-# written as an int
+# written as an int, and an array is a list
 _JSON_TYPES = {"int": (int,), "str": (str,), "float": (int, float),
-               "list": (list,), "dict": (dict,)}
+               "list": (list,), "dict": (dict,), "np.ndarray": (list,)}
 
 
 def checked_fields(v, cls, where: str) -> dict:
     """`v` as an object with exactly the fields of `cls`, each annotated
-    int, str, float, list or dict one of that JSON type; a float must be
-    finite."""
+    int, str, float, list, dict or np.ndarray one of that JSON type; a float
+    must be finite."""
     _check(type(v) is dict, where, "expected an object, got {!r}", v)
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(v)), sorted(set(v) - names)
@@ -552,9 +543,10 @@ def _load(doc) -> ApProgram:
                                       "geometry"))
     prog = ApProgram(**{**doc, "geometry": geo, "layers": []})
     _check(prog.opt in OPT_LEVELS, "program", "unknown opt level {!r}", prog.opt)
-    _int(prog.in_bits, "in_bits", 1, 16)
+    _check(1 <= prog.in_bits <= 16, "program",
+           "in_bits must be in [1, 16], got {}", prog.in_bits)
     for name in ("in_c", "in_h", "in_w"):
-        _int(getattr(prog, name), name, 1)
+        _check(getattr(prog, name) >= 1, "program", "{} must be >= 1", name)
     _check(_list(doc["layers"], "layers"), "program", "no layers")
 
     cur = (prog.in_c, prog.in_h, prog.in_w)
@@ -572,7 +564,9 @@ def _load(doc) -> ApProgram:
                    "pool needs even input extents")
             cur = (c, h // 2, w // 2)
         elif cls is AddLayer:
-            skip = _int(layer.skip_from, f"{where} skip_from", -1, idx - 1)
+            skip = layer.skip_from
+            _check(-1 <= skip < idx, f"{where} skip_from",
+                   "{} outside [-1, {}]", skip, idx - 1)
             other = (prog.in_c, prog.in_h, prog.in_w) if skip == -1 \
                 else out_shapes[skip]
             _check(other == cur, where, "add operands differ {} vs {}", cur,
@@ -616,7 +610,7 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
                "needs {} columns, geometry has {}", t.columns_used, geo.columns)
     _check(c_hi == layer.c_out, where, "tiles do not partition c_out")
 
-    # `_well_typed` and `stream_steps` keep every value within a track
+    # `_stream` and `stream_steps` keep every value within a track
     groups = schedule(shape, layer.in_bits, geo,
                       len(layer.tiles)).channel_groups
     layer.streams = [
@@ -630,18 +624,25 @@ def _conv(layer: ConvLayer, where: str, cur: tuple[int, int, int], bits: int,
 
 def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
             n_channels: int, where: str) -> Stream:
-    """A stream's table, from its item lists, one per channel of its group,
-    once `stream_steps` accepts it."""
-    channels = [_list(items, where) for items in _list(v, where, n_channels)]
-    if not _well_typed(list(chain.from_iterable(channels)), geo):
-        i, j, item = next((i, j, item) for i, items in enumerate(channels)
-                          for j, item in enumerate(items)
-                          if not _well_typed([item], geo))
-        raise FormatError(f"{where}: channel {i} item {j} {item!r} is not "
-                          f"[op, m, a, b, [result columns]] with op add or "
-                          f"sub, m in [1, {geo.domains_per_track}] and "
-                          f"columns in [0, {geo.columns})")
-    stream = Stream(channels)
+    """A stream's table, from its columns, once `stream_steps` accepts it.
+    An entry out of its column's range is named by its item."""
+    s, top = checked_fields(v, Stream, where), geo.columns - 1
+    sizes = [len(s[name]) for name in ("op", "m", "a", "b", "nd")]
+    items = _ints(s["items"], 0, sizes[0], where, "items entry {}".format)
+    _check(len(items) == n_channels and set(sizes) == {items.sum()}, where,
+           "items {} of {} channels do not count the {} entries of op, m, a, "
+           "b and nd", s["items"], n_channels, sizes)
+    op, m, a, b, nd = (
+        _ints(s[name], lo, hi, where,
+              lambda k, name=name: f"{_item(items, k)} {name}")
+        for name, lo, hi in (("op", 0, len(OPS) - 1),
+                             ("m", 1, geo.domains_per_track), ("a", 0, top),
+                             ("b", 0, top), ("nd", 0, geo.columns)))
+    _check(nd.sum() == len(s["dest"]), where,
+           "nd sums to {}, dest has {} entries", nd.sum(), len(s["dest"]))
+    dest = _ints(s["dest"], 0, top, where, lambda k: _item(
+        items, np.searchsorted(np.cumsum(nd), k, "right")) + " dest")
+    stream = Stream(items, op, m, a, b, nd, dest)
     try:
         stream_steps(stream, tile, value0, in_bits)
     except FormatError as exc:
@@ -649,18 +650,14 @@ def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
     return stream
 
 
-def _well_typed(items: list, geo: ApGeometry) -> bool:
-    """Whether every item is [op, m, a, b, [result columns]] with a known op,
-    a width that fits a track and columns of the geometry."""
-    if set(map(type, items)) - {list} or set(map(len, items)) - {5}:
-        return False
-    if not items:
-        return True
-    ops, m, a, b, dest = zip(*items)
-    if set(map(type, dest)) - {list}:
-        return False
-    cols = a + b + tuple(chain.from_iterable(dest))
-    return not set(map(type, ops)) - {str} and set(ops) <= set(OPS) and \
-        set(map(type, m + cols)) == {int} and 1 <= min(m) and \
-        max(m) <= geo.domains_per_track and 0 <= min(cols) <= max(cols) < \
-        geo.columns
+def _ints(col: list, lo: int, hi: int, where: str, label) -> np.ndarray:
+    """`col` as an int64 array, once one type pass and one range pass find
+    every entry an int (not a bool) in [lo, hi], a range within int64.
+    FormatError names the first entry that is not by `label(index)`."""
+    if not set(map(type, col)) <= {int} or col and not lo <= min(col) <= \
+            max(col) <= hi:
+        k, x = next((k, x) for k, x in enumerate(col)
+                    if type(x) is not int or not lo <= x <= hi)
+        raise FormatError(f"{where}: {label(k)} is {x!r}, not an integer in "
+                          f"[{lo}, {hi}]")
+    return np.array(col, np.int64)

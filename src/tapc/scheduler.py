@@ -32,17 +32,18 @@ the same walk that decides the addressing; all other reads sign-extend for
 free by clamping at their MSB.
 
 The result is the typed program of `tapc.program`, which holds only the
-decisions made here: the tiles and the item streams, one item list per
-channel, whose items name the columns they read and write. It also owns
-the encoding, the loader and everything derived from the decisions, among
-them each conv layer's `Schedule` (its row and channel groups, AP count,
-adder tree and epochs) and how each item reads its operands.
+decisions made here: the tiles and the item streams, each a table of
+integer columns whose items name the columns they read and write. It also
+owns the encoding, the loader and everything derived from the decisions,
+among them each conv layer's `Schedule` (its row and channel groups, AP
+count, adder tree and epochs) and how each item reads its operands.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +53,9 @@ from . import isa
 from .errors import CapacityError, FormatError
 from .lowering import LinearSystem, lower_layer, unrolled_op_count
 from .model import QuantSpec, TernaryNetwork, _input_bits
-from .program import (OPT_LEVELS, AddLayer, ApGeometry, ApProgram, ConvLayer,
-                      PoolLayer, Stream, Tile, macro_counts, schedule)
+from .program import (OPS, OPT_LEVELS, AddLayer, ApGeometry, ApProgram,
+                      ConvLayer, PoolLayer, Stream, Tile, macro_counts,
+                      schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +323,33 @@ def _requant(quant: QuantSpec) -> dict:
 
 
 def _stream(tile: _TilePlan, group: list[int]) -> Stream:
-    """The stream of the APs holding `group`'s channels for `tile`, an item
-    list per channel: its planned macros, then its folds into the
-    accumulators. Every row group runs the same stream."""
-    acc_w = tile.acc_width
-    channels = []
+    """The stream of the APs holding `group`'s channels for `tile`: each
+    channel's planned macros, then its folds into the accumulators, appended
+    to the stream's columns. Every row group runs the same stream."""
+    acc_w, zero = tile.acc_width, tile.zero
+    items, op, m, a, b, dest = [], [], [], [], [], []    # dest: per item
     # the first fold into each accumulator runs out of place over the zero
     # column: its per-bit pre-clear initializes the column, so reused arrays
     # never leak a stale accumulator
     seeded: set[int] = set()
     for ch in group:
-        plan = tile.plans[ch]
-        items = plan.macros.copy()
+        plan, folds = tile.plans[ch], []
         for r, col, sign in plan.folds:
-            if col is None:
-                continue
-            op = isa.ADD if sign > 0 else isa.SUB
-            if r in seeded:
-                items.append((op, acc_w, col, tile.acc0 + r, ()))
-            else:
-                items.append((op, acc_w, col, tile.zero, (tile.acc0 + r,)))
-                seeded.add(r)
-        channels.append(items)
-    # accumulators no channel folds into are seeded at the end
-    channels[-1] += [(isa.ADD, acc_w, tile.zero, tile.zero, (tile.acc0 + r,))
-                     for r in range(tile.c_hi - tile.c_lo) if r not in seeded]
-    return Stream(channels)
+            if col is not None:
+                acc, kind = tile.acc0 + r, isa.ADD if sign > 0 else isa.SUB
+                folds.append((kind, acc_w, col, acc, ()) if acc in seeded
+                             else (kind, acc_w, col, zero, (acc,)))
+                seeded.add(acc)
+        if ch == group[-1]:
+            # accumulators no channel folds into are seeded at the end
+            folds += [(isa.ADD, acc_w, zero, zero, (acc,)) for acc in range(
+                tile.acc0, tile.carry) if acc not in seeded]
+        items.append(len(plan.macros) + len(folds))
+        for column, new in zip((op, m, a, b, dest), zip(*plan.macros, *folds)):
+            column += new
+    return Stream(*(np.array(col, np.int64) for col in (
+        items, [*map(OPS.index, op)], m, a, b, [*map(len, dest)],
+        [*chain.from_iterable(dest)])))
 
 
 def _emit_conv(idx, layer, shape, in_bits, geometry, opt):

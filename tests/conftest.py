@@ -18,7 +18,7 @@ from hypothesis import configuration, settings
 
 from tapc import isa, sim
 from tapc.lowering import LinearSystem
-from tapc.program import OPS, PHASES, Steps
+from tapc.program import OPS, PHASES, Steps, Stream
 from tapc.scheduler import ApGeometry
 
 settings.register_profile("tapc", derandomize=True, database=None,
@@ -112,6 +112,29 @@ def decode(macros) -> Steps:
                  *(tuple(map(np.array, zip(*ref))) for ref in (a, b)),
                  np.array([col for cols in dest for col in cols], np.int64),
                  *map(np.array, (nd, passes)), carry, zero)
+
+
+def stream_of(channels) -> Stream:
+    """The stream of per-channel lists of (op, m, a, b, dest) items, with op
+    named as `isa` names it."""
+    items = [item for row in channels for item in row]
+    ops, m, a, b, dest = zip(*items) if items else ((),) * 5
+    return Stream(*(np.array(col, np.int64) for col in (
+        [*map(len, channels)], [*map(OPS.index, ops)], m, a, b,
+        [*map(len, dest)], [col for cols in dest for col in cols])))
+
+
+def stream_items(stream: Stream) -> list[list[tuple]]:
+    """The items of `stream` per channel as (op, m, a, b, dest) tuples:
+    what `stream_of` takes."""
+    dest, nd = stream.dest.tolist(), stream.nd.tolist()
+    items = list(zip(map(OPS.__getitem__, stream.op.tolist()),
+                     stream.m.tolist(), stream.a.tolist(), stream.b.tolist(),
+                     (tuple(dest[end - n:end])
+                      for n, end in zip(nd, np.cumsum(nd).tolist()))))
+    counts = stream.items.tolist()
+    return [items[end - n:end]
+            for n, end in zip(counts, np.cumsum(counts).tolist())]
 
 
 def steps_equal(got: Steps, want: Steps) -> bool:

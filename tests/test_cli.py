@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -442,18 +443,18 @@ def test_run_artifacts_match_golden_hashes(name, tmp_path, capsys):
 
 # sha256 of program.json as `tapc compile` writes it for the golden runs
 GOLDEN_PROGRAMS = {
-    "default": "569e5daf95e40948e528e8cc9df8421d"
-               "4182bf4f0be554b56b1854cbef5f2aec",
-    "tiled": "869fb2c3c989984e8560adad0c32f568"
-             "09c591779aa9cce3d3c1e32ebb582e1f",
-    "tiled-unroll": "7faf8a936f27d23879a316e2ffd7b9f1"
-                    "a66c23cf49637e14a7f79bb49f7b179b",
-    "tiled-4rg": "0b8ba5dbae5371e79fa37f7961732fca"
-                 "6ddc2e12e4730070c611ae9e610ec944",
+    "default": "cf827d628c9d288962a8d3bb334305f6"
+               "2afa40866371622fa4258bda9842085a",
+    "tiled": "a46b9abed1313aa1a3284df6a84f78f1"
+             "3bc70744400da0e383a61e52eb3421ae",
+    "tiled-unroll": "f2782b2a9efacd40c276c5b955957f9e"
+                    "403836498a05240b8f47e7ed3242f70d",
+    "tiled-4rg": "3df895fb15792f1f61f61dbeedfbbf23"
+                 "5122323d0d0ec6124e94062782122126",
     # compile only, 96 columns: the tile-doubling retry, heap ties in the
     # pair extraction and value pools of many colors
-    "compile-wide": "0e2b85d500c6d042908b8a9b6fff3dfc"
-                    "dbebf1c469443aac36b2400aab58ace5",
+    "compile-wide": "3062ae1aa48bfad7076f3640a4e0e24d"
+                    "56016db583c4c4409ef0695dd2f94d59",
 }
 _COMPILE_WIDE = ["--synthetic", "4x64x0.7", "--bits", "4", "--input-hw",
                  "16x16", "--cols", "96", "--seed", "0"]
@@ -554,7 +555,7 @@ def test_program_of_an_older_format_version_is_a_format_error(tmp_path, capsys):
     run_cli(capsys, "compile", "--synthetic", "1x4x0.8", "--input-hw", "6x6",
             "--out-dir", str(tmp_path))
     doc = json.loads((tmp_path / "program.json").read_text())
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         doc["format_version"] = version
         (tmp_path / "old.json").write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "run",
@@ -638,11 +639,6 @@ def test_bad_geometry_and_energy_flags_exit_4(flag, value, tmp_path, capsys):
     assert code == 4 and "format:" in err
 
 
-def _first(items, in_place):
-    """The first in-place (empty `dest`) or out-of-place item of `items`."""
-    return next(item for item in items if (not item[4]) == in_place)
-
-
 def _columns(doc):
     """acc0, carry, zero and scratch columns of the first layer's first
     tile."""
@@ -651,60 +647,144 @@ def _columns(doc):
     return t["acc0"], carry, carry + 1, carry + 2
 
 
-def _channels(d):
-    """The per-channel item lists of the first stream."""
+def _stream(d):
+    """The columns of the first stream."""
     return d["layers"][0]["streams"][0][0]
 
 
-def _items(d):
-    """The first stream's items of its first channel."""
-    return _channels(d)[0]
+class _Items:
+    """The first stream of a program document, item by item: item k, in
+    stream order, is entry k of the op, m, a, b and nd columns, its result
+    columns are the k-th run of `dest`, and the counts in `items` place it
+    in its channel."""
+
+    def __init__(self, doc):
+        self.s = _stream(doc)
+
+    def __len__(self):
+        return len(self.s["op"])
+
+    def _dest(self, k):
+        at = sum(self.s["nd"][:k])
+        return slice(at, at + self.s["nd"][k])
+
+    def __getitem__(self, k):
+        """Item k as (op, m, a, b, result columns)."""
+        s = self.s
+        return s["op"][k], s["m"][k], s["a"][k], s["b"][k], \
+            s["dest"][self._dest(k)]
+
+    def where(self, k):
+        """Item k's channel and index in that channel."""
+        for i, n in enumerate(self.s["items"]):
+            if k < n:
+                return i, k
+            k -= n
+
+    def set(self, k, field, value):
+        """Set one field of item k; `dest` is its list of result columns."""
+        if field == "dest":
+            self.s["dest"][self._dest(k)] = value
+            self.s["nd"][k] = len(value)
+        else:
+            self.s[field][k] = value
+
+    def drop(self, k):
+        self.s["items"][self.where(k)[0]] -= 1
+        self.set(k, "dest", [])
+        for field in ("op", "m", "a", "b", "nd"):
+            del self.s[field][k]
 
 
-def _stream(d):
-    """The first stream's items in stream order."""
-    return [item for items in _channels(d) for item in items]
+def _set(d, k, field, value):
+    _Items(d).set(k, field, value)
+
+
+def _first(d, in_place, last=False):
+    """The first (or last) in-place (no result columns) or out-of-place
+    item of the first stream."""
+    s = _Items(d)
+    order = range(len(s))
+    return next(k for k in (reversed(order) if last else order)
+                if (not s[k][4]) == in_place)
 
 
 def _last_fold(d):
     """The last in-place fold into an accumulator of the first stream."""
-    acc0 = _columns(d)[0]
-    return next(item for item in reversed(_stream(d))
-                if not item[4] and item[3] >= acc0)
+    s, acc0 = _Items(d), _columns(d)[0]
+    return next(k for k in reversed(range(len(s)))
+                if not s[k][4] and s[k][3] >= acc0)
 
 
 def _drop_writes_of_acc0(d):
     """Leave the first stream without any write of its first accumulator."""
-    for items in _channels(d):
-        items[:] = [item for item in items
-                    if _columns(d)[0] not in (item[4] or [item[3]])]
+    s, acc0 = _Items(d), _columns(d)[0]
+    for k in reversed(range(len(s))):
+        if acc0 in (s[k][4] or [s[k][3]]):
+            s.drop(k)
+
+
+def _drop_last_channel(d):
+    """Drop the first stream's last channel and its items."""
+    s = _Items(d)
+    for k in reversed(range(len(s) - s.s["items"][-1], len(s))):
+        s.drop(k)
+    s.s["items"].pop()
 
 
 def _repeat_first_result(d):
     """List the first out-of-place item's first result column twice."""
-    item = _first(_stream(d), False)
-    item[4] = [item[4][0]] * 2
+    k = _first(d, False)
+    _set(d, k, "dest", [_Items(d)[k][4][0]] * 2)
+
+
+def _pool_reader(d):
+    """The first out-of-place item whose a is a value-pool column."""
+    layer, s = d["layers"][0], _Items(d)
+    value0, acc0 = layer["f_h"] * layer["f_w"], _columns(d)[0]
+    return next(k for k in range(len(s))
+                if s[k][4] and value0 <= s[k][2] < acc0)
 
 
 def _result_over_operand(d):
-    """Make the first out-of-place item with a value-pool a write its
-    result over that a too."""
-    layer = d["layers"][0]
-    value0, acc0 = layer["f_h"] * layer["f_w"], _columns(d)[0]
-    item = next(item for item in _stream(d)
-                if item[4] and value0 <= item[2] < acc0)
-    item[4].append(item[2])
+    """Make `_pool_reader`'s item write its result over its a too."""
+    k = _pool_reader(d)
+    _, _, a, _, dest = _Items(d)[k]
+    _set(d, k, "dest", dest + [a])
 
 
 def _in_place_a_is_b(d):
     """Make the first in-place item add its b to itself."""
-    item = _first(_stream(d), True)
-    item[2] = item[3]
+    k = _first(d, True)
+    _set(d, k, "a", _Items(d)[k][3])
 
 
-def _as_format_3(item):
-    """Give an item format 3's mode field."""
-    item.insert(1, "out_of_place" if item[4] else "in_place")
+def _widen_first_in_place(d):
+    """Make the first in-place item one bit wider than its b."""
+    k = _first(d, True)
+    _set(d, k, "m", _Items(d)[k][1] + 1)
+
+
+def _negative_result_count(d):
+    """Give the first in-place item -1 result columns and the first
+    out-of-place item one more count than it has columns, so that the
+    counts still sum to the length of `dest`."""
+    s = _stream(d)
+    s["nd"][_first(d, True)] = -1
+    s["nd"][_first(d, False)] += 1
+
+
+def _negative_item_count(d):
+    """Give the first channel -1 items and the second all the others, so
+    that the counts still sum to the item count."""
+    items = _stream(d)["items"]
+    items[:2] = [-1, items[0] + items[1] + 1]
+
+
+def _as_format_3(d):
+    """Give the first stream format 3's mode of each item."""
+    s = _stream(d)
+    s["mode"] = ["out_of_place" if nd else "in_place" for nd in s["nd"]]
 
 
 def _format_4_luts():
@@ -747,25 +827,37 @@ PROGRAM_EDITS = {
     "acc0-in-slots": lambda d: d["layers"][0]["tiles"][0].update(acc0=8),
     "acc-lo-positive": lambda d: d["layers"][0]["tiles"][0].update(acc_lo=1),
     "acc-hi-negative": lambda d: d["layers"][0]["tiles"][0].update(acc_hi=-1),
-    "item-missing-field": lambda d: _items(d)[0].pop(),
-    "format-3-item": lambda d: _as_format_3(_items(d)[0]),
-    "missing-channel-list": lambda d: _channels(d).pop(),
-    "zero-width-macro": lambda d: _items(d)[0].__setitem__(1, 0),
-    "column-past-geometry": lambda d: _items(d)[0].__setitem__(2, 256),
+    "item-missing-field": lambda d: _stream(d)["m"].pop(),
+    "format-3-item": _as_format_3,
+    "missing-channel-list": _drop_last_channel,
+    "zero-width-macro": lambda d: _set(d, 0, "m", 0),
+    "column-past-geometry": lambda d: _set(d, 0, "a", 256),
     "stored-tree": lambda d: d["layers"][0].update(tree=[]),
+    # columns whose entries are not ints in their range; `np.array` would
+    # take True as 1, and 2**63 overflows int64
+    "bool-width": lambda d: _set(d, 0, "m", True),
+    "float-column": lambda d: _set(d, 0, "a", float(_Items(d)[0][2])),
+    "huge-result-column": lambda d: _stream(d)["dest"].__setitem__(0, 2**63),
+    "op-code-2": lambda d: _set(d, 0, "op", 2),
+    "negative-result-count": _negative_result_count,
+    "negative-item-count": _negative_item_count,
+    # columns that do not fit together
+    "items-one-too-many": lambda d: _stream(d)["items"].append(0),
+    "items-one-too-few": lambda d: _stream(d)["items"].pop(),
+    "items-sum-short": lambda d: _stream(d)["items"].__setitem__(
+        0, _stream(d)["items"][0] - 1),
+    "result-counts-past-dest": lambda d: _stream(d)["dest"].pop(),
+    "unknown-stream-field": lambda d: _stream(d).update(bogus=[]),
     # items that stay inside the geometry but not inside the tile layout
-    "stream-reads-scratch": lambda d: _items(d)[0].__setitem__(
-        3, _columns(d)[3]),
-    "stream-writes-a-slot": lambda d: _first(_stream(d), True)
-    .__setitem__(3, 0),
-    "stream-writes-scratch": lambda d: _first(_stream(d), False)
-    .__setitem__(4, [_columns(d)[3]]),
+    "stream-reads-scratch": lambda d: _set(d, 0, "b", _columns(d)[3]),
+    "stream-writes-a-slot": lambda d: _set(d, _first(d, True), "b", 0),
+    "stream-writes-scratch": lambda d: _set(d, _first(d, False), "dest",
+                                            [_columns(d)[3]]),
     # items that fit the tile layout but do not read or write their columns
     # as those hold their data
-    "narrow-accumulator-read": lambda d: _last_fold(d).__setitem__(1, 3),
-    "read-before-write": lambda d: _items(d).pop(0),
-    "in-place-width": lambda d: _first(_stream(d), True).__setitem__(
-        1, _first(_stream(d), True)[1] + 1),
+    "narrow-accumulator-read": lambda d: _set(d, _last_fold(d), "m", 3),
+    "read-before-write": lambda d: _Items(d).drop(0),
+    "in-place-width": _widen_first_in_place,
     "accumulator-never-written": _drop_writes_of_acc0,
     "repeated-result-column": _repeat_first_result,
     "result-over-operand": _result_over_operand,
@@ -781,27 +873,32 @@ def _first_reader(d):
     """The first item after the first stream's first item that reads one of
     that item's result columns: the read that `read-before-write` leaves
     without its write."""
-    written = set(_items(d)[0][4] or _items(d)[0][3:4])
-    return next(item for item in _stream(d)[1:]
-                if {item[2], item[3]} & written)
+    s = _Items(d)
+    written = set(s[0][4] or [s[0][3]])
+    return next(k for k in range(1, len(s)) if {s[k][2], s[k][3]} & written)
 
 
-# the item each edit of a stream item leaves at fault, found before the edit
+# the item each edit of a stream item leaves at fault, by its index in
+# stream order once edited, found before the edit
 ITEM_AT_FAULT = {
-    **dict.fromkeys(("item-missing-field", "format-3-item", "zero-width-macro",
-                     "column-past-geometry", "stream-reads-scratch"),
-                    lambda d: _items(d)[0]),
+    **dict.fromkeys(("zero-width-macro", "column-past-geometry",
+                     "stream-reads-scratch", "bool-width", "float-column",
+                     "op-code-2"), lambda d: 0),
     **dict.fromkeys(("stream-writes-a-slot", "in-place-width",
-                     "in-place-a-is-b"),
-                    lambda d: _first(_stream(d), True)),
-    **dict.fromkeys(("stream-writes-scratch", "repeated-result-column"),
-                    lambda d: _first(_stream(d), False)),
+                     "in-place-a-is-b", "negative-result-count"),
+                    lambda d: _first(d, True)),
+    **dict.fromkeys(("stream-writes-scratch", "repeated-result-column",
+                     "huge-result-column"), lambda d: _first(d, False)),
     "narrow-accumulator-read": _last_fold,
-    "read-before-write": _first_reader,
-    "result-over-operand": lambda d: next(
-        item for item in _stream(d) if item[4] and d["layers"][0]["f_h"]
-        * d["layers"][0]["f_w"] <= item[2] < _columns(d)[0]),
+    "read-before-write": lambda d: _first_reader(d) - 1,
+    "result-over-operand": _pool_reader,
 }
+# the edits of a stream that leave no one item at fault
+STREAM_AT_FAULT = ("item-missing-field", "format-3-item",
+                   "missing-channel-list", "accumulator-never-written",
+                   "negative-item-count", "items-one-too-many",
+                   "items-one-too-few", "items-sum-short",
+                   "result-counts-past-dest", "unknown-stream-field")
 
 
 @pytest.fixture(scope="module")
@@ -823,13 +920,12 @@ def test_malformed_programs_are_format_errors(edit, compiled_program,
     code, _, err = run_cli(capsys, "run", "--program", str(tmp_path / "bad.json"),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 4 and err.startswith("format:"), err
+    assert "Traceback" not in err, err
     # an edited stream item is named by its stream, channel and index
     if at_fault is not None:
-        (where,) = [(i, j) for i, items in enumerate(_channels(doc))
-                    for j, item in enumerate(items) if item is at_fault]
         assert err.startswith("format: layer 0 stream 0/0: channel {} item "
-                              "{} ".format(*where)), err
-    elif edit in ("missing-channel-list", "accumulator-never-written"):
+                              "{} ".format(*_Items(doc).where(at_fault))), err
+    elif edit in STREAM_AT_FAULT:
         assert err.startswith("format: layer 0 stream 0/0: "), err
 
 
@@ -859,7 +955,7 @@ def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
     # the in-place destination stays inside the geometry; the run used to
     # exit 0 with wrong output
     def edit(doc):
-        _first(reversed(_stream(doc)), True)[3] = _columns(doc)[2]
+        _set(doc, _first(doc, True, last=True), "b", _columns(doc)[2])
 
     code, _, err = _run_edited(capsys, tmp_path,
                                ["--synthetic", "1x4x0.8", "--input-hw", "6x6",
@@ -868,13 +964,15 @@ def test_a_stream_item_writing_the_zero_column_is_a_format_error(tmp_path,
 
 
 def _dfg_item_count(layer):
-    """Stream items of a conv layer whose result column lies below their
-    tile's acc0, summed over tiles and channel groups: its DFG macros."""
+    """Stream items of a conv layer whose first result column (b in place)
+    lies below their tile's acc0, summed over tiles and channel groups: its
+    DFG macros."""
     count = 0
     for t, groups in zip(layer["tiles"], layer["streams"]):
-        count += sum(1 for channels in groups for items in channels
-                     for item in items
-                     if (item[4] or [item[3]])[0] < t["acc0"])
+        for s in groups:
+            count += sum((s["dest"][at] if nd else b) < t["acc0"]
+                         for nd, b, at in zip(s["nd"], s["b"],
+                                              accumulate([0] + s["nd"])))
     return count
 
 

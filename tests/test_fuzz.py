@@ -28,13 +28,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import decode, run_steps, steps_equal
+from conftest import decode, run_steps, steps_equal, stream_items, stream_of
 from tapc import cli, isa, sim
 from tapc.errors import CapacityError, FormatError, TapcError
 from tapc.model import (ACTIVATION_KINDS, FeatureMap, Layer, QuantSpec,
                         TernaryNetwork, TernaryWeights, make_synthetic_input,
                         make_synthetic_network, reference_inference)
-from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, Stream, Tile,
+from tapc.program import (OPT_LEVELS, ApGeometry, ApProgram, Tile,
                           macro_counts, merge_steps, schedule, stream_steps)
 from tapc.scheduler import emit_program
 
@@ -172,7 +172,7 @@ def test_decoded_streams_match_the_micro_op_reference(catalog, case,
             for stream in row:
                 value0 = lp.f_h * lp.f_w
                 steps = stream_steps(stream, tile, value0, lp.in_bits)
-                macros = item_macros(stream.channels(), tile, value0,
+                macros = item_macros(stream_items(stream), tile, value0,
                                      lp.in_bits)
                 assert steps_equal(steps, decode(
                     [(macro, _table(catalog, macro), phase)
@@ -251,7 +251,7 @@ def test_the_stream_rules_imply_the_macro_contract(catalog, case):
     contract check."""
     channels, tile, value0, in_bits = case
     try:
-        steps = stream_steps(Stream(channels), tile, value0, in_bits)
+        steps = stream_steps(stream_of(channels), tile, value0, in_bits)
     except FormatError:
         return
     macros = item_macros(channels, tile, value0, in_bits)
