@@ -30,6 +30,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
+import string
+import textwrap
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -497,11 +500,18 @@ def macro_counts(lp: ConvLayer, sched: Schedule) -> tuple[int, int]:
 # the loader
 # ---------------------------------------------------------------------------
 
+class _Message(string.Formatter):
+    def convert_field(self, value, conversion):
+        return value if conversion != "r" else textwrap.shorten(
+            reprlib.repr(value), 120)
+
+
 def _check(ok, where: str, what: str, *args):
-    """Raise FormatError `where: what` unless `ok`. The message is formatted
-    with `args` (`str.format`) only then, so a passing check costs no repr."""
+    """Raise FormatError `where: what` unless `ok`, formatting `args` only
+    then, so a passing check costs no repr. A `!r` field shows at most 120
+    characters of a `reprlib.repr`, so no value makes a message long."""
     if not ok:
-        raise FormatError(f"{where}: {what.format(*args)}")
+        raise FormatError(f"{where}: {_Message().format(what, *args)}")
 
 
 def _list(v, where: str, n: int | None = None) -> list:
@@ -524,8 +534,8 @@ def checked_fields(v, cls, where: str) -> dict:
     _check(type(v) is dict, where, "expected an object, got {!r}", v)
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(v)), sorted(set(v) - names)
-    _check(not missing, where, "missing fields {}", missing)
-    _check(not extra, where, "unknown fields {}", extra)
+    _check(not missing, where, "missing fields {!r}", missing)
+    _check(not extra, where, "unknown fields {!r}", extra)
     for f in fields(cls):
         want, x = _JSON_TYPES.get(f.type.split("[")[0]), v[f.name]
         _check(want is None or type(x) in want and (
@@ -537,7 +547,7 @@ def checked_fields(v, cls, where: str) -> dict:
 def _load(doc) -> ApProgram:
     version = doc.get("format_version") if type(doc) is dict else None
     if type(version) is not int or version != PROGRAM_VERSION:
-        raise FormatError(f"unsupported program version {version!r}")
+        raise FormatError(f"unsupported program version {reprlib.repr(version)}")
     checked_fields(doc, ApProgram, "program")
     geo = ApGeometry(**checked_fields(doc["geometry"], ApGeometry,
                                       "geometry"))
@@ -630,7 +640,7 @@ def _stream(v, geo: ApGeometry, tile: Tile, value0: int, in_bits: int,
     sizes = [len(s[name]) for name in ("op", "m", "a", "b", "nd")]
     items = _ints(s["items"], 0, sizes[0], where, "items entry {}".format)
     _check(len(items) == n_channels and set(sizes) == {items.sum()}, where,
-           "items {} of {} channels do not count the {} entries of op, m, a, "
+           "items {!r} of {} channels do not count the {} entries of op, m, a, "
            "b and nd", s["items"], n_channels, sizes)
     op, m, a, b, nd = (
         _ints(s[name], lo, hi, where,
@@ -658,6 +668,6 @@ def _ints(col: list, lo: int, hi: int, where: str, label) -> np.ndarray:
             max(col) <= hi:
         k, x = next((k, x) for k, x in enumerate(col)
                     if type(x) is not int or not lo <= x <= hi)
-        raise FormatError(f"{where}: {label(k)} is {x!r}, not an integer in "
-                          f"[{lo}, {hi}]")
+        raise FormatError(f"{where}: {label(k)} is {reprlib.repr(x)}, not an "
+                          f"integer in [{lo}, {hi}]")
     return np.array(col, np.int64)

@@ -15,8 +15,8 @@ table of decoded steps (`program.Steps`), by sums over its columns and by
 differences along each column's walks. The executor moves only data and
 counts the rows each bit tags: the load packs each (row group, channel
 group)'s slot planes with one `packbits`, `run_macro` runs each step (a
-flat tuple of `macro_rows`) on a `Bundle`'s planes, and the readout
-decodes each root's accumulators with one `unpackbits`. A step reads one
+flat tuple of `macro_rows`) on one AP's planes, and the readout decodes
+each root's accumulators with one `unpackbits`. A step reads one
 plane, its sign bit or the zero column's domain 0, for each bit past an
 operand's width, and writes its results from domain 0. `run` calls both,
 a layer's part at a time, once the derivation has charged it.
@@ -29,8 +29,8 @@ micro-op path, `isa.expand_macro` then `execute_micro_ops`, replays every
 pass and charges each micro-op itself: it is the reference the tests
 compare derivation and executor against. The row groups of a (tile,
 channel group) form one bundle (`Schedule.bundle`): a stream, or a tree
-merge on the bundle of its destination group, is decoded and charged once
-and runs on each AP's own planes.
+merge on the bundle of its destination group, is decoded and charged once,
+then `run_part` runs it on each AP's planes in turn.
 
 `EventCounts` keeps, per (ap, layer, phase, epoch, kind), the number of
 events and the integer sums of their bits, steps, cycles and energy size;
@@ -47,7 +47,6 @@ whole machine is deterministic, so do the energy figures.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -184,17 +183,6 @@ def _decode(planes: list[int], rows: int, n_rows: int, width: int,
     return vals
 
 
-def _check_track(geometry: ApGeometry, col: int, base: int, width: int):
-    """Raise SimulationError unless `col` has domains [base, base + width)."""
-    if not 0 <= col < geometry.columns:
-        raise SimulationError(
-            f"column {col} outside the {geometry.columns}-column array")
-    if base < 0 or base + width > geometry.domains_per_track:
-        raise SimulationError(
-            f"domains [{base}, {base + width}) of column {col} outside "
-            f"the {geometry.domains_per_track}-domain track")
-
-
 class CamArray:
     """The planes of one AP: `planes[col][dom]` holds domain `dom` of every
     row's track in column `col`."""
@@ -208,8 +196,15 @@ class CamArray:
 
     def track(self, col: int, base: int = 0, width: int = 1) -> list[int]:
         """The planes of one column, after checking that domains
-        [base, base + width) exist on it."""
-        _check_track(self.geometry, col, base, width)
+        [base, base + width) exist on it (SimulationError)."""
+        geo = self.geometry
+        if not 0 <= col < geo.columns:
+            raise SimulationError(
+                f"column {col} outside the {geo.columns}-column array")
+        if base < 0 or base + width > geo.domains_per_track:
+            raise SimulationError(
+                f"domains [{base}, {base + width}) of column {col} outside "
+                f"the {geo.domains_per_track}-domain track")
         return self.planes[col]
 
     def load(self, col: int, base: int, planes: list[int], n_rows: int):
@@ -516,44 +511,6 @@ def execute_micro_ops(state: SimState, ap: int, ops: list[isa.MicroOp],
             raise SimulationError(f"unexpected micro-op kind {op.kind!r}")
 
 
-class Bundle:
-    """The APs that run a step together, each on its own planes. `tagged`
-    holds, per phase, each AP's tagged write bits, which `close` adds to
-    the write counters the derivation made."""
-
-    def __init__(self, state: SimState, aps, layer: int = 0, epoch: int = 0):
-        self.events = state.events
-        self.aps = list(aps)
-        self.cams = [state.ap(ap) for ap in self.aps]
-        self.layer, self.epoch = layer, epoch
-        self.tagged = defaultdict(lambda: [0] * len(self.aps))
-
-    def __len__(self) -> int:
-        return len(self.cams)
-
-    def __enter__(self) -> Bundle:
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def move_in(self, srcs, col: int, scratch: int, width: int):
-        """Copy domains [0, width) of column `col` of the k-th AP of `srcs`
-        into column `scratch` of the k-th AP."""
-        for cam, src in zip(self.cams, srcs):
-            cam.track(scratch, 0, width)[:width] = \
-                src.track(col, 0, width)[:width]
-
-    def close(self):
-        """Add the tagged bits to the APs' write counters, once, after the
-        last step."""
-        for k, ap in enumerate(self.aps):
-            for phase, tagged in self.tagged.items():
-                if tagged[k]:
-                    self.events.add((ap, self.layer, phase, self.epoch,
-                                     WRITE), 0, tagged[k], 0, 0, tagged[k])
-
-
 def macro_rows(t: Steps, reads) -> list[tuple]:
     """The steps of `t` as `run_macro` reads them, a flat tuple each: phase,
     op, negated, in place, m, a's and b's `reads` (`Steps.ports`), the
@@ -567,10 +524,10 @@ def macro_rows(t: Steps, reads) -> list[tuple]:
                     repeat(t.carry)))
 
 
-def run_macro(bundle: Bundle, step: tuple):
-    """Execute one decoded macro (`macro_rows`) on every AP of `bundle`, each
-    bit as one bit-parallel full add or subtract over the AP's (carry, b, a)
-    planes, and count the rows each bit tags.
+def run_macro(cam: CamArray, step: tuple) -> int:
+    """Execute one decoded macro (`macro_rows`) on the planes of `cam`, each
+    bit as one bit-parallel full add or subtract over its (carry, b, a)
+    planes, and return the bits its tagged writes write.
 
     The catalog's tables (`isa.standard_catalog`) take each row from its
     (carry, b, a) state to `isa.reference_bit` of it and tag exactly the
@@ -580,39 +537,57 @@ def run_macro(bundle: Bundle, step: tuple):
     (`Charges.steps`) charges the rest of the step, walks its ports,
     counts its wear and checks its carry, zero column and reach.
     """
-    (phase, sub, negated, in_place, m, a_col, a_base, a_n, a_fill, a_dom,
+    (_phase, sub, negated, in_place, m, a_col, a_base, a_n, a_fill, a_dom,
      b_col, b_base, b_n, b_fill, b_dom, dest, carry) = step
     # a borrow is the carry of the complemented minuend plus the subtrahend;
     # the negated sub swaps the roles, the negated add complements the sum
-    full = bundle.cams[0].full
+    full = cam.full
     inv = full if sub else 0
     flip = full if sub or negated else 0
-    n_written = 1 + len(dest)
-    tagged = bundle.tagged[phase]
-    for k, cam in enumerate(bundle.cams):
-        # the planes a bit searches for each operand: n planes from its
-        # base, then the fill plane for every further bit (`Steps.ports`)
-        planes = cam.planes
-        bs = planes[b_col][b_base:b_base + b_n]
-        if b_n < m:
-            bs += [planes[b_fill][b_dom]] * (m - b_n)
-        as_ = planes[a_col][a_base:a_base + a_n]
-        if a_n < m:
-            as_ += [planes[a_fill][a_dom]] * (m - a_n)
-        us, vs = (as_, bs) if sub and negated else (bs, as_)
-        c = count = 0
-        results = []
-        for u, v, held in zip(us, vs, bs if in_place else repeat(0)):
-            u ^= inv
-            x = u ^ v
-            r = x ^ c ^ flip
-            c_in, c = c, u & v | x & c
-            count += (c_in ^ c | r ^ held).bit_count()  # the rows it tags
-            results.append(r)
-        planes[carry][0] = c
-        for col in dest:
-            planes[col][:m] = results
-        tagged[k] += n_written * count
+    # the planes a bit searches for each operand: n planes from its base,
+    # then the fill plane for every further bit (`Steps.ports`)
+    planes = cam.planes
+    bs = planes[b_col][b_base:b_base + b_n]
+    if b_n < m:
+        bs += [planes[b_fill][b_dom]] * (m - b_n)
+    as_ = planes[a_col][a_base:a_base + a_n]
+    if a_n < m:
+        as_ += [planes[a_fill][a_dom]] * (m - a_n)
+    us, vs = (as_, bs) if sub and negated else (bs, as_)
+    c = count = 0
+    results = []
+    for u, v, held in zip(us, vs, bs if in_place else repeat(0)):
+        u ^= inv
+        x = u ^ v
+        r = x ^ c ^ flip
+        c_in, c = c, u & v | x & c
+        count += (c_in ^ c | r ^ held).bit_count()  # the rows it tags
+        results.append(r)
+    planes[carry][0] = c
+    for col in dest:
+        planes[col][:m] = results
+    return (1 + len(dest)) * count
+
+
+def run_part(state: SimState, aps, srcs, t: Steps, reads, layer: int,
+             epoch: int):
+    """Run a stream or tree merge `t`, which the derivation has charged on
+    the bundle of `aps`, with its `reads`, AP by AP. Before each step of a
+    merge, the k-th AP of `srcs` copies its b column into the scratch
+    column a of the k-th AP of `aps`. After an AP's last step, its tagged
+    bits go to its write counters, one update a phase."""
+    steps = macro_rows(t, reads)
+    moves = list(zip(t.b[0].tolist(), t.a[0].tolist(), t.m.tolist()))
+    for ap, src in zip(aps, [state.ap(ap) for ap in srcs] or repeat(None)):
+        cam, tagged = state.ap(ap), {}     # phases in the order met
+        for step, (col, scratch, m) in zip(steps, moves):
+            if src is not None:
+                cam.track(scratch, 0, m)[:m] = src.track(col, 0, m)[:m]
+            tagged[step[0]] = tagged.get(step[0], 0) + run_macro(cam, step)
+        for phase, bits in tagged.items():
+            if bits:
+                state.events.add((ap, layer, phase, epoch, WRITE), 0, bits,
+                                 0, 0, bits)
 
 
 @dataclass
@@ -657,18 +632,8 @@ def _run_conv(state: SimState, lp: ConvLayer, parts, cur: FeatureMap):
         for k in range(pim.slots):
             cam.load(k, 0, loads[rg, cg][k * n_doms:(k + 1) * n_doms], ru)
 
-    # each stream on the bundle of the row groups of its (tile, channel
-    # group), then the adder tree across channel groups, a merge on the
-    # bundle of its dst group: before each add, each source AP's copy of
-    # its b column moves into the scratch column a of its row group's AP
     for aps, srcs, steps, reads, ep in parts:
-        srcs = [state.ap(ap) for ap in srcs]
-        moves = zip(steps.b[0].tolist(), steps.a[0].tolist(), steps.m.tolist())
-        with Bundle(state, aps, layer, ep) as bundle:
-            for step, move in zip(macro_rows(steps, reads), moves):
-                if srcs:
-                    bundle.move_in(srcs, *move)
-                run_macro(bundle, step)
+        run_part(state, aps, srcs, steps, reads, layer, ep)
 
     # readout at the tree roots, one block of accumulator planes a root and
     # tile, then requantize in the controller

@@ -145,13 +145,11 @@ def steps_equal(got: Steps, want: Steps) -> bool:
 
 
 def run_steps(state, aps, steps, layer=0, epoch=0):
-    """Charge the table `steps` on the bundle of `aps`, then run it on its
-    planes, as `sim.run` runs a stream: the derivation first, then the
+    """Charge the table `steps` on the bundle of `aps`, then run it on each
+    AP's planes, as `sim.run` runs a stream: the derivation first, then the
     executor."""
-    reads = state.steps(aps, steps, layer, epoch)
-    with sim.Bundle(state, aps, layer, epoch) as bundle:
-        for step in sim.macro_rows(steps, reads):
-            sim.run_macro(bundle, step)
+    sim.run_part(state, aps, (), steps, state.steps(aps, steps, layer, epoch),
+                 layer, epoch)
 
 
 @contextlib.contextmanager

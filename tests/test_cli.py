@@ -940,6 +940,46 @@ def test_the_loader_rejects_an_item_reading_its_result_column(
         ApProgram.from_doc(doc)
 
 
+def _wrap_stream(doc):
+    doc["layers"][1]["streams"][0][0] = [doc["layers"][1]["streams"][0][0]]
+
+
+def _tiles_as_object(doc):
+    doc["layers"][1]["tiles"] = dict(doc["layers"][1])
+
+
+def _rows_as_nested_list(doc):
+    doc["geometry"]["rows"] = [[i] for i in range(5000)]
+
+
+@pytest.mark.parametrize("edit, prefix", [
+    (_wrap_stream, "layer 1 stream 0/0: expected an object, got [{'a': ["),
+    (_tiles_as_object, "layer 1: tiles must be list[Tile], got {"),
+    (_rows_as_nested_list, "geometry: rows must be int, got [[0], [1], "),
+])
+def test_a_large_bad_value_makes_a_short_message(edit, prefix, tmp_path,
+                                                 capsys):
+    # each value's whole repr is tens of thousands of characters
+    code, _, err = _run_edited(capsys, tmp_path, [
+        "--synthetic", "2x64x0.7", "--input-hw", "8x8"], edit)
+    assert code == 4 and err.startswith("format: " + prefix), err[:400]
+    assert len(err) <= 300, err[:400]
+
+
+def test_a_large_bad_stats_field_makes_a_short_message(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "run", "--synthetic", "1x4x0.8",
+                         "--input-hw", "6x6", "--out-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "stats.json").read_text())
+    doc["model"] = [doc["layers"]] * 1000
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "report", "--stats",
+                           str(tmp_path / "bad.json"))
+    assert code == 4 and err.startswith(
+        "format: stats: model must be dict, got [[{"), err[:400]
+    assert len(err) <= 300, err[:400]
+
+
 def _run_edited(capsys, tmp_path, argv, edit):
     code, _, _ = run_cli(capsys, "compile", *argv, "--out-dir", str(tmp_path))
     assert code == 0

@@ -4,8 +4,9 @@ program loader.
 Every network the compiler accepts must simulate bit-exactly against the
 host reference, run exactly the macros `macro_counts` counts, and its
 program must come back unchanged through program.json. Each of its conv
-streams, decoded once into steps, must run on its bundle of row groups as
-its items' macros run one by one through the micro-op reference on each AP.
+streams, decoded into steps and charged once for its bundle of row groups,
+must run on each AP as its items' macros run one by one through the
+micro-op reference.
 Every item stream the stream rules accept, and every tree merge, must keep
 the macro contract. What a run charges must follow from its program alone,
 but for the bits of its tagged writes: the derivation run alone makes every
@@ -95,8 +96,8 @@ def test_accepted_networks_simulate_bit_exactly(case, geometry, opt, seed):
     with mock.patch.object(sim, "run_macro", wraps=sim.run_macro) as run_macro:
         got = sim.run(prog, ifm).trace
     assert sim.first_divergence(got, reference_inference(net, ifm)) is None
-    # a call runs its macro on every AP of its bundle
-    assert sum(len(call.args[0]) for call in run_macro.call_args_list) == sum(
+    # a call runs one macro on one AP
+    assert run_macro.call_count == sum(
         sum(macro_counts(lp, schedule(lp.shape, lp.in_bits, geometry,
                                       len(lp.tiles))))
         for lp in prog.layers if lp.kind == "conv")
@@ -152,11 +153,11 @@ def _bundle_outcome(geometry, aps, seed, execute):
        st.integers(0, 2**32))
 def test_decoded_streams_match_the_micro_op_reference(catalog, case,
                                                       geometry, opt, seed):
-    """Each conv stream's steps, charged and run on the bundle of its row
-    groups, leave every AP's planes, alignment and write counts, and every
-    counter bin, as its items' macros run one by one through
-    `isa.expand_macro` and `execute_micro_ops` on each AP. Each step is the
-    row `conftest.decode` makes of its item's macro."""
+    """Each conv stream's steps, charged once for the bundle of its row
+    groups and run on each of its APs, leave every AP's planes, alignment
+    and write counts, and every counter bin, as its items' macros run one
+    by one through `isa.expand_macro` and `execute_micro_ops` on each AP.
+    Each step is the row `conftest.decode` makes of its item's macro."""
     net, h, w = case
     try:
         prog = emit_program(net, h, w, geometry, opt)

@@ -428,7 +428,7 @@ def test_macro_contract_on_shared_columns(catalog, name):
         assert isinstance(want, tuple)
 
 
-# --- bundles: one stream on the planes of each of several APs -------------
+# --- bundles: one stream charged once, run on each of several APs -------
 
 @st.composite
 def stream_cases(draw):
@@ -475,10 +475,10 @@ def _stream_outcome(rows, aligns, seed, execute):
 
 @given(stream_cases())
 def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
-    """Charging and running the stream on one bundle over all the APs
-    leaves each AP's planes, alignment and write counts, and every counter
-    bin, as doing so for each macro on each AP alone does, or running the
-    micro-op reference."""
+    """The derivation's one charge of the stream for a bundle of all the
+    APs, then its run on each AP, leaves each AP's planes, alignment and
+    write counts, and every counter bin, as charging and running each macro
+    on each AP alone does, or running the micro-op reference."""
     rows, stream, aligns, seed = case
     steps = decode([(macro, catalog[key], phase)
                     for macro, key, phase in stream])
@@ -505,9 +505,9 @@ def test_a_bundle_runs_each_ap_as_it_runs_alone(catalog, case):
 
 def _table_and_reference(catalog, stream, rows, aligns, seed, steps=None):
     """`_stream_outcome` of `stream`'s (macro, table key, phase) triples
-    decoded into one table, or of the table `steps`, charged and run on
-    one bundle of all the APs, and of its macros run AP by AP through the
-    micro-op reference."""
+    decoded into one table, or of the table `steps`, charged once for a
+    bundle of all the APs and run on each, and of its macros run AP by AP
+    through the micro-op reference."""
     if steps is None:
         steps = decode([(macro, catalog[key], phase)
                         for macro, key, phase in stream])
@@ -549,9 +549,9 @@ def test_shifts_are_charged_to_the_phase_of_their_step(catalog):
 
 
 def test_each_ap_of_a_wide_bundle_walks_from_its_own_ports(catalog):
-    """Two APs whose ports start apart run one step on one bundle: each is
-    charged the walks from its own ports, as the reference charges each AP
-    alone."""
+    """Two APs whose ports start apart run one step, which the derivation
+    charges once for their bundle: it charges each AP the walks from its
+    own ports, as the reference charges each AP alone."""
     ref = isa.OperandRef
     stream = [(_out_of_place(4, ref(2, 0, 4, True), ref(3, 0, 4, True), (4,)),
                OUT, "dfg")]
@@ -598,8 +598,9 @@ def _merge_outcome(rows, aligns, seed, pairs, bundles):
     """`_stream_outcome` of one merge of a tile whose carry is column 5 and
     scratch column 7, so no alignment may move column 5. `bundles` lists
     which of the (destination, source) AP pairs in `pairs` share a bundle;
-    the merge's moves and adds are charged on it, then before each add the
-    source's accumulator moves into the destination's scratch column."""
+    the derivation charges the merge's moves and adds once for it, then
+    `sim.run_part` runs the merge AP by AP, each add after its source's
+    accumulator moves into its destination's scratch column."""
     tile = Tile(c_lo=0, c_hi=3, acc_lo=-40, acc_hi=40, acc0=2)
     assert (tile.carry, tile.scratch) == (5, 7)
     steps = merge_steps(tile)
@@ -608,12 +609,8 @@ def _merge_outcome(rows, aligns, seed, pairs, bundles):
         for bundle_pairs in bundles:
             dsts, srcs = zip(*(pairs[i] for i in bundle_pairs))
             state.moves(dsts, steps, 2, 5)
-            reads = state.steps(dsts, steps, 2, 5)
-            with sim.Bundle(state, dsts, 2, 5) as bundle:
-                for step, b, a, m in zip(sim.macro_rows(steps, reads),
-                                         steps.b[0], steps.a[0], steps.m):
-                    bundle.move_in([state.ap(src) for src in srcs], b, a, m)
-                    sim.run_macro(bundle, step)
+            sim.run_part(state, dsts, srcs, steps,
+                         state.steps(dsts, steps, 2, 5), 2, 5)
     return _stream_outcome(rows, aligns, seed, execute)
 
 
@@ -623,9 +620,10 @@ def _merge_outcome(rows, aligns, seed, pairs, bundles):
     min_size=4, max_size=4), st.integers(0, 2**32))
 def test_a_wide_bundle_merges_as_each_ap_merges_alone(rows, aligns, seed):
     """APs 0 and 1 each merge three accumulators from their own source AP,
-    2 and 3. On one two-AP bundle that leaves every AP's planes, alignment
-    and write counts, and every counter bin, as each merge on its own
-    one-AP bundle: each add reads the scratch column its move just wrote,
+    2 and 3. The derivation's one charge of the merge for a two-AP bundle,
+    then its run on each AP, leaves every AP's planes, alignment and write
+    counts, and every counter bin, as charging and running each merge for
+    its AP alone: each add reads the scratch column its move just wrote,
     not the one the add before it read. Only the moves write the scratch
     column, each one of the 7-bit accumulators."""
     pairs = [(0, 2), (1, 3)]
